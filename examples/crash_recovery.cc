@@ -91,10 +91,10 @@ int main() {
               expected.history.size(), expected.meter.size());
 
   // "Crash" a second coordinator partway through: run it fully, then cut
-  // its journal back to the first 150 records — the exact bytes a SIGKILL
-  // after the 150th durable append would have left on disk. (bitpush_sim
-  // --task=campaign --crash_after_records does this with a real exit(137);
-  // here the truncation keeps the demo in one process.)
+  // its journal back to the first 150 records — the kind of record prefix
+  // a SIGKILL leaves on disk (everything up to the last group commit).
+  // (bitpush_sim --task=campaign --crash_after_records does this with a
+  // real exit(137); here the truncation keeps the demo in one process.)
   {
     bitpush::DurableCampaignRunner doomed(MakeQueries(), policy,
                                           options("crashed"));

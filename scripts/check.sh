@@ -79,10 +79,15 @@ cmake --build "$BUILD_DIR-tsan" \
 ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
   -R '(Concurrent|Fleet|Resilience|Obs|Prop|Kernel)'
 
-# Crash-recovery stage: run a durable campaign, SIGKILL it mid-campaign at
-# a journal-record boundary, restart against the same state directory, and
-# require the recovered stdout — and the deterministic metrics snapshot —
-# to be byte-identical to an uninterrupted run.
+# Crash-recovery stage: run a durable campaign, kill it (exit 137, the
+# SIGKILL status) after N journal appends, restart it against the same
+# state directory, and require the recovered stdout to be byte-identical to
+# an uninterrupted run. The crash harness loses every record appended since
+# the last group commit (docs/PERSISTENCE.md), so the crash points cover a
+# kill before the first commit (1, 120: nothing reached disk), kills inside
+# a query whose round 1 committed (500, 1200), and a kill two ticks in
+# (3000). The deterministic metrics and events snapshots and the alert
+# timeline must survive every one of them.
 STATE_ROOT="$(mktemp -d)"
 trap 'rm -rf "$STATE_ROOT"' EXIT
 SIM="$BUILD_DIR/tools/bitpush_sim"
@@ -95,42 +100,48 @@ SIM_ARGS=(--task=campaign --n=400 --ticks=4 --seed=99)
   --alerts_out="$STATE_ROOT/clean.alerts.txt" \
   > "$STATE_ROOT/clean.out"
 
-set +e
-"$SIM" "${SIM_ARGS[@]}" --state_dir="$STATE_ROOT/crashed" \
-  --crash_after_records=120 > /dev/null 2>&1
-CRASH_STATUS=$?
-set -e
-if [[ "$CRASH_STATUS" -ne 137 ]]; then
-  echo "crash-recovery: expected simulated crash (exit 137), got $CRASH_STATUS" >&2
-  exit 1
-fi
+for CRASH_AT in 1 120 500 1200 3000; do
+  CRASHED="$STATE_ROOT/crashed-$CRASH_AT"
+  set +e
+  "$SIM" "${SIM_ARGS[@]}" --state_dir="$CRASHED" \
+    --crash_after_records="$CRASH_AT" > /dev/null 2>&1
+  CRASH_STATUS=$?
+  set -e
+  if [[ "$CRASH_STATUS" -ne 137 ]]; then
+    echo "crash-recovery: expected simulated crash at record $CRASH_AT (exit 137), got $CRASH_STATUS" >&2
+    exit 1
+  fi
 
-"$SIM" "${SIM_ARGS[@]}" --state_dir="$STATE_ROOT/crashed" \
-  --metrics_out="$STATE_ROOT/recovered.snapshot" \
-  --trace_out="$STATE_ROOT/recovered.trace.json" \
-  --events_out="$STATE_ROOT/recovered.events.snapshot" \
-  --alerts_out="$STATE_ROOT/recovered.alerts.txt" \
-  > "$STATE_ROOT/recovered.out" 2> "$STATE_ROOT/recovered.err"
-grep -q 'recovered state:' "$STATE_ROOT/recovered.err"
-diff -u "$STATE_ROOT/clean.out" "$STATE_ROOT/recovered.out"
-echo "crash-recovery: recovered run is byte-identical to the clean run"
+  "$SIM" "${SIM_ARGS[@]}" --state_dir="$CRASHED" \
+    --metrics_out="$CRASHED.snapshot" \
+    --events_out="$CRASHED.events.snapshot" \
+    --alerts_out="$CRASHED.alerts.txt" \
+    > "$CRASHED.out" 2> "$CRASHED.err"
+  # The first commit lands after record 269: an earlier crash leaves an
+  # empty journal and the restart runs fresh; a later one leaves
+  # committed rounds to replay.
+  RECOVERED=0
+  if grep -q 'recovered state:' "$CRASHED.err"; then RECOVERED=1; fi
+  if [[ "$RECOVERED" -ne $(( CRASH_AT >= 500 )) ]]; then
+    echo "crash-recovery: crash at record $CRASH_AT: recovered=$RECOVERED is not what the commit points imply" >&2
+    exit 1
+  fi
+  diff -u "$STATE_ROOT/clean.out" "$CRASHED.out"
+  diff -u "$STATE_ROOT/clean.snapshot" "$CRASHED.snapshot"
+  diff -u "$STATE_ROOT/clean.events.snapshot" "$CRASHED.events.snapshot"
+  diff -u "$STATE_ROOT/clean.alerts.txt" "$CRASHED.alerts.txt"
+  echo "crash-recovery: crash at record $CRASH_AT recovered byte-identical to the clean run"
+done
 
-# Exporter-validation stage. The stable metrics must survive the crash
-# (deterministic-snapshot diff, plus the checked-in golden), the
-# Prometheus export must carry the documented metric families, and the
-# trace export must be well-formed Chrome trace-event JSON with events.
-diff -u "$STATE_ROOT/clean.snapshot" "$STATE_ROOT/recovered.snapshot"
+# Exporter-validation stage. The stable metrics, the flight recorder's
+# stable event stream and the fired-alert timeline were crash-exact above;
+# here they are pinned by the checked-in goldens. The Prometheus export
+# must carry the documented metric families, and the trace export must be
+# well-formed Chrome trace-event JSON with events.
 diff -u tests/golden/campaign_metrics.snapshot "$STATE_ROOT/clean.snapshot"
-echo "exporters: metrics snapshot is crash-exact and matches the golden"
-
-# The flight recorder's stable event stream and the fired-alert timeline
-# carry the same guarantee: byte-identical across the crash, and pinned by
-# checked-in goldens.
-diff -u "$STATE_ROOT/clean.events.snapshot" "$STATE_ROOT/recovered.events.snapshot"
 diff -u tests/golden/campaign_events.snapshot "$STATE_ROOT/clean.events.snapshot"
-diff -u "$STATE_ROOT/clean.alerts.txt" "$STATE_ROOT/recovered.alerts.txt"
 diff -u tests/golden/campaign_alerts.txt "$STATE_ROOT/clean.alerts.txt"
-echo "exporters: events snapshot and alert timeline are crash-exact and match the goldens"
+echo "exporters: metrics and events snapshots and alert timeline are crash-exact and match the goldens"
 
 "$SIM" "${SIM_ARGS[@]}" --state_dir="$STATE_ROOT/prom" \
   --metrics_out="$STATE_ROOT/metrics.prom" \
@@ -149,7 +160,7 @@ done
 # see the journal, the events, and the fired alert.
 DOCTOR="$BUILD_DIR/tools/bitpush_doctor"
 "$DOCTOR" --validate_events="$STATE_ROOT/events.jsonl"
-"$DOCTOR" --state_dir="$STATE_ROOT/crashed" \
+"$DOCTOR" --state_dir="$STATE_ROOT/crashed-1200" \
   --events="$STATE_ROOT/events.jsonl" \
   --metrics="$STATE_ROOT/metrics.prom" \
   --out="$STATE_ROOT/doctor.txt"

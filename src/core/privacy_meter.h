@@ -76,6 +76,13 @@ class PrivacyMeter {
   // at the same logical position as in an uninterrupted run.
   void set_replay_quiet(bool quiet) { replay_quiet_ = quiet; }
 
+  // Emits the announcement a quietly replayed charge held back, for the
+  // prefix charges of a round that recovery restores instead of
+  // re-executing (so they are never re-served through the journal hook).
+  void AnnounceReplayedCharge(int64_t value_id, bool granted) {
+    NoteChargeOutcome(value_id, granted);
+  }
+
   // Attempts to charge one disclosed bit about `value_id` from `client_id`
   // at randomized-response cost `epsilon` (0 for a noiseless bit). Returns
   // true and records the charge if all caps allow it; returns false and

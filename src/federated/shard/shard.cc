@@ -366,6 +366,17 @@ bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
   }
   BITPUSH_CHECK_EQ(next_tick(), tick + 1)
       << "shard asked for an already-delivered tick";
+  // Write-ahead rule: the frame carries tallies derived from the tick's
+  // meter charges, so it may leave only once the journal records behind
+  // it are durable. RunTick commits before it returns; a shard whose
+  // journal still holds uncommitted records fails the tick instead.
+  if (durable() && runner_->uncommitted_records() != 0) {
+    *error = "shard " + std::to_string(options_.shard_index) + " tick " +
+             std::to_string(tick) + ": " +
+             std::to_string(runner_->uncommitted_records()) +
+             " journal records not committed before the frame";
+    return false;
+  }
 
   const MeasurementCampaign& campaign =
       durable() ? runner_->campaign() : mem_->campaign;

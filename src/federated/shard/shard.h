@@ -104,9 +104,10 @@ class ShardCoordinator : private CampaignRecorder {
   // and fills `*frame` with `tick`'s contribution. A shard that fell
   // behind (lost ticks, crash recovery) catches up here — earlier ticks
   // re-run deterministically but are not re-delivered. Fails closed
-  // (false + *error) on any durability violation. `parent` is the merge
-  // tier's tick-span context; when tracing is on, the shard's collect
-  // span is parented under it and the frame carries the stitched
+  // (false + *error) on any durability violation, including journal
+  // records still uncommitted when the frame is built. `parent` is the
+  // merge tier's tick-span context; when tracing is on, the shard's
+  // collect span is parented under it and the frame carries the stitched
   // coordinates back across the wire.
   bool CollectTick(int64_t tick, ShardTickFrame* frame, std::string* error,
                    const obs::TraceContext& parent = obs::TraceContext{});

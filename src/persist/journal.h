@@ -4,8 +4,10 @@
 // assignment going out, a privacy-meter charge, a report landing in a
 // tally, a round or a campaign tick closing — is appended here as one
 // length-prefixed, CRC-protected record *before* the in-memory state
-// changes. Recovery (src/persist/recovery.h) replays the journal on top of
-// the latest snapshot.
+// changes. Records are group-committed: they become durable together at
+// the writer's next Commit(), which the owner issues before anything
+// derived from them leaves the process. Recovery (src/persist/recovery.h)
+// replays the journal on top of the latest snapshot.
 //
 // Frame layout (little-endian):
 //
@@ -27,8 +29,8 @@
 #ifndef BITPUSH_PERSIST_JOURNAL_H_
 #define BITPUSH_PERSIST_JOURNAL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -63,12 +65,21 @@ void AppendJournalFrame(JournalRecordType type, uint64_t seq,
                         const std::vector<uint8_t>& payload,
                         std::vector<uint8_t>* out);
 
-// Append-only journal writer. Append() makes the record durable (fwrite +
-// fflush + fsync unless fsync is disabled for tests) before returning, so
-// a caller that journals first and mutates second gets write-ahead
-// semantics for free.
+// Append-only journal writer with group commit. Append() frames a record
+// straight into an owned buffer of at most kBufferBytes; nothing it holds
+// is durable until Commit() writes the buffer with one write() and, with
+// fsync on, issues one fsync. A frame that would overflow the buffer
+// writes it out first (no fsync), and a frame larger than the buffer is
+// written straight from its payload. The file therefore receives exactly
+// the frames AppendJournalFrame would produce, in append order; only the
+// moment they become durable depends on the commit points, which the owner
+// chooses (DurableCampaignRunner commits before anything derived from the
+// records leaves the coordinator; see persist/recovery.h).
 class JournalWriter {
  public:
+  // Most bytes Append() holds before writing them out.
+  static constexpr size_t kBufferBytes = 64 * 1024;
+
   JournalWriter() = default;
   ~JournalWriter() { Close(); }
   JournalWriter(const JournalWriter&) = delete;
@@ -79,27 +90,48 @@ class JournalWriter {
   // failure.
   bool Open(const std::string& path, uint64_t next_seq, std::string* error);
 
-  // Appends one record and makes it durable. Returns false on I/O failure.
+  // Frames one record into the buffer; it is durable only after the next
+  // Commit(). Returns false on I/O failure of a write a full buffer forced.
   bool Append(JournalRecordType type, const std::vector<uint8_t>& payload);
 
-  void Close();
-  bool is_open() const { return file_ != nullptr; }
+  // Makes every appended record durable: writes the buffer out, then
+  // fsyncs unless fsync is disabled. A no-op when nothing was appended
+  // since the last commit. Returns false on I/O failure.
+  bool Commit();
+
+  // Commits whatever is pending and closes the file. Returns false if the
+  // final commit or the close failed.
+  bool Close();
+  bool is_open() const { return fd_ >= 0; }
   uint64_t next_seq() const { return next_seq_; }
   int64_t appended_records() const { return appended_; }
+  // Records appended since the last commit: not yet durable.
+  int64_t uncommitted_records() const { return uncommitted_records_; }
 
-  // Disables the per-record fsync (tests that write thousands of journals).
+  // Disables the commit fsync (tests that write thousands of journals).
   void set_fsync(bool fsync) { fsync_ = fsync; }
 
   // Crash harness: after `n` successful appends the process exits
-  // immediately with status 137 (the SIGKILL status), emulating a kill
-  // with the first n records durable and everything after them lost.
+  // immediately with status 137 (the SIGKILL status) without writing the
+  // buffer, so the file keeps only what earlier commits and buffer-full
+  // writes put there — the records a kill at that instant would leave.
   // 0 disables.
   void set_crash_after_records(int64_t n) { crash_after_records_ = n; }
 
  private:
-  std::FILE* file_ = nullptr;
+  // Writes the buffered frames out and empties the buffer.
+  bool Flush();
+  // Writes one frame too large for the buffer (which is empty) with its
+  // payload gathered in place.
+  bool WriteLargeFrame(JournalRecordType type,
+                       const std::vector<uint8_t>& payload);
+
+  int fd_ = -1;
+  std::vector<uint8_t> buffer_;
   uint64_t next_seq_ = 0;
   int64_t appended_ = 0;
+  int64_t uncommitted_records_ = 0;
+  int64_t uncommitted_bytes_ = 0;
   int64_t crash_after_records_ = 0;
   bool fsync_ = true;
 };

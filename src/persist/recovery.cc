@@ -478,6 +478,8 @@ std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
     BITPUSH_CHECK(Snapshot(&error)) << "snapshot failed: " << error;
     snapshot_due_ = false;
   }
+  // The results leave the coordinator on return.
+  BITPUSH_CHECK(journal_.Commit()) << "journal commit failed";
   return results;
 }
 
@@ -486,6 +488,12 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   BITPUSH_CHECK(open_) << "call Open() first";
   BITPUSH_CHECK(live_ && prefix_.empty())
       << "snapshots are only taken at tick boundaries";
+  // The snapshot covers every appended record, so they must be durable
+  // before it is.
+  if (!journal_.Commit()) {
+    *error = "commit journal " + journal_path_ + ": " + std::strerror(errno);
+    return false;
+  }
 
   CoordinatorSnapshot snapshot;
   snapshot.base_seed = options_.seed;
@@ -621,6 +629,14 @@ bool DurableCampaignRunner::RestoreRound(int64_t round_id, RoundOutcome* out) {
     RoundClosedRecord record;
     BITPUSH_CHECK(DecodeRoundClosedRecord(prefix_[j].payload, &record));
     if (record.round_id != round_id) continue;
+    // The skipped charges were applied quietly at Open; announce them
+    // here, where the live round did — ahead of the round's outcome.
+    for (size_t k = cursor_; k < j; ++k) {
+      if (prefix_[k].type != JournalRecordType::kMeterCharge) continue;
+      MeterChargeRecord charge;
+      BITPUSH_CHECK(DecodeMeterChargeRecord(prefix_[k].payload, &charge));
+      meter_.AnnounceReplayedCharge(charge.value_id, charge.granted);
+    }
     *out = std::move(record.outcome);
     AdvanceReplay(j + 1);
     return true;
@@ -636,6 +652,9 @@ void DurableCampaignRunner::OnRoundClosed(int64_t round_id,
   std::vector<uint8_t> payload;
   EncodeRoundClosedRecord(record, &payload);
   VerifyOrAppend(JournalRecordType::kRoundClosed, payload);
+  // The next round's allocation is derived from this one and goes out to
+  // clients: the round's charges and reports must be durable first.
+  BITPUSH_CHECK(journal_.Commit()) << "journal commit failed";
 }
 
 void DurableCampaignRunner::OnCohortAssigned(

@@ -57,10 +57,13 @@ struct DurableCampaignOptions {
   // Snapshot (and truncate the journal) after every N closed ticks;
   // 0 disables automatic snapshots.
   int64_t snapshot_every_ticks = 0;
-  // Per-record fsync. Disable only in tests that write many journals.
+  // fsync at every journal commit (each round close, each tick close and
+  // before each snapshot) and on journal rewrites. Disable only in tests
+  // that write many journals.
   bool fsync = true;
   // Crash harness passthrough (JournalWriter::set_crash_after_records):
-  // exit with status 137 after this many appended records. 0 disables.
+  // exit with status 137 after this many appended records, losing the
+  // ones not yet committed. 0 disables.
   int64_t crash_after_records = 0;
 };
 
@@ -89,6 +92,11 @@ struct RecoveryInfo {
 // RunTick must be called for every tick from 0 in order, with the same
 // populations and codecs as the original run; recovered ticks replay from
 // state instead of contacting clients.
+//
+// Journal records are group-committed (persist/journal.h) at the three
+// points where something derived from them leaves the coordinator: each
+// round close (the next round's allocation goes out to clients), the end
+// of each RunTick (its results return) and the start of each Snapshot.
 class DurableCampaignRunner : private CampaignRecorder,
                               private PrivacyMeter::Journal {
  public:
@@ -152,6 +160,11 @@ class DurableCampaignRunner : private CampaignRecorder,
   // Open plus live appends, zeroed when a snapshot truncates the journal.
   // Feeds the journal-growth alert rule.
   int64_t journal_records() const { return journal_records_; }
+  // Appended records not yet committed. Zero whenever RunTick or Snapshot
+  // returns: a caller may hand on results only while this is zero.
+  int64_t uncommitted_records() const {
+    return journal_.uncommitted_records();
+  }
 
   // Latest final bit means per value id (snapshot-persisted).
   const std::map<int64_t, std::vector<double>>& bit_means_cache() const {
@@ -190,7 +203,7 @@ class DurableCampaignRunner : private CampaignRecorder,
   // In replay mode, checks the emission against the next prefix record and
   // advances the cursor (aborting on divergence — a recovering coordinator
   // that cannot reproduce its own journal must not limp on). In live mode,
-  // appends the record durably.
+  // appends the record; it becomes durable at the next journal commit.
   void VerifyOrAppend(JournalRecordType type,
                       const std::vector<uint8_t>& payload);
   // Moves the replay cursor to `next`; once the prefix is exhausted,

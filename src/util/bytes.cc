@@ -184,16 +184,20 @@ std::array<uint32_t, 256> MakeCrc32Table() {
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = MakeCrc32Table();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ data[i]) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return Crc32Extend(0, data, size);
 }
 
 uint32_t Crc32(const std::vector<uint8_t>& data) {
   return Crc32(data.data(), data.size());
+}
+
+uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size) {
+  static const std::array<uint32_t, 256> kTable = MakeCrc32Table();
+  crc ^= 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc = (crc >> 8) ^ kTable[(crc ^ data[i]) & 0xFFu];
+  }
+  return crc ^ 0xFFFFFFFFu;
 }
 
 }  // namespace bytes

@@ -59,6 +59,9 @@ bool GetDoubleVector(const std::vector<uint8_t>& buffer, size_t* offset,
 // persisted journal record and snapshot payload.
 uint32_t Crc32(const uint8_t* data, size_t size);
 uint32_t Crc32(const std::vector<uint8_t>& data);
+// Continues `crc` over more bytes, so a CRC can cover data that is not
+// contiguous: Crc32Extend(Crc32(a), b) == Crc32(a followed by b).
+uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size);
 
 }  // namespace bytes
 }  // namespace bitpush

@@ -41,9 +41,9 @@ std::string Pretty(const Result& result) {
 TEST(AnalyzeTest, BadTreeFindsAllPlantedViolations) {
   const Result result = RunAnalyze(FixturePath("bad"), Options{});
   ASSERT_FALSE(result.io_error) << result.io_error_message;
-  EXPECT_EQ(result.files_scanned, 9);
-  EXPECT_EQ(result.findings.size(), 8u) << Pretty(result);
-  EXPECT_EQ(CountCheck(result, Check::kPrivacyTaint), 3) << Pretty(result);
+  EXPECT_EQ(result.files_scanned, 10);
+  EXPECT_EQ(result.findings.size(), 9u) << Pretty(result);
+  EXPECT_EQ(CountCheck(result, Check::kPrivacyTaint), 4) << Pretty(result);
   EXPECT_EQ(CountCheck(result, Check::kDeterminismFlow), 3)
       << Pretty(result);
   EXPECT_EQ(CountCheck(result, Check::kWaiverSyntax), 2) << Pretty(result);
@@ -82,6 +82,20 @@ TEST(AnalyzeTest, BadTreeFlagsChargeAfterDisclosure) {
     EXPECT_EQ(finding.check, Check::kPrivacyTaint);
     EXPECT_NE(finding.message.find("before the privacy-meter charge"),
               std::string::npos)
+        << finding.message;
+  }
+  EXPECT_TRUE(found) << Pretty(result);
+}
+
+TEST(AnalyzeTest, BadTreeFlagsRawJournalAppend) {
+  const Result result = RunAnalyze(FixturePath("bad"), Options{});
+  ASSERT_FALSE(result.io_error);
+  bool found = false;
+  for (const Finding& finding : result.findings) {
+    if (finding.path != "src/persist/raw_append.cc") continue;
+    found = true;
+    EXPECT_EQ(finding.check, Check::kPrivacyTaint);
+    EXPECT_NE(finding.message.find("journal append"), std::string::npos)
         << finding.message;
   }
   EXPECT_TRUE(found) << Pretty(result);

@@ -550,6 +550,31 @@ TEST_F(DeterminismTest, StableEventsAndAlertTimelineReproduceAcrossCrashes) {
   const auto recovered = run(base + "/c");
   EXPECT_EQ(recovered.first, first.first);
   EXPECT_EQ(recovered.second, first.second);
+
+  // A kill loses what the last group commit did not cover, so the journal
+  // it leaves ends at a commit: after a round close (the round is then
+  // restored, not re-run) or after a tick close. Each recovers to the same
+  // artifacts.
+  ASSERT_TRUE(ReadJournal(base + "/a/journal.wal", 0, &journal, &error))
+      << error;
+  int commit_points = 0;
+  for (size_t i = 0; i < journal.records.size(); ++i) {
+    const JournalRecordType type = journal.records[i].type;
+    if (type != JournalRecordType::kRoundClosed &&
+        type != JournalRecordType::kCampaignTick) {
+      continue;
+    }
+    ++commit_points;
+    const std::string dir = base + "/commit_" + std::to_string(i + 1);
+    std::filesystem::create_directories(dir);
+    std::filesystem::copy_file(base + "/a/journal.wal", dir + "/journal.wal");
+    ASSERT_TRUE(TruncateJournalToRecords(dir + "/journal.wal", i + 1, &error))
+        << error;
+    const auto at_commit = run(dir);
+    EXPECT_EQ(at_commit.first, first.first) << "commit after record " << i;
+    EXPECT_EQ(at_commit.second, first.second) << "commit after record " << i;
+  }
+  EXPECT_GT(commit_points, 4);
   std::filesystem::remove_all(base);
 }
 

@@ -1,6 +1,7 @@
-// Write-ahead journal and snapshot format tests: frame round-trips, the
-// torn-tail-vs-hard-corruption distinction, sequence discipline, stale
-// pre-snapshot prefixes, and the atomic snapshot file cycle.
+// Write-ahead journal and snapshot format tests: frame round-trips, group
+// commit, the torn-tail-vs-hard-corruption distinction, sequence
+// discipline, stale pre-snapshot prefixes, and the atomic snapshot file
+// cycle.
 
 // bitpush-lint: allow(privacy-metering): format round-trip tests build synthetic reports; no client value is behind them
 
@@ -16,6 +17,7 @@
 
 #include "persist/journal.h"
 #include "persist/snapshot.h"
+#include "util/bytes.h"
 
 namespace bitpush {
 namespace {
@@ -41,6 +43,27 @@ class JournalFileTest : public ::testing::Test {
                 bytes.size());
     }
     std::fclose(file);
+  }
+
+  std::vector<uint8_t> ReadBytes() {
+    std::vector<uint8_t> bytes;
+    std::FILE* file = std::fopen(path_.c_str(), "rb");
+    if (file == nullptr) return bytes;
+    uint8_t chunk[4096];
+    size_t n;
+    while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
+      bytes.insert(bytes.end(), chunk, chunk + n);
+    }
+    std::fclose(file);
+    return bytes;
+  }
+
+  size_t RecordsOnDisk() {
+    JournalReadResult result;
+    std::string error;
+    EXPECT_TRUE(ReadJournal(path_, 0, &result, &error)) << error;
+    EXPECT_FALSE(result.torn_tail);
+    return result.records.size();
   }
 
   std::vector<uint8_t> SampleJournal(uint64_t first_seq, int count) {
@@ -96,6 +119,110 @@ TEST_F(JournalFileTest, WriterRoundTripsThroughReader) {
     CampaignTickRecord tick;
     ASSERT_TRUE(DecodeCampaignTickRecord(record.payload, &tick));
     EXPECT_EQ(tick.tick, i);
+  }
+}
+
+TEST_F(JournalFileTest, AppendedRecordsReachTheFileOnlyAtCommit) {
+  JournalWriter writer;
+  std::string error;
+  ASSERT_TRUE(writer.Open(path_, 0, &error)) << error;
+  writer.set_fsync(false);
+  for (int i = 0; i < 3; ++i) {
+    std::vector<uint8_t> payload;
+    EncodeCampaignTickRecord(CampaignTickRecord{i}, &payload);
+    ASSERT_TRUE(writer.Append(JournalRecordType::kCampaignTick, payload));
+  }
+  EXPECT_EQ(writer.uncommitted_records(), 3);
+  EXPECT_EQ(RecordsOnDisk(), 0u);
+
+  ASSERT_TRUE(writer.Commit());
+  EXPECT_EQ(writer.uncommitted_records(), 0);
+  EXPECT_EQ(RecordsOnDisk(), 3u);
+  // Committing with nothing appended since leaves the file as it is.
+  ASSERT_TRUE(writer.Commit());
+  EXPECT_EQ(RecordsOnDisk(), 3u);
+
+  std::vector<uint8_t> payload;
+  EncodeCampaignTickRecord(CampaignTickRecord{3}, &payload);
+  ASSERT_TRUE(writer.Append(JournalRecordType::kCampaignTick, payload));
+  EXPECT_EQ(RecordsOnDisk(), 3u);
+  ASSERT_TRUE(writer.Close());
+  EXPECT_EQ(RecordsOnDisk(), 4u);
+}
+
+TEST_F(JournalFileTest, AFullBufferIsWrittenOutAtAFrameBoundary) {
+  // More small records than the buffer holds: the ones that overflowed it
+  // reach the file before any commit, always as whole frames, and the
+  // bytes are exactly the frames AppendJournalFrame builds.
+  JournalWriter writer;
+  std::string error;
+  ASSERT_TRUE(writer.Open(path_, 0, &error)) << error;
+  writer.set_fsync(false);
+  std::vector<uint8_t> expected;
+  std::vector<uint8_t> payload;
+  EncodeMeterChargeRecord(MeterChargeRecord{7, 1, 0.5, true}, &payload);
+  std::vector<uint8_t> one_frame;
+  AppendJournalFrame(JournalRecordType::kMeterCharge, 0, payload, &one_frame);
+  const int count =
+      static_cast<int>(2 * JournalWriter::kBufferBytes / one_frame.size()) +
+      3;
+  for (int i = 0; i < count; ++i) {
+    ASSERT_TRUE(writer.Append(JournalRecordType::kMeterCharge, payload));
+    AppendJournalFrame(JournalRecordType::kMeterCharge,
+                       static_cast<uint64_t>(i), payload, &expected);
+  }
+  const size_t before_commit = RecordsOnDisk();
+  EXPECT_GT(before_commit, 0u);
+  EXPECT_LT(before_commit, static_cast<size_t>(count));
+  EXPECT_LE(ReadBytes().size(), expected.size());
+  ASSERT_TRUE(writer.Commit());
+  EXPECT_EQ(ReadBytes(), expected);
+}
+
+TEST_F(JournalFileTest, FrameLargerThanTheBufferRoundTrips) {
+  CohortAssignedRecord cohort;
+  cohort.round_id = 1;
+  for (int64_t id = 0; id < 20000; ++id) cohort.client_ids.push_back(id * 3);
+  std::vector<uint8_t> large;
+  EncodeCohortAssignedRecord(cohort, &large);
+  ASSERT_GT(large.size(), JournalWriter::kBufferBytes);
+  std::vector<uint8_t> small;
+  EncodeCampaignTickRecord(CampaignTickRecord{0}, &small);
+
+  std::vector<uint8_t> expected;
+  {
+    JournalWriter writer;
+    std::string error;
+    ASSERT_TRUE(writer.Open(path_, 0, &error)) << error;
+    writer.set_fsync(false);
+    ASSERT_TRUE(writer.Append(JournalRecordType::kCampaignTick, small));
+    ASSERT_TRUE(writer.Append(JournalRecordType::kCohortAssigned, large));
+    ASSERT_TRUE(writer.Append(JournalRecordType::kCampaignTick, small));
+    ASSERT_TRUE(writer.Commit());
+  }
+  AppendJournalFrame(JournalRecordType::kCampaignTick, 0, small, &expected);
+  AppendJournalFrame(JournalRecordType::kCohortAssigned, 1, large, &expected);
+  AppendJournalFrame(JournalRecordType::kCampaignTick, 2, small, &expected);
+  EXPECT_EQ(ReadBytes(), expected);
+
+  JournalReadResult result;
+  std::string error;
+  ASSERT_TRUE(ReadJournal(path_, 0, &result, &error)) << error;
+  ASSERT_EQ(result.records.size(), 3u);
+  CohortAssignedRecord decoded;
+  ASSERT_TRUE(DecodeCohortAssignedRecord(result.records[1].payload, &decoded));
+  EXPECT_EQ(decoded, cohort);
+}
+
+TEST(JournalFrameTest, Crc32ExtendContinuesACrc) {
+  std::vector<uint8_t> data;
+  for (int i = 0; i < 300; ++i) data.push_back(static_cast<uint8_t>(i * 7));
+  const uint32_t whole = bytes::Crc32(data);
+  for (const size_t split : {size_t{0}, size_t{1}, size_t{150}, size_t{300}}) {
+    const uint32_t head = bytes::Crc32(data.data(), split);
+    EXPECT_EQ(bytes::Crc32Extend(head, data.data() + split, data.size() - split),
+              whole)
+        << split;
   }
 }
 

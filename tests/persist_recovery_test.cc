@@ -17,6 +17,7 @@
 #include "core/privacy_meter.h"
 #include "data/census.h"
 #include "federated/faults.h"
+#include "obs/metrics.h"
 #include "persist/journal.h"
 #include "persist/recovery.h"
 #include "rng/rng.h"
@@ -57,7 +58,7 @@ class RecoveryTest : public ::testing::Test {
     std::vector<CampaignQuery> queries;
     for (int i = 0; i < 2; ++i) {
       CampaignQuery query;
-      query.name = i == 0 ? "a" : "b";
+      query.name = std::string(1, static_cast<char>('a' + i));
       query.value_id = i;
       query.cadence_ticks = 1;
       query.query.adaptive.bits = 7;
@@ -143,11 +144,94 @@ TEST_F(RecoveryTest, DurableRunMatchesPlainCampaign) {
   EXPECT_EQ(durable.meter, plain_meter);
 }
 
+TEST_F(RecoveryTest, EveryTickLeavesExactlyTheAppendedRecordsOnDisk) {
+  // Group commit: whatever a tick appended is on disk when RunTick
+  // returns — the results it hands back may leave the coordinator.
+  const std::string dir = FreshDir("committed");
+  DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+  std::string error;
+  ASSERT_TRUE(runner.Open(&error)) << error;
+  std::vector<std::vector<JournalRecord>> after_tick;
+  for (int64_t tick = 0; tick < kTicks; ++tick) {
+    runner.RunTick(tick, populations_, codecs_);
+    EXPECT_EQ(runner.uncommitted_records(), 0) << tick;
+    JournalReadResult journal;
+    ASSERT_TRUE(ReadJournal(dir + "/journal.wal", 0, &journal, &error))
+        << error;
+    EXPECT_FALSE(journal.torn_tail) << tick;
+    EXPECT_EQ(static_cast<int64_t>(journal.records.size()),
+              runner.journal_records())
+        << tick;
+    after_tick.push_back(std::move(journal.records));
+  }
+  // Each tick's file is a prefix of the final one: nothing written earlier
+  // is rewritten or reordered later.
+  const std::vector<JournalRecord>& final_records = after_tick.back();
+  for (size_t t = 0; t + 1 < after_tick.size(); ++t) {
+    ASSERT_LT(after_tick[t].size(), final_records.size()) << t;
+    for (size_t i = 0; i < after_tick[t].size(); ++i) {
+      EXPECT_EQ(after_tick[t][i].seq, final_records[i].seq);
+      EXPECT_EQ(after_tick[t][i].type, final_records[i].type);
+      EXPECT_EQ(after_tick[t][i].payload, final_records[i].payload);
+    }
+  }
+}
+
+int64_t JournalCounter(const std::string& name) {
+  int64_t value = 0;
+  obs::Registry::Default().Visit(
+      [&](const obs::InstrumentInfo& info, const obs::Counter* counter,
+          const obs::Gauge*, const obs::Histogram*) {
+        if (counter != nullptr && info.name == name) value = counter->value();
+      });
+  return value;
+}
+
+TEST_F(RecoveryTest, FsyncsPerTickDoNotGrowWithTheCohort) {
+  // Records grow with the number of clients; commits, and so fsyncs, are
+  // per round and per tick.
+  MeterPolicy loose;
+  loose.max_bits_per_value = 4;
+  loose.max_bits_per_client = 8;
+  const std::vector<CampaignQuery> queries = MakeQueries();
+  auto run = [&](int64_t n, std::vector<int64_t>* fsyncs_by_tick) {
+    Rng data_rng(11);
+    const std::vector<Client> population =
+        MakePopulation(CensusAges(n, data_rng).values(), ClientConfig{});
+    const std::vector<const std::vector<Client>*> populations = {&population,
+                                                                 &population};
+    DurableCampaignOptions options = Options(FreshDir("fsyncs_" +
+                                                      std::to_string(n)));
+    options.fsync = true;
+    obs::Registry::Default().Reset();
+    obs::SetEnabled(true);
+    DurableCampaignRunner runner(queries, loose, options);
+    std::string error;
+    EXPECT_TRUE(runner.Open(&error)) << error;
+    for (int64_t tick = 0; tick < kTicks; ++tick) {
+      const int64_t before = JournalCounter("bitpush_journal_fsyncs_total");
+      runner.RunTick(tick, populations, codecs_);
+      fsyncs_by_tick->push_back(
+          JournalCounter("bitpush_journal_fsyncs_total") - before);
+    }
+    const int64_t records = JournalCounter("bitpush_journal_records_total");
+    obs::SetEnabled(false);
+    return records;
+  };
+  std::vector<int64_t> small_fsyncs;
+  std::vector<int64_t> large_fsyncs;
+  const int64_t small_records = run(200, &small_fsyncs);
+  const int64_t large_records = run(2000, &large_fsyncs);
+  EXPECT_EQ(small_fsyncs, large_fsyncs);
+  for (const int64_t fsyncs : small_fsyncs) EXPECT_GT(fsyncs, 0);
+  EXPECT_GT(large_records, 5 * small_records);
+}
+
 TEST_F(RecoveryTest, KillAtEveryJournalRecordRecoversIdentically) {
   // The uninterrupted run's journal is ground truth. For every prefix of k
-  // records (k = 0 .. N) — the exact disk state a SIGKILL after the k-th
-  // durable append leaves behind — recovery must converge on the same
-  // fingerprint.
+  // records (k = 0 .. N) recovery must converge on the same fingerprint.
+  // That covers every disk state a SIGKILL can leave: group commit only
+  // ever leaves a prefix ending at a commit or at a full-buffer write.
   const std::string base_dir = FreshDir("baseline");
   DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
   std::string error;

@@ -67,7 +67,8 @@ const std::vector<std::pair<std::regex, std::string>>& SinkRules() {
          "wire encoder"},
         {R"(\bEncodeShard(TickFrame|Metrics)\s*\()", "shard wire encoder"},
         {R"(\bEncode[A-Za-z0-9_]+Record\s*\()", "journal record codec"},
-        {R"((\.|->)\s*AppendRecord\s*\()", "journal append"},
+        // JournalWriter::Append, the only Append method in the tree.
+        {R"((\.|->)\s*Append\s*\()", "journal append"},
         {R"(\bEmitEvent\s*\()", "obs event emission"},
         {R"(\b(PrometheusText|MetricsJsonl|DeterministicMetricsSnapshot|ChromeTraceJson|EventsJsonl|DeterministicEventsSnapshot|AlertTimelineText)\s*\()",
          "obs exporter"},

@@ -155,8 +155,8 @@ int Main(int argc, char** argv) {
   flags.AddInt64("snapshot_every", &snapshot_every,
                  "snapshot cadence in ticks (0 = journal only)");
   flags.AddInt64("crash_after_records", &crash_after_records,
-                 "crash harness: exit 137 after this many journal records "
-                 "(0 = off)");
+                 "crash harness: exit 137 after this many journal appends, "
+                 "losing the ones not yet committed (0 = off)");
   int64_t shards = 1;
   flags.AddInt64("shards", &shards,
                  "coordinator shards for --task=campaign (1 = single "
