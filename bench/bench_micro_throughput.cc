@@ -33,7 +33,6 @@
 #include "core/histogram_estimation.h"
 #include "core/range_tree.h"
 #include "data/census.h"
-#include "federated/shamir.h"
 #include "kernels/kernels.h"
 #include "ldp/memoization.h"
 #include "ldp/randomized_response.h"
@@ -158,18 +157,6 @@ void BM_RangeTree(benchmark::State& state) {
                           static_cast<int64_t>(codewords.size()));
 }
 BENCHMARK(BM_RangeTree);
-
-void BM_ShamirShareAndReconstruct(benchmark::State& state) {
-  Rng rng(9);
-  const int threshold = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const std::vector<ShamirShare> shares =
-        ShamirShareSecret(123456789, threshold, 2 * threshold, rng);
-    benchmark::DoNotOptimize(ShamirReconstruct(shares, threshold));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShamirShareAndReconstruct)->Arg(5)->Arg(20);
 
 void BM_MemoizedReport(benchmark::State& state) {
   const MemoizedResponder responder(1.0, 1.0, 42);

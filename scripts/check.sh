@@ -64,20 +64,18 @@ cmake --build "$BUILD_DIR-asan" \
 ctest --test-dir "$BUILD_DIR-asan" --output-on-failure \
   -R '(Fault|WireFuzz|Journal|Snapshot|Recovery|PersistFuzz|Obs|Prop|Kernel|Shard)'
 
-# TSan pass: the concurrent aggregator/health-tracker and fleet suites are
-# the thread-heavy ones, the resilience suite shares their state machines,
-# and the obs registry is hammered from multiple threads — run all four
-# under ThreadSanitizer. The `Obs` alternate matters: without it the
-# obs_tests binary was built for this stage but only its one
-# Concurrent-prefixed case ever ran. The bitprop suites ride along so the
-# differential oracles (which drive the resilient-collection state
-# machines) also run instrumented.
+# TSan pass: the obs registry, event ring and tracer are hammered from
+# several threads (the `Obs` alternate runs those race tests), and the
+# kernel dispatch latch and ScopedForceScalar are atomics (`Kernel`). The
+# fleet and resilience suites drive the collection state machines, and the
+# bitprop suites ride along so the differential oracles also run
+# instrumented.
 cmake -B "$BUILD_DIR-tsan" -G Ninja -DBITPUSH_SANITIZE=thread
 cmake --build "$BUILD_DIR-tsan" \
   --target concurrency_tests resilience_tests obs_tests prop_tests \
   kernel_tests
 ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-  -R '(Concurrent|Fleet|Resilience|Obs|Prop|Kernel)'
+  -R '(Fleet|Resilience|Obs|Prop|Kernel)'
 
 # Crash-recovery stage: run a durable campaign, kill it (exit 137, the
 # SIGKILL status) after N journal appends, restart it against the same

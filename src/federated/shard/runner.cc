@@ -72,8 +72,10 @@ bool ApplyShardSabotage(ShardCoordinator* coord, const ShardFaultPlan& plan,
   return true;
 }
 
-// The in-memory outcome capture the reference shares with in-memory
-// shards' semantics: nothing restored, full outcomes kept per query.
+// The reference's own outcome capture: nothing restored, full outcomes
+// kept per query. Shards keep theirs in DurableCampaignRunner's
+// full_results(); this stays separate so the oracle shares no
+// campaign-running code with the shards it checks.
 class CaptureRecorder : public CampaignRecorder {
  public:
   bool RestoreQueryResult(int64_t /*tick*/, size_t /*query_index*/,

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -175,20 +174,6 @@ ShardQueryFrame MakeShardQueryFrame(int64_t query_index,
   return frame;
 }
 
-struct ShardCoordinator::MemoryState {
-  PrivacyMeter meter;
-  MeasurementCampaign campaign;
-  Rng rng;
-  int64_t next_tick = 0;
-
-  MemoryState(const std::vector<CampaignQuery>& queries,
-              const MeterPolicy& policy, uint64_t seed,
-              const ResilienceConfig& resilience)
-      : meter(policy), campaign(queries, &meter, resilience), rng(seed) {}
-};
-
-ShardCoordinator::~ShardCoordinator() = default;
-
 ShardCoordinator::ShardCoordinator(std::vector<CampaignQuery> queries,
                                    MeterPolicy policy,
                                    ShardCoordinatorOptions options,
@@ -222,57 +207,34 @@ int64_t ShardCoordinator::partition_clients(size_t query_index) const {
 }
 
 const PrivacyMeter* ShardCoordinator::local_meter() const {
-  if (durable()) return runner_ != nullptr ? &runner_->meter() : nullptr;
-  return mem_ != nullptr ? &mem_->meter : nullptr;
+  return runner_ != nullptr ? &runner_->meter() : nullptr;
 }
-
-bool ShardCoordinator::RestoreQueryResult(int64_t /*tick*/,
-                                          size_t /*query_index*/,
-                                          CampaignTickResult* /*out*/) {
-  return false;  // in-memory shards never restore
-}
-
-void ShardCoordinator::OnQueryFinished(int64_t /*tick*/, size_t query_index,
-                                       const CampaignTickResult& /*result*/,
-                                       const FederatedQueryResult& outcome) {
-  tick_outcomes_[query_index] = outcome;
-}
-
-bool ShardCoordinator::RestoreRound(int64_t /*round_id*/,
-                                    RoundOutcome* /*out*/) {
-  return false;
-}
-
-void ShardCoordinator::OnRoundClosed(int64_t /*round_id*/,
-                                     const RoundOutcome& /*outcome*/) {}
 
 bool ShardCoordinator::EnsureOpen(std::string* error,
                                   const obs::TraceContext& parent) {
   BITPUSH_CHECK(bound_) << "Bind() before CollectTick()";
+  if (runner_ != nullptr) return true;
+  DurableCampaignOptions runner_options;
+  runner_options.state_dir = options_.state_dir;
+  runner_options.seed = options_.seed;
+  // The sharded runner snapshots manually, only after the merge tier has
+  // consumed a tick — an automatic snapshot could swallow an undelivered
+  // tick's journal records and leave nothing to harvest after a crash.
+  runner_options.snapshot_every_ticks = 0;
+  runner_options.fsync = options_.fsync;
+  auto runner = std::make_unique<DurableCampaignRunner>(
+      queries_, policy_, std::move(runner_options), resilience_);
   if (!durable()) {
-    if (mem_ == nullptr) {
-      mem_ = std::make_unique<MemoryState>(queries_, policy_, options_.seed,
-                                           resilience_);
-      mem_->campaign.set_recorder(this);
-    }
+    // An in-memory runner has nothing to recover; its Open cannot fail.
+    BITPUSH_CHECK(runner->Open(error));
+    runner_ = std::move(runner);
     return true;
   }
-  if (runner_ != nullptr) return true;
   // Stitched under the merge-tick span that triggered the (re)open, so a
   // crash-recovery replay shows up as a child of the tick that paid for it.
   obs::Span span("shard.recover", "shard");
   span.set_parent(parent);
   span.AddNumeric("shard", static_cast<double>(options_.shard_index));
-  DurableCampaignOptions durable_options;
-  durable_options.state_dir = options_.state_dir;
-  durable_options.seed = options_.seed;
-  // The sharded runner snapshots manually, only after the merge tier has
-  // consumed a tick — an automatic snapshot could swallow an undelivered
-  // tick's journal records and leave nothing to harvest after a crash.
-  durable_options.snapshot_every_ticks = 0;
-  durable_options.fsync = options_.fsync;
-  auto runner = std::make_unique<DurableCampaignRunner>(
-      queries_, policy_, std::move(durable_options), resilience_);
   if (!runner->Open(error)) return false;
   const RecoveryInfo& info = runner->recovery_info();
   if (info.recovered) {
@@ -287,8 +249,7 @@ bool ShardCoordinator::EnsureOpen(std::string* error,
 }
 
 int64_t ShardCoordinator::next_tick() const {
-  if (durable()) return runner_ != nullptr ? runner_->next_tick() : 0;
-  return mem_ != nullptr ? mem_->next_tick : 0;
+  return runner_ != nullptr ? runner_->next_tick() : 0;
 }
 
 std::vector<const std::vector<Client>*> ShardCoordinator::PopulationPointers()
@@ -356,13 +317,7 @@ bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
   const std::vector<const std::vector<Client>*> populations =
       PopulationPointers();
   for (int64_t t = next_tick(); t <= tick; ++t) {
-    if (durable()) {
-      runner_->RunTick(t, populations, codecs_);
-    } else {
-      tick_outcomes_.clear();
-      mem_->campaign.RunTick(t, populations, codecs_, mem_->rng);
-      mem_->next_tick = t + 1;
-    }
+    runner_->RunTick(t, populations, codecs_);
   }
   BITPUSH_CHECK_EQ(next_tick(), tick + 1)
       << "shard asked for an already-delivered tick";
@@ -370,7 +325,7 @@ bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
   // meter charges, so it may leave only once the journal records behind
   // it are durable. RunTick commits before it returns; a shard whose
   // journal still holds uncommitted records fails the tick instead.
-  if (durable() && runner_->uncommitted_records() != 0) {
+  if (runner_->uncommitted_records() != 0) {
     *error = "shard " + std::to_string(options_.shard_index) + " tick " +
              std::to_string(tick) + ": " +
              std::to_string(runner_->uncommitted_records()) +
@@ -378,8 +333,7 @@ bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
     return false;
   }
 
-  const MeasurementCampaign& campaign =
-      durable() ? runner_->campaign() : mem_->campaign;
+  const MeasurementCampaign& campaign = runner_->campaign();
 
   // The harvest (per-query tally aggregation into the frame) is the
   // shard-side aggregate phase — its own child span under the collect.
@@ -421,34 +375,29 @@ bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
         << tick;
 
     ShardQueryFrame row;
-    if (durable()) {
-      const auto& full = runner_->full_results();
-      const auto it = full.find({tick, static_cast<int64_t>(qi)});
-      if (it != full.end()) {
-        row = MakeShardQueryFrame(static_cast<int64_t>(qi),
-                                  partition_clients(qi), *result, it->second);
-      } else {
-        // The tick was fully restored from the journal: its rounds (with
-        // histograms, faults, retry) are still on disk, because snapshots
-        // only happen after delivery.
-        std::vector<RoundOutcome> rounds;
-        if (!HarvestFromJournal(tick, static_cast<int64_t>(qi), &rounds,
-                                error)) {
-          return false;
-        }
-        row.query_index = static_cast<int64_t>(qi);
-        row.partition_clients = partition_clients(qi);
-        row.result = *result;
-        for (const RoundOutcome& round : rounds) {
-          AccumulateRoundTallies(round, &row);
-        }
-      }
-    } else {
-      const auto it = tick_outcomes_.find(qi);
-      BITPUSH_CHECK(it != tick_outcomes_.end())
-          << "in-memory shard missing outcome for query " << query.name;
+    const auto& full = runner_->full_results();
+    const auto it = full.find({tick, static_cast<int64_t>(qi)});
+    if (it != full.end()) {
       row = MakeShardQueryFrame(static_cast<int64_t>(qi),
                                 partition_clients(qi), *result, it->second);
+    } else {
+      // The tick was fully restored from the journal: its rounds (with
+      // histograms, faults, retry) are still on disk, because snapshots
+      // only happen after delivery. An in-memory shard re-executes every
+      // tick live, so only a durable shard gets here.
+      BITPUSH_CHECK(durable())
+          << "in-memory shard missing outcome for query " << query.name;
+      std::vector<RoundOutcome> rounds;
+      if (!HarvestFromJournal(tick, static_cast<int64_t>(qi), &rounds,
+                              error)) {
+        return false;
+      }
+      row.query_index = static_cast<int64_t>(qi);
+      row.partition_clients = partition_clients(qi);
+      row.result = *result;
+      for (const RoundOutcome& round : rounds) {
+        AccumulateRoundTallies(round, &row);
+      }
     }
 
     if (counted) {
@@ -480,13 +429,8 @@ bool ShardCoordinator::Snapshot(std::string* error) {
 }
 
 void ShardCoordinator::Restart() {
-  if (durable()) {
-    runner_.reset();
-  } else {
-    mem_.reset();
-    ++metrics_.recoveries;  // the durable path counts these at Open()
-  }
-  tick_outcomes_.clear();
+  runner_.reset();
+  if (!durable()) ++metrics_.recoveries;  // durable shards count at Open()
 }
 
 }  // namespace bitpush

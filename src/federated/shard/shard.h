@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +35,6 @@
 #include "obs/trace.h"
 #include "persist/journal.h"
 #include "persist/recovery.h"
-#include "rng/rng.h"
 
 namespace bitpush {
 
@@ -78,21 +76,23 @@ struct ShardCoordinatorOptions {
   int64_t shard_index = 0;
   // This shard's own seed (already derived via ShardSeed).
   uint64_t seed = 0;
-  // Directory for journal.wal/snapshot.bin; "" runs the shard in-memory
-  // (no durability — Restart() then re-executes from tick 0, which is
-  // deterministic and converges to the same frames).
+  // Directory for journal.wal/snapshot.bin; "" runs the shard in memory
+  // (a DurableCampaignRunner with no state dir: no durability, so
+  // Restart() re-executes from tick 0, which is deterministic and
+  // converges to the same frames).
   std::string state_dir;
   bool fsync = true;
 };
 
 // One shard: a campaign coordinator over a client partition with its own
-// meter, journal, and RNG stream.
-class ShardCoordinator : private CampaignRecorder {
+// meter, journal, and RNG stream. Durable and in-memory shards both run
+// their campaign through a DurableCampaignRunner; only its state dir
+// differs.
+class ShardCoordinator {
  public:
   ShardCoordinator(std::vector<CampaignQuery> queries, MeterPolicy policy,
                    ShardCoordinatorOptions options,
                    ResilienceConfig resilience = {});
-  ~ShardCoordinator() override;
 
   // Installs this shard's per-query client partitions (indexed parallel
   // to the query list) and codecs. Must be called once before the first
@@ -144,19 +144,6 @@ class ShardCoordinator : private CampaignRecorder {
   void NoteLostTick() { ++metrics_.lost_ticks; }
 
  private:
-  struct MemoryState;
-
-  // CampaignRecorder: the in-memory mode's outcome capture. Nothing is
-  // ever restored (that is the durable runner's job); OnQueryFinished
-  // keeps the current tick's full outcomes for harvest.
-  bool RestoreQueryResult(int64_t tick, size_t query_index,
-                          CampaignTickResult* out) override;
-  void OnQueryFinished(int64_t tick, size_t query_index,
-                       const CampaignTickResult& result,
-                       const FederatedQueryResult& outcome) override;
-  bool RestoreRound(int64_t round_id, RoundOutcome* out) override;
-  void OnRoundClosed(int64_t round_id, const RoundOutcome& outcome) override;
-
   bool EnsureOpen(std::string* error,
                   const obs::TraceContext& parent = obs::TraceContext{});
   int64_t next_tick() const;
@@ -175,9 +162,7 @@ class ShardCoordinator : private CampaignRecorder {
   std::vector<FixedPointCodec> codecs_;
   bool bound_ = false;
 
-  std::unique_ptr<DurableCampaignRunner> runner_;  // durable mode
-  std::unique_ptr<MemoryState> mem_;               // in-memory mode
-  std::map<size_t, FederatedQueryResult> tick_outcomes_;
+  std::unique_ptr<DurableCampaignRunner> runner_;  // null until opened
 
   ShardMetrics metrics_;
   int64_t last_harvested_tick_ = -1;

@@ -81,8 +81,8 @@ struct SpanRecord {
   std::vector<std::pair<std::string, std::string>> string_args;
 };
 
-// Collects completed spans. Thread-safe: concurrent_server workers may
-// finish spans in parallel.
+// Collects completed spans. Thread-safe: spans may finish on several
+// threads in parallel.
 class Tracer {
  public:
   Tracer() = default;

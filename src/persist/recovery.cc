@@ -64,13 +64,19 @@ DurableCampaignRunner::DurableCampaignRunner(
       options_(std::move(options)),
       meter_(policy),
       campaign_(std::move(queries), &meter_, resilience),
-      rng_(options_.seed) {
-  BITPUSH_CHECK(!options_.state_dir.empty()) << "state_dir is required";
-}
+      rng_(options_.seed) {}
 
 bool DurableCampaignRunner::Open(std::string* error) {
   BITPUSH_CHECK(error != nullptr);
   BITPUSH_CHECK(!open_) << "runner already open";
+  if (!durable()) {
+    // In memory there is no state to load and no journal to feed: the
+    // recorder hooks only keep full_results() and the bit-means cache, and
+    // the meter runs without a journal.
+    campaign_.set_recorder(this);
+    open_ = true;
+    return true;
+  }
   obs::Span span("recovery.open", "persist");
 
   std::error_code ec;
@@ -116,16 +122,6 @@ bool DurableCampaignRunner::Open(std::string* error) {
     }
     for (const BitMeansEntry& entry : snapshot.bit_means) {
       bit_means_cache_[entry.value_id] = entry.means;
-    }
-    for (const std::vector<uint8_t>& blob : snapshot.open_sessions) {
-      std::optional<CollectionSession> session;
-      size_t session_offset = 0;
-      if (!CollectionSession::Decode(blob, &session_offset, &session) ||
-          session_offset != blob.size()) {
-        *error = "snapshot session state failed validation";
-        return false;
-      }
-      sessions_.push_back(std::move(*session));
     }
     if (!snapshot.health_blob.empty()) {
       HealthTracker* health = campaign_.mutable_health();
@@ -442,6 +438,7 @@ std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
   BITPUSH_CHECK_EQ(tick, next_tick_)
       << "RunTick must be called for every tick from 0 in order";
 
+  full_results_.clear();
   std::vector<CampaignTickResult> results =
       campaign_.RunTick(tick, populations, codecs, rng_);
 
@@ -453,18 +450,19 @@ std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
         << "recovery divergence: replay prefix not fully consumed";
   }
 
-  if (tick >= ticks_already_journaled_) {
-    std::vector<uint8_t> payload;
-    EncodeCampaignTickRecord(CampaignTickRecord{tick}, &payload);
-    VerifyOrAppend(JournalRecordType::kCampaignTick, payload);
-  }
   completed_ticks_ = tick + 1;
   ++next_tick_;
   // No-op for ticks already sampled during journal replay; the tick that
   // was in flight at a crash gets its sample here, after its re-execution
   // completed — the same totals the uninterrupted run closed it with.
   RecordMeterSample(tick);
+  if (!durable()) return results;
 
+  if (tick >= ticks_already_journaled_) {
+    std::vector<uint8_t> payload;
+    EncodeCampaignTickRecord(CampaignTickRecord{tick}, &payload);
+    VerifyOrAppend(JournalRecordType::kCampaignTick, payload);
+  }
   if (options_.snapshot_every_ticks > 0 &&
       completed_ticks_ % options_.snapshot_every_ticks == 0) {
     snapshot_due_ = true;
@@ -486,6 +484,7 @@ std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
 bool DurableCampaignRunner::Snapshot(std::string* error) {
   BITPUSH_CHECK(error != nullptr);
   BITPUSH_CHECK(open_) << "call Open() first";
+  if (!durable()) return true;
   BITPUSH_CHECK(live_ && prefix_.empty())
       << "snapshots are only taken at tick boundaries";
   // The snapshot covers every appended record, so they must be durable
@@ -506,12 +505,6 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   for (const auto& [value_id, means] : bit_means_cache_) {
     snapshot.bit_means.push_back(BitMeansEntry{value_id, means});
   }
-  for (const CollectionSession& session : sessions_) {
-    if (session.state() != SessionState::kCollecting) continue;
-    std::vector<uint8_t> blob;
-    session.EncodeTo(&blob);
-    snapshot.open_sessions.push_back(std::move(blob));
-  }
   if (const HealthTracker* health = campaign_.health(); health != nullptr) {
     health->EncodeTo(&snapshot.health_blob);
   }
@@ -525,18 +518,6 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   if (!RewriteJournalFile({}, error)) return false;
   journal_records_ = 0;
   return journal_.Open(journal_path_, snapshot.journal_next_seq, error);
-}
-
-int64_t DurableCampaignRunner::AddSession(const FixedPointCodec& codec,
-                                          const SessionConfig& config) {
-  sessions_.emplace_back(codec, config);
-  return static_cast<int64_t>(sessions_.size()) - 1;
-}
-
-CollectionSession* DurableCampaignRunner::session(int64_t index) {
-  BITPUSH_CHECK_GE(index, 0);
-  BITPUSH_CHECK_LT(index, static_cast<int64_t>(sessions_.size()));
-  return &sessions_[static_cast<size_t>(index)];
 }
 
 void DurableCampaignRunner::VerifyOrAppend(JournalRecordType type,
@@ -582,6 +563,7 @@ bool DurableCampaignRunner::RestoreQueryResult(int64_t tick,
 
 void DurableCampaignRunner::OnQueryStarted(int64_t tick, size_t query_index,
                                            int64_t value_id) {
+  if (!durable()) return;
   std::vector<uint8_t> payload;
   EncodeQueryStartedRecord(
       QueryStartedRecord{tick, static_cast<int64_t>(query_index), value_id},
@@ -592,6 +574,15 @@ void DurableCampaignRunner::OnQueryStarted(int64_t tick, size_t query_index,
 void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
                                             const CampaignTickResult& result,
                                             const FederatedQueryResult& outcome) {
+  const auto key = std::make_pair(tick, static_cast<int64_t>(query_index));
+  full_results_[key] = outcome;
+  if (result.status == CampaignTickResult::Status::kRan &&
+      !outcome.final_bit_means.empty()) {
+    bit_means_cache_[campaign_.queries()[query_index].value_id] =
+        outcome.final_bit_means;
+  }
+  if (!durable()) return;
+
   QueryFinishedRecord record;
   record.tick = tick;
   record.query_index = static_cast<int64_t>(query_index);
@@ -606,15 +597,8 @@ void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
   entry.query_index = static_cast<int64_t>(query_index);
   entry.result = result;
   entry.final_bit_means = outcome.final_bit_means;
-  const auto key = std::make_pair(tick, static_cast<int64_t>(query_index));
   BITPUSH_CHECK(finished_.emplace(key, entry).second)
       << "query finished twice";
-  if (result.status == CampaignTickResult::Status::kRan &&
-      !outcome.final_bit_means.empty()) {
-    bit_means_cache_[campaign_.queries()[query_index].value_id] =
-        outcome.final_bit_means;
-  }
-  full_results_[key] = outcome;
 }
 
 bool DurableCampaignRunner::RestoreRound(int64_t round_id, RoundOutcome* out) {
@@ -646,6 +630,7 @@ bool DurableCampaignRunner::RestoreRound(int64_t round_id, RoundOutcome* out) {
 
 void DurableCampaignRunner::OnRoundClosed(int64_t round_id,
                                           const RoundOutcome& outcome) {
+  if (!durable()) return;
   RoundClosedRecord record;
   record.round_id = round_id;
   record.outcome = outcome;
@@ -659,6 +644,7 @@ void DurableCampaignRunner::OnRoundClosed(int64_t round_id,
 
 void DurableCampaignRunner::OnCohortAssigned(
     int64_t round_id, const std::vector<int64_t>& client_ids) {
+  if (!durable()) return;
   std::vector<uint8_t> payload;
   EncodeCohortAssignedRecord(CohortAssignedRecord{round_id, client_ids},
                              &payload);
@@ -667,12 +653,14 @@ void DurableCampaignRunner::OnCohortAssigned(
 
 void DurableCampaignRunner::OnReportAccepted(int64_t round_id,
                                              const BitReport& report) {
+  if (!durable()) return;
   std::vector<uint8_t> payload;
   EncodeReportAcceptedRecord(ReportAcceptedRecord{round_id, report}, &payload);
   VerifyOrAppend(JournalRecordType::kReportAccepted, payload);
 }
 
 void DurableCampaignRunner::OnResilienceEvent(const ResilienceEvent& event) {
+  if (!durable()) return;
   std::vector<uint8_t> payload;
   EncodeResilienceEventRecord(ResilienceEventRecord{event}, &payload);
   VerifyOrAppend(JournalRecordType::kResilienceEvent, payload);

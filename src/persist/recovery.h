@@ -9,7 +9,7 @@
 // The recovery model is deterministic re-execution with a replay cursor:
 //
 //   1. Load the newest snapshot: privacy-meter ledger, finished queries,
-//      bit-means cache, open sessions, completed-tick count.
+//      bit-means cache, breaker state, completed-tick count.
 //   2. Replay the journal tail on top of it. Meter-charge records are
 //      re-applied through the real meter, verifying the recorded outcome —
 //      a charge is applied exactly once, never twice, never dropped.
@@ -28,6 +28,11 @@
 // policy, seed, populations, and codecs it used originally — recovery
 // fails closed on the mismatches it can detect (seed, meter policy,
 // journal/snapshot corruption) and relies on determinism for the rest.
+//
+// With an empty state_dir the same runner drives the campaign in memory:
+// no journal, no snapshots, and nothing to recover — a re-created runner
+// re-executes from tick 0, which is deterministic and reaches the same
+// results. In-memory shards (federated/shard/shard.h) run on this mode.
 
 #ifndef BITPUSH_PERSIST_RECOVERY_H_
 #define BITPUSH_PERSIST_RECOVERY_H_
@@ -41,7 +46,6 @@
 
 #include "core/privacy_meter.h"
 #include "federated/campaign.h"
-#include "federated/session.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "rng/rng.h"
@@ -50,6 +54,8 @@ namespace bitpush {
 
 struct DurableCampaignOptions {
   // Directory holding journal.wal and snapshot.bin; created if missing.
+  // Empty runs in memory: Open does no I/O, the meter and the campaign
+  // journal nothing, and RunTick never snapshots or commits.
   std::string state_dir;
   // Seed of the campaign's root RNG. Recovery refuses a state directory
   // recorded under a different seed.
@@ -114,7 +120,8 @@ class DurableCampaignRunner : private CampaignRecorder,
   // Loads the snapshot, replays the journal, and prepares the journal for
   // appending. Returns false with `*error` set on I/O failure or on any
   // validation failure (corrupt snapshot/journal, seed or policy
-  // mismatch) — fail closed, no partial state.
+  // mismatch) — fail closed, no partial state. In memory it only installs
+  // the campaign recorder and cannot fail.
   bool Open(std::string* error);
 
   // Runs (or restores) one campaign tick. `tick` must equal next_tick().
@@ -125,17 +132,8 @@ class DurableCampaignRunner : private CampaignRecorder,
 
   // Writes a snapshot of the current state and truncates the journal.
   // Called automatically every snapshot_every_ticks; may be called
-  // manually between ticks.
+  // manually between ticks. No-op (true) in memory.
   bool Snapshot(std::string* error);
-
-  // Durable collection sessions: persisted (while open) in every snapshot
-  // and restored by Open. Indices are assigned in creation order; after a
-  // recovery they re-index the restored open sessions.
-  int64_t AddSession(const FixedPointCodec& codec, const SessionConfig& config);
-  CollectionSession* session(int64_t index);
-  int64_t session_count() const {
-    return static_cast<int64_t>(sessions_.size());
-  }
 
   const PrivacyMeter& meter() const { return meter_; }
   const MeasurementCampaign& campaign() const { return campaign_; }
@@ -170,9 +168,10 @@ class DurableCampaignRunner : private CampaignRecorder,
   const std::map<int64_t, std::vector<double>>& bit_means_cache() const {
     return bit_means_cache_;
   }
-  // Full protocol-level results of the queries this process executed live
-  // (restored queries only have their summarized CampaignTickResult),
-  // keyed by (tick, query index).
+  // Full protocol-level results of the latest tick's queries that this
+  // process executed live (restored queries only have their summarized
+  // CampaignTickResult), keyed by (tick, query index). Each RunTick clears
+  // it first, so it never holds an earlier tick.
   const std::map<std::pair<int64_t, int64_t>, FederatedQueryResult>&
   full_results() const {
     return full_results_;
@@ -221,6 +220,7 @@ class DurableCampaignRunner : private CampaignRecorder,
   // replayed campaign-tick record (recovery). Never overwrites an existing
   // sample, so the replayed values win for restored ticks.
   void RecordMeterSample(int64_t tick);
+  bool durable() const { return !options_.state_dir.empty(); }
 
   MeterPolicy policy_;
   DurableCampaignOptions options_;
@@ -241,7 +241,6 @@ class DurableCampaignRunner : private CampaignRecorder,
   std::map<std::pair<int64_t, int64_t>, FinishedQueryEntry> finished_;
   std::map<int64_t, std::vector<double>> bit_means_cache_;
   std::map<std::pair<int64_t, int64_t>, FederatedQueryResult> full_results_;
-  std::vector<CollectionSession> sessions_;
 
   std::vector<MeterTickSample> meter_by_tick_;
   int64_t journal_records_ = 0;

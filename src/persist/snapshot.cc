@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "federated/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/bytes.h"
@@ -43,11 +42,6 @@ void EncodeBody(const CoordinatorSnapshot& snapshot,
   for (const BitMeansEntry& entry : snapshot.bit_means) {
     bytes::PutInt64(entry.value_id, out);
     bytes::PutDoubleVector(entry.means, out);
-  }
-  bytes::PutUint32(static_cast<uint32_t>(snapshot.open_sessions.size()), out);
-  for (const std::vector<uint8_t>& session : snapshot.open_sessions) {
-    bytes::PutUint32(static_cast<uint32_t>(session.size()), out);
-    out->insert(out->end(), session.begin(), session.end());
   }
   bytes::PutUint32(static_cast<uint32_t>(snapshot.health_blob.size()), out);
   out->insert(out->end(), snapshot.health_blob.begin(),
@@ -126,15 +120,6 @@ bool DecodeBody(const std::vector<uint8_t>& buffer, size_t* offset,
     snapshot.bit_means.push_back(std::move(entry));
   }
 
-  uint32_t session_count = 0;
-  if (!bytes::GetUint32(buffer, &cursor, &session_count)) return false;
-  snapshot.open_sessions.reserve(session_count);
-  for (uint32_t i = 0; i < session_count; ++i) {
-    std::vector<uint8_t> session;
-    if (!GetBlob(buffer, &cursor, &session)) return false;
-    snapshot.open_sessions.push_back(std::move(session));
-  }
-
   if (!GetBlob(buffer, &cursor, &snapshot.health_blob)) return false;
 
   *out = std::move(snapshot);
@@ -149,7 +134,7 @@ void EncodeCoordinatorSnapshot(const CoordinatorSnapshot& snapshot,
   BITPUSH_CHECK(out != nullptr);
   const size_t start = out->size();
   out->insert(out->end(), kSnapshotMagic, kSnapshotMagic + 4);
-  bytes::PutByte(kWireFormatVersion, out);
+  bytes::PutByte(kSnapshotFormatVersion, out);
   EncodeBody(snapshot, out);
   const uint32_t crc = bytes::Crc32(out->data() + start, out->size() - start);
   bytes::PutUint32(crc, out);
@@ -160,7 +145,7 @@ bool DecodeCoordinatorSnapshot(const std::vector<uint8_t>& buffer,
   BITPUSH_CHECK(out != nullptr);
   if (buffer.size() < 4 + 1 + 4) return false;
   if (std::memcmp(buffer.data(), kSnapshotMagic, 4) != 0) return false;
-  if (buffer[4] != kWireFormatVersion) return false;
+  if (buffer[4] != kSnapshotFormatVersion) return false;
   const size_t body_end = buffer.size() - 4;
   const uint32_t computed_crc = bytes::Crc32(buffer.data(), body_end);
   size_t crc_cursor = body_end;

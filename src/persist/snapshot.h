@@ -3,17 +3,17 @@
 // A snapshot captures everything the durable coordinator needs to resume a
 // campaign without the journal growing forever: the privacy-meter ledger
 // (as its canonical encoded blob), every finished query's tick result and
-// final bit means, the adaptive bit-means cache, any open collection
-// sessions, and the sequence number at which the journal resumes. After a
+// final bit means, the adaptive bit-means cache, the circuit-breaker state,
+// and the sequence number at which the journal resumes. After a
 // snapshot is durably in place (write-to-temp, fsync, atomic rename) the
 // journal is truncated; recovery loads the newest snapshot and replays the
 // short journal tail on top of it.
 //
-// File format: "BPSN" magic, a format-version byte (kWireFormatVersion,
-// shared with the wire and journal frames), the encoded body, and a
-// trailing CRC-32 over everything before it. Decoding rejects a bad magic,
-// an unknown version, a CRC mismatch, and any internally inconsistent body
-// — fail closed, same rule as the journal.
+// File format: "BPSN" magic, the snapshot's own format-version byte
+// (kSnapshotFormatVersion), the encoded body, and a trailing CRC-32 over
+// everything before it. Decoding rejects a bad magic, an unknown version,
+// a CRC mismatch, and any internally inconsistent body — fail closed, same
+// rule as the journal.
 
 #ifndef BITPUSH_PERSIST_SNAPSHOT_H_
 #define BITPUSH_PERSIST_SNAPSHOT_H_
@@ -25,6 +25,11 @@
 #include "federated/campaign.h"
 
 namespace bitpush {
+
+// The snapshot file's own format byte, separate from kWireFormatVersion
+// (which journal and wire frames keep at 1). Version 1 carried an
+// open-sessions count ahead of the breaker blob; decoding rejects it.
+inline constexpr uint8_t kSnapshotFormatVersion = 2;
 
 // One finished (run or skipped) scheduled query.
 struct FinishedQueryEntry {
@@ -57,8 +62,6 @@ struct CoordinatorSnapshot {
   std::vector<FinishedQueryEntry> finished;
   // Adaptive bit-means cache, sorted by value id.
   std::vector<BitMeansEntry> bit_means;
-  // Open CollectionSession blobs (CollectionSession::EncodeTo), kept opaque.
-  std::vector<std::vector<uint8_t>> open_sessions;
   // Circuit-breaker state (HealthTracker::EncodeTo, kept opaque; empty when
   // the campaign runs without a breaker). Restoring it from the snapshot
   // preserves failure history older than the journal tail, so quarantine

@@ -13,7 +13,6 @@
 #include "data/synthetic.h"
 #include "dp/bernoulli_noise.h"
 #include "dp/sample_threshold.h"
-#include "federated/dropout_secure_agg.h"
 #include "federated/round.h"
 #include "federated/telemetry.h"
 #include "ldp/dithering.h"
@@ -118,44 +117,6 @@ TEST(IntegrationTest, DistributedBernoulliNoiseOnBitHistograms) {
       });
   // Distributed noise costs far less than per-report LDP noise would.
   EXPECT_LT(stats.nrmse, 0.10);
-}
-
-TEST(IntegrationTest, DoubleMaskedBitPushingWithDropouts) {
-  // The full §3.3 stack on one bit group: clients RR-perturb their bit,
-  // submit through dropout-tolerant double masking, some drop mid-round,
-  // and the server still recovers the exact masked sum of the survivors'
-  // noisy bits — never seeing an individual report.
-  Rng rng(20);
-  const int n = 60;
-  const double epsilon = 1.0;
-  const RandomizedResponse rr(epsilon);
-  DoubleMaskingSession session(n, /*threshold=*/30, rng);
-
-  const uint64_t codeword = 0b101101;
-  const int bit_index = 3;
-  int64_t expected_noisy_ones = 0;
-  int64_t survivors = 0;
-  for (int client = 0; client < n; ++client) {
-    if (client % 5 == 1) {
-      session.MarkDropped(client);
-      continue;
-    }
-    const int noisy_bit =
-        MakeBitReport(codeword, bit_index, rr, rng);
-    session.Submit(client, static_cast<uint64_t>(noisy_bit));
-    expected_noisy_ones += noisy_bit;
-    ++survivors;
-  }
-  const std::optional<uint64_t> ones = session.RecoverSum();
-  ASSERT_TRUE(ones.has_value());
-  EXPECT_EQ(static_cast<int64_t>(*ones), expected_noisy_ones);
-
-  // The server-side pipeline continues exactly as with plain tallies.
-  const double mean = rr.Unbias(static_cast<double>(*ones) /
-                                static_cast<double>(survivors));
-  // True bit 3 of the codeword is 1; with only 48 survivors the unbiased
-  // mean is noisy but must be nearer 1 than 0.
-  EXPECT_GT(mean, 0.5);
 }
 
 TEST(IntegrationTest, PoisoningBiasLocalVsCentral) {

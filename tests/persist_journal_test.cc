@@ -395,7 +395,6 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip) {
   entry.final_bit_means = {0.5};
   snapshot.finished.push_back(entry);
   snapshot.bit_means.push_back(BitMeansEntry{7, {0.25, 0.75}});
-  snapshot.open_sessions.push_back({9, 9, 9});
 
   std::vector<uint8_t> encoded;
   EncodeCoordinatorSnapshot(snapshot, &encoded);
@@ -409,7 +408,6 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.finished[0].result, entry.result);
   ASSERT_EQ(decoded.bit_means.size(), 1u);
   EXPECT_EQ(decoded.bit_means[0].means, snapshot.bit_means[0].means);
-  EXPECT_EQ(decoded.open_sessions, snapshot.open_sessions);
 }
 
 TEST(SnapshotTest, AnySingleBitFlipIsRejected) {

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,7 +22,9 @@
 #include "obs/metrics.h"
 #include "persist/journal.h"
 #include "persist/recovery.h"
+#include "persist/snapshot.h"
 #include "rng/rng.h"
+#include "util/bytes.h"
 
 namespace bitpush {
 namespace {
@@ -440,54 +444,131 @@ TEST_F(RecoveryTest, RecoveryRefusesAForeignMeterPolicy) {
   EXPECT_NE(error.find("policy"), std::string::npos) << error;
 }
 
-TEST_F(RecoveryTest, OpenSessionsSurviveSnapshots) {
-  const std::string dir = FreshDir("session");
-  DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+TEST_F(RecoveryTest, FullResultsHoldOnlyTheLatestTick) {
+  // Each full result carries both rounds' per-client id lists, so keeping
+  // every tick's would grow with the campaign; its reader (the shard
+  // harvest) only ever looks up the tick it just ran.
+  DurableCampaignRunner runner(MakeQueries(), policy_,
+                               Options(FreshDir("latest_tick")));
   std::string error;
   ASSERT_TRUE(runner.Open(&error)) << error;
-
-  SessionConfig config;
-  config.probabilities = {0.5, 0.25, 0.25};
-  config.epsilon = 1.0;
-  config.round_id = 3;
-  config.value_id = 9;
-  const int64_t index =
-      runner.AddSession(FixedPointCodec::Integer(3), config);
-  CollectionSession* session = runner.session(index);
-  for (int64_t client = 1; client <= 20; ++client) {
-    BitRequest request;
-    ASSERT_TRUE(session->IssueAssignment(client, &request));
-    if (client % 2 == 0) {
-      BitReport report;
-      report.client_id = client;
-      report.bit_index = request.bit_index;
-      report.bit = 1;
-      ASSERT_EQ(session->SubmitReport(report), ReportRejection::kAccepted);
-    }
+  for (int64_t tick = 0; tick < 4; ++tick) {
+    runner.RunTick(tick, populations_, codecs_);
   }
-  ASSERT_TRUE(runner.Snapshot(&error)) << error;
+  std::vector<std::pair<int64_t, int64_t>> keys;
+  for (const auto& [key, outcome] : runner.full_results()) {
+    keys.push_back(key);
+  }
+  const std::vector<std::pair<int64_t, int64_t>> latest = {{3, 0}, {3, 1}};
+  EXPECT_EQ(keys, latest);
+}
 
-  DurableCampaignRunner recovered(MakeQueries(), policy_, Options(dir));
-  ASSERT_TRUE(recovered.Open(&error)) << error;
-  ASSERT_EQ(recovered.session_count(), 1);
-  CollectionSession* restored = recovered.session(0);
-  EXPECT_EQ(restored->state(), SessionState::kCollecting);
-  EXPECT_EQ(restored->assignments_issued(), 20);
-  EXPECT_EQ(restored->accepted_reports(), 10);
-  EXPECT_DOUBLE_EQ(restored->Estimate(), session->Estimate());
-  // The restored session re-encodes to the exact bytes of the original.
-  std::vector<uint8_t> before;
-  std::vector<uint8_t> after;
-  session->EncodeTo(&before);
-  restored->EncodeTo(&after);
-  EXPECT_EQ(before, after);
-  // And keeps collecting: the deficit allocation continues where it left
-  // off, so the next assignments match on both objects.
-  BitRequest a;
-  BitRequest b;
-  ASSERT_TRUE(session->IssueAssignment(999, &a));
-  ASSERT_TRUE(restored->IssueAssignment(999, &b));
-  EXPECT_EQ(a.bit_index, b.bit_index);
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+}
+
+TEST_F(RecoveryTest, InMemoryRunnerMatchesDurableRunner) {
+  // An empty state_dir runs the same runner without a journal: the tick
+  // results, the ledger and the per-tick meter trajectory equal a durable
+  // run's, nothing is written, and a second runner re-executes from tick 0
+  // to the same results.
+  struct Run {
+    std::vector<std::vector<CampaignTickResult>> ticks;
+    std::vector<uint8_t> meter;
+    std::vector<std::pair<int64_t, int64_t>> meter_by_tick;
+  };
+  const auto run = [&](const std::string& state_dir) {
+    DurableCampaignRunner runner(MakeQueries(), policy_, Options(state_dir));
+    std::string error;
+    EXPECT_TRUE(runner.Open(&error)) << error;
+    Run out;
+    for (int64_t tick = 0; tick < 4; ++tick) {
+      out.ticks.push_back(runner.RunTick(tick, populations_, codecs_));
+    }
+    runner.meter().EncodeTo(&out.meter);
+    for (const auto& sample : runner.meter_by_tick()) {
+      out.meter_by_tick.emplace_back(sample.bits_spent,
+                                     sample.denied_charges);
+    }
+    EXPECT_FALSE(runner.recovery_info().recovered);
+    return out;
+  };
+  // Where an empty state_dir's files would land if the runner did I/O.
+  const std::vector<std::string> stray_paths = {
+      "/journal.wal", "/snapshot.bin", "journal.wal", "snapshot.bin"};
+  for (const std::string& path : stray_paths) {
+    ASSERT_FALSE(std::filesystem::exists(path)) << path;
+  }
+
+  const Run durable = run(FreshDir("memory_twin"));
+  obs::Registry::Default().Reset();
+  obs::SetEnabled(true);
+  const Run memory = run("");
+  const int64_t opens = JournalCounter("bitpush_recovery_opens_total");
+  const int64_t records = JournalCounter("bitpush_journal_records_total");
+  obs::SetEnabled(false);
+  const Run rerun = run("");
+
+  ASSERT_EQ(memory.ticks.size(), 4u);
+  EXPECT_EQ(memory.ticks, durable.ticks);
+  EXPECT_EQ(memory.meter, durable.meter);
+  EXPECT_EQ(memory.meter_by_tick, durable.meter_by_tick);
+  EXPECT_EQ(rerun.ticks, memory.ticks);
+  EXPECT_EQ(rerun.meter, memory.meter);
+  // The tight budget makes the meter deny charges, so the ledgers differ
+  // from any run that skipped or double-applied one.
+  EXPECT_GT(memory.meter_by_tick.back().second, 0);
+  EXPECT_EQ(opens, 0);
+  EXPECT_EQ(records, 0);
+  for (const std::string& path : stray_paths) {
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+  }
+}
+
+TEST_F(RecoveryTest, VersionOneSnapshotFailsClosed) {
+  // A state dir written before the snapshot dropped its open-sessions
+  // field: format byte 1 and a zero session count ahead of the breaker
+  // blob. Open must refuse it with an error, not abort, and leave the
+  // journal as it found it.
+  const std::string dir = FreshDir("v1_snapshot");
+  {
+    DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+    std::string error;
+    ASSERT_TRUE(runner.Open(&error)) << error;
+    runner.RunTick(0, populations_, codecs_);
+    ASSERT_TRUE(runner.Snapshot(&error)) << error;
+    runner.RunTick(1, populations_, codecs_);
+  }
+  const std::string snapshot_path = dir + "/snapshot.bin";
+  const std::vector<uint8_t> current = FileBytes(snapshot_path);
+  ASSERT_GT(current.size(), 13u);
+  ASSERT_EQ(current[4], kSnapshotFormatVersion);
+  // Drop the CRC; the body ends with the breaker blob's length (zero: this
+  // campaign has no breaker).
+  std::vector<uint8_t> version1(current.begin(), current.end() - 4);
+  ASSERT_EQ(std::vector<uint8_t>(version1.end() - 4, version1.end()),
+            std::vector<uint8_t>(4, 0));
+  version1[4] = 1;
+  version1.insert(version1.end() - 4, {0, 0, 0, 0});  // session count
+  bytes::PutUint32(bytes::Crc32(version1.data(), version1.size()),
+                   &version1);
+  {
+    std::ofstream out(snapshot_path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(version1.data()),
+              static_cast<std::streamsize>(version1.size()));
+  }
+  ASSERT_EQ(FileBytes(snapshot_path), version1);
+  const std::vector<uint8_t> journal = FileBytes(dir + "/journal.wal");
+  ASSERT_FALSE(journal.empty());
+
+  DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
+  std::string error;
+  EXPECT_FALSE(reopened.Open(&error));
+  EXPECT_NE(error.find("snapshot failed validation"), std::string::npos)
+      << error;
+  EXPECT_EQ(FileBytes(dir + "/journal.wal"), journal);
 }
 
 }  // namespace

@@ -26,9 +26,7 @@
 #include "core/bit_probabilities.h"
 #include "core/fixed_point.h"
 #include "core/privacy_meter.h"
-#include "federated/dropout_secure_agg.h"
 #include "federated/secure_agg.h"
-#include "federated/shamir.h"
 #include "ldp/randomized_response.h"
 #include "prop/bitprop.h"
 #include "rng/rng.h"
@@ -465,104 +463,6 @@ TEST(PropInvariantsTest, SecureAggMasksCancelToExactSum) {
         }
         return std::nullopt;
       });
-}
-
-// ---------------------------------------------------------------------------
-// Dropout-tolerant secure aggregation: survivors' sum recovers iff the
-// Shamir threshold is met, and equals the plaintext survivor sum.
-
-struct DropoutAggCase {
-  uint64_t session_seed = 0;
-  int64_t threshold = 2;
-  std::vector<uint64_t> values;  // < kShamirPrime
-  uint64_t drop_mask = 0;        // bit i set => client i drops
-
-  int survivors() const {
-    int alive = 0;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if ((drop_mask & (uint64_t{1} << i)) == 0) ++alive;
-    }
-    return alive;
-  }
-};
-
-Domain<DropoutAggCase> DropoutAggDomain() {
-  Domain<DropoutAggCase> domain;
-  domain.generate = [](Rng& rng) {
-    DropoutAggCase c;
-    c.session_seed = rng.NextUint64();
-    const size_t n = 2 + static_cast<size_t>(rng.NextBelow(9));  // 2..10
-    c.threshold = 2 + static_cast<int64_t>(rng.NextBelow(
-                          static_cast<uint64_t>(n) - 1));
-    c.values.resize(n);
-    for (uint64_t& v : c.values) v = rng.NextBelow(kShamirPrime);
-    c.drop_mask = rng.NextUint64() & ((uint64_t{1} << n) - 1);
-    return c;
-  };
-  domain.shrink = [](const DropoutAggCase& c) {
-    std::vector<DropoutAggCase> out;
-    if (c.drop_mask != 0) {
-      DropoutAggCase smaller = c;
-      smaller.drop_mask = 0;
-      out.push_back(smaller);
-    }
-    for (size_t i = 0; i < c.values.size(); ++i) {
-      if (c.values[i] != 0) {
-        DropoutAggCase smaller = c;
-        smaller.values[i] = 0;
-        out.push_back(smaller);
-      }
-    }
-    return out;
-  };
-  domain.describe = [](const DropoutAggCase& c) {
-    std::ostringstream out;
-    out << "{seed=" << c.session_seed << " n=" << c.values.size()
-        << " threshold=" << c.threshold << " drop_mask=0x" << std::hex
-        << c.drop_mask << std::dec << " survivors=" << c.survivors() << "}";
-    return out.str();
-  };
-  return domain;
-}
-
-TEST(PropInvariantsTest, DropoutSecureAggRecoversSurvivorSumIffThresholdMet) {
-  CheckOptions options;
-  options.iterations = 100;        // Shamir reconstruction is the cost here
-  options.max_iterations = 20000;
-  CheckProperty<DropoutAggCase>(
-      "double-masking recovers the survivors' sum exactly when survivors >= "
-      "threshold, and refuses below it",
-      DropoutAggDomain(),
-      [](const DropoutAggCase& c) -> std::optional<std::string> {
-        Rng rng(c.session_seed);
-        DoubleMaskingSession session(static_cast<int>(c.values.size()),
-                                     static_cast<int>(c.threshold), rng);
-        uint64_t expected = 0;
-        for (size_t i = 0; i < c.values.size(); ++i) {
-          if ((c.drop_mask & (uint64_t{1} << i)) != 0) {
-            session.MarkDropped(static_cast<int>(i));
-          } else {
-            session.Submit(static_cast<int>(i), c.values[i]);
-            expected = (expected + c.values[i]) % kShamirPrime;
-          }
-        }
-        const std::optional<uint64_t> sum = session.RecoverSum();
-        const bool recoverable = c.survivors() >= c.threshold;
-        if (sum.has_value() != recoverable) {
-          return sum.has_value()
-                     ? std::optional<std::string>(
-                           "sum recovered below the Shamir threshold")
-                     : std::optional<std::string>(
-                           "sum unrecoverable with enough survivors");
-        }
-        if (sum.has_value() && *sum != expected) {
-          std::ostringstream out;
-          out << "recovered " << *sum << " != survivor sum " << expected;
-          return out.str();
-        }
-        return std::nullopt;
-      },
-      options);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 // Property tests for the extension modules: derived aggregates, weighted
-// means, Shamir sharing, the wire format, and memoization. Universal
-// invariants (Shamir round-trips, wire round-trips) run on bitprop
-// generators with shrinking; the statistical suites that need a fixed
-// Monte-Carlo grid stay parameterized gtest.
+// means, the wire format, and memoization. Universal invariants (wire
+// round-trips) run on bitprop generators with shrinking; the statistical
+// suites that need a fixed Monte-Carlo grid stay parameterized gtest.
 
 // bitpush-lint: allow(privacy-metering): property sweeps build synthetic reports; no client value is behind them
 
@@ -23,7 +22,6 @@
 #include "core/range_tree.h"
 #include "core/weighted.h"
 #include "data/synthetic.h"
-#include "federated/shamir.h"
 #include "federated/wire.h"
 #include "ldp/memoization.h"
 #include "prop/bitprop.h"
@@ -142,82 +140,6 @@ TEST(MomentConsistencyProperty, JensenOrderingHolds) {
     EXPECT_LT(geometric, mean * 1.05);
     EXPECT_GT(second, mean * mean * 0.9);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Shamir: share/reconstruct round-trips across thresholds and secrets.
-
-struct ShamirPropCase {
-  uint64_t secret = 0;       // < kShamirPrime
-  int threshold = 1;         // 1..13
-  int extra_shares = 0;      // num_shares = threshold + extra
-  uint64_t session_seed = 0; // drives sharing and subset selection
-};
-
-Domain<ShamirPropCase> ShamirDomain() {
-  Domain<ShamirPropCase> domain;
-  domain.generate = [](Rng& rng) {
-    ShamirPropCase c;
-    c.secret = rng.NextBelow(kShamirPrime);
-    c.threshold = 1 + static_cast<int>(rng.NextBelow(13));
-    c.extra_shares = static_cast<int>(rng.NextBelow(5));
-    c.session_seed = rng.NextUint64();
-    return c;
-  };
-  domain.shrink = [](const ShamirPropCase& c) {
-    std::vector<ShamirPropCase> out;
-    if (c.secret > 0) {
-      ShamirPropCase smaller = c;
-      smaller.secret /= 2;
-      out.push_back(smaller);
-    }
-    if (c.threshold > 1) {
-      ShamirPropCase smaller = c;
-      smaller.threshold = 1;
-      out.push_back(smaller);
-    }
-    if (c.extra_shares > 0) {
-      ShamirPropCase smaller = c;
-      smaller.extra_shares = 0;
-      out.push_back(smaller);
-    }
-    return out;
-  };
-  domain.describe = [](const ShamirPropCase& c) {
-    std::ostringstream out;
-    out << "{secret=" << c.secret << " threshold=" << c.threshold
-        << " extra_shares=" << c.extra_shares << " session_seed=0x"
-        << std::hex << c.session_seed << "}";
-    return out.str();
-  };
-  return domain;
-}
-
-TEST(ShamirRoundTripProperty, AnyThresholdSubsetReconstructsTheSecret) {
-  CheckProperty<ShamirPropCase>(
-      "a random threshold-sized subset of shares reconstructs the secret",
-      ShamirDomain(),
-      [](const ShamirPropCase& c) -> std::optional<std::string> {
-        Rng rng(c.session_seed);
-        const int num_shares = c.threshold + c.extra_shares;
-        const std::vector<ShamirShare> shares =
-            ShamirShareSecret(c.secret, c.threshold, num_shares, rng);
-        // Random subset of exactly `threshold` shares.
-        std::vector<ShamirShare> subset = shares;
-        for (size_t i = subset.size(); i > 1; --i) {
-          std::swap(subset[i - 1], subset[rng.NextBelow(i)]);
-        }
-        subset.resize(static_cast<size_t>(c.threshold));
-        const uint64_t reconstructed =
-            ShamirReconstruct(subset, c.threshold);
-        if (reconstructed != c.secret) {
-          std::ostringstream out;
-          out << "reconstructed " << reconstructed << " != secret "
-              << c.secret;
-          return out.str();
-        }
-        return std::nullopt;
-      });
 }
 
 // ---------------------------------------------------------------------------
