@@ -83,9 +83,10 @@ ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
 # an uninterrupted run. The crash harness loses every record appended since
 # the last group commit (docs/PERSISTENCE.md), so the crash points cover a
 # kill before the first commit (1, 120: nothing reached disk), kills inside
-# a query whose round 1 committed (500, 1200), and a kill two ticks in
-# (3000). The deterministic metrics and events snapshots and the alert
-# timeline must survive every one of them.
+# tick 0 and tick 1 after a round committed (500, 1200), and a kill two
+# ticks in, in tick 2's second query after its round 1 committed (1800;
+# the campaign writes 2,422 records). The deterministic metrics and events
+# snapshots and the alert timeline must survive every one of them.
 STATE_ROOT="$(mktemp -d)"
 trap 'rm -rf "$STATE_ROOT"' EXIT
 SIM="$BUILD_DIR/tools/bitpush_sim"
@@ -98,7 +99,7 @@ SIM_ARGS=(--task=campaign --n=400 --ticks=4 --seed=99)
   --alerts_out="$STATE_ROOT/clean.alerts.txt" \
   > "$STATE_ROOT/clean.out"
 
-for CRASH_AT in 1 120 500 1200 3000; do
+for CRASH_AT in 1 120 500 1200 1800; do
   CRASHED="$STATE_ROOT/crashed-$CRASH_AT"
   set +e
   "$SIM" "${SIM_ARGS[@]}" --state_dir="$CRASHED" \
@@ -115,9 +116,9 @@ for CRASH_AT in 1 120 500 1200 3000; do
     --events_out="$CRASHED.events.snapshot" \
     --alerts_out="$CRASHED.alerts.txt" \
     > "$CRASHED.out" 2> "$CRASHED.err"
-  # The first commit lands after record 269: an earlier crash leaves an
+  # The first commit lands after record 134: an earlier crash leaves an
   # empty journal and the restart runs fresh; a later one leaves
-  # committed rounds to replay.
+  # committed rounds to restore.
   RECOVERED=0
   if grep -q 'recovered state:' "$CRASHED.err"; then RECOVERED=1; fi
   if [[ "$RECOVERED" -ne $(( CRASH_AT >= 500 )) ]]; then

@@ -35,10 +35,9 @@ void PrivacyMeter::NoteChargeOutcome(int64_t value_id, bool granted) {
   const uint8_t bit = granted ? 1 : 2;
   if ((mask & bit) != 0) return;
   mask |= bit;
-  // Deliberately no ledger totals in the detail: at the moment a recovered
-  // run re-serves a journaled prefix charge, the ledger already holds the
-  // whole prefix (ApplyJournal applied it), so totals here would not be
-  // replay-invariant. The (value, outcome) transition itself is.
+  // Deliberately no ledger totals in the detail: a meter restored from a
+  // snapshot re-derives its epsilon total in another order, so totals here
+  // would not be recovery-invariant. The (value, outcome) transition is.
   obs::EventArgs args;
   args.detail = "value=" + std::to_string(value_id) +
                 (granted ? " first grant" : " first denial");
@@ -59,22 +58,9 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
   // originate from an untrusted request, and accepting a non-finite
   // epsilon (infinity passes a >= 0 check) would permanently corrupt the
   // per-client composition total. The denial still flows through the
-  // journal hooks below like a cap denial, so a recovered ledger counts it
+  // journal hook below like a cap denial, so a recovered ledger counts it
   // exactly once and stays byte-identical to an uninterrupted run.
   const bool valid_epsilon = std::isfinite(epsilon) && epsilon >= 0.0;
-  if (journal_ != nullptr) {
-    // Recovery replay: the decision was journaled before the crash and the
-    // restored ledger already reflects it — return it without re-charging.
-    const std::optional<bool> replayed =
-        journal_->OnChargeAttempt(client_id, value_id, epsilon);
-    if (replayed.has_value()) {
-      // Re-served prefix charge: the ledger already reflects it, but its
-      // flight-recorder announcement was suppressed during replay — emit it
-      // here, at the same logical position a live run would have.
-      NoteChargeOutcome(value_id, *replayed);
-      return *replayed;
-    }
-  }
   ClientLedger* ledger = nullptr;
   bool granted = false;
   if (valid_epsilon) {
@@ -86,13 +72,13 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
   }
   if (journal_ != nullptr) {
     // Write-ahead: persist the decision before applying it, so a crash
-    // between the two is recovered by replaying the record (exactly once).
+    // between the two is recovered by re-applying the record (exactly once).
     journal_->OnCharge(client_id, value_id, epsilon, granted);
   }
   if (!granted) {
     ++denied_charges_;
     RefreshObsGauges();
-    if (!replay_quiet_) NoteChargeOutcome(value_id, false);
+    NoteChargeOutcome(value_id, false);
     return false;
   }
   ++ledger->bits_per_value[value_id];
@@ -101,7 +87,7 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
   ++total_bits_;
   total_epsilon_ += epsilon;
   RefreshObsGauges();
-  if (!replay_quiet_) NoteChargeOutcome(value_id, true);
+  NoteChargeOutcome(value_id, true);
   return true;
 }
 

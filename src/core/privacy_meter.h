@@ -10,16 +10,17 @@
 // Durability: the ledger is exactly the state a coordinator must not lose
 // across a crash — a recovering server that forgot a charge could let a
 // second bit of the same value leave a client. The meter therefore supports
-// (a) a Journal hook through which every charge attempt is write-ahead
-// logged (and replayed exactly-once on recovery), and (b) canonical
+// (a) a Journal hook through which every charge decision is write-ahead
+// logged (recovery re-applies the journaled charges through TryChargeBit
+// with the hook detached, exactly once), and (b) canonical
 // EncodeTo/DecodeFrom serialization for snapshots (src/persist/).
 
 #ifndef BITPUSH_CORE_PRIVACY_METER_H_
 #define BITPUSH_CORE_PRIVACY_METER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -41,24 +42,15 @@ struct MeterPolicy {
 class PrivacyMeter {
  public:
   // Write-ahead journal hook. A durable coordinator installs one so every
-  // charge decision is persisted before it takes effect, and so a recovery
-  // replay can serve the recorded outcomes back without double-charging.
+  // charge decision is persisted before it takes effect.
   class Journal {
    public:
     virtual ~Journal() = default;
 
-    // Consulted before a charge is evaluated. Returning an outcome means
-    // this attempt was already journaled (and already applied to the
-    // restored ledger): the meter returns it verbatim and mutates nothing.
-    // Returning nullopt lets the charge proceed normally.
-    virtual std::optional<bool> OnChargeAttempt(int64_t client_id,
-                                                int64_t value_id,
-                                                double epsilon) = 0;
-
-    // Called with the decision of a live (non-replayed) charge attempt,
-    // before the ledger mutation is applied — the write-ahead discipline:
-    // a crash after this call but before the in-memory update is recovered
-    // by replaying the record.
+    // Called with the decision of every charge attempt, before the ledger
+    // mutation is applied — the write-ahead discipline: a crash after this
+    // call but before the in-memory update is recovered by re-applying the
+    // record.
     virtual void OnCharge(int64_t client_id, int64_t value_id, double epsilon,
                           bool granted) = 0;
   };
@@ -67,21 +59,6 @@ class PrivacyMeter {
 
   // Installs (or clears, with nullptr) the write-ahead journal hook.
   void set_journal(Journal* journal) { journal_ = journal; }
-
-  // Recovery-replay suppression for the flight recorder. While set, charge
-  // decisions mutate the ledger but emit no events and advance no
-  // first-grant/first-denial latches — used by recovery for the replay
-  // *prefix* (the in-flight query's charges), whose events are instead
-  // emitted when the re-execution is served the journaled outcomes, i.e.
-  // at the same logical position as in an uninterrupted run.
-  void set_replay_quiet(bool quiet) { replay_quiet_ = quiet; }
-
-  // Emits the announcement a quietly replayed charge held back, for the
-  // prefix charges of a round that recovery restores instead of
-  // re-executing (so they are never re-served through the journal hook).
-  void AnnounceReplayedCharge(int64_t value_id, bool granted) {
-    NoteChargeOutcome(value_id, granted);
-  }
 
   // Attempts to charge one disclosed bit about `value_id` from `client_id`
   // at randomized-response cost `epsilon` (0 for a noiseless bit). Returns
@@ -144,7 +121,6 @@ class PrivacyMeter {
   double total_epsilon_ = 0.0;
   int64_t denied_charges_ = 0;
   Journal* journal_ = nullptr;
-  bool replay_quiet_ = false;
   // Per-value announcement latches: bit 0 = grant announced, bit 1 =
   // denial announced. Not serialized — DecodeFrom conservatively marks
   // restored values fully announced (snapshot-restored history is outside

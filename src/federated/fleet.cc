@@ -207,8 +207,7 @@ std::vector<double> FleetSimulator::CollectWindow(int64_t max_cohort) {
   if (health_.has_value()) {
     const int64_t opens_before = health_->opens();
     const int64_t closes_before = health_->closes();
-    health_->ObserveRound(window, succeeded_devices, failed_devices,
-                          /*recorder=*/nullptr);
+    health_->ObserveRound(window, succeeded_devices, failed_devices);
     retry_stats_.breaker_opens += health_->opens() - opens_before;
     retry_stats_.breaker_closes += health_->closes() - closes_before;
   }

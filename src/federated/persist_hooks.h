@@ -1,15 +1,13 @@
 // Hooks through which the durable-state layer (src/persist/) observes — and
 // on recovery, short-circuits — query execution.
 //
-// The recovery model is deterministic re-execution: after a crash, the
-// coordinator re-runs the interrupted query with the same forked RNG
-// streams, and a recorder installed here serves back the journaled
-// outcomes. A round whose kRoundClosed record survived is *restored*, never
-// re-run — in particular a completed round-1 probe is never re-probed, so
-// no client is ever asked for a second bit by a recovering server. The
-// finer-grained emissions (cohort assignment, accepted reports) are
-// journaled so the replay layer can verify that re-execution really is
-// byte-for-byte deterministic and fail closed on divergence.
+// The recovery model restores closed rounds and re-executes open ones:
+// after a crash, the coordinator re-runs the interrupted query with the
+// same forked RNG streams, and a recorder installed here serves back each
+// round whose kRoundClosed record survived. Such a round is *restored*,
+// never re-run — in particular a completed round-1 probe is never
+// re-probed, so no client is ever asked for a second bit by a recovering
+// server. A round that had not closed re-executes from its RNG fork.
 
 #ifndef BITPUSH_FEDERATED_PERSIST_HOOKS_H_
 #define BITPUSH_FEDERATED_PERSIST_HOOKS_H_
@@ -17,8 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "federated/report.h"
-#include "federated/resilience.h"
 #include "federated/server.h"
 
 namespace bitpush {
@@ -27,30 +23,20 @@ class QueryRecorder {
  public:
   virtual ~QueryRecorder() = default;
 
-  // Consulted before a round runs. Returning true means the round completed
+  // Consulted before a round runs over `cohort` (the partition indices the
+  // round is given, in order). Returning true means the round completed
   // (its kRoundClosed record was journaled) before the crash: `*out` is
   // filled with the recorded outcome and the round is skipped entirely.
   // Returning false lets the round execute normally.
-  virtual bool RestoreRound(int64_t round_id, RoundOutcome* out) = 0;
+  virtual bool RestoreRound(int64_t round_id,
+                            const std::vector<int64_t>& cohort,
+                            RoundOutcome* out) = 0;
 
-  // A live round completed; called with its full outcome before the query
-  // proceeds past the round boundary.
-  virtual void OnRoundClosed(int64_t round_id, const RoundOutcome& outcome) = 0;
-
-  // A collection pass issued assignments to these client ids (in request
-  // order). Emitted per pass: once for the cohort, once per backfill draw.
-  virtual void OnCohortAssigned(int64_t /*round_id*/,
-                                const std::vector<int64_t>& /*client_ids*/) {}
-
-  // The server accepted one report into the round's tally.
-  virtual void OnReportAccepted(int64_t /*round_id*/,
-                                const BitReport& /*report*/) {}
-
-  // One resilience decision (retry scheduled, hedge issued or cancelled,
-  // breaker transition; see federated/resilience.h). Emitted in execution
-  // order so the replay layer can verify a recovered run reproduces the
-  // exact recovery schedule of the original.
-  virtual void OnResilienceEvent(const ResilienceEvent& /*event*/) {}
+  // A live round over `cohort` completed; called with its full outcome
+  // before the query proceeds past the round boundary.
+  virtual void OnRoundClosed(int64_t round_id,
+                             const std::vector<int64_t>& cohort,
+                             const RoundOutcome& outcome) = 0;
 };
 
 }  // namespace bitpush

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "federated/persist_hooks.h"
 #include "federated/wire.h"
 #include "obs/events.h"
 #include "util/bytes.h"
@@ -253,42 +252,6 @@ bool DecodeResilienceConfigFrame(const std::vector<uint8_t>& buffer,
   return true;
 }
 
-void EncodeResilienceEvent(const ResilienceEvent& event,
-                           std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  bytes::PutByte(static_cast<uint8_t>(event.type), out);
-  bytes::PutInt64(event.round_id, out);
-  bytes::PutInt64(event.client_id, out);
-  bytes::PutInt64(event.attempt, out);
-  bytes::PutDouble(event.minutes, out);
-}
-
-bool DecodeResilienceEvent(const std::vector<uint8_t>& buffer, size_t* offset,
-                           ResilienceEvent* out) {
-  BITPUSH_CHECK(offset != nullptr);
-  BITPUSH_CHECK(out != nullptr);
-  size_t cursor = *offset;
-  uint8_t type = 0;
-  ResilienceEvent event;
-  if (!bytes::GetByte(buffer, &cursor, &type) ||
-      !bytes::GetInt64(buffer, &cursor, &event.round_id) ||
-      !bytes::GetInt64(buffer, &cursor, &event.client_id) ||
-      !bytes::GetInt64(buffer, &cursor, &event.attempt) ||
-      !bytes::GetDouble(buffer, &cursor, &event.minutes)) {
-    return false;
-  }
-  if (type < static_cast<uint8_t>(ResilienceEventType::kRetryScheduled) ||
-      type > static_cast<uint8_t>(ResilienceEventType::kBreakerClosed)) {
-    return false;
-  }
-  if (event.attempt < 0) return false;
-  if (!std::isfinite(event.minutes) || event.minutes < 0.0) return false;
-  event.type = static_cast<ResilienceEventType>(type);
-  *out = event;
-  *offset = cursor;
-  return true;
-}
-
 RetrySchedule::RetrySchedule() = default;
 
 RetrySchedule::RetrySchedule(uint64_t seed, const RetryPolicy& policy)
@@ -389,23 +352,13 @@ bool HealthTracker::ShouldOpen(const ClientHealth& health) const {
 
 void HealthTracker::ObserveRound(int64_t round_id,
                                  const std::vector<int64_t>& succeeded,
-                                 const std::vector<int64_t>& failed,
-                                 QueryRecorder* recorder) {
+                                 const std::vector<int64_t>& failed) {
   if (!policy_.enabled()) return;
-  const auto emit = [&](ResilienceEventType type, int64_t client_id) {
-    if (recorder == nullptr) return;
-    ResilienceEvent event;
-    event.type = type;
-    event.round_id = round_id;
-    event.client_id = client_id;
-    recorder->OnResilienceEvent(event);
-  };
   // Flight-recorder breaker transitions. ObserveRound is the exactly-once
   // transition site on every execution path — live rounds, journal-restored
-  // rounds, and recovery's replay of finished queries (which calls it with
-  // recorder == nullptr) — and the transitions are pure functions of the
-  // journaled success/failure lists, so the events are replay-stable even
-  // though the `emit` lambda above is suppressed during replay.
+  // rounds, and recovery's restore of finished queries — and the
+  // transitions are pure functions of the journaled success/failure lists,
+  // so the events are recovery-stable.
   const auto announce = [&](int64_t client_id, const char* what) {
     obs::EventArgs args;
     args.round_id = round_id;
@@ -422,7 +375,6 @@ void HealthTracker::ObserveRound(int64_t round_id,
       // client a clean rate window so stale history cannot re-open it.
       health = ClientHealth{};
       ++closes_;
-      emit(ResilienceEventType::kBreakerClosed, id);
       announce(id, "closed");
     }
   }
@@ -435,13 +387,11 @@ void HealthTracker::ObserveRound(int64_t round_id,
       health.state = BreakerState::kOpen;
       health.cooldown_remaining = policy_.cooldown_rounds;
       ++opens_;
-      emit(ResilienceEventType::kBreakerOpened, id);
       announce(id, "opened (failed probe)");
     } else if (health.state == BreakerState::kClosed && ShouldOpen(health)) {
       health.state = BreakerState::kOpen;
       health.cooldown_remaining = policy_.cooldown_rounds;
       ++opens_;
-      emit(ResilienceEventType::kBreakerOpened, id);
       announce(id, "opened");
     }
   }

@@ -33,8 +33,6 @@
 
 namespace bitpush {
 
-class QueryRecorder;  // federated/persist_hooks.h
-
 // A time allowance in simulated LatencyModel minutes. Budgets flow down
 // the scheduling hierarchy: a campaign grants each tick a budget, the tick
 // splits it across its scheduled queries, a query splits its share across
@@ -185,40 +183,6 @@ void EncodeResilienceConfigFrame(const ResilienceConfig& config,
 bool DecodeResilienceConfigFrame(const std::vector<uint8_t>& buffer,
                                  ResilienceConfig* out);
 
-// One recovery decision, journaled through QueryRecorder::OnResilienceEvent
-// so crash recovery can verify the re-executed schedule record by record.
-enum class ResilienceEventType : uint8_t {
-  kRetryScheduled = 1,
-  kRetransmitScheduled = 2,
-  kRetryRecovered = 3,
-  kHedgeIssued = 4,
-  kHedgeCancelled = 5,
-  kHedgeWon = 6,
-  kHedgeFailed = 7,
-  kBreakerSkip = 8,
-  kBreakerProbe = 9,
-  kBreakerOpened = 10,
-  kBreakerClosed = 11,
-};
-
-struct ResilienceEvent {
-  ResilienceEventType type = ResilienceEventType::kRetryScheduled;
-  int64_t round_id = 0;
-  int64_t client_id = 0;
-  // Retry attempt the event concerns (0 for non-retry events).
-  int64_t attempt = 0;
-  // Backoff minutes for retry events, 0 otherwise.
-  double minutes = 0.0;
-
-  friend bool operator==(const ResilienceEvent&,
-                         const ResilienceEvent&) = default;
-};
-
-void EncodeResilienceEvent(const ResilienceEvent& event,
-                           std::vector<uint8_t>* out);
-bool DecodeResilienceEvent(const std::vector<uint8_t>& buffer, size_t* offset,
-                           ResilienceEvent* out);
-
 // Deterministic backoff schedule: the wait before retry `attempt`
 // (1-based) of (round, client) under decorrelated jitter, derived entirely
 // from hashes of (seed, round, client, attempt) — no RNG stream, so the
@@ -274,11 +238,9 @@ class HealthTracker {
   BreakerState state(int64_t client_id) const;
 
   // Applies one round's outcome: successes first, then failures, each in
-  // list order. Emits kBreakerOpened/kBreakerClosed events through
-  // `recorder` (may be null) as transitions happen.
+  // list order.
   void ObserveRound(int64_t round_id, const std::vector<int64_t>& succeeded,
-                    const std::vector<int64_t>& failed,
-                    QueryRecorder* recorder);
+                    const std::vector<int64_t>& failed);
 
   int64_t opens() const { return opens_; }
   int64_t closes() const { return closes_; }

@@ -82,7 +82,7 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
         if (config.health != nullptr) config.health->BeginRound();
         bool restored = true;
         if (config.recorder == nullptr ||
-            !config.recorder->RestoreRound(round_id, outcome)) {
+            !config.recorder->RestoreRound(round_id, round_cohort, outcome)) {
           restored = false;
           obs::Span collect("collect", "federated");
           collect.set_ids(-1, -1, round_id);
@@ -94,7 +94,7 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
                              static_cast<double>(outcome->responded));
           collect.End();
           if (config.recorder != nullptr) {
-            config.recorder->OnRoundClosed(round_id, *outcome);
+            config.recorder->OnRoundClosed(round_id, round_cohort, *outcome);
           }
         }
         // Round-boundary metrics, applied from the (possibly journaled)
@@ -110,8 +110,7 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
           const int64_t opens_before = config.health->opens();
           const int64_t closes_before = config.health->closes();
           config.health->ObserveRound(round_id, outcome->succeeded_client_ids,
-                                      outcome->failed_client_ids,
-                                      config.recorder);
+                                      outcome->failed_client_ids);
           result.retry.breaker_opens += config.health->opens() - opens_before;
           result.retry.breaker_closes +=
               config.health->closes() - closes_before;
@@ -134,7 +133,6 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   round1_config.fault_plan = config.fault_plan;
   round1_config.fault_policy = config.fault_policy;
   round1_config.backfill_pool = std::move(pool1);
-  round1_config.recorder = config.recorder;
   round1_config.resilience = config.resilience;
   round1_config.resilience.budget = config.resilience.budget.Fraction(
       round1_share);

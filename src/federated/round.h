@@ -22,6 +22,8 @@
 
 namespace bitpush {
 
+class QueryRecorder;  // federated/persist_hooks.h
+
 struct FederatedQueryConfig {
   // Protocol parameters (bits, gamma, alpha, delta, epsilon, caching,
   // squashing). bits must match the codec.

@@ -6,7 +6,6 @@
 
 #include "batch/batch.h"
 #include "federated/latency.h"
-#include "federated/persist_hooks.h"
 #include "federated/secure_agg.h"
 #include "rng/qmc.h"
 #include "util/bytes.h"
@@ -55,18 +54,6 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       res.budget.ClampDeadline(config.fault_policy.report_deadline_minutes);
   double clock = 0.0;
   int64_t round_retries = 0;
-
-  const auto emit = [&](ResilienceEventType type, int64_t client_id,
-                        int64_t attempt, double minutes) {
-    if (config.recorder == nullptr) return;
-    ResilienceEvent event;
-    event.type = type;
-    event.round_id = config.round_id;
-    event.client_id = client_id;
-    event.attempt = attempt;
-    event.minutes = minutes;
-    config.recorder->OnResilienceEvent(event);
-  };
 
   // Check-in: clients already assigned in an earlier round of this query
   // (crash-then-recheckin) are rejected before any assignment is issued.
@@ -137,11 +124,8 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       ++round_retries;
       if (retransmit) {
         ++outcome.retry.retransmits_requested;
-        emit(ResilienceEventType::kRetransmitScheduled, client.id(), next,
-             backoff);
       } else {
         ++outcome.retry.retries_scheduled;
-        emit(ResilienceEventType::kRetryScheduled, client.id(), next, backoff);
       }
       attempt = next;
       return true;
@@ -215,13 +199,8 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       if (backfill) ++outcome.faults.backfill_reports;
       if (is_hedge) {
         ++outcome.retry.hedge_reports;
-        emit(ResilienceEventType::kHedgeWon, client.id(), 0, 0.0);
       } else if (attempt > 0) {
         ++outcome.retry.retry_reports_recovered;
-        emit(ResilienceEventType::kRetryRecovered, client.id(), attempt, 0.0);
-      }
-      if (config.recorder != nullptr) {
-        config.recorder->OnReportAccepted(config.round_id, accepted);
       }
       reports.push_back(accepted);
       return SlotResult::kAccepted;
@@ -240,12 +219,10 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         const AssignmentDecision decision = config.health->Decision(id);
         if (decision == AssignmentDecision::kSkip) {
           ++outcome.retry.breaker_skips;
-          emit(ResilienceEventType::kBreakerSkip, id, 0, 0.0);
           continue;
         }
         if (decision == AssignmentDecision::kProbe) {
           ++outcome.retry.breaker_probes;
-          emit(ResilienceEventType::kBreakerProbe, id, 0, 0.0);
         }
       }
       return idx;
@@ -265,12 +242,10 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         const AssignmentDecision decision = config.health->Decision(id);
         if (decision == AssignmentDecision::kSkip) {
           ++outcome.retry.breaker_skips;
-          emit(ResilienceEventType::kBreakerSkip, id, 0, 0.0);
           continue;
         }
         if (decision == AssignmentDecision::kProbe) {
           ++outcome.retry.breaker_probes;
-          emit(ResilienceEventType::kBreakerProbe, id, 0, 0.0);
         }
       }
       eligible.push_back(idx);
@@ -285,14 +260,6 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       for (const int bit : assignment) {
         ++outcome.intended_counts[static_cast<size_t>(bit)];
       }
-    }
-    if (config.recorder != nullptr) {
-      std::vector<int64_t> assigned_ids;
-      assigned_ids.reserve(eligible.size());
-      for (const int64_t idx : eligible) {
-        assigned_ids.push_back(clients[static_cast<size_t>(idx)].id());
-      }
-      config.recorder->OnCohortAssigned(config.round_id, assigned_ids);
     }
     for (int64_t i = 0; i < k; ++i) {
       const int64_t idx = eligible[static_cast<size_t>(i)];
@@ -318,8 +285,6 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
           // discloses a bit, is never metered, and stays in the pool.
           ++outcome.retry.hedges_issued;
           ++outcome.retry.hedges_cancelled;
-          emit(ResilienceEventType::kHedgeIssued, client_id, 0, 0.0);
-          emit(ResilienceEventType::kHedgeCancelled, client_id, 0, 0.0);
         }
         continue;
       }
@@ -337,7 +302,6 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       const int64_t hedge_id =
           clients[static_cast<size_t>(*hedge_idx)].id();
       ++outcome.retry.hedges_issued;
-      emit(ResilienceEventType::kHedgeIssued, client_id, 0, 0.0);
       const SlotResult hedged =
           run_slot(*hedge_idx, request, /*allow_retries=*/false,
                    /*is_hedge=*/true, /*backfill=*/false);
@@ -350,7 +314,6 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         }
       } else {
         ++outcome.retry.hedge_failures;
-        emit(ResilienceEventType::kHedgeFailed, hedge_id, 0, 0.0);
         outcome.failed_client_ids.push_back(hedge_id);
       }
     }

@@ -20,8 +20,6 @@
 
 namespace bitpush {
 
-class QueryRecorder;  // federated/persist_hooks.h
-
 struct RoundConfig {
   // Per-bit sampling probabilities (length = codec bits, sums to 1).
   std::vector<double> probabilities;
@@ -49,9 +47,6 @@ struct RoundConfig {
   // check-ins are rejected and counted (the crash-recheckin dedup policy:
   // at most one assignment per client per query).
   const std::unordered_set<int64_t>* already_assigned = nullptr;
-  // Durability hook (nullptr disables journaling): receives assignment and
-  // accepted-report events as they happen; see federated/persist_hooks.h.
-  QueryRecorder* recorder = nullptr;
   // Active recovery (federated/resilience.h): retries, hedged assignments,
   // and the round's deadline budget. The default disables everything and
   // reproduces pre-resilience behavior byte for byte.

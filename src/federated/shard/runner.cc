@@ -87,10 +87,13 @@ class CaptureRecorder : public CampaignRecorder {
                        const FederatedQueryResult& outcome) override {
     outcomes[query_index] = outcome;
   }
-  bool RestoreRound(int64_t /*round_id*/, RoundOutcome* /*out*/) override {
+  bool RestoreRound(int64_t /*round_id*/,
+                    const std::vector<int64_t>& /*cohort*/,
+                    RoundOutcome* /*out*/) override {
     return false;
   }
   void OnRoundClosed(int64_t /*round_id*/,
+                     const std::vector<int64_t>& /*cohort*/,
                      const RoundOutcome& /*outcome*/) override {}
 
   std::map<size_t, FederatedQueryResult> outcomes;

@@ -167,8 +167,9 @@ ShardQueryFrame MakeShardQueryFrame(int64_t query_index,
   frame.partition_clients = partition_clients;
   frame.result = result;
   // Round-level sums only (not outcome.faults, which folds in the
-  // query-level fallback counter) — the journal-scan path below can only
-  // see rounds, and both paths must normalize identically.
+  // query-level fallback counter): a query restored from the journal
+  // carries only its rounds, and live and restored rows must normalize
+  // identically.
   AccumulateRoundTallies(outcome.round1, &frame);
   AccumulateRoundTallies(outcome.round2, &frame);
   return frame;
@@ -262,42 +263,6 @@ std::vector<const std::vector<Client>*> ShardCoordinator::PopulationPointers()
   return populations;
 }
 
-bool ShardCoordinator::HarvestFromJournal(int64_t tick, int64_t query_index,
-                                          std::vector<RoundOutcome>* rounds,
-                                          std::string* error) const {
-  JournalReadResult journal;
-  if (!ReadShardJournal(journal_path(), &journal, error)) return false;
-  int64_t current_tick = -1;
-  int64_t current_query = -1;
-  for (const JournalRecord& record : journal.records) {
-    switch (record.type) {
-      case JournalRecordType::kQueryStarted: {
-        QueryStartedRecord started;
-        if (!DecodeQueryStartedRecord(record.payload, &started)) {
-          *error = "corrupt kQueryStarted record in shard journal";
-          return false;
-        }
-        current_tick = started.tick;
-        current_query = started.query_index;
-        break;
-      }
-      case JournalRecordType::kRoundClosed: {
-        if (current_tick != tick || current_query != query_index) break;
-        RoundClosedRecord closed;
-        if (!DecodeRoundClosedRecord(record.payload, &closed)) {
-          *error = "corrupt kRoundClosed record in shard journal";
-          return false;
-        }
-        rounds->push_back(std::move(closed.outcome));
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return true;
-}
-
 bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
                                    std::string* error,
                                    const obs::TraceContext& parent) {
@@ -374,31 +339,21 @@ bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
         << "no history row for scheduled query " << query.name << " at tick "
         << tick;
 
-    ShardQueryFrame row;
+    // A query the runner ran live or restored from the journal has its
+    // rounds in full_results(). One restored from a snapshot does not: the
+    // snapshot truncated its rounds out of the journal, so its tallies are
+    // gone and the tick cannot be delivered again.
     const auto& full = runner_->full_results();
     const auto it = full.find({tick, static_cast<int64_t>(qi)});
-    if (it != full.end()) {
-      row = MakeShardQueryFrame(static_cast<int64_t>(qi),
-                                partition_clients(qi), *result, it->second);
-    } else {
-      // The tick was fully restored from the journal: its rounds (with
-      // histograms, faults, retry) are still on disk, because snapshots
-      // only happen after delivery. An in-memory shard re-executes every
-      // tick live, so only a durable shard gets here.
-      BITPUSH_CHECK(durable())
-          << "in-memory shard missing outcome for query " << query.name;
-      std::vector<RoundOutcome> rounds;
-      if (!HarvestFromJournal(tick, static_cast<int64_t>(qi), &rounds,
-                              error)) {
-        return false;
-      }
-      row.query_index = static_cast<int64_t>(qi);
-      row.partition_clients = partition_clients(qi);
-      row.result = *result;
-      for (const RoundOutcome& round : rounds) {
-        AccumulateRoundTallies(round, &row);
-      }
+    if (it == full.end()) {
+      *error = "shard " + std::to_string(options_.shard_index) + " tick " +
+               std::to_string(tick) + " query " + query.name +
+               ": restored from a snapshot, its rounds are no longer in "
+               "the journal";
+      return false;
     }
+    ShardQueryFrame row = MakeShardQueryFrame(
+        static_cast<int64_t>(qi), partition_clients(qi), *result, it->second);
 
     if (counted) {
       if (row.result.status == CampaignTickResult::Status::kRan) {

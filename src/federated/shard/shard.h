@@ -63,7 +63,7 @@ bool TruncateShardJournalToRecords(const std::string& path,
 bool TearShardJournalTail(const std::string& path, size_t bytes,
                           std::string* error);
 
-// Builds one query's frame row from a live outcome: tallies are the
+// Builds one query's frame row from its outcome: tallies are the
 // round-1 + round-2 histograms (zero-width when the query never ran a
 // round) and faults are the round-level sums. Shared by the shard harvest
 // and the single-coordinator reference so both normalize identically.
@@ -148,11 +148,6 @@ class ShardCoordinator {
                   const obs::TraceContext& parent = obs::TraceContext{});
   int64_t next_tick() const;
   std::vector<const std::vector<Client>*> PopulationPointers() const;
-  // Recovers a fully-restored query's round outcomes from the shard's own
-  // journal (full_results() only carries live-executed queries).
-  bool HarvestFromJournal(int64_t tick, int64_t query_index,
-                          std::vector<RoundOutcome>* rounds,
-                          std::string* error) const;
 
   std::vector<CampaignQuery> queries_;
   MeterPolicy policy_;

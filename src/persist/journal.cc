@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "federated/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/bytes.h"
@@ -56,8 +55,8 @@ constexpr size_t kFrameHeaderSize = 1 + 1 + 8 + 4;
 constexpr size_t kFrameCrcSize = 4;
 
 bool ValidRecordType(uint8_t type) {
-  return type >= static_cast<uint8_t>(JournalRecordType::kQueryStarted) &&
-         type <= static_cast<uint8_t>(JournalRecordType::kResilienceEvent);
+  return type >= static_cast<uint8_t>(JournalRecordType::kMeterCharge) &&
+         type <= static_cast<uint8_t>(JournalRecordType::kCampaignTick);
 }
 
 std::string IoError(const std::string& action, const std::string& path) {
@@ -66,7 +65,7 @@ std::string IoError(const std::string& action, const std::string& path) {
 
 void PutFrameHeader(JournalRecordType type, uint64_t seq, size_t payload_size,
                     std::vector<uint8_t>* out) {
-  bytes::PutByte(kWireFormatVersion, out);
+  bytes::PutByte(kJournalFormatVersion, out);
   bytes::PutByte(static_cast<uint8_t>(type), out);
   bytes::PutUint64(seq, out);
   bytes::PutUint32(static_cast<uint32_t>(payload_size), out);
@@ -244,7 +243,7 @@ bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
     BITPUSH_CHECK(bytes::GetByte(data, &cursor, &type));
     BITPUSH_CHECK(bytes::GetUint64(data, &cursor, &seq));
     BITPUSH_CHECK(bytes::GetUint32(data, &cursor, &length));
-    if (version != kWireFormatVersion) {
+    if (version != kJournalFormatVersion) {
       *error = "journal record with unknown format version";
       return false;
     }
@@ -326,52 +325,6 @@ bool TruncateJournalToRecords(const std::string& path, size_t keep_records,
 // ---------------------------------------------------------------------------
 // Record payload codecs.
 
-void EncodeQueryStartedRecord(const QueryStartedRecord& record,
-                              std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  bytes::PutInt64(record.tick, out);
-  bytes::PutInt64(record.query_index, out);
-  bytes::PutInt64(record.value_id, out);
-}
-
-bool DecodeQueryStartedRecord(const std::vector<uint8_t>& payload,
-                              QueryStartedRecord* out) {
-  BITPUSH_CHECK(out != nullptr);
-  size_t cursor = 0;
-  QueryStartedRecord record;
-  if (!bytes::GetInt64(payload, &cursor, &record.tick) ||
-      !bytes::GetInt64(payload, &cursor, &record.query_index) ||
-      !bytes::GetInt64(payload, &cursor, &record.value_id) ||
-      cursor != payload.size()) {
-    return false;
-  }
-  if (record.tick < 0 || record.query_index < 0) return false;
-  *out = record;
-  return true;
-}
-
-void EncodeCohortAssignedRecord(const CohortAssignedRecord& record,
-                                std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  bytes::PutInt64(record.round_id, out);
-  bytes::PutInt64Vector(record.client_ids, out);
-}
-
-bool DecodeCohortAssignedRecord(const std::vector<uint8_t>& payload,
-                                CohortAssignedRecord* out) {
-  BITPUSH_CHECK(out != nullptr);
-  size_t cursor = 0;
-  CohortAssignedRecord record;
-  if (!bytes::GetInt64(payload, &cursor, &record.round_id) ||
-      !bytes::GetInt64Vector(payload, &cursor, &record.client_ids) ||
-      cursor != payload.size()) {
-    return false;
-  }
-  if (record.round_id < 0) return false;
-  *out = std::move(record);
-  return true;
-}
-
 void EncodeMeterChargeRecord(const MeterChargeRecord& record,
                              std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
@@ -398,8 +351,8 @@ bool DecodeMeterChargeRecord(const std::vector<uint8_t>& payload,
   record.granted = granted == 1;
   // A *granted* charge never carries an invalid epsilon — the meter denies
   // non-finite and negative values before journaling — so such a record is
-  // corruption. A denied record keeps the offending epsilon verbatim so
-  // replay can verify it bit-for-bit against the re-executed attempt.
+  // corruption. A denied record keeps the offending epsilon verbatim, so
+  // restoring it through the meter denies it again.
   if (record.granted &&
       (!std::isfinite(record.epsilon) || record.epsilon < 0.0)) {
     return false;
@@ -408,42 +361,14 @@ bool DecodeMeterChargeRecord(const std::vector<uint8_t>& payload,
   return true;
 }
 
-void EncodeReportAcceptedRecord(const ReportAcceptedRecord& record,
-                                std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  bytes::PutInt64(record.round_id, out);
-  bytes::PutInt64(record.report.client_id, out);
-  bytes::PutInt64(record.report.bit_index, out);
-  bytes::PutByte(static_cast<uint8_t>(record.report.bit), out);
-}
-
-bool DecodeReportAcceptedRecord(const std::vector<uint8_t>& payload,
-                                ReportAcceptedRecord* out) {
-  BITPUSH_CHECK(out != nullptr);
-  size_t cursor = 0;
-  ReportAcceptedRecord record;
-  int64_t bit_index = 0;
-  uint8_t bit = 0;
-  if (!bytes::GetInt64(payload, &cursor, &record.round_id) ||
-      !bytes::GetInt64(payload, &cursor, &record.report.client_id) ||
-      !bytes::GetInt64(payload, &cursor, &bit_index) ||
-      !bytes::GetByte(payload, &cursor, &bit) || cursor != payload.size()) {
-    return false;
-  }
-  if (record.round_id < 0 || bit_index < 0 || bit_index >= kMaxBits ||
-      bit > 1) {
-    return false;
-  }
-  record.report.bit_index = static_cast<int>(bit_index);
-  record.report.bit = bit;
-  *out = record;
-  return true;
-}
-
 void EncodeRoundClosedRecord(const RoundClosedRecord& record,
                              std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
+  bytes::PutInt64(record.tick, out);
+  bytes::PutInt64(record.query_index, out);
+  bytes::PutInt64(record.value_id, out);
   bytes::PutInt64(record.round_id, out);
+  bytes::PutUint64(record.cohort_digest, out);
   EncodeRoundOutcome(record.outcome, out);
 }
 
@@ -452,12 +377,18 @@ bool DecodeRoundClosedRecord(const std::vector<uint8_t>& payload,
   BITPUSH_CHECK(out != nullptr);
   size_t cursor = 0;
   RoundClosedRecord record;
-  if (!bytes::GetInt64(payload, &cursor, &record.round_id) ||
+  if (!bytes::GetInt64(payload, &cursor, &record.tick) ||
+      !bytes::GetInt64(payload, &cursor, &record.query_index) ||
+      !bytes::GetInt64(payload, &cursor, &record.value_id) ||
+      !bytes::GetInt64(payload, &cursor, &record.round_id) ||
+      !bytes::GetUint64(payload, &cursor, &record.cohort_digest) ||
       !DecodeRoundOutcome(payload, &cursor, &record.outcome) ||
       cursor != payload.size()) {
     return false;
   }
-  if (record.round_id < 0) return false;
+  if (record.tick < 0 || record.query_index < 0 || record.round_id < 0) {
+    return false;
+  }
   *out = std::move(record);
   return true;
 }
@@ -510,25 +441,6 @@ bool DecodeCampaignTickRecord(const std::vector<uint8_t>& payload,
     return false;
   }
   if (record.tick < 0) return false;
-  *out = record;
-  return true;
-}
-
-void EncodeResilienceEventRecord(const ResilienceEventRecord& record,
-                                 std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  EncodeResilienceEvent(record.event, out);
-}
-
-bool DecodeResilienceEventRecord(const std::vector<uint8_t>& payload,
-                                 ResilienceEventRecord* out) {
-  BITPUSH_CHECK(out != nullptr);
-  size_t cursor = 0;
-  ResilienceEventRecord record;
-  if (!DecodeResilienceEvent(payload, &cursor, &record.event) ||
-      cursor != payload.size()) {
-    return false;
-  }
   *out = record;
   return true;
 }

@@ -1,22 +1,25 @@
 // Write-ahead journal for the durable coordinator.
 //
-// Every state transition a crash must not lose — a query starting, a cohort
-// assignment going out, a privacy-meter charge, a report landing in a
-// tally, a round or a campaign tick closing — is appended here as one
-// length-prefixed, CRC-protected record *before* the in-memory state
+// The journal holds exactly what recovery restores: every privacy-meter
+// charge, each closed round's outcome, each finished query's result and
+// each closed campaign tick — four record types, each one length-prefixed
+// and CRC-protected. A meter charge is appended *before* the ledger
 // changes. Records are group-committed: they become durable together at
 // the writer's next Commit(), which the owner issues before anything
 // derived from them leaves the process. Recovery (src/persist/recovery.h)
-// replays the journal on top of the latest snapshot.
+// restores the journal on top of the latest snapshot. Per-report bits,
+// cohort assignments and retry decisions are not journaled: a closed round
+// is restored from its outcome, and an open one re-executes.
 //
 // Frame layout (little-endian):
 //
 //   [version:1][type:1][seq:8][len:4][payload:len][crc32:4]
 //
-// `version` is kWireFormatVersion, shared with the network batch frames of
-// federated/wire.h; `seq` numbers records contiguously across the life of
-// the state directory (snapshots record where the journal resumes); the
-// CRC covers version through payload.
+// `version` is kJournalFormatVersion, the journal's own format byte
+// (wire frames keep kWireFormatVersion, snapshots kSnapshotFormatVersion);
+// `seq` numbers records contiguously across the life of the state
+// directory (snapshots record where the journal resumes); the CRC covers
+// version through payload.
 //
 // Read semantics distinguish the one corruption a crash legitimately
 // produces from everything else. A file that *ends* mid-frame is a torn
@@ -35,26 +38,25 @@
 #include <vector>
 
 #include "federated/campaign.h"
-#include "federated/report.h"
-#include "federated/resilience.h"
 #include "federated/server.h"
 
 namespace bitpush {
 
+// The journal frame's format byte. Version 1 framed the journal with the
+// wire format byte and eight record types, among them per-report and
+// per-decision records; reading rejects it.
+inline constexpr uint8_t kJournalFormatVersion = 2;
+
 enum class JournalRecordType : uint8_t {
-  kQueryStarted = 1,
-  kCohortAssigned = 2,
-  kMeterCharge = 3,
-  kReportAccepted = 4,
-  kRoundClosed = 5,
-  kQueryFinished = 6,
-  kCampaignTick = 7,
-  kResilienceEvent = 8,
+  kMeterCharge = 1,
+  kRoundClosed = 2,
+  kQueryFinished = 3,
+  kCampaignTick = 4,
 };
 
 struct JournalRecord {
   uint64_t seq = 0;
-  JournalRecordType type = JournalRecordType::kQueryStarted;
+  JournalRecordType type = JournalRecordType::kMeterCharge;
   std::vector<uint8_t> payload;
 };
 
@@ -171,31 +173,6 @@ bool TruncateJournalToRecords(const std::string& path, size_t keep_records,
 // *entire* payload buffer and returns false (leaving `*out` untouched) on
 // truncation, trailing bytes, or invalid fields.
 
-struct QueryStartedRecord {
-  int64_t tick = 0;
-  int64_t query_index = 0;
-  int64_t value_id = 0;
-
-  friend bool operator==(const QueryStartedRecord&,
-                         const QueryStartedRecord&) = default;
-};
-void EncodeQueryStartedRecord(const QueryStartedRecord& record,
-                              std::vector<uint8_t>* out);
-bool DecodeQueryStartedRecord(const std::vector<uint8_t>& payload,
-                              QueryStartedRecord* out);
-
-struct CohortAssignedRecord {
-  int64_t round_id = 0;
-  std::vector<int64_t> client_ids;
-
-  friend bool operator==(const CohortAssignedRecord&,
-                         const CohortAssignedRecord&) = default;
-};
-void EncodeCohortAssignedRecord(const CohortAssignedRecord& record,
-                                std::vector<uint8_t>* out);
-bool DecodeCohortAssignedRecord(const std::vector<uint8_t>& payload,
-                                CohortAssignedRecord* out);
-
 struct MeterChargeRecord {
   int64_t client_id = 0;
   int64_t value_id = 0;
@@ -210,25 +187,16 @@ void EncodeMeterChargeRecord(const MeterChargeRecord& record,
 bool DecodeMeterChargeRecord(const std::vector<uint8_t>& payload,
                              MeterChargeRecord* out);
 
-struct ReportAcceptedRecord {
-  int64_t round_id = 0;
-  BitReport report;
-
-  friend bool operator==(const ReportAcceptedRecord& a,
-                         const ReportAcceptedRecord& b) {
-    return a.round_id == b.round_id &&
-           a.report.client_id == b.report.client_id &&
-           a.report.bit_index == b.report.bit_index &&
-           a.report.bit == b.report.bit;
-  }
-};
-void EncodeReportAcceptedRecord(const ReportAcceptedRecord& record,
-                                std::vector<uint8_t>* out);
-bool DecodeReportAcceptedRecord(const std::vector<uint8_t>& payload,
-                                ReportAcceptedRecord* out);
-
+// One closed round of a live query. It carries the query's coordinates,
+// which recovery checks against the campaign, and a digest of the round's
+// input cohort (the partition indices the round was given, in order),
+// which the restored round's re-derived cohort must match.
 struct RoundClosedRecord {
+  int64_t tick = 0;
+  int64_t query_index = 0;
+  int64_t value_id = 0;
   int64_t round_id = 0;
+  uint64_t cohort_digest = 0;
   RoundOutcome outcome;
 };
 void EncodeRoundClosedRecord(const RoundClosedRecord& record,
@@ -257,21 +225,6 @@ void EncodeCampaignTickRecord(const CampaignTickRecord& record,
                               std::vector<uint8_t>* out);
 bool DecodeCampaignTickRecord(const std::vector<uint8_t>& payload,
                               CampaignTickRecord* out);
-
-// One retry / hedge / breaker decision made by the resilience layer
-// (federated/resilience.h) during a live round. Journaled in execution
-// order so replay can verify the recovery layer re-derives the exact same
-// decisions from the same seed.
-struct ResilienceEventRecord {
-  ResilienceEvent event;
-
-  friend bool operator==(const ResilienceEventRecord&,
-                         const ResilienceEventRecord&) = default;
-};
-void EncodeResilienceEventRecord(const ResilienceEventRecord& record,
-                                 std::vector<uint8_t>* out);
-bool DecodeResilienceEventRecord(const std::vector<uint8_t>& payload,
-                                 ResilienceEventRecord* out);
 
 }  // namespace bitpush
 

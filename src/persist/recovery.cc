@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 
 #include "federated/obs_hooks.h"
 #include "obs/events.h"
@@ -45,14 +46,27 @@ void ObserveRecovery(const RecoveryInfo& info) {
 constexpr const char* kJournalFile = "journal.wal";
 constexpr const char* kSnapshotFile = "snapshot.bin";
 
-// NaN-safe: a journaled denial can carry the invalid epsilon it was denied
-// for, and replay must still match it against the re-executed value.
-bool SameDoubleBits(double a, double b) {
-  uint64_t ua = 0;
-  uint64_t ub = 0;
-  std::memcpy(&ua, &a, sizeof(ua));
-  std::memcpy(&ub, &b, sizeof(ub));
-  return ua == ub;
+// The kRoundClosed cohort digest: 64-bit FNV-1a over the little-endian
+// bytes of the round's partition indices, in order.
+uint64_t CohortDigest(const std::vector<int64_t>& cohort) {
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const int64_t index : cohort) {
+    uint64_t word = static_cast<uint64_t>(index);
+    for (int byte = 0; byte < 8; ++byte) {
+      digest = (digest ^ (word & 0xff)) * 0x100000001b3ULL;
+      word >>= 8;
+    }
+  }
+  return digest;
+}
+
+// A restored query's round outcomes serve full_results(), whose readers
+// need the tallies, not the per-client id lists.
+void DropIdLists(RoundOutcome* outcome) {
+  outcome->assigned_clients = {};
+  outcome->crashed_clients = {};
+  outcome->succeeded_client_ids = {};
+  outcome->failed_client_ids = {};
 }
 
 }  // namespace
@@ -148,35 +162,40 @@ bool DurableCampaignRunner::Open(std::string* error) {
   info_.torn_tail = journal.torn_tail;
   info_.replayed_records = static_cast<int64_t>(journal.records.size());
   info_.recovered = found || !journal.records.empty() || journal.torn_tail;
-  if (!ApplyJournal(journal.records, error)) return false;
-  journal_records_ = static_cast<int64_t>(journal.records.size());
+  size_t keep = 0;
+  if (!ApplyJournal(journal.records, &keep, error)) return false;
+  const size_t discarded = journal.records.size() - keep;
+  journal.records.resize(keep);
+  journal_records_ = static_cast<int64_t>(keep);
 
-  // Rewrite the file to exactly the validated records: drops the torn tail
-  // and any stale pre-snapshot prefix so a later recovery never re-parses
-  // them.
+  // Rewrite the file to exactly the kept records: drops the torn tail, any
+  // stale pre-snapshot prefix and the charges of a round that never
+  // closed, so a later recovery never re-parses them. Appends resume after
+  // the last kept record.
   if (!RewriteJournalFile(journal.records, error)) return false;
-  if (!journal_.Open(journal_path_, journal.next_seq, error)) return false;
+  const uint64_t next_seq =
+      journal.records.empty() ? expected_seq : journal.records.back().seq + 1;
+  if (!journal_.Open(journal_path_, next_seq, error)) return false;
   journal_.set_fsync(options_.fsync);
   journal_.set_crash_after_records(options_.crash_after_records);
 
   meter_.set_journal(this);
   campaign_.set_recorder(this);
-  cursor_ = 0;
-  live_ = prefix_.empty();
   ticks_already_journaled_ = completed_ticks_;
   info_.completed_ticks = completed_ticks_;
   rng_ = Rng(options_.seed);
   open_ = true;
   ObserveRecovery(info_);
-  // Replay milestone for the flight recorder. kVolatile by nature: an
-  // uninterrupted run opens with nothing to replay, so this event can
+  // Restore milestone for the flight recorder. kVolatile by nature: an
+  // uninterrupted run opens with nothing to restore, so this event can
   // never match across a clean/recovered pair.
   if (info_.recovered) {
     obs::EventArgs args;
-    args.detail = "journal replay complete: replayed=" +
+    args.detail = "journal restored: replayed=" +
                   std::to_string(info_.replayed_records) +
                   " completed_ticks=" + std::to_string(completed_ticks_) +
-                  " pending_prefix=" + std::to_string(prefix_.size()) +
+                  " held_rounds=" + std::to_string(held_rounds_.size()) +
+                  " discarded=" + std::to_string(discarded) +
                   (info_.had_snapshot ? " snapshot" : "") +
                   (info_.torn_tail ? " torn_tail" : "");
     obs::EmitEvent(obs::EventType::kReplayMilestone,
@@ -189,77 +208,99 @@ bool DurableCampaignRunner::Open(std::string* error) {
 }
 
 bool DurableCampaignRunner::ApplyJournal(
-    const std::vector<JournalRecord>& records, std::string* error) {
-  // Trailing records of an unfinished query become the replay prefix.
-  size_t prefix_start = records.size();
-  bool in_query = false;
-  QueryStartedRecord current_query;
+    const std::vector<JournalRecord>& records, size_t* keep,
+    std::string* error) {
+  // The closed rounds of the query being read, and the charges since the
+  // last round, query or tick record. Charges belong to the round whose
+  // close follows them; a finished query's rounds are applied at its
+  // kQueryFinished record, in journal order — which is execution order —
+  // so the ledger absorbs every charge exactly once, the breaker rebuilds
+  // transition by transition, and the flight recorder's stable events
+  // (meter announcements, round outcomes, breaker transitions) land in the
+  // same relative order a live run produced them. Pre-snapshot history
+  // came in with the snapshot's health blob (round metrics truncated with
+  // the journal are gone — the deterministic-metrics contract is scoped to
+  // journal-only recovery; see docs/OBSERVABILITY.md).
+  std::vector<HeldRound> rounds;
+  std::vector<MeterChargeRecord> charges;
+  HealthTracker* health = campaign_.mutable_health();
+  const auto known_query = [&](int64_t query_index, int64_t value_id) {
+    return query_index < static_cast<int64_t>(campaign_.queries().size()) &&
+           campaign_.queries()[static_cast<size_t>(query_index)].value_id ==
+               value_id;
+  };
+  *keep = 0;
   for (size_t i = 0; i < records.size(); ++i) {
     const JournalRecord& record = records[i];
     switch (record.type) {
-      case JournalRecordType::kQueryStarted: {
-        QueryStartedRecord started;
-        if (!DecodeQueryStartedRecord(record.payload, &started) || in_query) {
-          *error = "journal: malformed or misplaced query-started record";
-          return false;
-        }
-        if (started.tick != completed_ticks_ ||
-            started.query_index >=
-                static_cast<int64_t>(campaign_.queries().size()) ||
-            campaign_.queries()[static_cast<size_t>(started.query_index)]
-                    .value_id != started.value_id) {
-          *error = "journal: query-started record contradicts the campaign";
-          return false;
-        }
-        in_query = true;
-        current_query = started;
-        prefix_start = i;
-        break;
-      }
-      case JournalRecordType::kCohortAssigned:
-      case JournalRecordType::kReportAccepted:
-      case JournalRecordType::kRoundClosed: {
-        // Contextual records of the in-flight query; validated here,
-        // consumed (or verified against) during re-execution.
-        if (!in_query) {
-          *error = "journal: round record outside any query";
-          return false;
-        }
-        bool valid = false;
-        if (record.type == JournalRecordType::kCohortAssigned) {
-          CohortAssignedRecord decoded;
-          valid = DecodeCohortAssignedRecord(record.payload, &decoded);
-        } else if (record.type == JournalRecordType::kReportAccepted) {
-          ReportAcceptedRecord decoded;
-          valid = DecodeReportAcceptedRecord(record.payload, &decoded);
-        } else {
-          RoundClosedRecord decoded;
-          valid = DecodeRoundClosedRecord(record.payload, &decoded);
-        }
-        if (!valid) {
-          *error = "journal: malformed round record";
-          return false;
-        }
-        break;
-      }
       case JournalRecordType::kMeterCharge: {
         MeterChargeRecord charge;
-        if (!DecodeMeterChargeRecord(record.payload, &charge) || !in_query) {
-          *error = "journal: malformed or misplaced meter-charge record";
+        if (!DecodeMeterChargeRecord(record.payload, &charge)) {
+          *error = "journal: malformed meter-charge record";
           return false;
         }
-        // Validated here; re-applied through the real meter in the
-        // in-order replay pass below.
+        charges.push_back(charge);
+        // Kept only once a round, query or tick record follows it.
+        continue;
+      }
+      case JournalRecordType::kRoundClosed: {
+        HeldRound round;
+        if (!DecodeRoundClosedRecord(record.payload, &round.closed)) {
+          *error = "journal: malformed round-closed record";
+          return false;
+        }
+        const RoundClosedRecord& closed = round.closed;
+        if (closed.tick != completed_ticks_ ||
+            !known_query(closed.query_index, closed.value_id) ||
+            finished_.contains({closed.tick, closed.query_index})) {
+          *error = "journal: round-closed record contradicts the campaign";
+          return false;
+        }
+        if (closed.round_id != static_cast<int64_t>(rounds.size()) + 1 ||
+            closed.round_id > 2 ||
+            (!rounds.empty() &&
+             rounds.front().closed.query_index != closed.query_index)) {
+          *error = "journal: round closed out of order";
+          return false;
+        }
+        round.charges = std::move(charges);
+        charges.clear();
+        rounds.push_back(std::move(round));
         break;
       }
       case JournalRecordType::kQueryFinished: {
         QueryFinishedRecord finished;
         if (!DecodeQueryFinishedRecord(record.payload, &finished) ||
-            !in_query || finished.tick != current_query.tick ||
-            finished.query_index != current_query.query_index) {
+            !charges.empty() || finished.tick != completed_ticks_ ||
+            finished.query_index >=
+                static_cast<int64_t>(campaign_.queries().size()) ||
+            (!rounds.empty() &&
+             rounds.front().closed.query_index != finished.query_index)) {
           *error = "journal: malformed or misplaced query-finished record";
           return false;
         }
+        FederatedQueryResult restored;
+        for (HeldRound& round : rounds) {
+          // The recomputed decisions must match what was journaled —
+          // anything else means the ledger and journal disagree, and a
+          // coordinator that cannot trust its ledger must stop.
+          if (!ApplyCharges(round.charges)) {
+            *error = "journal: a meter charge diverged from its record";
+            return false;
+          }
+          RoundOutcome& outcome = round.closed.outcome;
+          ObserveRoundOutcome(outcome);
+          if (health != nullptr) {
+            health->BeginRound();
+            health->ObserveRound(round.closed.round_id,
+                                 outcome.succeeded_client_ids,
+                                 outcome.failed_client_ids);
+          }
+          DropIdLists(&outcome);
+          (round.closed.round_id == 1 ? restored.round1 : restored.round2) =
+              std::move(outcome);
+        }
+        rounds.clear();
         FinishedQueryEntry entry;
         entry.tick = finished.tick;
         entry.query_index = finished.query_index;
@@ -270,17 +311,19 @@ bool DurableCampaignRunner::ApplyJournal(
           *error = "journal: duplicate query-finished record";
           return false;
         }
+        journaled_results_[key] = std::move(restored);
         if (entry.result.status == CampaignTickResult::Status::kRan &&
             !entry.final_bit_means.empty()) {
-          bit_means_cache_[current_query.value_id] = entry.final_bit_means;
+          bit_means_cache_[campaign_.queries()[static_cast<size_t>(
+                               entry.query_index)]
+                               .value_id] = entry.final_bit_means;
         }
-        in_query = false;
-        prefix_start = records.size();
         break;
       }
       case JournalRecordType::kCampaignTick: {
         CampaignTickRecord tick;
-        if (!DecodeCampaignTickRecord(record.payload, &tick) || in_query) {
+        if (!DecodeCampaignTickRecord(record.payload, &tick) ||
+            !rounds.empty() || !charges.empty()) {
           *error = "journal: malformed or misplaced campaign-tick record";
           return false;
         }
@@ -289,105 +332,32 @@ bool DurableCampaignRunner::ApplyJournal(
           return false;
         }
         completed_ticks_ = tick.tick + 1;
-        prefix_start = records.size();
-        break;
-      }
-      case JournalRecordType::kResilienceEvent: {
-        // Contextual, like the round records: a decision the resilience
-        // layer made inside the in-flight query. Validated here; the
-        // re-execution re-derives it and verifies byte equality.
-        ResilienceEventRecord event;
-        if (!DecodeResilienceEventRecord(record.payload, &event) ||
-            !in_query) {
-          *error = "journal: malformed or misplaced resilience-event record";
-          return false;
-        }
-        break;
-      }
-    }
-  }
-  prefix_.assign(records.begin() + static_cast<ptrdiff_t>(prefix_start),
-                 records.end());
-
-  // In-order replay of the completed region (everything before the replay
-  // prefix). Meter charges and round closes are re-applied in journal
-  // order — which is execution order — so the ledger absorbs every charge
-  // exactly once, the breaker rebuilds transition by transition, and the
-  // flight recorder's stable events (meter announcements, round outcomes,
-  // breaker transitions) land in the same relative order a live run
-  // produced them. Rounds of *finished* queries never re-execute
-  // (RestoreQueryResult serves their summaries), so this pass is their
-  // only observation point; the in-flight query's rounds — the replay
-  // prefix — are applied by the round layer during re-execution, and
-  // pre-snapshot history came in with the snapshot's health blob (round
-  // metrics truncated with the journal are gone — the
-  // deterministic-metrics contract is scoped to journal-only recovery;
-  // see docs/OBSERVABILITY.md).
-  HealthTracker* health = campaign_.mutable_health();
-  for (size_t i = 0; i < prefix_start; ++i) {
-    const JournalRecord& record = records[i];
-    switch (record.type) {
-      case JournalRecordType::kMeterCharge: {
-        MeterChargeRecord charge;
-        BITPUSH_CHECK(DecodeMeterChargeRecord(record.payload, &charge));
-        // The recomputed decision must match what was journaled — anything
-        // else means the ledger and journal disagree, and a coordinator
-        // that cannot trust its ledger must stop.
-        const bool granted = meter_.TryChargeBit(
-            charge.client_id, charge.value_id, charge.epsilon);
-        if (granted != charge.granted) {
-          *error = "journal: meter replay diverged from recorded outcome";
-          return false;
-        }
-        break;
-      }
-      case JournalRecordType::kRoundClosed: {
-        RoundClosedRecord closed;
-        BITPUSH_CHECK(DecodeRoundClosedRecord(record.payload, &closed));
-        ObserveRoundOutcome(closed.outcome);
-        if (health != nullptr) {
-          health->BeginRound();
-          health->ObserveRound(closed.round_id,
-                               closed.outcome.succeeded_client_ids,
-                               closed.outcome.failed_client_ids,
-                               /*recorder=*/nullptr);
-        }
-        break;
-      }
-      case JournalRecordType::kCampaignTick: {
-        CampaignTickRecord tick;
-        BITPUSH_CHECK(DecodeCampaignTickRecord(record.payload, &tick));
         // Sample the meter at the tick close, before any later records
         // mutate it — the recovery-stable trajectory meter_by_tick().
         RecordMeterSample(tick.tick);
         break;
       }
-      default:
-        break;
     }
+    *keep = i + 1;
   }
+  // The query in flight at the crash: RestoreRound applies its closed
+  // rounds when the re-execution reaches them. The charges after its last
+  // closed round are dropped with the records the journal does not keep;
+  // that round re-executes from its RNG fork.
+  held_rounds_.assign(std::make_move_iterator(rounds.begin()),
+                      std::make_move_iterator(rounds.end()));
+  if (health != nullptr) ObserveBreakerState(*health);
+  return true;
+}
 
-  // Replay-prefix charges: the in-flight query's journaled meter activity.
-  // The ledger must absorb them now (they are durable decisions), but
-  // their flight-recorder announcements are suppressed — the re-execution
-  // will be served these same outcomes through OnChargeAttempt, and the
-  // events are emitted there, at the position a live run emitted them.
-  meter_.set_replay_quiet(true);
-  for (size_t i = prefix_start; i < records.size(); ++i) {
-    if (records[i].type != JournalRecordType::kMeterCharge) continue;
-    MeterChargeRecord charge;
-    BITPUSH_CHECK(DecodeMeterChargeRecord(records[i].payload, &charge));
-    const bool granted = meter_.TryChargeBit(charge.client_id,
-                                             charge.value_id, charge.epsilon);
-    if (granted != charge.granted) {
-      meter_.set_replay_quiet(false);
-      *error = "journal: meter replay diverged from recorded outcome";
+bool DurableCampaignRunner::ApplyCharges(
+    const std::vector<MeterChargeRecord>& charges) {
+  for (const MeterChargeRecord& charge : charges) {
+    if (meter_.TryChargeBit(charge.client_id, charge.value_id,
+                            charge.epsilon) != charge.granted) {
       return false;
     }
   }
-  meter_.set_replay_quiet(false);
-
-  if (health != nullptr) ObserveBreakerState(*health);
   return true;
 }
 
@@ -443,38 +413,34 @@ std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
       campaign_.RunTick(tick, populations, codecs, rng_);
 
   // The in-flight query (if any) lived at tick info_.completed_ticks, so by
-  // the end of that tick the re-execution must have consumed every replay
-  // record; earlier ticks are fully restored and leave the prefix alone.
+  // the end of that tick the re-execution must have restored every held
+  // round; earlier ticks are fully restored and leave them alone.
   if (tick >= info_.completed_ticks) {
-    BITPUSH_CHECK(live_)
-        << "recovery divergence: replay prefix not fully consumed";
+    BITPUSH_CHECK(held_rounds_.empty())
+        << "recovery divergence: a journaled round was not re-executed";
   }
 
   completed_ticks_ = tick + 1;
   ++next_tick_;
-  // No-op for ticks already sampled during journal replay; the tick that
-  // was in flight at a crash gets its sample here, after its re-execution
-  // completed — the same totals the uninterrupted run closed it with.
+  // No-op for ticks already sampled at Open; the tick that was in flight
+  // at a crash gets its sample here, after its re-execution completed —
+  // the same totals the uninterrupted run closed it with.
   RecordMeterSample(tick);
   if (!durable()) return results;
 
   if (tick >= ticks_already_journaled_) {
     std::vector<uint8_t> payload;
     EncodeCampaignTickRecord(CampaignTickRecord{tick}, &payload);
-    VerifyOrAppend(JournalRecordType::kCampaignTick, payload);
+    Append(JournalRecordType::kCampaignTick, payload);
   }
+  // A snapshot that comes due while journaled rounds are still held (at a
+  // restored tick before the in-flight one) is skipped: it would persist a
+  // ledger without their charges.
   if (options_.snapshot_every_ticks > 0 &&
-      completed_ticks_ % options_.snapshot_every_ticks == 0) {
-    snapshot_due_ = true;
-  }
-  // A snapshot that comes due at a restored-tick boundary (the replay
-  // prefix still pending) is deferred to the first boundary after the run
-  // goes live — snapshotting mid-replay would have to persist a state the
-  // re-execution has not reproduced yet.
-  if (snapshot_due_ && live_) {
+      completed_ticks_ % options_.snapshot_every_ticks == 0 &&
+      held_rounds_.empty()) {
     std::string error;
     BITPUSH_CHECK(Snapshot(&error)) << "snapshot failed: " << error;
-    snapshot_due_ = false;
   }
   // The results leave the coordinator on return.
   BITPUSH_CHECK(journal_.Commit()) << "journal commit failed";
@@ -485,8 +451,8 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   BITPUSH_CHECK(error != nullptr);
   BITPUSH_CHECK(open_) << "call Open() first";
   if (!durable()) return true;
-  BITPUSH_CHECK(live_ && prefix_.empty())
-      << "snapshots are only taken at tick boundaries";
+  BITPUSH_CHECK(held_rounds_.empty())
+      << "snapshots are only taken once the journaled rounds are restored";
   // The snapshot covers every appended record, so they must be durable
   // before it is.
   if (!journal_.Commit()) {
@@ -520,17 +486,8 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   return journal_.Open(journal_path_, snapshot.journal_next_seq, error);
 }
 
-void DurableCampaignRunner::VerifyOrAppend(JournalRecordType type,
-                                           const std::vector<uint8_t>& payload) {
-  if (!live_) {
-    BITPUSH_CHECK_LT(cursor_, prefix_.size());
-    const JournalRecord& expected = prefix_[cursor_];
-    BITPUSH_CHECK(expected.type == type && expected.payload == payload)
-        << "recovery divergence: re-execution did not reproduce journal "
-        << "record " << expected.seq;
-    AdvanceReplay(cursor_ + 1);
-    return;  // already durable — do not re-append
-  }
+void DurableCampaignRunner::Append(JournalRecordType type,
+                                   const std::vector<uint8_t>& payload) {
   BITPUSH_CHECK(journal_.Append(type, payload)) << "journal append failed";
   ++journal_records_;
 }
@@ -542,33 +499,25 @@ void DurableCampaignRunner::RecordMeterSample(int64_t tick) {
   }
 }
 
-void DurableCampaignRunner::AdvanceReplay(size_t next) {
-  cursor_ = next;
-  if (cursor_ == prefix_.size()) {
-    prefix_.clear();
-    cursor_ = 0;
-    live_ = true;
-  }
-}
-
 bool DurableCampaignRunner::RestoreQueryResult(int64_t tick,
                                                size_t query_index,
                                                CampaignTickResult* out) {
-  const auto it =
-      finished_.find(std::make_pair(tick, static_cast<int64_t>(query_index)));
+  const auto key = std::make_pair(tick, static_cast<int64_t>(query_index));
+  const auto it = finished_.find(key);
   if (it == finished_.end()) return false;
   *out = it->second.result;
+  const auto journaled = journaled_results_.find(key);
+  if (journaled != journaled_results_.end()) {
+    full_results_[key] = std::move(journaled->second);
+    journaled_results_.erase(journaled);
+  }
   return true;
 }
 
 void DurableCampaignRunner::OnQueryStarted(int64_t tick, size_t query_index,
-                                           int64_t value_id) {
-  if (!durable()) return;
-  std::vector<uint8_t> payload;
-  EncodeQueryStartedRecord(
-      QueryStartedRecord{tick, static_cast<int64_t>(query_index), value_id},
-      &payload);
-  VerifyOrAppend(JournalRecordType::kQueryStarted, payload);
+                                           int64_t /*value_id*/) {
+  query_tick_ = tick;
+  query_index_ = static_cast<int64_t>(query_index);
 }
 
 void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
@@ -590,7 +539,7 @@ void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
   record.final_bit_means = outcome.final_bit_means;
   std::vector<uint8_t> payload;
   EncodeQueryFinishedRecord(record, &payload);
-  VerifyOrAppend(JournalRecordType::kQueryFinished, payload);
+  Append(JournalRecordType::kQueryFinished, payload);
 
   FinishedQueryEntry entry;
   entry.tick = tick;
@@ -601,94 +550,58 @@ void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
       << "query finished twice";
 }
 
-bool DurableCampaignRunner::RestoreRound(int64_t round_id, RoundOutcome* out) {
-  if (live_) return false;
-  // Scan the remaining prefix for this round's close record. Finding it
-  // means the round fully completed before the crash: skip the whole round
-  // (its charges were already re-applied from their own records) and
-  // resume after it. A completed round is never re-run — no client is
-  // asked for a second bit.
-  for (size_t j = cursor_; j < prefix_.size(); ++j) {
-    if (prefix_[j].type != JournalRecordType::kRoundClosed) continue;
-    RoundClosedRecord record;
-    BITPUSH_CHECK(DecodeRoundClosedRecord(prefix_[j].payload, &record));
-    if (record.round_id != round_id) continue;
-    // The skipped charges were applied quietly at Open; announce them
-    // here, where the live round did — ahead of the round's outcome.
-    for (size_t k = cursor_; k < j; ++k) {
-      if (prefix_[k].type != JournalRecordType::kMeterCharge) continue;
-      MeterChargeRecord charge;
-      BITPUSH_CHECK(DecodeMeterChargeRecord(prefix_[k].payload, &charge));
-      meter_.AnnounceReplayedCharge(charge.value_id, charge.granted);
-    }
-    *out = std::move(record.outcome);
-    AdvanceReplay(j + 1);
-    return true;
-  }
-  return false;
+bool DurableCampaignRunner::RestoreRound(int64_t round_id,
+                                         const std::vector<int64_t>& cohort,
+                                         RoundOutcome* out) {
+  if (held_rounds_.empty()) return false;
+  // The round closed before the crash: restore it instead of re-running
+  // it — no client is asked for a second bit. The re-execution must have
+  // reached the same round over the same cohort.
+  HeldRound& held = held_rounds_.front();
+  BITPUSH_CHECK(held.closed.tick == query_tick_ &&
+                held.closed.query_index == query_index_ &&
+                held.closed.round_id == round_id &&
+                held.closed.cohort_digest == CohortDigest(cohort))
+      << "recovery divergence: round " << round_id << " of tick "
+      << query_tick_ << " query " << query_index_
+      << " does not match its journal record";
+  // Its charges are journaled already: apply them with the journal hook
+  // detached. The meter's events land where the live round emitted them,
+  // ahead of the round's outcome.
+  meter_.set_journal(nullptr);
+  const bool reproduced = ApplyCharges(held.charges);
+  meter_.set_journal(this);
+  BITPUSH_CHECK(reproduced)
+      << "recovery divergence: a meter charge of round " << round_id
+      << " of tick " << query_tick_ << " query " << query_index_
+      << " does not reproduce its journaled decision";
+  *out = std::move(held.closed.outcome);
+  held_rounds_.pop_front();
+  return true;
 }
 
 void DurableCampaignRunner::OnRoundClosed(int64_t round_id,
+                                          const std::vector<int64_t>& cohort,
                                           const RoundOutcome& outcome) {
   if (!durable()) return;
   RoundClosedRecord record;
+  record.tick = query_tick_;
+  record.query_index = query_index_;
+  record.value_id =
+      campaign_.queries()[static_cast<size_t>(query_index_)].value_id;
   record.round_id = round_id;
+  record.cohort_digest = CohortDigest(cohort);
   record.outcome = outcome;
   std::vector<uint8_t> payload;
   EncodeRoundClosedRecord(record, &payload);
-  VerifyOrAppend(JournalRecordType::kRoundClosed, payload);
+  Append(JournalRecordType::kRoundClosed, payload);
   // The next round's allocation is derived from this one and goes out to
-  // clients: the round's charges and reports must be durable first.
+  // clients: the round's charges must be durable first.
   BITPUSH_CHECK(journal_.Commit()) << "journal commit failed";
-}
-
-void DurableCampaignRunner::OnCohortAssigned(
-    int64_t round_id, const std::vector<int64_t>& client_ids) {
-  if (!durable()) return;
-  std::vector<uint8_t> payload;
-  EncodeCohortAssignedRecord(CohortAssignedRecord{round_id, client_ids},
-                             &payload);
-  VerifyOrAppend(JournalRecordType::kCohortAssigned, payload);
-}
-
-void DurableCampaignRunner::OnReportAccepted(int64_t round_id,
-                                             const BitReport& report) {
-  if (!durable()) return;
-  std::vector<uint8_t> payload;
-  EncodeReportAcceptedRecord(ReportAcceptedRecord{round_id, report}, &payload);
-  VerifyOrAppend(JournalRecordType::kReportAccepted, payload);
-}
-
-void DurableCampaignRunner::OnResilienceEvent(const ResilienceEvent& event) {
-  if (!durable()) return;
-  std::vector<uint8_t> payload;
-  EncodeResilienceEventRecord(ResilienceEventRecord{event}, &payload);
-  VerifyOrAppend(JournalRecordType::kResilienceEvent, payload);
-}
-
-std::optional<bool> DurableCampaignRunner::OnChargeAttempt(int64_t client_id,
-                                                           int64_t value_id,
-                                                           double epsilon) {
-  if (live_) return std::nullopt;
-  BITPUSH_CHECK_LT(cursor_, prefix_.size());
-  const JournalRecord& expected = prefix_[cursor_];
-  BITPUSH_CHECK(expected.type == JournalRecordType::kMeterCharge)
-      << "recovery divergence: unexpected meter charge during replay";
-  MeterChargeRecord record;
-  BITPUSH_CHECK(DecodeMeterChargeRecord(expected.payload, &record));
-  BITPUSH_CHECK(record.client_id == client_id &&
-                record.value_id == value_id &&
-                SameDoubleBits(record.epsilon, epsilon))
-      << "recovery divergence: meter charge does not match journal record "
-      << expected.seq;
-  AdvanceReplay(cursor_ + 1);
-  return record.granted;
 }
 
 void DurableCampaignRunner::OnCharge(int64_t client_id, int64_t value_id,
                                      double epsilon, bool granted) {
-  BITPUSH_CHECK(live_)
-      << "replayed charges must be served by OnChargeAttempt";
   MeterChargeRecord record;
   record.client_id = client_id;
   record.value_id = value_id;
@@ -696,7 +609,7 @@ void DurableCampaignRunner::OnCharge(int64_t client_id, int64_t value_id,
   record.granted = granted;
   std::vector<uint8_t> payload;
   EncodeMeterChargeRecord(record, &payload);
-  VerifyOrAppend(JournalRecordType::kMeterCharge, payload);
+  Append(JournalRecordType::kMeterCharge, payload);
 }
 
 }  // namespace bitpush

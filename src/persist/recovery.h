@@ -1,4 +1,4 @@
-// Crash recovery: snapshot + journal replay into a resumable campaign.
+// Crash recovery: snapshot + journal restore into a resumable campaign.
 //
 // DurableCampaignRunner wraps a MeasurementCampaign with the write-ahead
 // journal (persist/journal.h) and periodic snapshots (persist/snapshot.h)
@@ -6,28 +6,32 @@
 // between a snapshot rename and the journal truncation — resumes and
 // produces byte-identical results to an uninterrupted run.
 //
-// The recovery model is deterministic re-execution with a replay cursor:
+// The recovery model restores what closed and re-executes what did not:
 //
 //   1. Load the newest snapshot: privacy-meter ledger, finished queries,
 //      bit-means cache, breaker state, completed-tick count.
-//   2. Replay the journal tail on top of it. Meter-charge records are
-//      re-applied through the real meter, verifying the recorded outcome —
-//      a charge is applied exactly once, never twice, never dropped.
-//      Query-finished and tick records advance the completed state; the
-//      trailing records of an unfinished query become the *replay prefix*.
+//   2. Open validates every journal record on top of it, then applies the
+//      finished queries' meter charges (re-applied through the real meter,
+//      checking each journaled decision), round outcomes and breaker
+//      updates in journal order. It holds the closed rounds of the query
+//      that was in flight at the crash — each round's outcome and charges
+//      — and discards the charges after the last round, query or tick
+//      record: they belong to a round that never closed.
 //   3. The driver re-calls RunTick for every tick from 0. Finished queries
 //      are served from the recovered state without touching clients or the
-//      meter (a completed round-1 probe is never re-probed). The one query
-//      that was mid-flight re-executes with the same forked RNG stream
-//      while the recorder verifies each emission against the replay prefix
-//      (crashing loudly on divergence) and serves journaled charge
-//      outcomes back to the meter; once the prefix is exhausted the run
-//      goes live and new records append where the crash cut off.
+//      meter (a completed round-1 probe is never re-probed). The in-flight
+//      query re-executes with the same forked RNG streams; each held round
+//      is restored in place of running it — its cohort digest checked, its
+//      charges applied through the meter — and the first round that never
+//      closed runs live from its RNG fork, appending where the kept
+//      journal ends.
 //
 // The caller must re-create the runner with the same queries, meter
 // policy, seed, populations, and codecs it used originally — recovery
 // fails closed on the mismatches it can detect (seed, meter policy,
-// journal/snapshot corruption) and relies on determinism for the rest.
+// journal/snapshot corruption), aborts as "recovery divergence" when a
+// restored round's cohort or charge decisions differ from the journal's,
+// and relies on determinism for the rest.
 //
 // With an empty state_dir the same runner drives the campaign in memory:
 // no journal, no snapshots, and nothing to recover — a re-created runner
@@ -38,8 +42,8 @@
 #define BITPUSH_PERSIST_RECOVERY_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,7 +84,8 @@ struct RecoveryInfo {
   // The journal ended mid-frame (the expected crash artifact); the torn
   // bytes were discarded and the clean prefix used.
   bool torn_tail = false;
-  // Journal records replayed on top of the snapshot.
+  // Journal records validated on top of the snapshot, the discarded
+  // charges of a round that never closed included.
   int64_t replayed_records = 0;
   // Fully closed ticks restored; RunTick(t) for t below this serves every
   // query from the recovered state.
@@ -107,17 +112,17 @@ class DurableCampaignRunner : private CampaignRecorder,
                               private PrivacyMeter::Journal {
  public:
   // `resilience` is forwarded to the campaign (see MeasurementCampaign).
-  // Every retry / hedge / breaker decision is journaled as a
-  // kResilienceEvent record, so replay verifies the recovered schedule
-  // decision by decision; the breaker's state is snapshot-persisted and
-  // rebuilt from the journaled round outcomes in between.
+  // Retry and hedge decisions are not journaled: each round's RetryStats
+  // ride in its kRoundClosed outcome. The breaker's state is
+  // snapshot-persisted and rebuilt from the journaled round outcomes in
+  // between.
   DurableCampaignRunner(std::vector<CampaignQuery> queries,
                         const MeterPolicy& policy,
                         DurableCampaignOptions options,
                         ResilienceConfig resilience = {});
   ~DurableCampaignRunner() override = default;
 
-  // Loads the snapshot, replays the journal, and prepares the journal for
+  // Loads the snapshot, restores the journal, and prepares the journal for
   // appending. Returns false with `*error` set on I/O failure or on any
   // validation failure (corrupt snapshot/journal, seed or policy
   // mismatch) — fail closed, no partial state. In memory it only installs
@@ -142,9 +147,9 @@ class DurableCampaignRunner : private CampaignRecorder,
 
   // Recovery-stable per-tick privacy-meter trajectory: entry t holds the
   // ledger totals at the close of tick t. A recovered run reconstructs the
-  // samples for restored ticks during journal replay (at each campaign-tick
-  // record, i.e. with exactly the charges that preceded that tick's close),
-  // so the trajectory is byte-identical to an uninterrupted run's — the
+  // samples for restored ticks at Open (at each campaign-tick record, i.e.
+  // with exactly the charges that preceded that tick's close), so the
+  // trajectory is byte-identical to an uninterrupted run's — the
   // deterministic input the privacy-burn-rate alert rule evaluates on.
   struct MeterTickSample {
     int64_t bits_spent = 0;
@@ -168,16 +173,24 @@ class DurableCampaignRunner : private CampaignRecorder,
   const std::map<int64_t, std::vector<double>>& bit_means_cache() const {
     return bit_means_cache_;
   }
-  // Full protocol-level results of the latest tick's queries that this
-  // process executed live (restored queries only have their summarized
-  // CampaignTickResult), keyed by (tick, query index). Each RunTick clears
-  // it first, so it never holds an earlier tick.
+  // Protocol-level results of the latest tick's queries, keyed by (tick,
+  // query index). A query this process executed live has its full result;
+  // a query restored from the journal carries only its round outcomes,
+  // without their id lists; a query restored from a snapshot is absent.
+  // Each RunTick clears it first, so it never holds an earlier tick.
   const std::map<std::pair<int64_t, int64_t>, FederatedQueryResult>&
   full_results() const {
     return full_results_;
   }
 
  private:
+  // A closed round and the charges journaled before it, as Open reads
+  // them. The in-flight query's are held until RestoreRound applies them.
+  struct HeldRound {
+    RoundClosedRecord closed;
+    std::vector<MeterChargeRecord> charges;
+  };
+
   // CampaignRecorder:
   bool RestoreQueryResult(int64_t tick, size_t query_index,
                           CampaignTickResult* out) override;
@@ -187,38 +200,30 @@ class DurableCampaignRunner : private CampaignRecorder,
                        const CampaignTickResult& result,
                        const FederatedQueryResult& outcome) override;
   // QueryRecorder:
-  bool RestoreRound(int64_t round_id, RoundOutcome* out) override;
-  void OnRoundClosed(int64_t round_id, const RoundOutcome& outcome) override;
-  void OnCohortAssigned(int64_t round_id,
-                        const std::vector<int64_t>& client_ids) override;
-  void OnReportAccepted(int64_t round_id, const BitReport& report) override;
-  void OnResilienceEvent(const ResilienceEvent& event) override;
+  bool RestoreRound(int64_t round_id, const std::vector<int64_t>& cohort,
+                    RoundOutcome* out) override;
+  void OnRoundClosed(int64_t round_id, const std::vector<int64_t>& cohort,
+                     const RoundOutcome& outcome) override;
   // PrivacyMeter::Journal:
-  std::optional<bool> OnChargeAttempt(int64_t client_id, int64_t value_id,
-                                      double epsilon) override;
   void OnCharge(int64_t client_id, int64_t value_id, double epsilon,
                 bool granted) override;
 
-  // In replay mode, checks the emission against the next prefix record and
-  // advances the cursor (aborting on divergence — a recovering coordinator
-  // that cannot reproduce its own journal must not limp on). In live mode,
-  // appends the record; it becomes durable at the next journal commit.
-  void VerifyOrAppend(JournalRecordType type,
-                      const std::vector<uint8_t>& payload);
-  // Moves the replay cursor to `next`; once the prefix is exhausted,
-  // discards it and flips the run live (Snapshot() requires the prefix to
-  // be gone, not merely consumed).
-  void AdvanceReplay(size_t next);
-  // Applies the replayed journal records to the recovered state (step 2 of
-  // the recovery model above).
-  bool ApplyJournal(const std::vector<JournalRecord>& records,
+  // Appends one record; it becomes durable at the next journal commit.
+  void Append(JournalRecordType type, const std::vector<uint8_t>& payload);
+  // Validates the journal records and applies them to the recovered state
+  // (step 2 of the recovery model above). Sets `*keep` to the number of
+  // leading records the journal keeps.
+  bool ApplyJournal(const std::vector<JournalRecord>& records, size_t* keep,
                     std::string* error);
+  // Applies journaled charges through the meter; false at the first whose
+  // decision differs from the journaled one.
+  bool ApplyCharges(const std::vector<MeterChargeRecord>& charges);
   bool RewriteJournalFile(const std::vector<JournalRecord>& records,
                           std::string* error);
   // Pads meter_by_tick_ up to (and including) index `tick` with the
   // meter's current totals — called when a tick closes (live) and at each
-  // replayed campaign-tick record (recovery). Never overwrites an existing
-  // sample, so the replayed values win for restored ticks.
+  // restored campaign-tick record (Open). Never overwrites an existing
+  // sample, so the restored values win for restored ticks.
   void RecordMeterSample(int64_t tick);
   bool durable() const { return !options_.state_dir.empty(); }
 
@@ -231,16 +236,20 @@ class DurableCampaignRunner : private CampaignRecorder,
   std::string journal_path_;
   std::string snapshot_path_;
 
-  // Replay prefix: journal records of the query that was mid-flight at the
-  // crash. live_ flips once the cursor exhausts it.
-  std::vector<JournalRecord> prefix_;
-  size_t cursor_ = 0;
-  bool live_ = true;
+  // The closed rounds of the query in flight at the crash, in round order.
+  std::deque<HeldRound> held_rounds_;
+  // The query executing now; its kRoundClosed records carry these.
+  int64_t query_tick_ = 0;
+  int64_t query_index_ = 0;
 
   // Recovered + accumulated durable state.
   std::map<std::pair<int64_t, int64_t>, FinishedQueryEntry> finished_;
   std::map<int64_t, std::vector<double>> bit_means_cache_;
   std::map<std::pair<int64_t, int64_t>, FederatedQueryResult> full_results_;
+  // Round outcomes of the finished queries Open read from the journal;
+  // RestoreQueryResult moves each into full_results_.
+  std::map<std::pair<int64_t, int64_t>, FederatedQueryResult>
+      journaled_results_;
 
   std::vector<MeterTickSample> meter_by_tick_;
   int64_t journal_records_ = 0;
@@ -249,9 +258,6 @@ class DurableCampaignRunner : private CampaignRecorder,
   // re-append while re-running them).
   int64_t ticks_already_journaled_ = 0;
   int64_t next_tick_ = 0;
-  // An automatic snapshot came due at a boundary where the replay prefix
-  // was still pending; taken at the first boundary after going live.
-  bool snapshot_due_ = false;
   bool open_ = false;
   RecoveryInfo info_;
 };

@@ -6,8 +6,8 @@
 // final bit means, the adaptive bit-means cache, the circuit-breaker state,
 // and the sequence number at which the journal resumes. After a
 // snapshot is durably in place (write-to-temp, fsync, atomic rename) the
-// journal is truncated; recovery loads the newest snapshot and replays the
-// short journal tail on top of it.
+// journal is truncated; recovery loads the newest snapshot and restores
+// the short journal tail on top of it.
 //
 // File format: "BPSN" magic, the snapshot's own format-version byte
 // (kSnapshotFormatVersion), the encoded body, and a trailing CRC-32 over
@@ -27,8 +27,9 @@
 namespace bitpush {
 
 // The snapshot file's own format byte, separate from kWireFormatVersion
-// (which journal and wire frames keep at 1). Version 1 carried an
-// open-sessions count ahead of the breaker blob; decoding rejects it.
+// (wire frames) and kJournalFormatVersion (journal frames). Version 1
+// carried an open-sessions count ahead of the breaker blob; decoding
+// rejects it.
 inline constexpr uint8_t kSnapshotFormatVersion = 2;
 
 // One finished (run or skipped) scheduled query.

@@ -345,14 +345,16 @@ TEST_F(DeterminismTest, ResilientDurableCampaignReproducesAcrossCrashes) {
   EXPECT_EQ(first.history, second.history);
   EXPECT_EQ(first.meter, second.meter);
 
-  // The run actually journaled resilience decisions.
-  int64_t resilience_records = 0;
+  // The run's journaled round outcomes carry resilience decisions.
+  RetryStats journaled;
   for (const JournalRecord& record : first.journal) {
-    if (record.type == JournalRecordType::kResilienceEvent) {
-      ++resilience_records;
-    }
+    if (record.type != JournalRecordType::kRoundClosed) continue;
+    RoundClosedRecord closed;
+    ASSERT_TRUE(DecodeRoundClosedRecord(record.payload, &closed));
+    journaled.MergeFrom(closed.outcome.retry);
   }
-  EXPECT_GT(resilience_records, 0);
+  EXPECT_GT(journaled.retries_scheduled + journaled.retransmits_requested, 0);
+  EXPECT_GT(journaled.hedges_issued, 0);
 
   // Crash run c halfway through its journal, recover, and finish.
   run(base + "/c", 2);

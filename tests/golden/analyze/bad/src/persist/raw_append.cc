@@ -8,7 +8,7 @@ namespace bitpush {
 
 bool JournalRawBit(JournalWriter& journal, uint64_t word, int index) {
   const std::vector<uint8_t> payload = {FixedPointCodec::Bit(word, index)};
-  return journal.Append(JournalRecordType::kReportAccepted, payload);
+  return journal.Append(JournalRecordType::kMeterCharge, payload);
 }
 
 }  // namespace bitpush

@@ -6,8 +6,6 @@
 // silently drops a record in the middle, because a dropped record could be
 // a privacy-meter charge.
 
-// bitpush-lint: allow(privacy-metering): fuzz corpus builds synthetic reports; no client value is behind them
-
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -19,15 +17,15 @@
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "rng/rng.h"
+#include "util/bytes.h"
 
 namespace bitpush {
 namespace {
 
-// Builds a plausible journal exercising every JournalRecordType: a query
-// bracketed by a cohort assignment, meter charges, accepted reports, a
-// resilience decision, the closed round, the query result, and the
-// campaign tick. The wire-exhaustiveness lint check requires each record
-// type to pass through this fuzzer.
+// Builds a plausible journal exercising every JournalRecordType: a round's
+// meter charges, the closed round, the query result, and the campaign
+// tick. The wire-exhaustiveness lint check requires each record type to
+// pass through this fuzzer.
 std::vector<JournalRecord> SampleRecords(Rng& rng) {
   std::vector<JournalRecord> records;
   uint64_t seq = 0;
@@ -39,19 +37,6 @@ std::vector<JournalRecord> SampleRecords(Rng& rng) {
     records.push_back(std::move(record));
   };
   std::vector<uint8_t> payload;
-  EncodeQueryStartedRecord(QueryStartedRecord{0, 0, 7}, &payload);
-  add(JournalRecordType::kQueryStarted, payload);
-
-  payload.clear();
-  CohortAssignedRecord cohort;
-  cohort.round_id = 1;
-  const size_t cohort_size = 1 + rng.NextBelow(5);
-  for (size_t i = 0; i < cohort_size; ++i) {
-    cohort.client_ids.push_back(static_cast<int64_t>(rng.NextBelow(1000)));
-  }
-  EncodeCohortAssignedRecord(cohort, &payload);
-  add(JournalRecordType::kCohortAssigned, payload);
-
   const size_t charges = 1 + rng.NextBelow(6);
   for (size_t i = 0; i < charges; ++i) {
     payload.clear();
@@ -62,33 +47,26 @@ std::vector<JournalRecord> SampleRecords(Rng& rng) {
     charge.granted = rng.NextBit() == 1;
     EncodeMeterChargeRecord(charge, &payload);
     add(JournalRecordType::kMeterCharge, payload);
-
-    payload.clear();
-    ReportAcceptedRecord accepted;
-    accepted.round_id = 1;
-    accepted.report = BitReport{charge.client_id,
-                                static_cast<int>(rng.NextBelow(16)),
-                                rng.NextBit()};
-    EncodeReportAcceptedRecord(accepted, &payload);
-    add(JournalRecordType::kReportAccepted, payload);
   }
 
   payload.clear();
-  ResilienceEventRecord resilience;
-  resilience.event.type = ResilienceEventType::kRetryScheduled;
-  resilience.event.round_id = 1;
-  resilience.event.client_id = static_cast<int64_t>(rng.NextBelow(1000));
-  resilience.event.attempt = 1;
-  resilience.event.minutes = rng.NextDouble();
-  EncodeResilienceEventRecord(resilience, &payload);
-  add(JournalRecordType::kResilienceEvent, payload);
-
-  payload.clear();
   RoundClosedRecord closed;
+  closed.tick = 0;
+  closed.query_index = 0;
+  closed.value_id = 7;
   closed.round_id = 1;
+  closed.cohort_digest = rng.NextUint64();
+  const size_t cohort_size = 1 + rng.NextBelow(5);
+  for (size_t i = 0; i < cohort_size; ++i) {
+    closed.outcome.assigned_clients.push_back(
+        static_cast<int64_t>(rng.NextBelow(1000)));
+  }
   closed.outcome.contacted = static_cast<int64_t>(cohort_size);
   closed.outcome.responded = static_cast<int64_t>(charges);
   closed.outcome.dropout_rate = rng.NextDouble();
+  closed.outcome.retry.retries_scheduled =
+      static_cast<int64_t>(rng.NextBelow(4));
+  closed.outcome.retry.hedges_issued = static_cast<int64_t>(rng.NextBelow(4));
   EncodeRoundClosedRecord(closed, &payload);
   add(JournalRecordType::kRoundClosed, payload);
 
@@ -223,10 +201,38 @@ TEST_F(PersistFuzzTest, JournalReaderSurvivesPureGarbage) {
       for (const JournalRecord& record : result.records) {
         ASSERT_GE(static_cast<uint8_t>(record.type), 1u) << iteration;
         ASSERT_LE(static_cast<uint8_t>(record.type),
-                  static_cast<uint8_t>(JournalRecordType::kResilienceEvent))
+                  static_cast<uint8_t>(JournalRecordType::kCampaignTick))
             << iteration;
       }
     }
+  }
+}
+
+TEST_F(PersistFuzzTest, JournalReaderRejectsEveryOtherFormatVersion) {
+  // Every frame's leading byte is kJournalFormatVersion. A journal framed
+  // with any other version byte — CRCs recomputed, so only the version is
+  // wrong — fails closed, including version 1, the wire format byte an
+  // older build framed the journal with.
+  Rng rng(0x7E5510);
+  const std::vector<JournalRecord> original = SampleRecords(rng);
+  const std::vector<uint8_t> pristine = EncodeAll(original);
+  ASSERT_EQ(pristine[0], kJournalFormatVersion);
+  for (int version = 0; version < 256; ++version) {
+    if (version == kJournalFormatVersion) continue;
+    std::vector<uint8_t> journal;
+    for (const JournalRecord& record : original) {
+      std::vector<uint8_t> frame;
+      AppendJournalFrame(record.type, record.seq, record.payload, &frame);
+      frame[0] = static_cast<uint8_t>(version);
+      frame.erase(frame.end() - 4, frame.end());  // the CRC
+      bytes::PutUint32(bytes::Crc32(frame), &frame);
+      journal.insert(journal.end(), frame.begin(), frame.end());
+    }
+    WriteBytes(journal);
+    JournalReadResult result;
+    std::string error;
+    EXPECT_FALSE(ReadJournal(path_, 0, &result, &error)) << version;
+    EXPECT_NE(error.find("format version"), std::string::npos) << error;
   }
 }
 

@@ -3,8 +3,6 @@
 // discipline, stale pre-snapshot prefixes, and the atomic snapshot file
 // cycle.
 
-// bitpush-lint: allow(privacy-metering): format round-trip tests build synthetic reports; no client value is behind them
-
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -70,9 +68,9 @@ class JournalFileTest : public ::testing::Test {
     std::vector<uint8_t> bytes;
     for (int i = 0; i < count; ++i) {
       std::vector<uint8_t> payload;
-      EncodeQueryStartedRecord(QueryStartedRecord{i, i % 3, 100 + i},
-                               &payload);
-      AppendJournalFrame(JournalRecordType::kQueryStarted,
+      EncodeMeterChargeRecord(MeterChargeRecord{i, i % 3, 0.5, i % 2 == 0},
+                              &payload);
+      AppendJournalFrame(JournalRecordType::kMeterCharge,
                          first_seq + static_cast<uint64_t>(i), payload,
                          &bytes);
     }
@@ -180,11 +178,17 @@ TEST_F(JournalFileTest, AFullBufferIsWrittenOutAtAFrameBoundary) {
 }
 
 TEST_F(JournalFileTest, FrameLargerThanTheBufferRoundTrips) {
-  CohortAssignedRecord cohort;
-  cohort.round_id = 1;
-  for (int64_t id = 0; id < 20000; ++id) cohort.client_ids.push_back(id * 3);
+  RoundClosedRecord closed;
+  closed.tick = 3;
+  closed.query_index = 1;
+  closed.value_id = 9;
+  closed.round_id = 2;
+  closed.cohort_digest = 0x0123456789abcdefULL;
+  for (int64_t id = 0; id < 20000; ++id) {
+    closed.outcome.assigned_clients.push_back(id * 3);
+  }
   std::vector<uint8_t> large;
-  EncodeCohortAssignedRecord(cohort, &large);
+  EncodeRoundClosedRecord(closed, &large);
   ASSERT_GT(large.size(), JournalWriter::kBufferBytes);
   std::vector<uint8_t> small;
   EncodeCampaignTickRecord(CampaignTickRecord{0}, &small);
@@ -196,12 +200,12 @@ TEST_F(JournalFileTest, FrameLargerThanTheBufferRoundTrips) {
     ASSERT_TRUE(writer.Open(path_, 0, &error)) << error;
     writer.set_fsync(false);
     ASSERT_TRUE(writer.Append(JournalRecordType::kCampaignTick, small));
-    ASSERT_TRUE(writer.Append(JournalRecordType::kCohortAssigned, large));
+    ASSERT_TRUE(writer.Append(JournalRecordType::kRoundClosed, large));
     ASSERT_TRUE(writer.Append(JournalRecordType::kCampaignTick, small));
     ASSERT_TRUE(writer.Commit());
   }
   AppendJournalFrame(JournalRecordType::kCampaignTick, 0, small, &expected);
-  AppendJournalFrame(JournalRecordType::kCohortAssigned, 1, large, &expected);
+  AppendJournalFrame(JournalRecordType::kRoundClosed, 1, large, &expected);
   AppendJournalFrame(JournalRecordType::kCampaignTick, 2, small, &expected);
   EXPECT_EQ(ReadBytes(), expected);
 
@@ -209,9 +213,10 @@ TEST_F(JournalFileTest, FrameLargerThanTheBufferRoundTrips) {
   std::string error;
   ASSERT_TRUE(ReadJournal(path_, 0, &result, &error)) << error;
   ASSERT_EQ(result.records.size(), 3u);
-  CohortAssignedRecord decoded;
-  ASSERT_TRUE(DecodeCohortAssignedRecord(result.records[1].payload, &decoded));
-  EXPECT_EQ(decoded, cohort);
+  RoundClosedRecord decoded;
+  ASSERT_TRUE(DecodeRoundClosedRecord(result.records[1].payload, &decoded));
+  EXPECT_EQ(decoded.cohort_digest, closed.cohort_digest);
+  EXPECT_EQ(decoded.outcome.assigned_clients, closed.outcome.assigned_clients);
 }
 
 TEST(JournalFrameTest, Crc32ExtendContinuesACrc) {
@@ -301,40 +306,56 @@ TEST_F(JournalFileTest, StalePreSnapshotPrefixIsSkipped) {
 
 TEST(JournalPayloadTest, RecordCodecsRoundTrip) {
   {
-    const QueryStartedRecord record{3, 1, 42};
-    std::vector<uint8_t> payload;
-    EncodeQueryStartedRecord(record, &payload);
-    QueryStartedRecord decoded;
-    ASSERT_TRUE(DecodeQueryStartedRecord(payload, &decoded));
-    EXPECT_EQ(decoded, record);
-    payload.push_back(0);  // trailing bytes must be rejected
-    EXPECT_FALSE(DecodeQueryStartedRecord(payload, &decoded));
-  }
-  {
-    const CohortAssignedRecord record{7, {2, 3, 5, 8, 13}};
-    std::vector<uint8_t> payload;
-    EncodeCohortAssignedRecord(record, &payload);
-    CohortAssignedRecord decoded;
-    ASSERT_TRUE(DecodeCohortAssignedRecord(payload, &decoded));
-    EXPECT_EQ(decoded, record);
-  }
-  {
     const MeterChargeRecord record{11, 42, 0.75, true};
     std::vector<uint8_t> payload;
     EncodeMeterChargeRecord(record, &payload);
     MeterChargeRecord decoded;
     ASSERT_TRUE(DecodeMeterChargeRecord(payload, &decoded));
     EXPECT_EQ(decoded, record);
+    payload.push_back(0);  // trailing bytes must be rejected
+    EXPECT_FALSE(DecodeMeterChargeRecord(payload, &decoded));
   }
   {
-    ReportAcceptedRecord record;
-    record.round_id = 9;
-    record.report = BitReport{123, 4, 1};
+    RoundClosedRecord record;
+    record.tick = 3;
+    record.query_index = 1;
+    record.value_id = 42;
+    record.round_id = 2;
+    record.cohort_digest = 0xfedcba9876543210ULL;
+    record.outcome.contacted = 5;
+    record.outcome.responded = 4;
+    record.outcome.retry.retries_scheduled = 2;
+    record.outcome.retry.hedges_issued = 1;
+    record.outcome.assigned_clients = {2, 3, 5, 8, 13};
+    record.outcome.succeeded_client_ids = {20, 30, 50, 80};
+    record.outcome.failed_client_ids = {130};
     std::vector<uint8_t> payload;
-    EncodeReportAcceptedRecord(record, &payload);
-    ReportAcceptedRecord decoded;
-    ASSERT_TRUE(DecodeReportAcceptedRecord(payload, &decoded));
-    EXPECT_EQ(decoded, record);
+    EncodeRoundClosedRecord(record, &payload);
+    RoundClosedRecord decoded;
+    ASSERT_TRUE(DecodeRoundClosedRecord(payload, &decoded));
+    EXPECT_EQ(decoded.tick, record.tick);
+    EXPECT_EQ(decoded.query_index, record.query_index);
+    EXPECT_EQ(decoded.value_id, record.value_id);
+    EXPECT_EQ(decoded.round_id, record.round_id);
+    EXPECT_EQ(decoded.cohort_digest, record.cohort_digest);
+    EXPECT_EQ(decoded.outcome.contacted, record.outcome.contacted);
+    EXPECT_EQ(decoded.outcome.responded, record.outcome.responded);
+    EXPECT_EQ(decoded.outcome.retry, record.outcome.retry);
+    EXPECT_EQ(decoded.outcome.assigned_clients,
+              record.outcome.assigned_clients);
+    EXPECT_EQ(decoded.outcome.succeeded_client_ids,
+              record.outcome.succeeded_client_ids);
+    EXPECT_EQ(decoded.outcome.failed_client_ids,
+              record.outcome.failed_client_ids);
+    payload.push_back(0);
+    EXPECT_FALSE(DecodeRoundClosedRecord(payload, &decoded));
+    // A negative tick, query index or round id is corruption.
+    for (const size_t field : {size_t{0}, size_t{8}, size_t{24}}) {
+      std::vector<uint8_t> negative;
+      EncodeRoundClosedRecord(record, &negative);
+      negative[field + 7] = 0x80;
+      EXPECT_FALSE(DecodeRoundClosedRecord(negative, &decoded)) << field;
+    }
   }
   {
     QueryFinishedRecord record;

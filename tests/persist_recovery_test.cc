@@ -1,7 +1,8 @@
 // Crash-recovery acceptance: a campaign killed at *every* journal-record
 // boundary — and at arbitrary byte offsets inside the torn tail — recovers
-// to byte-identical results, an identical privacy-meter ledger, and an
-// identical bit-means cache, with every meter charge applied exactly once.
+// to byte-identical results, an identical privacy-meter ledger, an
+// identical bit-means cache and an identical journal, with every meter
+// charge applied exactly once.
 
 #include <cstdint>
 #include <cstdio>
@@ -31,6 +32,27 @@ namespace {
 
 constexpr uint64_t kSeed = 2024;
 constexpr int64_t kTicks = 2;
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+}
+
+// Writes the first `count` of `records` as a journal file: the disk state
+// a kill leaves behind.
+void WriteJournalPrefix(const std::string& path,
+                        const std::vector<JournalRecord>& records,
+                        size_t count) {
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i < count; ++i) {
+    AppendJournalFrame(records[i].type, records[i].seq, records[i].payload,
+                       &bytes);
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
 
 class RecoveryTest : public ::testing::Test {
  protected:
@@ -241,13 +263,15 @@ TEST_F(RecoveryTest, KillAtEveryJournalRecordRecoversIdentically) {
   std::string error;
   ASSERT_TRUE(baseline.Open(&error)) << error;
   const Fingerprint expected = RunToCompletion(&baseline);
+  const std::vector<uint8_t> expected_journal =
+      FileBytes(base_dir + "/journal.wal");
 
   JournalReadResult journal;
   ASSERT_TRUE(ReadJournal(base_dir + "/journal.wal", 0, &journal, &error))
       << error;
   ASSERT_FALSE(journal.torn_tail);
   const size_t total = journal.records.size();
-  ASSERT_GT(total, 100u);  // both queries, both rounds, charges, reports
+  ASSERT_GT(total, 100u);  // both queries, both rounds, their charges
 
   int64_t denied_seen = 0;
   for (const JournalRecord& record : journal.records) {
@@ -288,17 +312,17 @@ TEST_F(RecoveryTest, KillAtEveryJournalRecordRecoversIdentically) {
         << "meter ledger diverged at k=" << k
         << " (a charge was dropped or double-applied)";
     ASSERT_EQ(actual.bit_means, expected.bit_means) << k;
+    // The re-executed rounds append exactly the records the kill lost.
+    ASSERT_EQ(FileBytes(dir + "/journal.wal"), expected_journal) << k;
   }
 }
 
 TEST_F(RecoveryTest, KillAtEveryRecordRecoversWithPeriodicSnapshotsOn) {
-  // Regression: with snapshot_every_ticks > 0, the automatic snapshot used
-  // to abort a recovering coordinator — it fired at restored-tick
-  // boundaries while the replay prefix was still pending, and even after
-  // the prefix was fully consumed it was never discarded, so Snapshot()'s
-  // empty-prefix CHECK failed. Every mid-query crash point must now
-  // recover, defer the snapshot to the first live boundary, and converge
-  // on the uninterrupted fingerprint.
+  // With snapshot_every_ticks > 0, an automatic snapshot comes due at
+  // restored-tick boundaries while the in-flight query's closed rounds are
+  // still held, their charges not yet re-applied. Such a snapshot is
+  // skipped; every crash point must recover, snapshot at the next live
+  // boundary, and converge on the uninterrupted fingerprint.
   const std::string base_dir = FreshDir("snapkill_base");
   DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
   std::string error;
@@ -338,8 +362,8 @@ TEST_F(RecoveryTest, KillAtEveryRecordRecoversWithPeriodicSnapshotsOn) {
         << "meter ledger diverged at k=" << k;
     ASSERT_EQ(actual.bit_means, expected.bit_means) << k;
 
-    // The (possibly deferred) snapshot landed once the run went live: a
-    // second recovery starts from it with an empty journal tail.
+    // The last tick's snapshot landed: a second recovery starts from it
+    // with an empty journal tail.
     DurableCampaignRunner again(MakeQueries(), policy_, options);
     ASSERT_TRUE(again.Open(&error)) << "k=" << k << ": " << error;
     EXPECT_TRUE(again.recovery_info().had_snapshot) << k;
@@ -463,12 +487,6 @@ TEST_F(RecoveryTest, FullResultsHoldOnlyTheLatestTick) {
   EXPECT_EQ(keys, latest);
 }
 
-std::vector<uint8_t> FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
-}
-
 TEST_F(RecoveryTest, InMemoryRunnerMatchesDurableRunner) {
   // An empty state_dir runs the same runner without a journal: the tick
   // results, the ledger and the per-tick meter trajectory equal a durable
@@ -569,6 +587,137 @@ TEST_F(RecoveryTest, VersionOneSnapshotFailsClosed) {
   EXPECT_NE(error.find("snapshot failed validation"), std::string::npos)
       << error;
   EXPECT_EQ(FileBytes(dir + "/journal.wal"), journal);
+}
+
+TEST_F(RecoveryTest, ChargesOfARoundThatNeverClosedAreDiscarded) {
+  // A kill after the 64 KiB buffer spilled mid-round leaves a round's
+  // charges on disk without its kRoundClosed record. Open validates them
+  // and drops them from the journal; the round re-executes from its RNG
+  // fork, appending the same charges again.
+  const std::string base_dir = FreshDir("discard_base");
+  DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
+  std::string error;
+  ASSERT_TRUE(baseline.Open(&error)) << error;
+  const Fingerprint expected = RunToCompletion(&baseline);
+  const std::vector<uint8_t> expected_journal =
+      FileBytes(base_dir + "/journal.wal");
+  JournalReadResult journal;
+  ASSERT_TRUE(ReadJournal(base_dir + "/journal.wal", 0, &journal, &error))
+      << error;
+
+  int64_t cuts = 0;
+  size_t kept = 0;  // records up to the last round, query or tick record
+  for (size_t cut = 0; cut < journal.records.size(); ++cut) {
+    const JournalRecordType type = journal.records[cut].type;
+    if (type == JournalRecordType::kRoundClosed && cut > kept) {
+      // Cut just before a round close whose round has charges.
+      const std::string dir = FreshDir("discard_" + std::to_string(cut));
+      std::filesystem::create_directories(dir);
+      WriteJournalPrefix(dir + "/journal.wal", journal.records, cut);
+      {
+        DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+        ASSERT_TRUE(runner.Open(&error)) << "cut=" << cut << ": " << error;
+        EXPECT_EQ(runner.recovery_info().replayed_records,
+                  static_cast<int64_t>(cut));
+        JournalReadResult rewritten;
+        ASSERT_TRUE(ReadJournal(dir + "/journal.wal", 0, &rewritten, &error))
+            << error;
+        ASSERT_EQ(rewritten.records.size(), kept) << "cut=" << cut;
+        if (kept > 0) {
+          EXPECT_NE(rewritten.records.back().type,
+                    JournalRecordType::kMeterCharge);
+          EXPECT_EQ(rewritten.records.back().payload,
+                    journal.records[kept - 1].payload);
+        }
+      }
+      DurableCampaignRunner again(MakeQueries(), policy_, Options(dir));
+      ASSERT_TRUE(again.Open(&error)) << "cut=" << cut << ": " << error;
+      EXPECT_EQ(again.recovery_info().replayed_records,
+                static_cast<int64_t>(kept));
+      const Fingerprint actual = RunToCompletion(&again);
+      EXPECT_EQ(actual.history, expected.history) << "cut=" << cut;
+      EXPECT_EQ(actual.meter, expected.meter) << "cut=" << cut;
+      EXPECT_EQ(actual.bit_means, expected.bit_means) << "cut=" << cut;
+      EXPECT_EQ(FileBytes(dir + "/journal.wal"), expected_journal)
+          << "cut=" << cut;
+      ++cuts;
+    }
+    if (type != JournalRecordType::kMeterCharge) kept = cut + 1;
+  }
+  EXPECT_GE(cuts, 2 * kTicks);
+}
+
+using RecoveryDeathTest = RecoveryTest;
+
+TEST_F(RecoveryDeathTest, RestoredRoundOverAnotherCohortAbortsAsDivergence) {
+  // The journal holds the in-flight query's closed round 1. Reopened over
+  // a population with one more client, the re-executed query draws a
+  // different cohort, so the round's cohort digest no longer matches.
+  const std::string base_dir = FreshDir("divergence_base");
+  DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
+  std::string error;
+  ASSERT_TRUE(baseline.Open(&error)) << error;
+  RunToCompletion(&baseline);
+  JournalReadResult journal;
+  ASSERT_TRUE(ReadJournal(base_dir + "/journal.wal", 0, &journal, &error))
+      << error;
+  size_t cut = 0;
+  while (cut < journal.records.size() &&
+         journal.records[cut].type != JournalRecordType::kRoundClosed) {
+    ++cut;
+  }
+  ASSERT_LT(cut, journal.records.size());
+
+  const std::string dir = FreshDir("divergence");
+  std::filesystem::create_directories(dir);
+  WriteJournalPrefix(dir + "/journal.wal", journal.records, cut + 1);
+  std::vector<Client> grown = population_;
+  grown.emplace_back(static_cast<int64_t>(grown.size()),
+                     std::vector<double>{40.0}, ClientConfig{});
+  const std::vector<const std::vector<Client>*> populations = {&grown,
+                                                               &grown};
+  DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+  ASSERT_TRUE(runner.Open(&error)) << error;
+  EXPECT_DEATH(runner.RunTick(0, populations, codecs_), "recovery divergence");
+}
+
+TEST_F(RecoveryTest, VersionOneJournalFailsClosed) {
+  // A journal framed with version byte 1, as a build with eight record
+  // types wrote it. Open must refuse it with an error, not abort, and
+  // leave the file as it found it.
+  const std::string dir = FreshDir("v1_journal");
+  {
+    DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+    std::string error;
+    ASSERT_TRUE(runner.Open(&error)) << error;
+    runner.RunTick(0, populations_, codecs_);
+  }
+  const std::string path = dir + "/journal.wal";
+  JournalReadResult journal;
+  std::string error;
+  ASSERT_TRUE(ReadJournal(path, 0, &journal, &error)) << error;
+  ASSERT_FALSE(journal.records.empty());
+  std::vector<uint8_t> version1;
+  for (const JournalRecord& record : journal.records) {
+    std::vector<uint8_t> frame;
+    AppendJournalFrame(record.type, record.seq, record.payload, &frame);
+    ASSERT_EQ(frame[0], kJournalFormatVersion);
+    frame[0] = 1;
+    frame.erase(frame.end() - 4, frame.end());  // the CRC
+    bytes::PutUint32(bytes::Crc32(frame), &frame);
+    version1.insert(version1.end(), frame.begin(), frame.end());
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(version1.data()),
+              static_cast<std::streamsize>(version1.size()));
+  }
+  ASSERT_EQ(FileBytes(path), version1);
+
+  DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
+  EXPECT_FALSE(reopened.Open(&error));
+  EXPECT_NE(error.find("format version"), std::string::npos) << error;
+  EXPECT_EQ(FileBytes(path), version1);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,7 +10,7 @@
 namespace bitpush {
 namespace {
 
-// Captures every journal callback; `replay` scripts OnChargeAttempt.
+// Captures every journal callback.
 class RecordingJournal : public PrivacyMeter::Journal {
  public:
   struct Charge {
@@ -21,17 +20,11 @@ class RecordingJournal : public PrivacyMeter::Journal {
     bool granted = false;
   };
 
-  std::optional<bool> OnChargeAttempt(int64_t, int64_t, double) override {
-    ++attempts;
-    return replay;
-  }
   void OnCharge(int64_t client_id, int64_t value_id, double epsilon,
                 bool granted) override {
     charges.push_back(Charge{client_id, value_id, epsilon, granted});
   }
 
-  int attempts = 0;
-  std::optional<bool> replay;
   std::vector<Charge> charges;
 };
 
@@ -145,20 +138,11 @@ TEST(PrivacyMeterTest, InvalidEpsilonDenialsFlowThroughTheJournal) {
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(meter.TryChargeBit(1, 2, nan));
-  EXPECT_EQ(journal.attempts, 1);
   ASSERT_EQ(journal.charges.size(), 1u);
   EXPECT_EQ(journal.charges[0].client_id, 1);
   EXPECT_EQ(journal.charges[0].value_id, 2);
   EXPECT_TRUE(std::isnan(journal.charges[0].epsilon));
   EXPECT_FALSE(journal.charges[0].granted);
-  EXPECT_EQ(meter.denied_charges(), 1);
-
-  // During replay the journaled outcome is served back without touching the
-  // ledger or re-journaling (the restored state already reflects it).
-  journal.replay = false;
-  EXPECT_FALSE(meter.TryChargeBit(1, 2, -1.0));
-  EXPECT_EQ(journal.attempts, 2);
-  EXPECT_EQ(journal.charges.size(), 1u);
   EXPECT_EQ(meter.denied_charges(), 1);
 }
 

@@ -7,8 +7,8 @@
 // plan that used to force the round-1 static-policy fallback completes the
 // adaptive round 2 once retries are on), and the crash matrix: a resilient
 // durable campaign killed at every journal-record boundary recovers to a
-// byte-identical journal, ledger, and history — retry schedule, hedges, and
-// breaker transitions included.
+// byte-identical journal, ledger, and history — the journaled round
+// outcomes' retry and hedge counters included.
 
 #include <cmath>
 #include <cstdint>
@@ -257,38 +257,13 @@ TEST(ResilienceConfigFrame, FailsClosed) {
   EXPECT_FALSE(DecodeResilienceConfigFrame(nan_frame, &decoded));
 }
 
-TEST(ResilienceEventCodec, RoundTripsEveryTypeAndRejectsBadTypes) {
-  for (uint8_t type = 1; type <= 11; ++type) {
-    ResilienceEvent event;
-    event.type = static_cast<ResilienceEventType>(type);
-    event.round_id = 2;
-    event.client_id = 41;
-    event.attempt = type == 1 ? 3 : 0;
-    event.minutes = type == 1 ? 1.75 : 0.0;
-    std::vector<uint8_t> buffer;
-    EncodeResilienceEvent(event, &buffer);
-    ResilienceEvent decoded;
-    size_t offset = 0;
-    ASSERT_TRUE(DecodeResilienceEvent(buffer, &offset, &decoded));
-    EXPECT_EQ(offset, buffer.size());
-    EXPECT_EQ(decoded, event);
-    // The type tag is the leading byte; 0 and 12 are out of domain.
-    for (const uint8_t bad : {uint8_t{0}, uint8_t{12}}) {
-      std::vector<uint8_t> mutated = buffer;
-      mutated[0] = bad;
-      offset = 0;
-      EXPECT_FALSE(DecodeResilienceEvent(mutated, &offset, &decoded));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // HealthTracker: the per-client circuit-breaker state machine.
 
 TEST(HealthTracker, DisabledPolicyAlwaysAssigns) {
   HealthTracker tracker;
   EXPECT_FALSE(tracker.policy().enabled());
-  tracker.ObserveRound(1, {}, {5, 5, 5, 5}, nullptr);
+  tracker.ObserveRound(1, {}, {5, 5, 5, 5});
   EXPECT_EQ(tracker.Decision(5), AssignmentDecision::kAssign);
   EXPECT_EQ(tracker.opens(), 0);
   EXPECT_EQ(tracker.quarantined_clients(), 0);
@@ -301,12 +276,12 @@ TEST(HealthTracker, ConsecutiveFailuresOpenAndSuccessfulProbeCloses) {
   HealthTracker tracker(policy);
 
   tracker.BeginRound();
-  tracker.ObserveRound(1, {}, {5}, nullptr);
+  tracker.ObserveRound(1, {}, {5});
   EXPECT_EQ(tracker.state(5), BreakerState::kClosed);
   EXPECT_EQ(tracker.Decision(5), AssignmentDecision::kAssign);
 
   tracker.BeginRound();
-  tracker.ObserveRound(2, {}, {5}, nullptr);
+  tracker.ObserveRound(2, {}, {5});
   EXPECT_EQ(tracker.state(5), BreakerState::kOpen);
   EXPECT_EQ(tracker.Decision(5), AssignmentDecision::kSkip);
   EXPECT_EQ(tracker.opens(), 1);
@@ -320,13 +295,13 @@ TEST(HealthTracker, ConsecutiveFailuresOpenAndSuccessfulProbeCloses) {
 
   // The probe came back: breaker closes and the history resets, so the
   // next single failure does not immediately re-open.
-  tracker.ObserveRound(3, {5}, {}, nullptr);
+  tracker.ObserveRound(3, {5}, {});
   EXPECT_EQ(tracker.state(5), BreakerState::kClosed);
   EXPECT_EQ(tracker.Decision(5), AssignmentDecision::kAssign);
   EXPECT_EQ(tracker.closes(), 1);
   EXPECT_EQ(tracker.quarantined_clients(), 0);
   tracker.BeginRound();
-  tracker.ObserveRound(4, {}, {5}, nullptr);
+  tracker.ObserveRound(4, {}, {5});
   EXPECT_EQ(tracker.state(5), BreakerState::kClosed);
 }
 
@@ -335,12 +310,12 @@ TEST(HealthTracker, FailedProbeReopensImmediately) {
   policy.consecutive_failures_to_open = 2;
   policy.cooldown_rounds = 1;
   HealthTracker tracker(policy);
-  tracker.ObserveRound(1, {}, {7}, nullptr);
-  tracker.ObserveRound(2, {}, {7}, nullptr);
+  tracker.ObserveRound(1, {}, {7});
+  tracker.ObserveRound(2, {}, {7});
   ASSERT_EQ(tracker.state(7), BreakerState::kOpen);
   tracker.BeginRound();
   ASSERT_EQ(tracker.state(7), BreakerState::kHalfOpen);
-  tracker.ObserveRound(3, {}, {7}, nullptr);
+  tracker.ObserveRound(3, {}, {7});
   EXPECT_EQ(tracker.state(7), BreakerState::kOpen);
   EXPECT_EQ(tracker.opens(), 2);
   EXPECT_EQ(tracker.closes(), 0);
@@ -353,11 +328,11 @@ TEST(HealthTracker, FailureRateTriggerNeedsMinimumSamples) {
   HealthTracker tracker(policy);
   // success, fail, success, fail: the rate hits 0.5 at the 2nd sample, but
   // the trigger must wait for 4.
-  tracker.ObserveRound(1, {9}, {}, nullptr);
-  tracker.ObserveRound(2, {}, {9}, nullptr);
+  tracker.ObserveRound(1, {9}, {});
+  tracker.ObserveRound(2, {}, {9});
   EXPECT_EQ(tracker.state(9), BreakerState::kClosed);
-  tracker.ObserveRound(3, {9}, {}, nullptr);
-  tracker.ObserveRound(4, {}, {9}, nullptr);
+  tracker.ObserveRound(3, {9}, {});
+  tracker.ObserveRound(4, {}, {9});
   EXPECT_EQ(tracker.state(9), BreakerState::kOpen);
   EXPECT_EQ(tracker.opens(), 1);
 }
@@ -367,8 +342,8 @@ TEST(HealthTracker, StateSurvivesEncodeDecodeAndPolicyMismatchFailsClosed) {
   policy.consecutive_failures_to_open = 2;
   policy.cooldown_rounds = 3;
   HealthTracker tracker(policy);
-  tracker.ObserveRound(1, {1, 2}, {3, 4}, nullptr);
-  tracker.ObserveRound(2, {1}, {3, 4, 2}, nullptr);
+  tracker.ObserveRound(1, {1, 2}, {3, 4});
+  tracker.ObserveRound(2, {1}, {3, 4, 2});
   ASSERT_EQ(tracker.state(3), BreakerState::kOpen);
   ASSERT_EQ(tracker.state(4), BreakerState::kOpen);
 
@@ -819,16 +794,17 @@ TEST_F(ResilienceRecoveryTest, KillAtEveryJournalRecordReplaysRetrySchedule) {
   const Fingerprint expected = RunToCompletion(&baseline, base_dir);
 
   // The run must actually exercise the resilience layer for the matrix to
-  // mean anything: journaled retry/hedge decisions and live recoveries.
-  int64_t resilience_records = 0;
+  // mean anything: journaled round outcomes that carry retries and hedges,
+  // and live recoveries.
+  RetryStats journaled;
   for (const JournalRecord& record : expected.journal) {
-    if (record.type == JournalRecordType::kResilienceEvent) {
-      ResilienceEventRecord event;
-      ASSERT_TRUE(DecodeResilienceEventRecord(record.payload, &event));
-      ++resilience_records;
-    }
+    if (record.type != JournalRecordType::kRoundClosed) continue;
+    RoundClosedRecord closed;
+    ASSERT_TRUE(DecodeRoundClosedRecord(record.payload, &closed));
+    journaled.MergeFrom(closed.outcome.retry);
   }
-  ASSERT_GT(resilience_records, 0);
+  ASSERT_GT(journaled.retries_scheduled + journaled.retransmits_requested, 0);
+  ASSERT_GT(journaled.hedges_issued, 0);
   ASSERT_GT(baseline.campaign().retry_stats().RecoveredTotal(), 0);
 
   const size_t total = expected.journal.size();
@@ -859,8 +835,8 @@ TEST_F(ResilienceRecoveryTest, KillAtEveryJournalRecordReplaysRetrySchedule) {
     ASSERT_EQ(actual.meter, expected.meter)
         << "meter ledger diverged at k=" << k;
     ASSERT_EQ(actual.bit_means, expected.bit_means) << k;
-    // The recovered journal — retry schedule, hedges, breaker transitions,
-    // charges — is byte-identical to the uninterrupted run's.
+    // The recovered journal — charges and round outcomes with their retry
+    // and hedge counters — is byte-identical to the uninterrupted run's.
     ExpectSameJournal(actual.journal, expected.journal, k);
   }
 }

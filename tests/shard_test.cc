@@ -352,6 +352,16 @@ TEST(ShardKillMatrixTest, KillAnyShardAtEveryRecordRecoversCleanMerge) {
                                       recovered_options);
       const auto history = RunSharded(fixture, &recovered, kTicks);
       ExpectTicksEqual(history, clean_history);
+      // The victim re-appends exactly the records the cut lost.
+      JournalReadResult rerun;
+      ASSERT_TRUE(ReadShardJournal(cut_journal, &rerun, &error)) << error;
+      ASSERT_EQ(rerun.records.size(), contents.records.size()) << keep;
+      for (size_t i = 0; i < rerun.records.size(); ++i) {
+        ASSERT_EQ(rerun.records[i].seq, contents.records[i].seq) << keep;
+        ASSERT_EQ(rerun.records[i].type, contents.records[i].type) << keep;
+        ASSERT_EQ(rerun.records[i].payload, contents.records[i].payload)
+            << keep;
+      }
       ++cuts;
       std::filesystem::remove_all(root);
       if (::testing::Test::HasFailure()) {
@@ -364,6 +374,34 @@ TEST(ShardKillMatrixTest, KillAnyShardAtEveryRecordRecoversCleanMerge) {
   }
   EXPECT_GT(cuts, 2 * kShards) << "matrix was vacuous";
   std::filesystem::remove_all(clean_root);
+}
+
+TEST(ShardRecoveryTest, SnapshottedTickIsNotHarvestedAgain) {
+  // A snapshot truncates the delivered tick's rounds out of the journal.
+  // Collecting that tick again after a restart must fail and name the
+  // tick and the query, not deliver a frame with an empty tally.
+  const ShardFixture fixture = MakeFixture(400, 7, 1.0, 1);
+  const std::string root = FreshStateRoot("snapshotted_tick");
+  ShardCoordinatorOptions options;
+  options.seed = ShardSeed(kSeed, 0);
+  options.state_dir = root;
+  options.fsync = false;
+  ShardCoordinator shard(fixture.queries, fixture.policy, options);
+  shard.Bind({fixture.population}, fixture.codecs);
+
+  ShardTickFrame first;
+  std::string error;
+  ASSERT_TRUE(shard.CollectTick(0, &first, &error)) << error;
+  ASSERT_EQ(first.queries.size(), 1u);
+  EXPECT_EQ(first.queries[0].tallies.bits(), 7);
+  ASSERT_TRUE(shard.Snapshot(&error)) << error;
+  shard.Restart();
+
+  ShardTickFrame again;
+  EXPECT_FALSE(shard.CollectTick(0, &again, &error));
+  EXPECT_NE(error.find("tick 0"), std::string::npos) << error;
+  EXPECT_NE(error.find("metric"), std::string::npos) << error;
+  std::filesystem::remove_all(root);
 }
 
 // --------------------------------------------------------------------------

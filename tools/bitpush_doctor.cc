@@ -85,22 +85,14 @@ int64_t JsonIntField(const std::string& line, const std::string& key,
 
 const char* JournalRecordTypeName(JournalRecordType type) {
   switch (type) {
-    case JournalRecordType::kQueryStarted:
-      return "query_started";
-    case JournalRecordType::kCohortAssigned:
-      return "cohort_assigned";
     case JournalRecordType::kMeterCharge:
       return "meter_charge";
-    case JournalRecordType::kReportAccepted:
-      return "report_accepted";
     case JournalRecordType::kRoundClosed:
       return "round_closed";
     case JournalRecordType::kQueryFinished:
       return "query_finished";
     case JournalRecordType::kCampaignTick:
       return "campaign_tick";
-    case JournalRecordType::kResilienceEvent:
-      return "resilience_event";
   }
   return "unknown";
 }
@@ -155,8 +147,8 @@ void AppendJournalSection(const std::string& state_dir, std::string* report) {
   if (result.torn_tail) {
     *report += "torn tail: YES — file ends mid-frame after byte " +
                std::to_string(result.clean_length) +
-               " (the expected crash artifact; recovery truncates and "
-               "replays the clean prefix)\n";
+               " (the expected crash artifact; recovery truncates it and "
+               "restores the clean prefix)\n";
   } else {
     *report += "torn tail: no\n";
   }

@@ -618,7 +618,7 @@ void CheckWireExhaustiveness(const std::vector<SourceFile>& files,
   for (const WireDecl& decl : inventory.enumerators) {
     const size_t sep = decl.name.find("::");
     const std::string bare = decl.name.substr(sep + 2);
-    // kQueryStarted -> QueryStartedRecord payload codec, when one exists.
+    // kRoundClosed -> RoundClosedRecord payload codec, when one exists.
     const std::string stem = bare.substr(1) + "Record";
     const bool has_payload_codec = encode_names.count(stem) > 0;
     if (!contains_token(library_code, decl.name)) {
