@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -9,6 +10,89 @@
 #include "util/check.h"
 
 namespace bitpush {
+
+namespace {
+
+// Rows a table gets on its first insert.
+constexpr size_t kInitialRows = 16;
+// Encoded sizes of one client entry without its values (id, bits, epsilon,
+// value count) and of one value entry (id, bits). DecodeFrom bounds the
+// counts it reads by the bytes that remain.
+constexpr size_t kClientEntryBytes = 8 + 8 + 8 + 4;
+constexpr size_t kValueEntryBytes = 8 + 8;
+
+// MurmurHash3's 64-bit finalizer, so that sequential or strided ids spread
+// over the table.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+uint64_t ClientHash(int64_t client_id) {
+  return Mix(static_cast<uint64_t>(client_id));
+}
+
+uint64_t PairHash(int64_t client_id, int64_t value_id) {
+  return Mix(ClientHash(client_id) + static_cast<uint64_t>(value_id));
+}
+
+// Linear probe from `hash` in a power-of-two table that has a free row:
+// the index of the first row that is free or that `matches` accepts.
+template <typename Row, typename Matches>
+size_t Probe(const std::vector<Row>& rows, uint64_t hash,
+             const Matches& matches) {
+  const size_t mask = rows.size() - 1;
+  size_t slot = static_cast<size_t>(hash) & mask;
+  while (rows[slot].used() && !matches(rows[slot])) slot = (slot + 1) & mask;
+  return slot;
+}
+
+// Makes room for one more row: once `used + 1` rows would pass half load,
+// doubles `rows` (or gives it its first rows) and re-inserts every used
+// row.
+template <typename Row, typename HashOf>
+void MakeRoom(std::vector<Row>* rows, size_t used, const HashOf& hash_of) {
+  if (2 * (used + 1) <= rows->size()) return;
+  std::vector<Row> grown(rows->empty() ? kInitialRows : 2 * rows->size());
+  const auto never = [](const Row&) { return false; };
+  for (const Row& row : *rows) {
+    if (row.used()) grown[Probe(grown, hash_of(row), never)] = row;
+  }
+  rows->swap(grown);
+}
+
+// Fills `table` from `rows`, sized so that it is at most half full, and
+// loads each row's home slot a few rows ahead of its insert. Returns false
+// if two rows have the same key.
+template <typename Row, typename HashOf, typename SameKey>
+bool BuildTable(const std::vector<Row>& rows, const HashOf& hash_of,
+                const SameKey& same_key, std::vector<Row>* table) {
+  constexpr size_t kAhead = 8;
+  size_t size = kInitialRows;
+  while (size < 2 * rows.size()) size *= 2;
+  table->assign(size, Row{});
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i + kAhead < rows.size()) {
+      __builtin_prefetch(
+          &(*table)[static_cast<size_t>(hash_of(rows[i + kAhead])) &
+                    (size - 1)]);
+    }
+    const Row& row = rows[i];
+    Row& slot = (*table)[Probe(*table, hash_of(row),
+                               [&](const Row& other) {
+                                 return same_key(row, other);
+                               })];
+    if (slot.used()) return false;
+    slot = row;
+  }
+  return true;
+}
+
+}  // namespace
 
 void PrivacyMeter::RefreshObsGauges() const {
   if (!obs::Enabled()) return;
@@ -52,6 +136,75 @@ PrivacyMeter::PrivacyMeter(MeterPolicy policy) : policy_(policy) {
   BITPUSH_CHECK_GT(policy_.max_epsilon_per_client, 0.0);
 }
 
+size_t PrivacyMeter::ClientSlot(int64_t client_id) const {
+  return Probe(clients_, ClientHash(client_id),
+               [client_id](const ClientRow& candidate) {
+                 return candidate.client_id == client_id;
+               });
+}
+
+const PrivacyMeter::ClientRow* PrivacyMeter::FindClient(
+    int64_t client_id) const {
+  if (clients_.empty()) return nullptr;
+  const ClientRow& row = clients_[ClientSlot(client_id)];
+  return row.used() ? &row : nullptr;
+}
+
+int64_t PrivacyMeter::ValueBitsOf(const ClientRow& row,
+                                  int64_t value_id) const {
+  if (row.value_bits == 0) return 0;
+  if (row.value_id == value_id) return row.value_bits;
+  if (values_.empty()) return 0;
+  const ValueRow& extra =
+      values_[Probe(values_, PairHash(row.client_id, value_id),
+                    [&row, value_id](const ValueRow& candidate) {
+                      return candidate.client_id == row.client_id &&
+                             candidate.value_id == value_id;
+                    })];
+  return extra.used() ? extra.bits : 0;
+}
+
+PrivacyMeter::ClientRow& PrivacyMeter::InsertClient(int64_t client_id) {
+  MakeRoom(&clients_, client_count_, [](const ClientRow& row) {
+    return ClientHash(row.client_id);
+  });
+  ++client_count_;
+  ClientRow& row = clients_[ClientSlot(client_id)];
+  row.client_id = client_id;
+  row.bits = 0;
+  return row;
+}
+
+void PrivacyMeter::AddExtraValueBits(int64_t client_id, int64_t value_id,
+                                     int64_t bits) {
+  MakeRoom(&values_, value_count_, [](const ValueRow& row) {
+    return PairHash(row.client_id, row.value_id);
+  });
+  ValueRow& row =
+      values_[Probe(values_, PairHash(client_id, value_id),
+                    [client_id, value_id](const ValueRow& candidate) {
+                      return candidate.client_id == client_id &&
+                             candidate.value_id == value_id;
+                    })];
+  if (!row.used()) {
+    ++value_count_;
+    row.client_id = client_id;
+    row.value_id = value_id;
+    row.bits = 0;
+  }
+  row.bits += bits;
+}
+
+void PrivacyMeter::Prefetch(int64_t client_id) const {
+  if (clients_.empty()) return;
+  const ClientRow* row =
+      &clients_[static_cast<size_t>(ClientHash(client_id)) &
+                (clients_.size() - 1)];
+  // A 40-byte row can straddle two cache lines.
+  __builtin_prefetch(row, /*rw=*/1);
+  __builtin_prefetch(reinterpret_cast<const char*>(row + 1) - 1, /*rw=*/1);
+}
+
 bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
                                 double epsilon) {
   // An invalid epsilon is denied rather than CHECKed: the value can
@@ -61,14 +214,20 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
   // journal hook below like a cap denial, so a recovered ledger counts it
   // exactly once and stays byte-identical to an uninterrupted run.
   const bool valid_epsilon = std::isfinite(epsilon) && epsilon >= 0.0;
-  ClientLedger* ledger = nullptr;
+  ClientRow* found = nullptr;
   bool granted = false;
   if (valid_epsilon) {
-    ledger = &ledgers_[client_id];
-    const int64_t value_bits = ledger->bits_per_value[value_id];
-    granted = value_bits + 1 <= policy_.max_bits_per_value &&
-              ledger->bits + 1 <= policy_.max_bits_per_client &&
-              ledger->epsilon + epsilon <= policy_.max_epsilon_per_client;
+    if (!clients_.empty()) {
+      ClientRow& row = clients_[ClientSlot(client_id)];
+      if (row.used()) found = &row;
+    }
+    const int64_t client_bits = found != nullptr ? found->bits : 0;
+    const double client_epsilon = found != nullptr ? found->epsilon : 0.0;
+    const int64_t value_bits =
+        found != nullptr ? ValueBitsOf(*found, value_id) : 0;
+    granted = value_bits < policy_.max_bits_per_value &&
+              client_bits < policy_.max_bits_per_client &&
+              client_epsilon + epsilon <= policy_.max_epsilon_per_client;
   }
   if (journal_ != nullptr) {
     // Write-ahead: persist the decision before applying it, so a crash
@@ -81,9 +240,18 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
     NoteChargeOutcome(value_id, false);
     return false;
   }
-  ++ledger->bits_per_value[value_id];
-  ++ledger->bits;
-  ledger->epsilon += epsilon;
+  // A client gets its row with its first granted bit; a denial adds none.
+  ClientRow& row = found != nullptr ? *found : InsertClient(client_id);
+  if (row.value_bits == 0) {
+    row.value_id = value_id;
+    row.value_bits = 1;
+  } else if (row.value_id == value_id) {
+    ++row.value_bits;
+  } else {
+    AddExtraValueBits(client_id, value_id, 1);
+  }
+  ++row.bits;
+  row.epsilon += epsilon;
   ++total_bits_;
   total_epsilon_ += epsilon;
   RefreshObsGauges();
@@ -92,20 +260,18 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
 }
 
 int64_t PrivacyMeter::ClientBits(int64_t client_id) const {
-  const auto it = ledgers_.find(client_id);
-  return it == ledgers_.end() ? 0 : it->second.bits;
+  const ClientRow* row = FindClient(client_id);
+  return row == nullptr ? 0 : row->bits;
 }
 
 double PrivacyMeter::ClientEpsilon(int64_t client_id) const {
-  const auto it = ledgers_.find(client_id);
-  return it == ledgers_.end() ? 0.0 : it->second.epsilon;
+  const ClientRow* row = FindClient(client_id);
+  return row == nullptr ? 0.0 : row->epsilon;
 }
 
 int64_t PrivacyMeter::ValueBits(int64_t client_id, int64_t value_id) const {
-  const auto it = ledgers_.find(client_id);
-  if (it == ledgers_.end()) return 0;
-  const auto vit = it->second.bits_per_value.find(value_id);
-  return vit == it->second.bits_per_value.end() ? 0 : vit->second;
+  const ClientRow* row = FindClient(client_id);
+  return row == nullptr ? 0 : ValueBitsOf(*row, value_id);
 }
 
 void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
@@ -116,33 +282,62 @@ void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
   bytes::PutInt64(total_bits_, out);
   bytes::PutInt64(denied_charges_, out);
 
-  // Canonical form: sorted ids, zero entries omitted. Denied attempts leave
-  // behind zero-count map entries in memory; dropping them here makes
-  // "same ledger" mean "same bytes" regardless of how the state was reached
-  // (live run, journal replay, or snapshot restore).
-  std::vector<int64_t> client_ids;
-  client_ids.reserve(ledgers_.size());
-  for (const auto& [client_id, ledger] : ledgers_) {
-    if (ledger.bits > 0 || ledger.epsilon > 0.0) client_ids.push_back(client_id);
+  // Canonical form: sorted ids, zero entries omitted, so "same ledger"
+  // means "same bytes" however the state was reached (live run, journal
+  // replay, or snapshot restore) and whatever the table layout. One
+  // sequential pass copies the nonzero rows and the copies are sorted:
+  // visiting the table in id order instead would cost a random access per
+  // client.
+  std::vector<ClientRow> rows;
+  rows.reserve(client_count_);
+  for (const ClientRow& row : clients_) {
+    if (row.used() && (row.bits > 0 || row.epsilon > 0.0)) rows.push_back(row);
   }
-  std::sort(client_ids.begin(), client_ids.end());
-  bytes::PutUint32(static_cast<uint32_t>(client_ids.size()), out);
-  for (const int64_t client_id : client_ids) {
-    const ClientLedger& ledger = ledgers_.at(client_id);
-    bytes::PutInt64(client_id, out);
-    bytes::PutInt64(ledger.bits, out);
-    bytes::PutDouble(ledger.epsilon, out);
-    std::vector<int64_t> value_ids;
-    value_ids.reserve(ledger.bits_per_value.size());
-    for (const auto& [value_id, bits] : ledger.bits_per_value) {
-      if (bits > 0) value_ids.push_back(value_id);
+  std::sort(rows.begin(), rows.end(),
+            [](const ClientRow& a, const ClientRow& b) {
+              return a.client_id < b.client_id;
+            });
+  std::vector<ValueRow> extras;
+  extras.reserve(value_count_);
+  for (const ValueRow& row : values_) {
+    if (row.used()) extras.push_back(row);
+  }
+  std::sort(extras.begin(), extras.end(),
+            [](const ValueRow& a, const ValueRow& b) {
+              return a.client_id != b.client_id ? a.client_id < b.client_id
+                                                : a.value_id < b.value_id;
+            });
+
+  out->reserve(out->size() + 4 +
+               rows.size() * (kClientEntryBytes + kValueEntryBytes) +
+               extras.size() * kValueEntryBytes);
+  bytes::PutUint32(static_cast<uint32_t>(rows.size()), out);
+  auto extra = extras.begin();
+  for (const ClientRow& row : rows) {
+    bytes::PutInt64(row.client_id, out);
+    bytes::PutInt64(row.bits, out);
+    bytes::PutDouble(row.epsilon, out);
+    // Both lists are sorted by client, so this client's further values are
+    // the run that starts at `extra`. The inline value merges into it.
+    const auto first = extra;
+    while (extra != extras.end() && extra->client_id == row.client_id) {
+      ++extra;
     }
-    std::sort(value_ids.begin(), value_ids.end());
-    bytes::PutUint32(static_cast<uint32_t>(value_ids.size()), out);
-    for (const int64_t value_id : value_ids) {
-      bytes::PutInt64(value_id, out);
-      bytes::PutInt64(ledger.bits_per_value.at(value_id), out);
+    bool inline_pending = row.value_bits > 0;
+    bytes::PutUint32(
+        static_cast<uint32_t>((inline_pending ? 1 : 0) + (extra - first)),
+        out);
+    const auto put_inline = [&] {
+      bytes::PutInt64(row.value_id, out);
+      bytes::PutInt64(row.value_bits, out);
+      inline_pending = false;
+    };
+    for (auto it = first; it != extra; ++it) {
+      if (inline_pending && row.value_id < it->value_id) put_inline();
+      bytes::PutInt64(it->value_id, out);
+      bytes::PutInt64(it->bits, out);
     }
+    if (inline_pending) put_inline();
   }
 }
 
@@ -169,67 +364,109 @@ bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
       denied_charges < 0) {
     return false;
   }
-  std::unordered_map<int64_t, ClientLedger> ledgers;
-  ledgers.reserve(client_count);
+  // A count the remaining bytes cannot hold is corrupt; nothing is sized
+  // from it either way.
+  if ((buffer.size() - cursor) / kClientEntryBytes < client_count) {
+    return false;
+  }
+  PrivacyMeter decoded(policy);
   int64_t ledger_bit_sum = 0;
   double ledger_epsilon_sum = 0.0;
+  // The decoded rows. The tables are built from them at the end, sized by
+  // the rows read, never by a count on disk.
+  std::vector<ClientRow> rows;
+  std::vector<ValueRow> extras;
+  // One client's (value id, bits) entries, as listed.
+  std::vector<std::pair<int64_t, int64_t>> entries;
   for (uint32_t c = 0; c < client_count; ++c) {
     int64_t client_id = 0;
-    ClientLedger ledger;
+    int64_t bits = 0;
+    double epsilon = 0.0;
     uint32_t value_count = 0;
     if (!bytes::GetInt64(buffer, &cursor, &client_id) ||
-        !bytes::GetInt64(buffer, &cursor, &ledger.bits) ||
-        !bytes::GetDouble(buffer, &cursor, &ledger.epsilon) ||
+        !bytes::GetInt64(buffer, &cursor, &bits) ||
+        !bytes::GetDouble(buffer, &cursor, &epsilon) ||
         !bytes::GetUint32(buffer, &cursor, &value_count)) {
       return false;
     }
-    if (ledger.bits < 0 || !std::isfinite(ledger.epsilon) ||
-        ledger.epsilon < 0.0) {
+    if (bits < 0 || !std::isfinite(epsilon) || epsilon < 0.0 ||
+        (buffer.size() - cursor) / kValueEntryBytes < value_count) {
       return false;
     }
+    entries.clear();
     int64_t value_bit_sum = 0;
-    ledger.bits_per_value.reserve(value_count);
     for (uint32_t v = 0; v < value_count; ++v) {
       int64_t value_id = 0;
-      int64_t bits = 0;
+      int64_t value_bits = 0;
       if (!bytes::GetInt64(buffer, &cursor, &value_id) ||
-          !bytes::GetInt64(buffer, &cursor, &bits)) {
+          !bytes::GetInt64(buffer, &cursor, &value_bits)) {
         return false;
       }
-      if (bits < 0 || !ledger.bits_per_value.emplace(value_id, bits).second) {
-        return false;  // negative count or duplicate value entry
+      if (value_bits < 0 ||
+          __builtin_add_overflow(value_bit_sum, value_bits, &value_bit_sum)) {
+        return false;
       }
-      value_bit_sum += bits;
+      entries.emplace_back(value_id, value_bits);
     }
     // Consistency: per-value bits must account for the client total.
-    if (value_bit_sum != ledger.bits) return false;
-    ledger_bit_sum += ledger.bits;
-    ledger_epsilon_sum += ledger.epsilon;
-    if (!ledgers.emplace(client_id, std::move(ledger)).second) {
-      return false;  // duplicate client entry
+    if (value_bit_sum != bits ||
+        __builtin_add_overflow(ledger_bit_sum, bits, &ledger_bit_sum)) {
+      return false;
+    }
+    std::sort(entries.begin(), entries.end());
+    if (std::adjacent_find(entries.begin(), entries.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first;
+                           }) != entries.end()) {
+      return false;  // duplicate value entry
+    }
+    ledger_epsilon_sum += epsilon;
+    ClientRow& row = rows.emplace_back();
+    row.client_id = client_id;
+    row.bits = bits;
+    row.epsilon = epsilon;
+    for (const auto& [value_id, value_bits] : entries) {
+      if (value_bits == 0) continue;
+      if (row.value_bits == 0) {
+        row.value_id = value_id;
+        row.value_bits = value_bits;
+      } else {
+        extras.push_back(ValueRow{client_id, value_id, value_bits});
+      }
+      // Values restored from a snapshot are marked fully announced: their
+      // first grant / first denial happened before the snapshot, and
+      // re-announcing them would fabricate flight-recorder events the
+      // original run never emitted.
+      decoded.announced_[value_id] = 3;
     }
   }
   if (ledger_bit_sum != total_bits) return false;
-
-  out->policy_ = policy;
-  out->ledgers_ = std::move(ledgers);
-  out->total_bits_ = total_bits;
+  const bool distinct_clients = BuildTable(
+      rows, [](const ClientRow& row) { return ClientHash(row.client_id); },
+      [](const ClientRow& a, const ClientRow& b) {
+        return a.client_id == b.client_id;
+      },
+      &decoded.clients_);
+  if (!distinct_clients) return false;  // duplicate client entry
+  // Distinct by now: each client's value ids were checked above.
+  BuildTable(
+      extras,
+      [](const ValueRow& row) { return PairHash(row.client_id, row.value_id); },
+      [](const ValueRow& a, const ValueRow& b) {
+        return a.client_id == b.client_id && a.value_id == b.value_id;
+      },
+      &decoded.values_);
+  decoded.client_count_ = rows.size();
+  decoded.value_count_ = extras.size();
+  decoded.total_bits_ = total_bits;
   // Recomputed in the canonical (sorted-client) encoding order; may differ
   // from a live run's charge-order sum by FP rounding, which is why the
   // deterministic-metrics contract is scoped to journal-only recovery
   // (replay re-charges in the original order).
-  out->total_epsilon_ = ledger_epsilon_sum;
-  out->denied_charges_ = denied_charges;
-  // Values restored from a snapshot are marked fully announced: their
-  // first grant / first denial happened before the snapshot, and
-  // re-announcing them would fabricate flight-recorder events the
-  // original run never emitted.
-  out->announced_.clear();
-  for (const auto& [client_id, ledger] : out->ledgers_) {
-    for (const auto& [value_id, bits] : ledger.bits_per_value) {
-      if (bits > 0) out->announced_[value_id] = 3;
-    }
-  }
+  decoded.total_epsilon_ = ledger_epsilon_sum;
+  decoded.denied_charges_ = denied_charges;
+  decoded.journal_ = out->journal_;
+  *out = std::move(decoded);
   out->RefreshObsGauges();
   *offset = cursor;
   return true;

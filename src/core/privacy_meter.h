@@ -7,13 +7,26 @@
 // Protocol code must obtain permission from the meter before a private bit
 // leaves a client; a denied charge means the client skips the round.
 //
+// Layout: the ledger is two open-addressed, power-of-two tables of
+// fixed-size rows, probed linearly and doubled at half load. The client
+// table holds one row per client: its bit and epsilon totals plus the id
+// and count of its first value, inline. Counts of a client's further
+// values go in a second table keyed by the (client, value) pair. A
+// campaign charges one value id per metric, so a charge usually touches a
+// single row. Memory stays proportional to the ledger's nonzero entries:
+// there is no per-value column and no per-client heap allocation, and a
+// decoded ledger sizes its tables from the entries it read, never from a
+// count claimed on disk.
+//
 // Durability: the ledger is exactly the state a coordinator must not lose
 // across a crash — a recovering server that forgot a charge could let a
 // second bit of the same value leave a client. The meter therefore supports
 // (a) a Journal hook through which every charge decision is write-ahead
 // logged (recovery re-applies the journaled charges through TryChargeBit
 // with the hook detached, exactly once), and (b) canonical
-// EncodeTo/DecodeFrom serialization for snapshots (src/persist/).
+// EncodeTo/DecodeFrom serialization for snapshots (src/persist/). The
+// encoding does not depend on the table layout: clients and values sorted
+// by id, zero entries omitted.
 
 #ifndef BITPUSH_CORE_PRIVACY_METER_H_
 #define BITPUSH_CORE_PRIVACY_METER_H_
@@ -83,6 +96,11 @@ class PrivacyMeter {
   // Number of charges rejected by a cap (or by an invalid epsilon).
   int64_t denied_charges() const { return denied_charges_; }
 
+  // Starts loading the ledger row a charge for `client_id` would read, so
+  // a caller that knows its next clients can overlap their cache misses.
+  // A hint only: it changes no state.
+  void Prefetch(int64_t client_id) const;
+
   const MeterPolicy& policy() const { return policy_; }
 
   // Canonical serialization of policy + full ledger (clients and values in
@@ -96,11 +114,45 @@ class PrivacyMeter {
                          PrivacyMeter* out);
 
  private:
-  struct ClientLedger {
-    int64_t bits = 0;
+  // A row whose `bits` is kFreeRow, never a count, is free, so that no
+  // client id (not even INT64_MIN or INT64_MAX) is reserved as the
+  // empty-slot key.
+  static constexpr int64_t kFreeRow = -1;
+
+  // One client's ledger, with its first value's count inline: `value_bits`
+  // stays 0 until the client has a nonzero count, and only a client with
+  // an inline value has rows in values_.
+  struct ClientRow {
+    int64_t client_id = 0;
+    int64_t bits = kFreeRow;
     double epsilon = 0.0;
-    std::unordered_map<int64_t, int64_t> bits_per_value;
+    int64_t value_id = 0;
+    int64_t value_bits = 0;
+
+    bool used() const { return bits != kFreeRow; }
   };
+  // The count of one (client, value) pair other than the client's inline
+  // value; positive in a used row.
+  struct ValueRow {
+    int64_t client_id = 0;
+    int64_t value_id = 0;
+    int64_t bits = kFreeRow;
+
+    bool used() const { return bits != kFreeRow; }
+  };
+
+  // The index of the client's row, or of the free row where it would go.
+  // clients_ must not be empty.
+  size_t ClientSlot(int64_t client_id) const;
+  // The client's row, or nullptr.
+  const ClientRow* FindClient(int64_t client_id) const;
+  // Bits disclosed about `value_id` by the client whose row is `row`.
+  int64_t ValueBitsOf(const ClientRow& row, int64_t value_id) const;
+  // Adds a row for a client that has none and returns it. May move every
+  // row of clients_.
+  ClientRow& InsertClient(int64_t client_id);
+  // Adds `bits` to a (client, value) count kept in values_.
+  void AddExtraValueBits(int64_t client_id, int64_t value_id, int64_t bits);
 
   // Publishes the ledger totals as obs gauges (core/privacy_meter.cc);
   // called after every ledger mutation and after DecodeFrom so live,
@@ -116,7 +168,12 @@ class PrivacyMeter {
   void NoteChargeOutcome(int64_t value_id, bool granted);
 
   MeterPolicy policy_;
-  std::unordered_map<int64_t, ClientLedger> ledgers_;
+  // Power-of-two sized (or empty) open-addressed tables; see the file
+  // comment.
+  std::vector<ClientRow> clients_;
+  size_t client_count_ = 0;
+  std::vector<ValueRow> values_;
+  size_t value_count_ = 0;
   int64_t total_bits_ = 0;
   double total_epsilon_ = 0.0;
   int64_t denied_charges_ = 0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "federated/obs_hooks.h"
 #include "obs/trace.h"
@@ -127,7 +128,7 @@ std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
         config.resilience.budget = query_budget;
       }
       if (health_.has_value()) config.health = &*health_;
-      const FederatedQueryResult outcome = RunFederatedMeanQuery(
+      FederatedQueryResult outcome = RunFederatedMeanQuery(
           *populations[q], codecs[q], config, meter_, query_rng);
       retry_stats_.MergeFrom(outcome.retry);
       result.reports = outcome.round1.responded + outcome.round2.responded;
@@ -141,7 +142,7 @@ std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
         result.estimate = outcome.estimate;
       }
       if (recorder_ != nullptr) {
-        recorder_->OnQueryFinished(tick, q, result, outcome);
+        recorder_->OnQueryFinished(tick, q, result, std::move(outcome));
       }
     }
     // Query-boundary metrics live on this common tail so a query restored

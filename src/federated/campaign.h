@@ -76,10 +76,10 @@ class CampaignRecorder : public QueryRecorder {
                               int64_t /*value_id*/) {}
 
   // A live query finished; `outcome` carries the full protocol-level result
-  // behind the summarized tick result.
+  // behind the summarized tick result, and the recorder may keep it.
   virtual void OnQueryFinished(int64_t /*tick*/, size_t /*query_index*/,
                                const CampaignTickResult& /*result*/,
-                               const FederatedQueryResult& /*outcome*/) {}
+                               FederatedQueryResult /*outcome*/) {}
 };
 
 class MeasurementCampaign {

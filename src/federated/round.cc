@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "core/bit_probabilities.h"
 #include "core/bit_pushing.h"
@@ -173,17 +174,16 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   result.round2_probabilities = round2_probabilities;
 
   // Round 2 over the remaining cohort. Clients that crashed after their
-  // round-1 assignment re-check-in here; the server's dedup (keyed on
-  // every id round 1 assigned, backfill included) rejects them, so no
+  // round-1 assignment re-check-in here; the server's dedup (marking
+  // every index round 1 assigned, backfill included) rejects them, so no
   // client is ever assigned twice in one query.
   std::vector<int64_t> cohort2_full = cohort2;
   cohort2_full.insert(cohort2_full.end(),
                       result.round1.crashed_clients.begin(),
                       result.round1.crashed_clients.end());
-  std::unordered_set<int64_t> assigned_round1;
-  assigned_round1.reserve(result.round1.assigned_clients.size());
+  std::vector<uint8_t> assigned_round1(clients.size(), 0);
   for (const int64_t idx : result.round1.assigned_clients) {
-    assigned_round1.insert(clients[static_cast<size_t>(idx)].id());
+    assigned_round1[static_cast<size_t>(idx)] = 1;
   }
   RoundConfig round2_config = round1_config;
   round2_config.probabilities = round2_probabilities;

@@ -13,6 +13,14 @@
 
 namespace bitpush {
 
+namespace {
+
+// How many slots ahead RunRound prefetches: far enough to cover a miss to
+// memory, near enough that the lines are still cached when the slot runs.
+constexpr int64_t kPrefetchDistance = 8;
+
+}  // namespace
+
 AggregationServer::AggregationServer(const FixedPointCodec& codec)
     : codec_(codec) {}
 
@@ -57,12 +65,14 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
 
   // Check-in: clients already assigned in an earlier round of this query
   // (crash-then-recheckin) are rejected before any assignment is issued.
+  if (config.already_assigned != nullptr) {
+    BITPUSH_CHECK_EQ(config.already_assigned->size(), clients.size());
+  }
   std::vector<int64_t> active;
   active.reserve(cohort.size());
   for (const int64_t idx : cohort) {
     if (config.already_assigned != nullptr &&
-        config.already_assigned->contains(
-            clients[static_cast<size_t>(idx)].id())) {
+        (*config.already_assigned)[static_cast<size_t>(idx)] != 0) {
       ++outcome.faults.recheckins_rejected;
       continue;
     }
@@ -262,6 +272,23 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       }
     }
     for (int64_t i = 0; i < k; ++i) {
+      // The cohort is a shuffled permutation, so each slot's Client, its
+      // values and its ledger row are random accesses. Fetch the Client
+      // 2 * kPrefetchDistance slots ahead, and kPrefetchDistance slots
+      // ahead, once it has arrived, what it points to.
+      if (i + 2 * kPrefetchDistance < k) {
+        // A Client can straddle two cache lines.
+        const Client* later = &clients[static_cast<size_t>(
+            eligible[static_cast<size_t>(i + 2 * kPrefetchDistance)])];
+        __builtin_prefetch(later);
+        __builtin_prefetch(reinterpret_cast<const char*>(later + 1) - 1);
+      }
+      if (i + kPrefetchDistance < k) {
+        const Client& ahead = clients[static_cast<size_t>(
+            eligible[static_cast<size_t>(i + kPrefetchDistance)])];
+        __builtin_prefetch(ahead.values().data());
+        if (meter != nullptr) meter->Prefetch(ahead.id());
+      }
       const int64_t idx = eligible[static_cast<size_t>(i)];
       const int64_t client_id = clients[static_cast<size_t>(idx)].id();
       const BitRequest request{config.round_id, config.value_id,

@@ -6,7 +6,6 @@
 #define BITPUSH_FEDERATED_SERVER_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/bit_pushing.h"
@@ -43,10 +42,12 @@ struct RoundConfig {
   // Replacement clients (indices into `clients`), drawn in order by the
   // backfill passes when accepted reports fall short of the cohort.
   std::vector<int64_t> backfill_pool;
-  // Client ids assigned in an earlier round of the same query. Their
-  // check-ins are rejected and counted (the crash-recheckin dedup policy:
-  // at most one assignment per client per query).
-  const std::unordered_set<int64_t>* already_assigned = nullptr;
+  // One byte per index into `clients`, nonzero for the clients assigned
+  // in an earlier round of the same query. Their check-ins are rejected
+  // and counted (the crash-recheckin dedup policy: at most one assignment
+  // per client per query). Indices stand in for ids because a
+  // population's client ids are unique.
+  const std::vector<uint8_t>* already_assigned = nullptr;
   // Active recovery (federated/resilience.h): retries, hedged assignments,
   // and the round's deadline budget. The default disables everything and
   // reproduces pre-resilience behavior byte for byte.

@@ -84,8 +84,8 @@ class CaptureRecorder : public CampaignRecorder {
   }
   void OnQueryFinished(int64_t /*tick*/, size_t query_index,
                        const CampaignTickResult& /*result*/,
-                       const FederatedQueryResult& outcome) override {
-    outcomes[query_index] = outcome;
+                       FederatedQueryResult outcome) override {
+    outcomes[query_index] = std::move(outcome);
   }
   bool RestoreRound(int64_t /*round_id*/,
                     const std::vector<int64_t>& /*cohort*/,

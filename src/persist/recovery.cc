@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <utility>
 
 #include "federated/obs_hooks.h"
 #include "obs/events.h"
@@ -60,8 +61,8 @@ uint64_t CohortDigest(const std::vector<int64_t>& cohort) {
   return digest;
 }
 
-// A restored query's round outcomes serve full_results(), whose readers
-// need the tallies, not the per-client id lists.
+// Round outcomes serve full_results(), whose reader needs the tallies, not
+// the per-client id lists.
 void DropIdLists(RoundOutcome* outcome) {
   outcome->assigned_clients = {};
   outcome->crashed_clients = {};
@@ -522,13 +523,16 @@ void DurableCampaignRunner::OnQueryStarted(int64_t tick, size_t query_index,
 
 void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
                                             const CampaignTickResult& result,
-                                            const FederatedQueryResult& outcome) {
+                                            FederatedQueryResult outcome) {
   const auto key = std::make_pair(tick, static_cast<int64_t>(query_index));
-  full_results_[key] = outcome;
+  DropIdLists(&outcome.round1);
+  DropIdLists(&outcome.round2);
+  const std::vector<double>& final_bit_means =
+      (full_results_[key] = std::move(outcome)).final_bit_means;
   if (result.status == CampaignTickResult::Status::kRan &&
-      !outcome.final_bit_means.empty()) {
+      !final_bit_means.empty()) {
     bit_means_cache_[campaign_.queries()[query_index].value_id] =
-        outcome.final_bit_means;
+        final_bit_means;
   }
   if (!durable()) return;
 
@@ -536,7 +540,7 @@ void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
   record.tick = tick;
   record.query_index = static_cast<int64_t>(query_index);
   record.result = result;
-  record.final_bit_means = outcome.final_bit_means;
+  record.final_bit_means = final_bit_means;
   std::vector<uint8_t> payload;
   EncodeQueryFinishedRecord(record, &payload);
   Append(JournalRecordType::kQueryFinished, payload);
@@ -545,7 +549,7 @@ void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
   entry.tick = tick;
   entry.query_index = static_cast<int64_t>(query_index);
   entry.result = result;
-  entry.final_bit_means = outcome.final_bit_means;
+  entry.final_bit_means = final_bit_means;
   BITPUSH_CHECK(finished_.emplace(key, entry).second)
       << "query finished twice";
 }

@@ -174,10 +174,12 @@ class DurableCampaignRunner : private CampaignRecorder,
     return bit_means_cache_;
   }
   // Protocol-level results of the latest tick's queries, keyed by (tick,
-  // query index). A query this process executed live has its full result;
-  // a query restored from the journal carries only its round outcomes,
-  // without their id lists; a query restored from a snapshot is absent.
-  // Each RunTick clears it first, so it never holds an earlier tick.
+  // query index). Their round outcomes never hold the per-client id lists:
+  // the tallies are what the shard harvest reads. A query this process
+  // executed live has the rest of its result; a query restored from the
+  // journal carries only its round outcomes; a query restored from a
+  // snapshot is absent. Each RunTick clears it first, so it never holds an
+  // earlier tick.
   const std::map<std::pair<int64_t, int64_t>, FederatedQueryResult>&
   full_results() const {
     return full_results_;
@@ -198,7 +200,7 @@ class DurableCampaignRunner : private CampaignRecorder,
                       int64_t value_id) override;
   void OnQueryFinished(int64_t tick, size_t query_index,
                        const CampaignTickResult& result,
-                       const FederatedQueryResult& outcome) override;
+                       FederatedQueryResult outcome) override;
   // QueryRecorder:
   bool RestoreRound(int64_t round_id, const std::vector<int64_t>& cohort,
                     RoundOutcome* out) override;

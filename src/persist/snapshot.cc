@@ -18,6 +18,13 @@ namespace bitpush {
 namespace {
 
 constexpr uint8_t kSnapshotMagic[4] = {'B', 'P', 'S', 'N'};
+// Encoded sizes of the smallest finished-query entry (tick, query index, a
+// tick result with an empty name, no bit means) and of the smallest
+// bit-means entry (value id, no means). DecodeBody bounds the counts it
+// reads by the bytes that remain, so a corrupt count fails closed instead
+// of sizing an allocation.
+constexpr size_t kMinFinishedEntryBytes = 8 + 8 + (8 + 4 + 1 + 8 + 8) + 4;
+constexpr size_t kMinBitMeansEntryBytes = 8 + 4;
 
 std::string IoError(const std::string& action, const std::string& path) {
   return action + " " + path + ": " + std::strerror(errno);
@@ -72,7 +79,10 @@ bool DecodeBody(const std::vector<uint8_t>& buffer, size_t* offset,
   if (snapshot.completed_ticks < 0) return false;
 
   uint32_t finished_count = 0;
-  if (!bytes::GetUint32(buffer, &cursor, &finished_count)) return false;
+  if (!bytes::GetUint32(buffer, &cursor, &finished_count) ||
+      (buffer.size() - cursor) / kMinFinishedEntryBytes < finished_count) {
+    return false;
+  }
   snapshot.finished.reserve(finished_count);
   for (uint32_t i = 0; i < finished_count; ++i) {
     FinishedQueryEntry entry;
@@ -102,7 +112,10 @@ bool DecodeBody(const std::vector<uint8_t>& buffer, size_t* offset,
   }
 
   uint32_t means_count = 0;
-  if (!bytes::GetUint32(buffer, &cursor, &means_count)) return false;
+  if (!bytes::GetUint32(buffer, &cursor, &means_count) ||
+      (buffer.size() - cursor) / kMinBitMeansEntryBytes < means_count) {
+    return false;
+  }
   snapshot.bit_means.reserve(means_count);
   for (uint32_t i = 0; i < means_count; ++i) {
     BitMeansEntry entry;

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/privacy_meter.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "rng/rng.h"
@@ -234,6 +235,90 @@ TEST_F(PersistFuzzTest, JournalReaderRejectsEveryOtherFormatVersion) {
     EXPECT_FALSE(ReadJournal(path_, 0, &result, &error)) << version;
     EXPECT_NE(error.find("format version"), std::string::npos) << error;
   }
+}
+
+// A snapshot body with a valid CRC whose finished-query and bit-means
+// counts are the given values and whose sections are otherwise empty.
+std::vector<uint8_t> SnapshotWithCounts(uint32_t finished_count,
+                                        uint32_t means_count) {
+  std::vector<uint8_t> bytes = {'B', 'P', 'S', 'N', kSnapshotFormatVersion};
+  bytes::PutUint64(1, &bytes);  // base seed
+  bytes::PutUint64(0, &bytes);  // journal next seq
+  bytes::PutInt64(0, &bytes);   // completed ticks
+  bytes::PutUint32(0, &bytes);  // meter blob length
+  bytes::PutUint32(finished_count, &bytes);
+  if (finished_count == 0) {
+    bytes::PutUint32(means_count, &bytes);
+    bytes::PutUint32(0, &bytes);  // health blob length
+  }
+  bytes::PutUint32(bytes::Crc32(bytes), &bytes);
+  return bytes;
+}
+
+// A meter blob with a valid policy and no charges, then `tail`.
+std::vector<uint8_t> MeterBlobWithTail(const std::vector<uint8_t>& tail) {
+  std::vector<uint8_t> blob;
+  bytes::PutInt64(1, &blob);     // max bits per value
+  bytes::PutInt64(1, &blob);     // max bits per client
+  bytes::PutDouble(1.0, &blob);  // max epsilon per client
+  bytes::PutInt64(0, &blob);     // total bits
+  bytes::PutInt64(0, &blob);     // denied charges
+  blob.insert(blob.end(), tail.begin(), tail.end());
+  return blob;
+}
+
+TEST_F(PersistFuzzTest, SnapshotWithOversizedFinishedCountFailsClosed) {
+  // 41 bytes that claim 2^32 - 1 finished queries: the count must be
+  // checked against the bytes left, not used to size an allocation.
+  const std::vector<uint8_t> bytes = SnapshotWithCounts(0xFFFFFFFF, 0);
+  ASSERT_EQ(bytes.size(), 41u);
+  WriteBytes(bytes);
+  CoordinatorSnapshot snapshot;
+  bool found = false;
+  std::string error;
+  EXPECT_FALSE(LoadSnapshotFile(path_, &snapshot, &found, &error));
+  EXPECT_FALSE(error.empty());
+}
+
+TEST_F(PersistFuzzTest, SnapshotWithOversizedBitMeansCountFailsClosed) {
+  WriteBytes(SnapshotWithCounts(0, 0xFFFFFFFF));
+  CoordinatorSnapshot snapshot;
+  bool found = false;
+  std::string error;
+  EXPECT_FALSE(LoadSnapshotFile(path_, &snapshot, &found, &error));
+  EXPECT_FALSE(error.empty());
+  // The same file with a truthful count loads.
+  WriteBytes(SnapshotWithCounts(0, 0));
+  error.clear();
+  EXPECT_TRUE(LoadSnapshotFile(path_, &snapshot, &found, &error)) << error;
+  EXPECT_TRUE(found);
+}
+
+TEST_F(PersistFuzzTest, MeterBlobWithOversizedClientCountFailsClosed) {
+  // 44 bytes that claim 2^32 - 1 clients.
+  std::vector<uint8_t> count;
+  bytes::PutUint32(0xFFFFFFFF, &count);
+  const std::vector<uint8_t> blob = MeterBlobWithTail(count);
+  ASSERT_EQ(blob.size(), 44u);
+  PrivacyMeter meter{MeterPolicy{}};
+  size_t offset = 0;
+  EXPECT_FALSE(PrivacyMeter::DecodeFrom(blob, &offset, &meter));
+  EXPECT_EQ(offset, 0u);
+}
+
+TEST_F(PersistFuzzTest, MeterBlobWithOversizedValueCountFailsClosed) {
+  // One client whose entry claims 2^32 - 1 values.
+  std::vector<uint8_t> tail;
+  bytes::PutUint32(1, &tail);     // clients
+  bytes::PutInt64(42, &tail);     // client id
+  bytes::PutInt64(0, &tail);      // bits
+  bytes::PutDouble(0.0, &tail);   // epsilon
+  bytes::PutUint32(0xFFFFFFFF, &tail);
+  PrivacyMeter meter{MeterPolicy{}};
+  size_t offset = 0;
+  EXPECT_FALSE(
+      PrivacyMeter::DecodeFrom(MeterBlobWithTail(tail), &offset, &meter));
+  EXPECT_EQ(offset, 0u);
 }
 
 TEST(SnapshotFuzzTest, DecoderFailsClosedOnEveryMutation) {

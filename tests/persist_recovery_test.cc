@@ -469,9 +469,9 @@ TEST_F(RecoveryTest, RecoveryRefusesAForeignMeterPolicy) {
 }
 
 TEST_F(RecoveryTest, FullResultsHoldOnlyTheLatestTick) {
-  // Each full result carries both rounds' per-client id lists, so keeping
-  // every tick's would grow with the campaign; its reader (the shard
-  // harvest) only ever looks up the tick it just ran.
+  // Keeping every tick's results would grow with the campaign; their
+  // reader (the shard harvest) only ever looks up the tick it just ran,
+  // and reads tallies, so no round keeps its per-client id lists either.
   DurableCampaignRunner runner(MakeQueries(), policy_,
                                Options(FreshDir("latest_tick")));
   std::string error;
@@ -482,6 +482,13 @@ TEST_F(RecoveryTest, FullResultsHoldOnlyTheLatestTick) {
   std::vector<std::pair<int64_t, int64_t>> keys;
   for (const auto& [key, outcome] : runner.full_results()) {
     keys.push_back(key);
+    EXPECT_GT(outcome.round1.contacted, 0);
+    for (const RoundOutcome* round : {&outcome.round1, &outcome.round2}) {
+      EXPECT_TRUE(round->assigned_clients.empty());
+      EXPECT_TRUE(round->crashed_clients.empty());
+      EXPECT_TRUE(round->succeeded_client_ids.empty());
+      EXPECT_TRUE(round->failed_client_ids.empty());
+    }
   }
   const std::vector<std::pair<int64_t, int64_t>> latest = {{3, 0}, {3, 1}};
   EXPECT_EQ(keys, latest);

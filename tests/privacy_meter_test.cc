@@ -1,11 +1,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/privacy_meter.h"
+#include "util/bytes.h"
 
 namespace bitpush {
 namespace {
@@ -181,6 +183,73 @@ TEST(PrivacyMeterTest, EncodeDecodeRoundTripsLedger) {
   PrivacyMeter sink{MeterPolicy{}};
   offset = 0;
   PrivacyMeter::DecodeFrom(corrupt, &offset, &sink);  // must not crash
+}
+
+// One client entry of an encoded meter: its id, bit total and (value id,
+// bits) entries, as listed.
+struct EncodedClient {
+  int64_t id = 0;
+  int64_t bits = 0;
+  std::vector<std::pair<int64_t, int64_t>> values;
+};
+
+// A meter blob under permissive caps with the given totals and entries,
+// written field by field so that it can hold what EncodeTo never writes.
+std::vector<uint8_t> MeterBlob(int64_t total_bits,
+                               const std::vector<EncodedClient>& clients) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<uint8_t> blob;
+  bytes::PutInt64(kMax, &blob);  // max bits per value
+  bytes::PutInt64(kMax, &blob);  // max bits per client
+  bytes::PutDouble(1.0, &blob);  // max epsilon per client
+  bytes::PutInt64(total_bits, &blob);
+  bytes::PutInt64(0, &blob);  // denied charges
+  bytes::PutUint32(static_cast<uint32_t>(clients.size()), &blob);
+  for (const EncodedClient& client : clients) {
+    bytes::PutInt64(client.id, &blob);
+    bytes::PutInt64(client.bits, &blob);
+    bytes::PutDouble(0.0, &blob);  // epsilon
+    bytes::PutUint32(static_cast<uint32_t>(client.values.size()), &blob);
+    for (const auto& [value_id, bits] : client.values) {
+      bytes::PutInt64(value_id, &blob);
+      bytes::PutInt64(bits, &blob);
+    }
+  }
+  return blob;
+}
+
+bool Decodes(const std::vector<uint8_t>& blob) {
+  PrivacyMeter meter{MeterPolicy{}};
+  size_t offset = 0;
+  return PrivacyMeter::DecodeFrom(blob, &offset, &meter);
+}
+
+TEST(PrivacyMeterTest, DecodeRejectsDuplicateAndInconsistentEntries) {
+  // The control: distinct clients, a zero entry, and values out of order.
+  EXPECT_TRUE(Decodes(MeterBlob(
+      3, {{7, 2, {{5, 1}, {2, 1}, {9, 0}}}, {3, 1, {{5, 1}}}, {4, 0, {}}})));
+  // A client listed twice, also when both entries are zero.
+  EXPECT_FALSE(Decodes(MeterBlob(2, {{7, 1, {{5, 1}}}, {7, 1, {{6, 1}}}})));
+  EXPECT_FALSE(Decodes(MeterBlob(0, {{4, 0, {}}, {4, 0, {}}})));
+  // A value listed twice for one client, also with a zero count.
+  EXPECT_FALSE(Decodes(MeterBlob(2, {{7, 2, {{5, 1}, {5, 1}}}})));
+  EXPECT_FALSE(Decodes(MeterBlob(1, {{7, 1, {{5, 0}, {6, 1}, {5, 0}}}})));
+  // Value bits that miss the client total, and client bits that miss the
+  // meter total.
+  EXPECT_FALSE(Decodes(MeterBlob(2, {{7, 2, {{5, 1}}}})));
+  EXPECT_FALSE(Decodes(MeterBlob(2, {{7, 1, {{5, 1}}}})));
+}
+
+TEST(PrivacyMeterTest, DecodeRejectsBitCountsThatOverflow) {
+  // Counts whose sum passes INT64_MAX are corrupt: they are rejected, not
+  // summed with signed overflow.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_TRUE(Decodes(MeterBlob(kMax, {{0, kMax, {{1, kMax}}}})));
+  // One client's value counts overflow.
+  EXPECT_FALSE(Decodes(MeterBlob(kMax, {{0, kMax, {{1, kMax}, {2, 1}}}})));
+  // Two clients' totals overflow.
+  EXPECT_FALSE(
+      Decodes(MeterBlob(kMax, {{0, kMax, {{1, kMax}}}, {1, 1, {{1, 1}}}})));
 }
 
 }  // namespace

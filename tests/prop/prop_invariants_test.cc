@@ -30,6 +30,7 @@
 #include "ldp/randomized_response.h"
 #include "prop/bitprop.h"
 #include "rng/rng.h"
+#include "util/bytes.h"
 
 namespace bitpush {
 namespace {
@@ -499,26 +500,54 @@ Domain<MeterCase> MeterDomain() {
     const double epsilon_caps[] = {0.5, 1.0, 4.0,
                                    std::numeric_limits<double>::infinity()};
     c.max_epsilon_per_client = epsilon_caps[rng.NextBelow(4)];
-    const size_t n = 1 + static_cast<size_t>(rng.NextBelow(64));
+    // The extremes of int64 (no id may double as the ledger's free-row
+    // marker) plus up to a few thousand ids from a wide range, so the
+    // ledger's tables double several times and their probes wrap.
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    std::vector<int64_t> clients = {kMin, -1, 0, 1, kMax};
+    const size_t extra_clients = static_cast<size_t>(rng.NextBelow(3000));
+    for (size_t i = 0; i < extra_clients; ++i) {
+      clients.push_back(static_cast<int64_t>(rng.NextBelow(20000)) - 10000);
+    }
+    // Each client holds 1-6 distinct value ids out of a pool of 8.
+    const int64_t value_pool[] = {kMin, -7, 0, 1, 2, 3, 1000, kMax};
+    std::vector<std::vector<int64_t>> values(clients.size());
+    for (std::vector<int64_t>& held : values) {
+      std::vector<int64_t> pool(std::begin(value_pool), std::end(value_pool));
+      const size_t count = 1 + static_cast<size_t>(rng.NextBelow(6));
+      for (size_t v = 0; v < count; ++v) {
+        const size_t pick = v + static_cast<size_t>(rng.NextBelow(
+                                    static_cast<uint64_t>(pool.size() - v)));
+        std::swap(pool[v], pool[pick]);
+        held.push_back(pool[v]);
+      }
+    }
+    const size_t n = 1 + static_cast<size_t>(rng.NextBelow(
+                             static_cast<uint64_t>(3 * clients.size())));
     c.ops.resize(n);
     for (ChargeOp& op : c.ops) {
-      op.client = static_cast<int64_t>(rng.NextBelow(4));
-      op.value = static_cast<int64_t>(rng.NextBelow(6));
+      const size_t who = static_cast<size_t>(rng.NextBelow(clients.size()));
+      op.client = clients[who];
+      op.value = values[who][static_cast<size_t>(
+          rng.NextBelow(static_cast<uint64_t>(values[who].size())))];
       op.epsilon_selector = static_cast<int64_t>(rng.NextBelow(8));
     }
     return c;
   };
   domain.shrink = [](const MeterCase& c) {
+    // Remove runs of ops, longest first. Single ops go only once a case is
+    // short, so a case of thousands of ops yields a bounded candidate list.
     std::vector<MeterCase> out;
-    if (c.ops.size() > 1) {
-      MeterCase smaller = c;
-      smaller.ops.resize(c.ops.size() / 2);
-      out.push_back(smaller);
-    }
-    for (size_t i = 0; i < c.ops.size(); ++i) {
-      MeterCase smaller = c;
-      smaller.ops.erase(smaller.ops.begin() + static_cast<ptrdiff_t>(i));
-      out.push_back(smaller);
+    const size_t n = c.ops.size();
+    for (size_t run = n / 2; run >= 1 && n / run <= 64; run /= 2) {
+      for (size_t start = 0; start < n; start += run) {
+        const size_t end = std::min(start + run, n);
+        MeterCase smaller = c;
+        smaller.ops.erase(smaller.ops.begin() + static_cast<ptrdiff_t>(start),
+                          smaller.ops.begin() + static_cast<ptrdiff_t>(end));
+        out.push_back(std::move(smaller));
+      }
     }
     return out;
   };
@@ -573,6 +602,43 @@ struct MeterModel {
   double total_epsilon = 0.0;
   int64_t denied = 0;
 };
+
+// The canonical meter encoding, written over the model's sorted maps: the
+// policy and totals, then each client with a nonzero ledger in id order,
+// with its nonzero value counts in value order.
+std::vector<uint8_t> EncodeModel(const MeterModel& model) {
+  std::vector<uint8_t> out;
+  bytes::PutInt64(model.policy.max_bits_per_value, &out);
+  bytes::PutInt64(model.policy.max_bits_per_client, &out);
+  bytes::PutDouble(model.policy.max_epsilon_per_client, &out);
+  bytes::PutInt64(model.total_bits, &out);
+  bytes::PutInt64(model.denied, &out);
+  std::vector<int64_t> clients;
+  for (const auto& [client, bits] : model.bits_per_client) {
+    if (bits > 0 || model.epsilon_per_client.at(client) > 0.0) {
+      clients.push_back(client);
+    }
+  }
+  bytes::PutUint32(static_cast<uint32_t>(clients.size()), &out);
+  for (const int64_t client : clients) {
+    bytes::PutInt64(client, &out);
+    bytes::PutInt64(model.bits_per_client.at(client), &out);
+    bytes::PutDouble(model.epsilon_per_client.at(client), &out);
+    std::vector<std::pair<int64_t, int64_t>> values;
+    for (auto it = model.bits_per_value.lower_bound(
+             {client, std::numeric_limits<int64_t>::min()});
+         it != model.bits_per_value.end() && it->first.first == client;
+         ++it) {
+      if (it->second > 0) values.emplace_back(it->first.second, it->second);
+    }
+    bytes::PutUint32(static_cast<uint32_t>(values.size()), &out);
+    for (const auto& [value, bits] : values) {
+      bytes::PutInt64(value, &out);
+      bytes::PutInt64(bits, &out);
+    }
+  }
+  return out;
+}
 
 TEST(PropInvariantsTest, PrivacyMeterConservesBudgetAgainstReferenceModel) {
   CheckProperty<MeterCase>(
@@ -638,8 +704,8 @@ TEST(PropInvariantsTest, PrivacyMeterConservesBudgetAgainstReferenceModel) {
 
 TEST(PropInvariantsTest, PrivacyMeterSerializationRoundTripIsCanonical) {
   CheckProperty<MeterCase>(
-      "EncodeTo -> DecodeFrom -> EncodeTo reproduces identical bytes and an "
-      "identical ledger",
+      "EncodeTo writes the model's canonical bytes, and EncodeTo -> "
+      "DecodeFrom -> EncodeTo reproduces them and an identical ledger",
       MeterDomain(),
       [](const MeterCase& c) -> std::optional<std::string> {
         MeterPolicy policy;
@@ -647,11 +713,18 @@ TEST(PropInvariantsTest, PrivacyMeterSerializationRoundTripIsCanonical) {
         policy.max_bits_per_client = c.max_bits_per_client;
         policy.max_epsilon_per_client = c.max_epsilon_per_client;
         PrivacyMeter meter(policy);
+        MeterModel model(policy);
         for (const ChargeOp& op : c.ops) {
           meter.TryChargeBit(op.client, op.value, op.epsilon());
+          model.Charge(op.client, op.value, op.epsilon());
         }
         std::vector<uint8_t> encoded;
         meter.EncodeTo(&encoded);
+        // A self round trip cannot catch an encoder and a decoder that are
+        // wrong in the same way; an encoder written over the model can.
+        if (encoded != EncodeModel(model)) {
+          return "EncodeTo differs from the model's canonical encoding";
+        }
         PrivacyMeter decoded((MeterPolicy()));
         size_t offset = 0;
         if (!PrivacyMeter::DecodeFrom(encoded, &offset, &decoded)) {
