@@ -69,13 +69,15 @@ ctest --test-dir "$BUILD_DIR-asan" --output-on-failure \
 # kernel dispatch latch and ScopedForceScalar are atomics (`Kernel`). The
 # fleet and resilience suites drive the collection state machines, and the
 # bitprop suites ride along so the differential oracles also run
-# instrumented.
+# instrumented. ShardedCampaignRunner runs a tick's shards on worker
+# threads, so the shard suites (`Shard`: the determinism cases, the kill
+# matrix and the chaos suites) and the sharded oracle in `Prop` run here.
 cmake -B "$BUILD_DIR-tsan" -G Ninja -DBITPUSH_SANITIZE=thread
 cmake --build "$BUILD_DIR-tsan" \
   --target concurrency_tests resilience_tests obs_tests prop_tests \
-  kernel_tests
+  kernel_tests shard_tests
 ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-  -R '(Fleet|Resilience|Obs|Prop|Kernel)'
+  -R '(Fleet|Resilience|Obs|Prop|Kernel|Shard)'
 
 # Crash-recovery stage: run a durable campaign, kill it (exit 137, the
 # SIGKILL status) after N journal appends, restart it against the same
@@ -192,10 +194,6 @@ for b in "$BUILD_DIR"/bench/*; do
     BITPUSH_OBS_BENCH_JSON="$BUILD_DIR/BENCH_obs_overhead.json" \
       "$b" --benchmark_out="$BUILD_DIR/BENCH_micro_throughput.json" \
       --benchmark_out_format=json
-  elif [[ "$(basename "$b")" == bench_shard_scaling ]]; then
-    # Shard-out makespan scaling (docs/SHARDING.md); the JSON lands next
-    # to the other BENCH_* artifacts.
-    BITPUSH_SHARD_BENCH_JSON="$BUILD_DIR/BENCH_shard_scaling.json" "$b"
   else
     "$b"
   fi

@@ -4,15 +4,26 @@
 // that each charge their own shard-local meter during collection; the
 // delivery loop and the reference below move already-metered tallies.
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "federated/server.h"
+#include "obs/capture.h"
 #include "obs/events.h"
 #include "obs/trace.h"
 #include "persist/journal.h"
@@ -114,6 +125,158 @@ RetryPolicy ShardBackoffPolicy(RetryPolicy policy,
   return policy;
 }
 
+// Threads for a tick's shard tasks: one per shard, capped by the CPUs in
+// the process's affinity mask, so `taskset` bounds it.
+int64_t ShardWorkers(int64_t shards) {
+  int64_t cpus = 0;
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    cpus = CPU_COUNT(&allowed);
+  }
+#endif
+  if (cpus <= 0) {
+    cpus = static_cast<int64_t>(std::thread::hardware_concurrency());
+  }
+  return std::clamp<int64_t>(cpus, 1, shards);
+}
+
+// Hands the heap's free pages back to the system. Each worker thread
+// allocates from its own glibc arena, which neither reuses what other
+// arenas freed nor returns what its own frees release. Trimming before a
+// parallel phase keeps earlier garbage from stacking under the workers'
+// transients, and trimming after it keeps their transients from stacking
+// under what runs next (docs/SHARDING.md §4 has the measured peaks).
+void ReleaseFreeHeap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+// What one shard task leaves for the caller, which applies it in shard
+// order after every task has finished.
+struct ShardTask {
+  // The task's order-dependent obs writes (obs/capture.h).
+  obs::TaskCapture capture;
+  // False on a durability violation, described in `error`.
+  bool ok = true;
+  std::string error;
+  // The delivery loop's outcome: the decoded frame when delivered, the
+  // simulated minutes its attempts took, and whether a crash recovery came
+  // before the delivery.
+  bool delivered = false;
+  bool recovered = false;
+  double clock = 0.0;
+  ShardTickFrame frame;
+};
+
+// Runs run(i, &tasks[i]) for every task on up to `workers` threads, the
+// caller included, and returns once every task has finished and every
+// thread is joined. With one worker the caller runs the tasks in order and
+// starts no thread. When there is more than one task, each runs under its
+// own obs capture, which the caller replays in task order; a lone task
+// writes straight through, since nothing can reorder it. An exception a
+// task throws is rethrown here, the lowest task's first.
+template <typename Run>
+void RunShardTasks(std::vector<ShardTask>* tasks, int64_t workers,
+                   const Run& run) {
+  const size_t count = tasks->size();
+  std::vector<std::exception_ptr> failures(count);
+  std::atomic<size_t> next{0};
+  const auto drain = [&] {
+    for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      ShardTask& task = (*tasks)[i];
+      const obs::TaskCapture::Scope capture(count > 1 ? &task.capture
+                                                      : nullptr);
+      try {
+        run(i, &task);
+      } catch (...) {
+        failures[i] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  const size_t threads_used = std::min(static_cast<size_t>(workers), count);
+  if (threads_used > 1) ReleaseFreeHeap();
+  for (size_t w = 1; w < threads_used; ++w) {
+    try {
+      threads.emplace_back(drain);
+    } catch (const std::system_error&) {
+      break;  // no thread to spare: the caller drains the rest
+    }
+  }
+  drain();
+  for (std::thread& thread : threads) thread.join();
+  if (threads_used > 1) ReleaseFreeHeap();
+  for (const std::exception_ptr& failure : failures) {
+    if (failure != nullptr) std::rethrow_exception(failure);
+  }
+}
+
+// One shard's delivery loop for `tick`: the attempts with capped backoff
+// on the simulated clock, the injected faults, the collect, and the frame's
+// trip through the wire codec. It touches no state outside its own shard.
+bool DeliverShard(ShardCoordinator* coordinator,
+                  const ShardedCampaignOptions& options,
+                  const RetrySchedule& backoff, int64_t tick,
+                  const obs::TraceContext& parent, ShardTask* out) {
+  const int64_t s = coordinator->shard_index();
+  const ShardFaultPlan* plan = options.fault_plan;
+  if (plan != nullptr && plan->PermanentlyLost(s, tick)) return true;
+
+  const int64_t recoveries_before = coordinator->metrics().recoveries;
+  for (int64_t attempt = 0; attempt < options.max_attempts_per_tick;
+       ++attempt) {
+    if (attempt > 0) {
+      // 1-based attempt index for the schedule's decorrelated jitter.
+      const double wait = backoff.BackoffMinutes(tick, s, attempt);
+      if (out->clock + wait + options.attempt_cost_minutes >
+          options.tick_budget_minutes) {
+        break;  // the retry cannot finish inside the tick budget
+      }
+      out->clock += wait;
+      coordinator->NoteRetry();
+    } else if (options.attempt_cost_minutes > options.tick_budget_minutes) {
+      break;
+    }
+    out->clock += options.attempt_cost_minutes;
+    coordinator->NoteAttempt();
+
+    const ShardFaultType fault = plan != nullptr
+                                     ? plan->Decide(s, tick, attempt)
+                                     : ShardFaultType::kNone;
+    if (fault == ShardFaultType::kStall) {
+      coordinator->NoteStall();
+      out->clock += options.stall_cost_minutes;
+      continue;
+    }
+
+    ShardTickFrame frame;
+    if (!coordinator->CollectTick(tick, &frame, &out->error, parent)) {
+      return false;
+    }
+    if (fault == ShardFaultType::kNone) {
+      // The frame crosses the wire codec even in-process: the merge
+      // tier only ever consumes fail-closed-decoded bytes.
+      std::vector<uint8_t> wire;
+      EncodeShardTickFrame(frame, &wire);
+      if (!DecodeShardTickFrame(wire, &out->frame)) {
+        out->error = "shard tick frame rejected by the merge tier";
+        return false;
+      }
+      out->delivered = true;
+      out->recovered = coordinator->metrics().recoveries > recoveries_before;
+      return true;
+    }
+    if (!ApplyShardSabotage(coordinator, *plan, fault, tick, attempt,
+                            &out->error)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 ShardedCampaignRunner::ShardedCampaignRunner(
@@ -129,6 +292,7 @@ ShardedCampaignRunner::ShardedCampaignRunner(
   BITPUSH_CHECK_GE(options_.max_attempts_per_tick, 1);
   BITPUSH_CHECK(options_.attempt_cost_minutes >= 0.0);
   BITPUSH_CHECK(options_.stall_cost_minutes >= 0.0);
+  workers_ = ShardWorkers(options_.shards);
 }
 
 void ShardedCampaignRunner::Open(
@@ -195,7 +359,7 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
   BITPUSH_CHECK(error != nullptr);
   BITPUSH_CHECK_EQ(tick, next_tick_) << "ticks must run in order";
 
-  const ShardFaultPlan* plan = options_.fault_plan;
+  const size_t shards = static_cast<size_t>(options_.shards);
   std::vector<ShardLoss> losses;
   std::vector<int64_t> delivered_shards;
   double makespan = 0.0;
@@ -208,102 +372,59 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
   merge_span.set_ids(tick, /*query_index=*/-1, /*round_id=*/-1);
   const obs::TraceContext merge_context = merge_span.context();
 
-  for (int64_t s = 0; s < options_.shards; ++s) {
-    ShardCoordinator* coordinator = coordinators_[static_cast<size_t>(s)].get();
-    const auto lose_shard = [&] {
-      ShardLoss loss;
-      loss.shard = s;
-      loss.clients_per_query.reserve(queries_.size());
-      for (size_t qi = 0; qi < queries_.size(); ++qi) {
-        loss.clients_per_query.push_back(coordinator->partition_clients(qi));
-      }
-      losses.push_back(std::move(loss));
-      coordinator->NoteLostTick();
-      // kVolatile: shard delivery is harness scheduling, invisible to the
-      // single-coordinator reference the stable ring is compared against.
-      obs::EventArgs args;
-      args.tick = tick;
-      args.shard = s;
-      args.detail = "missed tick deadline";
-      obs::EmitEvent(obs::EventType::kShardLost, obs::Determinism::kVolatile,
-                     std::move(args));
-    };
+  // Every shard's delivery loop at once.
+  std::vector<ShardTask> tasks(shards);
+  RunShardTasks(&tasks, workers_, [&](size_t s, ShardTask* task) {
+    task->ok = DeliverShard(coordinators_[s].get(), options_, backoff_, tick,
+                            merge_context, task);
+  });
 
-    if (plan != nullptr && plan->PermanentlyLost(s, tick)) {
-      lose_shard();
-      continue;
-    }
-
-    double clock = 0.0;
-    bool delivered = false;
-    const int64_t recoveries_before = coordinator->metrics().recoveries;
-    for (int64_t attempt = 0; attempt < options_.max_attempts_per_tick;
-         ++attempt) {
-      if (attempt > 0) {
-        // 1-based attempt index for the schedule's decorrelated jitter.
-        const double wait = backoff_.BackoffMinutes(tick, s, attempt);
-        if (clock + wait + options_.attempt_cost_minutes >
-            options_.tick_budget_minutes) {
-          break;  // the retry cannot finish inside the tick budget
-        }
-        clock += wait;
-        coordinator->NoteRetry();
-      } else if (options_.attempt_cost_minutes >
-                 options_.tick_budget_minutes) {
-        break;
-      }
-      clock += options_.attempt_cost_minutes;
-      coordinator->NoteAttempt();
-
-      const ShardFaultType fault =
-          plan != nullptr ? plan->Decide(s, tick, attempt)
-                          : ShardFaultType::kNone;
-      if (fault == ShardFaultType::kStall) {
-        coordinator->NoteStall();
-        clock += options_.stall_cost_minutes;
-        continue;
-      }
-
-      ShardTickFrame frame;
-      if (!coordinator->CollectTick(tick, &frame, error, merge_context)) {
-        return false;
-      }
-      if (fault == ShardFaultType::kNone) {
-        // The frame crosses the wire codec even in-process: the merge
-        // tier only ever consumes fail-closed-decoded bytes.
-        std::vector<uint8_t> wire;
-        EncodeShardTickFrame(frame, &wire);
-        ShardTickFrame decoded;
-        if (!DecodeShardTickFrame(wire, &decoded)) {
-          *error = "shard tick frame rejected by the merge tier";
-          return false;
-        }
-        merge_->AddFrame(decoded);
-        delivered = true;
-        break;
-      }
-      if (!ApplyShardSabotage(coordinator, *plan, fault, tick, attempt,
-                              error)) {
-        return false;
-      }
-    }
-
-    if (delivered) {
-      delivered_shards.push_back(s);
-      makespan = std::max(makespan, clock);
-      if (coordinator->metrics().recoveries > recoveries_before) {
+  // Then, in shard order, what a sequential tick does between shards: the
+  // shard's obs writes, its frame into the merge, and its loss or recovery
+  // event. After a failed shard only the obs writes are still applied.
+  const std::string* failure = nullptr;
+  for (size_t s = 0; s < shards; ++s) {
+    ShardTask& task = tasks[s];
+    ShardCoordinator* coordinator = coordinators_[s].get();
+    task.capture.Replay();
+    if (failure == nullptr && !task.ok) failure = &task.error;
+    if (failure != nullptr) continue;
+    if (task.delivered) {
+      merge_->AddFrame(task.frame);
+      delivered_shards.push_back(static_cast<int64_t>(s));
+      makespan = std::max(makespan, task.clock);
+      if (task.recovered) {
         obs::EventArgs args;
         args.tick = tick;
-        args.shard = s;
+        args.shard = static_cast<int64_t>(s);
         args.detail = "delivered after crash recovery (replayed=" +
                       std::to_string(coordinator->metrics().replayed_records) +
                       ")";
         obs::EmitEvent(obs::EventType::kShardRecovered,
                        obs::Determinism::kVolatile, std::move(args));
       }
-    } else {
-      lose_shard();
+      continue;
     }
+    ShardLoss loss;
+    loss.shard = static_cast<int64_t>(s);
+    loss.clients_per_query.reserve(queries_.size());
+    for (size_t qi = 0; qi < queries_.size(); ++qi) {
+      loss.clients_per_query.push_back(coordinator->partition_clients(qi));
+    }
+    losses.push_back(std::move(loss));
+    coordinator->NoteLostTick();
+    // kVolatile: shard delivery is harness scheduling, invisible to the
+    // single-coordinator reference the stable ring is compared against.
+    obs::EventArgs args;
+    args.tick = tick;
+    args.shard = static_cast<int64_t>(s);
+    args.detail = "missed tick deadline";
+    obs::EmitEvent(obs::EventType::kShardLost, obs::Determinism::kVolatile,
+                   std::move(args));
+  }
+  if (failure != nullptr) {
+    *error = *failure;
+    return false;
   }
 
   MergedTickResult result = merge_->CloseTick(tick, losses);
@@ -313,10 +434,18 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
   // must survive for its catch-up recovery.
   if (options_.snapshot_every_ticks > 0 &&
       (tick + 1) % options_.snapshot_every_ticks == 0) {
-    for (const int64_t s : delivered_shards) {
-      if (!coordinators_[static_cast<size_t>(s)]->Snapshot(error)) {
-        return false;
-      }
+    std::vector<ShardTask> snapshots(delivered_shards.size());
+    RunShardTasks(&snapshots, workers_, [&](size_t i, ShardTask* task) {
+      task->ok = coordinators_[static_cast<size_t>(delivered_shards[i])]
+                     ->Snapshot(&task->error);
+    });
+    for (ShardTask& task : snapshots) {
+      task.capture.Replay();
+      if (failure == nullptr && !task.ok) failure = &task.error;
+    }
+    if (failure != nullptr) {
+      *error = *failure;
+      return false;
     }
   }
 

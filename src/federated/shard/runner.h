@@ -15,6 +15,20 @@
 // decode) even in-process, so the shard -> merge hop is exercised on the
 // hot path, not just in tests.
 //
+// Threads: a tick runs every shard's delivery loop (attempts, collect,
+// frame codec) as one task, and after the merge every delivered shard's
+// snapshot as one task, on min(shards, CPUs in the process's affinity
+// mask) threads, the caller included. A one-shard runner, or a process
+// pinned to one CPU, runs its tasks inline and starts no thread. Shards
+// share no state, so the tasks need no locks. The obs streams are the one
+// exception: with more than one shard, each task captures its
+// order-dependent obs writes (obs/capture.h), and the caller replays them
+// in shard order, together with the merge, the loss accounting and the
+// shard events, so a tick's results and stable obs streams are those of a
+// sequential run. All threads are joined before RunTick returns, and a
+// phase that starts threads trims the heap before and after it, so the
+// workers' allocator arenas stay off the peak RSS.
+//
 // RunSingleCoordinatorReference is the oracle: the same deterministic
 // partition executed inline with plain campaigns and scalar tally adds.
 // A fault-free sharded run must match it bit for bit — estimates, merged
@@ -86,7 +100,11 @@ class ShardedCampaignRunner {
 
   // Runs one merged tick. Returns false (with *error) only on a
   // durability violation that must fail closed — injected shard faults
-  // and lost shards are handled, not errors.
+  // and lost shards are handled, not errors. The error is that of the
+  // lowest-index failing shard; since shards run concurrently, higher
+  // shards may have finished their tick by then, but none of their frames
+  // reached the merge. A false leaves the tick half merged: do not call
+  // RunTick again.
   bool RunTick(int64_t tick, MergedTickResult* out, std::string* error);
 
   int64_t shards() const { return options_.shards; }
@@ -106,6 +124,8 @@ class ShardedCampaignRunner {
   MeterPolicy policy_;
   ShardedCampaignOptions options_;
   RetrySchedule backoff_;
+  // Threads a tick's shard tasks run on, the caller included.
+  int64_t workers_ = 1;
   std::vector<std::unique_ptr<ShardCoordinator>> coordinators_;
   std::unique_ptr<MergeTier> merge_;
   std::vector<MergedTickResult> history_;

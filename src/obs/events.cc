@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "obs/capture.h"
 #include "obs/export.h"
 #include "util/check.h"
 
@@ -43,6 +44,15 @@ EventRecorder& EventRecorder::Default() {
 
 void EventRecorder::Emit(EventType type, Determinism determinism,
                          EventArgs args) {
+  if (internal::t_capture != nullptr) {
+    internal::t_capture->RecordEvent(this, type, determinism, std::move(args));
+    return;
+  }
+  Append(type, determinism, std::move(args));
+}
+
+void EventRecorder::Append(EventType type, Determinism determinism,
+                           EventArgs args) {
   const util::MutexLock lock(mutex_);
   Ring& r = ring(determinism);
   EventRecord record;

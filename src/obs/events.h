@@ -18,7 +18,9 @@
 // Cost model: EmitEvent checks obs::Enabled() (one relaxed atomic load)
 // and returns immediately when observability is off; the enabled path is
 // one mutex acquisition plus a ring-slot move. bench_micro_throughput's
-// obs-overhead guard covers both paths.
+// obs-overhead guard covers both paths. An event emitted under a
+// TaskCapture (obs/capture.h) is logged instead, and takes its sequence
+// number when the capture is replayed.
 //
 // Lifetime: EventRecorder::Default() is a leaked process-wide singleton,
 // mirroring Registry::Default(). Reset() clears the rings and counters but
@@ -88,6 +90,8 @@ class EventRecorder {
 
   static EventRecorder& Default();
 
+  // Appends to the ring, or to the calling thread's TaskCapture if one is
+  // installed.
   void Emit(EventType type, Determinism determinism, EventArgs args);
 
   // Oldest-first copy of one ring.
@@ -115,6 +119,9 @@ class EventRecorder {
     int64_t next_seq = 0;
     int64_t dropped = 0;
   };
+
+  friend class TaskCapture;
+  void Append(EventType type, Determinism determinism, EventArgs args);
 
   Ring& ring(Determinism determinism) BITPUSH_REQUIRES(mutex_) {
     return determinism == Determinism::kStable ? stable_ : volatile_;

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
+#include "obs/capture.h"
 #include "util/check.h"
 
 namespace bitpush::obs {
 
 namespace internal {
 std::atomic<bool> g_enabled{false};
+thread_local TaskCapture* t_capture = nullptr;
 }  // namespace internal
 
 void SetEnabled(bool enabled) {
@@ -20,8 +22,20 @@ Histogram::Histogram(std::vector<double> bounds)
       << "histogram bounds must be sorted ascending";
 }
 
+void Gauge::Capture(bool add, double value) {
+  internal::t_capture->RecordGauge(this, add, value);
+}
+
 void Histogram::Observe(double value) {
   if (!Enabled()) return;
+  if (internal::t_capture != nullptr) {
+    internal::t_capture->RecordObserve(this, value);
+    return;
+  }
+  Apply(value);
+}
+
+void Histogram::Apply(double value) {
   // First bound >= value is the "le" bucket; past-the-end is overflow.
   const size_t index = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -

@@ -18,7 +18,9 @@
 // relaxed atomic load) and return immediately when observability is off,
 // so instrumented hot paths stay within the <2% overhead budget enforced
 // by bench_micro_throughput. Instruments are plain atomics, safe to
-// update from any thread.
+// update from any thread. Gauge writes and histogram observations made
+// under a TaskCapture (obs/capture.h) are logged for an ordered replay
+// instead of applied.
 //
 // Lifetime: the registry owns every instrument forever. Call sites cache
 // the returned pointer in a function-local static; Reset() zeroes values
@@ -42,8 +44,12 @@
 
 namespace bitpush::obs {
 
+class TaskCapture;
+
 namespace internal {
 extern std::atomic<bool> g_enabled;
+// The capture installed on this thread by TaskCapture::Scope, or null.
+extern thread_local TaskCapture* t_capture;
 }  // namespace internal
 
 // Global enable switch. Off by default: an uninstrumented binary pays one
@@ -86,17 +92,27 @@ class Gauge {
  public:
   void Set(double value) {
     if (!Enabled()) return;
+    if (internal::t_capture != nullptr) {
+      Capture(/*add=*/false, value);
+      return;
+    }
     value_.store(value, std::memory_order_relaxed);
   }
   void Add(double delta) {
     if (!Enabled()) return;
+    if (internal::t_capture != nullptr) {
+      Capture(/*add=*/true, delta);
+      return;
+    }
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   friend class Registry;
+  friend class TaskCapture;
   Gauge() = default;
+  void Capture(bool add, double value);
   void Reset() { value_.store(0.0, std::memory_order_relaxed); }
   std::atomic<double> value_{0.0};
 };
@@ -118,7 +134,9 @@ class Histogram {
 
  private:
   friend class Registry;
+  friend class TaskCapture;
   explicit Histogram(std::vector<double> bounds);
+  void Apply(double value);
   void Reset();
   std::vector<double> bounds_;
   std::vector<std::atomic<int64_t>> buckets_;

@@ -30,29 +30,41 @@ std::string IoError(const std::string& action, const std::string& path) {
   return action + " " + path + ": " + std::strerror(errno);
 }
 
-void EncodeBody(const CoordinatorSnapshot& snapshot,
-                std::vector<uint8_t>* out) {
-  bytes::PutUint64(snapshot.base_seed, out);
-  bytes::PutUint64(snapshot.journal_next_seq, out);
-  bytes::PutInt64(snapshot.completed_ticks, out);
-  bytes::PutUint32(static_cast<uint32_t>(snapshot.meter_blob.size()), out);
-  out->insert(out->end(), snapshot.meter_blob.begin(),
-              snapshot.meter_blob.end());
-  bytes::PutUint32(static_cast<uint32_t>(snapshot.finished.size()), out);
+// The one encoder of the file format. It hands `emit` the file's bytes in
+// order as four pieces: the magic, version, fixed fields and ledger length;
+// the ledger blob itself; the finished queries, bit means and breaker-blob
+// length; and the breaker blob. The two large blobs are passed through
+// uncopied, so a file writer can stream them. The CRC-32 that closes the
+// file covers every piece and is the caller's to append.
+template <typename Emit>
+void EncodeSnapshotPieces(const CoordinatorSnapshot& snapshot, Emit&& emit) {
+  std::vector<uint8_t> piece;
+  for (const uint8_t byte : kSnapshotMagic) bytes::PutByte(byte, &piece);
+  bytes::PutByte(kSnapshotFormatVersion, &piece);
+  bytes::PutUint64(snapshot.base_seed, &piece);
+  bytes::PutUint64(snapshot.journal_next_seq, &piece);
+  bytes::PutInt64(snapshot.completed_ticks, &piece);
+  bytes::PutUint32(static_cast<uint32_t>(snapshot.meter_blob.size()), &piece);
+  emit(piece.data(), piece.size());
+  emit(snapshot.meter_blob.data(), snapshot.meter_blob.size());
+
+  piece.clear();
+  bytes::PutUint32(static_cast<uint32_t>(snapshot.finished.size()), &piece);
   for (const FinishedQueryEntry& entry : snapshot.finished) {
-    bytes::PutInt64(entry.tick, out);
-    bytes::PutInt64(entry.query_index, out);
-    EncodeCampaignTickResult(entry.result, out);
-    bytes::PutDoubleVector(entry.final_bit_means, out);
+    bytes::PutInt64(entry.tick, &piece);
+    bytes::PutInt64(entry.query_index, &piece);
+    EncodeCampaignTickResult(entry.result, &piece);
+    bytes::PutDoubleVector(entry.final_bit_means, &piece);
   }
-  bytes::PutUint32(static_cast<uint32_t>(snapshot.bit_means.size()), out);
+  bytes::PutUint32(static_cast<uint32_t>(snapshot.bit_means.size()), &piece);
   for (const BitMeansEntry& entry : snapshot.bit_means) {
-    bytes::PutInt64(entry.value_id, out);
-    bytes::PutDoubleVector(entry.means, out);
+    bytes::PutInt64(entry.value_id, &piece);
+    bytes::PutDoubleVector(entry.means, &piece);
   }
-  bytes::PutUint32(static_cast<uint32_t>(snapshot.health_blob.size()), out);
-  out->insert(out->end(), snapshot.health_blob.begin(),
-              snapshot.health_blob.end());
+  bytes::PutUint32(static_cast<uint32_t>(snapshot.health_blob.size()),
+                   &piece);
+  emit(piece.data(), piece.size());
+  emit(snapshot.health_blob.data(), snapshot.health_blob.size());
 }
 
 bool GetBlob(const std::vector<uint8_t>& buffer, size_t* cursor,
@@ -146,9 +158,9 @@ void EncodeCoordinatorSnapshot(const CoordinatorSnapshot& snapshot,
                                std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
   const size_t start = out->size();
-  out->insert(out->end(), kSnapshotMagic, kSnapshotMagic + 4);
-  bytes::PutByte(kSnapshotFormatVersion, out);
-  EncodeBody(snapshot, out);
+  EncodeSnapshotPieces(snapshot, [out](const uint8_t* data, size_t size) {
+    out->insert(out->end(), data, data + size);
+  });
   const uint32_t crc = bytes::Crc32(out->data() + start, out->size() - start);
   bytes::PutUint32(crc, out);
 }
@@ -193,20 +205,33 @@ bool WriteSnapshotFile(const std::string& path,
   obs::ScopedTimer timer(duration);
   obs::Span span("snapshot.write", "persist");
 
-  std::vector<uint8_t> encoded;
-  EncodeCoordinatorSnapshot(snapshot, &encoded);
-  writes->Increment();
-  size_bytes->Set(static_cast<double>(encoded.size()));
-  span.AddNumeric("bytes", static_cast<double>(encoded.size()));
-
   const std::string temp_path = path + ".tmp";
   std::FILE* file = std::fopen(temp_path.c_str(), "wb");
   if (file == nullptr) {
     *error = IoError("open snapshot temp", temp_path);
     return false;
   }
-  const bool wrote =
-      std::fwrite(encoded.data(), 1, encoded.size(), file) == encoded.size();
+  // Streamed: each piece goes to the file as it is encoded, under a
+  // running CRC, so the ledger blob is never copied into a file image.
+  bool wrote = true;
+  uint32_t crc = 0;
+  size_t file_bytes = 0;
+  const auto write = [&](const uint8_t* data, size_t size) {
+    if (size == 0) return;
+    wrote = wrote && std::fwrite(data, 1, size, file) == size;
+    file_bytes += size;
+  };
+  EncodeSnapshotPieces(snapshot, [&](const uint8_t* data, size_t size) {
+    crc = bytes::Crc32Extend(crc, data, size);
+    write(data, size);
+  });
+  std::vector<uint8_t> trailer;
+  bytes::PutUint32(crc, &trailer);
+  write(trailer.data(), trailer.size());
+  writes->Increment();
+  size_bytes->Set(static_cast<double>(file_bytes));
+  span.AddNumeric("bytes", static_cast<double>(file_bytes));
+
   const bool flushed = wrote && std::fflush(file) == 0;
   const bool synced = flushed && fsync(fileno(file)) == 0;
   std::fclose(file);

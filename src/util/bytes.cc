@@ -169,16 +169,36 @@ bool GetDoubleVector(const std::vector<uint8_t>& buffer, size_t* offset,
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrc32Table() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: table[0]
+// is the classic byte-at-a-time table, and table[k][b] is the CRC of byte
+// b followed by k zero bytes, so one step folds eight input bytes with
+// eight independent lookups.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int k = 0; k < 8; ++k) {
       crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xEDB88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t previous = tables[k - 1][i];
+      tables[k][i] = (previous >> 8) ^ tables[0][previous & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+// Little-endian load, whatever the host order; compilers fold it into one
+// unaligned load on little-endian targets.
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
@@ -192,10 +212,19 @@ uint32_t Crc32(const std::vector<uint8_t>& data) {
 }
 
 uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = MakeCrc32Table();
+  static const Crc32Tables kTables = MakeCrc32Tables();
+  const auto& t = kTables;
   crc ^= 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ data[i]) & 0xFFu];
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(data) ^ crc;
+    const uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/alerts.h"
+#include "obs/capture.h"
 #include "obs/events.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -256,6 +257,60 @@ TEST_F(ObsTest, ConcurrentCountersDoNotDropIncrements) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(counter->value(), kThreads * kIncrements);
+}
+
+// Two captured tasks, finished in the opposite order on two threads, are
+// replayed in task order: the result equals running them one after the
+// other on one thread.
+TEST_F(ObsTest, TaskCaptureReplaysInTaskOrder) {
+  obs::Registry& registry = obs::Registry::Default();
+  obs::Gauge* last = registry.GetGauge("test_capture_last", "help",
+                                       obs::Determinism::kStable);
+  obs::Gauge* sum = registry.GetGauge("test_capture_sum", "help",
+                                      obs::Determinism::kStable);
+  obs::Histogram* histogram = registry.GetHistogram(
+      "test_capture_histogram", "help", {1.0}, obs::Determinism::kStable);
+  obs::EventRecorder& recorder = obs::EventRecorder::Default();
+  recorder.Reset();
+  const auto task = [&](int id) {
+    for (int i = 0; i < 100; ++i) last->Set(id * 1000.0 + i);
+    sum->Add(id == 0 ? 1e16 : 1.0);
+    sum->Add(id == 0 ? -1e16 : 1.0);
+    last->Set(id + 0.5);
+    histogram->Observe(0.1 * id);
+    obs::EventArgs args;
+    args.shard = id;
+    obs::EmitEvent(obs::EventType::kRoundOutcome, obs::Determinism::kStable,
+                   std::move(args));
+  };
+
+  obs::TaskCapture captures[2];
+  std::thread second([&] {
+    const obs::TaskCapture::Scope scope(&captures[1]);
+    task(1);
+  });
+  second.join();
+  {
+    const obs::TaskCapture::Scope scope(&captures[0]);
+    task(0);
+  }
+  // Nothing applied yet.
+  EXPECT_EQ(last->value(), 0.0);
+  EXPECT_EQ(histogram->count(), 0);
+  EXPECT_EQ(recorder.emitted(obs::Determinism::kStable), 0);
+  captures[0].Replay();
+  captures[1].Replay();
+  const std::string replayed =
+      obs::DeterministicMetricsSnapshot() + obs::DeterministicEventsSnapshot();
+
+  registry.Reset();
+  recorder.Reset();
+  task(0);
+  task(1);
+  EXPECT_EQ(replayed, obs::DeterministicMetricsSnapshot() +
+                          obs::DeterministicEventsSnapshot());
+  EXPECT_EQ(last->value(), 1.5);
+  recorder.Reset();
 }
 
 TEST_F(ObsTest, WriteTextFileRoundTrips) {

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/privacy_meter.h"
+#include "federated/resilience.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "util/bytes.h"
@@ -228,6 +230,41 @@ TEST(JournalFrameTest, Crc32ExtendContinuesACrc) {
     EXPECT_EQ(bytes::Crc32Extend(head, data.data() + split, data.size() - split),
               whole)
         << split;
+  }
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(bytes::Crc32(reinterpret_cast<const uint8_t*>(check.data()),
+                         check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(bytes::Crc32(nullptr, 0), 0u);
+}
+
+// The table-driven CRC must equal the bit-at-a-time definition on every
+// length and at every alignment the eight-byte steps can meet.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryAlignment) {
+  constexpr size_t kMaxLength = 4096;
+  std::vector<uint8_t> buffer(kMaxLength + 8);
+  uint32_t state = 0x12345678u;
+  for (uint8_t& byte : buffer) {
+    state = state * 1664525u + 1013904223u;
+    byte = static_cast<uint8_t>(state >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* data = buffer.data() + offset;
+    // The reference register of every prefix, extended one byte at a time.
+    uint32_t reference = 0xFFFFFFFFu;
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      ASSERT_EQ(bytes::Crc32(data, length), reference ^ 0xFFFFFFFFu)
+          << "length " << length << " offset " << offset;
+      if (length == kMaxLength) break;
+      reference ^= data[length];
+      for (int bit = 0; bit < 8; ++bit) {
+        reference = (reference >> 1) ^ ((reference & 1u) != 0 ? 0xEDB88320u
+                                                               : 0u);
+      }
+    }
   }
 }
 
@@ -464,6 +501,70 @@ TEST(SnapshotTest, TruncationAndTrailingGarbageRejected) {
   std::vector<uint8_t> extended = encoded;
   extended.push_back(0);
   EXPECT_FALSE(DecodeCoordinatorSnapshot(extended, &out));
+}
+
+// The file writer streams the ledger blob instead of building a file
+// image; what lands on disk must still be exactly the encoder's bytes.
+TEST(SnapshotTest, StreamedFileEqualsEncodedBytes) {
+  MeterPolicy policy;
+  policy.max_bits_per_value = 4;
+  policy.max_bits_per_client = 16;
+  PrivacyMeter meter(policy);
+  for (int64_t client = 0; client < 3000; ++client) {
+    for (int64_t value = 1; value <= 1 + client % 3; ++value) {
+      ASSERT_TRUE(meter.TryChargeBit(client * 7 + 1, value, 0.5));
+    }
+  }
+  BreakerPolicy breaker;
+  breaker.consecutive_failures_to_open = 1;
+  HealthTracker health(breaker);
+  health.BeginRound();
+  health.ObserveRound(1, {2, 4, 6}, {1, 3, 5});
+
+  CoordinatorSnapshot snapshot;
+  snapshot.base_seed = 91;
+  snapshot.journal_next_seq = 1234;
+  snapshot.completed_ticks = 3;
+  meter.EncodeTo(&snapshot.meter_blob);
+  ASSERT_GT(snapshot.meter_blob.size(), size_t{64} << 10);
+  for (int64_t tick = 0; tick < 3; ++tick) {
+    FinishedQueryEntry entry;
+    entry.tick = tick;
+    entry.query_index = 0;
+    entry.result.tick = tick;
+    entry.result.query_name = "m";
+    entry.result.reports = 100 + tick;
+    entry.final_bit_means = {0.25, 0.5};
+    snapshot.finished.push_back(entry);
+  }
+  snapshot.bit_means.push_back(BitMeansEntry{1, {0.25, 0.5}});
+  health.EncodeTo(&snapshot.health_blob);
+  ASSERT_FALSE(snapshot.health_blob.empty());
+
+  const std::string dir = ::testing::TempDir() + "/snapshot_streamed";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/snapshot.bin";
+  std::string error;
+  ASSERT_TRUE(WriteSnapshotFile(path, snapshot, &error)) << error;
+
+  std::vector<uint8_t> encoded;
+  EncodeCoordinatorSnapshot(snapshot, &encoded);
+  std::vector<uint8_t> on_disk(std::filesystem::file_size(path));
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fread(on_disk.data(), 1, on_disk.size(), file),
+            on_disk.size());
+  std::fclose(file);
+  EXPECT_EQ(on_disk, encoded);
+
+  CoordinatorSnapshot loaded;
+  bool found = false;
+  ASSERT_TRUE(LoadSnapshotFile(path, &loaded, &found, &error)) << error;
+  EXPECT_TRUE(found);
+  EXPECT_EQ(loaded.meter_blob, snapshot.meter_blob);
+  EXPECT_EQ(loaded.health_blob, snapshot.health_blob);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotTest, FileCycleIsAtomicAndFailsClosedOnCorruption) {

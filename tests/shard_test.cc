@@ -16,10 +16,15 @@
 #include "core/fixed_point.h"
 #include "core/privacy_meter.h"
 #include "federated/client.h"
+#include "federated/faults.h"
+#include "federated/resilience.h"
 #include "federated/shard/merge.h"
 #include "federated/shard/runner.h"
 #include "federated/shard/shard.h"
 #include "federated/shard/shard_faults.h"
+#include "obs/events.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "persist/journal.h"
 #include "rng/rng.h"
 
@@ -306,6 +311,93 @@ TEST(ShardDeterminismTest, RepeatedShardedRunsAreBitIdentical) {
                                BaseOptions(4));
   ExpectTicksEqual(RunSharded(fixture, &first, kTicks),
                    RunSharded(fixture, &second, kTicks));
+}
+
+// A tick's shards run on worker threads, yet its stable obs streams must be
+// those of a sequential run. With faults, retries and the breaker on,
+// every order-dependent instrument fires: last-writer gauges (the meter
+// and breaker gauges), floating-point sums (the backoff gauge, the round
+// minutes histogram) and the event ring's order and sequence numbers.
+TEST(ShardDeterminismTest, ThreadedObsStreamsMatchReference) {
+  constexpr int64_t kTicks = 3;
+  ShardFixture fixture = MakeFixture(12000, 8, 1.0, kTicks);
+  FaultRates rates;
+  rates.mid_round_dropout = 0.3;
+  rates.straggler = 0.1;
+  const FaultPlan plan(17, rates);
+  fixture.queries[0].query.fault_plan = &plan;
+  fixture.queries[0].query.fault_policy.report_deadline_minutes = 30.0;
+  ResilienceConfig resilience;
+  resilience.seed = 5;
+  resilience.retry.max_retries_per_client = 2;
+  resilience.breaker.consecutive_failures_to_open = 1;
+  resilience.breaker.cooldown_rounds = 1;
+
+  const auto reset_obs = [] {
+    obs::Registry::Default().Reset();
+    obs::EventRecorder::Default().Reset();
+  };
+  // Room for every stable event of a run, so no event type is evicted.
+  const size_t ring_capacity = obs::EventRecorder::Default().capacity();
+  obs::EventRecorder::Default().SetCapacity(size_t{1} << 16);
+  const auto stable_value = [](const std::string& name) {
+    double value = 0.0;
+    obs::Registry::Default().Visit(
+        [&](const obs::InstrumentInfo& info, const obs::Counter*,
+            const obs::Gauge* gauge, const obs::Histogram* histogram) {
+          if (info.name != name) return;
+          if (gauge != nullptr) value = gauge->value();
+          if (histogram != nullptr) value = histogram->sum();
+        });
+    return value;
+  };
+  const auto stable_events = [](obs::EventType type) {
+    int64_t count = 0;
+    for (const obs::EventRecord& record :
+         obs::EventRecorder::Default().Snapshot(obs::Determinism::kStable)) {
+      if (record.type == type) ++count;
+    }
+    return count;
+  };
+
+  for (const int64_t shards : {4, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    reset_obs();
+    obs::SetEnabled(true);
+    ShardedCampaignOptions options = BaseOptions(shards);
+    options.resilience = resilience;
+    ShardedCampaignRunner runner(fixture.queries, fixture.policy, options);
+    const auto sharded = RunSharded(fixture, &runner, kTicks);
+    const std::string sharded_metrics = obs::DeterministicMetricsSnapshot();
+    const std::string sharded_events = obs::DeterministicEventsSnapshot();
+    for (const char* name :
+         {"bitpush_meter_bits_spent", "bitpush_meter_epsilon_spent",
+          "bitpush_retry_backoff_minutes", "bitpush_round_sim_minutes",
+          "bitpush_breaker_opens", "bitpush_breaker_tracked_clients"}) {
+      EXPECT_GT(stable_value(name), 0.0) << name << " never fired";
+    }
+    for (const obs::EventType type :
+         {obs::EventType::kRoundOutcome, obs::EventType::kRetryStorm,
+          obs::EventType::kMeterCharge,
+          obs::EventType::kBreakerTransition}) {
+      EXPECT_GT(stable_events(type), 0)
+          << obs::EventTypeName(type) << " never fired";
+    }
+
+    reset_obs();
+    const ReferenceCampaignResult reference = RunSingleCoordinatorReference(
+        fixture.queries, fixture.policy, shards, kSeed, fixture.populations,
+        fixture.codecs, kTicks, resilience);
+    const std::string reference_metrics = obs::DeterministicMetricsSnapshot();
+    const std::string reference_events = obs::DeterministicEventsSnapshot();
+    obs::SetEnabled(false);
+    reset_obs();
+
+    ExpectTicksEqual(sharded, reference.ticks);
+    EXPECT_EQ(sharded_metrics, reference_metrics);
+    EXPECT_EQ(sharded_events, reference_events);
+  }
+  obs::EventRecorder::Default().SetCapacity(ring_capacity);
 }
 
 // --------------------------------------------------------------------------

@@ -54,7 +54,6 @@ constexpr CheckNameEntry kCheckNames[] = {
 bool IsWallClockAllowlisted(const std::string& rel_path) {
   return StartsWith(rel_path, "src/obs/") ||
          rel_path == "bench/bench_micro_throughput.cc" ||
-         rel_path == "bench/bench_shard_scaling.cc" ||
          rel_path == "bench/bench_common.cc" || rel_path == "bench/bench_common.h";
 }
 
