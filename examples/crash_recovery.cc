@@ -104,26 +104,17 @@ int main() {
     }
     RunCampaign(&doomed, population);
   }
-  const std::string journal_path = base + "/crashed/journal.wal";
+  const std::string journal_path = bitpush::JournalPath(base + "/crashed");
   bitpush::JournalReadResult journal;
   if (!bitpush::ReadJournal(journal_path, 0, &journal, &error)) {
     std::fprintf(stderr, "read journal: %s\n", error.c_str());
     return 1;
   }
   const size_t keep = 150;
-  std::vector<uint8_t> prefix;
-  for (size_t i = 0; i < keep && i < journal.records.size(); ++i) {
-    bitpush::AppendJournalFrame(journal.records[i].type,
-                                journal.records[i].seq,
-                                journal.records[i].payload, &prefix);
-  }
-  std::FILE* file = std::fopen(journal_path.c_str(), "wb");
-  if (file == nullptr ||
-      std::fwrite(prefix.data(), 1, prefix.size(), file) != prefix.size()) {
-    std::fprintf(stderr, "truncate journal\n");
+  if (!bitpush::TruncateJournalToRecords(journal_path, keep, &error)) {
+    std::fprintf(stderr, "truncate journal: %s\n", error.c_str());
     return 1;
   }
-  std::fclose(file);
   std::printf("crashed run: journal cut to %zu of %zu records\n", keep,
               journal.records.size());
 

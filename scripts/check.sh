@@ -167,6 +167,21 @@ DOCTOR="$BUILD_DIR/tools/bitpush_doctor"
   --out="$STATE_ROOT/doctor.txt"
 grep -q '^== journal ' "$STATE_ROOT/doctor.txt"
 grep -q 'FIRED.*rule=privacy_burn_rate' "$STATE_ROOT/doctor.txt"
+# The doctor also reads a snapshot-truncated journal: shard0 of a sharded
+# run that snapshots every second tick. After 3 ticks its journal starts
+# past sequence 0; after 4 the last snapshot has emptied it.
+for TICKS in 3 4; do
+  SHARDED="$STATE_ROOT/sharded-$TICKS"
+  "$SIM" --task=campaign --n=400 --ticks="$TICKS" --seed=99 --shards=4 \
+    --snapshot_every=2 --state_dir="$SHARDED" > /dev/null 2>&1
+  "$DOCTOR" --state_dir="$SHARDED/shard0" --out="$SHARDED.doctor.txt"
+  grep -q '^== journal ' "$SHARDED.doctor.txt"
+  grep -q '^snapshot.bin: present' "$SHARDED.doctor.txt"
+  if grep -q 'UNREADABLE' "$SHARDED.doctor.txt"; then
+    echo "exporters: doctor could not read shard0's journal after $TICKS ticks" >&2
+    exit 1
+  fi
+done
 echo "exporters: events JSONL well-formed; doctor post-mortem report complete"
 python3 - "$STATE_ROOT/clean.trace.json" <<'PYEOF'
 import json, sys

@@ -79,9 +79,7 @@ std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
   // on execution order.
   int64_t scheduled_count = 0;
   for (const CampaignQuery& query : queries_) {
-    if (tick >= query.phase && (tick - query.phase) % query.cadence_ticks == 0) {
-      ++scheduled_count;
-    }
+    if (query.ScheduledAt(tick)) ++scheduled_count;
   }
   const DeadlineBudget query_budget =
       scheduled_count > 0 ? resilience_.budget.Split(scheduled_count)
@@ -95,10 +93,7 @@ std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
   std::vector<CampaignTickResult> results;
   for (size_t q = 0; q < queries_.size(); ++q) {
     const CampaignQuery& scheduled = queries_[q];
-    if (tick < scheduled.phase ||
-        (tick - scheduled.phase) % scheduled.cadence_ticks != 0) {
-      continue;
-    }
+    if (!scheduled.ScheduledAt(tick)) continue;
     BITPUSH_CHECK(populations[q] != nullptr);
 
     // Every scheduled query gets its own forked stream, drawn whether the

@@ -35,6 +35,11 @@ struct CampaignQuery {
   // Protocol parameters; adaptive.bits must match the codec width used by
   // the metric's population.
   FederatedQueryConfig query;
+
+  // The schedule rule: the query runs at `tick`.
+  bool ScheduledAt(int64_t tick) const {
+    return tick >= phase && (tick - phase) % cadence_ticks == 0;
+  }
 };
 
 struct CampaignTickResult {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "federated/wire.h"
 #include "obs/events.h"
 #include "util/bytes.h"
 #include "util/check.h"
@@ -31,16 +30,6 @@ double HashUniform(uint64_t seed, int64_t round_id, int64_t client_id,
   h = Mix(h ^ static_cast<uint64_t>(client_id));
   h = Mix(h ^ (kBackoffDomain + salt));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-bool ValidFraction(double value) {
-  return std::isfinite(value) && value >= 0.0 && value <= 1.0;
-}
-
-// Non-negative with +infinity allowed (budgets), NaN and negatives
-// rejected.
-bool ValidBudgetMinutes(double value) {
-  return value >= 0.0 && !std::isnan(value);
 }
 
 }  // namespace
@@ -137,118 +126,6 @@ bool DecodeRetryStats(const std::vector<uint8_t>& buffer, size_t* offset,
   }
   *out = stats;
   *offset = cursor;
-  return true;
-}
-
-void EncodeRetryStatsFrame(const RetryStats& stats, std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  bytes::PutByte(kWireFormatVersion, out);
-  EncodeRetryStats(stats, out);
-}
-
-bool DecodeRetryStatsFrame(const std::vector<uint8_t>& buffer,
-                           RetryStats* out) {
-  BITPUSH_CHECK(out != nullptr);
-  size_t offset = 0;
-  uint8_t version = 0;
-  if (!bytes::GetByte(buffer, &offset, &version)) return false;
-  if (version != kWireFormatVersion) return false;
-  RetryStats stats;
-  if (!DecodeRetryStats(buffer, &offset, &stats)) return false;
-  if (offset != buffer.size()) return false;
-  *out = stats;
-  return true;
-}
-
-void EncodeResilienceConfigFrame(const ResilienceConfig& config,
-                                 std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  bytes::PutByte(kWireFormatVersion, out);
-  bytes::PutUint64(config.seed, out);
-  bytes::PutInt64(config.retry.max_retries_per_client, out);
-  bytes::PutInt64(config.retry.max_retries_per_round, out);
-  bytes::PutDouble(config.retry.base_backoff_minutes, out);
-  bytes::PutDouble(config.retry.cap_backoff_minutes, out);
-  bytes::PutByte(config.hedge.enabled ? 1 : 0, out);
-  bytes::PutDouble(config.hedge.trigger_budget_fraction, out);
-  bytes::PutInt64(config.hedge.max_hedges_per_round, out);
-  bytes::PutInt64(config.breaker.consecutive_failures_to_open, out);
-  bytes::PutDouble(config.breaker.failure_rate_to_open, out);
-  bytes::PutInt64(config.breaker.min_samples_for_rate, out);
-  bytes::PutInt64(config.breaker.cooldown_rounds, out);
-  bytes::PutDouble(config.budget.minutes, out);
-  bytes::PutDouble(config.latency.checkins_per_minute, out);
-  bytes::PutDouble(config.latency.eligibility_rate, out);
-  bytes::PutDouble(config.latency.fixed_round_minutes, out);
-}
-
-bool DecodeResilienceConfigFrame(const std::vector<uint8_t>& buffer,
-                                 ResilienceConfig* out) {
-  BITPUSH_CHECK(out != nullptr);
-  size_t offset = 0;
-  uint8_t version = 0;
-  if (!bytes::GetByte(buffer, &offset, &version)) return false;
-  if (version != kWireFormatVersion) return false;
-  ResilienceConfig config;
-  uint8_t hedge_enabled = 0;
-  if (!bytes::GetUint64(buffer, &offset, &config.seed) ||
-      !bytes::GetInt64(buffer, &offset, &config.retry.max_retries_per_client) ||
-      !bytes::GetInt64(buffer, &offset, &config.retry.max_retries_per_round) ||
-      !bytes::GetDouble(buffer, &offset, &config.retry.base_backoff_minutes) ||
-      !bytes::GetDouble(buffer, &offset, &config.retry.cap_backoff_minutes) ||
-      !bytes::GetByte(buffer, &offset, &hedge_enabled) ||
-      !bytes::GetDouble(buffer, &offset,
-                        &config.hedge.trigger_budget_fraction) ||
-      !bytes::GetInt64(buffer, &offset, &config.hedge.max_hedges_per_round) ||
-      !bytes::GetInt64(buffer, &offset,
-                       &config.breaker.consecutive_failures_to_open) ||
-      !bytes::GetDouble(buffer, &offset,
-                        &config.breaker.failure_rate_to_open) ||
-      !bytes::GetInt64(buffer, &offset,
-                       &config.breaker.min_samples_for_rate) ||
-      !bytes::GetInt64(buffer, &offset, &config.breaker.cooldown_rounds) ||
-      !bytes::GetDouble(buffer, &offset, &config.budget.minutes) ||
-      !bytes::GetDouble(buffer, &offset,
-                        &config.latency.checkins_per_minute) ||
-      !bytes::GetDouble(buffer, &offset, &config.latency.eligibility_rate) ||
-      !bytes::GetDouble(buffer, &offset,
-                        &config.latency.fixed_round_minutes)) {
-    return false;
-  }
-  if (offset != buffer.size()) return false;
-  if (hedge_enabled > 1) return false;
-  config.hedge.enabled = hedge_enabled == 1;
-  if (config.retry.max_retries_per_client < 0) return false;
-  if (config.retry.max_retries_per_round < 0) return false;
-  if (!std::isfinite(config.retry.base_backoff_minutes) ||
-      config.retry.base_backoff_minutes <= 0.0) {
-    return false;
-  }
-  if (!std::isfinite(config.retry.cap_backoff_minutes) ||
-      config.retry.cap_backoff_minutes < config.retry.base_backoff_minutes) {
-    return false;
-  }
-  if (!ValidFraction(config.hedge.trigger_budget_fraction)) return false;
-  if (config.hedge.max_hedges_per_round < 0) return false;
-  if (config.breaker.consecutive_failures_to_open < 0) return false;
-  if (!ValidFraction(config.breaker.failure_rate_to_open)) return false;
-  if (config.breaker.min_samples_for_rate < 1) return false;
-  if (config.breaker.cooldown_rounds < 1) return false;
-  if (!ValidBudgetMinutes(config.budget.minutes)) return false;
-  if (!std::isfinite(config.latency.checkins_per_minute) ||
-      config.latency.checkins_per_minute <= 0.0) {
-    return false;
-  }
-  if (!std::isfinite(config.latency.eligibility_rate) ||
-      config.latency.eligibility_rate <= 0.0 ||
-      config.latency.eligibility_rate > 1.0) {
-    return false;
-  }
-  if (!std::isfinite(config.latency.fixed_round_minutes) ||
-      config.latency.fixed_round_minutes < 0.0) {
-    return false;
-  }
-  *out = config;
   return true;
 }
 

@@ -163,25 +163,13 @@ struct RetryStats {
   friend bool operator==(const RetryStats&, const RetryStats&) = default;
 };
 
-// Serialization of the counter block, in declaration order, for the
-// durable-state layer. Decoding rejects negative counters and non-finite
-// or negative minutes, and returns false without touching `*out`.
+// Serialization of the counter block, in declaration order, as it rides
+// inside kRoundClosed journal records and ShardTickFrames. Decoding
+// rejects negative counters and non-finite or negative minutes, and
+// returns false without touching `*out`.
 void EncodeRetryStats(const RetryStats& stats, std::vector<uint8_t>* out);
 bool DecodeRetryStats(const std::vector<uint8_t>& buffer, size_t* offset,
                       RetryStats* out);
-
-// Versioned wire frames (kWireFormatVersion header byte, same contract as
-// federated/wire.h batch frames) so coordinators can ship resilience
-// policies and stats between processes. Decoding is fail-closed: unknown
-// version, truncation, trailing bytes, or any out-of-domain field rejects
-// the whole frame without touching `*out`.
-void EncodeRetryStatsFrame(const RetryStats& stats, std::vector<uint8_t>* out);
-bool DecodeRetryStatsFrame(const std::vector<uint8_t>& buffer,
-                           RetryStats* out);
-void EncodeResilienceConfigFrame(const ResilienceConfig& config,
-                                 std::vector<uint8_t>* out);
-bool DecodeResilienceConfigFrame(const std::vector<uint8_t>& buffer,
-                                 ResilienceConfig* out);
 
 // Deterministic backoff schedule: the wait before retry `attempt`
 // (1-based) of (round, client) under decorrelated jitter, derived entirely

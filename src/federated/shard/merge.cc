@@ -24,11 +24,6 @@
 namespace bitpush {
 namespace {
 
-bool ScheduledAt(const CampaignQuery& query, int64_t tick) {
-  return tick >= query.phase &&
-         (tick - query.phase) % query.cadence_ticks == 0;
-}
-
 void AppendMetricLine(const char* name, int64_t value, std::string* out) {
   out->append(name);
   out->push_back(' ');
@@ -298,7 +293,7 @@ MergedTickResult MergeTier::CloseTick(int64_t tick,
   // a tick with zero delivered shards still reports every scheduled query.
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     const CampaignQuery& query = queries_[qi];
-    if (!ScheduledAt(query, tick)) continue;
+    if (!query.ScheduledAt(tick)) continue;
 
     int64_t clients_lost = 0;
     for (const ShardLoss& loss : lost) {

@@ -32,54 +32,39 @@
 namespace bitpush {
 namespace {
 
-bool ScheduledAt(const CampaignQuery& query, int64_t tick) {
-  return tick >= query.phase &&
-         (tick - query.phase) % query.cadence_ticks == 0;
-}
-
-// The crash sabotage applied after a faulted delivery attempt: the tick's
-// work (or more) never became durable, and the process dies. In-memory
-// shards have no durable suffix to lose — the restart alone wipes them
-// back to tick 0.
+// The crash sabotage applied after a faulted delivery attempt: the process
+// dies, and the tick's work (or more) never became durable. The restart
+// comes first, because a journal cut is legal only while no writer holds
+// the journal open (persist/journal.h). In-memory shards have no durable
+// suffix to lose — the restart alone wipes them back to tick 0.
 bool ApplyShardSabotage(ShardCoordinator* coord, const ShardFaultPlan& plan,
                         ShardFaultType fault, int64_t tick, int64_t attempt,
                         std::string* error) {
-  if (coord->durable()) {
-    const std::string journal = coord->journal_path();
-    switch (fault) {
-      case ShardFaultType::kCrashAtRecord: {
-        JournalReadResult contents;
-        if (!ReadShardJournal(journal, &contents, error)) return false;
-        const int64_t keep = plan.CrashRecordIndex(
-            coord->shard_index(), tick, attempt,
-            static_cast<int64_t>(contents.records.size()));
-        if (!TruncateShardJournalToRecords(
-                journal, static_cast<size_t>(keep), error)) {
-          return false;
-        }
-        break;
-      }
-      case ShardFaultType::kTornJournal: {
-        if (!TearShardJournalTail(
-                journal,
-                plan.TornTailBytes(coord->shard_index(), tick, attempt),
-                error)) {
-          return false;
-        }
-        break;
-      }
-      case ShardFaultType::kStaleSnapshot: {
-        // Every record since the last snapshot is gone; recovery restarts
-        // from the snapshot alone (or from scratch if none was taken).
-        if (!TruncateShardJournalToRecords(journal, 0, error)) return false;
-        break;
-      }
-      case ShardFaultType::kNone:
-      case ShardFaultType::kStall:
-        break;
-    }
-  }
   coord->Restart();
+  if (!coord->durable()) return true;
+  const std::string journal = coord->journal_path();
+  switch (fault) {
+    case ShardFaultType::kCrashAtRecord: {
+      JournalReadResult contents;
+      if (!ReadJournalFromFirstFrame(journal, &contents, error)) return false;
+      const int64_t keep = plan.CrashRecordIndex(
+          coord->shard_index(), tick, attempt,
+          static_cast<int64_t>(contents.records.size()));
+      return TruncateJournalToRecords(journal, static_cast<size_t>(keep),
+                                      error);
+    }
+    case ShardFaultType::kTornJournal:
+      return TearJournalTail(
+          journal, plan.TornTailBytes(coord->shard_index(), tick, attempt),
+          error);
+    case ShardFaultType::kStaleSnapshot:
+      // Every record since the last snapshot is gone; recovery restarts
+      // from the snapshot alone (or from scratch if none was taken).
+      return TruncateJournalToRecords(journal, 0, error);
+    case ShardFaultType::kNone:
+    case ShardFaultType::kStall:
+      break;
+  }
   return true;
 }
 
@@ -113,17 +98,6 @@ class CaptureRecorder : public CampaignRecorder {
 }  // namespace
 
 namespace {
-
-// The shard retry budget is max_attempts_per_tick, not RetryPolicy's
-// per-client counters, so the jitter schedule must be usable even with the
-// policy's default (retries disabled at the round layer).
-RetryPolicy ShardBackoffPolicy(RetryPolicy policy,
-                               int64_t max_attempts_per_tick) {
-  if (!policy.enabled()) {
-    policy.max_retries_per_client = max_attempts_per_tick;
-  }
-  return policy;
-}
 
 // Threads for a tick's shard tasks: one per shard, capped by the CPUs in
 // the process's affinity mask, so `taskset` bounds it.
@@ -162,12 +136,10 @@ struct ShardTask {
   // False on a durability violation, described in `error`.
   bool ok = true;
   std::string error;
-  // The delivery loop's outcome: the decoded frame when delivered, the
-  // simulated minutes its attempts took, and whether a crash recovery came
-  // before the delivery.
+  // The delivery loop's outcome: the decoded frame when delivered, and
+  // whether a crash recovery came before the delivery.
   bool delivered = false;
   bool recovered = false;
-  double clock = 0.0;
   ShardTickFrame frame;
 };
 
@@ -214,12 +186,12 @@ void RunShardTasks(std::vector<ShardTask>* tasks, int64_t workers,
   }
 }
 
-// One shard's delivery loop for `tick`: the attempts with capped backoff
-// on the simulated clock, the injected faults, the collect, and the frame's
-// trip through the wire codec. It touches no state outside its own shard.
+// One shard's delivery loop for `tick`: the attempts, each retried at once
+// after a stall or a crash, the injected faults, the collect, and the
+// frame's trip through the wire codec. It touches no state outside its own
+// shard.
 bool DeliverShard(ShardCoordinator* coordinator,
-                  const ShardedCampaignOptions& options,
-                  const RetrySchedule& backoff, int64_t tick,
+                  const ShardedCampaignOptions& options, int64_t tick,
                   const obs::TraceContext& parent, ShardTask* out) {
   const int64_t s = coordinator->shard_index();
   const ShardFaultPlan* plan = options.fault_plan;
@@ -228,19 +200,7 @@ bool DeliverShard(ShardCoordinator* coordinator,
   const int64_t recoveries_before = coordinator->metrics().recoveries;
   for (int64_t attempt = 0; attempt < options.max_attempts_per_tick;
        ++attempt) {
-    if (attempt > 0) {
-      // 1-based attempt index for the schedule's decorrelated jitter.
-      const double wait = backoff.BackoffMinutes(tick, s, attempt);
-      if (out->clock + wait + options.attempt_cost_minutes >
-          options.tick_budget_minutes) {
-        break;  // the retry cannot finish inside the tick budget
-      }
-      out->clock += wait;
-      coordinator->NoteRetry();
-    } else if (options.attempt_cost_minutes > options.tick_budget_minutes) {
-      break;
-    }
-    out->clock += options.attempt_cost_minutes;
+    if (attempt > 0) coordinator->NoteRetry();
     coordinator->NoteAttempt();
 
     const ShardFaultType fault = plan != nullptr
@@ -248,7 +208,6 @@ bool DeliverShard(ShardCoordinator* coordinator,
                                      : ShardFaultType::kNone;
     if (fault == ShardFaultType::kStall) {
       coordinator->NoteStall();
-      out->clock += options.stall_cost_minutes;
       continue;
     }
 
@@ -284,14 +243,9 @@ ShardedCampaignRunner::ShardedCampaignRunner(
     ShardedCampaignOptions options)
     : queries_(std::move(queries)),
       policy_(policy),
-      options_(std::move(options)),
-      backoff_(options_.seed,
-               ShardBackoffPolicy(options_.backoff,
-                                  options_.max_attempts_per_tick)) {
+      options_(std::move(options)) {
   BITPUSH_CHECK_GE(options_.shards, 1);
   BITPUSH_CHECK_GE(options_.max_attempts_per_tick, 1);
-  BITPUSH_CHECK(options_.attempt_cost_minutes >= 0.0);
-  BITPUSH_CHECK(options_.stall_cost_minutes >= 0.0);
   workers_ = ShardWorkers(options_.shards);
 }
 
@@ -362,7 +316,6 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
   const size_t shards = static_cast<size_t>(options_.shards);
   std::vector<ShardLoss> losses;
   std::vector<int64_t> delivered_shards;
-  double makespan = 0.0;
 
   // Merge-tier tick span: the root of this tick's cross-shard trace. Its
   // context rides into every CollectTick (and from there across the frame
@@ -375,7 +328,7 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
   // Every shard's delivery loop at once.
   std::vector<ShardTask> tasks(shards);
   RunShardTasks(&tasks, workers_, [&](size_t s, ShardTask* task) {
-    task->ok = DeliverShard(coordinators_[s].get(), options_, backoff_, tick,
+    task->ok = DeliverShard(coordinators_[s].get(), options_, tick,
                             merge_context, task);
   });
 
@@ -392,7 +345,6 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
     if (task.delivered) {
       merge_->AddFrame(task.frame);
       delivered_shards.push_back(static_cast<int64_t>(s));
-      makespan = std::max(makespan, task.clock);
       if (task.recovered) {
         obs::EventArgs args;
         args.tick = tick;
@@ -450,7 +402,6 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
   }
 
   history_.push_back(result);
-  makespan_minutes_.push_back(makespan);
   ++next_tick_;
   *out = std::move(result);
   return true;
@@ -519,7 +470,7 @@ ReferenceCampaignResult RunSingleCoordinatorReference(
 
       size_t result_index = 0;
       for (size_t qi = 0; qi < queries.size(); ++qi) {
-        if (!ScheduledAt(queries[qi], tick)) continue;
+        if (!queries[qi].ScheduledAt(tick)) continue;
         BITPUSH_CHECK_LT(result_index, results.size());
         const CampaignTickResult& result = results[result_index++];
         const auto it = state.recorder->outcomes.find(qi);
@@ -545,7 +496,7 @@ ReferenceCampaignResult RunSingleCoordinatorReference(
     merged_tick.shards_delivered = shards;
     size_t scheduled_index = 0;
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      if (!ScheduledAt(queries[qi], tick)) continue;
+      if (!queries[qi].ScheduledAt(tick)) continue;
       std::vector<const ShardQueryFrame*> delivered;
       delivered.reserve(static_cast<size_t>(shards));
       TallyBatch merged;

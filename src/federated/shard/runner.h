@@ -1,15 +1,17 @@
 // The driver of the two-tier topology: N ShardCoordinators under one
 // MergeTier, with the robustness loop in between (docs/SHARDING.md).
 //
-// Per tick, per shard: delivery attempts with capped backoff on the
-// simulated clock (RetrySchedule's hash-based jitter keyed by
-// (tick, shard, attempt) — no RNG stream consumed), shard faults injected
-// by the ShardFaultPlan between the shard and the frame hop, crash
-// recovery through the shard's own journal, and — when the attempts or
-// the tick budget run out — exact exclusion: the tick merges without the
-// shard (degraded), or fails closed below quorum. A transiently lost
-// shard catches up on the next tick; a permanently lost one is excluded
-// from every later tick with its clients accounted.
+// Per tick, per shard: up to max_attempts_per_tick delivery attempts, a
+// retry starting at once after a stalled or crashed attempt (ShardMetrics
+// counts the attempts, retries and stalls), shard faults injected by the
+// ShardFaultPlan between the shard and the frame hop, crash recovery
+// through the shard's own journal, and — when the attempts run out —
+// exact exclusion: the tick merges without the shard (degraded), or fails
+// closed below quorum. A transiently lost shard catches up on the next
+// tick; a permanently lost one is excluded from every later tick with its
+// clients accounted. The crash faults cut the shard's journal with
+// persist/'s cut tools after the restart; the runner itself does no file
+// I/O.
 //
 // Every delivered frame crosses the wire codec (encode + fail-closed
 // decode) even in-process, so the shard -> merge hop is exercised on the
@@ -39,7 +41,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,17 +71,9 @@ struct ShardedCampaignOptions {
   // ceil(quorum_fraction * shards) shards delivered; below that it fails
   // closed (kFailedQuorum, no estimate).
   double quorum_fraction = 0.5;
-  // Delivery attempts per shard per tick, with capped backoff between
-  // attempts on the simulated clock.
+  // Delivery attempts per shard per tick; a stalled or crashed attempt is
+  // retried at once until they run out.
   int64_t max_attempts_per_tick = 4;
-  double attempt_cost_minutes = 1.0;
-  double stall_cost_minutes = 8.0;
-  // Simulated-minutes deadline for one shard's tick; an attempt that
-  // cannot finish inside it is not started. Infinite by default.
-  double tick_budget_minutes = std::numeric_limits<double>::infinity();
-  // base/cap of the inter-attempt backoff (RetryPolicy's
-  // base_backoff_minutes / cap_backoff_minutes).
-  RetryPolicy backoff;
   // Shard-level chaos; nullptr runs clean. Not owned.
   const ShardFaultPlan* fault_plan = nullptr;
   // Forwarded to every shard's campaign (federated/resilience.h).
@@ -111,11 +104,6 @@ class ShardedCampaignRunner {
   ShardCoordinator* shard(int64_t s);
   const MergeTier& merge() const { return *merge_; }
   const std::vector<MergedTickResult>& history() const { return history_; }
-  // Simulated minutes of the slowest shard for each closed tick (the
-  // campaign makespan under perfect shard parallelism).
-  const std::vector<double>& tick_makespan_minutes() const {
-    return makespan_minutes_;
-  }
   // Canonical bytes of shard s's local privacy ledger.
   std::vector<uint8_t> shard_meter_bytes(int64_t s) const;
 
@@ -123,13 +111,11 @@ class ShardedCampaignRunner {
   std::vector<CampaignQuery> queries_;
   MeterPolicy policy_;
   ShardedCampaignOptions options_;
-  RetrySchedule backoff_;
   // Threads a tick's shard tasks run on, the caller included.
   int64_t workers_ = 1;
   std::vector<std::unique_ptr<ShardCoordinator>> coordinators_;
   std::unique_ptr<MergeTier> merge_;
   std::vector<MergedTickResult> history_;
-  std::vector<double> makespan_minutes_;
   bool open_ = false;
   int64_t next_tick_ = 0;
 };

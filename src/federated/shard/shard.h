@@ -3,7 +3,9 @@
 // persistence for one deterministic partition of the client population —
 // its own PrivacyMeter ledger, its own journal/snapshot under
 // `state_dir`, and its own seeded RNG stream — and hands the merge tier
-// one ShardTickFrame per tick.
+// one ShardTickFrame per tick. The shard is wiring: its
+// DurableCampaignRunner persists through src/persist/, which alone reads,
+// replaces and cuts the state files; the shard tier does no file I/O.
 //
 // Failure domain: everything behind a ShardCoordinator can die and come
 // back (Restart + crash recovery through DurableCampaignRunner) or not
@@ -33,7 +35,6 @@
 #include "federated/resilience.h"
 #include "federated/shard/merge.h"
 #include "obs/trace.h"
-#include "persist/journal.h"
 #include "persist/recovery.h"
 
 namespace bitpush {
@@ -49,19 +50,6 @@ uint64_t ShardSeed(uint64_t root_seed, int64_t shard_index);
 // disjoint.
 std::vector<std::vector<Client>> PartitionClients(
     const std::vector<Client>& population, int64_t shards);
-
-// Journal helpers that tolerate a first sequence number > 0 (the normal
-// state of a journal that has been truncated by a snapshot; plain
-// ReadJournal/TruncateJournalToRecords require the caller to know the
-// snapshot's next_seq). Used by the shard fault harness and the
-// kill-at-every-record matrix.
-bool ReadShardJournal(const std::string& path, JournalReadResult* out,
-                      std::string* error);
-bool TruncateShardJournalToRecords(const std::string& path,
-                                   size_t keep_records, std::string* error);
-// Chops `bytes` off the end of the file — the torn-write crash artifact.
-bool TearShardJournalTail(const std::string& path, size_t bytes,
-                          std::string* error);
 
 // Builds one query's frame row from its outcome: tallies are the
 // round-1 + round-2 histograms (zero-width when the query never ran a

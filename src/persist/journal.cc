@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "persist/file.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
@@ -196,53 +198,38 @@ bool JournalWriter::WriteLargeFrame(JournalRecordType type,
   return wrote;
 }
 
-bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
-                 JournalReadResult* out, std::string* error) {
+namespace {
+
+// The one journal reader behind both entry points. `first_seq` is the
+// sequence number the first kept record must carry; unset, the first
+// frame's is taken.
+bool ReadJournalFile(const std::string& path,
+                     std::optional<uint64_t> first_seq,
+                     JournalReadResult* out, std::string* error) {
   BITPUSH_CHECK(out != nullptr);
   BITPUSH_CHECK(error != nullptr);
-  JournalReadResult result;
-  result.next_seq = expected_first_seq;
-
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    if (errno == ENOENT) {
-      // No journal yet: an empty one.
-      *out = std::move(result);
-      return true;
-    }
-    *error = IoError("open journal", path);
-    return false;
-  }
   std::vector<uint8_t> data;
-  uint8_t chunk[4096];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    data.insert(data.end(), chunk, chunk + n);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    *error = IoError("read journal", path);
-    return false;
-  }
+  bool found = false;  // a missing journal parses as an empty one
+  if (!ReadWholeFile(path, &data, &found, error)) return false;
 
+  JournalReadResult result;
+  result.next_seq = first_seq.value_or(0);
   size_t offset = 0;
   uint64_t previous_seq = 0;
   bool have_previous = false;
   while (offset < data.size()) {
-    if (data.size() - offset < kFrameHeaderSize) {
-      result.torn_tail = true;  // file ends inside a frame header
-      break;
-    }
     size_t cursor = offset;
     uint8_t version = 0;
     uint8_t type = 0;
     uint64_t seq = 0;
     uint32_t length = 0;
-    BITPUSH_CHECK(bytes::GetByte(data, &cursor, &version));
-    BITPUSH_CHECK(bytes::GetByte(data, &cursor, &type));
-    BITPUSH_CHECK(bytes::GetUint64(data, &cursor, &seq));
-    BITPUSH_CHECK(bytes::GetUint32(data, &cursor, &length));
+    if (!bytes::GetByte(data, &cursor, &version) ||
+        !bytes::GetByte(data, &cursor, &type) ||
+        !bytes::GetUint64(data, &cursor, &seq) ||
+        !bytes::GetUint32(data, &cursor, &length)) {
+      result.torn_tail = true;  // file ends inside a frame header
+      break;
+    }
     if (version != kJournalFormatVersion) {
       *error = "journal record with unknown format version";
       return false;
@@ -250,6 +237,10 @@ bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
     if (!ValidRecordType(type)) {
       *error = "journal record with unknown type";
       return false;
+    }
+    if (!first_seq.has_value()) {
+      first_seq = seq;
+      result.next_seq = seq;
     }
     if (data.size() - cursor < static_cast<size_t>(length) + kFrameCrcSize) {
       result.torn_tail = true;  // file ends inside the payload or CRC
@@ -259,8 +250,8 @@ bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
         bytes::Crc32(data.data() + offset, kFrameHeaderSize + length);
     cursor += length;
     uint32_t stored_crc = 0;
-    BITPUSH_CHECK(bytes::GetUint32(data, &cursor, &stored_crc));
-    if (computed_crc != stored_crc) {
+    if (!bytes::GetUint32(data, &cursor, &stored_crc) ||
+        computed_crc != stored_crc) {
       // A complete frame with a bad CRC is real corruption, not a torn
       // write: fail closed.
       *error = "journal record failed CRC check";
@@ -272,8 +263,8 @@ bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
     }
     have_previous = true;
     previous_seq = seq;
-    if (seq >= expected_first_seq) {
-      if (result.records.empty() && seq != expected_first_seq) {
+    if (seq >= *first_seq) {
+      if (result.records.empty() && seq != *first_seq) {
         // Records between the snapshot and this one are missing entirely.
         *error = "journal starts past the snapshot sequence";
         return false;
@@ -295,31 +286,48 @@ bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
   return true;
 }
 
+}  // namespace
+
+bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
+                 JournalReadResult* out, std::string* error) {
+  return ReadJournalFile(path, expected_first_seq, out, error);
+}
+
+bool ReadJournalFromFirstFrame(const std::string& path,
+                               JournalReadResult* out, std::string* error) {
+  return ReadJournalFile(path, std::nullopt, out, error);
+}
+
+bool ReplaceJournal(const std::string& path,
+                    const std::vector<JournalRecord>& records, bool sync,
+                    std::string* error) {
+  std::vector<uint8_t> bytes;
+  for (const JournalRecord& record : records) {
+    AppendJournalFrame(record.type, record.seq, record.payload, &bytes);
+  }
+  return ReplaceFile(path, bytes, sync, error);
+}
+
 bool TruncateJournalToRecords(const std::string& path, size_t keep_records,
                               std::string* error) {
-  BITPUSH_CHECK(error != nullptr);
   JournalReadResult journal;
-  if (!ReadJournal(path, 0, &journal, error)) return false;
-  std::vector<uint8_t> prefix;
-  const size_t keep = std::min(keep_records, journal.records.size());
-  for (size_t i = 0; i < keep; ++i) {
-    AppendJournalFrame(journal.records[i].type, journal.records[i].seq,
-                       journal.records[i].payload, &prefix);
-  }
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    *error = IoError("truncate journal", path);
+  if (!ReadJournalFromFirstFrame(path, &journal, error)) return false;
+  journal.records.resize(std::min(keep_records, journal.records.size()));
+  return ReplaceJournal(path, journal.records, /*sync=*/false, error);
+}
+
+bool TearJournalTail(const std::string& path, size_t bytes,
+                     std::string* error) {
+  BITPUSH_CHECK(error != nullptr);
+  std::vector<uint8_t> data;
+  bool found = false;
+  if (!ReadWholeFile(path, &data, &found, error)) return false;
+  if (!found) {
+    *error = "tear journal " + path + ": no such file";
     return false;
   }
-  const bool wrote =
-      prefix.empty() ||
-      std::fwrite(prefix.data(), 1, prefix.size(), file) == prefix.size();
-  const bool closed = std::fclose(file) == 0;
-  if (!wrote || !closed) {
-    *error = IoError("truncate journal", path);
-    return false;
-  }
-  return true;
+  data.resize(data.size() > bytes ? data.size() - bytes : 0);
+  return ReplaceFile(path, data, /*sync=*/false, error);
 }
 
 // ---------------------------------------------------------------------------

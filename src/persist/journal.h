@@ -21,6 +21,9 @@
 // directory (snapshots record where the journal resumes); the CRC covers
 // version through payload.
 //
+// Every whole-file read and rewrite of the journal goes through
+// persist/file.h; JournalWriter below owns the appends.
+//
 // Read semantics distinguish the one corruption a crash legitimately
 // produces from everything else. A file that *ends* mid-frame is a torn
 // tail: the clean prefix is used and the torn bytes are truncated before
@@ -153,20 +156,51 @@ struct JournalReadResult {
   uint64_t next_seq = 0;
 };
 
-// Reads and validates a journal file. A missing file is an empty journal
-// (success). Returns false with `*error` set on I/O failure or on any
-// corruption that is not a torn tail: CRC mismatch, unknown version or
-// record type, a duplicate / out-of-order / gapped sequence number.
+// The journal file of the state directory `state_dir`.
+inline std::string JournalPath(const std::string& state_dir) {
+  return state_dir + "/journal.wal";
+}
+
+// Reads and validates a journal file, the recovery entry point: records
+// below `expected_first_seq` (the snapshot's journal_next_seq) are stale
+// and dropped, and a journal whose first kept record is past it fails. A
+// missing file is an empty journal (success). Returns false with `*error`
+// set on I/O failure or on any corruption that is not a torn tail: CRC
+// mismatch, unknown version or record type, a duplicate / out-of-order /
+// gapped sequence number.
 bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
                  JournalReadResult* out, std::string* error);
 
+// The same parse for a reader that does not know the snapshot: the first
+// frame's sequence number is taken as the expected one, so a journal a
+// snapshot truncated reads whole. The doctor, the cut tools and the shard
+// fault harness read this way. An empty journal has next_seq 0.
+bool ReadJournalFromFirstFrame(const std::string& path,
+                               JournalReadResult* out, std::string* error);
+
+// Atomically replaces the journal at `path` with exactly `records`, framed
+// (ReplaceFile, persist/file.h); `sync` fsyncs the file and its directory.
+bool ReplaceJournal(const std::string& path,
+                    const std::vector<JournalRecord>& records, bool sync,
+                    std::string* error);
+
+// The cut tools: the disk states a crash leaves, made on purpose by tests,
+// examples and the shard fault harness. A cut replaces the file, so it is
+// legal only while no writer holds the journal open — an open
+// JournalWriter would go on appending to the file the cut replaced. Cuts
+// never fsync. Both return false with `*error` set on I/O failure.
+//
 // Rewrites the journal at `path` so only its first `keep_records` records
-// remain — the canonical way to simulate a crash that lost a durable
-// suffix. Reads and validates the existing file first; keeping more records
-// than exist keeps them all. Returns false with `*error` set on I/O failure
-// or on pre-existing corruption.
+// remain — a crash that lost a durable suffix. Reads and validates the
+// existing file first (ReadJournalFromFirstFrame, so a snapshot-truncated
+// journal cuts too) and fails on pre-existing corruption; keeping more
+// records than exist keeps them all, and a torn tail is dropped.
 bool TruncateJournalToRecords(const std::string& path, size_t keep_records,
                               std::string* error);
+// Chops `bytes` off the end of the journal at `path` — the torn-write
+// crash artifact. A missing journal is an error.
+bool TearJournalTail(const std::string& path, size_t bytes,
+                     std::string* error);
 
 // ---------------------------------------------------------------------------
 // Record payloads. Each Encode appends to `out`; each Decode consumes the

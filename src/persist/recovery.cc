@@ -1,9 +1,6 @@
 #include "persist/recovery.h"
 
-#include <unistd.h>
-
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <iterator>
@@ -43,9 +40,6 @@ void ObserveRecovery(const RecoveryInfo& info) {
   replayed->Add(info.replayed_records);
   if (info.torn_tail) torn->Increment();
 }
-
-constexpr const char* kJournalFile = "journal.wal";
-constexpr const char* kSnapshotFile = "snapshot.bin";
 
 // The kRoundClosed cohort digest: 64-bit FNV-1a over the little-endian
 // bytes of the round's partition indices, in order.
@@ -100,8 +94,8 @@ bool DurableCampaignRunner::Open(std::string* error) {
     *error = "create state dir " + options_.state_dir + ": " + ec.message();
     return false;
   }
-  journal_path_ = options_.state_dir + "/" + kJournalFile;
-  snapshot_path_ = options_.state_dir + "/" + kSnapshotFile;
+  journal_path_ = JournalPath(options_.state_dir);
+  snapshot_path_ = SnapshotPath(options_.state_dir);
 
   CoordinatorSnapshot snapshot;
   bool found = false;
@@ -172,8 +166,13 @@ bool DurableCampaignRunner::Open(std::string* error) {
   // Rewrite the file to exactly the kept records: drops the torn tail, any
   // stale pre-snapshot prefix and the charges of a round that never
   // closed, so a later recovery never re-parses them. Appends resume after
-  // the last kept record.
-  if (!RewriteJournalFile(journal.records, error)) return false;
+  // the last kept record. The rewrite is atomic: the old journal stays
+  // durable and intact until the rewritten bytes are, so a crash inside it
+  // cannot lose journaled meter charges.
+  if (!ReplaceJournal(journal_path_, journal.records, options_.fsync,
+                      error)) {
+    return false;
+  }
   const uint64_t next_seq =
       journal.records.empty() ? expected_seq : journal.records.back().seq + 1;
   if (!journal_.Open(journal_path_, next_seq, error)) return false;
@@ -362,45 +361,6 @@ bool DurableCampaignRunner::ApplyCharges(
   return true;
 }
 
-bool DurableCampaignRunner::RewriteJournalFile(
-    const std::vector<JournalRecord>& records, std::string* error) {
-  std::vector<uint8_t> bytes;
-  for (const JournalRecord& record : records) {
-    AppendJournalFrame(record.type, record.seq, record.payload, &bytes);
-  }
-  // Temp sibling + fsync + rename, the WriteSnapshotFile pattern: the old
-  // journal stays durable and intact until the rewritten bytes are. An
-  // in-place truncate would destroy validated records before their
-  // replacements reached disk, so a crash inside this window could lose
-  // journaled meter charges.
-  const std::string temp_path = journal_path_ + ".tmp";
-  std::FILE* file = std::fopen(temp_path.c_str(), "wb");
-  if (file == nullptr) {
-    *error = "rewrite journal " + temp_path + ": " + std::strerror(errno);
-    return false;
-  }
-  // An empty record set is legal (a journal rewritten down to nothing) and
-  // an empty vector's data() may be null, which fwrite declares nonnull.
-  const bool wrote =
-      bytes.empty() ||
-      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
-  const bool flushed = wrote && std::fflush(file) == 0;
-  const bool synced = flushed && (!options_.fsync || fsync(fileno(file)) == 0);
-  std::fclose(file);
-  if (!synced) {
-    *error = "rewrite journal " + temp_path + ": " + std::strerror(errno);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  if (std::rename(temp_path.c_str(), journal_path_.c_str()) != 0) {
-    *error = "rename journal " + journal_path_ + ": " + std::strerror(errno);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  if (options_.fsync && !SyncParentDir(journal_path_, error)) return false;
-  return true;
-}
-
 std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
     int64_t tick,
     const std::vector<const std::vector<Client>*>& populations,
@@ -482,7 +442,7 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   // leftover records all predate snapshot.journal_next_seq and the next
   // recovery skips them as stale.
   journal_.Close();
-  if (!RewriteJournalFile({}, error)) return false;
+  if (!ReplaceJournal(journal_path_, {}, options_.fsync, error)) return false;
   journal_records_ = 0;
   return journal_.Open(journal_path_, snapshot.journal_next_seq, error);
 }

@@ -220,8 +220,6 @@ class DurableCampaignRunner : private CampaignRecorder,
   // Applies journaled charges through the meter; false at the first whose
   // decision differs from the journaled one.
   bool ApplyCharges(const std::vector<MeterChargeRecord>& charges);
-  bool RewriteJournalFile(const std::vector<JournalRecord>& records,
-                          std::string* error);
   // Pads meter_by_tick_ up to (and including) index `tick` with the
   // meter's current totals — called when a tick closes (live) and at each
   // restored campaign-tick record (Open). Never overwrites an existing

@@ -1,15 +1,11 @@
 #include "persist/snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "persist/file.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
@@ -25,10 +21,6 @@ constexpr uint8_t kSnapshotMagic[4] = {'B', 'P', 'S', 'N'};
 // of sizing an allocation.
 constexpr size_t kMinFinishedEntryBytes = 8 + 8 + (8 + 4 + 1 + 8 + 8) + 4;
 constexpr size_t kMinBitMeansEntryBytes = 8 + 4;
-
-std::string IoError(const std::string& action, const std::string& path) {
-  return action + " " + path + ": " + std::strerror(errno);
-}
 
 // The one encoder of the file format. It hands `emit` the file's bytes in
 // order as four pieces: the magic, version, fixed fields and ledger length;
@@ -205,67 +197,32 @@ bool WriteSnapshotFile(const std::string& path,
   obs::ScopedTimer timer(duration);
   obs::Span span("snapshot.write", "persist");
 
-  const std::string temp_path = path + ".tmp";
-  std::FILE* file = std::fopen(temp_path.c_str(), "wb");
-  if (file == nullptr) {
-    *error = IoError("open snapshot temp", temp_path);
-    return false;
-  }
   // Streamed: each piece goes to the file as it is encoded, under a
   // running CRC, so the ledger blob is never copied into a file image.
-  bool wrote = true;
-  uint32_t crc = 0;
+  // Synced whatever the journal's fsync setting: without the directory
+  // fsync a power loss could resurrect the old snapshot after the journal
+  // had already been truncated against the new one.
   size_t file_bytes = 0;
-  const auto write = [&](const uint8_t* data, size_t size) {
-    if (size == 0) return;
-    wrote = wrote && std::fwrite(data, 1, size, file) == size;
-    file_bytes += size;
-  };
-  EncodeSnapshotPieces(snapshot, [&](const uint8_t* data, size_t size) {
-    crc = bytes::Crc32Extend(crc, data, size);
-    write(data, size);
-  });
-  std::vector<uint8_t> trailer;
-  bytes::PutUint32(crc, &trailer);
-  write(trailer.data(), trailer.size());
+  const bool replaced = ReplaceFile(
+      path, /*sync=*/true,
+      [&](const FileSink& sink) {
+        uint32_t crc = 0;
+        EncodeSnapshotPieces(snapshot, [&](const uint8_t* data, size_t size) {
+          crc = bytes::Crc32Extend(crc, data, size);
+          sink(data, size);
+          file_bytes += size;
+        });
+        std::vector<uint8_t> trailer;
+        bytes::PutUint32(crc, &trailer);
+        sink(trailer.data(), trailer.size());
+        file_bytes += trailer.size();
+      },
+      error);
+  span.AddNumeric("bytes", static_cast<double>(file_bytes));
+  if (!replaced) return false;
   writes->Increment();
   size_bytes->Set(static_cast<double>(file_bytes));
-  span.AddNumeric("bytes", static_cast<double>(file_bytes));
-
-  const bool flushed = wrote && std::fflush(file) == 0;
-  const bool synced = flushed && fsync(fileno(file)) == 0;
-  std::fclose(file);
-  if (!synced) {
-    *error = IoError("write snapshot temp", temp_path);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
-    *error = IoError("rename snapshot", path);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  // The rename is only durable once the directory entry is; without this a
-  // power loss could resurrect the old snapshot after the journal had
-  // already been truncated against the new one.
-  return SyncParentDir(path, error);
-}
-
-bool SyncParentDir(const std::string& path, std::string* error) {
-  BITPUSH_CHECK(error != nullptr);
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? std::string(".")
-                          : slash == 0              ? std::string("/")
-                                                    : path.substr(0, slash);
-  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    *error = IoError("open state dir", dir);
-    return false;
-  }
-  const bool synced = fsync(fd) == 0;
-  if (!synced) *error = IoError("fsync state dir", dir);
-  close(fd);
-  return synced;
+  return true;
 }
 
 bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,
@@ -274,24 +231,10 @@ bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,
   BITPUSH_CHECK(found != nullptr);
   BITPUSH_CHECK(error != nullptr);
   *found = false;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    if (errno == ENOENT) return true;
-    *error = IoError("open snapshot", path);
-    return false;
-  }
   std::vector<uint8_t> data;
-  uint8_t chunk[4096];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    data.insert(data.end(), chunk, chunk + n);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    *error = IoError("read snapshot", path);
-    return false;
-  }
+  bool exists = false;
+  if (!ReadWholeFile(path, &data, &exists, error)) return false;
+  if (!exists) return true;
   if (!DecodeCoordinatorSnapshot(data, out)) {
     *error = "snapshot failed validation (bad magic, version, CRC, or body)";
     return false;

@@ -5,9 +5,10 @@
 // (as its canonical encoded blob), every finished query's tick result and
 // final bit means, the adaptive bit-means cache, the circuit-breaker state,
 // and the sequence number at which the journal resumes. After a
-// snapshot is durably in place (write-to-temp, fsync, atomic rename) the
-// journal is truncated; recovery loads the newest snapshot and restores
-// the short journal tail on top of it.
+// snapshot is durably in place (ReplaceFile's temp sibling, fsync, atomic
+// rename and directory fsync; persist/file.h) the journal is emptied;
+// recovery loads the newest snapshot and restores the short journal tail
+// on top of it.
 //
 // File format: "BPSN" magic, the snapshot's own format-version byte
 // (kSnapshotFormatVersion), the encoded body, and a trailing CRC-32 over
@@ -77,17 +78,20 @@ void EncodeCoordinatorSnapshot(const CoordinatorSnapshot& snapshot,
 bool DecodeCoordinatorSnapshot(const std::vector<uint8_t>& buffer,
                                CoordinatorSnapshot* out);
 
-// Atomically replaces `path` with the encoded snapshot: write to a
-// temporary sibling, fsync, rename, fsync the directory. Returns false
-// with `*error` on I/O failure.
+// The snapshot file of the state directory `state_dir`.
+inline std::string SnapshotPath(const std::string& state_dir) {
+  return state_dir + "/snapshot.bin";
+}
+
+// Atomically replaces `path` with the encoded snapshot through
+// ReplaceFile (persist/file.h), streaming the pieces under a running CRC.
+// The file and the directory are always fsynced, whatever the journal's
+// fsync setting. The snapshot metrics count it only once it is in place.
+// Returns false with `*error` naming the path on I/O failure, the old
+// snapshot untouched.
 bool WriteSnapshotFile(const std::string& path,
                        const CoordinatorSnapshot& snapshot,
                        std::string* error);
-
-// Fsyncs the directory containing `path`, making a preceding rename or
-// file creation inside it durable across power loss. Returns false with
-// `*error` set on failure.
-bool SyncParentDir(const std::string& path, std::string* error);
 
 // Loads and decodes `path`. A missing file is success with `*found` set to
 // false (fresh state directory). Corruption is an error — a coordinator

@@ -1,12 +1,14 @@
 // Write-ahead journal and snapshot format tests: frame round-trips, group
 // commit, the torn-tail-vs-hard-corruption distinction, sequence
-// discipline, stale pre-snapshot prefixes, and the atomic snapshot file
-// cycle.
+// discipline, stale pre-snapshot prefixes, the atomic snapshot file cycle,
+// and the file module under both (persist/file.h).
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -15,6 +17,8 @@
 
 #include "core/privacy_meter.h"
 #include "federated/resilience.h"
+#include "obs/metrics.h"
+#include "persist/file.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "util/bytes.h"
@@ -596,6 +600,96 @@ TEST(SnapshotTest, FileCycleIsAtomicAndFailsClosedOnCorruption) {
   std::fclose(file);
   EXPECT_FALSE(LoadSnapshotFile(path, &out, &found, &error));
   EXPECT_FALSE(error.empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotTest, MissingFileReadsAsNotFound) {
+  const std::string dir = ::testing::TempDir() + "/snapshot_missing";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string error;
+
+  std::vector<uint8_t> bytes = {9};
+  bool found = true;
+  EXPECT_TRUE(ReadWholeFile(SnapshotPath(dir), &bytes, &found, &error));
+  EXPECT_FALSE(found);
+  EXPECT_TRUE(bytes.empty());
+  EXPECT_TRUE(error.empty()) << error;
+
+  CoordinatorSnapshot snapshot;
+  found = true;
+  EXPECT_TRUE(LoadSnapshotFile(SnapshotPath(dir), &snapshot, &found, &error));
+  EXPECT_FALSE(found);
+  EXPECT_TRUE(error.empty()) << error;
+
+  JournalReadResult journal;
+  EXPECT_TRUE(ReadJournalFromFirstFrame(JournalPath(dir), &journal, &error));
+  EXPECT_TRUE(journal.records.empty());
+  EXPECT_EQ(journal.next_seq, 0u);
+  EXPECT_TRUE(error.empty()) << error;
+
+  // Anything else that cannot be read is an error naming the path.
+  EXPECT_FALSE(ReadWholeFile(dir, &bytes, &found, &error));
+  EXPECT_NE(error.find(dir), std::string::npos) << error;
+  std::filesystem::remove_all(dir);
+}
+
+int64_t SnapshotWrites() {
+  int64_t writes = 0;
+  obs::Registry::Default().Visit(
+      [&](const obs::InstrumentInfo& info, const obs::Counter* counter,
+          const obs::Gauge*, const obs::Histogram*) {
+        if (counter != nullptr &&
+            info.name == "bitpush_snapshot_writes_total") {
+          writes = counter->value();
+        }
+      });
+  return writes;
+}
+
+TEST(SnapshotTest, FailedReplaceLeavesTargetAlone) {
+  // The target is a non-empty directory, so the rename over it fails
+  // after the sibling was written.
+  const std::string dir = ::testing::TempDir() + "/snapshot_replace_fails";
+  std::filesystem::remove_all(dir);
+  const std::string target = dir + "/target";
+  std::filesystem::create_directories(target);
+  const std::string inside = target + "/kept";
+  std::ofstream(inside) << "kept";
+  const auto expect_untouched = [&](const std::string& what) {
+    EXPECT_TRUE(std::filesystem::is_directory(target)) << what;
+    std::ifstream in(inside);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()),
+              "kept")
+        << what;
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(target),
+                            std::filesystem::directory_iterator()),
+              1)
+        << what;
+    EXPECT_FALSE(std::filesystem::exists(target + ".tmp")) << what;
+  };
+
+  std::string error;
+  EXPECT_FALSE(ReplaceFile(target, std::vector<uint8_t>{1, 2, 3},
+                           /*sync=*/true, &error));
+  EXPECT_NE(error.find(target), std::string::npos) << error;
+  expect_untouched("ReplaceFile");
+
+  obs::Registry::Default().Reset();
+  obs::SetEnabled(true);
+  CoordinatorSnapshot snapshot;
+  snapshot.base_seed = 5;
+  error.clear();
+  EXPECT_FALSE(WriteSnapshotFile(target, snapshot, &error));
+  EXPECT_NE(error.find(target), std::string::npos) << error;
+  EXPECT_EQ(SnapshotWrites(), 0);
+  // The same snapshot beside it is written, and counted.
+  EXPECT_TRUE(WriteSnapshotFile(dir + "/snapshot.bin", snapshot, &error))
+      << error;
+  EXPECT_EQ(SnapshotWrites(), 1);
+  obs::SetEnabled(false);
+  expect_untouched("WriteSnapshotFile");
   std::filesystem::remove_all(dir);
 }
 

@@ -110,7 +110,7 @@ class RecoveryTest : public ::testing::Test {
     return options;
   }
 
-  // Runs ticks [next_tick, kTicks) to completion and returns the fingerprint
+  // Runs ticks [next_tick, ticks) to completion and returns the fingerprint
   // every crash point must reproduce: tick results, meter ledger bytes, and
   // the bit-means cache.
   struct Fingerprint {
@@ -118,8 +118,9 @@ class RecoveryTest : public ::testing::Test {
     std::vector<uint8_t> meter;
     std::map<int64_t, std::vector<double>> bit_means;
   };
-  Fingerprint RunToCompletion(DurableCampaignRunner* runner) {
-    for (int64_t tick = runner->next_tick(); tick < kTicks; ++tick) {
+  Fingerprint RunToCompletion(DurableCampaignRunner* runner,
+                              int64_t ticks = kTicks) {
+    for (int64_t tick = runner->next_tick(); tick < ticks; ++tick) {
       runner->RunTick(tick, populations_, codecs_);
     }
     Fingerprint fingerprint;
@@ -431,6 +432,61 @@ TEST_F(RecoveryTest, SnapshotTruncatesJournalAndRecoveryUsesIt) {
   EXPECT_EQ(actual.history, expected.history);
   EXPECT_EQ(actual.meter, expected.meter);
   EXPECT_EQ(actual.bit_means, expected.bit_means);
+}
+
+TEST_F(RecoveryTest, SnapshotTruncatedJournalCanBeCut) {
+  // After a snapshot the journal starts past sequence 0. The cut tool still
+  // cuts it, the first-frame reader reads the cut whole, and recovery from
+  // the cut converges on the uninterrupted run.
+  constexpr int64_t kRunTicks = 3;
+  DurableCampaignOptions clean_options = Options(FreshDir("cut_clean"));
+  clean_options.snapshot_every_ticks = 2;
+  DurableCampaignRunner clean(MakeQueries(), policy_, clean_options);
+  std::string error;
+  ASSERT_TRUE(clean.Open(&error)) << error;
+  const Fingerprint expected = RunToCompletion(&clean, kRunTicks);
+
+  const std::string clean_dir = clean_options.state_dir;
+  CoordinatorSnapshot snapshot;
+  bool found = false;
+  ASSERT_TRUE(
+      LoadSnapshotFile(SnapshotPath(clean_dir), &snapshot, &found, &error))
+      << error;
+  ASSERT_TRUE(found);
+  ASSERT_EQ(snapshot.completed_ticks, 2);
+  ASSERT_GT(snapshot.journal_next_seq, 0u);
+  JournalReadResult journal;
+  ASSERT_TRUE(
+      ReadJournalFromFirstFrame(JournalPath(clean_dir), &journal, &error))
+      << error;
+  const size_t total = journal.records.size();
+  ASSERT_GT(total, 2u);
+  ASSERT_EQ(journal.records.front().seq, snapshot.journal_next_seq);
+
+  for (const size_t k : {size_t{1}, total / 2, total - 1}) {
+    const std::string dir = FreshDir("cut_" + std::to_string(k));
+    std::filesystem::copy(clean_dir, dir,
+                          std::filesystem::copy_options::recursive);
+    ASSERT_TRUE(TruncateJournalToRecords(JournalPath(dir), k, &error))
+        << "k=" << k << ": " << error;
+    JournalReadResult cut;
+    ASSERT_TRUE(ReadJournalFromFirstFrame(JournalPath(dir), &cut, &error))
+        << error;
+    ASSERT_EQ(cut.records.size(), k);
+    EXPECT_EQ(cut.records.front().seq, snapshot.journal_next_seq) << k;
+    EXPECT_EQ(cut.next_seq, snapshot.journal_next_seq + k) << k;
+    EXPECT_FALSE(cut.torn_tail) << k;
+
+    DurableCampaignOptions options = clean_options;
+    options.state_dir = dir;
+    DurableCampaignRunner reopened(MakeQueries(), policy_, options);
+    ASSERT_TRUE(reopened.Open(&error)) << "k=" << k << ": " << error;
+    EXPECT_TRUE(reopened.recovery_info().had_snapshot) << k;
+    const Fingerprint actual = RunToCompletion(&reopened, kRunTicks);
+    EXPECT_EQ(actual.history, expected.history) << k;
+    EXPECT_EQ(actual.meter, expected.meter) << k;
+    EXPECT_EQ(actual.bit_means, expected.bit_means) << k;
+  }
 }
 
 TEST_F(RecoveryTest, RecoveryRefusesAForeignSeed) {

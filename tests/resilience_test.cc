@@ -155,106 +155,59 @@ TEST(RetryStats, RecoveredTotalAndMergeCoverEveryField) {
   EXPECT_DOUBLE_EQ(decoded.elapsed_minutes, 2 * stats.elapsed_minutes);
 }
 
+// The counter block rides inside kRoundClosed journal records and shard
+// tick frames, decoded from wherever the enclosing payload has reached:
+// both tests start it one byte into the buffer.
 TEST(RetryStats, FrameRoundTrips) {
   const RetryStats stats = DistinctStats();
-  std::vector<uint8_t> frame;
-  EncodeRetryStatsFrame(stats, &frame);
+  std::vector<uint8_t> buffer = {0xAB};
+  EncodeRetryStats(stats, &buffer);
   RetryStats decoded;
-  ASSERT_TRUE(DecodeRetryStatsFrame(frame, &decoded));
+  size_t offset = 1;
+  ASSERT_TRUE(DecodeRetryStats(buffer, &offset, &decoded));
+  EXPECT_EQ(offset, buffer.size());
   EXPECT_EQ(decoded, stats);
 }
 
 TEST(RetryStats, FrameFailsClosed) {
-  std::vector<uint8_t> frame;
-  EncodeRetryStatsFrame(DistinctStats(), &frame);
-  RetryStats decoded;
-  // Every truncation, including the empty buffer.
-  for (size_t length = 0; length < frame.size(); ++length) {
-    const std::vector<uint8_t> cut(frame.begin(),
-                                   frame.begin() + static_cast<ptrdiff_t>(length));
-    EXPECT_FALSE(DecodeRetryStatsFrame(cut, &decoded)) << length;
+  // A rejected block leaves the offset where it was and `*out` untouched.
+  const auto expect_rejected = [](const std::vector<uint8_t>& buffer,
+                                  const std::string& what) {
+    RetryStats decoded = DistinctStats();
+    size_t offset = 1;
+    EXPECT_FALSE(DecodeRetryStats(buffer, &offset, &decoded)) << what;
+    EXPECT_EQ(offset, 1u) << what;
+    EXPECT_EQ(decoded, DistinctStats()) << what;
+  };
+  const auto encoded = [](const RetryStats& stats) {
+    std::vector<uint8_t> buffer = {0xAB};
+    EncodeRetryStats(stats, &buffer);
+    return buffer;
+  };
+  // Every truncation, down to no block at all.
+  const std::vector<uint8_t> whole = encoded(DistinctStats());
+  for (size_t length = 1; length < whole.size(); ++length) {
+    expect_rejected(
+        std::vector<uint8_t>(whole.begin(),
+                             whole.begin() + static_cast<ptrdiff_t>(length)),
+        "truncated to " + std::to_string(length));
   }
-  // Trailing garbage.
-  std::vector<uint8_t> padded = frame;
-  padded.push_back(0);
-  EXPECT_FALSE(DecodeRetryStatsFrame(padded, &decoded));
-  // Unknown version byte.
-  std::vector<uint8_t> wrong_version = frame;
-  wrong_version[0] ^= 0xff;
-  EXPECT_FALSE(DecodeRetryStatsFrame(wrong_version, &decoded));
-}
-
-TEST(ResilienceConfigFrame, RoundTripsNonDefaultConfig) {
-  ResilienceConfig config;
-  config.seed = 77;
-  config.retry = EnabledRetryPolicy(4);
-  config.retry.max_retries_per_round = 100;
-  config.hedge.enabled = true;
-  config.hedge.trigger_budget_fraction = 0.6;
-  config.hedge.max_hedges_per_round = 25;
-  config.breaker.consecutive_failures_to_open = 3;
-  config.breaker.failure_rate_to_open = 0.5;
-  config.breaker.min_samples_for_rate = 10;
-  config.breaker.cooldown_rounds = 2;
-  config.budget.minutes = 240.0;
-  config.latency.checkins_per_minute = 500.0;
-  std::vector<uint8_t> frame;
-  EncodeResilienceConfigFrame(config, &frame);
-  ResilienceConfig decoded;
-  ASSERT_TRUE(DecodeResilienceConfigFrame(frame, &decoded));
-  EXPECT_EQ(decoded, config);
-  // An infinite budget survives the wire: infinity is in-domain for budgets.
-  config.budget.minutes = kInf;
-  frame.clear();
-  EncodeResilienceConfigFrame(config, &frame);
-  ASSERT_TRUE(DecodeResilienceConfigFrame(frame, &decoded));
-  EXPECT_EQ(decoded, config);
-}
-
-TEST(ResilienceConfigFrame, FailsClosed) {
-  ResilienceConfig config;
-  config.retry = EnabledRetryPolicy(2);
-  config.hedge.enabled = true;
-  std::vector<uint8_t> frame;
-  EncodeResilienceConfigFrame(config, &frame);
-  ResilienceConfig decoded;
-  for (size_t length = 0; length < frame.size(); ++length) {
-    const std::vector<uint8_t> cut(frame.begin(),
-                                   frame.begin() + static_cast<ptrdiff_t>(length));
-    EXPECT_FALSE(DecodeResilienceConfigFrame(cut, &decoded)) << length;
+  // Negative counters, first and last.
+  RetryStats negative = DistinctStats();
+  negative.retries_scheduled = -1;
+  expect_rejected(encoded(negative), "negative retries_scheduled");
+  negative = DistinctStats();
+  negative.breaker_closes = -1;
+  expect_rejected(encoded(negative), "negative breaker_closes");
+  // Non-finite or negative minutes.
+  for (const double minutes : {kInf, -kInf, std::nan(""), -1.0}) {
+    RetryStats bad = DistinctStats();
+    bad.backoff_minutes = minutes;
+    expect_rejected(encoded(bad), "backoff_minutes " + std::to_string(minutes));
+    bad = DistinctStats();
+    bad.elapsed_minutes = minutes;
+    expect_rejected(encoded(bad), "elapsed_minutes " + std::to_string(minutes));
   }
-  std::vector<uint8_t> padded = frame;
-  padded.push_back(0);
-  EXPECT_FALSE(DecodeResilienceConfigFrame(padded, &decoded));
-  std::vector<uint8_t> wrong_version = frame;
-  wrong_version[0] ^= 0xff;
-  EXPECT_FALSE(DecodeResilienceConfigFrame(wrong_version, &decoded));
-
-  // Out-of-domain hedge flag: locate the hedge byte by diffing the frame
-  // against the same config with hedging off, then push it past 1.
-  ResilienceConfig hedge_off = config;
-  hedge_off.hedge.enabled = false;
-  std::vector<uint8_t> off_frame;
-  EncodeResilienceConfigFrame(hedge_off, &off_frame);
-  ASSERT_EQ(frame.size(), off_frame.size());
-  size_t hedge_byte = frame.size();
-  for (size_t i = 0; i < frame.size(); ++i) {
-    if (frame[i] != off_frame[i]) {
-      hedge_byte = i;
-      break;
-    }
-  }
-  ASSERT_LT(hedge_byte, frame.size());
-  std::vector<uint8_t> bad_flag = frame;
-  bad_flag[hedge_byte] = 2;
-  EXPECT_FALSE(DecodeResilienceConfigFrame(bad_flag, &decoded));
-
-  // NaN budget minutes.
-  ResilienceConfig nan_budget = config;
-  nan_budget.budget.minutes = std::nan("");
-  std::vector<uint8_t> nan_frame;
-  EncodeResilienceConfigFrame(nan_budget, &nan_frame);
-  EXPECT_FALSE(DecodeResilienceConfigFrame(nan_frame, &decoded));
 }
 
 // ---------------------------------------------------------------------------

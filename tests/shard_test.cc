@@ -421,7 +421,8 @@ TEST(ShardKillMatrixTest, KillAnyShardAtEveryRecordRecoversCleanMerge) {
         clean_root + "/shard" + std::to_string(victim) + "/journal.wal";
     JournalReadResult contents;
     std::string error;
-    ASSERT_TRUE(ReadShardJournal(journal, &contents, &error)) << error;
+    ASSERT_TRUE(ReadJournalFromFirstFrame(journal, &contents, &error))
+        << error;
     const int64_t records = static_cast<int64_t>(contents.records.size());
     ASSERT_GT(records, 0);
 
@@ -434,7 +435,7 @@ TEST(ShardKillMatrixTest, KillAnyShardAtEveryRecordRecoversCleanMerge) {
                             std::filesystem::copy_options::recursive);
       const std::string cut_journal =
           root + "/shard" + std::to_string(victim) + "/journal.wal";
-      ASSERT_TRUE(TruncateShardJournalToRecords(
+      ASSERT_TRUE(TruncateJournalToRecords(
           cut_journal, static_cast<size_t>(keep), &error))
           << error;
 
@@ -446,7 +447,8 @@ TEST(ShardKillMatrixTest, KillAnyShardAtEveryRecordRecoversCleanMerge) {
       ExpectTicksEqual(history, clean_history);
       // The victim re-appends exactly the records the cut lost.
       JournalReadResult rerun;
-      ASSERT_TRUE(ReadShardJournal(cut_journal, &rerun, &error)) << error;
+      ASSERT_TRUE(ReadJournalFromFirstFrame(cut_journal, &rerun, &error))
+          << error;
       ASSERT_EQ(rerun.records.size(), contents.records.size()) << keep;
       for (size_t i = 0; i < rerun.records.size(); ++i) {
         ASSERT_EQ(rerun.records[i].seq, contents.records[i].seq) << keep;

@@ -202,66 +202,10 @@ TEST(WireFuzzTest, NonFiniteEpsilonIsRejected) {
   }
 }
 
-std::vector<uint8_t> SampleResilienceConfigFrame(Rng& rng) {
-  ResilienceConfig config;
-  config.seed = rng.NextUint64();
-  config.retry.max_retries_per_client = static_cast<int64_t>(rng.NextBelow(8));
-  config.retry.max_retries_per_round =
-      static_cast<int64_t>(rng.NextBelow(10000));
-  config.retry.base_backoff_minutes = 0.1 + rng.NextDouble() * 2.0;
-  config.retry.cap_backoff_minutes =
-      config.retry.base_backoff_minutes + rng.NextDouble() * 16.0;
-  config.hedge.enabled = rng.NextBit() == 1;
-  config.hedge.trigger_budget_fraction = rng.NextDouble();
-  config.hedge.max_hedges_per_round = static_cast<int64_t>(rng.NextBelow(500));
-  config.breaker.consecutive_failures_to_open =
-      static_cast<int64_t>(rng.NextBelow(6));
-  config.breaker.failure_rate_to_open = rng.NextDouble();
-  config.breaker.min_samples_for_rate =
-      1 + static_cast<int64_t>(rng.NextBelow(16));
-  config.breaker.cooldown_rounds = 1 + static_cast<int64_t>(rng.NextBelow(8));
-  config.budget.minutes = rng.NextBit() == 0
-                              ? std::numeric_limits<double>::infinity()
-                              : rng.NextDouble() * 1000.0;
-  config.latency.checkins_per_minute = 1.0 + rng.NextDouble() * 2000.0;
-  config.latency.eligibility_rate = 0.01 + rng.NextDouble() * 0.99;
-  config.latency.fixed_round_minutes = rng.NextDouble() * 10.0;
-  std::vector<uint8_t> buffer;
-  EncodeResilienceConfigFrame(config, &buffer);
-  return buffer;
-}
-
-TEST(WireFuzzTest, ResilienceConfigFrameDecodeNeverMisbehaves) {
-  // Same binary contract as the batch decoders, with one difference: the
-  // frame decoders are whole-buffer (trailing bytes are themselves a decode
-  // error), so a clean decode must re-encode to the *entire* buffer.
-  for (uint64_t iteration = 0; iteration < 10000; ++iteration) {
-    Rng rng(0xAC1D0000 + iteration);
-    std::vector<uint8_t> buffer = SampleResilienceConfigFrame(rng);
-    Mutate(rng, &buffer);
-    ResilienceConfig decoded;
-    if (!DecodeResilienceConfigFrame(buffer, &decoded)) continue;
-    // Every field a decoder lets through must be safe to run a campaign
-    // with: schedule construction and budget math CHECK these domains.
-    ASSERT_GE(decoded.retry.max_retries_per_client, 0) << iteration;
-    ASSERT_GT(decoded.retry.base_backoff_minutes, 0.0) << iteration;
-    ASSERT_GE(decoded.retry.cap_backoff_minutes,
-              decoded.retry.base_backoff_minutes)
-        << iteration;
-    ASSERT_GE(decoded.hedge.trigger_budget_fraction, 0.0) << iteration;
-    ASSERT_LE(decoded.hedge.trigger_budget_fraction, 1.0) << iteration;
-    ASSERT_GE(decoded.breaker.min_samples_for_rate, 1) << iteration;
-    ASSERT_GE(decoded.breaker.cooldown_rounds, 1) << iteration;
-    ASSERT_FALSE(std::isnan(decoded.budget.minutes)) << iteration;
-    ASSERT_GE(decoded.budget.minutes, 0.0) << iteration;
-    ASSERT_GT(decoded.latency.checkins_per_minute, 0.0) << iteration;
-    std::vector<uint8_t> reencoded;
-    EncodeResilienceConfigFrame(decoded, &reencoded);
-    ASSERT_EQ(reencoded, buffer) << "round-trip mismatch at " << iteration;
-  }
-}
-
 TEST(WireFuzzTest, RetryStatsFrameDecodeNeverMisbehaves) {
+  // The counter block as kRoundClosed records and shard tick frames carry
+  // it: an offset decoder, so a clean decode must re-encode to exactly the
+  // bytes it consumed, and a rejected one must leave the offset alone.
   for (uint64_t iteration = 0; iteration < 10000; ++iteration) {
     Rng rng(0x57A70000 + iteration);
     RetryStats stats;
@@ -274,12 +218,16 @@ TEST(WireFuzzTest, RetryStatsFrameDecodeNeverMisbehaves) {
     stats.backoff_minutes = rng.NextDouble() * 500.0;
     stats.elapsed_minutes = rng.NextDouble() * 500.0;
     std::vector<uint8_t> buffer;
-    EncodeRetryStatsFrame(stats, &buffer);
+    EncodeRetryStats(stats, &buffer);
     Mutate(rng, &buffer);
     RetryStats decoded;
-    if (!DecodeRetryStatsFrame(buffer, &decoded)) continue;
+    size_t offset = 0;
+    if (!DecodeRetryStats(buffer, &offset, &decoded)) {
+      ASSERT_EQ(offset, 0u) << iteration;
+      continue;
+    }
     // Counters are non-negative and the minutes finite — a corrupted stats
-    // frame must never smuggle a negative count into an ops dashboard.
+    // block must never smuggle a negative count into an ops dashboard.
     ASSERT_GE(decoded.retries_scheduled, 0) << iteration;
     ASSERT_GE(decoded.hedges_issued, 0) << iteration;
     ASSERT_GE(decoded.breaker_opens, 0) << iteration;
@@ -287,8 +235,11 @@ TEST(WireFuzzTest, RetryStatsFrameDecodeNeverMisbehaves) {
     ASSERT_GE(decoded.backoff_minutes, 0.0) << iteration;
     ASSERT_TRUE(std::isfinite(decoded.elapsed_minutes)) << iteration;
     std::vector<uint8_t> reencoded;
-    EncodeRetryStatsFrame(decoded, &reencoded);
-    ASSERT_EQ(reencoded, buffer) << "round-trip mismatch at " << iteration;
+    EncodeRetryStats(decoded, &reencoded);
+    ASSERT_EQ(reencoded, std::vector<uint8_t>(
+                             buffer.begin(),
+                             buffer.begin() + static_cast<ptrdiff_t>(offset)))
+        << "round-trip mismatch at " << iteration;
   }
 }
 

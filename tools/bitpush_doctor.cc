@@ -26,9 +26,9 @@
 #include <string>
 #include <vector>
 
-#include "federated/shard/shard.h"
 #include "obs/export.h"
 #include "persist/journal.h"
+#include "persist/snapshot.h"
 #include "util/flags.h"
 
 namespace bitpush {
@@ -128,13 +128,13 @@ int ValidateEvents(const std::string& path) {
 }
 
 void AppendJournalSection(const std::string& state_dir, std::string* report) {
-  const std::string journal_path = state_dir + "/journal.wal";
+  const std::string journal_path = JournalPath(state_dir);
   *report += "== journal (" + journal_path + ") ==\n";
   JournalReadResult result;
   std::string error;
-  // ReadShardJournal tolerates a first sequence number > 0 — the normal
-  // state of a journal truncated by a snapshot.
-  if (!ReadShardJournal(journal_path, &result, &error)) {
+  // Read from the first frame: a journal a snapshot truncated starts past
+  // sequence number 0.
+  if (!ReadJournalFromFirstFrame(journal_path, &result, &error)) {
     *report += "UNREADABLE: " + error + "\n";
     *report += "(hard corruption — recovery would fail closed here)\n\n";
     return;
@@ -142,7 +142,7 @@ void AppendJournalSection(const std::string& state_dir, std::string* report) {
   *report += "records: " + std::to_string(result.records.size()) + "\n";
   *report += "next_seq: " + std::to_string(result.next_seq) + "\n";
   *report += std::string("snapshot.bin: ") +
-             (FileExists(state_dir + "/snapshot.bin") ? "present" : "absent") +
+             (FileExists(SnapshotPath(state_dir)) ? "present" : "absent") +
              "\n";
   if (result.torn_tail) {
     *report += "torn tail: YES — file ends mid-frame after byte " +
