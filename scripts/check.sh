@@ -56,13 +56,16 @@ ctest --test-dir "$BUILD_DIR-scalar" --output-on-failure
 # Sanitized pass: the fault-injection, wire-fuzz, persistence, bitprop
 # property, and kernel suites exercise the decode, failure, shrink, and
 # SIMD paths, so run them under ASan+UBSan too (the kernel tests cover the
-# intrinsics tails and unaligned word loads).
+# intrinsics tails and unaligned word loads, and the `PrivacyMeter` suite
+# in core_tests the ledger encoder's raw-pointer stores into a buffer it
+# sizes once). Keep the targets and the regex in sync with CI's
+# address-sanitizer job.
 cmake -B "$BUILD_DIR-asan" -G Ninja -DBITPUSH_SANITIZE=address,undefined
 cmake --build "$BUILD_DIR-asan" \
   --target fault_tests wire_fuzz_tests persist_tests persist_fuzz_tests \
-  obs_tests prop_tests kernel_tests shard_tests
+  obs_tests prop_tests kernel_tests shard_tests core_tests
 ctest --test-dir "$BUILD_DIR-asan" --output-on-failure \
-  -R '(Fault|WireFuzz|Journal|Snapshot|Recovery|PersistFuzz|Obs|Prop|Kernel|Shard)'
+  -R '(Fault|WireFuzz|Journal|Snapshot|Recovery|PersistFuzz|Obs|Prop|Kernel|Shard|PrivacyMeter)'
 
 # TSan pass: the obs registry, event ring and tracer are hammered from
 # several threads (the `Obs` alternate runs those race tests), and the

@@ -1,6 +1,7 @@
 #include "core/privacy_meter.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
@@ -15,9 +16,11 @@ namespace {
 
 // Rows a table gets on its first insert.
 constexpr size_t kInitialRows = 16;
-// Encoded sizes of one client entry without its values (id, bits, epsilon,
-// value count) and of one value entry (id, bits). DecodeFrom bounds the
-// counts it reads by the bytes that remain.
+// Encoded sizes of the ledger header (policy, totals and client count), of
+// one client entry without its values (id, bits, epsilon, value count) and
+// of one value entry (id, bits). DecodeFrom bounds the counts it reads by
+// the bytes that remain.
+constexpr size_t kHeaderBytes = 8 + 8 + 8 + 8 + 8 + 4;
 constexpr size_t kClientEntryBytes = 8 + 8 + 8 + 4;
 constexpr size_t kValueEntryBytes = 8 + 8;
 
@@ -63,6 +66,44 @@ void MakeRoom(std::vector<Row>* rows, size_t used, const HashOf& hash_of) {
     if (row.used()) grown[Probe(grown, hash_of(row), never)] = row;
   }
   rows->swap(grown);
+}
+
+// Starts loading `*row`, which can straddle two cache lines; kWrite says
+// whether it is about to be written.
+template <int kWrite, typename Row>
+void PrefetchRow(const Row* row) {
+  __builtin_prefetch(row, kWrite);
+  __builtin_prefetch(reinterpret_cast<const char*>(row + 1) - 1, kWrite);
+}
+
+// A client row's place in the canonical order: its id with the sign bit
+// flipped, so that unsigned order is signed order, and its table slot.
+struct SortKey {
+  uint64_t key = 0;
+  uint64_t slot = 0;
+};
+
+// Orders `keys` by key: an LSD radix sort, one counting pass per byte. A
+// byte that every key shares is skipped, so ids that differ only in their
+// low three bytes cost three passes.
+void RadixSort(std::vector<SortKey>* keys) {
+  const size_t n = keys->size();
+  if (n < 2) return;
+  std::array<std::array<size_t, 256>, 8> counts{};
+  for (const SortKey& k : *keys) {
+    for (size_t d = 0; d < 8; ++d) ++counts[d][(k.key >> (8 * d)) & 0xFF];
+  }
+  std::vector<SortKey> scratch(n);
+  for (size_t d = 0; d < 8; ++d) {
+    std::array<size_t, 256>& count = counts[d];
+    if (count[((*keys)[0].key >> (8 * d)) & 0xFF] == n) continue;
+    size_t next = 0;
+    for (size_t& c : count) next += std::exchange(c, next);
+    for (const SortKey& k : *keys) {
+      scratch[count[(k.key >> (8 * d)) & 0xFF]++] = k;
+    }
+    keys->swap(scratch);
+  }
 }
 
 // Fills `table` from `rows`, sized so that it is at most half full, and
@@ -197,12 +238,9 @@ void PrivacyMeter::AddExtraValueBits(int64_t client_id, int64_t value_id,
 
 void PrivacyMeter::Prefetch(int64_t client_id) const {
   if (clients_.empty()) return;
-  const ClientRow* row =
+  PrefetchRow</*kWrite=*/1>(
       &clients_[static_cast<size_t>(ClientHash(client_id)) &
-                (clients_.size() - 1)];
-  // A 40-byte row can straddle two cache lines.
-  __builtin_prefetch(row, /*rw=*/1);
-  __builtin_prefetch(reinterpret_cast<const char*>(row + 1) - 1, /*rw=*/1);
+                (clients_.size() - 1)]);
 }
 
 bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
@@ -276,27 +314,26 @@ int64_t PrivacyMeter::ValueBits(int64_t client_id, int64_t value_id) const {
 
 void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
   BITPUSH_CHECK(out != nullptr);
-  bytes::PutInt64(policy_.max_bits_per_value, out);
-  bytes::PutInt64(policy_.max_bits_per_client, out);
-  bytes::PutDouble(policy_.max_epsilon_per_client, out);
-  bytes::PutInt64(total_bits_, out);
-  bytes::PutInt64(denied_charges_, out);
-
   // Canonical form: sorted ids, zero entries omitted, so "same ledger"
   // means "same bytes" however the state was reached (live run, journal
   // replay, or snapshot restore) and whatever the table layout. One
-  // sequential pass copies the nonzero rows and the copies are sorted:
-  // visiting the table in id order instead would cost a random access per
-  // client.
-  std::vector<ClientRow> rows;
-  rows.reserve(client_count_);
-  for (const ClientRow& row : clients_) {
-    if (row.used() && (row.bits > 0 || row.epsilon > 0.0)) rows.push_back(row);
+  // sequential pass takes a 16-byte key per nonzero row and radix-sorts
+  // the keys; the rows are then read in id order, each loaded a few rows
+  // ahead, and written into a buffer sized once.
+  std::vector<SortKey> keys;
+  keys.reserve(client_count_);
+  size_t inline_values = 0;
+  for (size_t slot = 0; slot < clients_.size(); ++slot) {
+    const ClientRow& row = clients_[slot];
+    if (row.used() && (row.bits > 0 || row.epsilon > 0.0)) {
+      keys.push_back(SortKey{
+          static_cast<uint64_t>(row.client_id) ^ (uint64_t{1} << 63), slot});
+      if (row.value_bits > 0) ++inline_values;
+    }
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const ClientRow& a, const ClientRow& b) {
-              return a.client_id < b.client_id;
-            });
+  RadixSort(&keys);
+  // Further values are rare (one per metric a client reports beyond its
+  // first): a comparison sort suffices.
   std::vector<ValueRow> extras;
   extras.reserve(value_count_);
   for (const ValueRow& row : values_) {
@@ -308,15 +345,26 @@ void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
                                                 : a.value_id < b.value_id;
             });
 
-  out->reserve(out->size() + 4 +
-               rows.size() * (kClientEntryBytes + kValueEntryBytes) +
-               extras.size() * kValueEntryBytes);
-  bytes::PutUint32(static_cast<uint32_t>(rows.size()), out);
+  const size_t start = out->size();
+  out->resize(start + kHeaderBytes + keys.size() * kClientEntryBytes +
+              (inline_values + extras.size()) * kValueEntryBytes);
+  uint8_t* at = out->data() + start;
+  at = bytes::StoreInt64(policy_.max_bits_per_value, at);
+  at = bytes::StoreInt64(policy_.max_bits_per_client, at);
+  at = bytes::StoreDouble(policy_.max_epsilon_per_client, at);
+  at = bytes::StoreInt64(total_bits_, at);
+  at = bytes::StoreInt64(denied_charges_, at);
+  at = bytes::StoreUint32(static_cast<uint32_t>(keys.size()), at);
+  constexpr size_t kAhead = 8;
   auto extra = extras.begin();
-  for (const ClientRow& row : rows) {
-    bytes::PutInt64(row.client_id, out);
-    bytes::PutInt64(row.bits, out);
-    bytes::PutDouble(row.epsilon, out);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i + kAhead < keys.size()) {
+      PrefetchRow</*kWrite=*/0>(&clients_[keys[i + kAhead].slot]);
+    }
+    const ClientRow& row = clients_[keys[i].slot];
+    at = bytes::StoreInt64(row.client_id, at);
+    at = bytes::StoreInt64(row.bits, at);
+    at = bytes::StoreDouble(row.epsilon, at);
     // Both lists are sorted by client, so this client's further values are
     // the run that starts at `extra`. The inline value merges into it.
     const auto first = extra;
@@ -324,21 +372,23 @@ void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
       ++extra;
     }
     bool inline_pending = row.value_bits > 0;
-    bytes::PutUint32(
+    at = bytes::StoreUint32(
         static_cast<uint32_t>((inline_pending ? 1 : 0) + (extra - first)),
-        out);
+        at);
     const auto put_inline = [&] {
-      bytes::PutInt64(row.value_id, out);
-      bytes::PutInt64(row.value_bits, out);
+      at = bytes::StoreInt64(row.value_id, at);
+      at = bytes::StoreInt64(row.value_bits, at);
       inline_pending = false;
     };
     for (auto it = first; it != extra; ++it) {
       if (inline_pending && row.value_id < it->value_id) put_inline();
-      bytes::PutInt64(it->value_id, out);
-      bytes::PutInt64(it->bits, out);
+      at = bytes::StoreInt64(it->value_id, at);
+      at = bytes::StoreInt64(it->bits, at);
     }
     if (inline_pending) put_inline();
   }
+  BITPUSH_CHECK(at == out->data() + out->size())
+      << "ledger encoding missized";
 }
 
 bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
@@ -378,6 +428,8 @@ bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
   std::vector<ValueRow> extras;
   // One client's (value id, bits) entries, as listed.
   std::vector<std::pair<int64_t, int64_t>> entries;
+  // The value ids with a nonzero count, one per run of equal ids.
+  std::vector<int64_t> value_ids;
   for (uint32_t c = 0; c < client_count; ++c) {
     int64_t client_id = 0;
     int64_t bits = 0;
@@ -433,14 +485,20 @@ bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
       } else {
         extras.push_back(ValueRow{client_id, value_id, value_bits});
       }
-      // Values restored from a snapshot are marked fully announced: their
-      // first grant / first denial happened before the snapshot, and
-      // re-announcing them would fabricate flight-recorder events the
-      // original run never emitted.
-      decoded.announced_[value_id] = 3;
+      if (value_ids.empty() || value_ids.back() != value_id) {
+        value_ids.push_back(value_id);
+      }
     }
   }
   if (ledger_bit_sum != total_bits) return false;
+  // Values restored from a snapshot are marked fully announced, once each:
+  // their first grant / first denial happened before the snapshot, and
+  // re-announcing them would fabricate flight-recorder events the original
+  // run never emitted.
+  std::sort(value_ids.begin(), value_ids.end());
+  value_ids.erase(std::unique(value_ids.begin(), value_ids.end()),
+                  value_ids.end());
+  for (const int64_t value_id : value_ids) decoded.announced_[value_id] = 3;
   const bool distinct_clients = BuildTable(
       rows, [](const ClientRow& row) { return ClientHash(row.client_id); },
       [](const ClientRow& a, const ClientRow& b) {

@@ -65,12 +65,13 @@ std::string IoError(const std::string& action, const std::string& path) {
   return action + " " + path + ": " + std::strerror(errno);
 }
 
-void PutFrameHeader(JournalRecordType type, uint64_t seq, size_t payload_size,
-                    std::vector<uint8_t>* out) {
-  bytes::PutByte(kJournalFormatVersion, out);
-  bytes::PutByte(static_cast<uint8_t>(type), out);
-  bytes::PutUint64(seq, out);
-  bytes::PutUint32(static_cast<uint32_t>(payload_size), out);
+// Stores a frame header at `at` and returns the address past it.
+uint8_t* StoreFrameHeader(JournalRecordType type, uint64_t seq,
+                          size_t payload_size, uint8_t* at) {
+  at[0] = kJournalFormatVersion;
+  at[1] = static_cast<uint8_t>(type);
+  at = bytes::StoreUint64(seq, at + 2);
+  return bytes::StoreUint32(static_cast<uint32_t>(payload_size), at);
 }
 
 // Writes every byte `parts` describe, resuming after short writes and
@@ -99,14 +100,16 @@ bool WriteFully(int fd, iovec* parts, int count) {
 }  // namespace
 
 void AppendJournalFrame(JournalRecordType type, uint64_t seq,
-                        const std::vector<uint8_t>& payload,
+                        std::span<const uint8_t> payload,
                         std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
   const size_t start = out->size();
-  PutFrameHeader(type, seq, payload.size(), out);
-  out->insert(out->end(), payload.begin(), payload.end());
-  const uint32_t crc = bytes::Crc32(out->data() + start, out->size() - start);
-  bytes::PutUint32(crc, out);
+  out->resize(start + kFrameHeaderSize + payload.size() + kFrameCrcSize);
+  uint8_t* const frame = out->data() + start;
+  uint8_t* at = StoreFrameHeader(type, seq, payload.size(), frame);
+  if (!payload.empty()) std::memcpy(at, payload.data(), payload.size());
+  at += payload.size();
+  bytes::StoreUint32(bytes::Crc32(frame, static_cast<size_t>(at - frame)), at);
 }
 
 bool JournalWriter::Open(const std::string& path, uint64_t next_seq,
@@ -124,7 +127,7 @@ bool JournalWriter::Open(const std::string& path, uint64_t next_seq,
 }
 
 bool JournalWriter::Append(JournalRecordType type,
-                           const std::vector<uint8_t>& payload) {
+                           std::span<const uint8_t> payload) {
   BITPUSH_CHECK(fd_ >= 0) << "journal not open";
   const size_t frame_bytes =
       kFrameHeaderSize + payload.size() + kFrameCrcSize;
@@ -161,6 +164,11 @@ bool JournalWriter::Commit() {
   return true;
 }
 
+bool JournalWriter::Sync() {
+  BITPUSH_CHECK(fd_ >= 0) << "journal not open";
+  return ::fsync(fd_) == 0;
+}
+
 bool JournalWriter::Close() {
   if (fd_ < 0) return true;
   const bool committed = Commit();
@@ -181,21 +189,22 @@ bool JournalWriter::Flush() {
 }
 
 bool JournalWriter::WriteLargeFrame(JournalRecordType type,
-                                    const std::vector<uint8_t>& payload) {
-  // The empty buffer holds the header and the CRC; the payload is gathered
-  // from where it lies.
-  PutFrameHeader(type, next_seq_, payload.size(), &buffer_);
-  const uint32_t crc =
-      bytes::Crc32Extend(bytes::Crc32(buffer_), payload.data(), payload.size());
-  bytes::PutUint32(crc, &buffer_);
+                                    std::span<const uint8_t> payload) {
+  // The header and the CRC are written around the payload, which is
+  // gathered from where it lies.
+  uint8_t header[kFrameHeaderSize];
+  uint8_t crc[kFrameCrcSize];
+  StoreFrameHeader(type, next_seq_, payload.size(), header);
+  bytes::StoreUint32(
+      bytes::Crc32Extend(bytes::Crc32(header, kFrameHeaderSize),
+                         payload.data(), payload.size()),
+      crc);
   iovec parts[3] = {
-      {buffer_.data(), kFrameHeaderSize},
+      {header, kFrameHeaderSize},
       {const_cast<uint8_t*>(payload.data()), payload.size()},
-      {buffer_.data() + kFrameHeaderSize, kFrameCrcSize},
+      {crc, kFrameCrcSize},
   };
-  const bool wrote = WriteFully(fd_, parts, 3);
-  buffer_.clear();
-  return wrote;
+  return WriteFully(fd_, parts, 3);
 }
 
 namespace {
@@ -209,10 +218,9 @@ bool ReadJournalFile(const std::string& path,
   BITPUSH_CHECK(out != nullptr);
   BITPUSH_CHECK(error != nullptr);
   std::vector<uint8_t> data;
-  bool found = false;  // a missing journal parses as an empty one
-  if (!ReadWholeFile(path, &data, &found, error)) return false;
-
   JournalReadResult result;
+  // A missing journal parses as an empty one.
+  if (!ReadWholeFile(path, &data, &result.found, error)) return false;
   result.next_seq = first_seq.value_or(0);
   size_t offset = 0;
   uint64_t previous_seq = 0;
@@ -278,6 +286,8 @@ bool ReadJournalFile(const std::string& path,
               static_cast<ptrdiff_t>(offset + kFrameHeaderSize + length));
       result.records.push_back(std::move(record));
       result.next_seq = seq + 1;
+    } else {
+      ++result.stale_records;
     }
     offset = cursor;
     result.clean_length = offset;
@@ -334,12 +344,22 @@ bool TearJournalTail(const std::string& path, size_t bytes,
 // Record payload codecs.
 
 void EncodeMeterChargeRecord(const MeterChargeRecord& record,
+                             MeterChargePayload* out) {
+  BITPUSH_CHECK(out != nullptr);
+  uint8_t* at = bytes::StoreInt64(record.client_id, out->data());
+  at = bytes::StoreInt64(record.value_id, at);
+  at = bytes::StoreDouble(record.epsilon, at);
+  *at = record.granted ? 1 : 0;
+}
+
+void EncodeMeterChargeRecord(const MeterChargeRecord& record,
                              std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
-  bytes::PutInt64(record.client_id, out);
-  bytes::PutInt64(record.value_id, out);
-  bytes::PutDouble(record.epsilon, out);
-  bytes::PutByte(record.granted ? 1 : 0, out);
+  MeterChargePayload payload;
+  EncodeMeterChargeRecord(record, &payload);
+  const size_t at = out->size();
+  out->resize(at + payload.size());
+  std::memcpy(out->data() + at, payload.data(), payload.size());
 }
 
 bool DecodeMeterChargeRecord(const std::vector<uint8_t>& payload,

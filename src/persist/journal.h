@@ -35,8 +35,10 @@
 #ifndef BITPUSH_PERSIST_JOURNAL_H_
 #define BITPUSH_PERSIST_JOURNAL_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,11 +65,12 @@ struct JournalRecord {
   std::vector<uint8_t> payload;
 };
 
-// Appends one complete frame for (type, seq, payload) to `out`. Exposed so
-// tests can build journals (including deliberately corrupted ones) without
-// going through a writer.
+// Appends one complete frame for (type, seq, payload) to `out`: one copy
+// of the payload and one CRC pass. JournalWriter frames every record this
+// way; exposed so tests can build journals (including deliberately
+// corrupted ones) without going through a writer.
 void AppendJournalFrame(JournalRecordType type, uint64_t seq,
-                        const std::vector<uint8_t>& payload,
+                        std::span<const uint8_t> payload,
                         std::vector<uint8_t>* out);
 
 // Append-only journal writer with group commit. Append() frames a record
@@ -97,12 +100,19 @@ class JournalWriter {
 
   // Frames one record into the buffer; it is durable only after the next
   // Commit(). Returns false on I/O failure of a write a full buffer forced.
-  bool Append(JournalRecordType type, const std::vector<uint8_t>& payload);
+  // Allocates nothing: a payload encoded on the stack (a meter charge) is
+  // copied once, into the buffer.
+  bool Append(JournalRecordType type, std::span<const uint8_t> payload);
 
   // Makes every appended record durable: writes the buffer out, then
   // fsyncs unless fsync is disabled. A no-op when nothing was appended
   // since the last commit. Returns false on I/O failure.
   bool Commit();
+
+  // Fsyncs the file as it stands, appended records and all. Open calls it
+  // on a journal it keeps instead of rewriting (persist/recovery.h).
+  // Returns false on I/O failure.
+  bool Sync();
 
   // Commits whatever is pending and closes the file. Returns false if the
   // final commit or the close failed.
@@ -129,7 +139,7 @@ class JournalWriter {
   // Writes one frame too large for the buffer (which is empty) with its
   // payload gathered in place.
   bool WriteLargeFrame(JournalRecordType type,
-                       const std::vector<uint8_t>& payload);
+                       std::span<const uint8_t> payload);
 
   int fd_ = -1;
   std::vector<uint8_t> buffer_;
@@ -154,6 +164,10 @@ struct JournalReadResult {
   size_t clean_length = 0;
   // Sequence number the next appended record should carry.
   uint64_t next_seq = 0;
+  // The file exists; a missing journal reads as an empty one.
+  bool found = false;
+  // Valid records below expected_first_seq, dropped from `records`.
+  size_t stale_records = 0;
 };
 
 // The journal file of the state directory `state_dir`.
@@ -218,6 +232,12 @@ struct MeterChargeRecord {
 };
 void EncodeMeterChargeRecord(const MeterChargeRecord& record,
                              std::vector<uint8_t>* out);
+// The same bytes (client id, value id, epsilon, granted) into a
+// fixed-size array, so that a charge, the one record written per report,
+// is encoded and framed without an allocation.
+using MeterChargePayload = std::array<uint8_t, 8 + 8 + 8 + 1>;
+void EncodeMeterChargeRecord(const MeterChargeRecord& record,
+                             MeterChargePayload* out);
 bool DecodeMeterChargeRecord(const std::vector<uint8_t>& payload,
                              MeterChargeRecord* out);
 

@@ -10,6 +10,7 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "persist/file.h"
 #include "util/check.h"
 
 namespace bitpush {
@@ -163,14 +164,18 @@ bool DurableCampaignRunner::Open(std::string* error) {
   journal.records.resize(keep);
   journal_records_ = static_cast<int64_t>(keep);
 
-  // Rewrite the file to exactly the kept records: drops the torn tail, any
-  // stale pre-snapshot prefix and the charges of a round that never
-  // closed, so a later recovery never re-parses them. Appends resume after
-  // the last kept record. The rewrite is atomic: the old journal stays
-  // durable and intact until the rewritten bytes are, so a crash inside it
-  // cannot lose journaled meter charges.
-  if (!ReplaceJournal(journal_path_, journal.records, options_.fsync,
-                      error)) {
+  // Appends resume after the last kept record, so the file must hold
+  // exactly the kept records. Most often it already does, and it is kept
+  // as it is. Otherwise it is rewritten to them: that drops the torn tail,
+  // any stale pre-snapshot prefix and the charges of a round that never
+  // closed, so a later recovery never re-parses them, and it creates a
+  // missing file. The rewrite is atomic: the old journal stays durable and
+  // intact until the rewritten bytes are, so a crash inside it cannot lose
+  // journaled meter charges.
+  const bool exact = journal.found && !journal.torn_tail &&
+                     journal.stale_records == 0 && discarded == 0;
+  if (!exact && !ReplaceJournal(journal_path_, journal.records,
+                                options_.fsync, error)) {
     return false;
   }
   const uint64_t next_seq =
@@ -178,6 +183,14 @@ bool DurableCampaignRunner::Open(std::string* error) {
   if (!journal_.Open(journal_path_, next_seq, error)) return false;
   journal_.set_fsync(options_.fsync);
   journal_.set_crash_after_records(options_.crash_after_records);
+  // A kept file is made as durable as a rewrite would have made it.
+  if (exact && options_.fsync) {
+    if (!journal_.Sync()) {
+      *error = "fsync journal " + journal_path_ + ": " + std::strerror(errno);
+      return false;
+    }
+    if (!SyncParentDir(journal_path_, error)) return false;
+  }
 
   meter_.set_journal(this);
   campaign_.set_recorder(this);
@@ -425,7 +438,11 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   snapshot.base_seed = options_.seed;
   snapshot.journal_next_seq = journal_.next_seq();
   snapshot.completed_ticks = completed_ticks_;
-  meter_.EncodeTo(&snapshot.meter_blob);
+  {
+    obs::Span encode("snapshot.encode", "persist");
+    meter_.EncodeTo(&snapshot.meter_blob);
+    encode.AddNumeric("bytes", static_cast<double>(snapshot.meter_blob.size()));
+  }
   snapshot.finished.reserve(finished_.size());
   for (const auto& [key, entry] : finished_) snapshot.finished.push_back(entry);
   snapshot.bit_means.reserve(bit_means_cache_.size());
@@ -448,7 +465,7 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
 }
 
 void DurableCampaignRunner::Append(JournalRecordType type,
-                                   const std::vector<uint8_t>& payload) {
+                                   std::span<const uint8_t> payload) {
   BITPUSH_CHECK(journal_.Append(type, payload)) << "journal append failed";
   ++journal_records_;
 }
@@ -566,13 +583,11 @@ void DurableCampaignRunner::OnRoundClosed(int64_t round_id,
 
 void DurableCampaignRunner::OnCharge(int64_t client_id, int64_t value_id,
                                      double epsilon, bool granted) {
-  MeterChargeRecord record;
-  record.client_id = client_id;
-  record.value_id = value_id;
-  record.epsilon = epsilon;
-  record.granted = granted;
-  std::vector<uint8_t> payload;
-  EncodeMeterChargeRecord(record, &payload);
+  // Once per report: encoded on the stack and copied once, into the
+  // journal's buffer.
+  MeterChargePayload payload;
+  EncodeMeterChargeRecord(
+      MeterChargeRecord{client_id, value_id, epsilon, granted}, &payload);
   Append(JournalRecordType::kMeterCharge, payload);
 }
 

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,8 +69,9 @@ struct DurableCampaignOptions {
   // 0 disables automatic snapshots.
   int64_t snapshot_every_ticks = 0;
   // fsync at every journal commit (each round close, each tick close and
-  // before each snapshot) and on journal rewrites. Disable only in tests
-  // that write many journals.
+  // before each snapshot), on journal rewrites, and at Open on a journal
+  // kept as it is (file and directory). Disable only in tests that write
+  // many journals.
   bool fsync = true;
   // Crash harness passthrough (JournalWriter::set_crash_after_records):
   // exit with status 137 after this many appended records, losing the
@@ -211,7 +213,7 @@ class DurableCampaignRunner : private CampaignRecorder,
                 bool granted) override;
 
   // Appends one record; it becomes durable at the next journal commit.
-  void Append(JournalRecordType type, const std::vector<uint8_t>& payload);
+  void Append(JournalRecordType type, std::span<const uint8_t> payload);
   // Validates the journal records and applies them to the recovered state
   // (step 2 of the recovery model above). Sets `*keep` to the number of
   // leading records the journal keeps.

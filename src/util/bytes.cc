@@ -2,11 +2,24 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
 
 #include "util/check.h"
 
 namespace bitpush {
 namespace bytes {
+
+namespace {
+
+// Grows `out` by `size` bytes and returns the first of them.
+uint8_t* Grow(size_t size, std::vector<uint8_t>* out) {
+  BITPUSH_CHECK(out != nullptr);
+  const size_t at = out->size();
+  out->resize(at + size);
+  return out->data() + at;
+}
+
+}  // namespace
 
 void PutByte(uint8_t value, std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
@@ -14,45 +27,39 @@ void PutByte(uint8_t value, std::vector<uint8_t>* out) {
 }
 
 void PutUint32(uint32_t value, std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<uint8_t>(value >> shift));
-  }
+  StoreUint32(value, Grow(4, out));
 }
 
 void PutUint64(uint64_t value, std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<uint8_t>(value >> shift));
-  }
+  StoreUint64(value, Grow(8, out));
 }
 
 void PutInt64(int64_t value, std::vector<uint8_t>* out) {
-  PutUint64(static_cast<uint64_t>(value), out);
+  StoreInt64(value, Grow(8, out));
 }
 
 void PutDouble(double value, std::vector<uint8_t>* out) {
-  PutUint64(std::bit_cast<uint64_t>(value), out);
+  StoreDouble(value, Grow(8, out));
 }
 
 void PutString(const std::string& value, std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  PutUint32(static_cast<uint32_t>(value.size()), out);
-  out->insert(out->end(), value.begin(), value.end());
+  uint8_t* at = StoreUint32(static_cast<uint32_t>(value.size()),
+                            Grow(4 + value.size(), out));
+  if (!value.empty()) std::memcpy(at, value.data(), value.size());
 }
 
 void PutInt64Vector(const std::vector<int64_t>& values,
                     std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  PutUint32(static_cast<uint32_t>(values.size()), out);
-  for (const int64_t value : values) PutInt64(value, out);
+  uint8_t* at = StoreUint32(static_cast<uint32_t>(values.size()),
+                            Grow(4 + 8 * values.size(), out));
+  for (const int64_t value : values) at = StoreInt64(value, at);
 }
 
 void PutDoubleVector(const std::vector<double>& values,
                      std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  PutUint32(static_cast<uint32_t>(values.size()), out);
-  for (const double value : values) PutDouble(value, out);
+  uint8_t* at = StoreUint32(static_cast<uint32_t>(values.size()),
+                            Grow(4 + 8 * values.size(), out));
+  for (const double value : values) at = StoreDouble(value, at);
 }
 
 bool GetByte(const std::vector<uint8_t>& buffer, size_t* offset,
@@ -222,6 +229,15 @@ uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size) {
           t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
           t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
           t[0][hi >> 24];
+  }
+  // A short record (a 39-byte charge frame) ends in a tail of up to seven
+  // bytes: fold four of them in one step, as the high half above does.
+  if (size >= 4) {
+    crc ^= LoadLe32(data);
+    crc = t[3][crc & 0xFFu] ^ t[2][(crc >> 8) & 0xFFu] ^
+          t[1][(crc >> 16) & 0xFFu] ^ t[0][crc >> 24];
+    data += 4;
+    size -= 4;
   }
   for (; size > 0; ++data, --size) {
     crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];

@@ -6,6 +6,14 @@
 // primitives in util/ lets core types (PrivacyMeter, BitHistogram) gain
 // Encode/Decode without depending on the federated layer.
 //
+// Every Put* appender grows its vector once per field (a vector field
+// once in all) and writes each value with one little-endian store. The
+// appenders stay out of line: inlined into a caller, the vector growth can
+// raise GCC 12's false -Wstringop-overflow, which -Werror turns into a
+// build failure. An encoder that knows its size up front sizes its buffer
+// once and fills it with the Store* functions below, as the journal's
+// charge payloads and the meter ledger's snapshot blob are written.
+//
 // Every Get* helper is bounds-checked and overflow-safe: on failure it
 // returns false and leaves `*offset` and `*out` untouched, so decoders
 // compose into all-or-nothing parses. Collection readers cap the declared
@@ -15,6 +23,7 @@
 #ifndef BITPUSH_UTIL_BYTES_H_
 #define BITPUSH_UTIL_BYTES_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -37,6 +46,27 @@ void PutInt64Vector(const std::vector<int64_t>& values,
                     std::vector<uint8_t>* out);
 void PutDoubleVector(const std::vector<double>& values,
                      std::vector<uint8_t>* out);
+
+// Little-endian stores into memory the caller has sized, each returning
+// the address just past the field it wrote. The byte-wise stores compile
+// to one unaligned store on little-endian targets.
+inline uint8_t* StoreUint32(uint32_t value, uint8_t* at) {
+  at[0] = static_cast<uint8_t>(value);
+  at[1] = static_cast<uint8_t>(value >> 8);
+  at[2] = static_cast<uint8_t>(value >> 16);
+  at[3] = static_cast<uint8_t>(value >> 24);
+  return at + 4;
+}
+inline uint8_t* StoreUint64(uint64_t value, uint8_t* at) {
+  StoreUint32(static_cast<uint32_t>(value), at);
+  return StoreUint32(static_cast<uint32_t>(value >> 32), at + 4);
+}
+inline uint8_t* StoreInt64(int64_t value, uint8_t* at) {
+  return StoreUint64(static_cast<uint64_t>(value), at);
+}
+inline uint8_t* StoreDouble(double value, uint8_t* at) {
+  return StoreUint64(std::bit_cast<uint64_t>(value), at);
+}
 
 bool GetByte(const std::vector<uint8_t>& buffer, size_t* offset,
              uint8_t* out);

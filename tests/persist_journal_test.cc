@@ -94,6 +94,68 @@ TEST_F(JournalFileTest, MissingFileIsAnEmptyJournal) {
   EXPECT_TRUE(result.records.empty());
   EXPECT_FALSE(result.torn_tail);
   EXPECT_EQ(result.next_seq, 0u);
+  EXPECT_FALSE(result.found);
+
+  WriteBytes({});
+  ASSERT_TRUE(ReadJournal(path_, 0, &result, &error)) << error;
+  EXPECT_TRUE(result.records.empty());
+  EXPECT_TRUE(result.found);
+}
+
+TEST_F(JournalFileTest, ChargeFrameEqualsTheFramedVectorEncoding) {
+  // A charge is encoded into a fixed-size array and framed by the writer
+  // with one copy; its bytes are the vector encoding's, framed by
+  // AppendJournalFrame.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<MeterChargeRecord> records = {
+      {0x0102030405060708, -1, 1.0, true},
+      {kMin, kMax, 0.0, true},
+      {kMax, kMin, 1e-300, false},
+      {-7, 3, std::numeric_limits<double>::quiet_NaN(), false},
+      {42, 0, -std::numeric_limits<double>::infinity(), false},
+  };
+  // The first payload, byte for byte: client id, value id, epsilon, granted.
+  MeterChargePayload first;
+  EncodeMeterChargeRecord(records[0], &first);
+  EXPECT_EQ(std::vector<uint8_t>(first.begin(), first.end()),
+            (std::vector<uint8_t>{0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02,
+                                  0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                  0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00,
+                                  0x00, 0xF0, 0x3F, 0x01}));
+
+  std::vector<uint8_t> expected;
+  {
+    JournalWriter writer;
+    std::string error;
+    ASSERT_TRUE(writer.Open(path_, 0x1122, &error)) << error;
+    writer.set_fsync(false);
+    uint64_t seq = 0x1122;
+    for (const MeterChargeRecord& record : records) {
+      std::vector<uint8_t> vector_payload;
+      EncodeMeterChargeRecord(record, &vector_payload);
+      MeterChargePayload payload;
+      EncodeMeterChargeRecord(record, &payload);
+      EXPECT_EQ(std::vector<uint8_t>(payload.begin(), payload.end()),
+                vector_payload);
+      AppendJournalFrame(JournalRecordType::kMeterCharge, seq++,
+                         vector_payload, &expected);
+      ASSERT_TRUE(writer.Append(JournalRecordType::kMeterCharge, payload));
+    }
+    ASSERT_TRUE(writer.Close());
+  }
+  EXPECT_EQ(ReadBytes(), expected);
+  // The first frame's header: format version, type, sequence number and
+  // payload length, little-endian; its CRC covers header and payload.
+  ASSERT_EQ(expected.size(), records.size() * (14 + 25 + 4));
+  EXPECT_EQ(std::vector<uint8_t>(expected.begin(), expected.begin() + 14),
+            (std::vector<uint8_t>{kJournalFormatVersion, 0x01, 0x22, 0x11, 0,
+                                  0, 0, 0, 0, 0, 25, 0, 0, 0}));
+  std::vector<uint8_t> crc;
+  bytes::PutUint32(bytes::Crc32(expected.data(), 14 + 25), &crc);
+  EXPECT_EQ(std::vector<uint8_t>(expected.begin() + 39,
+                                 expected.begin() + 43),
+            crc);
 }
 
 TEST_F(JournalFileTest, WriterRoundTripsThroughReader) {
@@ -339,6 +401,7 @@ TEST_F(JournalFileTest, StalePreSnapshotPrefixIsSkipped) {
   ASSERT_EQ(result.records.size(), 2u);
   EXPECT_EQ(result.records[0].seq, 4u);
   EXPECT_EQ(result.next_seq, 6u);
+  EXPECT_EQ(result.stale_records, 4u);
 
   // A journal that starts *past* the snapshot sequence lost records: error.
   WriteBytes(SampleJournal(3, 2));

@@ -4,6 +4,8 @@
 // identical bit-means cache and an identical journal, with every meter
 // charge applied exactly once.
 
+#include <sys/stat.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -708,6 +710,152 @@ TEST_F(RecoveryTest, ChargesOfARoundThatNeverClosedAreDiscarded) {
     if (type != JournalRecordType::kMeterCharge) kept = cut + 1;
   }
   EXPECT_GE(cuts, 2 * kTicks);
+}
+
+// The inode of the file at `path`. A rewrite renames a new file over the
+// journal, so a kept journal is the one whose inode did not change.
+ino_t InodeOf(const std::string& path) {
+  struct stat info {};
+  EXPECT_EQ(::stat(path.c_str(), &info), 0) << path;
+  return info.st_ino;
+}
+
+TEST_F(RecoveryTest, OpenKeepsAJournalThatHoldsExactlyWhatItKeeps) {
+  // A clean reopen keeps every record, so Open leaves the journal as it is
+  // (same bytes, same inode). With fsync on, Open syncs the kept file
+  // instead of rewriting it. After a snapshot the journal starts past
+  // sequence 0 and is kept too.
+  struct Case {
+    const char* tag;
+    bool fsync;
+    int64_t snapshot_every;
+    int64_t ticks;
+  };
+  for (const Case& c :
+       {Case{"keep", false, 0, 1}, Case{"keep_fsync", true, 0, 1},
+        Case{"keep_snap", false, 2, 3}}) {
+    std::string error;
+    DurableCampaignOptions options = Options(FreshDir(c.tag));
+    options.fsync = c.fsync;
+    options.snapshot_every_ticks = c.snapshot_every;
+    const std::string path = JournalPath(options.state_dir);
+    {
+      DurableCampaignRunner first(MakeQueries(), policy_, options);
+      ASSERT_TRUE(first.Open(&error)) << error;
+      RunToCompletion(&first, c.ticks);
+    }
+    const std::vector<uint8_t> before = FileBytes(path);
+    const ino_t inode = InodeOf(path);
+    ASSERT_FALSE(before.empty()) << c.tag;
+
+    DurableCampaignRunner reopened(MakeQueries(), policy_, options);
+    ASSERT_TRUE(reopened.Open(&error)) << c.tag << ": " << error;
+    EXPECT_TRUE(reopened.recovery_info().recovered) << c.tag;
+    EXPECT_EQ(reopened.recovery_info().completed_ticks, c.ticks) << c.tag;
+    EXPECT_EQ(FileBytes(path), before) << c.tag;
+    EXPECT_EQ(InodeOf(path), inode) << c.tag;
+  }
+}
+
+TEST_F(RecoveryTest, AppendsResumeOnAKeptJournal) {
+  // The run a reopen finishes appends to the kept file, which ends as the
+  // uninterrupted run's journal.
+  const std::string clean_dir = FreshDir("resume_clean");
+  DurableCampaignRunner clean(MakeQueries(), policy_, Options(clean_dir));
+  std::string error;
+  ASSERT_TRUE(clean.Open(&error)) << error;
+  const Fingerprint expected = RunToCompletion(&clean);
+
+  const std::string dir = FreshDir("resume");
+  {
+    DurableCampaignRunner first(MakeQueries(), policy_, Options(dir));
+    ASSERT_TRUE(first.Open(&error)) << error;
+    RunToCompletion(&first, 1);
+  }
+  const ino_t inode = InodeOf(JournalPath(dir));
+  DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
+  ASSERT_TRUE(reopened.Open(&error)) << error;
+  const Fingerprint actual = RunToCompletion(&reopened);
+  EXPECT_EQ(actual.history, expected.history);
+  EXPECT_EQ(actual.meter, expected.meter);
+  EXPECT_EQ(InodeOf(JournalPath(dir)), inode);
+  EXPECT_EQ(FileBytes(JournalPath(dir)), FileBytes(JournalPath(clean_dir)));
+}
+
+TEST_F(RecoveryTest, OpenRewritesAJournalThatHoldsMoreThanItKeeps) {
+  const std::string base_dir = FreshDir("rewrite_base");
+  DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
+  std::string error;
+  ASSERT_TRUE(baseline.Open(&error)) << error;
+  RunToCompletion(&baseline);
+  JournalReadResult journal;
+  ASSERT_TRUE(ReadJournal(JournalPath(base_dir), 0, &journal, &error))
+      << error;
+  const size_t total = journal.records.size();
+  ASSERT_EQ(journal.records.back().type, JournalRecordType::kCampaignTick);
+
+  // Opens the state directory `dir` and requires a new journal file that
+  // holds `kept` records and no torn tail.
+  const auto expect_rewritten = [&](const std::string& dir, size_t kept) {
+    const std::string path = JournalPath(dir);
+    const bool existed = std::filesystem::exists(path);
+    const ino_t inode = existed ? InodeOf(path) : 0;
+    DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+    ASSERT_TRUE(runner.Open(&error)) << dir << ": " << error;
+    ASSERT_TRUE(std::filesystem::exists(path)) << dir;
+    if (existed) {
+      EXPECT_NE(InodeOf(path), inode) << dir;
+    }
+    JournalReadResult rewritten;
+    ASSERT_TRUE(ReadJournal(path, 0, &rewritten, &error)) << error;
+    EXPECT_FALSE(rewritten.torn_tail) << dir;
+    EXPECT_EQ(rewritten.stale_records, 0u) << dir;
+    EXPECT_EQ(rewritten.records.size(), kept) << dir;
+  };
+
+  // A torn tail: the cut frame is dropped.
+  const std::string torn = FreshDir("rewrite_torn");
+  std::filesystem::copy(base_dir, torn);
+  ASSERT_TRUE(TearJournalTail(JournalPath(torn), 3, &error)) << error;
+  expect_rewritten(torn, total - 1);
+
+  // The charges of a round that never closed: cut just before the first
+  // round close, whose round has charges. Every record before it goes.
+  size_t first_close = 0;
+  while (journal.records[first_close].type !=
+         JournalRecordType::kRoundClosed) {
+    ++first_close;
+  }
+  ASSERT_GT(first_close, 0u);
+  const std::string unclosed = FreshDir("rewrite_unclosed");
+  std::filesystem::create_directories(unclosed);
+  WriteJournalPrefix(JournalPath(unclosed), journal.records, first_close);
+  expect_rewritten(unclosed, 0);
+
+  // A stale prefix: the crash landed between a snapshot's rename and the
+  // journal truncation after it, so the journal still holds the records
+  // the snapshot covers.
+  const std::string stale = FreshDir("rewrite_stale");
+  std::vector<uint8_t> covered;
+  {
+    DurableCampaignRunner runner(MakeQueries(), policy_, Options(stale));
+    ASSERT_TRUE(runner.Open(&error)) << error;
+    RunToCompletion(&runner, 1);
+    covered = FileBytes(JournalPath(stale));
+    ASSERT_TRUE(runner.Snapshot(&error)) << error;
+  }
+  {
+    std::ofstream out(JournalPath(stale), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(covered.data()),
+              static_cast<std::streamsize>(covered.size()));
+  }
+  expect_rewritten(stale, 0);
+
+  // A missing journal: a fresh state directory, and one whose journal is
+  // gone beside its snapshot.
+  expect_rewritten(FreshDir("rewrite_fresh"), 0);
+  std::filesystem::remove(JournalPath(stale));
+  expect_rewritten(stale, 0);
 }
 
 using RecoveryDeathTest = RecoveryTest;

@@ -1,12 +1,15 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/privacy_meter.h"
+#include "rng/rng.h"
 #include "util/bytes.h"
 
 namespace bitpush {
@@ -183,6 +186,144 @@ TEST(PrivacyMeterTest, EncodeDecodeRoundTripsLedger) {
   PrivacyMeter sink{MeterPolicy{}};
   offset = 0;
   PrivacyMeter::DecodeFrom(corrupt, &offset, &sink);  // must not crash
+}
+
+// A meter and a plain model of its ledger, charged side by side, so that
+// EncodeTo can be compared with an encoding built the obvious way.
+class ModelledMeter {
+ public:
+  explicit ModelledMeter(const MeterPolicy& policy)
+      : policy_(policy), meter_(policy) {}
+
+  void Charge(int64_t client_id, int64_t value_id, double epsilon) {
+    if (!meter_.TryChargeBit(client_id, value_id, epsilon)) {
+      ++denied_;
+      return;
+    }
+    Client& client = clients_[client_id];
+    ++client.bits;
+    client.epsilon += epsilon;
+    ++client.values[value_id];
+  }
+
+  // The canonical encoding: clients put in id order with std::sort, each
+  // client's values in id order, every field written with bytes::Put*.
+  std::vector<uint8_t> Reference() const {
+    std::vector<std::pair<int64_t, Client>> clients(clients_.begin(),
+                                                    clients_.end());
+    std::sort(clients.begin(), clients.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    int64_t total_bits = 0;
+    for (const auto& [id, client] : clients) total_bits += client.bits;
+    std::vector<uint8_t> blob;
+    bytes::PutInt64(policy_.max_bits_per_value, &blob);
+    bytes::PutInt64(policy_.max_bits_per_client, &blob);
+    bytes::PutDouble(policy_.max_epsilon_per_client, &blob);
+    bytes::PutInt64(total_bits, &blob);
+    bytes::PutInt64(denied_, &blob);
+    bytes::PutUint32(static_cast<uint32_t>(clients.size()), &blob);
+    for (const auto& [id, client] : clients) {
+      bytes::PutInt64(id, &blob);
+      bytes::PutInt64(client.bits, &blob);
+      bytes::PutDouble(client.epsilon, &blob);
+      bytes::PutUint32(static_cast<uint32_t>(client.values.size()), &blob);
+      for (const auto& [value_id, bits] : client.values) {
+        bytes::PutInt64(value_id, &blob);
+        bytes::PutInt64(bits, &blob);
+      }
+    }
+    return blob;
+  }
+
+  std::vector<uint8_t> Encoded() const {
+    std::vector<uint8_t> blob;
+    meter_.EncodeTo(&blob);
+    return blob;
+  }
+
+  int64_t denied() const { return denied_; }
+
+ private:
+  struct Client {
+    int64_t bits = 0;
+    double epsilon = 0.0;
+    std::map<int64_t, int64_t> values;
+  };
+
+  MeterPolicy policy_;
+  PrivacyMeter meter_;
+  std::map<int64_t, Client> clients_;
+  int64_t denied_ = 0;
+};
+
+MeterPolicy RoomyPolicy() {
+  MeterPolicy policy;
+  policy.max_bits_per_value = 3;
+  policy.max_bits_per_client = 5;
+  policy.max_epsilon_per_client = 64.0;
+  return policy;
+}
+
+TEST(PrivacyMeterTest, EmptyLedgerEncodesItsHeaderAlone) {
+  ModelledMeter empty(RoomyPolicy());
+  EXPECT_EQ(empty.Encoded(), empty.Reference());
+  EXPECT_EQ(empty.Encoded().size(), 8u * 5 + 4);
+  // Denials add no client.
+  ModelledMeter denied(RoomyPolicy());
+  denied.Charge(4, 1, -1.0);
+  denied.Charge(5, 1, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(denied.Encoded(), denied.Reference());
+  EXPECT_EQ(denied.Encoded().size(), 8u * 5 + 4);
+}
+
+TEST(PrivacyMeterTest, RadixOrderedEncodingMatchesSortedReference) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<int64_t> ids = {kMin, kMin + 1, -1234567890123, -256, -1, 0,
+                              1,    255,      256,            kMax - 1, kMax};
+  // Ids that share every byte but the lowest (one radix pass), and ids
+  // that share every byte but the highest.
+  for (int64_t k = 0; k < 200; ++k) ids.push_back(0x5A5A5A5A5A5A5A00 + k);
+  for (uint64_t k = 0; k < 16; ++k) {
+    ids.push_back(static_cast<int64_t>((k << 60) | 0x0123456789ABCDEFULL));
+  }
+  Rng rng(31);
+  for (int i = 0; i < 3000; ++i) {
+    ids.push_back(static_cast<int64_t>(rng.NextUint64()));
+  }
+  for (size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.NextBelow(i)]);
+  }
+
+  ModelledMeter meter(RoomyPolicy());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const double epsilon = 0.25 * static_cast<double>(i % 5);
+    meter.Charge(ids[i], 7, epsilon);
+    // Every third client reports further values, in an order unlike their
+    // ids, one of them twice.
+    if (i % 3 == 0) {
+      meter.Charge(ids[i], 9, 0.5);
+      meter.Charge(ids[i], -4, 0.0);
+      meter.Charge(ids[i], 9, 0.25);
+    }
+    // Denials: past the ε cap once the client has spent any ε, and past
+    // the per-value and per-client bit caps.
+    if (i % 7 == 0) meter.Charge(ids[i], 7, 63.9);
+    if (i % 11 == 0) {
+      for (int k = 0; k < 5; ++k) meter.Charge(ids[i], 8, 0.0);
+    }
+  }
+  ASSERT_GT(meter.denied(), 0);
+  const std::vector<uint8_t> encoded = meter.Encoded();
+  EXPECT_EQ(encoded, meter.Reference());
+
+  // A decoded ledger re-encodes to the same bytes.
+  PrivacyMeter decoded{MeterPolicy{}};
+  size_t offset = 0;
+  ASSERT_TRUE(PrivacyMeter::DecodeFrom(encoded, &offset, &decoded));
+  std::vector<uint8_t> again;
+  decoded.EncodeTo(&again);
+  EXPECT_EQ(again, encoded);
 }
 
 // One client entry of an encoded meter: its id, bit total and (value id,

@@ -1,11 +1,15 @@
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -173,6 +177,90 @@ TEST(TableDeathTest, OverfilledRowAborts) {
 TEST(TableDeathTest, CellBeforeRowAborts) {
   Table table({"c"});
   EXPECT_DEATH(table.AddCell("a"), "NewRow");
+}
+
+// Known answers for the appenders: each adds the documented little-endian
+// bytes after what the buffer already holds. Round trips through the Get*
+// readers cannot catch a byte order or width that both sides share.
+using Bytes = std::vector<uint8_t>;
+
+// The buffer every case appends to: one byte of earlier content.
+Bytes Held() { return Bytes{0xEE}; }
+
+TEST(BytesTest, FixedWidthFieldsAppendLittleEndian) {
+  Bytes out = Held();
+  bytes::PutByte(0xAB, &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0xAB}));
+
+  out = Held();
+  bytes::PutUint32(0x01020304u, &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0x04, 0x03, 0x02, 0x01}));
+
+  out = Held();
+  bytes::PutUint64(0x0102030405060708ULL, &out);
+  EXPECT_EQ(out,
+            (Bytes{0xEE, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+
+  out = Held();
+  bytes::PutInt64(-2, &out);
+  EXPECT_EQ(out,
+            (Bytes{0xEE, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+
+  out = Held();
+  bytes::PutInt64(std::numeric_limits<int64_t>::min(), &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0, 0, 0, 0, 0, 0, 0, 0x80}));
+
+  // Successive fields follow one another.
+  out = Held();
+  bytes::PutUint32(0xA1B2C3D4u, &out);
+  bytes::PutByte(0x5A, &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0xD4, 0xC3, 0xB2, 0xA1, 0x5A}));
+}
+
+TEST(BytesTest, DoublesAppendTheirRawBitsIncludingNaNPayloads) {
+  Bytes out = Held();
+  bytes::PutDouble(1.0, &out);  // 0x3FF0000000000000
+  EXPECT_EQ(out, (Bytes{0xEE, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F}));
+
+  out = Held();
+  bytes::PutDouble(-0.0, &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0, 0, 0, 0, 0, 0, 0, 0x80}));
+
+  // A NaN keeps its sign and payload bit for bit.
+  out = Held();
+  bytes::PutDouble(std::bit_cast<double>(0xFFF8000000ABCDEFULL), &out);
+  EXPECT_EQ(out,
+            (Bytes{0xEE, 0xEF, 0xCD, 0xAB, 0x00, 0x00, 0x00, 0xF8, 0xFF}));
+}
+
+TEST(BytesTest, VariableLengthFieldsAppendCountThenElements) {
+  Bytes out = Held();
+  bytes::PutString("ab", &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0x02, 0, 0, 0, 'a', 'b'}));
+
+  out = Held();
+  bytes::PutString("", &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0, 0, 0, 0}));
+
+  out = Held();
+  bytes::PutInt64Vector({1, -1}, &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0x02, 0,    0,    0,    0x01, 0,    0,
+                        0,    0,    0,    0,    0,    0xFF, 0xFF, 0xFF,
+                        0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+
+  out = Held();
+  bytes::PutInt64Vector({}, &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0, 0, 0, 0}));
+
+  // 2.0 = 0x4000000000000000, -0.5 = 0xBFE0000000000000.
+  out = Held();
+  bytes::PutDoubleVector({2.0, -0.5}, &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0x02, 0, 0, 0, 0, 0, 0, 0, 0,    0,
+                        0,    0x40, 0, 0, 0, 0, 0, 0, 0xE0, 0xBF}));
+
+  out = Held();
+  bytes::PutDoubleVector({}, &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0, 0, 0, 0}));
 }
 
 }  // namespace
