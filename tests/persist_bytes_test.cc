@@ -37,18 +37,65 @@ struct Config {
 constexpr std::array<Config, 4> kConfigs = {
     Config{1, 0}, Config{1, 2}, Config{4, 0}, Config{4, 2}};
 
-// CRC-32 over every state file of the run after each tick, kConfigs order:
-// for each state directory (the run's own, or shard0 .. shard3) the
-// journal and then the snapshot, each as its name, its length and its
-// bytes; an absent file adds its name only. Recorded from the encoders
-// that wrote one push_back per byte and sorted the ledger with std::sort.
-constexpr std::array<std::array<uint32_t, kTicks>, kConfigs.size()>
-    kDigests = {{
-        {0x313350a8u, 0xfbb710d3u, 0x2a8e9493u, 0x48e3c73du},
-        {0x313350a8u, 0x4af316f6u, 0x883761c9u, 0xdc463089u},
-        {0xf9b0f2cbu, 0xcb226eceu, 0xff442f87u, 0xbf2267ffu},
-        {0xf9b0f2cbu, 0xeab0700au, 0x13d32b53u, 0xa9875631u},
+// Digests of the state files after each tick, kConfigs order: one over
+// every journal.wal of the run and one over every snapshot.bin. Each
+// digest walks the state directories in order (the run's own, or shard0
+// .. shard3) and adds each file as its name, its length and its bytes; an
+// absent file adds its name only. Journal and snapshot are pinned apart
+// because their formats move apart: the snapshot has its own format byte
+// (kSnapshotFormatVersion), and a change to it must leave every journal
+// digest as it is.
+//
+// The digest is 64-bit FNV-1a, not CRC-32: every journal frame and the
+// snapshot file end in a CRC-32 of the bytes before them, and a CRC-32
+// run over a message followed by its own CRC lands on a constant, so a
+// CRC-32 digest of these files would pin their frame lengths and nothing
+// else.
+struct Digests {
+  uint64_t journal;
+  uint64_t snapshot;
+
+  friend bool operator==(const Digests&, const Digests&) = default;
+};
+// {journal, snapshot} after ticks 0 .. 3.
+constexpr std::array<std::array<Digests, kTicks>, kConfigs.size()> kDigests =
+    {{
+        // shards, snapshot_every = {1, 0}
+        {{
+            {0x9e58fa92cb64842au, 0x019a150a937cf65du},
+            {0xe702c241a988598fu, 0x019a150a937cf65du},
+            {0x0a8f2dcf5f3ba237u, 0x019a150a937cf65du},
+            {0x372b5dcaabe1b396u, 0x019a150a937cf65du},
+        }},
+        // shards, snapshot_every = {1, 2}
+        {{
+            {0x9e58fa92cb64842au, 0x019a150a937cf65du},
+            {0x2fb87fa2978eadcbu, 0x6d47a39ae5992779u},
+            {0x4f60e8efc432fbfau, 0x6d47a39ae5992779u},
+            {0x2fb87fa2978eadcbu, 0x17c55a2965c3fdaau},
+        }},
+        // shards, snapshot_every = {4, 0}
+        {{
+            {0xdd38f3652f4e6d45u, 0xbd4f8ca876337c25u},
+            {0x29256629d3bf86fdu, 0xbd4f8ca876337c25u},
+            {0x3acd4e63b9d43430u, 0xbd4f8ca876337c25u},
+            {0xd44e9446116dc649u, 0xbd4f8ca876337c25u},
+        }},
+        // shards, snapshot_every = {4, 2}
+        {{
+            {0xdd38f3652f4e6d45u, 0xbd4f8ca876337c25u},
+            {0x835db89458a5a5bdu, 0xbfb23565abfdea8bu},
+            {0xa3face9b5b08c880u, 0xbfb23565abfdea8bu},
+            {0x835db89458a5a5bdu, 0x6fec75deafc7fcb8u},
+        }},
     }};
+
+uint64_t Fnv1a(uint64_t digest, const uint8_t* data, size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    digest = (digest ^ data[i]) * 0x100000001b3ULL;
+  }
+  return digest;
+}
 
 std::vector<uint8_t> FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -56,28 +103,31 @@ std::vector<uint8_t> FileBytes(const std::string& path) {
                               std::istreambuf_iterator<char>());
 }
 
-uint32_t ExtendWithFile(uint32_t crc, const std::string& name,
+uint64_t ExtendWithFile(uint64_t digest, const std::string& name,
                         const std::string& path) {
-  crc = bytes::Crc32Extend(crc, reinterpret_cast<const uint8_t*>(name.data()),
-                           name.size());
-  if (!std::filesystem::exists(path)) return crc;
+  digest = Fnv1a(digest, reinterpret_cast<const uint8_t*>(name.data()),
+                 name.size());
+  if (!std::filesystem::exists(path)) return digest;
   const std::vector<uint8_t> data = FileBytes(path);
   std::vector<uint8_t> length;
   bytes::PutUint64(data.size(), &length);
-  crc = bytes::Crc32Extend(crc, length.data(), length.size());
-  return bytes::Crc32Extend(crc, data.data(), data.size());
+  digest = Fnv1a(digest, length.data(), length.size());
+  return Fnv1a(digest, data.data(), data.size());
 }
 
-uint32_t StateDigest(const std::string& root, int64_t shards) {
-  uint32_t crc = 0;
+Digests StateDigests(const std::string& root, int64_t shards) {
+  constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+  Digests digests{kFnvOffset, kFnvOffset};
   for (int64_t s = 0; s < shards; ++s) {
     const std::string dir =
         shards == 1 ? root : root + "/shard" + std::to_string(s);
     const std::string prefix = shards == 1 ? "" : "shard" + std::to_string(s);
-    crc = ExtendWithFile(crc, prefix + "/journal.wal", JournalPath(dir));
-    crc = ExtendWithFile(crc, prefix + "/snapshot.bin", SnapshotPath(dir));
+    digests.journal = ExtendWithFile(digests.journal, prefix + "/journal.wal",
+                                     JournalPath(dir));
+    digests.snapshot = ExtendWithFile(
+        digests.snapshot, prefix + "/snapshot.bin", SnapshotPath(dir));
   }
-  return crc;
+  return digests;
 }
 
 class SnapshotAndJournalBytesTest : public ::testing::Test {
@@ -119,10 +169,10 @@ class SnapshotAndJournalBytesTest : public ::testing::Test {
     return dir;
   }
 
-  // The state digest after each tick of one run.
-  std::array<uint32_t, kTicks> Run(const Config& config) {
+  // The state digests after each tick of one run.
+  std::array<Digests, kTicks> Run(const Config& config) {
     const std::string dir = FreshDir(config);
-    std::array<uint32_t, kTicks> digests{};
+    std::array<Digests, kTicks> digests{};
     if (config.shards == 1) {
       DurableCampaignOptions options;
       options.state_dir = dir;
@@ -134,7 +184,7 @@ class SnapshotAndJournalBytesTest : public ::testing::Test {
       EXPECT_TRUE(runner.Open(&error)) << error;
       for (int64_t tick = 0; tick < kTicks; ++tick) {
         runner.RunTick(tick, populations_, codecs_);
-        digests[static_cast<size_t>(tick)] = StateDigest(dir, 1);
+        digests[static_cast<size_t>(tick)] = StateDigests(dir, 1);
       }
       return digests;
     }
@@ -150,7 +200,8 @@ class SnapshotAndJournalBytesTest : public ::testing::Test {
       MergedTickResult merged;
       std::string error;
       EXPECT_TRUE(runner.RunTick(tick, &merged, &error)) << error;
-      digests[static_cast<size_t>(tick)] = StateDigest(dir, config.shards);
+      digests[static_cast<size_t>(tick)] =
+          StateDigests(dir, config.shards);
     }
     return digests;
   }
@@ -167,18 +218,20 @@ TEST_F(SnapshotAndJournalBytesTest, FixedSeedCampaignMatchesRecordedDigests) {
   std::ostringstream actual;
   bool same = true;
   for (size_t c = 0; c < kConfigs.size(); ++c) {
-    const std::array<uint32_t, kTicks> digests = Run(kConfigs[c]);
-    actual << "        {";
+    const std::array<Digests, kTicks> digests = Run(kConfigs[c]);
+    actual << "        {{";
     for (size_t t = 0; t < digests.size(); ++t) {
-      char hex[16];
-      std::snprintf(hex, sizeof(hex), "0x%08xu", digests[t]);
+      char hex[64];
+      std::snprintf(hex, sizeof(hex), "{0x%016llxu, 0x%016llxu}",
+                    static_cast<unsigned long long>(digests[t].journal),
+                    static_cast<unsigned long long>(digests[t].snapshot));
       actual << (t == 0 ? "" : ", ") << hex;
       same = same && digests[t] == kDigests[c][t];
     }
-    actual << "},\n";
+    actual << "}},\n";
   }
   EXPECT_TRUE(same) << "state file digests differ from the recorded ones; "
-                       "this run's:\n"
+                       "this run's {journal, snapshot}:\n"
                     << actual.str();
 }
 
