@@ -5,10 +5,12 @@
 // client.cc before reports reach a batch); no new disclosure happens here.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace bitpush {
@@ -62,6 +64,30 @@ void AccumulateTallies(const TallyBatch& src, TallyBatch* dst) {
                 reinterpret_cast<const uint64_t*>(src.totals.data()), n);
   ops.add_words(reinterpret_cast<uint64_t*>(dst->ones.data()),
                 reinterpret_cast<const uint64_t*>(src.ones.data()), n);
+}
+
+void EncodeTallyBatch(const TallyBatch& tallies, std::vector<uint8_t>* out) {
+  bytes::PutInt64Vector(tallies.totals, out);
+  bytes::PutInt64Vector(tallies.ones, out);
+}
+
+bool DecodeTallyBatch(const std::vector<uint8_t>& buffer, size_t* offset,
+                      TallyBatch* out) {
+  size_t cursor = *offset;
+  TallyBatch tallies;
+  if (!bytes::GetInt64Vector(buffer, &cursor, &tallies.totals) ||
+      !bytes::GetInt64Vector(buffer, &cursor, &tallies.ones) ||
+      tallies.totals.size() != tallies.ones.size()) {
+    return false;
+  }
+  for (size_t j = 0; j < tallies.totals.size(); ++j) {
+    if (tallies.ones[j] < 0 || tallies.ones[j] > tallies.totals[j]) {
+      return false;
+    }
+  }
+  *out = std::move(tallies);
+  *offset = cursor;
+  return true;
 }
 
 ReportBatch BuildReportBatch(const std::vector<uint64_t>& codewords,

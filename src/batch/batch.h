@@ -36,6 +36,7 @@
 #ifndef BITPUSH_BATCH_BATCH_H_
 #define BITPUSH_BATCH_BATCH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -84,6 +85,14 @@ TallyBatch TallyBatchFromBitHistogram(const BitHistogram& histogram);
 // non-negative counts far below 2^63, so unsigned word addition equals
 // signed addition exactly. Widths must match (CHECK-fails otherwise).
 void AccumulateTallies(const TallyBatch& src, TallyBatch* dst);
+
+// The one tally codec, shared by shard frames and snapshots: the totals
+// vector, then the ones vector. Decoding fails closed on unequal widths
+// and on any count outside 0 <= ones <= totals, leaving `*out` and
+// `*offset` untouched.
+void EncodeTallyBatch(const TallyBatch& tallies, std::vector<uint8_t>* out);
+bool DecodeTallyBatch(const std::vector<uint8_t>& buffer, size_t* offset,
+                      TallyBatch* out);
 
 // Builds a batch from encoded codewords and a per-client bit assignment
 // (entries in [0, bits)), e.g. from rng/qmc.h. Plane bits carry the

@@ -31,21 +31,6 @@ void AppendMetricLine(const char* name, int64_t value, std::string* out) {
   out->push_back('\n');
 }
 
-bool DecodeTallyBatch(const std::vector<uint8_t>& buffer, size_t* offset,
-                      TallyBatch* out) {
-  TallyBatch tallies;
-  if (!bytes::GetInt64Vector(buffer, offset, &tallies.totals)) return false;
-  if (!bytes::GetInt64Vector(buffer, offset, &tallies.ones)) return false;
-  if (tallies.totals.size() != tallies.ones.size()) return false;
-  for (size_t j = 0; j < tallies.totals.size(); ++j) {
-    if (tallies.ones[j] < 0 || tallies.ones[j] > tallies.totals[j]) {
-      return false;
-    }
-  }
-  *out = std::move(tallies);
-  return true;
-}
-
 }  // namespace
 
 void ShardMetrics::MergeFrom(const ShardMetrics& other) {
@@ -127,8 +112,7 @@ void EncodeShardTickFrame(const ShardTickFrame& frame,
     bytes::PutInt64(query.query_index, out);
     bytes::PutInt64(query.partition_clients, out);
     EncodeCampaignTickResult(query.result, out);
-    bytes::PutInt64Vector(query.tallies.totals, out);
-    bytes::PutInt64Vector(query.tallies.ones, out);
+    EncodeTallyBatch(query.tallies, out);
     EncodeFaultStats(query.faults, out);
   }
   EncodeRetryStats(frame.retry, out);

@@ -69,8 +69,8 @@ bool ApplyShardSabotage(ShardCoordinator* coord, const ShardFaultPlan& plan,
 }
 
 // The reference's own outcome capture: nothing restored, full outcomes
-// kept per query. Shards keep theirs in DurableCampaignRunner's
-// full_results(); this stays separate so the oracle shares no
+// kept per query. Shards keep finished entries in their
+// DurableCampaignRunner; this stays separate so the oracle shares no
 // campaign-running code with the shards it checks.
 class CaptureRecorder : public CampaignRecorder {
  public:
@@ -449,7 +449,8 @@ ReferenceCampaignResult RunSingleCoordinatorReference(
   ReferenceCampaignResult reference;
   for (int64_t tick = 0; tick < ticks; ++tick) {
     // Per shard: run the tick and normalize its scheduled queries into
-    // frame rows with the shared MakeShardQueryFrame.
+    // frame rows with the shared MakeFinishedQueryEntry and
+    // MakeShardQueryFrame.
     std::vector<std::vector<ShardQueryFrame>> rows(
         static_cast<size_t>(shards));
     for (int64_t s = 0; s < shards; ++s) {
@@ -476,9 +477,9 @@ ReferenceCampaignResult RunSingleCoordinatorReference(
         const auto it = state.recorder->outcomes.find(qi);
         BITPUSH_CHECK(it != state.recorder->outcomes.end());
         ShardQueryFrame row = MakeShardQueryFrame(
-            static_cast<int64_t>(qi),
-            static_cast<int64_t>(state.partitions[qi].size()), result,
-            it->second);
+            static_cast<int64_t>(state.partitions[qi].size()),
+            MakeFinishedQueryEntry(static_cast<int64_t>(qi), result,
+                                   it->second));
         if (row.result.status == CampaignTickResult::Status::kRan) {
           ++reference.metrics.queries_ran;
         } else {

@@ -11,9 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "batch/batch.h"
-#include "core/bit_pushing.h"
-#include "federated/server.h"
 #include "persist/journal.h"
 #include "util/check.h"
 
@@ -27,18 +24,6 @@ uint64_t Mix(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-void AccumulateRoundTallies(const RoundOutcome& round,
-                            ShardQueryFrame* frame) {
-  frame->faults.MergeFrom(round.faults);
-  if (round.histogram.totals().empty()) return;  // round never tallied
-  const TallyBatch tallies = TallyBatchFromBitHistogram(round.histogram);
-  if (frame->tallies.bits() == 0) {
-    frame->tallies.totals.assign(tallies.totals.size(), 0);
-    frame->tallies.ones.assign(tallies.ones.size(), 0);
-  }
-  AccumulateTallies(tallies, &frame->tallies);
 }
 
 }  // namespace
@@ -61,21 +46,10 @@ std::vector<std::vector<Client>> PartitionClients(
   return partitions;
 }
 
-ShardQueryFrame MakeShardQueryFrame(int64_t query_index,
-                                    int64_t partition_clients,
-                                    const CampaignTickResult& result,
-                                    const FederatedQueryResult& outcome) {
-  ShardQueryFrame frame;
-  frame.query_index = query_index;
-  frame.partition_clients = partition_clients;
-  frame.result = result;
-  // Round-level sums only (not outcome.faults, which folds in the
-  // query-level fallback counter): a query restored from the journal
-  // carries only its rounds, and live and restored rows must normalize
-  // identically.
-  AccumulateRoundTallies(outcome.round1, &frame);
-  AccumulateRoundTallies(outcome.round2, &frame);
-  return frame;
+ShardQueryFrame MakeShardQueryFrame(int64_t partition_clients,
+                                    const FinishedQueryEntry& entry) {
+  return ShardQueryFrame{entry.query_index, partition_clients, entry.result,
+                         entry.tallies, entry.faults};
 }
 
 ShardCoordinator::ShardCoordinator(std::vector<CampaignQuery> queries,
@@ -201,8 +175,6 @@ bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
     return false;
   }
 
-  const MeasurementCampaign& campaign = runner_->campaign();
-
   // The harvest (per-query tally aggregation into the frame) is the
   // shard-side aggregate phase — its own child span under the collect.
   obs::Span harvest_span("shard.harvest", "shard");
@@ -218,42 +190,17 @@ bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
   out.span_id = context.span_id;
   out.parent_span_id = parent.valid() ? parent.span_id : 0;
 
-  size_t history_cursor = 0;
   // Count a tick's metrics once: a re-delivery attempt after a stall
   // harvests the same tick again without re-counting it.
   const bool counted = last_harvested_tick_ < tick;
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    const CampaignQuery& query = queries_[qi];
-    if (!query.ScheduledAt(tick)) continue;
-    // The campaign appends one history row per scheduled query per tick.
-    const CampaignTickResult* result = nullptr;
-    for (; history_cursor < campaign.history().size(); ++history_cursor) {
-      const CampaignTickResult& row = campaign.history()[history_cursor];
-      if (row.tick == tick && row.query_name == query.name) {
-        result = &row;
-        ++history_cursor;
-        break;
-      }
-    }
-    BITPUSH_CHECK(result != nullptr)
-        << "no history row for scheduled query " << query.name << " at tick "
-        << tick;
-
-    // A query the runner ran live or restored from the journal has its
-    // rounds in full_results(). One restored from a snapshot does not: the
-    // snapshot truncated its rounds out of the journal, so its tallies are
-    // gone and the tick cannot be delivered again.
-    const auto& full = runner_->full_results();
-    const auto it = full.find({tick, static_cast<int64_t>(qi)});
-    if (it == full.end()) {
-      *error = "shard " + std::to_string(options_.shard_index) + " tick " +
-               std::to_string(tick) + " query " + query.name +
-               ": restored from a snapshot, its rounds are no longer in "
-               "the journal";
-      return false;
-    }
-    ShardQueryFrame row = MakeShardQueryFrame(
-        static_cast<int64_t>(qi), partition_clients(qi), *result, it->second);
+    if (!queries_[qi].ScheduledAt(tick)) continue;
+    // RunTick ran or restored every scheduled query of the tick.
+    const FinishedQueryEntry* entry = runner_->finished_query(tick, qi);
+    BITPUSH_CHECK(entry != nullptr)
+        << "no finished entry for scheduled query " << queries_[qi].name
+        << " at tick " << tick;
+    ShardQueryFrame row = MakeShardQueryFrame(partition_clients(qi), *entry);
 
     if (counted) {
       if (row.result.status == CampaignTickResult::Status::kRan) {
@@ -270,7 +217,7 @@ bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
     ++metrics_.ticks_completed;
     last_harvested_tick_ = tick;
   }
-  out.retry = campaign.retry_stats();
+  out.retry = runner_->campaign().retry_stats();
   out.metrics = metrics_;
   *frame = std::move(out);
   return true;

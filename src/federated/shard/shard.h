@@ -51,14 +51,12 @@ uint64_t ShardSeed(uint64_t root_seed, int64_t shard_index);
 std::vector<std::vector<Client>> PartitionClients(
     const std::vector<Client>& population, int64_t shards);
 
-// Builds one query's frame row from its outcome: tallies are the
-// round-1 + round-2 histograms (zero-width when the query never ran a
-// round) and faults are the round-level sums. Shared by the shard harvest
-// and the single-coordinator reference so both normalize identically.
-ShardQueryFrame MakeShardQueryFrame(int64_t query_index,
-                                    int64_t partition_clients,
-                                    const CampaignTickResult& result,
-                                    const FederatedQueryResult& outcome);
+// One query's frame row: its finished entry (persist/snapshot.h) and the
+// clients behind it. Shared by the shard harvest and the
+// single-coordinator reference, whose entries both come from
+// MakeFinishedQueryEntry.
+ShardQueryFrame MakeShardQueryFrame(int64_t partition_clients,
+                                    const FinishedQueryEntry& entry);
 
 struct ShardCoordinatorOptions {
   int64_t shard_index = 0;
@@ -89,9 +87,11 @@ class ShardCoordinator {
             std::vector<FixedPointCodec> codecs);
 
   // Runs (or recovers) every tick up to and including `tick`, in order,
-  // and fills `*frame` with `tick`'s contribution. A shard that fell
-  // behind (lost ticks, crash recovery) catches up here — earlier ticks
-  // re-run deterministically but are not re-delivered. Fails closed
+  // and fills `*frame` with `tick`'s contribution, built from the runner's
+  // finished entries. A shard that fell behind (lost ticks, crash
+  // recovery) catches up here — earlier ticks re-run deterministically but
+  // are not re-delivered. Any tick can be collected again after a
+  // restart, restored or not, and yields the same rows. Fails closed
   // (false + *error) on any durability violation, including journal
   // records still uncommitted when the frame is built. `parent` is the
   // merge tier's tick-span context; when tracing is on, the shard's
@@ -103,7 +103,8 @@ class ShardCoordinator {
   // Takes a snapshot and truncates the journal. Only legal at a delivered
   // tick boundary (the sharded runner calls it after the merge publishes,
   // so an undelivered tick's records always survive in the journal).
-  // No-op (true) for in-memory shards.
+  // No-op (true) for in-memory shards, and after a re-delivered restored
+  // tick (DurableCampaignRunner::Snapshot).
   bool Snapshot(std::string* error);
 
   // Simulates a shard process crash: all in-process state is dropped. A

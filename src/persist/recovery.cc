@@ -56,15 +56,6 @@ uint64_t CohortDigest(const std::vector<int64_t>& cohort) {
   return digest;
 }
 
-// Round outcomes serve full_results(), whose reader needs the tallies, not
-// the per-client id lists.
-void DropIdLists(RoundOutcome* outcome) {
-  outcome->assigned_clients = {};
-  outcome->crashed_clients = {};
-  outcome->succeeded_client_ids = {};
-  outcome->failed_client_ids = {};
-}
-
 }  // namespace
 
 DurableCampaignRunner::DurableCampaignRunner(
@@ -81,8 +72,8 @@ bool DurableCampaignRunner::Open(std::string* error) {
   BITPUSH_CHECK(!open_) << "runner already open";
   if (!durable()) {
     // In memory there is no state to load and no journal to feed: the
-    // recorder hooks only keep full_results() and the bit-means cache, and
-    // the meter runs without a journal.
+    // recorder hooks only keep the finished entries, and the meter runs
+    // without a journal.
     campaign_.set_recorder(this);
     open_ = true;
     return true;
@@ -122,16 +113,19 @@ bool DurableCampaignRunner::Open(std::string* error) {
       return false;
     }
     meter_ = std::move(restored);
-    for (const FinishedQueryEntry& entry : snapshot.finished) {
-      if (entry.query_index >=
-          static_cast<int64_t>(campaign_.queries().size())) {
-        *error = "snapshot references an unknown query index";
+    for (FinishedQueryEntry& entry : snapshot.finished) {
+      // Tallies are as wide as the query's codec, or empty (no round ran).
+      const auto& queries = campaign_.queries();
+      if (entry.query_index >= static_cast<int64_t>(queries.size()) ||
+          (entry.tallies.bits() != 0 &&
+           entry.tallies.bits() !=
+               queries[static_cast<size_t>(entry.query_index)]
+                   .query.adaptive.bits)) {
+        *error = "snapshot finished query does not match this campaign";
         return false;
       }
-      finished_.emplace(std::make_pair(entry.tick, entry.query_index), entry);
-    }
-    for (const BitMeansEntry& entry : snapshot.bit_means) {
-      bit_means_cache_[entry.value_id] = entry.means;
+      const auto key = std::make_pair(entry.result.tick, entry.query_index);
+      finished_.emplace(key, std::move(entry));
     }
     if (!snapshot.health_blob.empty()) {
       HealthTracker* health = campaign_.mutable_health();
@@ -194,7 +188,6 @@ bool DurableCampaignRunner::Open(std::string* error) {
 
   meter_.set_journal(this);
   campaign_.set_recorder(this);
-  ticks_already_journaled_ = completed_ticks_;
   info_.completed_ticks = completed_ticks_;
   rng_ = Rng(options_.seed);
   open_ = true;
@@ -237,10 +230,15 @@ bool DurableCampaignRunner::ApplyJournal(
   std::vector<HeldRound> rounds;
   std::vector<MeterChargeRecord> charges;
   HealthTracker* health = campaign_.mutable_health();
-  const auto known_query = [&](int64_t query_index, int64_t value_id) {
-    return query_index < static_cast<int64_t>(campaign_.queries().size()) &&
-           campaign_.queries()[static_cast<size_t>(query_index)].value_id ==
-               value_id;
+  const auto known_query = [&](const RoundClosedRecord& closed) {
+    const auto& queries = campaign_.queries();
+    if (closed.query_index >= static_cast<int64_t>(queries.size())) {
+      return false;
+    }
+    const CampaignQuery& query =
+        queries[static_cast<size_t>(closed.query_index)];
+    return query.value_id == closed.value_id &&
+           closed.outcome.histogram.bits() == query.query.adaptive.bits;
   };
   *keep = 0;
   for (size_t i = 0; i < records.size(); ++i) {
@@ -264,7 +262,7 @@ bool DurableCampaignRunner::ApplyJournal(
         }
         const RoundClosedRecord& closed = round.closed;
         if (closed.tick != completed_ticks_ ||
-            !known_query(closed.query_index, closed.value_id) ||
+            !known_query(closed) ||
             finished_.contains({closed.tick, closed.query_index})) {
           *error = "journal: round-closed record contradicts the campaign";
           return false;
@@ -285,6 +283,7 @@ bool DurableCampaignRunner::ApplyJournal(
         QueryFinishedRecord finished;
         if (!DecodeQueryFinishedRecord(record.payload, &finished) ||
             !charges.empty() || finished.tick != completed_ticks_ ||
+            finished.result.tick != finished.tick ||
             finished.query_index >=
                 static_cast<int64_t>(campaign_.queries().size()) ||
             (!rounds.empty() &&
@@ -309,27 +308,20 @@ bool DurableCampaignRunner::ApplyJournal(
                                  outcome.succeeded_client_ids,
                                  outcome.failed_client_ids);
           }
-          DropIdLists(&outcome);
           (round.closed.round_id == 1 ? restored.round1 : restored.round2) =
               std::move(outcome);
         }
         rounds.clear();
-        FinishedQueryEntry entry;
-        entry.tick = finished.tick;
-        entry.query_index = finished.query_index;
-        entry.result = finished.result;
-        entry.final_bit_means = finished.final_bit_means;
-        const auto key = std::make_pair(entry.tick, entry.query_index);
-        if (!finished_.emplace(key, entry).second) {
+        // The record's final bit means go unread: the entry keeps the
+        // tallies they were computed from.
+        const auto key = std::make_pair(finished.tick, finished.query_index);
+        if (!finished_
+                 .emplace(key, MakeFinishedQueryEntry(finished.query_index,
+                                                      finished.result,
+                                                      restored))
+                 .second) {
           *error = "journal: duplicate query-finished record";
           return false;
-        }
-        journaled_results_[key] = std::move(restored);
-        if (entry.result.status == CampaignTickResult::Status::kRan &&
-            !entry.final_bit_means.empty()) {
-          bit_means_cache_[campaign_.queries()[static_cast<size_t>(
-                               entry.query_index)]
-                               .value_id] = entry.final_bit_means;
         }
         break;
       }
@@ -382,37 +374,30 @@ std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
   BITPUSH_CHECK_EQ(tick, next_tick_)
       << "RunTick must be called for every tick from 0 in order";
 
-  full_results_.clear();
   std::vector<CampaignTickResult> results =
       campaign_.RunTick(tick, populations, codecs, rng_);
-
-  // The in-flight query (if any) lived at tick info_.completed_ticks, so by
-  // the end of that tick the re-execution must have restored every held
-  // round; earlier ticks are fully restored and leave them alone.
-  if (tick >= info_.completed_ticks) {
-    BITPUSH_CHECK(held_rounds_.empty())
-        << "recovery divergence: a journaled round was not re-executed";
-  }
-
-  completed_ticks_ = tick + 1;
   ++next_tick_;
   // No-op for ticks already sampled at Open; the tick that was in flight
   // at a crash gets its sample here, after its re-execution completed —
   // the same totals the uninterrupted run closed it with.
   RecordMeterSample(tick);
+  // A restored tick is read-only: its records, and any snapshot that
+  // covers them, are on disk already.
+  if (tick < info_.completed_ticks) return results;
+
+  // The in-flight query (if any) lived at tick info_.completed_ticks, so by
+  // the end of that tick the re-execution must have restored every held
+  // round.
+  BITPUSH_CHECK(held_rounds_.empty())
+      << "recovery divergence: a journaled round was not re-executed";
+  completed_ticks_ = tick + 1;
   if (!durable()) return results;
 
-  if (tick >= ticks_already_journaled_) {
-    std::vector<uint8_t> payload;
-    EncodeCampaignTickRecord(CampaignTickRecord{tick}, &payload);
-    Append(JournalRecordType::kCampaignTick, payload);
-  }
-  // A snapshot that comes due while journaled rounds are still held (at a
-  // restored tick before the in-flight one) is skipped: it would persist a
-  // ledger without their charges.
+  std::vector<uint8_t> payload;
+  EncodeCampaignTickRecord(CampaignTickRecord{tick}, &payload);
+  Append(JournalRecordType::kCampaignTick, payload);
   if (options_.snapshot_every_ticks > 0 &&
-      completed_ticks_ % options_.snapshot_every_ticks == 0 &&
-      held_rounds_.empty()) {
+      completed_ticks_ % options_.snapshot_every_ticks == 0) {
     std::string error;
     BITPUSH_CHECK(Snapshot(&error)) << "snapshot failed: " << error;
   }
@@ -424,9 +409,9 @@ std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
 bool DurableCampaignRunner::Snapshot(std::string* error) {
   BITPUSH_CHECK(error != nullptr);
   BITPUSH_CHECK(open_) << "call Open() first";
-  if (!durable()) return true;
-  BITPUSH_CHECK(held_rounds_.empty())
-      << "snapshots are only taken once the journaled rounds are restored";
+  // Journaled rounds are held only inside the restored prefix, so this
+  // also keeps a snapshot from persisting a ledger without their charges.
+  if (!durable() || next_tick_ <= info_.completed_ticks) return true;
   // The snapshot covers every appended record, so they must be durable
   // before it is.
   if (!journal_.Commit()) {
@@ -445,10 +430,6 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   }
   snapshot.finished.reserve(finished_.size());
   for (const auto& [key, entry] : finished_) snapshot.finished.push_back(entry);
-  snapshot.bit_means.reserve(bit_means_cache_.size());
-  for (const auto& [value_id, means] : bit_means_cache_) {
-    snapshot.bit_means.push_back(BitMeansEntry{value_id, means});
-  }
   if (const HealthTracker* health = campaign_.health(); health != nullptr) {
     health->EncodeTo(&snapshot.health_blob);
   }
@@ -480,16 +461,17 @@ void DurableCampaignRunner::RecordMeterSample(int64_t tick) {
 bool DurableCampaignRunner::RestoreQueryResult(int64_t tick,
                                                size_t query_index,
                                                CampaignTickResult* out) {
-  const auto key = std::make_pair(tick, static_cast<int64_t>(query_index));
-  const auto it = finished_.find(key);
-  if (it == finished_.end()) return false;
-  *out = it->second.result;
-  const auto journaled = journaled_results_.find(key);
-  if (journaled != journaled_results_.end()) {
-    full_results_[key] = std::move(journaled->second);
-    journaled_results_.erase(journaled);
-  }
+  const FinishedQueryEntry* entry = finished_query(tick, query_index);
+  if (entry == nullptr) return false;
+  *out = entry->result;
   return true;
+}
+
+const FinishedQueryEntry* DurableCampaignRunner::finished_query(
+    int64_t tick, size_t query_index) const {
+  const auto it =
+      finished_.find(std::make_pair(tick, static_cast<int64_t>(query_index)));
+  return it != finished_.end() ? &it->second : nullptr;
 }
 
 void DurableCampaignRunner::OnQueryStarted(int64_t tick, size_t query_index,
@@ -501,34 +483,22 @@ void DurableCampaignRunner::OnQueryStarted(int64_t tick, size_t query_index,
 void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
                                             const CampaignTickResult& result,
                                             FederatedQueryResult outcome) {
-  const auto key = std::make_pair(tick, static_cast<int64_t>(query_index));
-  DropIdLists(&outcome.round1);
-  DropIdLists(&outcome.round2);
-  const std::vector<double>& final_bit_means =
-      (full_results_[key] = std::move(outcome)).final_bit_means;
-  if (result.status == CampaignTickResult::Status::kRan &&
-      !final_bit_means.empty()) {
-    bit_means_cache_[campaign_.queries()[query_index].value_id] =
-        final_bit_means;
-  }
+  const int64_t index = static_cast<int64_t>(query_index);
+  BITPUSH_CHECK(finished_
+                    .emplace(std::make_pair(tick, index),
+                             MakeFinishedQueryEntry(index, result, outcome))
+                    .second)
+      << "query finished twice";
   if (!durable()) return;
 
   QueryFinishedRecord record;
   record.tick = tick;
-  record.query_index = static_cast<int64_t>(query_index);
+  record.query_index = index;
   record.result = result;
-  record.final_bit_means = final_bit_means;
+  record.final_bit_means = std::move(outcome.final_bit_means);
   std::vector<uint8_t> payload;
   EncodeQueryFinishedRecord(record, &payload);
   Append(JournalRecordType::kQueryFinished, payload);
-
-  FinishedQueryEntry entry;
-  entry.tick = tick;
-  entry.query_index = static_cast<int64_t>(query_index);
-  entry.result = result;
-  entry.final_bit_means = final_bit_means;
-  BITPUSH_CHECK(finished_.emplace(key, entry).second)
-      << "query finished twice";
 }
 
 bool DurableCampaignRunner::RestoreRound(int64_t round_id,

@@ -8,8 +8,8 @@
 //
 // The recovery model restores what closed and re-executes what did not:
 //
-//   1. Load the newest snapshot: privacy-meter ledger, finished queries,
-//      bit-means cache, breaker state, completed-tick count.
+//   1. Load the newest snapshot: privacy-meter ledger, finished-query
+//      entries, breaker state, completed-tick count.
 //   2. Open validates every journal record on top of it, then applies the
 //      finished queries' meter charges (re-applied through the real meter,
 //      checking each journaled decision), round outcomes and breaker
@@ -18,13 +18,21 @@
 //      — and discards the charges after the last round, query or tick
 //      record: they belong to a round that never closed.
 //   3. The driver re-calls RunTick for every tick from 0. Finished queries
-//      are served from the recovered state without touching clients or the
-//      meter (a completed round-1 probe is never re-probed). The in-flight
-//      query re-executes with the same forked RNG streams; each held round
-//      is restored in place of running it — its cohort digest checked, its
-//      charges applied through the meter — and the first round that never
-//      closed runs live from its RNG fork, appending where the kept
-//      journal ends.
+//      are served from their entries without touching clients or the meter
+//      (a completed round-1 probe is never re-probed). The restored prefix
+//      — the ticks below completed_ticks — is read-only: re-running it
+//      appends no record, commits nothing and takes no snapshot. The
+//      in-flight query re-executes with the same forked RNG streams; each
+//      held round is restored in place of running it — its cohort digest
+//      checked, its charges applied through the meter — and the first
+//      round that never closed runs live from its RNG fork, appending
+//      where the kept journal ends.
+//
+// A finished query has one record, its FinishedQueryEntry
+// (persist/snapshot.h): the tick result, the round tallies and the fault
+// counters. The live path and journal restore build it the same way, the
+// snapshot stores it, and the shard harvest reads it, so a restored tick
+// yields the same frame rows as the live one.
 //
 // The caller must re-create the runner with the same queries, meter
 // policy, seed, populations, and codecs it used originally — recovery
@@ -104,7 +112,7 @@ struct RecoveryInfo {
 //
 // RunTick must be called for every tick from 0 in order, with the same
 // populations and codecs as the original run; recovered ticks replay from
-// state instead of contacting clients.
+// state instead of contacting clients, and write nothing.
 //
 // Journal records are group-committed (persist/journal.h) at the three
 // points where something derived from them leaves the coordinator: each
@@ -132,6 +140,8 @@ class DurableCampaignRunner : private CampaignRecorder,
   bool Open(std::string* error);
 
   // Runs (or restores) one campaign tick. `tick` must equal next_tick().
+  // A tick below recovery_info().completed_ticks is served from state and
+  // leaves the state files as they are.
   std::vector<CampaignTickResult> RunTick(
       int64_t tick,
       const std::vector<const std::vector<Client>*>& populations,
@@ -139,7 +149,9 @@ class DurableCampaignRunner : private CampaignRecorder,
 
   // Writes a snapshot of the current state and truncates the journal.
   // Called automatically every snapshot_every_ticks; may be called
-  // manually between ticks. No-op (true) in memory.
+  // manually between ticks. No-op (true) in memory, and until a tick past
+  // the restored prefix has run: the state is then what Open restored,
+  // which is on disk already.
   bool Snapshot(std::string* error);
 
   const PrivacyMeter& meter() const { return meter_; }
@@ -171,21 +183,11 @@ class DurableCampaignRunner : private CampaignRecorder,
     return journal_.uncommitted_records();
   }
 
-  // Latest final bit means per value id (snapshot-persisted).
-  const std::map<int64_t, std::vector<double>>& bit_means_cache() const {
-    return bit_means_cache_;
-  }
-  // Protocol-level results of the latest tick's queries, keyed by (tick,
-  // query index). Their round outcomes never hold the per-client id lists:
-  // the tallies are what the shard harvest reads. A query this process
-  // executed live has the rest of its result; a query restored from the
-  // journal carries only its round outcomes; a query restored from a
-  // snapshot is absent. Each RunTick clears it first, so it never holds an
-  // earlier tick.
-  const std::map<std::pair<int64_t, int64_t>, FederatedQueryResult>&
-  full_results() const {
-    return full_results_;
-  }
+  // The entry of query `query_index` at `tick`: run by this process or
+  // restored from the snapshot or the journal. Null until that query has
+  // finished. In memory too, where it is the only record kept.
+  const FinishedQueryEntry* finished_query(int64_t tick,
+                                           size_t query_index) const;
 
  private:
   // A closed round and the charges journaled before it, as Open reads
@@ -244,21 +246,15 @@ class DurableCampaignRunner : private CampaignRecorder,
   int64_t query_tick_ = 0;
   int64_t query_index_ = 0;
 
-  // Recovered + accumulated durable state.
+  // Every finished query, keyed by (tick, query index): recovered, then
+  // accumulated.
   std::map<std::pair<int64_t, int64_t>, FinishedQueryEntry> finished_;
-  std::map<int64_t, std::vector<double>> bit_means_cache_;
-  std::map<std::pair<int64_t, int64_t>, FederatedQueryResult> full_results_;
-  // Round outcomes of the finished queries Open read from the journal;
-  // RestoreQueryResult moves each into full_results_.
-  std::map<std::pair<int64_t, int64_t>, FederatedQueryResult>
-      journaled_results_;
 
   std::vector<MeterTickSample> meter_by_tick_;
   int64_t journal_records_ = 0;
+  // Closed ticks: restored at Open, then advanced by each live tick. Never
+  // lowered while the restored prefix re-runs.
   int64_t completed_ticks_ = 0;
-  // Ticks whose kCampaignTick record predates this process (do not
-  // re-append while re-running them).
-  int64_t ticks_already_journaled_ = 0;
   int64_t next_tick_ = 0;
   bool open_ = false;
   RecoveryInfo info_;

@@ -1,7 +1,7 @@
 #include "persist/snapshot.h"
 
-#include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,18 +14,29 @@ namespace bitpush {
 namespace {
 
 constexpr uint8_t kSnapshotMagic[4] = {'B', 'P', 'S', 'N'};
-// Encoded sizes of the smallest finished-query entry (tick, query index, a
-// tick result with an empty name, no bit means) and of the smallest
-// bit-means entry (value id, no means). DecodeBody bounds the counts it
-// reads by the bytes that remain, so a corrupt count fails closed instead
-// of sizing an allocation.
-constexpr size_t kMinFinishedEntryBytes = 8 + 8 + (8 + 4 + 1 + 8 + 8) + 4;
-constexpr size_t kMinBitMeansEntryBytes = 8 + 4;
+// Encoded size of the smallest finished-query entry: query index, a tick
+// result with an empty name, zero-width tallies and the 15 fault
+// counters. DecodeBody bounds the count it reads by the bytes that
+// remain, so a corrupt count fails closed instead of sizing an
+// allocation.
+constexpr size_t kMinFinishedEntryBytes =
+    8 + (8 + 4 + 1 + 8 + 8) + (4 + 4) + 15 * 8;
+
+void AccumulateRound(const RoundOutcome& round, FinishedQueryEntry* entry) {
+  entry->faults.MergeFrom(round.faults);
+  if (round.histogram.totals().empty()) return;  // round never tallied
+  const TallyBatch tallies = TallyBatchFromBitHistogram(round.histogram);
+  if (entry->tallies.bits() == 0) {
+    entry->tallies.totals.assign(tallies.totals.size(), 0);
+    entry->tallies.ones.assign(tallies.ones.size(), 0);
+  }
+  AccumulateTallies(tallies, &entry->tallies);
+}
 
 // The one encoder of the file format. It hands `emit` the file's bytes in
 // order as four pieces: the magic, version, fixed fields and ledger length;
-// the ledger blob itself; the finished queries, bit means and breaker-blob
-// length; and the breaker blob. The two large blobs are passed through
+// the ledger blob itself; the finished queries and breaker-blob length;
+// and the breaker blob. The two large blobs are passed through
 // uncopied, so a file writer can stream them. The CRC-32 that closes the
 // file covers every piece and is the caller's to append.
 template <typename Emit>
@@ -43,15 +54,10 @@ void EncodeSnapshotPieces(const CoordinatorSnapshot& snapshot, Emit&& emit) {
   piece.clear();
   bytes::PutUint32(static_cast<uint32_t>(snapshot.finished.size()), &piece);
   for (const FinishedQueryEntry& entry : snapshot.finished) {
-    bytes::PutInt64(entry.tick, &piece);
     bytes::PutInt64(entry.query_index, &piece);
     EncodeCampaignTickResult(entry.result, &piece);
-    bytes::PutDoubleVector(entry.final_bit_means, &piece);
-  }
-  bytes::PutUint32(static_cast<uint32_t>(snapshot.bit_means.size()), &piece);
-  for (const BitMeansEntry& entry : snapshot.bit_means) {
-    bytes::PutInt64(entry.value_id, &piece);
-    bytes::PutDoubleVector(entry.means, &piece);
+    EncodeTallyBatch(entry.tallies, &piece);
+    EncodeFaultStats(entry.faults, &piece);
   }
   bytes::PutUint32(static_cast<uint32_t>(snapshot.health_blob.size()),
                    &piece);
@@ -90,51 +96,28 @@ bool DecodeBody(const std::vector<uint8_t>& buffer, size_t* offset,
   snapshot.finished.reserve(finished_count);
   for (uint32_t i = 0; i < finished_count; ++i) {
     FinishedQueryEntry entry;
-    if (!bytes::GetInt64(buffer, &cursor, &entry.tick) ||
-        !bytes::GetInt64(buffer, &cursor, &entry.query_index) ||
+    if (!bytes::GetInt64(buffer, &cursor, &entry.query_index) ||
         !DecodeCampaignTickResult(buffer, &cursor, &entry.result) ||
-        !bytes::GetDoubleVector(buffer, &cursor, &entry.final_bit_means)) {
+        !DecodeTallyBatch(buffer, &cursor, &entry.tallies) ||
+        !DecodeFaultStats(buffer, &cursor, &entry.faults)) {
       return false;
     }
-    if (entry.tick < 0 || entry.query_index < 0 ||
-        entry.tick != entry.result.tick) {
+    // Every finished query belongs to a completed tick: the in-flight
+    // tick's finished queries live in the journal, never in a snapshot.
+    const int64_t tick = entry.result.tick;
+    if (tick >= snapshot.completed_ticks || entry.query_index < 0) {
       return false;
-    }
-    for (const double mean : entry.final_bit_means) {
-      if (std::isnan(mean)) return false;
     }
     // Chronological, no duplicates: queries finish in (tick, index) order.
     if (!snapshot.finished.empty()) {
       const FinishedQueryEntry& previous = snapshot.finished.back();
-      if (entry.tick < previous.tick ||
-          (entry.tick == previous.tick &&
+      if (tick < previous.result.tick ||
+          (tick == previous.result.tick &&
            entry.query_index <= previous.query_index)) {
         return false;
       }
     }
     snapshot.finished.push_back(std::move(entry));
-  }
-
-  uint32_t means_count = 0;
-  if (!bytes::GetUint32(buffer, &cursor, &means_count) ||
-      (buffer.size() - cursor) / kMinBitMeansEntryBytes < means_count) {
-    return false;
-  }
-  snapshot.bit_means.reserve(means_count);
-  for (uint32_t i = 0; i < means_count; ++i) {
-    BitMeansEntry entry;
-    if (!bytes::GetInt64(buffer, &cursor, &entry.value_id) ||
-        !bytes::GetDoubleVector(buffer, &cursor, &entry.means)) {
-      return false;
-    }
-    for (const double mean : entry.means) {
-      if (std::isnan(mean)) return false;
-    }
-    if (!snapshot.bit_means.empty() &&
-        entry.value_id <= snapshot.bit_means.back().value_id) {
-      return false;  // canonical order: sorted by value id, no duplicates
-    }
-    snapshot.bit_means.push_back(std::move(entry));
   }
 
   if (!GetBlob(buffer, &cursor, &snapshot.health_blob)) return false;
@@ -145,6 +128,17 @@ bool DecodeBody(const std::vector<uint8_t>& buffer, size_t* offset,
 }
 
 }  // namespace
+
+FinishedQueryEntry MakeFinishedQueryEntry(int64_t query_index,
+                                          const CampaignTickResult& result,
+                                          const FederatedQueryResult& outcome) {
+  FinishedQueryEntry entry;
+  entry.query_index = query_index;
+  entry.result = result;
+  AccumulateRound(outcome.round1, &entry);
+  AccumulateRound(outcome.round2, &entry);
+  return entry;
+}
 
 void EncodeCoordinatorSnapshot(const CoordinatorSnapshot& snapshot,
                                std::vector<uint8_t>* out) {

@@ -2,9 +2,9 @@
 //
 // A snapshot captures everything the durable coordinator needs to resume a
 // campaign without the journal growing forever: the privacy-meter ledger
-// (as its canonical encoded blob), every finished query's tick result and
-// final bit means, the adaptive bit-means cache, the circuit-breaker state,
-// and the sequence number at which the journal resumes. After a
+// (as its canonical encoded blob), every finished query's entry, the
+// circuit-breaker state, and the sequence number at which the journal
+// resumes. After a
 // snapshot is durably in place (ReplaceFile's temp sibling, fsync, atomic
 // rename and directory fsync; persist/file.h) the journal is emptied;
 // recovery loads the newest snapshot and restores the short journal tail
@@ -23,32 +23,43 @@
 #include <string>
 #include <vector>
 
+#include "batch/batch.h"
 #include "federated/campaign.h"
+#include "federated/faults.h"
 
 namespace bitpush {
 
 // The snapshot file's own format byte, separate from kWireFormatVersion
 // (wire frames) and kJournalFormatVersion (journal frames). Version 1
-// carried an open-sessions count ahead of the breaker blob; decoding
-// rejects it.
-inline constexpr uint8_t kSnapshotFormatVersion = 2;
+// carried an open-sessions count ahead of the breaker blob, and version 2
+// kept each finished query's final bit means and a bit-means cache in
+// place of its tallies and fault counters; decoding rejects both.
+inline constexpr uint8_t kSnapshotFormatVersion = 3;
 
-// One finished (run or skipped) scheduled query.
+// One finished (run or skipped) scheduled query: the one record of it that
+// recovery serves, a snapshot stores and a shard frame row carries. The
+// tallies are the query's binary histograms, which add exactly across
+// shards.
 struct FinishedQueryEntry {
-  int64_t tick = 0;
   int64_t query_index = 0;
-  CampaignTickResult result;
-  // Final unbiased bit means of the query (empty for skips); feeds the
-  // bit-means cache.
-  std::vector<double> final_bit_means;
+  CampaignTickResult result;  // result.tick is the entry's tick
+  // Round-1 plus round-2 tallies; zero-width when no round tallied.
+  TallyBatch tallies;
+  // Round-level fault sums. Not FederatedQueryResult::faults, which also
+  // counts the query-level fallback: a query restored from the journal
+  // has only its rounds, and live and restored entries must be equal.
+  FaultStats faults;
+
+  friend bool operator==(const FinishedQueryEntry&,
+                         const FinishedQueryEntry&) = default;
 };
 
-// Latest final bit means observed per value id (the adaptive cache a
-// coordinator consults to seed future allocations).
-struct BitMeansEntry {
-  int64_t value_id = 0;
-  std::vector<double> means;
-};
+// The entry of query `query_index`, finished with `result` after the
+// rounds in `outcome`. The live path, journal restore and the
+// single-coordinator shard reference all build their entries here.
+FinishedQueryEntry MakeFinishedQueryEntry(int64_t query_index,
+                                          const CampaignTickResult& result,
+                                          const FederatedQueryResult& outcome);
 
 struct CoordinatorSnapshot {
   // Seed of the campaign's root RNG; recovery refuses a state directory
@@ -60,10 +71,9 @@ struct CoordinatorSnapshot {
   int64_t completed_ticks = 0;
   // PrivacyMeter::EncodeTo blob (kept opaque here; recovery decodes it).
   std::vector<uint8_t> meter_blob;
-  // Every finished query since campaign start, in chronological order.
+  // Every finished query since campaign start, in chronological order,
+  // each at a tick below completed_ticks.
   std::vector<FinishedQueryEntry> finished;
-  // Adaptive bit-means cache, sorted by value id.
-  std::vector<BitMeansEntry> bit_means;
   // Circuit-breaker state (HealthTracker::EncodeTo, kept opaque; empty when
   // the campaign runs without a breaker). Restoring it from the snapshot
   // preserves failure history older than the journal tail, so quarantine

@@ -70,9 +70,9 @@ constexpr std::array<std::array<Digests, kTicks>, kConfigs.size()> kDigests =
         // shards, snapshot_every = {1, 2}
         {{
             {0x9e58fa92cb64842au, 0x019a150a937cf65du},
-            {0x2fb87fa2978eadcbu, 0x6d47a39ae5992779u},
-            {0x4f60e8efc432fbfau, 0x6d47a39ae5992779u},
-            {0x2fb87fa2978eadcbu, 0x17c55a2965c3fdaau},
+            {0x2fb87fa2978eadcbu, 0xb15b3e4d9aa62014u},
+            {0x4f60e8efc432fbfau, 0xb15b3e4d9aa62014u},
+            {0x2fb87fa2978eadcbu, 0x9df342b7258b863cu},
         }},
         // shards, snapshot_every = {4, 0}
         {{
@@ -84,9 +84,9 @@ constexpr std::array<std::array<Digests, kTicks>, kConfigs.size()> kDigests =
         // shards, snapshot_every = {4, 2}
         {{
             {0xdd38f3652f4e6d45u, 0xbd4f8ca876337c25u},
-            {0x835db89458a5a5bdu, 0xbfb23565abfdea8bu},
-            {0xa3face9b5b08c880u, 0xbfb23565abfdea8bu},
-            {0x835db89458a5a5bdu, 0x6fec75deafc7fcb8u},
+            {0x835db89458a5a5bdu, 0x36662d09d8691334u},
+            {0xa3face9b5b08c880u, 0x36662d09d8691334u},
+            {0x835db89458a5a5bdu, 0x222eb62bd9ca82a4u},
         }},
     }};
 

@@ -237,19 +237,39 @@ TEST_F(PersistFuzzTest, JournalReaderRejectsEveryOtherFormatVersion) {
   }
 }
 
-// A snapshot body with a valid CRC whose finished-query and bit-means
-// counts are the given values and whose sections are otherwise empty.
-std::vector<uint8_t> SnapshotWithCounts(uint32_t finished_count,
-                                        uint32_t means_count) {
+// A snapshot with a valid CRC and otherwise empty sections whose
+// finished-query count is `finished_count`.
+std::vector<uint8_t> SnapshotWithFinishedCount(uint32_t finished_count) {
   std::vector<uint8_t> bytes = {'B', 'P', 'S', 'N', kSnapshotFormatVersion};
   bytes::PutUint64(1, &bytes);  // base seed
   bytes::PutUint64(0, &bytes);  // journal next seq
   bytes::PutInt64(0, &bytes);   // completed ticks
   bytes::PutUint32(0, &bytes);  // meter blob length
   bytes::PutUint32(finished_count, &bytes);
-  if (finished_count == 0) {
-    bytes::PutUint32(means_count, &bytes);
-    bytes::PutUint32(0, &bytes);  // health blob length
+  if (finished_count == 0) bytes::PutUint32(0, &bytes);  // health blob
+  bytes::PutUint32(bytes::Crc32(bytes), &bytes);
+  return bytes;
+}
+
+// A snapshot with a valid CRC holding one finished query at tick 0 whose
+// tally totals vector claims `totals_count` entries. A zero count gives
+// the entry zero-width tallies and no fault, and the file is complete.
+std::vector<uint8_t> SnapshotWithTallyCount(uint32_t totals_count) {
+  std::vector<uint8_t> bytes = {'B', 'P', 'S', 'N', kSnapshotFormatVersion};
+  bytes::PutUint64(1, &bytes);  // base seed
+  bytes::PutUint64(0, &bytes);  // journal next seq
+  bytes::PutInt64(1, &bytes);   // completed ticks
+  bytes::PutUint32(0, &bytes);  // meter blob length
+  bytes::PutUint32(1, &bytes);  // finished queries
+  bytes::PutInt64(0, &bytes);   // query index
+  CampaignTickResult result;
+  result.query_name = "m";
+  EncodeCampaignTickResult(result, &bytes);
+  bytes::PutUint32(totals_count, &bytes);
+  if (totals_count == 0) {
+    bytes::PutUint32(0, &bytes);  // ones
+    EncodeFaultStats(FaultStats{}, &bytes);
+    bytes::PutUint32(0, &bytes);  // health blob
   }
   bytes::PutUint32(bytes::Crc32(bytes), &bytes);
   return bytes;
@@ -270,7 +290,7 @@ std::vector<uint8_t> MeterBlobWithTail(const std::vector<uint8_t>& tail) {
 TEST_F(PersistFuzzTest, SnapshotWithOversizedFinishedCountFailsClosed) {
   // 41 bytes that claim 2^32 - 1 finished queries: the count must be
   // checked against the bytes left, not used to size an allocation.
-  const std::vector<uint8_t> bytes = SnapshotWithCounts(0xFFFFFFFF, 0);
+  const std::vector<uint8_t> bytes = SnapshotWithFinishedCount(0xFFFFFFFF);
   ASSERT_EQ(bytes.size(), 41u);
   WriteBytes(bytes);
   CoordinatorSnapshot snapshot;
@@ -280,18 +300,22 @@ TEST_F(PersistFuzzTest, SnapshotWithOversizedFinishedCountFailsClosed) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST_F(PersistFuzzTest, SnapshotWithOversizedBitMeansCountFailsClosed) {
-  WriteBytes(SnapshotWithCounts(0, 0xFFFFFFFF));
+TEST_F(PersistFuzzTest, SnapshotWithOversizedTallyCountFailsClosed) {
+  // A finished query whose tallies claim 2^32 - 1 bits: the count must be
+  // checked against the bytes left, not used to size an allocation.
+  WriteBytes(SnapshotWithTallyCount(0xFFFFFFFF));
   CoordinatorSnapshot snapshot;
   bool found = false;
   std::string error;
   EXPECT_FALSE(LoadSnapshotFile(path_, &snapshot, &found, &error));
   EXPECT_FALSE(error.empty());
   // The same file with a truthful count loads.
-  WriteBytes(SnapshotWithCounts(0, 0));
+  WriteBytes(SnapshotWithTallyCount(0));
   error.clear();
   EXPECT_TRUE(LoadSnapshotFile(path_, &snapshot, &found, &error)) << error;
   EXPECT_TRUE(found);
+  ASSERT_EQ(snapshot.finished.size(), 1u);
+  EXPECT_EQ(snapshot.finished[0].tallies.bits(), 0);
 }
 
 TEST_F(PersistFuzzTest, MeterBlobWithOversizedClientCountFailsClosed) {
@@ -327,13 +351,32 @@ TEST(SnapshotFuzzTest, DecoderFailsClosedOnEveryMutation) {
     CoordinatorSnapshot snapshot;
     snapshot.base_seed = rng.NextUint64();
     snapshot.journal_next_seq = rng.NextBelow(100);
-    snapshot.completed_ticks = static_cast<int64_t>(rng.NextBelow(10));
     snapshot.meter_blob.resize(rng.NextBelow(32));
     for (uint8_t& byte : snapshot.meter_blob) {
       byte = static_cast<uint8_t>(rng.NextBelow(256));
     }
-    snapshot.bit_means.push_back(
-        BitMeansEntry{1, {rng.NextDouble(), rng.NextDouble()}});
+    // Finished queries with nonzero tallies and fault counters, each at a
+    // completed tick, so mutations land in every field the decoder checks.
+    snapshot.completed_ticks = 1 + static_cast<int64_t>(rng.NextBelow(10));
+    for (int64_t q = 0; q < 2; ++q) {
+      FinishedQueryEntry entry;
+      entry.query_index = q;
+      entry.result.tick = snapshot.completed_ticks - 1;
+      entry.result.query_name.assign(1, static_cast<char>('a' + q));
+      entry.result.estimate = rng.NextDouble();
+      entry.result.reports = static_cast<int64_t>(rng.NextBelow(100));
+      for (int bit = 0; bit < 3; ++bit) {
+        const int64_t total = 1 + static_cast<int64_t>(rng.NextBelow(50));
+        entry.tallies.totals.push_back(total);
+        entry.tallies.ones.push_back(static_cast<int64_t>(
+            rng.NextBelow(static_cast<uint64_t>(total) + 1)));
+      }
+      entry.faults.injected_dropouts =
+          1 + static_cast<int64_t>(rng.NextBelow(9));
+      entry.faults.corrupt_reports_rejected =
+          1 + static_cast<int64_t>(rng.NextBelow(9));
+      snapshot.finished.push_back(entry);
+    }
     std::vector<uint8_t> bytes;
     EncodeCoordinatorSnapshot(snapshot, &bytes);
     const std::vector<uint8_t> pristine = bytes;
@@ -346,6 +389,7 @@ TEST(SnapshotFuzzTest, DecoderFailsClosedOnEveryMutation) {
       ASSERT_EQ(bytes, pristine) << iteration;
       ASSERT_EQ(out.base_seed, snapshot.base_seed) << iteration;
       ASSERT_EQ(out.meter_blob, snapshot.meter_blob) << iteration;
+      ASSERT_EQ(out.finished, snapshot.finished) << iteration;
     }
   }
 }

@@ -511,15 +511,16 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip) {
   snapshot.completed_ticks = 4;
   snapshot.meter_blob = {1, 2, 3, 4};
   FinishedQueryEntry entry;
-  entry.tick = 3;
   entry.query_index = 0;
   entry.result.tick = 3;
   entry.result.query_name = "m";
   entry.result.estimate = 1.5;
   entry.result.reports = 10;
-  entry.final_bit_means = {0.5};
+  entry.tallies.totals = {6, 4};
+  entry.tallies.ones = {3, 0};
+  entry.faults.injected_dropouts = 2;
+  entry.faults.backfill_reports = 1;
   snapshot.finished.push_back(entry);
-  snapshot.bit_means.push_back(BitMeansEntry{7, {0.25, 0.75}});
 
   std::vector<uint8_t> encoded;
   EncodeCoordinatorSnapshot(snapshot, &encoded);
@@ -530,9 +531,50 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.completed_ticks, snapshot.completed_ticks);
   EXPECT_EQ(decoded.meter_blob, snapshot.meter_blob);
   ASSERT_EQ(decoded.finished.size(), 1u);
-  EXPECT_EQ(decoded.finished[0].result, entry.result);
-  ASSERT_EQ(decoded.bit_means.size(), 1u);
-  EXPECT_EQ(decoded.bit_means[0].means, snapshot.bit_means[0].means);
+  EXPECT_EQ(decoded.finished[0], entry);
+}
+
+TEST(SnapshotTest, InconsistentFinishedEntriesFailClosed) {
+  // Each entry below is CRC-valid but cannot have come from a coordinator:
+  // a finished query at or past the completed ticks (what a snapshot taken
+  // inside a re-run restored prefix used to record), tallies that are not
+  // counts, and a negative fault counter.
+  FinishedQueryEntry good;
+  good.result.tick = 1;
+  good.result.query_name = "m";
+  good.tallies.totals = {5, 5};
+  good.tallies.ones = {2, 5};
+  const auto decodes = [](const FinishedQueryEntry& entry) {
+    CoordinatorSnapshot snapshot;
+    snapshot.completed_ticks = 2;
+    snapshot.finished.push_back(entry);
+    std::vector<uint8_t> encoded;
+    EncodeCoordinatorSnapshot(snapshot, &encoded);
+    CoordinatorSnapshot decoded;
+    return DecodeCoordinatorSnapshot(encoded, &decoded);
+  };
+  ASSERT_TRUE(decodes(good));
+
+  FinishedQueryEntry bad = good;
+  bad.result.tick = 2;
+  EXPECT_FALSE(decodes(bad)) << "tick at completed_ticks";
+  bad.result.tick = 5;
+  EXPECT_FALSE(decodes(bad)) << "tick past completed_ticks";
+  bad = good;
+  bad.tallies.ones[0] = 6;
+  EXPECT_FALSE(decodes(bad)) << "ones above totals";
+  bad = good;
+  bad.tallies.ones[1] = -1;
+  EXPECT_FALSE(decodes(bad)) << "negative ones";
+  bad = good;
+  bad.tallies.totals[0] = -1;
+  EXPECT_FALSE(decodes(bad)) << "negative totals";
+  bad = good;
+  bad.tallies.ones.pop_back();
+  EXPECT_FALSE(decodes(bad)) << "unequal widths";
+  bad = good;
+  bad.faults.static_policy_fallbacks = -1;
+  EXPECT_FALSE(decodes(bad)) << "negative fault counter";
 }
 
 TEST(SnapshotTest, AnySingleBitFlipIsRejected) {
@@ -596,15 +638,14 @@ TEST(SnapshotTest, StreamedFileEqualsEncodedBytes) {
   ASSERT_GT(snapshot.meter_blob.size(), size_t{64} << 10);
   for (int64_t tick = 0; tick < 3; ++tick) {
     FinishedQueryEntry entry;
-    entry.tick = tick;
     entry.query_index = 0;
     entry.result.tick = tick;
     entry.result.query_name = "m";
     entry.result.reports = 100 + tick;
-    entry.final_bit_means = {0.25, 0.5};
+    entry.tallies.totals = {60, 40 + tick};
+    entry.tallies.ones = {15, 20};
     snapshot.finished.push_back(entry);
   }
-  snapshot.bit_means.push_back(BitMeansEntry{1, {0.25, 0.5}});
   health.EncodeTo(&snapshot.health_blob);
   ASSERT_FALSE(snapshot.health_blob.empty());
 

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -71,6 +73,12 @@ std::string FreshStateRoot(const std::string& tag) {
   const std::string root = ::testing::TempDir() + "/shard_" + tag;
   std::filesystem::remove_all(root);
   return root;
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
 }
 
 ShardedCampaignOptions BaseOptions(int64_t shards) {
@@ -470,10 +478,11 @@ TEST(ShardKillMatrixTest, KillAnyShardAtEveryRecordRecoversCleanMerge) {
   std::filesystem::remove_all(clean_root);
 }
 
-TEST(ShardRecoveryTest, SnapshottedTickIsNotHarvestedAgain) {
-  // A snapshot truncates the delivered tick's rounds out of the journal.
-  // Collecting that tick again after a restart must fail and name the
-  // tick and the query, not deliver a frame with an empty tally.
+TEST(ShardRecoveryTest, SnapshottedTickIsHarvestedAgain) {
+  // A snapshot truncates the delivered tick's rounds out of the journal,
+  // but keeps the finished entries the harvest reads. Collecting that tick
+  // again after a restart delivers the frame the first collect did, and
+  // the snapshot that follows the re-delivery writes nothing.
   const ShardFixture fixture = MakeFixture(400, 7, 1.0, 1);
   const std::string root = FreshStateRoot("snapshotted_tick");
   ShardCoordinatorOptions options;
@@ -489,12 +498,19 @@ TEST(ShardRecoveryTest, SnapshottedTickIsNotHarvestedAgain) {
   ASSERT_EQ(first.queries.size(), 1u);
   EXPECT_EQ(first.queries[0].tallies.bits(), 7);
   ASSERT_TRUE(shard.Snapshot(&error)) << error;
+  const std::vector<uint8_t> snapshot = ReadFileBytes(root + "/snapshot.bin");
+  const std::vector<uint8_t> journal = ReadFileBytes(root + "/journal.wal");
+  ASSERT_FALSE(snapshot.empty());
   shard.Restart();
 
   ShardTickFrame again;
-  EXPECT_FALSE(shard.CollectTick(0, &again, &error));
-  EXPECT_NE(error.find("tick 0"), std::string::npos) << error;
-  EXPECT_NE(error.find("metric"), std::string::npos) << error;
+  ASSERT_TRUE(shard.CollectTick(0, &again, &error)) << error;
+  ShardTickFrame expected = first;
+  expected.metrics.recoveries = 1;  // the only count the restart moves
+  EXPECT_EQ(again, expected);
+  ASSERT_TRUE(shard.Snapshot(&error)) << error;
+  EXPECT_EQ(ReadFileBytes(root + "/snapshot.bin"), snapshot);
+  EXPECT_EQ(ReadFileBytes(root + "/journal.wal"), journal);
   std::filesystem::remove_all(root);
 }
 
