@@ -137,6 +137,52 @@ for CRASH_AT in 1 120 500 1200 1800; do
   echo "crash-recovery: crash at record $CRASH_AT recovered byte-identical to the clean run"
 done
 
+# Restart stage: a recovering run that is killed again, and a sharded
+# campaign restarted after its shards took snapshots. A single coordinator
+# closes 3 ticks with a snapshot every second tick, is reopened for 6 and
+# killed after 150, 300 or 450 appended records (in tick 3, before and
+# after tick 3's snapshot), then reopened once more. Four shards close 3
+# ticks with a snapshot every tick or every second tick, then the
+# campaign is reopened for 6. Each final reopen must exit 0 and print what
+# an uninterrupted 6-tick run prints, apart from the two shard counters
+# that count the restart itself. Keep in sync with CI's "Second crash and
+# sharded restart" step.
+RESTART_ARGS=(--task=campaign --n=400 --seed=99)
+RESTART_COUNTERS='^shard_(recoveries|replayed_records) '
+"$SIM" "${RESTART_ARGS[@]}" --ticks=6 --snapshot_every=2 \
+  --state_dir="$STATE_ROOT/restart-clean" > "$STATE_ROOT/restart-clean.out"
+for CRASH_AT in 150 300 450; do
+  RESTARTED="$STATE_ROOT/second-crash-$CRASH_AT"
+  "$SIM" "${RESTART_ARGS[@]}" --ticks=3 --snapshot_every=2 \
+    --state_dir="$RESTARTED" > /dev/null
+  set +e
+  "$SIM" "${RESTART_ARGS[@]}" --ticks=6 --snapshot_every=2 \
+    --crash_after_records="$CRASH_AT" --state_dir="$RESTARTED" > /dev/null 2>&1
+  CRASH_STATUS=$?
+  set -e
+  if [[ "$CRASH_STATUS" -ne 137 ]]; then
+    echo "restart: expected the recovering run to crash at record $CRASH_AT (exit 137), got $CRASH_STATUS" >&2
+    exit 1
+  fi
+  "$SIM" "${RESTART_ARGS[@]}" --ticks=6 --snapshot_every=2 \
+    --state_dir="$RESTARTED" > "$RESTARTED.out" 2> /dev/null
+  diff -u "$STATE_ROOT/restart-clean.out" "$RESTARTED.out"
+  echo "restart: second crash at record $CRASH_AT recovered byte-identical to the clean run"
+done
+for EVERY in 1 2; do
+  RESTARTED="$STATE_ROOT/sharded-restart-$EVERY"
+  "$SIM" "${RESTART_ARGS[@]}" --shards=4 --ticks=6 --snapshot_every="$EVERY" \
+    --state_dir="$RESTARTED-clean" | grep -Ev "$RESTART_COUNTERS" \
+    > "$RESTARTED-clean.out"
+  "$SIM" "${RESTART_ARGS[@]}" --shards=4 --ticks=3 --snapshot_every="$EVERY" \
+    --state_dir="$RESTARTED" > /dev/null
+  "$SIM" "${RESTART_ARGS[@]}" --shards=4 --ticks=6 --snapshot_every="$EVERY" \
+    --state_dir="$RESTARTED" > "$RESTARTED.raw"
+  grep -Ev "$RESTART_COUNTERS" "$RESTARTED.raw" > "$RESTARTED.out"
+  diff -u "$RESTARTED-clean.out" "$RESTARTED.out"
+  echo "restart: 4 shards snapshotting every $EVERY tick(s) resumed byte-identical to the clean run"
+done
+
 # Exporter-validation stage. The stable metrics, the flight recorder's
 # stable event stream and the fired-alert timeline were crash-exact above;
 # here they are pinned by the checked-in goldens. The Prometheus export

@@ -160,19 +160,20 @@ class SnapshotAndJournalBytesTest : public ::testing::Test {
     for (const std::string& dir : dirs_) std::filesystem::remove_all(dir);
   }
 
-  std::string FreshDir(const Config& config) {
-    const std::string dir = ::testing::TempDir() + "/state_bytes_" +
-                            std::to_string(config.shards) + "_" +
+  std::string FreshDir(const Config& config, const std::string& tag) {
+    const std::string dir = ::testing::TempDir() + "/state_bytes_" + tag +
+                            "_" + std::to_string(config.shards) + "_" +
                             std::to_string(config.snapshot_every);
     std::filesystem::remove_all(dir);
     dirs_.push_back(dir);
     return dir;
   }
 
-  // The state digests after each tick of one run.
-  std::array<Digests, kTicks> Run(const Config& config) {
-    const std::string dir = FreshDir(config);
-    std::array<Digests, kTicks> digests{};
+  // Opens the state in `dir`, fresh or recovering, and runs ticks
+  // [0, ticks), calling after_tick(tick) after each.
+  template <typename AfterTick>
+  void RunTicks(const Config& config, const std::string& dir, int64_t ticks,
+                const AfterTick& after_tick) {
     if (config.shards == 1) {
       DurableCampaignOptions options;
       options.state_dir = dir;
@@ -181,12 +182,12 @@ class SnapshotAndJournalBytesTest : public ::testing::Test {
       options.fsync = false;
       DurableCampaignRunner runner(queries_, policy_, options);
       std::string error;
-      EXPECT_TRUE(runner.Open(&error)) << error;
-      for (int64_t tick = 0; tick < kTicks; ++tick) {
+      ASSERT_TRUE(runner.Open(&error)) << error;
+      for (int64_t tick = 0; tick < ticks; ++tick) {
         runner.RunTick(tick, populations_, codecs_);
-        digests[static_cast<size_t>(tick)] = StateDigests(dir, 1);
+        after_tick(tick);
       }
-      return digests;
+      return;
     }
     ShardedCampaignOptions options;
     options.shards = config.shards;
@@ -196,13 +197,21 @@ class SnapshotAndJournalBytesTest : public ::testing::Test {
     options.snapshot_every_ticks = config.snapshot_every;
     ShardedCampaignRunner runner(queries_, policy_, options);
     runner.Open(populations_, codecs_);
-    for (int64_t tick = 0; tick < kTicks; ++tick) {
+    for (int64_t tick = 0; tick < ticks; ++tick) {
       MergedTickResult merged;
       std::string error;
-      EXPECT_TRUE(runner.RunTick(tick, &merged, &error)) << error;
-      digests[static_cast<size_t>(tick)] =
-          StateDigests(dir, config.shards);
+      ASSERT_TRUE(runner.RunTick(tick, &merged, &error)) << error;
+      after_tick(tick);
     }
+  }
+
+  // The state digests after each tick of one run.
+  std::array<Digests, kTicks> Run(const Config& config) {
+    const std::string dir = FreshDir(config, "pinned");
+    std::array<Digests, kTicks> digests{};
+    RunTicks(config, dir, kTicks, [&](int64_t tick) {
+      digests[static_cast<size_t>(tick)] = StateDigests(dir, config.shards);
+    });
     return digests;
   }
 
@@ -233,6 +242,46 @@ TEST_F(SnapshotAndJournalBytesTest, FixedSeedCampaignMatchesRecordedDigests) {
   EXPECT_TRUE(same) << "state file digests differ from the recorded ones; "
                        "this run's {journal, snapshot}:\n"
                     << actual.str();
+}
+
+// Every state file of the run under `root`: its name, then its length and
+// bytes; an absent file is its name alone.
+std::string StateFiles(const std::string& root, int64_t shards) {
+  std::string files;
+  for (int64_t s = 0; s < shards; ++s) {
+    const std::string dir =
+        shards == 1 ? root : root + "/shard" + std::to_string(s);
+    for (const std::string& path : {JournalPath(dir), SnapshotPath(dir)}) {
+      files += path + '\n';
+      if (!std::filesystem::exists(path)) continue;
+      const std::vector<uint8_t> data = FileBytes(path);
+      files += std::to_string(data.size()) + '\n';
+      files.append(data.begin(), data.end());
+    }
+  }
+  return files;
+}
+
+TEST_F(SnapshotAndJournalBytesTest, RestoredTicksLeaveTheStateFilesAsTheyWere) {
+  // A reopened campaign re-runs (one coordinator) or re-delivers (four
+  // shards) the ticks it restored before it runs on. The restored prefix is
+  // read-only: after each of those ticks, and its snapshot when one comes
+  // due, every journal.wal and snapshot.bin is byte-identical to what the
+  // first run left.
+  constexpr int64_t kRestored = kTicks - 1;
+  for (const Config& config :
+       {Config{1, 0}, Config{1, 1}, Config{1, 2}, Config{4, 0}, Config{4, 1},
+        Config{4, 2}}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << config.shards
+                                    << " snapshot_every="
+                                    << config.snapshot_every);
+    const std::string dir = FreshDir(config, "restored");
+    RunTicks(config, dir, kRestored, [](int64_t) {});
+    const std::string before = StateFiles(dir, config.shards);
+    RunTicks(config, dir, kRestored, [&](int64_t tick) {
+      EXPECT_EQ(StateFiles(dir, config.shards), before) << "tick " << tick;
+    });
+  }
 }
 
 }  // namespace

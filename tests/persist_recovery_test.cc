@@ -625,6 +625,75 @@ TEST_F(RecoveryTest, VersionOneSnapshotFailsClosed) {
   EXPECT_EQ(FileBytes(dir + "/journal.wal"), journal);
 }
 
+TEST_F(RecoveryTest, VersionTwoSnapshotFailsClosed) {
+  // A state dir written before finished entries kept their tallies: format
+  // byte 2, each entry with its tick ahead of the query index and its final
+  // bit means in place of tallies and fault counters, then a bit-means
+  // section. Open must refuse it with an error, not abort, and leave the
+  // journal as it found it.
+  const std::string dir = FreshDir("v2_snapshot");
+  {
+    DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+    std::string error;
+    ASSERT_TRUE(runner.Open(&error)) << error;
+    runner.RunTick(0, populations_, codecs_);
+    ASSERT_TRUE(runner.Snapshot(&error)) << error;
+    runner.RunTick(1, populations_, codecs_);
+  }
+  const std::string snapshot_path = dir + "/snapshot.bin";
+  CoordinatorSnapshot current;
+  ASSERT_TRUE(DecodeCoordinatorSnapshot(FileBytes(snapshot_path), &current));
+  ASSERT_EQ(current.finished.size(), 2u);
+  std::vector<uint8_t> version2 = {'B', 'P', 'S', 'N', 2};
+  bytes::PutUint64(current.base_seed, &version2);
+  bytes::PutUint64(current.journal_next_seq, &version2);
+  bytes::PutInt64(current.completed_ticks, &version2);
+  bytes::PutUint32(static_cast<uint32_t>(current.meter_blob.size()),
+                   &version2);
+  version2.insert(version2.end(), current.meter_blob.begin(),
+                  current.meter_blob.end());
+  bytes::PutUint32(static_cast<uint32_t>(current.finished.size()), &version2);
+  std::vector<std::vector<double>> means;
+  for (const FinishedQueryEntry& entry : current.finished) {
+    means.emplace_back();
+    for (int j = 0; j < entry.tallies.bits(); ++j) {
+      means.back().push_back(
+          static_cast<double>(entry.tallies.ones[static_cast<size_t>(j)]) /
+          static_cast<double>(entry.tallies.totals[static_cast<size_t>(j)]));
+    }
+    bytes::PutInt64(entry.result.tick, &version2);
+    bytes::PutInt64(entry.query_index, &version2);
+    EncodeCampaignTickResult(entry.result, &version2);
+    bytes::PutDoubleVector(means.back(), &version2);
+  }
+  bytes::PutUint32(static_cast<uint32_t>(means.size()), &version2);
+  for (size_t value_id = 0; value_id < means.size(); ++value_id) {
+    bytes::PutInt64(static_cast<int64_t>(value_id), &version2);
+    bytes::PutDoubleVector(means[value_id], &version2);
+  }
+  bytes::PutUint32(static_cast<uint32_t>(current.health_blob.size()),
+                   &version2);
+  version2.insert(version2.end(), current.health_blob.begin(),
+                  current.health_blob.end());
+  bytes::PutUint32(bytes::Crc32(version2.data(), version2.size()),
+                   &version2);
+  {
+    std::ofstream out(snapshot_path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(version2.data()),
+              static_cast<std::streamsize>(version2.size()));
+  }
+  ASSERT_EQ(FileBytes(snapshot_path), version2);
+  const std::vector<uint8_t> journal = FileBytes(dir + "/journal.wal");
+  ASSERT_FALSE(journal.empty());
+
+  DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
+  std::string error;
+  EXPECT_FALSE(reopened.Open(&error));
+  EXPECT_NE(error.find("snapshot failed validation"), std::string::npos)
+      << error;
+  EXPECT_EQ(FileBytes(dir + "/journal.wal"), journal);
+}
+
 TEST_F(RecoveryTest, ChargesOfARoundThatNeverClosedAreDiscarded) {
   // A kill after the 64 KiB buffer spilled mid-round leaves a round's
   // charges on disk without its kRoundClosed record. Open validates them
