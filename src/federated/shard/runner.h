@@ -11,7 +11,10 @@
 // tick; a permanently lost one is excluded from every later tick with its
 // clients accounted. The crash faults cut the shard's journal with
 // persist/'s cut tools after the restart; the runner itself does no file
-// I/O.
+// I/O. The runner keeps no durable state of its own, so a new runner over
+// the same state root resumes a campaign by running every tick from 0:
+// each shard serves the ticks it restored from its finished entries and
+// writes nothing for them, and the merged ticks equal the originals.
 //
 // Every delivered frame crosses the wire codec (encode + fail-closed
 // decode) even in-process, so the shard -> merge hop is exercised on the
