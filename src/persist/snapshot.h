@@ -4,11 +4,10 @@
 // campaign without the journal growing forever: the privacy-meter ledger
 // (as its canonical encoded blob), every finished query's entry, the
 // circuit-breaker state, and the sequence number at which the journal
-// resumes. After a
-// snapshot is durably in place (ReplaceFile's temp sibling, fsync, atomic
-// rename and directory fsync; persist/file.h) the journal is emptied;
-// recovery loads the newest snapshot and restores the short journal tail
-// on top of it.
+// resumes. After a snapshot is durably in place (ReplaceFile's temp
+// sibling, fsync, atomic rename and directory fsync; persist/file.h) the
+// journal is emptied; recovery loads the newest snapshot and restores the
+// short journal tail on top of it.
 //
 // File format: "BPSN" magic, the snapshot's own format-version byte
 // (kSnapshotFormatVersion), the encoded body, and a trailing CRC-32 over
