@@ -68,10 +68,10 @@ bool ApplyShardSabotage(ShardCoordinator* coord, const ShardFaultPlan& plan,
   return true;
 }
 
-// The reference's own outcome capture: nothing restored, full outcomes
-// kept per query. Shards keep finished entries in their
-// DurableCampaignRunner; this stays separate so the oracle shares no
-// campaign-running code with the shards it checks.
+// The reference's own outcome capture: nothing restored, one finished
+// entry kept per query. Shards keep theirs in their DurableCampaignRunner;
+// this stays separate so the oracle shares no campaign-running code with
+// the shards it checks, only the entry builder.
 class CaptureRecorder : public CampaignRecorder {
  public:
   bool RestoreQueryResult(int64_t /*tick*/, size_t /*query_index*/,
@@ -79,9 +79,10 @@ class CaptureRecorder : public CampaignRecorder {
     return false;
   }
   void OnQueryFinished(int64_t /*tick*/, size_t query_index,
-                       const CampaignTickResult& /*result*/,
+                       const CampaignTickResult& result,
                        FederatedQueryResult outcome) override {
-    outcomes[query_index] = std::move(outcome);
+    entries[query_index] = MakeFinishedQueryEntry(
+        static_cast<int64_t>(query_index), result, outcome);
   }
   bool RestoreRound(int64_t /*round_id*/,
                     const std::vector<int64_t>& /*cohort*/,
@@ -92,7 +93,7 @@ class CaptureRecorder : public CampaignRecorder {
                      const std::vector<int64_t>& /*cohort*/,
                      const RoundOutcome& /*outcome*/) override {}
 
-  std::map<size_t, FederatedQueryResult> outcomes;
+  std::map<size_t, FinishedQueryEntry> entries;
 };
 
 }  // namespace
@@ -449,8 +450,7 @@ ReferenceCampaignResult RunSingleCoordinatorReference(
   ReferenceCampaignResult reference;
   for (int64_t tick = 0; tick < ticks; ++tick) {
     // Per shard: run the tick and normalize its scheduled queries into
-    // frame rows with the shared MakeFinishedQueryEntry and
-    // MakeShardQueryFrame.
+    // frame rows with the shared MakeShardQueryFrame.
     std::vector<std::vector<ShardQueryFrame>> rows(
         static_cast<size_t>(shards));
     for (int64_t s = 0; s < shards; ++s) {
@@ -460,7 +460,7 @@ ReferenceCampaignResult RunSingleCoordinatorReference(
       for (const std::vector<Client>& partition : state.partitions) {
         shard_populations.push_back(&partition);
       }
-      state.recorder->outcomes.clear();
+      state.recorder->entries.clear();
       const std::vector<CampaignTickResult> results = state.campaign->RunTick(
           tick, shard_populations, codecs, state.rng);
 
@@ -474,12 +474,11 @@ ReferenceCampaignResult RunSingleCoordinatorReference(
         if (!queries[qi].ScheduledAt(tick)) continue;
         BITPUSH_CHECK_LT(result_index, results.size());
         const CampaignTickResult& result = results[result_index++];
-        const auto it = state.recorder->outcomes.find(qi);
-        BITPUSH_CHECK(it != state.recorder->outcomes.end());
+        const auto it = state.recorder->entries.find(qi);
+        BITPUSH_CHECK(it != state.recorder->entries.end() &&
+                      it->second.result == result);
         ShardQueryFrame row = MakeShardQueryFrame(
-            static_cast<int64_t>(state.partitions[qi].size()),
-            MakeFinishedQueryEntry(static_cast<int64_t>(qi), result,
-                                   it->second));
+            static_cast<int64_t>(state.partitions[qi].size()), it->second);
         if (row.result.status == CampaignTickResult::Status::kRan) {
           ++reference.metrics.queries_ran;
         } else {

@@ -5,6 +5,18 @@
 
 namespace bitpush::obs {
 
+// Out of line on purpose: inlined into a large caller
+// (ShardedCampaignRunner::RunTick), GCC 12 at -O3 with
+// -fsanitize=undefined can emit the null check of this thread_local's
+// address as a branch on flags that nothing set, and the sanitizer then
+// reports a store to a null pointer that never happens.
+TaskCapture::Scope::Scope(TaskCapture* capture)
+    : previous_(internal::t_capture) {
+  internal::t_capture = capture;
+}
+
+TaskCapture::Scope::~Scope() { internal::t_capture = previous_; }
+
 void TaskCapture::RecordGauge(Gauge* gauge, bool add, double value) {
   const auto last = std::find_if(
       last_set_.begin(), last_set_.end(),

@@ -44,10 +44,8 @@ class TaskCapture {
   // then restores whatever was installed before.
   class Scope {
    public:
-    explicit Scope(TaskCapture* capture) : previous_(internal::t_capture) {
-      internal::t_capture = capture;
-    }
-    ~Scope() { internal::t_capture = previous_; }
+    explicit Scope(TaskCapture* capture);
+    ~Scope();
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 

@@ -156,6 +156,9 @@ class Campaign {
     policy_.max_bits_per_client = 3;
     policy_.max_epsilon_per_client = 100.0;
   }
+  // The queries point at plan_.
+  Campaign(const Campaign&) = delete;
+  Campaign& operator=(const Campaign&) = delete;
 
   // What a run leaves: the results it returned for every tick, its meter
   // ledgers, and any error that stopped it.
