@@ -5,11 +5,9 @@
 
 namespace bitpush::obs {
 
-// Out of line on purpose: inlined into a large caller
-// (ShardedCampaignRunner::RunTick), GCC 12 at -O3 with
-// -fsanitize=undefined can emit the null check of this thread_local's
-// address as a branch on flags that nothing set, and the sanitizer then
-// reports a store to a null pointer that never happens.
+// Out of line on purpose: inlined into ShardedCampaignRunner::RunTick,
+// GCC 12 -O3 -fsanitize=undefined branched on stale flags for the null
+// check of this thread_local and reported a null store that never happens.
 TaskCapture::Scope::Scope(TaskCapture* capture)
     : previous_(internal::t_capture) {
   internal::t_capture = capture;
