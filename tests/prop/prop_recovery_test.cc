@@ -294,11 +294,6 @@ bool ReadRecords(const std::string& dir, std::vector<JournalRecord>* out,
   return true;
 }
 
-// The crash that keeps the first `keep` records of the journal in `dir`.
-bool Crash(const std::string& dir, size_t keep, std::string* error) {
-  return TruncateJournalToRecords(JournalPath(dir), keep, error);
-}
-
 std::optional<std::string> TwoCrashesRecover(const Campaign& campaign,
                                              const TwoCrashCase& c) {
   const std::string base = ::testing::TempDir() + "/bitprop_two_crash";
@@ -326,7 +321,9 @@ std::optional<std::string> TwoCrashesRecover(const Campaign& campaign,
     if (!ReadRecords(state, &records, &error)) return fail(error);
     const size_t keep = records.size() * static_cast<size_t>(c.k1) /
                         static_cast<size_t>(kPerMille);
-    if (!Crash(state, keep, &error)) return fail(error);
+    if (!TruncateJournalToRecords(JournalPath(state), keep, &error)) {
+      return fail(error);
+    }
     records.resize(keep);
     while (!records.empty() &&
            records.back().type == JournalRecordType::kMeterCharge) {
@@ -353,11 +350,10 @@ std::optional<std::string> TwoCrashesRecover(const Campaign& campaign,
            records[found].seq <= *last_kept[i]) {
       ++found;
     }
-    const size_t appended = records.size() - found;
-    if (!Crash(dirs[i],
-               found + appended * static_cast<size_t>(c.k2) /
-                           static_cast<size_t>(kPerMille),
-               &error)) {
+    const size_t keep = found + (records.size() - found) *
+                                    static_cast<size_t>(c.k2) /
+                                    static_cast<size_t>(kPerMille);
+    if (!TruncateJournalToRecords(JournalPath(dirs[i]), keep, &error)) {
       return fail(error);
     }
   }
