@@ -47,8 +47,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 # dispatch table, the columnar batch pipeline, and every hot caller fall
 # back to the bit-identical scalar kernel. Two layers: the env override on
 # the SIMD build (cheap; exercises the runtime latch in src/kernels/
-# dispatch.cc), then a full scalar compile with the whole suite.
-BITPUSH_SIMD=OFF ctest --test-dir "$BUILD_DIR" --output-on-failure -R Kernel
+# dispatch.cc, with the kernel suites and the CRC-32 suite, whose table
+# path the override selects), then a full scalar compile with the whole
+# suite.
+BITPUSH_SIMD=OFF ctest --test-dir "$BUILD_DIR" --output-on-failure \
+  -R '(Kernel|Crc32)'
 cmake -B "$BUILD_DIR-scalar" -G Ninja -DBITPUSH_SIMD=OFF
 cmake --build "$BUILD_DIR-scalar"
 ctest --test-dir "$BUILD_DIR-scalar" --output-on-failure
@@ -58,14 +61,16 @@ ctest --test-dir "$BUILD_DIR-scalar" --output-on-failure
 # SIMD paths, so run them under ASan+UBSan too (the kernel tests cover the
 # intrinsics tails and unaligned word loads, and the `PrivacyMeter` suite
 # in core_tests the ledger encoder's raw-pointer stores into a buffer it
-# sizes once). Keep the targets and the regex in sync with CI's
+# sizes once, and its one-pass decode's inline loads), and `Crc32` the
+# CRC-32 kernels (the PCLMUL folds' unaligned 16-byte loads and the table
+# tail). Keep the targets and the regex in sync with CI's
 # address-sanitizer job.
 cmake -B "$BUILD_DIR-asan" -G Ninja -DBITPUSH_SANITIZE=address,undefined
 cmake --build "$BUILD_DIR-asan" \
   --target fault_tests wire_fuzz_tests persist_tests persist_fuzz_tests \
   obs_tests prop_tests kernel_tests shard_tests core_tests
 ctest --test-dir "$BUILD_DIR-asan" --output-on-failure \
-  -R '(Fault|WireFuzz|Journal|Snapshot|Recovery|PersistFuzz|Obs|Prop|Kernel|Shard|PrivacyMeter)'
+  -R '(Fault|WireFuzz|Journal|Snapshot|Recovery|PersistFuzz|Obs|Prop|Kernel|Shard|PrivacyMeter|Crc32)'
 
 # TSan pass: the obs registry, event ring and tracer are hammered from
 # several threads (the `Obs` alternate runs those race tests), and the

@@ -71,7 +71,7 @@ void EncodeTallyBatch(const TallyBatch& tallies, std::vector<uint8_t>* out) {
   bytes::PutInt64Vector(tallies.ones, out);
 }
 
-bool DecodeTallyBatch(const std::vector<uint8_t>& buffer, size_t* offset,
+bool DecodeTallyBatch(std::span<const uint8_t> buffer, size_t* offset,
                       TallyBatch* out) {
   size_t cursor = *offset;
   TallyBatch tallies;

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/bit_pushing.h"
@@ -91,7 +92,7 @@ void AccumulateTallies(const TallyBatch& src, TallyBatch* dst);
 // and on any count outside 0 <= ones <= totals, leaving `*out` and
 // `*offset` untouched.
 void EncodeTallyBatch(const TallyBatch& tallies, std::vector<uint8_t>* out);
-bool DecodeTallyBatch(const std::vector<uint8_t>& buffer, size_t* offset,
+bool DecodeTallyBatch(std::span<const uint8_t> buffer, size_t* offset,
                       TallyBatch* out);
 
 // Builds a batch from encoded codewords and a per-client bit assignment

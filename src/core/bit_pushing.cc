@@ -77,7 +77,7 @@ void EncodeBitHistogram(const BitHistogram& histogram,
   bytes::PutInt64Vector(histogram.one_counts(), out);
 }
 
-bool DecodeBitHistogram(const std::vector<uint8_t>& buffer, size_t* offset,
+bool DecodeBitHistogram(std::span<const uint8_t> buffer, size_t* offset,
                         BitHistogram* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ldp/randomized_response.h"
@@ -77,7 +78,7 @@ class BitHistogram {
 // violation without touching `*out`.
 void EncodeBitHistogram(const BitHistogram& histogram,
                         std::vector<uint8_t>* out);
-bool DecodeBitHistogram(const std::vector<uint8_t>& buffer, size_t* offset,
+bool DecodeBitHistogram(std::span<const uint8_t> buffer, size_t* offset,
                         BitHistogram* out);
 
 // Recombines bit means into a codeword-space estimate, optionally masking

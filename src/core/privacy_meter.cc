@@ -19,7 +19,7 @@ constexpr size_t kInitialRows = 16;
 // Encoded sizes of the ledger header (policy, totals and client count), of
 // one client entry without its values (id, bits, epsilon, value count) and
 // of one value entry (id, bits). DecodeFrom bounds the counts it reads by
-// the bytes that remain.
+// the bytes that remain, and checks each entry's bounds once.
 constexpr size_t kHeaderBytes = 8 + 8 + 8 + 8 + 8 + 4;
 constexpr size_t kClientEntryBytes = 8 + 8 + 8 + 4;
 constexpr size_t kValueEntryBytes = 8 + 8;
@@ -106,15 +106,21 @@ void RadixSort(std::vector<SortKey>* keys) {
   }
 }
 
-// Fills `table` from `rows`, sized so that it is at most half full, and
-// loads each row's home slot a few rows ahead of its insert. Returns false
-// if two rows have the same key.
+// Rows of a table built for `count` rows at once: at most half full.
+size_t TableRowsFor(size_t count) {
+  size_t size = kInitialRows;
+  while (size < 2 * count) size *= 2;
+  return size;
+}
+
+// Fills `table` from `rows`, sized by TableRowsFor, and loads each row's
+// home slot a few rows ahead of its insert. Returns false if two rows have
+// the same key.
 template <typename Row, typename HashOf, typename SameKey>
 bool BuildTable(const std::vector<Row>& rows, const HashOf& hash_of,
                 const SameKey& same_key, std::vector<Row>* table) {
   constexpr size_t kAhead = 8;
-  size_t size = kInitialRows;
-  while (size < 2 * rows.size()) size *= 2;
+  const size_t size = TableRowsFor(rows.size());
   table->assign(size, Row{});
   for (size_t i = 0; i < rows.size(); ++i) {
     if (i + kAhead < rows.size()) {
@@ -243,57 +249,84 @@ void PrivacyMeter::Prefetch(int64_t client_id) const {
                 (clients_.size() - 1)]);
 }
 
-bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
-                                double epsilon) {
+bool PrivacyMeter::Decide(int64_t client_id, int64_t value_id,
+                          double epsilon, ClientRow** row) {
+  *row = nullptr;
   // An invalid epsilon is denied rather than CHECKed: the value can
   // originate from an untrusted request, and accepting a non-finite
   // epsilon (infinity passes a >= 0 check) would permanently corrupt the
   // per-client composition total. The denial still flows through the
-  // journal hook below like a cap denial, so a recovered ledger counts it
+  // journal hook like a cap denial, so a recovered ledger counts it
   // exactly once and stays byte-identical to an uninterrupted run.
-  const bool valid_epsilon = std::isfinite(epsilon) && epsilon >= 0.0;
-  ClientRow* found = nullptr;
-  bool granted = false;
-  if (valid_epsilon) {
-    if (!clients_.empty()) {
-      ClientRow& row = clients_[ClientSlot(client_id)];
-      if (row.used()) found = &row;
-    }
-    const int64_t client_bits = found != nullptr ? found->bits : 0;
-    const double client_epsilon = found != nullptr ? found->epsilon : 0.0;
-    const int64_t value_bits =
-        found != nullptr ? ValueBitsOf(*found, value_id) : 0;
-    granted = value_bits < policy_.max_bits_per_value &&
-              client_bits < policy_.max_bits_per_client &&
-              client_epsilon + epsilon <= policy_.max_epsilon_per_client;
+  if (!std::isfinite(epsilon) || epsilon < 0.0) return false;
+  if (!clients_.empty()) {
+    ClientRow& found = clients_[ClientSlot(client_id)];
+    if (found.used()) *row = &found;
   }
+  const ClientRow* const found = *row;
+  const int64_t client_bits = found != nullptr ? found->bits : 0;
+  const double client_epsilon = found != nullptr ? found->epsilon : 0.0;
+  const int64_t value_bits =
+      found != nullptr ? ValueBitsOf(*found, value_id) : 0;
+  return value_bits < policy_.max_bits_per_value &&
+         client_bits < policy_.max_bits_per_client &&
+         client_epsilon + epsilon <= policy_.max_epsilon_per_client;
+}
+
+void PrivacyMeter::Record(int64_t client_id, int64_t value_id,
+                          double epsilon, bool granted, ClientRow* row) {
+  if (!granted) {
+    ++denied_charges_;
+    return;
+  }
+  // A client gets its row with its first granted bit; a denial adds none.
+  ClientRow& client = row != nullptr ? *row : InsertClient(client_id);
+  if (client.value_bits == 0) {
+    client.value_id = value_id;
+    client.value_bits = 1;
+  } else if (client.value_id == value_id) {
+    ++client.value_bits;
+  } else {
+    AddExtraValueBits(client_id, value_id, 1);
+  }
+  ++client.bits;
+  client.epsilon += epsilon;
+  ++total_bits_;
+  total_epsilon_ += epsilon;
+}
+
+bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
+                                double epsilon) {
+  ClientRow* row = nullptr;
+  const bool granted = Decide(client_id, value_id, epsilon, &row);
   if (journal_ != nullptr) {
     // Write-ahead: persist the decision before applying it, so a crash
     // between the two is recovered by re-applying the record (exactly once).
     journal_->OnCharge(client_id, value_id, epsilon, granted);
   }
-  if (!granted) {
-    ++denied_charges_;
-    RefreshObsGauges();
-    NoteChargeOutcome(value_id, false);
-    return false;
-  }
-  // A client gets its row with its first granted bit; a denial adds none.
-  ClientRow& row = found != nullptr ? *found : InsertClient(client_id);
-  if (row.value_bits == 0) {
-    row.value_id = value_id;
-    row.value_bits = 1;
-  } else if (row.value_id == value_id) {
-    ++row.value_bits;
-  } else {
-    AddExtraValueBits(client_id, value_id, 1);
-  }
-  ++row.bits;
-  row.epsilon += epsilon;
-  ++total_bits_;
-  total_epsilon_ += epsilon;
+  Record(client_id, value_id, epsilon, granted, row);
   RefreshObsGauges();
-  NoteChargeOutcome(value_id, true);
+  NoteChargeOutcome(value_id, granted);
+  return granted;
+}
+
+bool PrivacyMeter::ReplayCharge(int64_t client_id, int64_t value_id,
+                                double epsilon, bool granted,
+                                ReplayLatch* latch) {
+  ClientRow* row = nullptr;
+  if (Decide(client_id, value_id, epsilon, &row) != granted) return false;
+  Record(client_id, value_id, epsilon, granted, row);
+  // NoteChargeOutcome announces each (value, outcome) once, so skipping
+  // a repeat of the pair it just saw changes nothing.
+  const uint8_t outcome = granted ? 1 : 2;
+  if (latch->value_id != value_id) {
+    latch->value_id = value_id;
+    latch->outcomes = 0;
+  }
+  if ((latch->outcomes & outcome) == 0) {
+    latch->outcomes |= outcome;
+    NoteChargeOutcome(value_id, granted);
+  }
   return true;
 }
 
@@ -391,104 +424,143 @@ void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
       << "ledger encoding missized";
 }
 
-bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
+bool PrivacyMeter::DecodeFrom(std::span<const uint8_t> buffer,
                               size_t* offset, PrivacyMeter* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
-  size_t cursor = *offset;
-  MeterPolicy policy;
-  int64_t total_bits = 0;
-  int64_t denied_charges = 0;
-  uint32_t client_count = 0;
-  if (!bytes::GetInt64(buffer, &cursor, &policy.max_bits_per_value) ||
-      !bytes::GetInt64(buffer, &cursor, &policy.max_bits_per_client) ||
-      !bytes::GetDouble(buffer, &cursor, &policy.max_epsilon_per_client) ||
-      !bytes::GetInt64(buffer, &cursor, &total_bits) ||
-      !bytes::GetInt64(buffer, &cursor, &denied_charges) ||
-      !bytes::GetUint32(buffer, &cursor, &client_count)) {
+  // One pass over the buffer the ledger lies in. Each entry's bounds are
+  // checked once, and its fields read with inline loads.
+  if (*offset > buffer.size() || buffer.size() - *offset < kHeaderBytes) {
     return false;
   }
+  const uint8_t* at = buffer.data() + *offset;
+  const uint8_t* const end = buffer.data() + buffer.size();
+  MeterPolicy policy;
+  policy.max_bits_per_value = bytes::LoadInt64(at);
+  policy.max_bits_per_client = bytes::LoadInt64(at + 8);
+  policy.max_epsilon_per_client = bytes::LoadDouble(at + 16);
+  const int64_t total_bits = bytes::LoadInt64(at + 24);
+  const int64_t denied_charges = bytes::LoadInt64(at + 32);
+  const uint32_t client_count = bytes::LoadUint32(at + 40);
+  at += kHeaderBytes;
   if (policy.max_bits_per_value < 1 || policy.max_bits_per_client < 1 ||
       std::isnan(policy.max_epsilon_per_client) ||
       policy.max_epsilon_per_client <= 0.0 || total_bits < 0 ||
       denied_charges < 0) {
     return false;
   }
-  // A count the remaining bytes cannot hold is corrupt; nothing is sized
-  // from it either way.
-  if ((buffer.size() - cursor) / kClientEntryBytes < client_count) {
+  // A count the remaining bytes cannot hold is corrupt. One they can hold
+  // is bounded by the input, so the client table is sized from it, once:
+  // every listed client gets a row.
+  if (static_cast<size_t>(end - at) / kClientEntryBytes < client_count) {
     return false;
   }
   PrivacyMeter decoded(policy);
+  decoded.clients_.assign(TableRowsFor(client_count), ClientRow{});
+  const size_t mask = decoded.clients_.size() - 1;
+  // Inserts a decoded row at the end of its probe run; false if its
+  // client already has one.
+  const auto insert = [&decoded](const ClientRow& row, uint64_t hash) {
+    ClientRow& slot = decoded.clients_[Probe(
+        decoded.clients_, hash, [&row](const ClientRow& other) {
+          return other.client_id == row.client_id;
+        })];
+    if (slot.used()) return false;
+    slot = row;
+    return true;
+  };
+  // Rows wait kAhead entries between decode and insert, so that the
+  // prefetch of their home slot has landed by then.
+  constexpr uint32_t kAhead = 8;
+  std::array<std::pair<ClientRow, uint64_t>, kAhead> pending;
   int64_t ledger_bit_sum = 0;
   double ledger_epsilon_sum = 0.0;
-  // The decoded rows. The tables are built from them at the end, sized by
-  // the rows read, never by a count on disk.
-  std::vector<ClientRow> rows;
+  // The further values of clients that list more than one, for the value
+  // table built at the end.
   std::vector<ValueRow> extras;
-  // One client's (value id, bits) entries, as listed.
+  // One such client's (value id, bits) entries, as listed.
   std::vector<std::pair<int64_t, int64_t>> entries;
   // The value ids with a nonzero count, one per run of equal ids.
   std::vector<int64_t> value_ids;
+  const auto note_value = [&value_ids](int64_t value_id) {
+    if (value_ids.empty() || value_ids.back() != value_id) {
+      value_ids.push_back(value_id);
+    }
+  };
   for (uint32_t c = 0; c < client_count; ++c) {
-    int64_t client_id = 0;
-    int64_t bits = 0;
-    double epsilon = 0.0;
-    uint32_t value_count = 0;
-    if (!bytes::GetInt64(buffer, &cursor, &client_id) ||
-        !bytes::GetInt64(buffer, &cursor, &bits) ||
-        !bytes::GetDouble(buffer, &cursor, &epsilon) ||
-        !bytes::GetUint32(buffer, &cursor, &value_count)) {
+    if (static_cast<size_t>(end - at) < kClientEntryBytes) return false;
+    ClientRow row;
+    row.client_id = bytes::LoadInt64(at);
+    row.bits = bytes::LoadInt64(at + 8);
+    row.epsilon = bytes::LoadDouble(at + 16);
+    const uint32_t value_count = bytes::LoadUint32(at + 24);
+    at += kClientEntryBytes;
+    if (row.bits < 0 || !std::isfinite(row.epsilon) || row.epsilon < 0.0 ||
+        static_cast<size_t>(end - at) / kValueEntryBytes < value_count) {
       return false;
     }
-    if (bits < 0 || !std::isfinite(epsilon) || epsilon < 0.0 ||
-        (buffer.size() - cursor) / kValueEntryBytes < value_count) {
-      return false;
-    }
-    entries.clear();
     int64_t value_bit_sum = 0;
-    for (uint32_t v = 0; v < value_count; ++v) {
-      int64_t value_id = 0;
-      int64_t value_bits = 0;
-      if (!bytes::GetInt64(buffer, &cursor, &value_id) ||
-          !bytes::GetInt64(buffer, &cursor, &value_bits)) {
-        return false;
+    if (value_count == 1) {
+      // The common case, one value: nothing to sort or deduplicate.
+      const int64_t value_id = bytes::LoadInt64(at);
+      value_bit_sum = bytes::LoadInt64(at + 8);
+      at += kValueEntryBytes;
+      if (value_bit_sum < 0) return false;
+      if (value_bit_sum > 0) {
+        row.value_id = value_id;
+        row.value_bits = value_bit_sum;
+        note_value(value_id);
       }
-      if (value_bits < 0 ||
-          __builtin_add_overflow(value_bit_sum, value_bits, &value_bit_sum)) {
-        return false;
+    } else if (value_count > 1) {
+      entries.clear();
+      for (uint32_t v = 0; v < value_count; ++v) {
+        const int64_t value_id = bytes::LoadInt64(at);
+        const int64_t value_bits = bytes::LoadInt64(at + 8);
+        at += kValueEntryBytes;
+        if (value_bits < 0 ||
+            __builtin_add_overflow(value_bit_sum, value_bits,
+                                   &value_bit_sum)) {
+          return false;
+        }
+        entries.emplace_back(value_id, value_bits);
       }
-      entries.emplace_back(value_id, value_bits);
+      std::sort(entries.begin(), entries.end());
+      if (std::adjacent_find(entries.begin(), entries.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first == b.first;
+                             }) != entries.end()) {
+        return false;  // duplicate value entry
+      }
+      for (const auto& [value_id, value_bits] : entries) {
+        if (value_bits == 0) continue;
+        if (row.value_bits == 0) {
+          row.value_id = value_id;
+          row.value_bits = value_bits;
+        } else {
+          extras.push_back(ValueRow{row.client_id, value_id, value_bits});
+        }
+        note_value(value_id);
+      }
     }
     // Consistency: per-value bits must account for the client total.
-    if (value_bit_sum != bits ||
-        __builtin_add_overflow(ledger_bit_sum, bits, &ledger_bit_sum)) {
+    if (value_bit_sum != row.bits ||
+        __builtin_add_overflow(ledger_bit_sum, row.bits, &ledger_bit_sum)) {
       return false;
     }
-    std::sort(entries.begin(), entries.end());
-    if (std::adjacent_find(entries.begin(), entries.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.first == b.first;
-                           }) != entries.end()) {
-      return false;  // duplicate value entry
+    ledger_epsilon_sum += row.epsilon;
+    const uint64_t hash = ClientHash(row.client_id);
+    PrefetchRow</*kWrite=*/1>(&decoded.clients_[static_cast<size_t>(hash) &
+                                                mask]);
+    auto& waiting = pending[c % kAhead];
+    if (c >= kAhead && !insert(waiting.first, waiting.second)) {
+      return false;  // duplicate client entry
     }
-    ledger_epsilon_sum += epsilon;
-    ClientRow& row = rows.emplace_back();
-    row.client_id = client_id;
-    row.bits = bits;
-    row.epsilon = epsilon;
-    for (const auto& [value_id, value_bits] : entries) {
-      if (value_bits == 0) continue;
-      if (row.value_bits == 0) {
-        row.value_id = value_id;
-        row.value_bits = value_bits;
-      } else {
-        extras.push_back(ValueRow{client_id, value_id, value_bits});
-      }
-      if (value_ids.empty() || value_ids.back() != value_id) {
-        value_ids.push_back(value_id);
-      }
-    }
+    waiting = {row, hash};
+  }
+  for (uint32_t c = client_count > kAhead ? client_count - kAhead : 0;
+       c < client_count; ++c) {
+    const auto& waiting = pending[c % kAhead];
+    if (!insert(waiting.first, waiting.second)) return false;
   }
   if (ledger_bit_sum != total_bits) return false;
   // Values restored from a snapshot are marked fully announced, once each:
@@ -499,13 +571,6 @@ bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
   value_ids.erase(std::unique(value_ids.begin(), value_ids.end()),
                   value_ids.end());
   for (const int64_t value_id : value_ids) decoded.announced_[value_id] = 3;
-  const bool distinct_clients = BuildTable(
-      rows, [](const ClientRow& row) { return ClientHash(row.client_id); },
-      [](const ClientRow& a, const ClientRow& b) {
-        return a.client_id == b.client_id;
-      },
-      &decoded.clients_);
-  if (!distinct_clients) return false;  // duplicate client entry
   // Distinct by now: each client's value ids were checked above.
   BuildTable(
       extras,
@@ -514,7 +579,7 @@ bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
         return a.client_id == b.client_id && a.value_id == b.value_id;
       },
       &decoded.values_);
-  decoded.client_count_ = rows.size();
+  decoded.client_count_ = client_count;
   decoded.value_count_ = extras.size();
   decoded.total_bits_ = total_bits;
   // Recomputed in the canonical (sorted-client) encoding order; may differ
@@ -526,7 +591,7 @@ bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
   decoded.journal_ = out->journal_;
   *out = std::move(decoded);
   out->RefreshObsGauges();
-  *offset = cursor;
+  *offset = static_cast<size_t>(at - buffer.data());
   return true;
 }
 

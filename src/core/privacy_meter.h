@@ -22,17 +22,18 @@
 // across a crash — a recovering server that forgot a charge could let a
 // second bit of the same value leave a client. The meter therefore supports
 // (a) a Journal hook through which every charge decision is write-ahead
-// logged (recovery re-applies the journaled charges through TryChargeBit
-// with the hook detached, exactly once), and (b) canonical
-// EncodeTo/DecodeFrom serialization for snapshots (src/persist/). The
-// encoding does not depend on the table layout: clients and values sorted
-// by id, zero entries omitted.
+// logged (recovery re-applies the journaled charges through ReplayCharges,
+// which decides each one as TryChargeBit does and journals nothing,
+// exactly once), and (b) canonical EncodeTo/DecodeFrom serialization for
+// snapshots (src/persist/). The encoding does not depend on the table
+// layout: clients and values sorted by id, zero entries omitted.
 
 #ifndef BITPUSH_CORE_PRIVACY_METER_H_
 #define BITPUSH_CORE_PRIVACY_METER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <limits>
 #include <unordered_map>
 #include <vector>
@@ -81,6 +82,18 @@ class PrivacyMeter {
   // total).
   bool TryChargeBit(int64_t client_id, int64_t value_id, double epsilon);
 
+  // Re-applies `count` journaled charge decisions in journal order, as
+  // recovery does: each is decided exactly as TryChargeBit decides it, but
+  // nothing is journaled. `decision_at(i)` returns the i-th as an object
+  // with client_id, value_id, epsilon and granted members. The ledger rows
+  // are loaded a few charges ahead, the flight-recorder events land in
+  // charge order as TryChargeBit emits them, and the obs gauges are
+  // refreshed once, at the end. Stops at the first charge whose decision
+  // differs from its recorded one, which it leaves unapplied, and returns
+  // how many it applied (`count` when every decision reproduced).
+  template <typename DecisionAt>
+  size_t ReplayCharges(size_t count, const DecisionAt& decision_at);
+
   // Total bits disclosed across all clients.
   int64_t total_bits() const { return total_bits_; }
   // Total randomized-response epsilon granted across all clients (basic
@@ -107,10 +120,12 @@ class PrivacyMeter {
   // sorted order, so equal meters encode to equal bytes). DecodeFrom
   // overwrites `*out` entirely; it returns false on truncated input or on
   // any internally inconsistent ledger (negative counts, per-value bits
-  // that do not sum to the client total, non-finite epsilon, ...) without
-  // touching `*out`.
+  // that do not sum to the client total, non-finite epsilon, duplicate
+  // ids, ...) without touching `*out`. It decodes in place, in one pass,
+  // from a span of the buffer the ledger was read into (a snapshot file
+  // image); a vector converts to one.
   void EncodeTo(std::vector<uint8_t>* out) const;
-  static bool DecodeFrom(const std::vector<uint8_t>& buffer, size_t* offset,
+  static bool DecodeFrom(std::span<const uint8_t> buffer, size_t* offset,
                          PrivacyMeter* out);
 
  private:
@@ -154,6 +169,26 @@ class PrivacyMeter {
   // Adds `bits` to a (client, value) count kept in values_.
   void AddExtraValueBits(int64_t client_id, int64_t value_id, int64_t bits);
 
+  // The decision TryChargeBit makes for a charge; `*row` is set to the
+  // client's row, or to nullptr when it has none.
+  bool Decide(int64_t client_id, int64_t value_id, double epsilon,
+              ClientRow** row);
+  // Applies a decided charge to the ledger totals and rows. `row` is what
+  // Decide found.
+  void Record(int64_t client_id, int64_t value_id, double epsilon,
+              bool granted, ClientRow* row);
+
+  // The (value, outcome) pair a replay pass announced last, so that it
+  // probes announced_ once per run of equal pairs rather than per charge.
+  struct ReplayLatch {
+    int64_t value_id = 0;
+    uint8_t outcomes = 0;
+  };
+  // One step of ReplayCharges: decides the charge and, when the decision
+  // is `granted`, applies it. False, with nothing applied, otherwise.
+  bool ReplayCharge(int64_t client_id, int64_t value_id, double epsilon,
+                    bool granted, ReplayLatch* latch);
+
   // Publishes the ledger totals as obs gauges (core/privacy_meter.cc);
   // called after every ledger mutation and after DecodeFrom so live,
   // replayed, and snapshot-restored meters all report the same spend.
@@ -184,6 +219,27 @@ class PrivacyMeter {
   // the stable-event replay contract anyway).
   std::unordered_map<int64_t, uint8_t> announced_;
 };
+
+template <typename DecisionAt>
+size_t PrivacyMeter::ReplayCharges(size_t count,
+                                   const DecisionAt& decision_at) {
+  // As far ahead as RunRound's slot loop prefetches.
+  constexpr size_t kAhead = 8;
+  ReplayLatch latch;
+  size_t applied = 0;
+  for (; applied < count; ++applied) {
+    if (applied + kAhead < count) {
+      Prefetch(decision_at(applied + kAhead).client_id);
+    }
+    const auto decision = decision_at(applied);
+    if (!ReplayCharge(decision.client_id, decision.value_id,
+                      decision.epsilon, decision.granted, &latch)) {
+      break;
+    }
+  }
+  RefreshObsGauges();
+  return applied;
+}
 
 }  // namespace bitpush
 

@@ -21,7 +21,7 @@ void EncodeCampaignTickResult(const CampaignTickResult& result,
   bytes::PutInt64(result.reports, out);
 }
 
-bool DecodeCampaignTickResult(const std::vector<uint8_t>& buffer,
+bool DecodeCampaignTickResult(std::span<const uint8_t> buffer,
                               size_t* offset, CampaignTickResult* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);

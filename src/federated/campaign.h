@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,7 @@ struct CampaignTickResult {
 // without touching `*out` on any violation.
 void EncodeCampaignTickResult(const CampaignTickResult& result,
                               std::vector<uint8_t>* out);
-bool DecodeCampaignTickResult(const std::vector<uint8_t>& buffer,
+bool DecodeCampaignTickResult(std::span<const uint8_t> buffer,
                               size_t* offset, CampaignTickResult* out);
 
 // Campaign-level durability hook: extends the per-round QueryRecorder with

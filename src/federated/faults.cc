@@ -191,7 +191,7 @@ void EncodeFaultStats(const FaultStats& stats, std::vector<uint8_t>* out) {
   }
 }
 
-bool DecodeFaultStats(const std::vector<uint8_t>& buffer, size_t* offset,
+bool DecodeFaultStats(std::span<const uint8_t> buffer, size_t* offset,
                       FaultStats* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);

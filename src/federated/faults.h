@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -163,7 +164,7 @@ struct FaultStats {
 // durable-state layer (src/persist/). Decoding rejects negative counters
 // and returns false without touching `*out`.
 void EncodeFaultStats(const FaultStats& stats, std::vector<uint8_t>* out);
-bool DecodeFaultStats(const std::vector<uint8_t>& buffer, size_t* offset,
+bool DecodeFaultStats(std::span<const uint8_t> buffer, size_t* offset,
                       FaultStats* out);
 
 // Simulates the wire leg for a faulted report: encodes it, applies the

@@ -21,7 +21,7 @@ void EncodeCommunicationStats(const CommunicationStats& stats,
   bytes::PutInt64(stats.payload_bytes, out);
 }
 
-bool DecodeCommunicationStats(const std::vector<uint8_t>& buffer,
+bool DecodeCommunicationStats(std::span<const uint8_t> buffer,
                               size_t* offset, CommunicationStats* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);

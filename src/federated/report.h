@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace bitpush {
@@ -49,7 +50,7 @@ struct CommunicationStats {
 // rejects negative counters and returns false without touching `*out`.
 void EncodeCommunicationStats(const CommunicationStats& stats,
                               std::vector<uint8_t>* out);
-bool DecodeCommunicationStats(const std::vector<uint8_t>& buffer,
+bool DecodeCommunicationStats(std::span<const uint8_t> buffer,
                               size_t* offset, CommunicationStats* out);
 
 // Wire-size model: a report carries a header (client id + round id), the

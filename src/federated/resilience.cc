@@ -110,7 +110,7 @@ void EncodeRetryStats(const RetryStats& stats, std::vector<uint8_t>* out) {
   }
 }
 
-bool DecodeRetryStats(const std::vector<uint8_t>& buffer, size_t* offset,
+bool DecodeRetryStats(std::span<const uint8_t> buffer, size_t* offset,
                       RetryStats* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
@@ -301,7 +301,7 @@ void HealthTracker::EncodeTo(std::vector<uint8_t>* out) const {
   }
 }
 
-bool HealthTracker::DecodeFrom(const std::vector<uint8_t>& buffer,
+bool HealthTracker::DecodeFrom(std::span<const uint8_t> buffer,
                                size_t* offset, HealthTracker* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -168,7 +169,7 @@ struct RetryStats {
 // rejects negative counters and non-finite or negative minutes, and
 // returns false without touching `*out`.
 void EncodeRetryStats(const RetryStats& stats, std::vector<uint8_t>* out);
-bool DecodeRetryStats(const std::vector<uint8_t>& buffer, size_t* offset,
+bool DecodeRetryStats(std::span<const uint8_t> buffer, size_t* offset,
                       RetryStats* out);
 
 // Deterministic backoff schedule: the wait before retry `attempt`
@@ -243,7 +244,7 @@ class HealthTracker {
   // policy the state was recorded under and fails closed on mismatch or on
   // any out-of-domain field.
   void EncodeTo(std::vector<uint8_t>* out) const;
-  static bool DecodeFrom(const std::vector<uint8_t>& buffer, size_t* offset,
+  static bool DecodeFrom(std::span<const uint8_t> buffer, size_t* offset,
                          HealthTracker* out);
 
  private:

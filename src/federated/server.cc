@@ -435,7 +435,7 @@ void EncodeRoundOutcome(const RoundOutcome& outcome,
   bytes::PutInt64Vector(outcome.failed_client_ids, out);
 }
 
-bool DecodeRoundOutcome(const std::vector<uint8_t>& buffer, size_t* offset,
+bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
                         RoundOutcome* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);

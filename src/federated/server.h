@@ -6,6 +6,7 @@
 #define BITPUSH_FEDERATED_SERVER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/bit_pushing.h"
@@ -99,7 +100,7 @@ struct RoundOutcome {
 // (counts non-negative, rates finite, histogram internally consistent) and
 // returns false without touching `*out` on any violation.
 void EncodeRoundOutcome(const RoundOutcome& outcome, std::vector<uint8_t>* out);
-bool DecodeRoundOutcome(const std::vector<uint8_t>& buffer, size_t* offset,
+bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
                         RoundOutcome* out);
 
 class AggregationServer {

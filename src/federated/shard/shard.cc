@@ -113,7 +113,7 @@ bool ShardCoordinator::EnsureOpen(std::string* error,
   obs::Span span("shard.recover", "shard");
   span.set_parent(parent);
   span.AddNumeric("shard", static_cast<double>(options_.shard_index));
-  if (!runner->Open(error)) return false;
+  if (!runner->Open(error, span.context())) return false;
   const RecoveryInfo& info = runner->recovery_info();
   if (info.recovered) {
     ++metrics_.recoveries;

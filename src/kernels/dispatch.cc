@@ -27,7 +27,11 @@ bool SimdDisabledByEnv() {
 const KernelOps* DetectKernel() {
   if (SimdDisabledByEnv()) return &ScalarKernel();
 #if defined(BITPUSH_SIMD_AVX2)
-  if (__builtin_cpu_supports("avx2")) return &Avx2Kernel();
+  // The AVX2 kernel's CRC folds with PCLMULQDQ, which every CPU with AVX2
+  // has shipped with; both are checked all the same.
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul")) {
+    return &Avx2Kernel();
+  }
 #endif
 #if defined(BITPUSH_SIMD_NEON)
   return &NeonKernel();

@@ -8,7 +8,8 @@
 // than the last 20% here. The bitwise ops use explicit NEON intrinsics —
 // veor for XOR, vcnt + pairwise widening adds for popcount, vadd.2d for
 // the secure-agg sums — and remain bit-identical to the scalar kernel
-// because they are pure integer data movement.
+// because they are pure integer data movement. The CRC-32 stays on the
+// scalar kernel's table.
 
 #include "kernels/kernel_ops_inl.h"
 #include "kernels/kernels.h"
@@ -100,6 +101,7 @@ const KernelOps& NeonKernel() {
       PopcountAndWordsNeon,
       AddWordsNeon,
       ReduceAddWordsNeon,
+      portable::Crc32Table,
   };
   return kOps;
 }

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "kernels/kernels.h"
@@ -110,6 +111,11 @@ inline uint64_t ReduceAddWords(const uint64_t* words, int64_t n) {
   for (int64_t i = 0; i < n; ++i) sum += words[i];
   return sum;
 }
+
+// The slicing-by-8 CRC-32 (kernels/crc32.cc, compiled with baseline
+// flags): the scalar kernel's crc32_extend, and the short-input and tail
+// path of the folding kernels.
+uint32_t Crc32Table(uint32_t crc, const uint8_t* data, size_t size);
 
 }  // namespace portable
 

@@ -20,6 +20,7 @@ const KernelOps& ScalarKernel() {
       portable::PopcountAndWords,
       portable::AddWords,
       portable::ReduceAddWords,
+      portable::Crc32Table,
   };
   return kOps;
 }

@@ -10,16 +10,21 @@
 //     bits at positions >= n of the last word are zero), and
 //   * codeword arrays — one `uint64_t` fixed-point codeword per client.
 //
+// plus the CRC-32 behind every persisted journal frame and snapshot
+// (util/bytes.h), which on x86-64 folds 64 bytes per step with carry-less
+// multiplies.
+//
 // Three implementations exist: a scalar fallback (always compiled), an
-// AVX2 kernel (x86-64, compiled when BITPUSH_SIMD is ON), and a NEON
-// kernel (aarch64). `ActiveKernel()` picks the best one at runtime from
+// AVX2 kernel (x86-64, compiled when BITPUSH_SIMD is ON; selected on CPUs
+// with both AVX2 and PCLMUL), and a NEON kernel (aarch64). `ActiveKernel()` picks the best one at runtime from
 // CPU features, the `BITPUSH_SIMD=OFF` environment override, and
 // `ScopedForceScalar` (used by the differential tests).
 //
 // Determinism contract: every kernel computes the *same function* —
 // `encode_codewords` reproduces `FixedPointCodec::Encode` bit for bit
-// (including llround's round-half-away-from-zero ties), and the remaining
-// ops are integer data movement with a single well-defined result. All
+// (including llround's round-half-away-from-zero ties), `crc32_extend`
+// is the one CRC-32 however it is folded, and the remaining ops are
+// integer data movement with a single well-defined result. All
 // randomness is generated outside the kernels by shared scalar code
 // (`FillBernoulliWords` here, `RandomizedResponse::DrawFlip` in ldp/)
 // drawing from an explicit `Rng`, so switching kernels can never change a
@@ -28,6 +33,7 @@
 #ifndef BITPUSH_KERNELS_KERNELS_H_
 #define BITPUSH_KERNELS_KERNELS_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "rng/rng.h"
@@ -84,6 +90,13 @@ struct KernelOps {
 
   // Sum of words[0..n) mod 2^64 — secure-agg reconstruction.
   uint64_t (*reduce_add_words)(const uint64_t* words, int64_t n);
+
+  // Continues the CRC-32 `crc` (IEEE 802.3 polynomial, reflected; the
+  // value bytes::Crc32 returns) over `size` more bytes at `data`, which
+  // may be unaligned: crc32_extend(Crc32(a), b) == Crc32(a followed by b).
+  // The AVX2 kernel folds inputs of 64 bytes or more with PCLMULQDQ; every
+  // kernel gives shorter inputs to the scalar kernel's table.
+  uint32_t (*crc32_extend)(uint32_t crc, const uint8_t* data, size_t size);
 };
 
 // The scalar fallback (always available).

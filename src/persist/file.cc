@@ -100,7 +100,7 @@ bool ReplaceFile(const std::string& path, bool sync,
   return !sync || SyncParentDir(path, error);
 }
 
-bool ReplaceFile(const std::string& path, const std::vector<uint8_t>& bytes,
+bool ReplaceFile(const std::string& path, std::span<const uint8_t> bytes,
                  bool sync, std::string* error) {
   return ReplaceFile(
       path, sync,

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,8 @@ using FileSink = std::function<void(const uint8_t* data, size_t size)>;
 bool ReplaceFile(const std::string& path, bool sync,
                  const std::function<void(const FileSink& sink)>& write,
                  std::string* error);
-// The same, for a file image at hand.
-bool ReplaceFile(const std::string& path, const std::vector<uint8_t>& bytes,
+// The same, for bytes at hand: a file image, or a range of one.
+bool ReplaceFile(const std::string& path, std::span<const uint8_t> bytes,
                  bool sync, std::string* error);
 
 // Fsyncs the directory containing `path`, making a preceding rename or

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -55,6 +56,9 @@ void ObserveJournalCommit(bool fsynced) {
 // version + type + seq + len.
 constexpr size_t kFrameHeaderSize = 1 + 1 + 8 + 4;
 constexpr size_t kFrameCrcSize = 4;
+static_assert(MeterChargeRun::kFrameBytes ==
+              kFrameHeaderSize + std::tuple_size_v<MeterChargePayload> +
+                  kFrameCrcSize);
 
 bool ValidRecordType(uint8_t type) {
   return type >= static_cast<uint8_t>(JournalRecordType::kMeterCharge) &&
@@ -207,91 +211,103 @@ bool JournalWriter::WriteLargeFrame(JournalRecordType type,
   return WriteFully(fd_, parts, 3);
 }
 
+JournalFrameWalker::JournalFrameWalker(std::span<const uint8_t> image,
+                                       std::optional<uint64_t> first_seq)
+    : image_(image), first_seq_(first_seq), next_seq_(first_seq.value_or(0)) {}
+
+bool JournalFrameWalker::Next(JournalFrame* frame) {
+  BITPUSH_CHECK(frame != nullptr);
+  while (error_.empty() && !torn_tail_ && offset_ < image_.size()) {
+    const uint8_t* const at = image_.data() + offset_;
+    const size_t left = image_.size() - offset_;
+    if (left < kFrameHeaderSize) {
+      torn_tail_ = true;  // the image ends inside a frame header
+      break;
+    }
+    const uint8_t type = at[1];
+    const uint64_t seq = bytes::LoadUint64(at + 2);
+    const uint32_t length = bytes::LoadUint32(at + 10);
+    if (at[0] != kJournalFormatVersion) {
+      error_ = "journal record with unknown format version";
+      break;
+    }
+    if (!ValidRecordType(type)) {
+      error_ = "journal record with unknown type";
+      break;
+    }
+    if (!first_seq_.has_value()) {
+      first_seq_ = seq;
+      next_seq_ = seq;
+    }
+    if (left - kFrameHeaderSize < static_cast<size_t>(length) + kFrameCrcSize) {
+      torn_tail_ = true;  // the image ends inside the payload or CRC
+      break;
+    }
+    const size_t crc_at = kFrameHeaderSize + length;
+    if (bytes::Crc32(at, crc_at) != bytes::LoadUint32(at + crc_at)) {
+      // A complete frame with a bad CRC is real corruption, not a torn
+      // write: fail closed.
+      error_ = "journal record failed CRC check";
+      break;
+    }
+    if (have_previous_ && seq != previous_seq_ + 1) {
+      error_ = "journal sequence gap or duplicate";
+      break;
+    }
+    have_previous_ = true;
+    previous_seq_ = seq;
+    const size_t begin = offset_;
+    offset_ += crc_at + kFrameCrcSize;
+    if (seq < *first_seq_) {
+      ++stale_frames_;
+      continue;
+    }
+    if (!kept_any_ && seq != *first_seq_) {
+      // Records between the snapshot and this one are missing entirely.
+      error_ = "journal starts past the snapshot sequence";
+      break;
+    }
+    kept_any_ = true;
+    next_seq_ = seq + 1;
+    frame->seq = seq;
+    frame->type = static_cast<JournalRecordType>(type);
+    frame->payload = std::span<const uint8_t>(at + kFrameHeaderSize, length);
+    frame->begin = begin;
+    frame->end = offset_;
+    return true;
+  }
+  return false;
+}
+
 namespace {
 
-// The one journal reader behind both entry points. `first_seq` is the
-// sequence number the first kept record must carry; unset, the first
-// frame's is taken.
+// Both record readers: the walker's frames, each payload copied out.
+// `first_seq` is the sequence number the first kept record must carry;
+// unset, the first frame's is taken.
 bool ReadJournalFile(const std::string& path,
                      std::optional<uint64_t> first_seq,
                      JournalReadResult* out, std::string* error) {
   BITPUSH_CHECK(out != nullptr);
   BITPUSH_CHECK(error != nullptr);
-  std::vector<uint8_t> data;
+  std::vector<uint8_t> image;
   JournalReadResult result;
   // A missing journal parses as an empty one.
-  if (!ReadWholeFile(path, &data, &result.found, error)) return false;
-  result.next_seq = first_seq.value_or(0);
-  size_t offset = 0;
-  uint64_t previous_seq = 0;
-  bool have_previous = false;
-  while (offset < data.size()) {
-    size_t cursor = offset;
-    uint8_t version = 0;
-    uint8_t type = 0;
-    uint64_t seq = 0;
-    uint32_t length = 0;
-    if (!bytes::GetByte(data, &cursor, &version) ||
-        !bytes::GetByte(data, &cursor, &type) ||
-        !bytes::GetUint64(data, &cursor, &seq) ||
-        !bytes::GetUint32(data, &cursor, &length)) {
-      result.torn_tail = true;  // file ends inside a frame header
-      break;
-    }
-    if (version != kJournalFormatVersion) {
-      *error = "journal record with unknown format version";
-      return false;
-    }
-    if (!ValidRecordType(type)) {
-      *error = "journal record with unknown type";
-      return false;
-    }
-    if (!first_seq.has_value()) {
-      first_seq = seq;
-      result.next_seq = seq;
-    }
-    if (data.size() - cursor < static_cast<size_t>(length) + kFrameCrcSize) {
-      result.torn_tail = true;  // file ends inside the payload or CRC
-      break;
-    }
-    const uint32_t computed_crc =
-        bytes::Crc32(data.data() + offset, kFrameHeaderSize + length);
-    cursor += length;
-    uint32_t stored_crc = 0;
-    if (!bytes::GetUint32(data, &cursor, &stored_crc) ||
-        computed_crc != stored_crc) {
-      // A complete frame with a bad CRC is real corruption, not a torn
-      // write: fail closed.
-      *error = "journal record failed CRC check";
-      return false;
-    }
-    if (have_previous && seq != previous_seq + 1) {
-      *error = "journal sequence gap or duplicate";
-      return false;
-    }
-    have_previous = true;
-    previous_seq = seq;
-    if (seq >= *first_seq) {
-      if (result.records.empty() && seq != *first_seq) {
-        // Records between the snapshot and this one are missing entirely.
-        *error = "journal starts past the snapshot sequence";
-        return false;
-      }
-      JournalRecord record;
-      record.seq = seq;
-      record.type = static_cast<JournalRecordType>(type);
-      record.payload.assign(
-          data.begin() + static_cast<ptrdiff_t>(offset + kFrameHeaderSize),
-          data.begin() +
-              static_cast<ptrdiff_t>(offset + kFrameHeaderSize + length));
-      result.records.push_back(std::move(record));
-      result.next_seq = seq + 1;
-    } else {
-      ++result.stale_records;
-    }
-    offset = cursor;
-    result.clean_length = offset;
+  if (!ReadWholeFile(path, &image, &result.found, error)) return false;
+  JournalFrameWalker walker(image, first_seq);
+  JournalFrame frame;
+  while (walker.Next(&frame)) {
+    result.records.push_back(JournalRecord{
+        frame.seq, frame.type,
+        std::vector<uint8_t>(frame.payload.begin(), frame.payload.end())});
   }
+  if (!walker.error().empty()) {
+    *error = walker.error();
+    return false;
+  }
+  result.torn_tail = walker.torn_tail();
+  result.clean_length = walker.clean_length();
+  result.next_seq = walker.next_seq();
+  result.stale_records = walker.stale_frames();
   *out = std::move(result);
   return true;
 }
@@ -362,20 +378,18 @@ void EncodeMeterChargeRecord(const MeterChargeRecord& record,
   std::memcpy(out->data() + at, payload.data(), payload.size());
 }
 
-bool DecodeMeterChargeRecord(const std::vector<uint8_t>& payload,
+bool DecodeMeterChargeRecord(std::span<const uint8_t> payload,
                              MeterChargeRecord* out) {
   BITPUSH_CHECK(out != nullptr);
-  size_t cursor = 0;
-  MeterChargeRecord record;
-  uint8_t granted = 0;
-  if (!bytes::GetInt64(payload, &cursor, &record.client_id) ||
-      !bytes::GetInt64(payload, &cursor, &record.value_id) ||
-      !bytes::GetDouble(payload, &cursor, &record.epsilon) ||
-      !bytes::GetByte(payload, &cursor, &granted) ||
-      cursor != payload.size()) {
-    return false;
-  }
+  // Fixed size: one bounds check, then inline loads.
+  if (payload.size() != std::tuple_size_v<MeterChargePayload>) return false;
+  const uint8_t* const at = payload.data();
+  const uint8_t granted = at[24];
   if (granted > 1) return false;
+  MeterChargeRecord record;
+  record.client_id = bytes::LoadInt64(at);
+  record.value_id = bytes::LoadInt64(at + 8);
+  record.epsilon = bytes::LoadDouble(at + 16);
   record.granted = granted == 1;
   // A *granted* charge never carries an invalid epsilon — the meter denies
   // non-finite and negative values before journaling — so such a record is
@@ -389,6 +403,20 @@ bool DecodeMeterChargeRecord(const std::vector<uint8_t>& payload,
   return true;
 }
 
+void MeterChargeRun::Append(const JournalFrame& frame) {
+  BITPUSH_CHECK(frame.type == JournalRecordType::kMeterCharge &&
+                frame.payload.size() ==
+                    std::tuple_size_v<MeterChargePayload>);
+  if (count_ == 0) {
+    first_payload_ = frame.payload.data();
+  } else {
+    BITPUSH_CHECK(frame.payload.data() ==
+                  first_payload_ + count_ * kFrameBytes)
+        << "charge frames of a run must be consecutive";
+  }
+  ++count_;
+}
+
 void EncodeRoundClosedRecord(const RoundClosedRecord& record,
                              std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
@@ -400,7 +428,7 @@ void EncodeRoundClosedRecord(const RoundClosedRecord& record,
   EncodeRoundOutcome(record.outcome, out);
 }
 
-bool DecodeRoundClosedRecord(const std::vector<uint8_t>& payload,
+bool DecodeRoundClosedRecord(std::span<const uint8_t> payload,
                              RoundClosedRecord* out) {
   BITPUSH_CHECK(out != nullptr);
   size_t cursor = 0;
@@ -430,7 +458,7 @@ void EncodeQueryFinishedRecord(const QueryFinishedRecord& record,
   bytes::PutDoubleVector(record.final_bit_means, out);
 }
 
-bool DecodeQueryFinishedRecord(const std::vector<uint8_t>& payload,
+bool DecodeQueryFinishedRecord(std::span<const uint8_t> payload,
                                QueryFinishedRecord* out) {
   BITPUSH_CHECK(out != nullptr);
   size_t cursor = 0;
@@ -459,7 +487,7 @@ void EncodeCampaignTickRecord(const CampaignTickRecord& record,
   bytes::PutInt64(record.tick, out);
 }
 
-bool DecodeCampaignTickRecord(const std::vector<uint8_t>& payload,
+bool DecodeCampaignTickRecord(std::span<const uint8_t> payload,
                               CampaignTickRecord* out) {
   BITPUSH_CHECK(out != nullptr);
   size_t cursor = 0;

@@ -22,7 +22,10 @@
 // version through payload.
 //
 // Every whole-file read and rewrite of the journal goes through
-// persist/file.h; JournalWriter below owns the appends.
+// persist/file.h; JournalWriter below owns the appends. One parser,
+// JournalFrameWalker, reads every journal: it walks the frames in place in
+// the file image, and ReadJournal, the doctor, the cut tools and recovery
+// all read through it.
 //
 // Read semantics distinguish the one corruption a crash legitimately
 // produces from everything else. A file that *ends* mid-frame is a torn
@@ -38,12 +41,15 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "federated/campaign.h"
 #include "federated/server.h"
+#include "util/bytes.h"
 
 namespace bitpush {
 
@@ -151,6 +157,59 @@ class JournalWriter {
   bool fsync_ = true;
 };
 
+// One frame of a journal file image as JournalFrameWalker yields it: its
+// payload in place in the image, and the frame's byte range there.
+struct JournalFrame {
+  uint64_t seq = 0;
+  JournalRecordType type = JournalRecordType::kMeterCharge;
+  std::span<const uint8_t> payload;
+  // Offsets of the frame's first byte and of the byte after its CRC.
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+// The one journal parser: walks the frames of a journal file image in
+// place, validating version, type, length, CRC and sequence, and tells the
+// torn tail and the stale prefix apart from corruption (read semantics
+// above). It copies nothing.
+class JournalFrameWalker {
+ public:
+  // `first_seq` is the sequence number the first kept frame must carry:
+  // frames below it are stale and skipped, and a journal whose first kept
+  // frame is past it fails. Unset, the first frame's is taken. `image`
+  // must outlive the walker and the frames it yields.
+  JournalFrameWalker(std::span<const uint8_t> image,
+                     std::optional<uint64_t> first_seq);
+
+  // Moves to the next kept frame: true with `*frame` set, false at the
+  // end of the clean prefix or at a frame that fails validation, which
+  // sets error().
+  bool Next(JournalFrame* frame);
+
+  // Why the walk stopped short; empty while every frame was valid.
+  const std::string& error() const { return error_; }
+  // The image ends mid-frame (the expected crash artifact).
+  bool torn_tail() const { return torn_tail_; }
+  // Byte length of the valid frames walked so far.
+  size_t clean_length() const { return offset_; }
+  // Sequence number the next appended record should carry.
+  uint64_t next_seq() const { return next_seq_; }
+  // Valid frames below the first kept sequence number, skipped.
+  size_t stale_frames() const { return stale_frames_; }
+
+ private:
+  std::span<const uint8_t> image_;
+  std::optional<uint64_t> first_seq_;
+  size_t offset_ = 0;
+  bool have_previous_ = false;
+  uint64_t previous_seq_ = 0;
+  bool kept_any_ = false;
+  uint64_t next_seq_ = 0;
+  size_t stale_frames_ = 0;
+  bool torn_tail_ = false;
+  std::string error_;
+};
+
 struct JournalReadResult {
   // Valid records with seq >= expected_first_seq, in order. Records below
   // expected_first_seq (left behind when a crash lands between a snapshot
@@ -175,9 +234,10 @@ inline std::string JournalPath(const std::string& state_dir) {
   return state_dir + "/journal.wal";
 }
 
-// Reads and validates a journal file, the recovery entry point: records
-// below `expected_first_seq` (the snapshot's journal_next_seq) are stale
-// and dropped, and a journal whose first kept record is past it fails. A
+// Reads and validates a journal file into records, each payload copied
+// out of the image (JournalFrameWalker): records below
+// `expected_first_seq` (the snapshot's journal_next_seq) are stale and
+// dropped, and a journal whose first kept record is past it fails. A
 // missing file is an empty journal (success). Returns false with `*error`
 // set on I/O failure or on any corruption that is not a torn tail: CRC
 // mismatch, unknown version or record type, a duplicate / out-of-order /
@@ -194,6 +254,8 @@ bool ReadJournalFromFirstFrame(const std::string& path,
 
 // Atomically replaces the journal at `path` with exactly `records`, framed
 // (ReplaceFile, persist/file.h); `sync` fsyncs the file and its directory.
+// The cut tools rewrite through it; recovery, which keeps frames it has in
+// an image, writes their byte range instead.
 bool ReplaceJournal(const std::string& path,
                     const std::vector<JournalRecord>& records, bool sync,
                     std::string* error);
@@ -218,8 +280,9 @@ bool TearJournalTail(const std::string& path, size_t bytes,
 
 // ---------------------------------------------------------------------------
 // Record payloads. Each Encode appends to `out`; each Decode consumes the
-// *entire* payload buffer and returns false (leaving `*out` untouched) on
-// truncation, trailing bytes, or invalid fields.
+// *entire* payload and returns false (leaving `*out` untouched) on
+// truncation, trailing bytes, or invalid fields. Decoders read a span, so
+// a payload decodes in place in the file image; a vector converts to one.
 
 struct MeterChargeRecord {
   int64_t client_id = 0;
@@ -238,8 +301,39 @@ void EncodeMeterChargeRecord(const MeterChargeRecord& record,
 using MeterChargePayload = std::array<uint8_t, 8 + 8 + 8 + 1>;
 void EncodeMeterChargeRecord(const MeterChargeRecord& record,
                              MeterChargePayload* out);
-bool DecodeMeterChargeRecord(const std::vector<uint8_t>& payload,
+bool DecodeMeterChargeRecord(std::span<const uint8_t> payload,
                              MeterChargeRecord* out);
+
+// The charges of one round as recovery holds them: a run of consecutive
+// kMeterCharge frames in a journal image, each of which
+// DecodeMeterChargeRecord accepted. Every charge frame has the same size,
+// so the run is its first payload and a count, and a charge is read
+// straight from its frame.
+class MeterChargeRun {
+ public:
+  // Bytes from one charge payload to the next: header, payload and CRC.
+  static constexpr size_t kFrameBytes =
+      1 + 1 + 8 + 4 + std::tuple_size_v<MeterChargePayload> + 4;
+
+  // Extends the run by `frame`, a kMeterCharge frame whose payload
+  // DecodeMeterChargeRecord accepted, and which directly follows the
+  // run's last frame in the same image.
+  void Append(const JournalFrame& frame);
+
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  // The i-th charge, decoded from its frame (laid out as
+  // EncodeMeterChargeRecord writes it).
+  MeterChargeRecord operator[](size_t i) const {
+    const uint8_t* const at = first_payload_ + i * kFrameBytes;
+    return MeterChargeRecord{bytes::LoadInt64(at), bytes::LoadInt64(at + 8),
+                             bytes::LoadDouble(at + 16), at[24] == 1};
+  }
+
+ private:
+  const uint8_t* first_payload_ = nullptr;
+  size_t count_ = 0;
+};
 
 // One closed round of a live query. It carries the query's coordinates,
 // which recovery checks against the campaign, and a digest of the round's
@@ -255,7 +349,7 @@ struct RoundClosedRecord {
 };
 void EncodeRoundClosedRecord(const RoundClosedRecord& record,
                              std::vector<uint8_t>* out);
-bool DecodeRoundClosedRecord(const std::vector<uint8_t>& payload,
+bool DecodeRoundClosedRecord(std::span<const uint8_t> payload,
                              RoundClosedRecord* out);
 
 struct QueryFinishedRecord {
@@ -266,7 +360,7 @@ struct QueryFinishedRecord {
 };
 void EncodeQueryFinishedRecord(const QueryFinishedRecord& record,
                                std::vector<uint8_t>* out);
-bool DecodeQueryFinishedRecord(const std::vector<uint8_t>& payload,
+bool DecodeQueryFinishedRecord(std::span<const uint8_t> payload,
                                QueryFinishedRecord* out);
 
 struct CampaignTickRecord {
@@ -277,7 +371,7 @@ struct CampaignTickRecord {
 };
 void EncodeCampaignTickRecord(const CampaignTickRecord& record,
                               std::vector<uint8_t>* out);
-bool DecodeCampaignTickRecord(const std::vector<uint8_t>& payload,
+bool DecodeCampaignTickRecord(std::span<const uint8_t> payload,
                               CampaignTickRecord* out);
 
 }  // namespace bitpush

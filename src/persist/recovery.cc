@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <set>
 #include <utility>
 
 #include "federated/obs_hooks.h"
@@ -67,7 +68,8 @@ DurableCampaignRunner::DurableCampaignRunner(
       campaign_(std::move(queries), &meter_, resilience),
       rng_(options_.seed) {}
 
-bool DurableCampaignRunner::Open(std::string* error) {
+bool DurableCampaignRunner::Open(std::string* error,
+                                 const obs::TraceContext& parent) {
   BITPUSH_CHECK(error != nullptr);
   BITPUSH_CHECK(!open_) << "runner already open";
   if (!durable()) {
@@ -79,6 +81,10 @@ bool DurableCampaignRunner::Open(std::string* error) {
     return true;
   }
   obs::Span span("recovery.open", "persist");
+  span.set_parent(parent);
+  // Each stage below has a span under this one: their self times and the
+  // directory set-up left unattributed add up to this span.
+  const obs::TraceContext open = span.context();
 
   std::error_code ec;
   std::filesystem::create_directories(options_.state_dir, ec);
@@ -89,102 +95,77 @@ bool DurableCampaignRunner::Open(std::string* error) {
   journal_path_ = JournalPath(options_.state_dir);
   snapshot_path_ = SnapshotPath(options_.state_dir);
 
-  CoordinatorSnapshot snapshot;
   bool found = false;
-  if (!LoadSnapshotFile(snapshot_path_, &snapshot, &found, error)) {
-    return false;
-  }
   uint64_t expected_seq = 0;
-  if (found) {
-    info_.had_snapshot = true;
-    if (snapshot.base_seed != options_.seed) {
-      *error = "state directory was recorded under a different seed";
-      return false;
+  {
+    // The snapshot image lives only through the ledger decode.
+    std::vector<uint8_t> image;
+    CoordinatorSnapshotView snapshot;
+    {
+      obs::Span stage("snapshot.load", "persist");
+      stage.set_parent(open);
+      if (!LoadSnapshot(&image, &snapshot, &found, error)) return false;
+      stage.AddNumeric("bytes", static_cast<double>(image.size()));
     }
-    PrivacyMeter restored(policy_);
-    size_t offset = 0;
-    if (!PrivacyMeter::DecodeFrom(snapshot.meter_blob, &offset, &restored) ||
-        offset != snapshot.meter_blob.size()) {
-      *error = "snapshot meter ledger failed validation";
-      return false;
+    if (found) {
+      obs::Span stage("ledger.decode", "persist");
+      stage.set_parent(open);
+      if (!DecodeLedger(snapshot.meter_blob, error)) return false;
+      expected_seq = snapshot.journal_next_seq;
     }
-    if (!(restored.policy() == policy_)) {
-      *error = "snapshot meter policy does not match this campaign";
-      return false;
-    }
-    meter_ = std::move(restored);
-    for (FinishedQueryEntry& entry : snapshot.finished) {
-      // Tallies are as wide as the query's codec, or empty (no round ran).
-      const auto& queries = campaign_.queries();
-      if (entry.query_index >= static_cast<int64_t>(queries.size()) ||
-          (entry.tallies.bits() != 0 &&
-           entry.tallies.bits() !=
-               queries[static_cast<size_t>(entry.query_index)]
-                   .query.adaptive.bits)) {
-        *error = "snapshot finished query does not match this campaign";
-        return false;
-      }
-      const auto key = std::make_pair(entry.result.tick, entry.query_index);
-      finished_.emplace(key, std::move(entry));
-    }
-    if (!snapshot.health_blob.empty()) {
-      HealthTracker* health = campaign_.mutable_health();
-      if (health == nullptr) {
-        *error = "snapshot has breaker state but the campaign has no breaker";
-        return false;
-      }
-      size_t health_offset = 0;
-      if (!HealthTracker::DecodeFrom(snapshot.health_blob, &health_offset,
-                                     health) ||
-          health_offset != snapshot.health_blob.size()) {
-        *error = "snapshot breaker state failed validation";
-        return false;
-      }
-    }
-    completed_ticks_ = snapshot.completed_ticks;
-    expected_seq = snapshot.journal_next_seq;
   }
 
-  JournalReadResult journal;
-  if (!ReadJournal(journal_path_, expected_seq, &journal, error)) {
-    return false;
+  JournalReplay replay;
+  {
+    obs::Span stage("journal.parse", "persist");
+    stage.set_parent(open);
+    if (!ParseJournal(expected_seq, &replay, error)) return false;
+    stage.AddNumeric("bytes", static_cast<double>(journal_image_.size()));
   }
-  info_.torn_tail = journal.torn_tail;
-  info_.replayed_records = static_cast<int64_t>(journal.records.size());
-  info_.recovered = found || !journal.records.empty() || journal.torn_tail;
-  size_t keep = 0;
-  if (!ApplyJournal(journal.records, &keep, error)) return false;
-  const size_t discarded = journal.records.size() - keep;
-  journal.records.resize(keep);
-  journal_records_ = static_cast<int64_t>(keep);
+  info_.torn_tail = replay.torn_tail;
+  info_.replayed_records = static_cast<int64_t>(replay.frames);
+  info_.recovered = found || replay.frames > 0 || replay.torn_tail;
+  {
+    obs::Span stage("journal.apply", "persist");
+    stage.set_parent(open);
+    if (!ApplyJournal(&replay, error)) return false;
+  }
+  const size_t discarded = replay.frames - replay.kept;
+  journal_records_ = static_cast<int64_t>(replay.kept);
 
-  // Appends resume after the last kept record, so the file must hold
-  // exactly the kept records. Most often it already does, and it is kept
-  // as it is. Otherwise it is rewritten to them: that drops the torn tail,
-  // any stale pre-snapshot prefix and the charges of a round that never
-  // closed, so a later recovery never re-parses them, and it creates a
-  // missing file. The rewrite is atomic: the old journal stays durable and
-  // intact until the rewritten bytes are, so a crash inside it cannot lose
-  // journaled meter charges.
-  const bool exact = journal.found && !journal.torn_tail &&
-                     journal.stale_records == 0 && discarded == 0;
-  if (!exact && !ReplaceJournal(journal_path_, journal.records,
-                                options_.fsync, error)) {
-    return false;
-  }
-  const uint64_t next_seq =
-      journal.records.empty() ? expected_seq : journal.records.back().seq + 1;
-  if (!journal_.Open(journal_path_, next_seq, error)) return false;
-  journal_.set_fsync(options_.fsync);
-  journal_.set_crash_after_records(options_.crash_after_records);
-  // A kept file is made as durable as a rewrite would have made it.
-  if (exact && options_.fsync) {
-    if (!journal_.Sync()) {
-      *error = "fsync journal " + journal_path_ + ": " + std::strerror(errno);
+  {
+    obs::Span stage("journal.reopen", "persist");
+    stage.set_parent(open);
+    // Appends resume after the last kept record, so the file must hold
+    // exactly the kept records. Most often it already does, and it is
+    // kept as it is. Otherwise it is rewritten to the kept frames' bytes,
+    // copied as they lie in the image: that drops the torn tail, any
+    // stale pre-snapshot prefix and the charges of a round that never
+    // closed, so a later recovery never re-parses them, and it creates a
+    // missing file. The rewrite is atomic: the old journal stays durable
+    // and intact until the rewritten bytes are, so a crash inside it
+    // cannot lose journaled meter charges.
+    const bool exact = replay.found && !replay.torn_tail &&
+                       replay.stale_frames == 0 && discarded == 0;
+    if (!exact && !ReplaceFile(journal_path_, replay.kept_bytes,
+                               options_.fsync, error)) {
       return false;
     }
-    if (!SyncParentDir(journal_path_, error)) return false;
+    if (!journal_.Open(journal_path_, replay.next_seq, error)) return false;
+    journal_.set_fsync(options_.fsync);
+    journal_.set_crash_after_records(options_.crash_after_records);
+    // A kept file is made as durable as a rewrite would have made it.
+    if (exact && options_.fsync) {
+      if (!journal_.Sync()) {
+        *error =
+            "fsync journal " + journal_path_ + ": " + std::strerror(errno);
+        return false;
+      }
+      if (!SyncParentDir(journal_path_, error)) return false;
+    }
   }
+  // Held rounds' charges point into the image; with none, it goes now.
+  if (held_rounds_.empty()) std::vector<uint8_t>().swap(journal_image_);
 
   meter_.set_journal(this);
   campaign_.set_recorder(this);
@@ -213,25 +194,86 @@ bool DurableCampaignRunner::Open(std::string* error) {
   return true;
 }
 
-bool DurableCampaignRunner::ApplyJournal(
-    const std::vector<JournalRecord>& records, size_t* keep,
-    std::string* error) {
-  // The closed rounds of the query being read, and the charges since the
-  // last round, query or tick record. Charges belong to the round whose
-  // close follows them; a finished query's rounds are applied at its
-  // kQueryFinished record, in journal order — which is execution order —
-  // so the ledger absorbs every charge exactly once, the breaker rebuilds
-  // transition by transition, and the flight recorder's stable events
-  // (meter announcements, round outcomes, breaker transitions) land in the
-  // same relative order a live run produced them. Pre-snapshot history
-  // came in with the snapshot's health blob (round metrics truncated with
-  // the journal are gone — the deterministic-metrics contract is scoped to
-  // journal-only recovery; see docs/OBSERVABILITY.md).
+bool DurableCampaignRunner::LoadSnapshot(std::vector<uint8_t>* image,
+                                         CoordinatorSnapshotView* snapshot,
+                                         bool* found, std::string* error) {
+  if (!LoadSnapshotFile(snapshot_path_, image, snapshot, found, error)) {
+    return false;
+  }
+  if (!*found) return true;
+  info_.had_snapshot = true;
+  if (snapshot->base_seed != options_.seed) {
+    *error = "state directory was recorded under a different seed";
+    return false;
+  }
+  const auto& queries = campaign_.queries();
+  for (FinishedQueryEntry& entry : snapshot->finished) {
+    // Tallies are as wide as the query's codec, or empty (no round ran).
+    if (entry.query_index >= static_cast<int64_t>(queries.size()) ||
+        (entry.tallies.bits() != 0 &&
+         entry.tallies.bits() !=
+             queries[static_cast<size_t>(entry.query_index)]
+                 .query.adaptive.bits)) {
+      *error = "snapshot finished query does not match this campaign";
+      return false;
+    }
+    const auto key = std::make_pair(entry.result.tick, entry.query_index);
+    finished_.emplace(key, std::move(entry));
+  }
+  if (!snapshot->health_blob.empty()) {
+    HealthTracker* health = campaign_.mutable_health();
+    if (health == nullptr) {
+      *error = "snapshot has breaker state but the campaign has no breaker";
+      return false;
+    }
+    size_t health_offset = 0;
+    if (!HealthTracker::DecodeFrom(snapshot->health_blob, &health_offset,
+                                   health) ||
+        health_offset != snapshot->health_blob.size()) {
+      *error = "snapshot breaker state failed validation";
+      return false;
+    }
+  }
+  completed_ticks_ = snapshot->completed_ticks;
+  return true;
+}
+
+bool DurableCampaignRunner::DecodeLedger(std::span<const uint8_t> blob,
+                                         std::string* error) {
+  PrivacyMeter restored(policy_);
+  size_t offset = 0;
+  if (!PrivacyMeter::DecodeFrom(blob, &offset, &restored) ||
+      offset != blob.size()) {
+    *error = "snapshot meter ledger failed validation";
+    return false;
+  }
+  if (!(restored.policy() == policy_)) {
+    *error = "snapshot meter policy does not match this campaign";
+    return false;
+  }
+  meter_ = std::move(restored);
+  return true;
+}
+
+bool DurableCampaignRunner::ParseJournal(uint64_t expected_seq,
+                                         JournalReplay* replay,
+                                         std::string* error) {
+  // A missing journal parses as an empty one.
+  if (!ReadWholeFile(journal_path_, &journal_image_, &replay->found,
+                     error)) {
+    return false;
+  }
+  // Every frame and record is validated here, before anything is applied.
+  // Charges belong to the round whose close follows them; a finished
+  // query's rounds go to the apply pass with it. The closed rounds of the
+  // query being read, and the charges since the last round, query or tick
+  // record:
   std::vector<HeldRound> rounds;
-  std::vector<MeterChargeRecord> charges;
-  HealthTracker* health = campaign_.mutable_health();
-  const auto known_query = [&](const RoundClosedRecord& closed) {
-    const auto& queries = campaign_.queries();
+  MeterChargeRun charges;
+  // The queries this journal finishes, on top of the snapshot's.
+  std::set<std::pair<int64_t, int64_t>> journaled;
+  const auto& queries = campaign_.queries();
+  const auto known_query = [&queries](const RoundClosedRecord& closed) {
     if (closed.query_index >= static_cast<int64_t>(queries.size())) {
       return false;
     }
@@ -240,30 +282,38 @@ bool DurableCampaignRunner::ApplyJournal(
     return query.value_id == closed.value_id &&
            closed.outcome.histogram.bits() == query.query.adaptive.bits;
   };
-  *keep = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    const JournalRecord& record = records[i];
-    switch (record.type) {
+  const auto finished_before = [&](const std::pair<int64_t, int64_t>& key) {
+    return finished_.contains(key) || journaled.contains(key);
+  };
+  JournalFrameWalker walker(journal_image_, expected_seq);
+  JournalFrame frame;
+  // The byte range of the frames kept so far: from the first frame the
+  // walk yields to the last round, query or tick record.
+  size_t kept_begin = 0;
+  size_t kept_end = 0;
+  replay->next_seq = expected_seq;
+  while (walker.Next(&frame)) {
+    if (replay->frames++ == 0) kept_begin = kept_end = frame.begin;
+    switch (frame.type) {
       case JournalRecordType::kMeterCharge: {
         MeterChargeRecord charge;
-        if (!DecodeMeterChargeRecord(record.payload, &charge)) {
+        if (!DecodeMeterChargeRecord(frame.payload, &charge)) {
           *error = "journal: malformed meter-charge record";
           return false;
         }
-        charges.push_back(charge);
+        charges.Append(frame);
         // Kept only once a round, query or tick record follows it.
         continue;
       }
       case JournalRecordType::kRoundClosed: {
         HeldRound round;
-        if (!DecodeRoundClosedRecord(record.payload, &round.closed)) {
+        if (!DecodeRoundClosedRecord(frame.payload, &round.closed)) {
           *error = "journal: malformed round-closed record";
           return false;
         }
         const RoundClosedRecord& closed = round.closed;
-        if (closed.tick != completed_ticks_ ||
-            !known_query(closed) ||
-            finished_.contains({closed.tick, closed.query_index})) {
+        if (closed.tick != completed_ticks_ || !known_query(closed) ||
+            finished_before({closed.tick, closed.query_index})) {
           *error = "journal: round-closed record contradicts the campaign";
           return false;
         }
@@ -274,60 +324,36 @@ bool DurableCampaignRunner::ApplyJournal(
           *error = "journal: round closed out of order";
           return false;
         }
-        round.charges = std::move(charges);
-        charges.clear();
+        round.charges = std::exchange(charges, MeterChargeRun());
         rounds.push_back(std::move(round));
         break;
       }
       case JournalRecordType::kQueryFinished: {
-        QueryFinishedRecord finished;
-        if (!DecodeQueryFinishedRecord(record.payload, &finished) ||
+        JournalReplay::Query query;
+        QueryFinishedRecord& finished = query.finished;
+        if (!DecodeQueryFinishedRecord(frame.payload, &finished) ||
             !charges.empty() || finished.tick != completed_ticks_ ||
             finished.result.tick != finished.tick ||
-            finished.query_index >=
-                static_cast<int64_t>(campaign_.queries().size()) ||
+            finished.query_index >= static_cast<int64_t>(queries.size()) ||
             (!rounds.empty() &&
              rounds.front().closed.query_index != finished.query_index)) {
           *error = "journal: malformed or misplaced query-finished record";
           return false;
         }
-        FederatedQueryResult restored;
-        for (HeldRound& round : rounds) {
-          // The recomputed decisions must match what was journaled —
-          // anything else means the ledger and journal disagree, and a
-          // coordinator that cannot trust its ledger must stop.
-          if (!ApplyCharges(round.charges)) {
-            *error = "journal: a meter charge diverged from its record";
-            return false;
-          }
-          RoundOutcome& outcome = round.closed.outcome;
-          ObserveRoundOutcome(outcome);
-          if (health != nullptr) {
-            health->BeginRound();
-            health->ObserveRound(round.closed.round_id,
-                                 outcome.succeeded_client_ids,
-                                 outcome.failed_client_ids);
-          }
-          (round.closed.round_id == 1 ? restored.round1 : restored.round2) =
-              std::move(outcome);
-        }
-        rounds.clear();
-        // The record's final bit means go unread: the entry keeps the
-        // tallies they were computed from.
         const auto key = std::make_pair(finished.tick, finished.query_index);
-        if (!finished_
-                 .emplace(key, MakeFinishedQueryEntry(finished.query_index,
-                                                      finished.result,
-                                                      restored))
-                 .second) {
+        if (finished_before(key)) {
           *error = "journal: duplicate query-finished record";
           return false;
         }
+        journaled.insert(key);
+        query.rounds = std::move(rounds);
+        rounds.clear();
+        replay->queries.push_back(std::move(query));
         break;
       }
       case JournalRecordType::kCampaignTick: {
         CampaignTickRecord tick;
-        if (!DecodeCampaignTickRecord(record.payload, &tick) ||
+        if (!DecodeCampaignTickRecord(frame.payload, &tick) ||
             !rounds.empty() || !charges.empty()) {
           *error = "journal: malformed or misplaced campaign-tick record";
           return false;
@@ -337,33 +363,93 @@ bool DurableCampaignRunner::ApplyJournal(
           return false;
         }
         completed_ticks_ = tick.tick + 1;
-        // Sample the meter at the tick close, before any later records
-        // mutate it — the recovery-stable trajectory meter_by_tick().
-        RecordMeterSample(tick.tick);
+        replay->tick_closes.emplace_back(tick.tick, replay->queries.size());
         break;
       }
     }
-    *keep = i + 1;
+    replay->kept = replay->frames;
+    replay->next_seq = frame.seq + 1;
+    kept_end = frame.end;
   }
+  if (!walker.error().empty()) {
+    *error = walker.error();
+    return false;
+  }
+  replay->torn_tail = walker.torn_tail();
+  replay->stale_frames = walker.stale_frames();
+  replay->kept_bytes = std::span<const uint8_t>(journal_image_)
+                           .subspan(kept_begin, kept_end - kept_begin);
   // The query in flight at the crash: RestoreRound applies its closed
   // rounds when the re-execution reaches them. The charges after its last
-  // closed round are dropped with the records the journal does not keep;
+  // closed round are dropped with the frames the journal does not keep;
   // that round re-executes from its RNG fork.
   held_rounds_.assign(std::make_move_iterator(rounds.begin()),
                       std::make_move_iterator(rounds.end()));
+  return true;
+}
+
+bool DurableCampaignRunner::ApplyJournal(JournalReplay* replay,
+                                         std::string* error) {
+  // A finished query's rounds are applied at its kQueryFinished record, in
+  // journal order — which is execution order — so the ledger absorbs every
+  // charge exactly once, the breaker rebuilds transition by transition,
+  // and the flight recorder's stable events (meter announcements, round
+  // outcomes, breaker transitions) land in the same relative order a live
+  // run produced them. Pre-snapshot history came in with the snapshot's
+  // health blob (round metrics truncated with the journal are gone — the
+  // deterministic-metrics contract is scoped to journal-only recovery;
+  // see docs/OBSERVABILITY.md).
+  HealthTracker* health = campaign_.mutable_health();
+  auto tick_close = replay->tick_closes.begin();
+  // Samples the meter at each tick close that came before query `q`,
+  // before any later record mutates it — the recovery-stable trajectory
+  // meter_by_tick().
+  const auto close_ticks_before = [&](size_t q) {
+    for (; tick_close != replay->tick_closes.end() &&
+           tick_close->second == q;
+         ++tick_close) {
+      RecordMeterSample(tick_close->first);
+    }
+  };
+  for (size_t q = 0; q < replay->queries.size(); ++q) {
+    close_ticks_before(q);
+    JournalReplay::Query& query = replay->queries[q];
+    FederatedQueryResult restored;
+    for (HeldRound& round : query.rounds) {
+      // The recomputed decisions must match what was journaled — anything
+      // else means the ledger and journal disagree, and a coordinator that
+      // cannot trust its ledger must stop.
+      if (!ApplyCharges(round.charges)) {
+        *error = "journal: a meter charge diverged from its record";
+        return false;
+      }
+      RoundOutcome& outcome = round.closed.outcome;
+      ObserveRoundOutcome(outcome);
+      if (health != nullptr) {
+        health->BeginRound();
+        health->ObserveRound(round.closed.round_id,
+                             outcome.succeeded_client_ids,
+                             outcome.failed_client_ids);
+      }
+      (round.closed.round_id == 1 ? restored.round1 : restored.round2) =
+          std::move(outcome);
+    }
+    // The record's final bit means go unread: the entry keeps the tallies
+    // they were computed from.
+    const QueryFinishedRecord& finished = query.finished;
+    finished_.emplace(std::make_pair(finished.tick, finished.query_index),
+                      MakeFinishedQueryEntry(finished.query_index,
+                                             finished.result, restored));
+  }
+  close_ticks_before(replay->queries.size());
   if (health != nullptr) ObserveBreakerState(*health);
   return true;
 }
 
-bool DurableCampaignRunner::ApplyCharges(
-    const std::vector<MeterChargeRecord>& charges) {
-  for (const MeterChargeRecord& charge : charges) {
-    if (meter_.TryChargeBit(charge.client_id, charge.value_id,
-                            charge.epsilon) != charge.granted) {
-      return false;
-    }
-  }
-  return true;
+bool DurableCampaignRunner::ApplyCharges(const MeterChargeRun& charges) {
+  return meter_.ReplayCharges(charges.size(), [&charges](size_t i) {
+    return charges[i];
+  }) == charges.size();
 }
 
 std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
@@ -516,18 +602,17 @@ bool DurableCampaignRunner::RestoreRound(int64_t round_id,
       << "recovery divergence: round " << round_id << " of tick "
       << query_tick_ << " query " << query_index_
       << " does not match its journal record";
-  // Its charges are journaled already: apply them with the journal hook
-  // detached. The meter's events land where the live round emitted them,
-  // ahead of the round's outcome.
-  meter_.set_journal(nullptr);
-  const bool reproduced = ApplyCharges(held.charges);
-  meter_.set_journal(this);
-  BITPUSH_CHECK(reproduced)
+  // Its charges are journaled already: the replay journals nothing. The
+  // meter's events land where the live round emitted them, ahead of the
+  // round's outcome.
+  BITPUSH_CHECK(ApplyCharges(held.charges))
       << "recovery divergence: a meter charge of round " << round_id
       << " of tick " << query_tick_ << " query " << query_index_
       << " does not reproduce its journaled decision";
   *out = std::move(held.closed.outcome);
   held_rounds_.pop_front();
+  // The last held round's charges were the last pointers into the image.
+  if (held_rounds_.empty()) std::vector<uint8_t>().swap(journal_image_);
   return true;
 }
 

@@ -9,14 +9,18 @@
 // The recovery model restores what closed and re-executes what did not:
 //
 //   1. Load the newest snapshot: privacy-meter ledger, finished-query
-//      entries, breaker state, completed-tick count.
-//   2. Open validates every journal record on top of it, then applies the
-//      finished queries' meter charges (re-applied through the real meter,
-//      checking each journaled decision), round outcomes and breaker
-//      updates in journal order. It holds the closed rounds of the query
-//      that was in flight at the crash — each round's outcome and charges
-//      — and discards the charges after the last round, query or tick
-//      record: they belong to a round that never closed.
+//      entries, breaker state, completed-tick count. The file is read once
+//      and decoded in place; the ledger straight out of the file image.
+//   2. Open parses the journal in place, in one walk over its image
+//      (JournalFrameWalker), and validates every record on top of the
+//      snapshot. It then applies the finished queries' meter charges
+//      (re-applied through the real meter in one pass per round, checking
+//      each journaled decision), round outcomes and breaker updates in
+//      journal order. It holds the closed rounds of the query that was in
+//      flight at the crash — each round's outcome, and its charges in
+//      place in the journal image — and discards the charges after the
+//      last round, query or tick record: they belong to a round that never
+//      closed.
 //   3. The driver re-calls RunTick for every tick from 0. Finished queries
 //      are served from their entries without touching clients or the meter
 //      (a completed round-1 probe is never re-probed). The restored prefix
@@ -59,6 +63,7 @@
 
 #include "core/privacy_meter.h"
 #include "federated/campaign.h"
+#include "obs/trace.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "rng/rng.h"
@@ -135,9 +140,11 @@ class DurableCampaignRunner : private CampaignRecorder,
   // Loads the snapshot, restores the journal, and prepares the journal for
   // appending. Returns false with `*error` set on I/O failure or on any
   // validation failure (corrupt snapshot/journal, seed or policy
-  // mismatch) — fail closed, no partial state. In memory it only installs
-  // the campaign recorder and cannot fail.
-  bool Open(std::string* error);
+  // mismatch) — fail closed: a runner whose Open failed must not be used.
+  // In memory it only installs the campaign recorder and cannot fail.
+  // The `recovery.open` span, and its stage spans under it, are parented
+  // under `parent` when it is valid.
+  bool Open(std::string* error, const obs::TraceContext& parent = {});
 
   // Runs (or restores) one campaign tick. `tick` must equal next_tick().
   // A tick below recovery_info().completed_ticks is served from state and
@@ -191,10 +198,34 @@ class DurableCampaignRunner : private CampaignRecorder,
 
  private:
   // A closed round and the charges journaled before it, as Open reads
-  // them. The in-flight query's are held until RestoreRound applies them.
+  // them: the charges stay in place in journal_image_. The in-flight
+  // query's are held until RestoreRound applies them.
   struct HeldRound {
     RoundClosedRecord closed;
-    std::vector<MeterChargeRecord> charges;
+    MeterChargeRun charges;
+  };
+  // What the journal parse hands the apply pass, in journal order.
+  struct JournalReplay {
+    // A query the journal finishes, with its closed rounds.
+    struct Query {
+      QueryFinishedRecord finished;
+      std::vector<HeldRound> rounds;
+    };
+    std::vector<Query> queries;
+    // Each tick the journal closes, with the number of `queries` that
+    // finished before its close.
+    std::vector<std::pair<int64_t, size_t>> tick_closes;
+    // Frames the walk yielded (the replayed records), and how many of
+    // them the journal keeps: those up to its last round, query or tick
+    // record. `kept_bytes` is the kept frames' byte range in the image.
+    size_t frames = 0;
+    size_t kept = 0;
+    std::span<const uint8_t> kept_bytes;
+    uint64_t next_seq = 0;
+    // The journal file exists.
+    bool found = false;
+    bool torn_tail = false;
+    size_t stale_frames = 0;
   };
 
   // CampaignRecorder:
@@ -216,14 +247,24 @@ class DurableCampaignRunner : private CampaignRecorder,
 
   // Appends one record; it becomes durable at the next journal commit.
   void Append(JournalRecordType type, std::span<const uint8_t> payload);
-  // Validates the journal records and applies them to the recovered state
-  // (step 2 of the recovery model above). Sets `*keep` to the number of
-  // leading records the journal keeps.
-  bool ApplyJournal(const std::vector<JournalRecord>& records, size_t* keep,
+  // Open's stages (steps 1 and 2 of the recovery model above). Loads the
+  // snapshot into `*image` and decodes it in place into `*snapshot`, then
+  // restores its finished entries, breaker state and tick count.
+  bool LoadSnapshot(std::vector<uint8_t>* image,
+                    CoordinatorSnapshotView* snapshot, bool* found,
                     std::string* error);
-  // Applies journaled charges through the meter; false at the first whose
-  // decision differs from the journaled one.
-  bool ApplyCharges(const std::vector<MeterChargeRecord>& charges);
+  // Decodes the snapshot's ledger straight out of its image.
+  bool DecodeLedger(std::span<const uint8_t> blob, std::string* error);
+  // Reads the journal into journal_image_, walks it once, validates every
+  // frame and record on top of the snapshot, and fills `*replay`. Holds
+  // the in-flight query's rounds.
+  bool ParseJournal(uint64_t expected_seq, JournalReplay* replay,
+                    std::string* error);
+  // Applies the parsed finished queries and tick closes, in journal order.
+  bool ApplyJournal(JournalReplay* replay, std::string* error);
+  // Applies a round's journaled charges through the meter in one pass;
+  // false at the first whose decision differs from the journaled one.
+  bool ApplyCharges(const MeterChargeRun& charges);
   // Pads meter_by_tick_ up to (and including) index `tick` with the
   // meter's current totals — called when a tick closes (live) and at each
   // restored campaign-tick record (Open). Never overwrites an existing
@@ -239,6 +280,9 @@ class DurableCampaignRunner : private CampaignRecorder,
   JournalWriter journal_;
   std::string journal_path_;
   std::string snapshot_path_;
+  // The journal file as Open read it. Held rounds' charges point into it,
+  // so it is released when the last of them is restored.
+  std::vector<uint8_t> journal_image_;
 
   // The closed rounds of the query in flight at the crash, in round order.
   std::deque<HeldRound> held_rounds_;

@@ -65,21 +65,21 @@ void EncodeSnapshotPieces(const CoordinatorSnapshot& snapshot, Emit&& emit) {
   emit(snapshot.health_blob.data(), snapshot.health_blob.size());
 }
 
-bool GetBlob(const std::vector<uint8_t>& buffer, size_t* cursor,
-             std::vector<uint8_t>* out) {
+bool GetBlob(std::span<const uint8_t> buffer, size_t* cursor,
+             std::span<const uint8_t>* out) {
+  size_t at = *cursor;
   uint32_t length = 0;
-  if (!bytes::GetUint32(buffer, cursor, &length)) return false;
-  if (buffer.size() - *cursor < static_cast<size_t>(length)) return false;
-  out->assign(buffer.begin() + static_cast<ptrdiff_t>(*cursor),
-              buffer.begin() + static_cast<ptrdiff_t>(*cursor + length));
-  *cursor += length;
+  if (!bytes::GetUint32(buffer, &at, &length)) return false;
+  if (buffer.size() - at < static_cast<size_t>(length)) return false;
+  *out = buffer.subspan(at, length);
+  *cursor = at + length;
   return true;
 }
 
-bool DecodeBody(const std::vector<uint8_t>& buffer, size_t* offset,
-                CoordinatorSnapshot* out) {
+bool DecodeBody(std::span<const uint8_t> buffer, size_t* offset,
+                CoordinatorSnapshotView* out) {
   size_t cursor = *offset;
-  CoordinatorSnapshot snapshot;
+  CoordinatorSnapshotView snapshot;
   if (!bytes::GetUint64(buffer, &cursor, &snapshot.base_seed) ||
       !bytes::GetUint64(buffer, &cursor, &snapshot.journal_next_seq) ||
       !bytes::GetInt64(buffer, &cursor, &snapshot.completed_ticks) ||
@@ -127,6 +127,19 @@ bool DecodeBody(const std::vector<uint8_t>& buffer, size_t* offset,
   return true;
 }
 
+// The owning snapshot of `view`: its fields, the blobs copied.
+CoordinatorSnapshot CopyOut(CoordinatorSnapshotView view) {
+  CoordinatorSnapshot snapshot;
+  snapshot.base_seed = view.base_seed;
+  snapshot.journal_next_seq = view.journal_next_seq;
+  snapshot.completed_ticks = view.completed_ticks;
+  snapshot.meter_blob.assign(view.meter_blob.begin(), view.meter_blob.end());
+  snapshot.finished = std::move(view.finished);
+  snapshot.health_blob.assign(view.health_blob.begin(),
+                              view.health_blob.end());
+  return snapshot;
+}
+
 }  // namespace
 
 FinishedQueryEntry MakeFinishedQueryEntry(int64_t query_index,
@@ -151,23 +164,33 @@ void EncodeCoordinatorSnapshot(const CoordinatorSnapshot& snapshot,
   bytes::PutUint32(crc, out);
 }
 
-bool DecodeCoordinatorSnapshot(const std::vector<uint8_t>& buffer,
-                               CoordinatorSnapshot* out) {
+bool DecodeCoordinatorSnapshot(std::span<const uint8_t> buffer,
+                               CoordinatorSnapshotView* out) {
   BITPUSH_CHECK(out != nullptr);
   if (buffer.size() < 4 + 1 + 4) return false;
   if (std::memcmp(buffer.data(), kSnapshotMagic, 4) != 0) return false;
   if (buffer[4] != kSnapshotFormatVersion) return false;
   const size_t body_end = buffer.size() - 4;
-  const uint32_t computed_crc = bytes::Crc32(buffer.data(), body_end);
-  size_t crc_cursor = body_end;
-  uint32_t stored_crc = 0;
-  if (!bytes::GetUint32(buffer, &crc_cursor, &stored_crc)) return false;
-  if (computed_crc != stored_crc) return false;
+  if (bytes::Crc32(buffer.data(), body_end) !=
+      bytes::LoadUint32(buffer.data() + body_end)) {
+    return false;
+  }
   size_t cursor = 5;
-  CoordinatorSnapshot snapshot;
-  if (!DecodeBody(buffer, &cursor, &snapshot)) return false;
+  CoordinatorSnapshotView snapshot;
+  if (!DecodeBody(buffer.first(body_end), &cursor, &snapshot)) return false;
   if (cursor != body_end) return false;  // trailing garbage inside the CRC
   *out = std::move(snapshot);
+  return true;
+}
+
+bool DecodeCoordinatorSnapshot(const std::vector<uint8_t>& buffer,
+                               CoordinatorSnapshot* out) {
+  BITPUSH_CHECK(out != nullptr);
+  CoordinatorSnapshotView view;
+  if (!DecodeCoordinatorSnapshot(std::span<const uint8_t>(buffer), &view)) {
+    return false;
+  }
+  *out = CopyOut(std::move(view));
   return true;
 }
 
@@ -219,21 +242,32 @@ bool WriteSnapshotFile(const std::string& path,
   return true;
 }
 
-bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,
-                      bool* found, std::string* error) {
+bool LoadSnapshotFile(const std::string& path, std::vector<uint8_t>* image,
+                      CoordinatorSnapshotView* out, bool* found,
+                      std::string* error) {
+  BITPUSH_CHECK(image != nullptr);
   BITPUSH_CHECK(out != nullptr);
   BITPUSH_CHECK(found != nullptr);
   BITPUSH_CHECK(error != nullptr);
   *found = false;
-  std::vector<uint8_t> data;
   bool exists = false;
-  if (!ReadWholeFile(path, &data, &exists, error)) return false;
+  if (!ReadWholeFile(path, image, &exists, error)) return false;
   if (!exists) return true;
-  if (!DecodeCoordinatorSnapshot(data, out)) {
+  if (!DecodeCoordinatorSnapshot(std::span<const uint8_t>(*image), out)) {
     *error = "snapshot failed validation (bad magic, version, CRC, or body)";
     return false;
   }
   *found = true;
+  return true;
+}
+
+bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,
+                      bool* found, std::string* error) {
+  BITPUSH_CHECK(out != nullptr);
+  std::vector<uint8_t> image;
+  CoordinatorSnapshotView view;
+  if (!LoadSnapshotFile(path, &image, &view, found, error)) return false;
+  if (*found) *out = CopyOut(std::move(view));
   return true;
 }
 

@@ -19,6 +19,7 @@
 #define BITPUSH_PERSIST_SNAPSHOT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,10 +81,26 @@ struct CoordinatorSnapshot {
   std::vector<uint8_t> health_blob;
 };
 
+// A snapshot decoded in place: CoordinatorSnapshot's fields, with the
+// ledger and breaker blobs left where they lie in the file image it was
+// decoded from, so that recovery decodes the ledger straight out of it.
+struct CoordinatorSnapshotView {
+  uint64_t base_seed = 0;
+  uint64_t journal_next_seq = 0;
+  int64_t completed_ticks = 0;
+  std::span<const uint8_t> meter_blob;
+  std::vector<FinishedQueryEntry> finished;
+  std::span<const uint8_t> health_blob;
+};
+
 // Full-file encode/decode (magic + version + body + CRC). Decode returns
 // false on any framing or consistency violation without touching `*out`.
+// The view decode is the one decoder; the other copies the two blobs out
+// of `buffer`.
 void EncodeCoordinatorSnapshot(const CoordinatorSnapshot& snapshot,
                                std::vector<uint8_t>* out);
+bool DecodeCoordinatorSnapshot(std::span<const uint8_t> buffer,
+                               CoordinatorSnapshotView* out);
 bool DecodeCoordinatorSnapshot(const std::vector<uint8_t>& buffer,
                                CoordinatorSnapshot* out);
 
@@ -102,10 +119,15 @@ bool WriteSnapshotFile(const std::string& path,
                        const CoordinatorSnapshot& snapshot,
                        std::string* error);
 
-// Loads and decodes `path`. A missing file is success with `*found` set to
-// false (fresh state directory). Corruption is an error — a coordinator
-// must not silently start from scratch when its ledger exists but is
-// unreadable.
+// Loads `path` into `*image` and decodes it in place into `*out`, whose
+// blobs point into `*image`. A missing file is success with `*found` set
+// to false (fresh state directory). Corruption is an error — a
+// coordinator must not silently start from scratch when its ledger exists
+// but is unreadable.
+bool LoadSnapshotFile(const std::string& path, std::vector<uint8_t>* image,
+                      CoordinatorSnapshotView* out, bool* found,
+                      std::string* error);
+// The same, with the blobs copied out.
 bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,
                       bool* found, std::string* error);
 

@@ -1,9 +1,10 @@
 #include "util/bytes.h"
 
-#include <array>
 #include <bit>
 #include <cstring>
+#include <utility>
 
+#include "kernels/kernels.h"
 #include "util/check.h"
 
 namespace bitpush {
@@ -62,7 +63,7 @@ void PutDoubleVector(const std::vector<double>& values,
   for (const double value : values) at = StoreDouble(value, at);
 }
 
-bool GetByte(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetByte(std::span<const uint8_t> buffer, size_t* offset,
              uint8_t* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
@@ -72,37 +73,27 @@ bool GetByte(const std::vector<uint8_t>& buffer, size_t* offset,
   return true;
 }
 
-bool GetUint32(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetUint32(std::span<const uint8_t> buffer, size_t* offset,
                uint32_t* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
   if (*offset > buffer.size() || buffer.size() - *offset < 4) return false;
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(buffer[*offset + static_cast<size_t>(i)])
-             << (8 * i);
-  }
+  *out = LoadUint32(buffer.data() + *offset);
   *offset += 4;
-  *out = value;
   return true;
 }
 
-bool GetUint64(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetUint64(std::span<const uint8_t> buffer, size_t* offset,
                uint64_t* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
   if (*offset > buffer.size() || buffer.size() - *offset < 8) return false;
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(buffer[*offset + static_cast<size_t>(i)])
-             << (8 * i);
-  }
+  *out = LoadUint64(buffer.data() + *offset);
   *offset += 8;
-  *out = value;
   return true;
 }
 
-bool GetInt64(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetInt64(std::span<const uint8_t> buffer, size_t* offset,
               int64_t* out) {
   BITPUSH_CHECK(out != nullptr);
   uint64_t raw = 0;
@@ -111,7 +102,7 @@ bool GetInt64(const std::vector<uint8_t>& buffer, size_t* offset,
   return true;
 }
 
-bool GetDouble(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetDouble(std::span<const uint8_t> buffer, size_t* offset,
                double* out) {
   BITPUSH_CHECK(out != nullptr);
   uint64_t raw = 0;
@@ -120,7 +111,7 @@ bool GetDouble(const std::vector<uint8_t>& buffer, size_t* offset,
   return true;
 }
 
-bool GetString(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetString(std::span<const uint8_t> buffer, size_t* offset,
                std::string* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
@@ -134,7 +125,7 @@ bool GetString(const std::vector<uint8_t>& buffer, size_t* offset,
   return true;
 }
 
-bool GetInt64Vector(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetInt64Vector(std::span<const uint8_t> buffer, size_t* offset,
                     std::vector<int64_t>* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
@@ -142,19 +133,17 @@ bool GetInt64Vector(const std::vector<uint8_t>& buffer, size_t* offset,
   uint32_t count = 0;
   if (!GetUint32(buffer, &cursor, &count)) return false;
   if ((buffer.size() - cursor) / 8 < static_cast<size_t>(count)) return false;
-  std::vector<int64_t> values;
-  values.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    int64_t value = 0;
-    if (!GetInt64(buffer, &cursor, &value)) return false;
-    values.push_back(value);
+  std::vector<int64_t> values(count);
+  for (int64_t& value : values) {
+    value = LoadInt64(buffer.data() + cursor);
+    cursor += 8;
   }
   *out = std::move(values);
   *offset = cursor;
   return true;
 }
 
-bool GetDoubleVector(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetDoubleVector(std::span<const uint8_t> buffer, size_t* offset,
                      std::vector<double>* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
@@ -162,87 +151,26 @@ bool GetDoubleVector(const std::vector<uint8_t>& buffer, size_t* offset,
   uint32_t count = 0;
   if (!GetUint32(buffer, &cursor, &count)) return false;
   if ((buffer.size() - cursor) / 8 < static_cast<size_t>(count)) return false;
-  std::vector<double> values;
-  values.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    double value = 0.0;
-    if (!GetDouble(buffer, &cursor, &value)) return false;
-    values.push_back(value);
+  std::vector<double> values(count);
+  for (double& value : values) {
+    value = LoadDouble(buffer.data() + cursor);
+    cursor += 8;
   }
   *out = std::move(values);
   *offset = cursor;
   return true;
 }
 
-namespace {
-
-// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: table[0]
-// is the classic byte-at-a-time table, and table[k][b] is the CRC of byte
-// b followed by k zero bytes, so one step folds eight input bytes with
-// eight independent lookups.
-using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
-
-Crc32Tables MakeCrc32Tables() {
-  Crc32Tables tables{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xEDB88320u : 0u);
-    }
-    tables[0][i] = crc;
-  }
-  for (size_t k = 1; k < tables.size(); ++k) {
-    for (uint32_t i = 0; i < 256; ++i) {
-      const uint32_t previous = tables[k - 1][i];
-      tables[k][i] = (previous >> 8) ^ tables[0][previous & 0xFFu];
-    }
-  }
-  return tables;
-}
-
-// Little-endian load, whatever the host order; compilers fold it into one
-// unaligned load on little-endian targets.
-uint32_t LoadLe32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
-
 uint32_t Crc32(const uint8_t* data, size_t size) {
   return Crc32Extend(0, data, size);
 }
 
-uint32_t Crc32(const std::vector<uint8_t>& data) {
+uint32_t Crc32(std::span<const uint8_t> data) {
   return Crc32(data.data(), data.size());
 }
 
 uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size) {
-  static const Crc32Tables kTables = MakeCrc32Tables();
-  const auto& t = kTables;
-  crc ^= 0xFFFFFFFFu;
-  for (; size >= 8; data += 8, size -= 8) {
-    const uint32_t lo = LoadLe32(data) ^ crc;
-    const uint32_t hi = LoadLe32(data + 4);
-    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
-          t[0][hi >> 24];
-  }
-  // A short record (a 39-byte charge frame) ends in a tail of up to seven
-  // bytes: fold four of them in one step, as the high half above does.
-  if (size >= 4) {
-    crc ^= LoadLe32(data);
-    crc = t[3][crc & 0xFFu] ^ t[2][(crc >> 8) & 0xFFu] ^
-          t[1][(crc >> 16) & 0xFFu] ^ t[0][crc >> 24];
-    data += 4;
-    size -= 4;
-  }
-  for (; size > 0; ++data, --size) {
-    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return kernels::ActiveKernel().crc32_extend(crc, data, size);
 }
 
 }  // namespace bytes

@@ -18,7 +18,10 @@
 // returns false and leaves `*offset` and `*out` untouched, so decoders
 // compose into all-or-nothing parses. Collection readers cap the declared
 // element count against the bytes actually remaining, so a hostile length
-// field cannot trigger a huge allocation.
+// field cannot trigger a huge allocation. The readers take a span, so a
+// decoder can parse a record in place in the file image it was read into;
+// a vector converts to one. A decoder with a hot loop checks the bounds of
+// a whole entry once and reads its fields with the inline Load* functions.
 
 #ifndef BITPUSH_UTIL_BYTES_H_
 #define BITPUSH_UTIL_BYTES_H_
@@ -26,6 +29,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,27 +72,49 @@ inline uint8_t* StoreDouble(double value, uint8_t* at) {
   return StoreUint64(std::bit_cast<uint64_t>(value), at);
 }
 
-bool GetByte(const std::vector<uint8_t>& buffer, size_t* offset,
+// The matching little-endian loads from memory the caller has
+// bounds-checked; each compiles to one unaligned load on little-endian
+// targets.
+inline uint32_t LoadUint32(const uint8_t* at) {
+  return static_cast<uint32_t>(at[0]) | (static_cast<uint32_t>(at[1]) << 8) |
+         (static_cast<uint32_t>(at[2]) << 16) |
+         (static_cast<uint32_t>(at[3]) << 24);
+}
+inline uint64_t LoadUint64(const uint8_t* at) {
+  return static_cast<uint64_t>(LoadUint32(at)) |
+         (static_cast<uint64_t>(LoadUint32(at + 4)) << 32);
+}
+inline int64_t LoadInt64(const uint8_t* at) {
+  return static_cast<int64_t>(LoadUint64(at));
+}
+inline double LoadDouble(const uint8_t* at) {
+  return std::bit_cast<double>(LoadUint64(at));
+}
+
+bool GetByte(std::span<const uint8_t> buffer, size_t* offset,
              uint8_t* out);
-bool GetUint32(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetUint32(std::span<const uint8_t> buffer, size_t* offset,
                uint32_t* out);
-bool GetUint64(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetUint64(std::span<const uint8_t> buffer, size_t* offset,
                uint64_t* out);
-bool GetInt64(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetInt64(std::span<const uint8_t> buffer, size_t* offset,
               int64_t* out);
-bool GetDouble(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetDouble(std::span<const uint8_t> buffer, size_t* offset,
                double* out);
-bool GetString(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetString(std::span<const uint8_t> buffer, size_t* offset,
                std::string* out);
-bool GetInt64Vector(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetInt64Vector(std::span<const uint8_t> buffer, size_t* offset,
                     std::vector<int64_t>* out);
-bool GetDoubleVector(const std::vector<uint8_t>& buffer, size_t* offset,
+bool GetDoubleVector(std::span<const uint8_t> buffer, size_t* offset,
                      std::vector<double>* out);
 
 // CRC-32 (IEEE 802.3 polynomial, reflected), the integrity check on every
-// persisted journal record and snapshot payload.
+// persisted journal record and snapshot payload. The two functions below
+// are its only entry points; both run the active kernel's crc32_extend op
+// (kernels/kernels.h), which folds long inputs with carry-less multiplies
+// where the CPU has them and is the slicing-by-8 table otherwise.
 uint32_t Crc32(const uint8_t* data, size_t size);
-uint32_t Crc32(const std::vector<uint8_t>& data);
+uint32_t Crc32(std::span<const uint8_t> data);
 // Continues `crc` over more bytes, so a CRC can cover data that is not
 // contiguous: Crc32Extend(Crc32(a), b) == Crc32(a followed by b).
 uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size);

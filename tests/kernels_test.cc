@@ -11,8 +11,10 @@
 // operate on synthetic codewords and reports; no real client value flows
 // through an unmetered path
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -103,6 +105,19 @@ TEST(KernelTest, WordOpsMatchScalarKernelAndReference) {
     for (int64_t i = 0; i < n; ++i) {
       EXPECT_EQ(via_scalar[static_cast<size_t>(i)],
                 a[static_cast<size_t>(i)] + b[static_cast<size_t>(i)]);
+    }
+
+    // crc32_extend over the words' bytes, from a running CRC, at every
+    // byte offset into the first word: lengths on both sides of the
+    // 64-byte folding threshold and every tail shape.
+    const auto* a_bytes = reinterpret_cast<const uint8_t*>(a.data());
+    const size_t a_size = static_cast<size_t>(n) * sizeof(uint64_t);
+    const uint32_t seed_crc =
+        gate.empty() ? 0u : static_cast<uint32_t>(gate[0]);
+    for (size_t skip = 0; skip <= std::min<size_t>(a_size, 8); ++skip) {
+      EXPECT_EQ(active.crc32_extend(seed_crc, a_bytes + skip, a_size - skip),
+                scalar.crc32_extend(seed_crc, a_bytes + skip, a_size - skip))
+          << active.name << " n=" << n << " skip=" << skip;
     }
   }
 }

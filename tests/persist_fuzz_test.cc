@@ -6,16 +6,24 @@
 // silently drops a record in the middle, because a dropped record could be
 // a privacy-meter charge.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/privacy_meter.h"
+#include "data/census.h"
+#include "federated/faults.h"
+#include "federated/resilience.h"
+#include "obs/metrics.h"
 #include "persist/journal.h"
+#include "persist/recovery.h"
 #include "persist/snapshot.h"
 #include "rng/rng.h"
 #include "util/bytes.h"
@@ -123,6 +131,53 @@ void Mutate(Rng& rng, std::vector<uint8_t>* buffer) {
     const size_t at = static_cast<size_t>(rng.NextBelow(buffer->size() + 1));
     buffer->insert(buffer->begin() + static_cast<ptrdiff_t>(at), span.begin(),
                    span.end());
+  }
+}
+
+// Damages a record payload or a snapshot body in one of the ways its
+// decoder must survive: flipped bits, a four-byte count or length that
+// lies, a truncation, or bytes appended.
+void MutateContent(Rng& rng, std::vector<uint8_t>* content) {
+  const auto random_byte = [&rng] {
+    return static_cast<uint8_t>(rng.NextBelow(256));
+  };
+  if (content->empty()) {
+    content->push_back(random_byte());
+    return;
+  }
+  switch (rng.NextBelow(4)) {
+    case 0: {
+      const uint64_t flips = 1 + rng.NextBelow(4);
+      for (uint64_t k = 0; k < flips; ++k) {
+        (*content)[static_cast<size_t>(rng.NextBelow(content->size()))] ^=
+            static_cast<uint8_t>(1u << rng.NextBelow(8));
+      }
+      break;
+    }
+    case 1: {
+      if (content->size() < 4) {
+        content->clear();
+        break;
+      }
+      uint8_t* const at =
+          content->data() + rng.NextBelow(content->size() - 3);
+      uint32_t was = 0;
+      for (int i = 0; i < 4; ++i) was |= static_cast<uint32_t>(at[i]) << (8 * i);
+      const uint32_t lies[] = {0u,          1u,      2u,
+                               0x7FFFFFFFu, ~0u,     was + 1,
+                               was - 1,     was * 2, static_cast<uint32_t>(
+                                                         content->size())};
+      bytes::StoreUint32(lies[rng.NextBelow(std::size(lies))], at);
+      break;
+    }
+    case 2:
+      content->resize(static_cast<size_t>(rng.NextBelow(content->size())));
+      break;
+    default: {
+      const uint64_t extra = 1 + rng.NextBelow(16);
+      for (uint64_t k = 0; k < extra; ++k) content->push_back(random_byte());
+      break;
+    }
   }
 }
 
@@ -343,6 +398,163 @@ TEST_F(PersistFuzzTest, MeterBlobWithOversizedValueCountFailsClosed) {
   EXPECT_FALSE(
       PrivacyMeter::DecodeFrom(MeterBlobWithTail(tail), &offset, &meter));
   EXPECT_EQ(offset, 0u);
+}
+
+// The state files of a real campaign, damaged below their CRCs: a journal
+// frame's payload or the snapshot body is mutated and every frame and file
+// CRC recomputed, so that only the content lies. Open decodes every record
+// itself, so whatever the damage it must return false with an error or
+// return true. It must never abort.
+TEST_F(PersistFuzzTest, OpenFailsClosedOnEveryMutation) {
+  Rng data_rng(7);
+  const std::vector<Client> population =
+      MakePopulation(CensusAges(40, data_rng).values(), ClientConfig{});
+  const std::vector<const std::vector<Client>*> populations = {&population,
+                                                               &population};
+  const std::vector<FixedPointCodec> codecs = {FixedPointCodec::Integer(6),
+                                               FixedPointCodec::Integer(6)};
+  FaultRates rates;
+  rates.mid_round_dropout = 0.1;
+  rates.corrupt_message = 0.05;
+  const FaultPlan plan(97, rates);
+  std::vector<CampaignQuery> queries;
+  for (int i = 0; i < 2; ++i) {
+    CampaignQuery query;
+    query.name = std::string(1, static_cast<char>('a' + i));
+    query.value_id = i;
+    query.query.adaptive.bits = 6;
+    query.query.fault_plan = &plan;
+    queries.push_back(query);
+  }
+  // Tight caps, so that the journal holds denied charges too, and a
+  // breaker, so that the snapshot holds its state.
+  MeterPolicy policy;
+  policy.max_bits_per_value = 1;
+  policy.max_bits_per_client = 2;
+  policy.max_epsilon_per_client = 100.0;
+  ResilienceConfig resilience;
+  resilience.breaker.consecutive_failures_to_open = 2;
+  const auto options = [](const std::string& dir, int64_t snapshot_every) {
+    DurableCampaignOptions options;
+    options.state_dir = dir;
+    options.seed = 2024;
+    options.snapshot_every_ticks = snapshot_every;
+    options.fsync = false;
+    return options;
+  };
+  const auto file_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                                std::istreambuf_iterator<char>());
+  };
+
+  // Two pristine state directories, at snapshot_every 0 and 1: two ticks,
+  // then a third journaled on top of whatever the first run snapshotted.
+  struct State {
+    std::vector<uint8_t> snapshot;
+    std::vector<JournalRecord> journal;
+  };
+  std::vector<State> states;
+  for (const int64_t snapshot_every : {0, 1}) {
+    const std::string dir = dir_ + "/pristine" + std::to_string(snapshot_every);
+    std::string error;
+    {
+      DurableCampaignRunner runner(queries, policy,
+                                   options(dir, snapshot_every), resilience);
+      ASSERT_TRUE(runner.Open(&error)) << error;
+      for (int64_t tick = 0; tick < 2; ++tick) {
+        runner.RunTick(tick, populations, codecs);
+      }
+    }
+    DurableCampaignRunner runner(queries, policy, options(dir, 0), resilience);
+    ASSERT_TRUE(runner.Open(&error)) << error;
+    for (int64_t tick = 0; tick < 3; ++tick) {
+      runner.RunTick(tick, populations, codecs);
+    }
+    State state;
+    if (std::filesystem::exists(SnapshotPath(dir))) {
+      state.snapshot = file_bytes(SnapshotPath(dir));
+    }
+    JournalReadResult journal;
+    ASSERT_TRUE(ReadJournalFromFirstFrame(JournalPath(dir), &journal, &error))
+        << error;
+    state.journal = std::move(journal.records);
+    ASSERT_FALSE(state.journal.empty());
+    states.push_back(std::move(state));
+  }
+  ASSERT_TRUE(states[0].snapshot.empty());
+  ASSERT_FALSE(states[1].snapshot.empty());
+
+  // With obs on, the apply pass also feeds the metrics and the flight
+  // recorder from what it decoded.
+  obs::SetEnabled(true);
+  const std::string dir = dir_ + "/mutated";
+  int64_t opened = 0;
+  int64_t failed = 0;
+  for (uint64_t iteration = 0; iteration < 1500; ++iteration) {
+    Rng rng(0x0BE40000 + iteration);
+    const State& state = states[rng.NextBelow(states.size())];
+    std::vector<JournalRecord> journal = state.journal;
+    // Half the time a crash's prefix: held rounds, and charges of a round
+    // that never closed.
+    if (rng.NextBit() == 1) {
+      journal.resize(static_cast<size_t>(1 + rng.NextBelow(journal.size())));
+    }
+    // Beside a snapshot, a quarter of the time a stale prefix: the frames a
+    // crash between the snapshot's rename and the journal truncation left.
+    if (!state.snapshot.empty() && rng.NextBelow(4) == 0) {
+      // Copies of up to four leading frames, numbered just below it.
+      const uint64_t first_seq = journal.front().seq;
+      const size_t stale = static_cast<size_t>(1 + rng.NextBelow(
+          std::min<uint64_t>({first_seq, 4, journal.size()})));
+      std::vector<JournalRecord> prefix(journal.begin(),
+                                        journal.begin() + stale);
+      for (size_t i = 0; i < stale; ++i) prefix[i].seq = first_seq - stale + i;
+      journal.insert(journal.begin(), prefix.begin(), prefix.end());
+    }
+    std::vector<uint8_t> snapshot = state.snapshot;
+    if (!snapshot.empty() && rng.NextBelow(3) == 0) {
+      // The body lies between the magic and version and the file CRC.
+      std::vector<uint8_t> body(snapshot.begin() + 5, snapshot.end() - 4);
+      MutateContent(rng, &body);
+      snapshot.resize(5);
+      snapshot.insert(snapshot.end(), body.begin(), body.end());
+      bytes::PutUint32(bytes::Crc32(snapshot), &snapshot);
+    } else {
+      MutateContent(
+          rng,
+          &journal[static_cast<size_t>(rng.NextBelow(journal.size()))].payload);
+    }
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    if (!snapshot.empty()) {
+      std::ofstream out(SnapshotPath(dir), std::ios::binary);
+      out.write(reinterpret_cast<const char*>(snapshot.data()),
+                static_cast<std::streamsize>(snapshot.size()));
+    }
+    const std::vector<uint8_t> framed = EncodeAll(journal);
+    std::ofstream(JournalPath(dir), std::ios::binary)
+        .write(reinterpret_cast<const char*>(framed.data()),
+               static_cast<std::streamsize>(framed.size()));
+
+    DurableCampaignRunner runner(queries, policy, options(dir, 0), resilience);
+    std::string error;
+    if (runner.Open(&error)) {
+      ++opened;
+    } else {
+      ASSERT_FALSE(error.empty()) << iteration;
+      // A validation error. The disk is healthy, so no I/O fails, and
+      // every I/O error names its path.
+      ASSERT_EQ(error.find(dir), std::string::npos)
+          << iteration << ": " << error;
+      ++failed;
+    }
+  }
+  obs::SetEnabled(false);
+  // Both outcomes occur: some damage lands where no check can see it (an
+  // estimate, a fault counter), and most is caught.
+  EXPECT_GT(opened, 0);
+  EXPECT_GT(failed, 0);
 }
 
 TEST(SnapshotFuzzTest, DecoderFailsClosedOnEveryMutation) {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 
 #include "core/privacy_meter.h"
 #include "federated/resilience.h"
+#include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "persist/file.h"
 #include "persist/journal.h"
@@ -307,31 +309,86 @@ TEST(Crc32Test, KnownAnswer) {
   EXPECT_EQ(bytes::Crc32(nullptr, 0), 0u);
 }
 
-// The table-driven CRC must equal the bit-at-a-time definition on every
-// length and at every alignment the eight-byte steps can meet.
-TEST(Crc32Test, MatchesBitwiseReferenceAtEveryAlignment) {
-  constexpr size_t kMaxLength = 4096;
-  std::vector<uint8_t> buffer(kMaxLength + 8);
+// Pseudo-random bytes from a fixed LCG, so that every CRC test reads the
+// same input.
+std::vector<uint8_t> CrcTestBytes(size_t size) {
+  std::vector<uint8_t> buffer(size);
   uint32_t state = 0x12345678u;
   for (uint8_t& byte : buffer) {
     state = state * 1664525u + 1013904223u;
     byte = static_cast<uint8_t>(state >> 24);
   }
-  for (size_t offset = 0; offset < 8; ++offset) {
-    const uint8_t* data = buffer.data() + offset;
-    // The reference register of every prefix, extended one byte at a time.
-    uint32_t reference = 0xFFFFFFFFu;
-    for (size_t length = 0; length <= kMaxLength; ++length) {
-      ASSERT_EQ(bytes::Crc32(data, length), reference ^ 0xFFFFFFFFu)
-          << "length " << length << " offset " << offset;
-      if (length == kMaxLength) break;
-      reference ^= data[length];
-      for (int bit = 0; bit < 8; ++bit) {
-        reference = (reference >> 1) ^ ((reference & 1u) != 0 ? 0xEDB88320u
-                                                               : 0u);
+  return buffer;
+}
+
+// The CRC must equal the bit-at-a-time definition on every length and at
+// every alignment the eight-byte table steps and the 16-byte folds can
+// meet: once on the dispatched kernel (which folds inputs of 64 bytes or
+// more with carry-less multiplies where the CPU has them) and once on the
+// scalar kernel's table.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryAlignment) {
+  constexpr size_t kMaxLength = 4096;
+  const std::vector<uint8_t> buffer = CrcTestBytes(kMaxLength + 16);
+  for (const bool force_scalar : {false, true}) {
+    std::optional<kernels::ScopedForceScalar> scalar;
+    if (force_scalar) scalar.emplace();
+    for (size_t offset = 0; offset < 16; ++offset) {
+      const uint8_t* data = buffer.data() + offset;
+      // The reference register of every prefix, extended one byte at a
+      // time.
+      uint32_t reference = 0xFFFFFFFFu;
+      for (size_t length = 0; length <= kMaxLength; ++length) {
+        ASSERT_EQ(bytes::Crc32(data, length), reference ^ 0xFFFFFFFFu)
+            << "length " << length << " offset " << offset << " kernel "
+            << kernels::ActiveKernel().name;
+        if (length == kMaxLength) break;
+        reference ^= data[length];
+        for (int bit = 0; bit < 8; ++bit) {
+          reference = (reference >> 1) ^
+                      ((reference & 1u) != 0 ? 0xEDB88320u : 0u);
+        }
       }
     }
   }
+}
+
+// A CRC continued from any split point equals the CRC of the whole: the
+// splits at 0–130 put the head and the rest on either side of the 64-byte
+// folding threshold and of every 16-byte block boundary.
+TEST(Crc32Test, ExtendFromEverySplitMatchesTheWhole) {
+  const std::vector<uint8_t> data = CrcTestBytes(size_t{1} << 20);
+  const uint32_t whole = bytes::Crc32(data);
+  {
+    kernels::ScopedForceScalar scalar;
+    ASSERT_EQ(bytes::Crc32(data), whole);
+  }
+  for (size_t split = 0; split <= 130; ++split) {
+    const uint32_t head = bytes::Crc32(data.data(), split);
+    ASSERT_EQ(
+        bytes::Crc32Extend(head, data.data() + split, data.size() - split),
+        whole)
+        << "split " << split;
+    // A short middle piece too: head, 0–130 bytes, then the rest.
+    const size_t middle_end = 2 * split + 7;
+    const uint32_t middle =
+        bytes::Crc32Extend(head, data.data() + split, middle_end - split);
+    ASSERT_EQ(bytes::Crc32Extend(middle, data.data() + middle_end,
+                                 data.size() - middle_end),
+              whole)
+        << "split " << split;
+  }
+}
+
+// The size of a fleet_1m shard's snapshot: the dispatched kernel equals
+// the scalar one on 11 MiB, at an odd offset and with a ragged tail.
+TEST(Crc32Test, ElevenMebibytesMatchTheScalarKernel) {
+  const std::vector<uint8_t> data = CrcTestBytes((size_t{11} << 20) + 64);
+  const uint8_t* const begin = data.data() + 3;
+  const size_t size = (size_t{11} << 20) + 13;
+  const kernels::KernelOps& scalar = kernels::ScalarKernel();
+  EXPECT_EQ(bytes::Crc32(begin, size), scalar.crc32_extend(0, begin, size));
+  EXPECT_EQ(kernels::ActiveKernel().crc32_extend(0xDEADBEEFu, begin, size),
+            scalar.crc32_extend(0xDEADBEEFu, begin, size));
 }
 
 TEST_F(JournalFileTest, EveryTruncationIsATornTailOrAShorterCleanFile) {

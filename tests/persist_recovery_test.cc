@@ -890,6 +890,33 @@ TEST_F(RecoveryTest, OpenRewritesAJournalThatHoldsMoreThanItKeeps) {
   }
   expect_rewritten(stale, 0);
 
+  // The same stale prefix followed by the charges of a round that never
+  // closed: no frame is kept, and none of the stale ones either.
+  const std::string stale_unclosed = FreshDir("rewrite_stale_unclosed");
+  std::filesystem::copy(stale, stale_unclosed);
+  {
+    size_t next = 0;
+    while (journal.records[next].type != JournalRecordType::kCampaignTick) {
+      ++next;
+    }
+    size_t close = ++next;
+    while (journal.records[close].type != JournalRecordType::kRoundClosed) {
+      ++close;
+    }
+    ASSERT_GT(close, next);
+    std::vector<uint8_t> bytes = covered;
+    for (size_t i = next; i < close; ++i) {
+      ASSERT_EQ(journal.records[i].type, JournalRecordType::kMeterCharge);
+      AppendJournalFrame(journal.records[i].type, journal.records[i].seq,
+                         journal.records[i].payload, &bytes);
+    }
+    std::ofstream out(JournalPath(stale_unclosed),
+                      std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  expect_rewritten(stale_unclosed, 0);
+
   // A missing journal: a fresh state directory, and one whose journal is
   // gone beside its snapshot.
   expect_rewritten(FreshDir("rewrite_fresh"), 0);
