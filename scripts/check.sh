@@ -24,8 +24,9 @@ fi
 cmake -B "$BUILD_DIR" -G Ninja
 
 # Lint stage first: project-invariant violations (determinism, privacy
-# metering, wire exhaustiveness, obs stability, header hygiene) should
-# fail the run in seconds, before any expensive sanitizer build starts.
+# metering, wire exhaustiveness, obs stability, header hygiene, unreached
+# modules) should fail the run in seconds, before any expensive sanitizer
+# build starts.
 # The waiver budget is printed so reviewers can watch it grow.
 cmake --build "$BUILD_DIR" --target bitpush_lint
 "$BUILD_DIR/tools/bitpush_lint" --root=. --list-waivers
@@ -75,17 +76,16 @@ ctest --test-dir "$BUILD_DIR-asan" --output-on-failure \
 # TSan pass: the obs registry, event ring and tracer are hammered from
 # several threads (the `Obs` alternate runs those race tests), and the
 # kernel dispatch latch and ScopedForceScalar are atomics (`Kernel`). The
-# fleet and resilience suites drive the collection state machines, and the
-# bitprop suites ride along so the differential oracles also run
-# instrumented. ShardedCampaignRunner runs a tick's shards on worker
-# threads, so the shard suites (`Shard`: the determinism cases, the kill
-# matrix and the chaos suites) and the sharded oracle in `Prop` run here.
+# resilience suite drives the collection state machines, and the bitprop
+# suites ride along so the differential oracles also run instrumented.
+# ShardedCampaignRunner runs a tick's shards on worker threads, so the
+# shard suites (`Shard`: the determinism cases, the kill matrix and the
+# chaos suites) and the sharded oracle in `Prop` run here.
 cmake -B "$BUILD_DIR-tsan" -G Ninja -DBITPUSH_SANITIZE=thread
 cmake --build "$BUILD_DIR-tsan" \
-  --target concurrency_tests resilience_tests obs_tests prop_tests \
-  kernel_tests shard_tests
+  --target resilience_tests obs_tests prop_tests kernel_tests shard_tests
 ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-  -R '(Fleet|Resilience|Obs|Prop|Kernel|Shard)'
+  -R '(Resilience|Obs|Prop|Kernel|Shard)'
 
 # Crash-recovery stage: run a durable campaign, kill it (exit 137, the
 # SIGKILL status) after N journal appends, restart it against the same

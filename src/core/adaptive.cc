@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/bit_probabilities.h"
 #include "util/check.h"
@@ -35,14 +36,9 @@ AdaptiveResult RunAdaptiveBitPushing(const std::vector<uint64_t>& codewords,
                                       codewords.begin() + n1);
   result.round1 = RunBasicBitPushing(cohort1, round1_config, rng);
 
-  // Learn the round-2 allocation from the probe; squashed bits get zero
-  // sampling weight (Section 3.3).
-  const std::vector<bool> round1_keep =
-      ComputeSquashMask(result.round1.bit_means,
-                        result.round1.histogram.totals(), rr, config.squash);
-  result.round2_probabilities = AdaptiveProbabilitiesMasked(
-      result.round1.bit_means, round1_keep, config.alpha,
-      result.round1_probabilities);
+  // Learn the round-2 allocation from the probe.
+  result.round2_probabilities = LearnRound2Probabilities(
+      result.round1.histogram, rr, config, result.round1_probabilities);
 
   // Round 2 over the remaining clients.
   BitPushingConfig round2_config{
@@ -55,29 +51,12 @@ AdaptiveResult RunAdaptiveBitPushing(const std::vector<uint64_t>& codewords,
   result.round2 = RunBasicBitPushing(cohort2, round2_config, rng);
 
   // Final aggregation (Algorithm 2, lines 9-11).
-  BitHistogram pooled = result.round1.histogram;
-  pooled.Merge(result.round2.histogram);
-  std::vector<int64_t> final_counts;
-  if (config.caching) {
-    result.final_means = pooled.UnbiasedMeans(rr);
-    final_counts = pooled.totals();
-  } else {
-    // Round-2-only estimate; bits the learned allocation skipped fall back
-    // to their round-1 means (the only information available for them).
-    result.final_means = result.round2.bit_means;
-    final_counts = result.round2.histogram.totals();
-    for (size_t j = 0; j < result.final_means.size(); ++j) {
-      if (!result.round2.observed[j]) {
-        result.final_means[j] = result.round1.bit_means[j];
-        final_counts[j] = result.round1.histogram.totals()[j];
-      }
-    }
-  }
-
-  result.kept = ComputeSquashMask(result.final_means, final_counts, rr,
-                                  config.squash);
-  result.estimate_codeword =
-      RecombineBitMeans(result.final_means, result.kept);
+  PooledEstimate pooled = PoolAdaptiveRounds(
+      result.round1.histogram, result.round2.histogram, rr, config);
+  result.final_means = std::move(pooled.means);
+  result.kept = std::move(pooled.kept);
+  result.estimate_codeword = pooled.estimate_codeword;
+  const std::vector<int64_t>& final_counts = pooled.counts;
 
   // Plug-in variance over the kept bits.
   const double rr_var = rr.ReportVariance();
@@ -91,6 +70,46 @@ AdaptiveResult RunAdaptiveBitPushing(const std::vector<uint64_t>& codewords,
   }
   result.variance_bound = variance;
   return result;
+}
+
+std::vector<double> LearnRound2Probabilities(
+    const BitHistogram& round1, const RandomizedResponse& rr,
+    const AdaptiveConfig& config,
+    const std::vector<double>& round1_probabilities) {
+  const std::vector<double> round1_means = round1.UnbiasedMeans(rr);
+  const std::vector<bool> round1_keep =
+      ComputeSquashMask(round1_means, round1.totals(), rr, config.squash);
+  return AdaptiveProbabilitiesMasked(round1_means, round1_keep, config.alpha,
+                                     round1_probabilities);
+}
+
+PooledEstimate PoolAdaptiveRounds(const BitHistogram& round1,
+                                  const BitHistogram& round2,
+                                  const RandomizedResponse& rr,
+                                  const AdaptiveConfig& config) {
+  PooledEstimate out;
+  if (config.caching) {
+    BitHistogram pooled = round1;
+    pooled.Merge(round2);
+    out.means = pooled.UnbiasedMeans(rr);
+    out.counts = pooled.totals();
+  } else {
+    // Round-2-only estimate; bits the learned allocation skipped fall back
+    // to their round-1 means (the only information available for them).
+    std::vector<bool> observed;
+    out.means = round2.UnbiasedMeans(rr, &observed);
+    out.counts = round2.totals();
+    const std::vector<double> fallback_means = round1.UnbiasedMeans(rr);
+    for (size_t j = 0; j < out.means.size(); ++j) {
+      if (!observed[j]) {
+        out.means[j] = fallback_means[j];
+        out.counts[j] = round1.totals()[j];
+      }
+    }
+  }
+  out.kept = ComputeSquashMask(out.means, out.counts, rr, config.squash);
+  out.estimate_codeword = RecombineBitMeans(out.means, out.kept);
+  return out;
 }
 
 }  // namespace bitpush

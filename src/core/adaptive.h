@@ -62,6 +62,35 @@ struct AdaptiveResult {
 AdaptiveResult RunAdaptiveBitPushing(const std::vector<uint64_t>& codewords,
                                      const AdaptiveConfig& config, Rng& rng);
 
+// The two steps of Algorithm 2 after each round, shared by
+// RunAdaptiveBitPushing and the federated query (federated/round.h).
+
+// The round-2 allocation learned from round 1's tallies: squashed bits get
+// zero sampling weight (Section 3.3), and `round1_probabilities` stand in
+// when every weight vanishes.
+std::vector<double> LearnRound2Probabilities(
+    const BitHistogram& round1, const RandomizedResponse& rr,
+    const AdaptiveConfig& config,
+    const std::vector<double>& round1_probabilities);
+
+// The final aggregation (Algorithm 2, lines 9-11).
+struct PooledEstimate {
+  // Means entering the recombination, and the reports behind each.
+  std::vector<double> means;
+  std::vector<int64_t> counts;
+  // Post-squash keep mask applied to `means`.
+  std::vector<bool> kept;
+  double estimate_codeword = 0.0;
+};
+
+// With caching the two rounds' reports are pooled per bit; otherwise the
+// means come from round 2, with round-1 means for bits round 2 did not
+// sample.
+PooledEstimate PoolAdaptiveRounds(const BitHistogram& round1,
+                                  const BitHistogram& round2,
+                                  const RandomizedResponse& rr,
+                                  const AdaptiveConfig& config);
+
 }  // namespace bitpush
 
 #endif  // BITPUSH_CORE_ADAPTIVE_H_

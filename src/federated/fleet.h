@@ -12,20 +12,20 @@
 // straggle past the window's report deadline, or arrive in a corrupt or
 // truncated frame. At this layer the transport rejects corrupt and
 // truncated frames outright (the monitor never ingests garbled values);
-// all injections and rejections accumulate in fault_stats(). Per-window
-// collection timing comes from the latency model when model_latency is on.
+// all injections and rejections accumulate in fault_stats(). A lost
+// reading is not re-requested: a window takes one attempt per reachable
+// device. Per-window collection timing comes from the latency model when
+// model_latency is on.
 
 #ifndef BITPUSH_FEDERATED_FLEET_H_
 #define BITPUSH_FEDERATED_FLEET_H_
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "federated/faults.h"
 #include "federated/latency.h"
-#include "federated/resilience.h"
 #include "federated/telemetry.h"
 #include "rng/rng.h"
 
@@ -47,14 +47,6 @@ struct FleetConfig {
   // Collection-latency model driving last_window_minutes().
   LatencyModel latency;
   bool model_latency = false;
-  // Recovery layer for the monitoring transport (federated/resilience.h):
-  // lost reports are retransmitted on the deterministic backoff schedule
-  // (the reading is generated once; retries re-send it, so the main RNG
-  // stream is identical with and without resilience), chronically failing
-  // devices are quarantined by the per-device breaker, and the per-window
-  // deadline budget bounds how much backoff a window may spend. Hedging
-  // does not apply here — a monitoring reading has no substitute device.
-  ResilienceConfig resilience;
 };
 
 class FleetSimulator {
@@ -82,16 +74,8 @@ class FleetSimulator {
 
   // Cumulative fault injections and transport reactions across windows.
   const FaultStats& fault_stats() const { return fault_stats_; }
-  // Cumulative recovery-layer counters (all zero with resilience disabled).
-  const RetryStats& retry_stats() const { return retry_stats_; }
-  // The per-device circuit breaker, or nullptr when the breaker policy is
-  // disabled.
-  const HealthTracker* health() const {
-    return health_.has_value() ? &*health_ : nullptr;
-  }
   // Sampled collection time of the most recent window (0 until a window
-  // has run with model_latency enabled). Includes backoff minutes spent by
-  // retries when resilience is enabled.
+  // has run with model_latency enabled).
   double last_window_minutes() const { return last_window_minutes_; }
   int64_t windows_collected() const { return window_index_; }
 
@@ -101,9 +85,6 @@ class FleetSimulator {
   uint64_t seed_;
   FaultPlan fault_plan_;
   FaultStats fault_stats_;
-  RetryStats retry_stats_;
-  std::optional<RetrySchedule> retry_schedule_;
-  std::optional<HealthTracker> health_;
   int64_t window_index_ = 0;
   double last_window_minutes_ = 0.0;
   double hour_ = 0.0;

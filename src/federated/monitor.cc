@@ -14,8 +14,6 @@ struct MonitorInstruments {
   obs::Counter* windows;
   obs::Counter* skipped;
   obs::Counter* flagged;
-  obs::Counter* recovered_reports;
-  obs::Counter* regressions;
 };
 
 const MonitorInstruments& GetMonitorInstruments() {
@@ -31,12 +29,6 @@ const MonitorInstruments& GetMonitorInstruments() {
         s);
     i.flagged = r.GetCounter("bitpush_monitor_windows_flagged_total",
                              "Windows that raised a bound or drift flag.", s);
-    i.recovered_reports = r.GetCounter(
-        "bitpush_monitor_recovered_reports_total",
-        "Recovered reports attributed to monitor windows.", s);
-    i.regressions = r.GetCounter(
-        "bitpush_monitor_retry_stats_regressions_total",
-        "Windows whose ingested RetryStats went backwards.", s);
     return i;
   }();
   return instruments;
@@ -48,8 +40,7 @@ MetricMonitor::MetricMonitor(const FixedPointCodec& codec,
                              const MonitorConfig& config)
     : codec_(codec),
       config_(config),
-      bound_monitor_(config.flag_shift_bits),
-      alerts_(config.alerts) {
+      bound_monitor_(config.flag_shift_bits) {
   BITPUSH_CHECK_EQ(config_.protocol.bits, codec_.bits());
   BITPUSH_CHECK_GE(config_.min_window_size, 2);
   BITPUSH_CHECK_GE(config_.drift_threshold, 0.0);
@@ -57,13 +48,6 @@ MetricMonitor::MetricMonitor(const FixedPointCodec& codec,
 
 WindowSummary MetricMonitor::IngestWindow(const std::vector<double>& values,
                                           Rng& rng) {
-  WindowSummary summary = IngestWindowCore(values, rng);
-  FinalizeWindow(&summary);
-  return summary;
-}
-
-WindowSummary MetricMonitor::IngestWindowCore(
-    const std::vector<double>& values, Rng& rng) {
   WindowSummary summary;
   summary.window_index = static_cast<int64_t>(history_.size());
   summary.clients = static_cast<int64_t>(values.size());
@@ -101,88 +85,6 @@ WindowSummary MetricMonitor::IngestWindowCore(
   }
   history_.push_back(summary);
   return summary;
-}
-
-WindowSummary MetricMonitor::IngestWindow(
-    const std::vector<double>& values,
-    const RetryStats& cumulative_retry_stats, Rng& rng) {
-  const int64_t recovered_before = retry_stats_.RecoveredTotal();
-  WindowSummary summary = IngestWindowCore(values, rng);
-  retry_stats_ = cumulative_retry_stats;
-  int64_t recovered = retry_stats_.RecoveredTotal() - recovered_before;
-  if (recovered < 0) {
-    // The caller's RetryStats went backwards (reset or non-cumulative
-    // counters). Degrade gracefully: attribute no recoveries to the window
-    // and mark the monotonicity violation on the summary so dashboards can
-    // surface it, rather than aborting the coordinator mid-campaign.
-    recovered = 0;
-    summary.retry_stats_regressed = true;
-    history_.back().retry_stats_regressed = true;
-    GetMonitorInstruments().regressions->Increment();
-  }
-  summary.recovered_reports = recovered;
-  history_.back().recovered_reports = recovered;
-  GetMonitorInstruments().recovered_reports->Add(recovered);
-  FinalizeWindow(&summary);
-  return summary;
-}
-
-WindowSummary MetricMonitor::IngestWindow(
-    const std::vector<double>& values,
-    const std::vector<RetryStats>& per_shard_stats, Rng& rng) {
-  BITPUSH_CHECK(!per_shard_stats.empty());
-  if (per_shard_retry_stats_.empty()) {
-    per_shard_retry_stats_.resize(per_shard_stats.size());
-  }
-  BITPUSH_CHECK_EQ(per_shard_stats.size(), per_shard_retry_stats_.size())
-      << "shard count changed between monitor windows";
-
-  WindowSummary summary = IngestWindowCore(values, rng);
-  int64_t recovered = 0;
-  for (size_t s = 0; s < per_shard_stats.size(); ++s) {
-    const int64_t current = per_shard_stats[s].RecoveredTotal();
-    const int64_t last = per_shard_retry_stats_[s].RecoveredTotal();
-    // Prometheus counter-reset rule: a shard whose cumulative counters
-    // went backwards restarted its ledger (snapshot recovery), so its
-    // whole current value is new activity — not a regression.
-    recovered += current >= last ? current - last : current;
-    per_shard_retry_stats_[s] = per_shard_stats[s];
-  }
-  retry_stats_ = RetryStats{};
-  for (const RetryStats& stats : per_shard_retry_stats_) {
-    retry_stats_.MergeFrom(stats);
-  }
-  summary.recovered_reports = recovered;
-  history_.back().recovered_reports = recovered;
-  GetMonitorInstruments().recovered_reports->Add(recovered);
-  FinalizeWindow(&summary);
-  return summary;
-}
-
-void MetricMonitor::FinalizeWindow(WindowSummary* summary) {
-  obs::CampaignAlertInputs inputs;
-  inputs.tick = summary->window_index;
-  // The monitor has no privacy meter or journal of its own: bits_budget=0
-  // gates burn-rate off and journal_records=-1 gates journal_growth off.
-  // retry_storm is the live rule here — cumulative retries scheduled by
-  // the collection transport, attributed to windows by the retry-stats
-  // overloads before this runs.
-  inputs.retries_scheduled = retry_stats_.retries_scheduled;
-  inputs.recovery_divergence = summary->retry_stats_regressed;
-  const std::vector<obs::AlertTransition> transitions =
-      alerts_.EvaluateCampaignTick(inputs);
-  for (const obs::AlertTransition& transition : transitions) {
-    if (transition.fired) {
-      ++summary->alerts_fired;
-    } else {
-      ++summary->alerts_resolved;
-    }
-  }
-  summary->alerts_firing = alerts_.firing_count();
-  WindowSummary& stored = history_.back();
-  stored.alerts_fired = summary->alerts_fired;
-  stored.alerts_resolved = summary->alerts_resolved;
-  stored.alerts_firing = summary->alerts_firing;
 }
 
 }  // namespace bitpush

@@ -11,9 +11,7 @@
 
 #include "core/adaptive.h"
 #include "core/fixed_point.h"
-#include "federated/resilience.h"
 #include "federated/telemetry.h"
-#include "obs/alerts.h"
 #include "rng/rng.h"
 
 namespace bitpush {
@@ -30,10 +28,6 @@ struct MonitorConfig {
   // Relative change of the estimate vs the trailing average that raises
   // the drift flag (0 disables).
   double drift_threshold = 0.0;
-  // Thresholds for the monitor's in-process alert engine (obs/alerts.h).
-  // Each window is one evaluation tick; rules without inputs at this layer
-  // (privacy budget, shard quorum, journal growth) stay gated off.
-  obs::AlertConfig alerts;
 };
 
 struct WindowSummary {
@@ -46,21 +40,6 @@ struct WindowSummary {
   int b_max = -1;
   bool bound_flagged = false;
   bool drift_flagged = false;
-  // Reports the collection transport recovered through retries or hedges
-  // this window (0 unless the caller ingests its RetryStats; see
-  // federated/resilience.h).
-  int64_t recovered_reports = 0;
-  // True when the ingested RetryStats went backwards relative to the
-  // previous window (the caller handed the monitor non-cumulative or reset
-  // counters). The recovered-report delta is clamped to 0 for the window
-  // instead of aborting the coordinator.
-  bool retry_stats_regressed = false;
-  // Alert-engine activity for this window, evaluated after the retry
-  // attribution above: transitions this window and rules still firing at
-  // its close (also published as the bitpush_alert_state gauge family).
-  int64_t alerts_fired = 0;
-  int64_t alerts_resolved = 0;
-  int64_t alerts_firing = 0;
 };
 
 class MetricMonitor {
@@ -71,56 +50,17 @@ class MetricMonitor {
   // client) and appends the summary to history().
   WindowSummary IngestWindow(const std::vector<double>& values, Rng& rng);
 
-  // Same, but also attributes the window's recovery-layer counters: the
-  // summary carries the window's recovered-report count (the delta of
-  // RetryStats::RecoveredTotal() against the previous call), and the
-  // cumulative stats are available from retry_stats(). Pass the collecting
-  // simulator's running totals (e.g. FleetSimulator::retry_stats()).
-  WindowSummary IngestWindow(const std::vector<double>& values,
-                             const RetryStats& cumulative_retry_stats,
-                             Rng& rng);
-
-  // Sharded collection (federated/shard/): one cumulative RetryStats per
-  // coordinator shard, attributed shard by shard. A shard that recovered
-  // from a snapshot legitimately resets its cumulative counters, so the
-  // *merged* sum can go backwards while every shard is healthy; comparing
-  // per shard keeps that from tripping retry_stats_regressed. A shard
-  // whose counters went backwards is treated as reset (its full current
-  // value is this window's delta — the Prometheus counter-reset rule),
-  // not as a regression. The shard count must stay constant across calls.
-  WindowSummary IngestWindow(const std::vector<double>& values,
-                             const std::vector<RetryStats>& per_shard_stats,
-                             Rng& rng);
-
   const std::vector<WindowSummary>& history() const { return history_; }
   int64_t windows_flagged() const { return windows_flagged_; }
-  // Latest cumulative recovery-layer counters seen by IngestWindow.
-  const RetryStats& retry_stats() const { return retry_stats_; }
-  // The monitor's alert engine (retry_storm is the rule with live inputs
-  // at this layer); transitions() carries the fired/resolved log.
-  const obs::AlertEngine& alerts() const { return alerts_; }
 
  private:
-  // The window protocol run shared by all IngestWindow overloads. Appends
-  // to history_ but does NOT evaluate alerts — FinalizeWindow runs once
-  // per window, after any retry attribution, so alert inputs see the
-  // window's final recovered/retry counters.
-  WindowSummary IngestWindowCore(const std::vector<double>& values, Rng& rng);
-  // Evaluates the alert engine for the finished window and patches the
-  // alert fields onto `*summary` and history_.back().
-  void FinalizeWindow(WindowSummary* summary);
-
   FixedPointCodec codec_;
   MonitorConfig config_;
   UpperBoundMonitor bound_monitor_;
   std::vector<WindowSummary> history_;
-  RetryStats retry_stats_;
-  // Last-seen cumulative stats per shard (sharded overload only).
-  std::vector<RetryStats> per_shard_retry_stats_;
   double trailing_estimate_sum_ = 0.0;
   int64_t trailing_estimate_count_ = 0;
   int64_t windows_flagged_ = 0;
-  obs::AlertEngine alerts_;
 };
 
 }  // namespace bitpush

@@ -158,18 +158,6 @@ double RetrySchedule::BackoffMinutes(int64_t round_id, int64_t client_id,
   return backoff;
 }
 
-const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 HealthTracker::HealthTracker() = default;
 
 HealthTracker::HealthTracker(const BreakerPolicy& policy) : policy_(policy) {

@@ -196,8 +196,6 @@ enum class BreakerState : uint8_t {
   kHalfOpen = 2,  // cooldown elapsed: one probe assignment allowed
 };
 
-const char* BreakerStateName(BreakerState state);
-
 // What the breaker says about assigning to a client right now.
 enum class AssignmentDecision {
   kAssign,  // closed (or unknown) client: assign normally

@@ -7,7 +7,6 @@
 
 #include "core/bit_probabilities.h"
 #include "core/bit_pushing.h"
-#include "core/bit_squashing.h"
 #include "federated/obs_hooks.h"
 #include "federated/persist_hooks.h"
 #include "kernels/kernels.h"
@@ -156,14 +155,9 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
     result.used_static_fallback = true;
     ++result.faults.static_policy_fallbacks;
   } else {
-    const std::vector<double> round1_means =
-        result.round1.histogram.UnbiasedMeans(rr);
-    const std::vector<bool> round1_keep =
-        ComputeSquashMask(round1_means, result.round1.histogram.totals(), rr,
-                          config.adaptive.squash);
-    round2_probabilities = AdaptiveProbabilitiesMasked(
-        round1_means, round1_keep, config.adaptive.alpha,
-        round1_config.probabilities);
+    round2_probabilities =
+        LearnRound2Probabilities(result.round1.histogram, rr, config.adaptive,
+                                 round1_config.probabilities);
     if (config.auto_adjust_dropout &&
         !result.round1.intended_counts.empty()) {
       round2_probabilities = AdjustProbabilitiesForDropout(
@@ -203,30 +197,11 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   // excluded from the deterministic snapshot, so the attribute may vary
   // across machines without breaking golden comparisons).
   aggregate_span.AddString("kernel", kernels::ActiveKernel().name);
-  BitHistogram pooled = result.round1.histogram;
-  pooled.Merge(result.round2.histogram);
-  std::vector<int64_t> final_counts;
-  if (config.adaptive.caching) {
-    result.final_bit_means = pooled.UnbiasedMeans(rr);
-    final_counts = pooled.totals();
-  } else {
-    std::vector<bool> observed;
-    result.final_bit_means =
-        result.round2.histogram.UnbiasedMeans(rr, &observed);
-    final_counts = result.round2.histogram.totals();
-    const std::vector<double> fallback_means =
-        result.round1.histogram.UnbiasedMeans(rr);
-    for (size_t j = 0; j < result.final_bit_means.size(); ++j) {
-      if (!observed[j]) {
-        result.final_bit_means[j] = fallback_means[j];
-        final_counts[j] = result.round1.histogram.totals()[j];
-      }
-    }
-  }
-  result.kept = ComputeSquashMask(result.final_bit_means, final_counts, rr,
-                                  config.adaptive.squash);
-  result.estimate =
-      codec.Decode(RecombineBitMeans(result.final_bit_means, result.kept));
+  PooledEstimate pooled = PoolAdaptiveRounds(
+      result.round1.histogram, result.round2.histogram, rr, config.adaptive);
+  result.final_bit_means = std::move(pooled.means);
+  result.kept = std::move(pooled.kept);
+  result.estimate = codec.Decode(pooled.estimate_codeword);
   return result;
 }
 

@@ -217,6 +217,20 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     }
   };
 
+  // The circuit breaker's admission of a client: false when it is
+  // quarantined; a half-open client is admitted as the probe.
+  const auto admit = [&](int64_t idx) {
+    if (!breaker_on) return true;
+    const int64_t id = clients[static_cast<size_t>(idx)].id();
+    const AssignmentDecision decision = config.health->Decision(id);
+    if (decision == AssignmentDecision::kSkip) {
+      ++outcome.retry.breaker_skips;
+      return false;
+    }
+    if (decision == AssignmentDecision::kProbe) ++outcome.retry.breaker_probes;
+    return true;
+  };
+
   // Fresh-client source for hedges, shared with the backfill passes so no
   // client is drawn twice. Quarantined clients are skipped here like
   // everywhere else.
@@ -224,18 +238,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   const auto next_pool_client = [&]() -> std::optional<int64_t> {
     while (pool_pos < config.backfill_pool.size()) {
       const int64_t idx = config.backfill_pool[pool_pos++];
-      if (breaker_on) {
-        const int64_t id = clients[static_cast<size_t>(idx)].id();
-        const AssignmentDecision decision = config.health->Decision(id);
-        if (decision == AssignmentDecision::kSkip) {
-          ++outcome.retry.breaker_skips;
-          continue;
-        }
-        if (decision == AssignmentDecision::kProbe) {
-          ++outcome.retry.breaker_probes;
-        }
-      }
-      return idx;
+      if (admit(idx)) return idx;
     }
     return std::nullopt;
   };
@@ -247,18 +250,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     std::vector<int64_t> eligible;
     eligible.reserve(batch.size());
     for (const int64_t idx : batch) {
-      if (breaker_on) {
-        const int64_t id = clients[static_cast<size_t>(idx)].id();
-        const AssignmentDecision decision = config.health->Decision(id);
-        if (decision == AssignmentDecision::kSkip) {
-          ++outcome.retry.breaker_skips;
-          continue;
-        }
-        if (decision == AssignmentDecision::kProbe) {
-          ++outcome.retry.breaker_probes;
-        }
-      }
-      eligible.push_back(idx);
+      if (admit(idx)) eligible.push_back(idx);
     }
     const int64_t k = static_cast<int64_t>(eligible.size());
     if (k == 0) return;

@@ -180,9 +180,9 @@ MergedQueryResult FinalizeMergedQuery(
     TallyBatch merged_tallies, int64_t clients_lost, int64_t shards_lost);
 
 // Accumulates delivered frames for one tick and closes it into a
-// MergedTickResult. Tracks shard-cumulative RetryStats per source (the
-// per-shard view MetricMonitor needs to survive counter resets), merged
-// ShardMetrics, and summed FaultStats across ticks.
+// MergedTickResult. Keeps each shard's last-seen cumulative RetryStats and
+// ShardMetrics, so the merged views sum every shard's latest totals once,
+// and sums FaultStats across ticks.
 class MergeTier {
  public:
   // CHECK-fails unless 1 <= shards and 0 < quorum_fraction <= 1.
@@ -200,12 +200,8 @@ class MergeTier {
   // the loss accounting, and resets for the next tick.
   MergedTickResult CloseTick(int64_t tick, const std::vector<ShardLoss>& lost);
 
-  // Last-seen cumulative RetryStats per shard (index = shard). Shards that
-  // never delivered hold default stats.
-  const std::vector<RetryStats>& per_shard_retry_stats() const {
-    return per_shard_retry_;
-  }
-  // Sum of the per-shard cumulative RetryStats.
+  // Sum of the per-shard cumulative RetryStats (a shard that never
+  // delivered contributes default stats).
   RetryStats merged_retry_stats() const;
   // Sum of the per-shard cumulative ShardMetrics.
   ShardMetrics merged_metrics() const;

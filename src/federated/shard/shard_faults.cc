@@ -24,22 +24,6 @@ void CheckRate(double rate, const char* name) {
 
 }  // namespace
 
-const char* ShardFaultTypeName(ShardFaultType type) {
-  switch (type) {
-    case ShardFaultType::kNone:
-      return "none";
-    case ShardFaultType::kCrashAtRecord:
-      return "crash_at_record";
-    case ShardFaultType::kStall:
-      return "stall";
-    case ShardFaultType::kTornJournal:
-      return "torn_journal";
-    case ShardFaultType::kStaleSnapshot:
-      return "stale_snapshot";
-  }
-  return "unknown";
-}
-
 ShardFaultPlan::ShardFaultPlan(uint64_t seed, const ShardFaultRates& rates)
     : seed_(seed), rates_(rates), enabled_(rates.Any()) {
   CheckRate(rates.crash_at_record, "crash_at_record");

@@ -37,8 +37,6 @@ enum class ShardFaultType : uint8_t {
   kStaleSnapshot = 4,
 };
 
-const char* ShardFaultTypeName(ShardFaultType type);
-
 // Per-attempt probabilities; must each be in [0, 1] and sum to <= 1.
 struct ShardFaultRates {
   double crash_at_record = 0.0;

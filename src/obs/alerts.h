@@ -2,7 +2,7 @@
 // The paper's deployment framing (§4.3) makes server-side telemetry the
 // only debuggable artifact of a private collection; the alert engine is
 // the layer an operator would actually page on, evaluated per campaign
-// tick (or per monitor window) with a firing/resolved lifecycle:
+// tick with a firing/resolved lifecycle:
 //
 //   privacy_burn_rate    — budget burn with time-to-exhaustion projection
 //   retry_storm          — retry-layer scheduling spike within one tick

@@ -155,9 +155,4 @@ std::vector<double> SimMinutesBounds() {
   return {0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 60.0, 120.0, 240.0, 480.0};
 }
 
-std::vector<double> BytesBounds() {
-  return {64.0,    256.0,    1024.0,    4096.0,    16384.0,
-          65536.0, 262144.0, 1048576.0, 4194304.0, 16777216.0};
-}
-
 }  // namespace bitpush::obs

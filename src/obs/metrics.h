@@ -232,9 +232,6 @@ std::vector<double> LatencySecondsBounds();
 // Default bucket bounds for simulated-clock durations (minutes).
 std::vector<double> SimMinutesBounds();
 
-// Default bucket bounds for payload sizes (bytes).
-std::vector<double> BytesBounds();
-
 }  // namespace bitpush::obs
 
 #endif  // BITPUSH_OBS_METRICS_H_

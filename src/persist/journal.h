@@ -123,7 +123,6 @@ class JournalWriter {
   // Commits whatever is pending and closes the file. Returns false if the
   // final commit or the close failed.
   bool Close();
-  bool is_open() const { return fd_ >= 0; }
   uint64_t next_seq() const { return next_seq_; }
   int64_t appended_records() const { return appended_; }
   // Records appended since the last commit: not yet durable.

@@ -4,6 +4,7 @@
 
 #include "federated/fleet.h"
 #include "federated/monitor.h"
+#include "obs/metrics.h"
 
 namespace bitpush {
 namespace {
@@ -70,6 +71,24 @@ TEST(FleetTest, RegressionShiftsCollectedReadings) {
   for (const double v : after) mean_after += v;
   mean_after /= static_cast<double>(after.size());
   EXPECT_GT(mean_after, 10.0 * mean_before);
+}
+
+TEST(FleetTest, WindowDurationMetricObservesTheSampledMinutes) {
+  // bitpush_fleet_window_sim_minutes records the LatencyModel-sampled
+  // duration that last_window_minutes() reports, once per modelled window.
+  obs::Registry::Default().Reset();
+  obs::SetEnabled(true);
+  FleetConfig config = SmallFleet();
+  config.model_latency = true;
+  FleetSimulator fleet(config, 9);
+  fleet.CollectWindow(0);
+  obs::SetEnabled(false);
+  const obs::Histogram* minutes = obs::Registry::Default().GetHistogram(
+      "bitpush_fleet_window_sim_minutes", "", obs::SimMinutesBounds(),
+      obs::Determinism::kStable);
+  EXPECT_GT(fleet.last_window_minutes(), 0.0);
+  EXPECT_EQ(minutes->count(), 1);
+  EXPECT_EQ(minutes->sum(), fleet.last_window_minutes());
 }
 
 TEST(FleetTest, EndToEndMonitoringFlagsInjectedRegression) {

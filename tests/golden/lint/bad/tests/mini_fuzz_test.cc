@@ -1,6 +1,8 @@
 // Coverage fixture (the "fuzz" in the filename marks it as corpus): it
 // exercises only the Covered record, leaving kGhost untested on purpose.
+// Its include of core/orphan.h reaches nothing: tests are not drivers.
 
+#include "core/orphan.h"
 #include "persist/journal.h"
 
 namespace fixture {

@@ -8,6 +8,9 @@
 //   fixmode/  mechanically repairable problems; copied to a temp dir and
 //             run through --fix, which must leave the copy clean.
 //
+// Each tree has a driver under examples/, which lint reads for the
+// unreached-module check's include graph only.
+//
 // A final case lints the real repository tree, so `ctest` itself fails if
 // an invariant violation lands without a waiver.
 
@@ -16,6 +19,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -46,7 +50,7 @@ std::string ReadFile(const fs::path& path) {
 TEST(LintTest, BadTreeFiresEveryCheckFamily) {
   const Result result = RunLint(FixtureRoot("bad"), Options{});
   ASSERT_FALSE(result.io_error) << result.io_error_message;
-  EXPECT_EQ(result.files_scanned, 18);
+  EXPECT_EQ(result.files_scanned, 20);
 
   const std::map<Check, int> counts = CountByCheck(result);
   EXPECT_EQ(counts.at(Check::kDeterminism), 5)
@@ -60,7 +64,29 @@ TEST(LintTest, BadTreeFiresEveryCheckFamily) {
   EXPECT_EQ(counts.at(Check::kWireExhaustiveness), 11)
       << FormatReport(result);
   EXPECT_EQ(counts.at(Check::kWaiverSyntax), 3) << FormatReport(result);
-  EXPECT_EQ(result.findings.size(), 29u) << FormatReport(result);
+  EXPECT_EQ(counts.at(Check::kUnreachedModule), 2) << FormatReport(result);
+  EXPECT_EQ(result.findings.size(), 31u) << FormatReport(result);
+}
+
+TEST(LintTest, BadTreeFlagsOnlyItsUnreachedModule) {
+  Options options;
+  options.checks = {Check::kUnreachedModule};
+  const Result result = RunLint(FixtureRoot("bad"), options);
+  ASSERT_FALSE(result.io_error) << result.io_error_message;
+  // orphan.h is included only by a test, and orphan.cc includes a reached
+  // header; neither reaches them. The driver under examples/ reaches every
+  // other src/ file, and is neither scanned nor linted by the other checks
+  // (its std::rand call raises no determinism finding).
+  std::vector<std::string> paths;
+  for (const Finding& finding : result.findings) {
+    if (finding.check == Check::kWaiverSyntax) continue;  // always enabled
+    EXPECT_EQ(finding.check, Check::kUnreachedModule);
+    paths.push_back(finding.path);
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{"src/core/orphan.cc",
+                                             "src/core/orphan.h"}))
+      << FormatReport(result);
+  EXPECT_EQ(result.files_scanned, 20);
 }
 
 TEST(LintTest, ShardLayerMeteringRulesFireAndComply) {

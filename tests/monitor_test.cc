@@ -133,179 +133,6 @@ TEST(MetricMonitorTest, SkippedWindowsExcludedFromTrailingAverage) {
   EXPECT_FALSE(summary.drift_flagged);
 }
 
-TEST(MetricMonitorTest, RecoveredReportsAttributedAcrossSkippedWindows) {
-  Rng rng(8);
-  const FixedPointCodec codec = FixedPointCodec::Integer(10);
-  MonitorConfig config = Config(10);
-  config.min_window_size = 1000;
-  MetricMonitor monitor(codec, config);
-
-  RetryStats cumulative;
-  cumulative.retry_reports_recovered = 5;
-  EXPECT_EQ(
-      monitor.IngestWindow(Constant(4000, 100.0), cumulative, rng)
-          .recovered_reports,
-      5);
-
-  // The skipped window still receives its share of the cumulative delta,
-  // so recoveries that landed during it are not credited to the next one.
-  cumulative.retry_reports_recovered = 6;
-  cumulative.hedge_reports = 2;
-  const WindowSummary skipped =
-      monitor.IngestWindow(Constant(10, 100.0), cumulative, rng);
-  EXPECT_TRUE(skipped.skipped);
-  EXPECT_EQ(skipped.recovered_reports, 3);
-
-  cumulative.hedge_reports = 3;
-  const WindowSummary last =
-      monitor.IngestWindow(Constant(4000, 100.0), cumulative, rng);
-  EXPECT_EQ(last.recovered_reports, 1);
-  EXPECT_EQ(monitor.history()[1].recovered_reports, 3);
-  EXPECT_EQ(monitor.retry_stats().RecoveredTotal(), 9);
-}
-
-TEST(MetricMonitorTest, NonCumulativeRetryStatsDegradeGracefully) {
-  Rng rng(9);
-  const FixedPointCodec codec = FixedPointCodec::Integer(10);
-  MetricMonitor monitor(codec, Config(10));
-
-  RetryStats cumulative;
-  cumulative.retry_reports_recovered = 10;
-  EXPECT_EQ(
-      monitor.IngestWindow(Constant(4000, 100.0), cumulative, rng)
-          .recovered_reports,
-      10);
-
-  // A caller handing per-window (reset) stats makes the cumulative total
-  // go backwards. The monitor must not abort: the delta clamps to 0 and
-  // the violation is flagged on the summary.
-  RetryStats per_window;
-  per_window.retry_reports_recovered = 4;
-  const WindowSummary regressed =
-      monitor.IngestWindow(Constant(4000, 100.0), per_window, rng);
-  EXPECT_EQ(regressed.recovered_reports, 0);
-  EXPECT_TRUE(regressed.retry_stats_regressed);
-  EXPECT_TRUE(monitor.history().back().retry_stats_regressed);
-
-  // The monitor re-baselines on the ingested stats, so subsequent
-  // cumulative deltas resume from there.
-  per_window.retry_reports_recovered = 7;
-  const WindowSummary resumed =
-      monitor.IngestWindow(Constant(4000, 100.0), per_window, rng);
-  EXPECT_EQ(resumed.recovered_reports, 3);
-  EXPECT_FALSE(resumed.retry_stats_regressed);
-}
-
-TEST(MetricMonitorTest, RetryStormAlertSurfacesThroughWindowSummaries) {
-  Rng rng(11);
-  const FixedPointCodec codec = FixedPointCodec::Integer(10);
-  MonitorConfig config = Config(10);
-  config.alerts.retry_storm_threshold = 5;  // config plumbs to the engine
-  MetricMonitor monitor(codec, config);
-
-  RetryStats cumulative;
-  cumulative.retries_scheduled = 2;
-  const WindowSummary calm =
-      monitor.IngestWindow(Constant(4000, 100.0), cumulative, rng);
-  EXPECT_EQ(calm.alerts_fired, 0);
-  EXPECT_EQ(calm.alerts_firing, 0);
-
-  cumulative.retries_scheduled = 20;  // delta 18 >= threshold 5
-  const WindowSummary storm =
-      monitor.IngestWindow(Constant(4000, 100.0), cumulative, rng);
-  EXPECT_EQ(storm.alerts_fired, 1);
-  EXPECT_EQ(storm.alerts_firing, 1);
-  EXPECT_TRUE(monitor.alerts().firing(obs::AlertRule::kRetryStorm));
-
-  const WindowSummary after =  // cumulative count unchanged: storm over
-      monitor.IngestWindow(Constant(4000, 100.0), cumulative, rng);
-  EXPECT_EQ(after.alerts_resolved, 1);
-  EXPECT_EQ(after.alerts_firing, 0);
-  // history mirrors what the returned summaries reported.
-  EXPECT_EQ(monitor.history()[1].alerts_fired, 1);
-  EXPECT_EQ(monitor.history()[2].alerts_resolved, 1);
-}
-
-TEST(MetricMonitorTest, RetryStatsRegressionRaisesRecoveryDivergenceAlert) {
-  Rng rng(12);
-  const FixedPointCodec codec = FixedPointCodec::Integer(10);
-  MetricMonitor monitor(codec, Config(10));
-
-  RetryStats cumulative;
-  cumulative.retry_reports_recovered = 10;
-  monitor.IngestWindow(Constant(4000, 100.0), cumulative, rng);
-
-  RetryStats per_window;  // non-cumulative: the total goes backwards
-  per_window.retry_reports_recovered = 4;
-  const WindowSummary regressed =
-      monitor.IngestWindow(Constant(4000, 100.0), per_window, rng);
-  EXPECT_TRUE(regressed.retry_stats_regressed);
-  EXPECT_EQ(regressed.alerts_fired, 1);
-  EXPECT_TRUE(monitor.alerts().firing(obs::AlertRule::kRecoveryDivergence));
-
-  // The divergence alert latches for the campaign even after the stats
-  // re-baseline and stop regressing.
-  per_window.retry_reports_recovered = 7;
-  const WindowSummary resumed =
-      monitor.IngestWindow(Constant(4000, 100.0), per_window, rng);
-  EXPECT_FALSE(resumed.retry_stats_regressed);
-  EXPECT_EQ(resumed.alerts_resolved, 0);
-  EXPECT_EQ(resumed.alerts_firing, 1);
-}
-
-TEST(MetricMonitorTest, ShardSnapshotRecoveryIsNotARegression) {
-  Rng rng(10);
-  const FixedPointCodec codec = FixedPointCodec::Integer(10);
-  MetricMonitor monitor(codec, Config(10));
-
-  // Two coordinator shards, both live: the merged total is 10 + 6.
-  std::vector<RetryStats> shards(2);
-  shards[0].retry_reports_recovered = 10;
-  shards[1].retry_reports_recovered = 6;
-  EXPECT_EQ(monitor.IngestWindow(Constant(4000, 100.0), shards, rng)
-                .recovered_reports,
-            16);
-  EXPECT_EQ(monitor.retry_stats().RecoveredTotal(), 16);
-
-  // Shard 0 crashes and recovers from a snapshot: its cumulative counters
-  // restart at 2 while shard 1 keeps running (6 -> 9). The merged sum
-  // drops from 16 to 11 — the old merged-stats path would flag
-  // retry_stats_regressed and clamp the window to 0. Per-shard
-  // attribution sees a counter reset on shard 0 (2 new recoveries) plus a
-  // live delta on shard 1 (3) and no regression anywhere.
-  shards[0].retry_reports_recovered = 2;
-  shards[1].retry_reports_recovered = 9;
-  const WindowSummary recovered =
-      monitor.IngestWindow(Constant(4000, 100.0), shards, rng);
-  EXPECT_EQ(recovered.recovered_reports, 5);
-  EXPECT_FALSE(recovered.retry_stats_regressed);
-  EXPECT_FALSE(monitor.history().back().retry_stats_regressed);
-  EXPECT_EQ(monitor.retry_stats().RecoveredTotal(), 11);
-
-  // The reset shard re-baselines: further deltas resume normally.
-  shards[0].retry_reports_recovered = 3;
-  shards[1].retry_reports_recovered = 9;
-  EXPECT_EQ(monitor.IngestWindow(Constant(4000, 100.0), shards, rng)
-                .recovered_reports,
-            1);
-}
-
-TEST(MetricMonitorTest, MergedRetryStatsStillFlagTrueRegressions) {
-  // The pre-shard 2-arg overload keeps its contract: a merged total that
-  // goes backwards without shard attribution still clamps and flags.
-  Rng rng(11);
-  const FixedPointCodec codec = FixedPointCodec::Integer(10);
-  MetricMonitor monitor(codec, Config(10));
-  RetryStats cumulative;
-  cumulative.retry_reports_recovered = 16;
-  monitor.IngestWindow(Constant(4000, 100.0), cumulative, rng);
-  cumulative.retry_reports_recovered = 11;
-  const WindowSummary regressed =
-      monitor.IngestWindow(Constant(4000, 100.0), cumulative, rng);
-  EXPECT_EQ(regressed.recovered_reports, 0);
-  EXPECT_TRUE(regressed.retry_stats_regressed);
-}
-
 TEST(MetricMonitorDeathTest, ConfigValidation) {
   const FixedPointCodec codec = FixedPointCodec::Integer(8);
   MonitorConfig mismatched = Config(10);

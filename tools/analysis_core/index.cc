@@ -249,9 +249,16 @@ void BuildIncludeClosure(Index* index) {
   static const std::regex kIncludeRe(R"re(^\s*#\s*include\s*"([^"]+)")re");
   std::vector<std::vector<int>> edges(index->files.size());
   for (size_t i = 0; i < index->files.size(); ++i) {
-    for (const std::string& code : index->files[i].code_lines) {
+    const SourceFile& file = index->files[i];
+    for (size_t li = 0; li < file.code_lines.size(); ++li) {
+      // The lexer blanks the path (a string literal) out of the code
+      // channel, so the code line says whether this is a live include and
+      // the raw line supplies the path.
       std::smatch match;
-      if (!std::regex_search(code, match, kIncludeRe)) continue;
+      if (!std::regex_search(file.code_lines[li], kIncludeRe) ||
+          !std::regex_search(file.raw_lines[li], match, kIncludeRe)) {
+        continue;
+      }
       const std::string inc = match[1].str();
       // Project includes are written relative to a top-level dir (src/,
       // tools/, tests/); try each resolution in turn.

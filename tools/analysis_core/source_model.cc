@@ -180,11 +180,11 @@ void Relex(SourceFile* file) {
   LexFile(file->raw_lines, &file->code_lines, &file->comment_lines);
 }
 
-TreeLoadResult LoadTree(const std::string& root) {
+TreeLoadResult LoadTree(const std::string& root,
+                        const std::vector<std::string>& top_dirs) {
   TreeLoadResult result;
-  const char* const kTopDirs[] = {"src", "tests", "bench", "tools"};
   bool any_dir = false;
-  for (const char* top : kTopDirs) {
+  for (const std::string& top : top_dirs) {
     const fs::path dir = fs::path(root) / top;
     std::error_code ec;
     if (!fs::is_directory(dir, ec)) continue;
@@ -215,9 +215,13 @@ TreeLoadResult LoadTree(const std::string& root) {
     }
   }
   if (!any_dir) {
+    std::string dirs;
+    for (const std::string& top : top_dirs) {
+      dirs += (dirs.empty() ? "" : ", ") + top + "/";
+    }
     result.io_error = true;
-    result.io_error_message =
-        "no src/, tests/, bench/, or tools/ directory under " + root;
+    result.io_error_message = "none of " + dirs + " is a directory under " +
+                              root;
     return result;
   }
   std::sort(result.files.begin(), result.files.end(),

@@ -9,11 +9,12 @@
 // comments, string / char literals, and raw string literals across line
 // boundaries.
 //
-// LoadTree walks <root>/{src,tests,bench,tools}, skipping directories
-// named "golden" (fixture snippets — including the deliberately-broken
-// inputs of tests/golden/lint/ and tests/golden/analyze/ — must not count
-// against the real tree), and returns the files sorted by relative path so
-// every consumer reports findings in a stable order.
+// LoadTree walks <root>/{src,tests,bench,tools} (or the top directories a
+// caller names), skipping directories named "golden" (fixture snippets —
+// including the deliberately-broken inputs of tests/golden/lint/ and
+// tests/golden/analyze/ — must not count against the real tree), and
+// returns the files sorted by relative path so every consumer reports
+// findings in a stable order.
 
 #ifndef BITPUSH_TOOLS_ANALYSIS_CORE_SOURCE_MODEL_H_
 #define BITPUSH_TOOLS_ANALYSIS_CORE_SOURCE_MODEL_H_
@@ -58,9 +59,11 @@ struct TreeLoadResult {
   std::string io_error_message;
 };
 
-// Loads every *.h / *.cc under <root>/{src,tests,bench,tools}. `root` must
-// contain at least one of the four directories.
-TreeLoadResult LoadTree(const std::string& root);
+// Loads every *.h / *.cc under <root>/<dir> for each of `top_dirs`. `root`
+// must contain at least one of them.
+TreeLoadResult LoadTree(const std::string& root,
+                        const std::vector<std::string>& top_dirs = {
+                            "src", "tests", "bench", "tools"});
 
 // ---------------------------------------------------------------------------
 // Annotation (waiver) parsing, shared syntax:

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <regex>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis_core/index.h"
 #include "analysis_core/source_model.h"
 
 namespace bitpush::lint {
@@ -42,6 +44,7 @@ constexpr CheckNameEntry kCheckNames[] = {
     {Check::kWireExhaustiveness, "wire-exhaustiveness"},
     {Check::kObsStability, "obs-stability"},
     {Check::kHeaderHygiene, "header-hygiene"},
+    {Check::kUnreachedModule, "unreached-module"},
     {Check::kWaiverSyntax, "waiver-syntax"},
 };
 
@@ -665,6 +668,103 @@ void CheckWireExhaustiveness(const std::vector<SourceFile>& files,
 }
 
 // ---------------------------------------------------------------------------
+// unreached-module: every src/ file must be reached from a driver — the
+// files under tools/, bench/, examples/ and perfbench/ that reproduce the
+// paper — over the quoted-include graph. A file reached only by its own
+// tests is code no live path runs.
+
+// Read only for their includes: the drivers the other checks do not cover.
+bool IsIncludeOnly(const std::string& rel_path) {
+  return StartsWith(rel_path, "examples/") ||
+         StartsWith(rel_path, "perfbench/");
+}
+
+bool IsDriver(const std::string& rel_path) {
+  return StartsWith(rel_path, "tools/") || StartsWith(rel_path, "bench/") ||
+         IsIncludeOnly(rel_path);
+}
+
+// `files` holds the linted tree plus the include-only drivers. A src/ file
+// is reached when a driver includes it, directly or through reached src/
+// files; a reached header brings its same-stem .cc along, and a .cc with
+// no same-stem header (a kernel leg) is reached when it includes a reached
+// file.
+void CheckUnreachedModules(std::vector<SourceFile> files,
+                           std::vector<Finding>* findings) {
+  const analysis::Index index = analysis::BuildIndex(std::move(files));
+  const int n = static_cast<int>(index.files.size());
+  std::map<std::string, int> by_path;
+  for (int i = 0; i < n; ++i) by_path[index.files[i].rel_path] = i;
+  // The same-stem sibling of a src/ file (.h <-> .cc), or -1.
+  std::vector<int> sibling(n, -1);
+  for (int i = 0; i < n; ++i) {
+    const std::string& path = index.files[i].rel_path;
+    if (!StartsWith(path, "src/")) continue;
+    const std::string stem = path.substr(0, path.rfind('.'));
+    const auto it =
+        by_path.find(stem + (index.files[i].is_header ? ".cc" : ".h"));
+    if (it != by_path.end()) sibling[i] = it->second;
+  }
+
+  std::vector<bool> reached(n, false);
+  std::vector<int> pending;
+  const auto reach = [&](int i) {
+    if (reached[i]) return;
+    reached[i] = true;
+    pending.push_back(i);
+  };
+  for (int i = 0; i < n; ++i) {
+    if (IsDriver(index.files[i].rel_path)) reach(i);
+  }
+  bool grew = true;
+  while (grew) {
+    while (!pending.empty()) {
+      const int at = pending.back();
+      pending.pop_back();
+      for (const int next : index.reachable[at]) {
+        reach(next);
+        if (index.files[next].is_header && sibling[next] >= 0) {
+          reach(sibling[next]);
+        }
+      }
+    }
+    grew = false;
+    for (int i = 0; i < n; ++i) {
+      const SourceFile& file = index.files[i];
+      if (reached[i] || file.is_header || sibling[i] >= 0 ||
+          !StartsWith(file.rel_path, "src/")) {
+        continue;
+      }
+      for (const int included : index.reachable[i]) {
+        if (included != i && reached[included]) {
+          reach(i);
+          grew = true;
+          break;
+        }
+      }
+    }
+  }
+
+  for (int i = 0; i < n; ++i) {
+    const SourceFile& file = index.files[i];
+    if (reached[i] || !StartsWith(file.rel_path, "src/")) continue;
+    std::string message;
+    if (file.is_header) {
+      message = "no driver (tools/, bench/, examples/, perfbench/) includes "
+                "this header, directly or through src/; give it a live "
+                "caller or delete it";
+    } else if (sibling[i] >= 0) {
+      message = "its header " + index.files[sibling[i]].rel_path +
+                " is reached by no driver";
+    } else {
+      message = "includes no file a driver reaches";
+    }
+    findings->push_back(
+        {file.rel_path, 1, Check::kUnreachedModule, std::move(message)});
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Mechanical fixes: canonical include guards and waiver normalization.
 
 bool FixFile(SourceFile* file) {
@@ -740,13 +840,19 @@ bool ParseCheckName(const std::string& name, Check* out) {
 
 Result RunLint(const std::string& root, const Options& options) {
   Result result;
-  analysis::TreeLoadResult tree = analysis::LoadTree(root);
+  analysis::TreeLoadResult tree = analysis::LoadTree(
+      root, {"src", "tests", "bench", "tools", "examples", "perfbench"});
   if (tree.io_error) {
     result.io_error = true;
     result.io_error_message = std::move(tree.io_error_message);
     return result;
   }
-  std::vector<SourceFile> files = std::move(tree.files);
+  std::vector<SourceFile> files;
+  std::vector<SourceFile> include_only;
+  for (SourceFile& file : tree.files) {
+    (IsIncludeOnly(file.rel_path) ? include_only : files)
+        .push_back(std::move(file));
+  }
   result.files_scanned = static_cast<int>(files.size());
 
   if (options.fix) {
@@ -792,6 +898,12 @@ Result RunLint(const std::string& root, const Options& options) {
   }
   if (CheckEnabled(options, Check::kWireExhaustiveness)) {
     CheckWireExhaustiveness(files, &raw_findings);
+  }
+  if (CheckEnabled(options, Check::kUnreachedModule)) {
+    std::vector<SourceFile> graph = files;
+    std::move(include_only.begin(), include_only.end(),
+              std::back_inserter(graph));
+    CheckUnreachedModules(std::move(graph), &raw_findings);
   }
 
   for (Finding& finding : raw_findings) {

@@ -11,6 +11,9 @@
 // with no compiler dependency, so the invariants fail a PR at lint time
 // instead of depending on reviewer memory.
 //
+// A fourth rule keeps the library lean: every src/ file must be code a
+// driver runs.
+//
 // Checks (see docs/STATIC_ANALYSIS.md for the full catalogue):
 //
 //   determinism         bans ambient-entropy and wall-clock constructs
@@ -35,6 +38,15 @@
 //                       types (self-containment), and SIMD intrinsics
 //                       headers (<immintrin.h>, <arm_neon.h>, ...)
 //                       confined to src/kernels/.
+//   unreached-module    every src/ file must be reached from a driver
+//                       (the files under tools/, bench/, examples/ and
+//                       perfbench/) over the quoted-include graph of
+//                       analysis_core's index: a header a driver
+//                       includes, directly or through reached src/ files,
+//                       its same-stem .cc, and a .cc without a same-stem
+//                       header (a kernel leg) that includes a reached
+//                       file. Tests are not drivers. examples/ and
+//                       perfbench/ are read for their includes only.
 //
 // Any finding can be suppressed with an annotated waiver comment on the
 // same or the preceding line (file-scoped for privacy-metering). The
@@ -59,6 +71,7 @@ enum class Check {
   kWireExhaustiveness,
   kObsStability,
   kHeaderHygiene,
+  kUnreachedModule,
   // Malformed or unknown `bitpush-lint:` annotations. Always enabled; not
   // a check family of its own, it polices the waiver syntax itself.
   kWaiverSyntax,
@@ -101,11 +114,12 @@ struct Result {
   std::string io_error_message;
 };
 
-// Lints every *.h / *.cc under <root>/{src,tests,bench,tools}. Directories
-// named "golden" are skipped: they hold fixture snippets (including the
-// deliberately-broken inputs of tests/golden/lint/) that must not count
-// against the real tree. `root` must contain at least one of the four
-// directories.
+// Lints every *.h / *.cc under <root>/{src,tests,bench,tools}, and reads
+// <root>/{examples,perfbench} for the unreached-module check's include
+// graph. Directories named "golden" are skipped: they hold fixture
+// snippets (including the deliberately-broken inputs of tests/golden/lint/)
+// that must not count against the real tree. `root` must contain at least
+// one of the six directories.
 Result RunLint(const std::string& root, const Options& options);
 
 // One "path:line: [check] message" line per finding, sorted by path then

@@ -28,7 +28,7 @@ int Usage() {
       "usage: bitpush_lint [--root=DIR] [--checks=c1,c2,...] "
       "[--list-waivers] [--fix]\n"
       "checks: determinism privacy-metering wire-exhaustiveness "
-      "obs-stability header-hygiene\n");
+      "obs-stability header-hygiene unreached-module\n");
   return 2;
 }
 
