@@ -2,7 +2,7 @@
 
 // bitpush-lint: allow(privacy-metering): the columnar adapters repackage
 // reports that were already metered when collected (server.cc charges via
-// client.cc before reports reach a batch); no new disclosure happens here.
+// client.cc before a report reaches a batch); no new disclosure happens here.
 
 #include <cstdint>
 #include <utility>
@@ -14,7 +14,6 @@
 #include "util/check.h"
 
 namespace bitpush {
-namespace {
 
 ReportBatch MakeEmptyBatch(int bits, int64_t count) {
   BITPUSH_CHECK_GE(bits, 1);
@@ -31,8 +30,6 @@ ReportBatch MakeEmptyBatch(int bits, int64_t count) {
                          0);
   return batch;
 }
-
-}  // namespace
 
 BitHistogram TallyBatch::ToBitHistogram() const {
   std::vector<int64_t> total = totals;

@@ -95,6 +95,21 @@ void EncodeTallyBatch(const TallyBatch& tallies, std::vector<uint8_t>* out);
 bool DecodeTallyBatch(std::span<const uint8_t> buffer, size_t* offset,
                       TallyBatch* out);
 
+// An empty batch of `count` (>= 1) slots: every plane and selection word
+// zero.
+ReportBatch MakeEmptyBatch(int bits, int64_t count);
+
+// Puts one report into `slot` of `batch`: selects it on plane `bit_index`
+// (in [0, bits)) and sets its plane bit to `bit` (0 or 1). The slot must
+// be empty.
+inline void PutReport(ReportBatch* batch, int64_t slot, int bit_index,
+                      int bit) {
+  const int64_t word = slot >> 6;
+  const uint64_t mask = uint64_t{1} << (slot & 63);
+  batch->selection_plane(bit_index)[word] |= mask;
+  if (bit != 0) batch->plane(bit_index)[word] |= mask;
+}
+
 // Builds a batch from encoded codewords and a per-client bit assignment
 // (entries in [0, bits)), e.g. from rng/qmc.h. Plane bits carry the
 // *unperturbed* assigned bit of each codeword.

@@ -141,7 +141,7 @@ bool BuildTable(const std::vector<Row>& rows, const HashOf& hash_of,
 
 }  // namespace
 
-void PrivacyMeter::RefreshObsGauges() const {
+void PrivacyMeter::PublishObsGauges() const {
   if (!obs::Enabled()) return;
   obs::Registry& registry = obs::Registry::Default();
   static obs::Gauge* bits = registry.GetGauge(
@@ -249,9 +249,22 @@ void PrivacyMeter::Prefetch(int64_t client_id) const {
                 (clients_.size() - 1)]);
 }
 
-bool PrivacyMeter::Decide(int64_t client_id, int64_t value_id,
-                          double epsilon, ClientRow** row) {
-  *row = nullptr;
+PrivacyMeter::ChargeLookup PrivacyMeter::Lookup(int64_t client_id,
+                                                 int64_t value_id) const {
+  ChargeLookup lookup;
+  if (clients_.empty()) return lookup;
+  const size_t slot = ClientSlot(client_id);
+  const ClientRow& row = clients_[slot];
+  if (!row.used()) return lookup;
+  lookup.row = slot;
+  lookup.client_bits = row.bits;
+  lookup.client_epsilon = row.epsilon;
+  lookup.value_bits = ValueBitsOf(row, value_id);
+  lookup.value_in_row = row.value_bits == 0 || row.value_id == value_id;
+  return lookup;
+}
+
+bool PrivacyMeter::Allows(const ChargeLookup& lookup, double epsilon) const {
   // An invalid epsilon is denied rather than CHECKed: the value can
   // originate from an untrusted request, and accepting a non-finite
   // epsilon (infinity passes a >= 0 check) would permanently corrupt the
@@ -259,63 +272,80 @@ bool PrivacyMeter::Decide(int64_t client_id, int64_t value_id,
   // journal hook like a cap denial, so a recovered ledger counts it
   // exactly once and stays byte-identical to an uninterrupted run.
   if (!std::isfinite(epsilon) || epsilon < 0.0) return false;
-  if (!clients_.empty()) {
-    ClientRow& found = clients_[ClientSlot(client_id)];
-    if (found.used()) *row = &found;
-  }
-  const ClientRow* const found = *row;
-  const int64_t client_bits = found != nullptr ? found->bits : 0;
-  const double client_epsilon = found != nullptr ? found->epsilon : 0.0;
-  const int64_t value_bits =
-      found != nullptr ? ValueBitsOf(*found, value_id) : 0;
-  return value_bits < policy_.max_bits_per_value &&
-         client_bits < policy_.max_bits_per_client &&
-         client_epsilon + epsilon <= policy_.max_epsilon_per_client;
+  return lookup.value_bits < policy_.max_bits_per_value &&
+         lookup.client_bits < policy_.max_bits_per_client &&
+         lookup.client_epsilon + epsilon <= policy_.max_epsilon_per_client;
 }
 
-void PrivacyMeter::Record(int64_t client_id, int64_t value_id,
-                          double epsilon, bool granted, ClientRow* row) {
+void PrivacyMeter::AddToTotals(bool granted, double epsilon) {
   if (!granted) {
     ++denied_charges_;
     return;
   }
-  // A client gets its row with its first granted bit; a denial adds none.
-  ClientRow& client = row != nullptr ? *row : InsertClient(client_id);
-  if (client.value_bits == 0) {
-    client.value_id = value_id;
-    client.value_bits = 1;
-  } else if (client.value_id == value_id) {
-    ++client.value_bits;
-  } else {
-    AddExtraValueBits(client_id, value_id, 1);
-  }
-  ++client.bits;
-  client.epsilon += epsilon;
   ++total_bits_;
   total_epsilon_ += epsilon;
 }
 
+void PrivacyMeter::AddToRow(ClientRow* row, int64_t value_id,
+                            double epsilon) {
+  if (row->value_bits == 0) {
+    row->value_id = value_id;
+    row->value_bits = 1;
+  } else if (row->value_id == value_id) {
+    ++row->value_bits;
+  } else {
+    AddExtraValueBits(row->client_id, value_id, 1);
+  }
+  ++row->bits;
+  row->epsilon += epsilon;
+}
+
 bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
-                                double epsilon) {
-  ClientRow* row = nullptr;
-  const bool granted = Decide(client_id, value_id, epsilon, &row);
+                                double epsilon, const ChargeLookup& lookup) {
+  const bool granted = Allows(lookup, epsilon);
   if (journal_ != nullptr) {
     // Write-ahead: persist the decision before applying it, so a crash
     // between the two is recovered by re-applying the record (exactly once).
     journal_->OnCharge(client_id, value_id, epsilon, granted);
   }
-  Record(client_id, value_id, epsilon, granted, row);
-  RefreshObsGauges();
+  AddToTotals(granted, epsilon);
   NoteChargeOutcome(value_id, granted);
+  return granted;
+}
+
+void PrivacyMeter::ApplyCharge(int64_t client_id, int64_t value_id,
+                               double epsilon, const ChargeLookup& lookup) {
+  if (lookup.row != kNoRow && lookup.value_in_row) {
+    AddToRow(&clients_[lookup.row], value_id, epsilon);
+    return;
+  }
+  // A client gets its row with its first granted bit; a denial adds none.
+  // Inserts may move every row, so find the row again.
+  ClientRow* row = nullptr;
+  if (!clients_.empty()) {
+    ClientRow& found = clients_[ClientSlot(client_id)];
+    if (found.used()) row = &found;
+  }
+  if (row == nullptr) row = &InsertClient(client_id);
+  AddToRow(row, value_id, epsilon);
+}
+
+bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
+                                double epsilon) {
+  const ChargeLookup lookup = Lookup(client_id, value_id);
+  const bool granted = TryChargeBit(client_id, value_id, epsilon, lookup);
+  if (granted) ApplyCharge(client_id, value_id, epsilon, lookup);
+  PublishObsGauges();
   return granted;
 }
 
 bool PrivacyMeter::ReplayCharge(int64_t client_id, int64_t value_id,
                                 double epsilon, bool granted,
                                 ReplayLatch* latch) {
-  ClientRow* row = nullptr;
-  if (Decide(client_id, value_id, epsilon, &row) != granted) return false;
-  Record(client_id, value_id, epsilon, granted, row);
+  const ChargeLookup lookup = Lookup(client_id, value_id);
+  if (Allows(lookup, epsilon) != granted) return false;
+  AddToTotals(granted, epsilon);
+  if (granted) ApplyCharge(client_id, value_id, epsilon, lookup);
   // NoteChargeOutcome announces each (value, outcome) once, so skipping
   // a repeat of the pair it just saw changes nothing.
   const uint8_t outcome = granted ? 1 : 2;
@@ -590,7 +620,7 @@ bool PrivacyMeter::DecodeFrom(std::span<const uint8_t> buffer,
   decoded.denied_charges_ = denied_charges;
   decoded.journal_ = out->journal_;
   *out = std::move(decoded);
-  out->RefreshObsGauges();
+  out->PublishObsGauges();
   *offset = static_cast<size_t>(at - buffer.data());
   return true;
 }

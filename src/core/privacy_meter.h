@@ -33,8 +33,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <limits>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -69,6 +69,23 @@ class PrivacyMeter {
                           bool granted) = 0;
   };
 
+  // The row of a client that has none.
+  static constexpr size_t kNoRow = SIZE_MAX;
+
+  // What a charge reads from the ledger: the client's totals, the count of
+  // the charged value, and where the client's row is.
+  struct ChargeLookup {
+    // The client's row in the client table, or kNoRow when it has none.
+    size_t row = kNoRow;
+    int64_t client_bits = 0;
+    double client_epsilon = 0.0;
+    int64_t value_bits = 0;
+    // Whether a grant of the value updates the client's row alone: false
+    // when the row holds another value inline, so that the count lives in
+    // the value table.
+    bool value_in_row = true;
+  };
+
   explicit PrivacyMeter(MeterPolicy policy);
 
   // Installs (or clears, with nullptr) the write-ahead journal hook.
@@ -79,8 +96,40 @@ class PrivacyMeter {
   // true and records the charge if all caps allow it; returns false and
   // records nothing otherwise. A negative or non-finite epsilon is invalid
   // and is always denied (it would corrupt the per-client composition
-  // total).
+  // total). It is the composition of the three steps below: Lookup, the
+  // ordered TryChargeBit, and ApplyCharge of a grant; it then refreshes
+  // the obs gauges.
   bool TryChargeBit(int64_t client_id, int64_t value_id, double epsilon);
+
+  // The steps of a charge, for a caller that looks rows up ahead of the
+  // charges and updates them after (a collection round):
+  //
+  // Step 1: reads what a charge of `value_id` from `client_id` decides on.
+  // Changes nothing, so lookups may run concurrently with each other.
+  ChargeLookup Lookup(int64_t client_id, int64_t value_id) const;
+  // Step 2, the ordered one: decides the charge against `lookup`, which
+  // must read as the ledger will once every earlier charge is applied,
+  // journals the decision, adds it to the totals and the denied count, and
+  // announces the value's first grant or denial. No row changes: a grant
+  // is owed to ApplyCharge. The obs gauges are left to PublishObsGauges.
+  bool TryChargeBit(int64_t client_id, int64_t value_id, double epsilon,
+                    const ChargeLookup& lookup);
+  // Step 3: adds a grant of `value_id` at `epsilon` to the client's row.
+  // `lookup` is a lookup of the client for `value_id` taken since the last
+  // row was added (grants change neither its row nor its value_in_row,
+  // which is all it reads). Calls for distinct clients whose lookup has a
+  // row and value_in_row touch only that row and may run concurrently; any
+  // other call may add rows, so it must run alone, in charge order.
+  void ApplyCharge(int64_t client_id, int64_t value_id, double epsilon,
+                   const ChargeLookup& lookup);
+  // Rows of the client table, used or free: a lookup's row is below it,
+  // and it changes only when a row is added.
+  size_t client_table_rows() const { return clients_.size(); }
+
+  // Publishes the ledger totals as obs gauges. The composed TryChargeBit,
+  // ReplayCharges and DecodeFrom call it; a caller of the steps calls it
+  // once its charges are made (a round, at its close).
+  void PublishObsGauges() const;
 
   // Re-applies `count` journaled charge decisions in journal order, as
   // recovery does: each is decided exactly as TryChargeBit decides it, but
@@ -169,14 +218,12 @@ class PrivacyMeter {
   // Adds `bits` to a (client, value) count kept in values_.
   void AddExtraValueBits(int64_t client_id, int64_t value_id, int64_t bits);
 
-  // The decision TryChargeBit makes for a charge; `*row` is set to the
-  // client's row, or to nullptr when it has none.
-  bool Decide(int64_t client_id, int64_t value_id, double epsilon,
-              ClientRow** row);
-  // Applies a decided charge to the ledger totals and rows. `row` is what
-  // Decide found.
-  void Record(int64_t client_id, int64_t value_id, double epsilon,
-              bool granted, ClientRow* row);
+  // The decision of a charge at `epsilon` against `lookup`.
+  bool Allows(const ChargeLookup& lookup, double epsilon) const;
+  // Adds a decided charge to the totals and the denied count.
+  void AddToTotals(bool granted, double epsilon);
+  // Adds one grant of `value_id` at `epsilon` to `row`.
+  void AddToRow(ClientRow* row, int64_t value_id, double epsilon);
 
   // The (value, outcome) pair a replay pass announced last, so that it
   // probes announced_ once per run of equal pairs rather than per charge.
@@ -188,11 +235,6 @@ class PrivacyMeter {
   // is `granted`, applies it. False, with nothing applied, otherwise.
   bool ReplayCharge(int64_t client_id, int64_t value_id, double epsilon,
                     bool granted, ReplayLatch* latch);
-
-  // Publishes the ledger totals as obs gauges (core/privacy_meter.cc);
-  // called after every ledger mutation and after DecodeFrom so live,
-  // replayed, and snapshot-restored meters all report the same spend.
-  void RefreshObsGauges() const;
 
   // Flight-recorder hook: emits a kMeterCharge / kMeterDenial event the
   // *first* time a value id sees a grant (resp. a denial). Latching per
@@ -237,7 +279,7 @@ size_t PrivacyMeter::ReplayCharges(size_t count,
       break;
     }
   }
-  RefreshObsGauges();
+  PublishObsGauges();
   return applied;
 }
 

@@ -6,12 +6,17 @@
 // the server's bit requests — metering every disclosed private bit, and
 // dropping out of rounds with a configured probability (the intermittent
 // connectivity of Section 4.3).
+//
+// Layout: a Client is one 32-byte, 32-aligned record, so a population is a
+// flat array with one cache line per client. A single value sits inline;
+// only a client with several values owns a heap array.
 
 #ifndef BITPUSH_FEDERATED_CLIENT_H_
 #define BITPUSH_FEDERATED_CLIENT_H_
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/fixed_point.h"
@@ -26,7 +31,7 @@ namespace bitpush {
 // How a multi-value client reduces its local values to the single value it
 // contributes (Section 4.3, "Aggregating multiple local values per
 // feature").
-enum class ValuePolicy {
+enum class ValuePolicy : uint8_t {
   kSampleOne,   // uniform random local value (the deployed semantics)
   kLocalMean,   // mean of the local values
   kFirstValue,  // deterministic; degenerate single-value clients
@@ -38,14 +43,66 @@ struct ClientConfig {
   AdversaryMode adversary = AdversaryMode::kHonest;
 };
 
-class Client {
+// Everything an answer reads from a client, copied out of its record: a
+// collection round copies these ahead of its slot loop, so that answering
+// touches no client memory unless the client holds several values.
+struct ClientFields {
+  int64_t id = 0;
+  double dropout_probability = 0.0;
+  // The first value, and all `value_count` of them; `values` points into
+  // the client's record or array, which must outlive the fields.
+  double first_value = 0.0;
+  const double* values = nullptr;
+  uint32_t value_count = 1;
+  ValuePolicy value_policy = ValuePolicy::kSampleOne;
+  AdversaryMode adversary = AdversaryMode::kHonest;
+};
+
+// The value a client with `client`'s fields contributes under its policy.
+// kSampleOne draws one NextBelow(value_count), also for a single value.
+double SelectValue(const ClientFields& client, Rng& rng);
+
+// Answers one bit request, drawing in the order every caller keeps: the
+// dropout draw; the privacy-meter charge, decided against `lookup` (the
+// client's ledger entry for request.value_id as the meter will hold it
+// once every earlier charge is applied); the value draw; the adversary's
+// policy; randomized response `rr` (the request's). Returns false, having
+// drawn nothing after the dropout draw, when the client drops out or the
+// meter denies the charge. A granted charge leaves its ledger row update
+// to the caller (PrivacyMeter::ApplyCharge). `meter` may be null (no
+// metering); `lookup` is then ignored.
+bool AnswerRequest(const ClientFields& client, const BitRequest& request,
+                   const FixedPointCodec& codec, bool local_randomness,
+                   const RandomizedResponse& rr, PrivacyMeter* meter,
+                   const PrivacyMeter::ChargeLookup& lookup, Rng& rng,
+                   BitReport* report);
+
+class alignas(32) Client {
  public:
   // `values` must be non-empty.
   Client(int64_t id, std::vector<double> values, ClientConfig config);
+  Client(const Client& other);
+  Client(Client&& other) noexcept;
+  Client& operator=(Client other) noexcept;
+  ~Client();
 
   int64_t id() const { return id_; }
-  const std::vector<double>& values() const { return values_; }
-  const ClientConfig& config() const { return config_; }
+  std::span<const double> values() const {
+    return value_count_ == 1 ? std::span<const double>(&value_, 1)
+                             : std::span<const double>(values_, value_count_);
+  }
+  ClientConfig config() const {
+    return ClientConfig{dropout_probability_, value_policy_, adversary_};
+  }
+  ClientFields fields() const {
+    return ClientFields{id_,
+                        dropout_probability_,
+                        value_count_ == 1 ? value_ : values_[0],
+                        value_count_ == 1 ? &value_ : values_,
+                        value_count_,
+                        value_policy_,
+                        adversary_};
+  }
 
   // The value this client would contribute under its policy.
   double SelectValue(Rng& rng) const;
@@ -62,9 +119,19 @@ class Client {
 
  private:
   int64_t id_;
-  std::vector<double> values_;
-  ClientConfig config_;
+  double dropout_probability_;
+  // The value when the client has one, its owned array of value_count_
+  // values otherwise.
+  union {
+    double value_;
+    double* values_;
+  };
+  uint32_t value_count_;
+  ValuePolicy value_policy_;
+  AdversaryMode adversary_;
 };
+
+static_assert(sizeof(Client) == 32, "a client is one half cache line");
 
 // Builds one single-value client per element of `values`, ids 0..n-1.
 std::vector<Client> MakePopulation(const std::vector<double>& values,

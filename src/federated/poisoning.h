@@ -11,7 +11,7 @@
 
 namespace bitpush {
 
-enum class AdversaryMode {
+enum class AdversaryMode : uint8_t {
   kHonest,
   // Reports 1 regardless of the assigned bit's true value (works under
   // both randomness modes, but is weighted by the assigned bit).

@@ -74,7 +74,7 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   // byte-identical to a live one. Open/close transitions are folded into
   // the query-level RetryStats.
   const auto run_or_restore_round =
-      [&](int64_t round_id, const RoundConfig& round_config,
+      [&](int64_t round_id, RoundConfig& round_config,
           const std::vector<int64_t>& round_cohort, Rng& round_rng,
           RoundOutcome* outcome) {
         obs::Span span("round", "federated");
@@ -86,6 +86,7 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
           restored = false;
           obs::Span collect("collect", "federated");
           collect.set_ids(-1, -1, round_id);
+          round_config.trace_parent = collect.context();
           *outcome =
               server.RunRound(clients, round_cohort, round_config, meter,
                               round_rng);
@@ -137,6 +138,7 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   round1_config.resilience.budget = config.resilience.budget.Fraction(
       round1_share);
   round1_config.health = config.health;
+  round1_config.workers = config.round_workers;
   run_or_restore_round(1, round1_config, cohort1, round1_rng, &result.round1);
 
   // Learn the round-2 allocation — unless round 1 lost more than the

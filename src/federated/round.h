@@ -55,6 +55,10 @@ struct FederatedQueryConfig {
   // the round boundary — for restored rounds too, which is what keeps the
   // breaker byte-identical across a crash/recovery cycle.
   HealthTracker* health = nullptr;
+  // Threads each round's stage and apply steps may run on
+  // (RoundConfig::workers). ShardedCampaignRunner sets it to the CPUs its
+  // shard tasks leave idle; the results do not depend on it.
+  int64_t round_workers = 1;
 };
 
 struct FederatedQueryResult {

@@ -6,20 +6,14 @@
 
 #include "batch/batch.h"
 #include "federated/latency.h"
+#include "federated/round_stages.h"
 #include "federated/secure_agg.h"
+#include "ldp/randomized_response.h"
 #include "rng/qmc.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
 namespace bitpush {
-
-namespace {
-
-// How many slots ahead RunRound prefetches: far enough to cover a miss to
-// memory, near enough that the lines are still cached when the slot runs.
-constexpr int64_t kPrefetchDistance = 8;
-
-}  // namespace
 
 AggregationServer::AggregationServer(const FixedPointCodec& codec)
     : codec_(codec) {}
@@ -68,19 +62,36 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   if (config.already_assigned != nullptr) {
     BITPUSH_CHECK_EQ(config.already_assigned->size(), clients.size());
   }
-  std::vector<int64_t> active;
-  active.reserve(cohort.size());
-  for (const int64_t idx : cohort) {
-    if (config.already_assigned != nullptr &&
-        (*config.already_assigned)[static_cast<size_t>(idx)] != 0) {
-      ++outcome.faults.recheckins_rejected;
-      continue;
+  std::vector<int64_t> checked_in;
+  if (config.already_assigned != nullptr) {
+    checked_in.reserve(cohort.size());
+    for (const int64_t idx : cohort) {
+      if ((*config.already_assigned)[static_cast<size_t>(idx)] != 0) {
+        ++outcome.faults.recheckins_rejected;
+        continue;
+      }
+      checked_in.push_back(idx);
     }
-    active.push_back(idx);
   }
+  const std::vector<int64_t>& active =
+      config.already_assigned != nullptr ? checked_in : cohort;
 
-  std::vector<BitReport> reports;
-  reports.reserve(active.size());
+  // Accepted reports go straight into the round's bit planes, slot r
+  // holding the r-th accepted report. Each comes from its own contact,
+  // and a round contacts each checked-in client and each pool client at
+  // most once.
+  const int64_t report_slots = static_cast<int64_t>(
+      active.size() + config.backfill_pool.size());
+  ReportBatch reports =
+      report_slots > 0 ? MakeEmptyBatch(bits, report_slots) : ReportBatch{};
+  int64_t accepted_reports = 0;
+
+  const RandomizedResponse rr = RandomizedResponse::FromEpsilon(config.epsilon);
+  const double charge_epsilon = config.epsilon > 0 ? config.epsilon : 0.0;
+  RoundStages stages(clients, meter, config.value_id, charge_epsilon,
+                     config.workers);
+  const int64_t charges_before =
+      meter != nullptr ? meter->total_bits() + meter->denied_charges() : 0;
 
   enum class SlotResult {
     kAccepted,
@@ -94,20 +105,21 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   // loss (with retries — a fresh fault roll per attempt), the wire leg
   // (with retransmissions of the already-computed report), the deadline
   // cutoff, and the server's protocol validation. Privacy-meter contract:
-  // HandleRequest runs at most once per slot — a retry after dropout
+  // the client answers at most once per slot — a retry after dropout
   // re-requests the *undisclosed* bit, a retransmission re-sends the
   // already-metered report — so no slot is ever charged twice.
-  const auto run_slot = [&](int64_t idx, const BitRequest& request,
-                            bool allow_retries, bool is_hedge,
-                            bool backfill) -> SlotResult {
-    const Client& client = clients[static_cast<size_t>(idx)];
+  const auto run_slot = [&](const StagedSlot& slot, int64_t idx,
+                            const BitRequest& request, bool allow_retries,
+                            bool is_hedge, bool backfill) -> SlotResult {
+    const int64_t client_id = slot.client.id;
     outcome.assigned_clients.push_back(idx);
     ++outcome.contacted;
     ++outcome.comm.requests_sent;
     outcome.comm.payload_bytes += RequestPayloadBytes();
     if (backfill) ++outcome.faults.backfill_requests;
 
-    std::optional<BitReport> report;
+    BitReport report;
+    bool answered = false;
     int64_t attempt = 0;
     // Gatekeeper for another attempt: per-client cap, per-round cap, then
     // the deadline budget (the backoff plus one more service interval must
@@ -124,7 +136,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         return false;
       }
       const double backoff =
-          schedule.BackoffMinutes(config.round_id, client.id(), next);
+          schedule.BackoffMinutes(config.round_id, client_id, next);
       if (clock + backoff + service_minutes > budget_minutes) {
         ++outcome.retry.deadline_denied;
         return false;
@@ -145,7 +157,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       clock += service_minutes;
       const FaultType fault =
           config.fault_plan != nullptr
-              ? config.fault_plan->DecideAttempt(config.round_id, client.id(),
+              ? config.fault_plan->DecideAttempt(config.round_id, client_id,
                                                  attempt)
               : FaultType::kNone;
       if (fault == FaultType::kRoundBoundaryCrash) {
@@ -160,29 +172,34 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         // nothing was disclosed and the meter was never charged; on a
         // retransmission only the wire leg was lost.
         ++outcome.faults.injected_dropouts;
-        if (try_schedule_retry(/*retransmit=*/report.has_value())) continue;
+        if (try_schedule_retry(/*retransmit=*/answered)) continue;
         return SlotResult::kFailed;
       }
-      if (!report.has_value()) {
-        report = client.HandleRequest(request, codec_,
-                                      !config.central_randomness, meter, rng);
+      if (!answered) {
         // Organic loss (client-side dropout or meter denial) is not an
         // injected fault and is not retried: the device made its decision.
-        if (!report.has_value()) return SlotResult::kFailed;
+        if (!AnswerRequest(slot.client, request, codec_,
+                           !config.central_randomness, rr, meter,
+                           slot.lookup, rng, &report)) {
+          return SlotResult::kFailed;
+        }
+        answered = true;
+        if (meter != nullptr) stages.Granted(slot);
       }
-      std::optional<BitReport> delivered = report;
+      BitReport delivered = report;
       if (fault == FaultType::kCorruptMessage ||
           fault == FaultType::kTruncateMessage) {
         // The report was sent (and metered); the wire leg garbles it. A
         // rejected frame is recovered by *retransmission* — the client
         // re-sends the same report, so the meter is not consulted again.
-        delivered = DeliverFaultedReport(*config.fault_plan, config.round_id,
-                                         client.id(), attempt, fault, *report,
-                                         &outcome.faults);
-        if (!delivered.has_value()) {
+        const std::optional<BitReport> garbled = DeliverFaultedReport(
+            *config.fault_plan, config.round_id, client_id, attempt, fault,
+            report, &outcome.faults);
+        if (!garbled.has_value()) {
           if (try_schedule_retry(/*retransmit=*/true)) continue;
           return SlotResult::kFailed;
         }
+        delivered = *garbled;
       }
       if (fault == FaultType::kStraggler) {
         ++outcome.faults.injected_stragglers;
@@ -192,12 +209,11 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         }
         ++outcome.faults.late_reports_accepted;
       }
-      BitReport accepted = *delivered;
       if (config.central_randomness) {
         // Defense: tally under the server's assignment, not the claim.
-        accepted.bit_index = request.bit_index;
-      } else if (accepted.bit_index < 0 || accepted.bit_index >= bits ||
-                 (accepted.bit != 0 && accepted.bit != 1)) {
+        delivered.bit_index = request.bit_index;
+      } else if (delivered.bit_index < 0 || delivered.bit_index >= bits ||
+                 (delivered.bit != 0 && delivered.bit != 1)) {
         // Under local randomness the index (and bit) are client-supplied;
         // reject anything outside the protocol's domain.
         ++outcome.malformed_reports;
@@ -212,7 +228,8 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       } else if (attempt > 0) {
         ++outcome.retry.retry_reports_recovered;
       }
-      reports.push_back(accepted);
+      PutReport(&reports, accepted_reports++, delivered.bit_index,
+                delivered.bit);
       return SlotResult::kAccepted;
     }
   };
@@ -243,15 +260,84 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     return std::nullopt;
   };
 
+  // The respond step of one slot: the primary request, then a hedge when
+  // it fails or straggles and the policy allows one. False when the rest
+  // of the chunk must be staged again: the hedge's client had a grant
+  // pending, so the chunk's grants were applied before it ran.
+  const auto respond = [&](const StagedSlot& slot, int64_t idx,
+                           const BitRequest& request, bool backfill) {
+    const int64_t client_id = slot.client.id;
+    // Pre-emptive hedging: once the budget is nearly spent, every slot
+    // gets a duplicate assignment reserved up front. Decided *before* the
+    // slot runs so the hedge models a duplicate issued alongside the
+    // original, not hindsight.
+    const bool hedge_planned =
+        res.hedge.enabled && res.budget.finite() &&
+        clock >= res.hedge.trigger_budget_fraction * budget_minutes &&
+        outcome.retry.hedges_issued < res.hedge.max_hedges_per_round;
+    const SlotResult primary = run_slot(slot, idx, request,
+                                        /*allow_retries=*/true,
+                                        /*is_hedge=*/false, backfill);
+    if (primary == SlotResult::kAccepted) {
+      outcome.succeeded_client_ids.push_back(client_id);
+      if (hedge_planned) {
+        // First complete wins: the original arrived, so the duplicate is
+        // cancelled before the hedge client computes anything — it never
+        // discloses a bit, is never metered, and stays in the pool.
+        ++outcome.retry.hedges_issued;
+        ++outcome.retry.hedges_cancelled;
+      }
+      return true;
+    }
+    outcome.failed_client_ids.push_back(client_id);
+    // Reactive hedging: a straggler's report is *predicted late* the
+    // moment its delay is known, so the duplicate goes out even before
+    // the budget-pressure trigger fires.
+    const bool hedge_wanted =
+        res.hedge.enabled &&
+        (hedge_planned || primary == SlotResult::kStraggledLate) &&
+        outcome.retry.hedges_issued < res.hedge.max_hedges_per_round;
+    if (!hedge_wanted) return true;
+    const std::optional<int64_t> hedge_idx = next_pool_client();
+    if (!hedge_idx.has_value()) return true;
+    StagedSlot hedge = stages.StageOne(*hedge_idx);
+    const bool restage = stages.Pending(hedge);
+    if (restage) {
+      stages.Apply();
+      hedge = stages.StageOne(*hedge_idx);
+    }
+    ++outcome.retry.hedges_issued;
+    const SlotResult hedged =
+        run_slot(hedge, *hedge_idx, request, /*allow_retries=*/false,
+                 /*is_hedge=*/true, /*backfill=*/false);
+    if (hedged == SlotResult::kAccepted) {
+      outcome.succeeded_client_ids.push_back(hedge.client.id);
+      if (primary == SlotResult::kStraggledLate) {
+        // The original's late duplicate is discarded by dedup: exactly
+        // one report per work item enters the tally.
+        ++outcome.retry.hedge_dedup_drops;
+      }
+    } else {
+      ++outcome.retry.hedge_failures;
+      outcome.failed_client_ids.push_back(hedge.client.id);
+    }
+    return !restage;
+  };
+
   // One collection pass: filter the batch through the circuit breaker,
   // assign bits (QMC partition per pass), then drive every slot through the
-  // pipeline — hedging slots that fail or straggle when the policy allows.
+  // pipeline, chunk by chunk (federated/round_stages.h): stage the chunk's
+  // clients and ledger rows, respond slot by slot, apply the chunk's grants
+  // to the ledger.
   const auto collect = [&](const std::vector<int64_t>& batch, bool backfill) {
-    std::vector<int64_t> eligible;
-    eligible.reserve(batch.size());
-    for (const int64_t idx : batch) {
-      if (admit(idx)) eligible.push_back(idx);
+    std::vector<int64_t> admitted;
+    if (breaker_on) {
+      admitted.reserve(batch.size());
+      for (const int64_t idx : batch) {
+        if (admit(idx)) admitted.push_back(idx);
+      }
     }
+    const std::vector<int64_t>& eligible = breaker_on ? admitted : batch;
     const int64_t k = static_cast<int64_t>(eligible.size());
     if (k == 0) return;
     const std::vector<int> assignment =
@@ -263,79 +349,13 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         ++outcome.intended_counts[static_cast<size_t>(bit)];
       }
     }
-    for (int64_t i = 0; i < k; ++i) {
-      // The cohort is a shuffled permutation, so each slot's Client, its
-      // values and its ledger row are random accesses. Fetch the Client
-      // 2 * kPrefetchDistance slots ahead, and kPrefetchDistance slots
-      // ahead, once it has arrived, what it points to.
-      if (i + 2 * kPrefetchDistance < k) {
-        // A Client can straddle two cache lines.
-        const Client* later = &clients[static_cast<size_t>(
-            eligible[static_cast<size_t>(i + 2 * kPrefetchDistance)])];
-        __builtin_prefetch(later);
-        __builtin_prefetch(reinterpret_cast<const char*>(later + 1) - 1);
-      }
-      if (i + kPrefetchDistance < k) {
-        const Client& ahead = clients[static_cast<size_t>(
-            eligible[static_cast<size_t>(i + kPrefetchDistance)])];
-        __builtin_prefetch(ahead.values().data());
-        if (meter != nullptr) meter->Prefetch(ahead.id());
-      }
-      const int64_t idx = eligible[static_cast<size_t>(i)];
-      const int64_t client_id = clients[static_cast<size_t>(idx)].id();
-      const BitRequest request{config.round_id, config.value_id,
-                               assignment[static_cast<size_t>(i)],
-                               config.epsilon};
-      // Pre-emptive hedging: once the budget is nearly spent, every slot
-      // gets a duplicate assignment reserved up front. Decided *before* the
-      // slot runs so the hedge models a duplicate issued alongside the
-      // original, not hindsight.
-      const bool hedge_planned =
-          res.hedge.enabled && res.budget.finite() &&
-          clock >= res.hedge.trigger_budget_fraction * budget_minutes &&
-          outcome.retry.hedges_issued < res.hedge.max_hedges_per_round;
-      const SlotResult primary = run_slot(idx, request, /*allow_retries=*/true,
-                                          /*is_hedge=*/false, backfill);
-      if (primary == SlotResult::kAccepted) {
-        outcome.succeeded_client_ids.push_back(client_id);
-        if (hedge_planned) {
-          // First complete wins: the original arrived, so the duplicate is
-          // cancelled before the hedge client computes anything — it never
-          // discloses a bit, is never metered, and stays in the pool.
-          ++outcome.retry.hedges_issued;
-          ++outcome.retry.hedges_cancelled;
-        }
-        continue;
-      }
-      outcome.failed_client_ids.push_back(client_id);
-      // Reactive hedging: a straggler's report is *predicted late* the
-      // moment its delay is known, so the duplicate goes out even before
-      // the budget-pressure trigger fires.
-      const bool hedge_wanted =
-          res.hedge.enabled &&
-          (hedge_planned || primary == SlotResult::kStraggledLate) &&
-          outcome.retry.hedges_issued < res.hedge.max_hedges_per_round;
-      if (!hedge_wanted) continue;
-      const std::optional<int64_t> hedge_idx = next_pool_client();
-      if (!hedge_idx.has_value()) continue;
-      const int64_t hedge_id =
-          clients[static_cast<size_t>(*hedge_idx)].id();
-      ++outcome.retry.hedges_issued;
-      const SlotResult hedged =
-          run_slot(*hedge_idx, request, /*allow_retries=*/false,
-                   /*is_hedge=*/true, /*backfill=*/false);
-      if (hedged == SlotResult::kAccepted) {
-        outcome.succeeded_client_ids.push_back(hedge_id);
-        if (primary == SlotResult::kStraggledLate) {
-          // The original's late duplicate is discarded by dedup: exactly
-          // one report per work item enters the tally.
-          ++outcome.retry.hedge_dedup_drops;
-        }
-      } else {
-        ++outcome.retry.hedge_failures;
-        outcome.failed_client_ids.push_back(hedge_id);
-      }
-    }
+    stages.RunPass(eligible, config.trace_parent, config.round_id,
+                   [&](const StagedSlot& slot, size_t i) {
+                     const BitRequest request{config.round_id,
+                                              config.value_id, assignment[i],
+                                              config.epsilon};
+                     return respond(slot, eligible[i], request, backfill);
+                   });
   };
 
   collect(active, /*backfill=*/false);
@@ -346,10 +366,10 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   // metered on response like any reporter.
   const int64_t target = static_cast<int64_t>(active.size());
   for (int64_t pass = 0; pass < config.fault_policy.max_backfill_rounds &&
-                         static_cast<int64_t>(reports.size()) < target &&
+                         accepted_reports < target &&
                          pool_pos < config.backfill_pool.size();
        ++pass) {
-    const int64_t need = target - static_cast<int64_t>(reports.size());
+    const int64_t need = target - accepted_reports;
     std::vector<int64_t> draw;
     draw.reserve(static_cast<size_t>(need));
     while (static_cast<int64_t>(draw.size()) < need &&
@@ -359,37 +379,42 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     ++outcome.faults.backfill_rounds_used;
     collect(draw, /*backfill=*/true);
   }
+  // The gauges follow the round's charges once, at its close.
+  if (meter != nullptr &&
+      meter->total_bits() + meter->denied_charges() != charges_before) {
+    meter->PublishObsGauges();
+  }
 
-  outcome.responded = static_cast<int64_t>(reports.size());
+  outcome.responded = accepted_reports;
   if (resilience_on) outcome.retry.elapsed_minutes = clock;
   outcome.dropout_rate =
       outcome.contacted > 0
           ? 1.0 - static_cast<double>(outcome.responded) /
                       static_cast<double>(outcome.contacted)
           : 0.0;
+  if (accepted_reports == 0) return outcome;
 
   if (!config.use_secure_aggregation) {
-    // Columnar tally (src/batch/): identical counts to the old per-report
-    // Add loop — ones[j]/totals[j] are order-free sums — so the golden
-    // campaign snapshots are unaffected, but the counting is a popcount
-    // over packed words instead of a 16-byte-per-report scan.
-    if (!reports.empty()) {
-      AggregateBatch(ReportBatchFromBitReports(reports, bits))
-          .AccumulateInto(&outcome.histogram);
-    }
+    // Columnar tally (src/batch/): ones[j]/totals[j] are order-free sums,
+    // so the counting is a popcount over the packed planes.
+    AggregateBatch(reports).AccumulateInto(&outcome.histogram);
     return outcome;
   }
 
   // Secure aggregation: one session per bit group over the clients that
-  // actually responded for that bit; the server learns only (sum, count).
-  std::vector<std::vector<uint64_t>> group_bits(static_cast<size_t>(bits));
-  for (const BitReport& report : reports) {
-    group_bits[static_cast<size_t>(report.bit_index)].push_back(
-        static_cast<uint64_t>(report.bit));
-  }
+  // actually responded for that bit, in report order; the server learns
+  // only (sum, count).
+  std::vector<uint64_t> group;
   for (int j = 0; j < bits; ++j) {
-    const std::vector<uint64_t>& group =
-        group_bits[static_cast<size_t>(j)];
+    group.clear();
+    const uint64_t* selected = reports.selection_plane(j);
+    const uint64_t* plane = reports.plane(j);
+    for (int64_t w = 0; w < reports.stride; ++w) {
+      for (uint64_t word = selected[w]; word != 0; word &= word - 1) {
+        const uint64_t mask = word & -word;
+        group.push_back((plane[w] & mask) != 0 ? 1 : 0);
+      }
+    }
     if (group.empty()) continue;
     const int64_t count = static_cast<int64_t>(group.size());
     // The aggregator constructor consumes the same rng draws as before;

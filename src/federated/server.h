@@ -16,6 +16,7 @@
 #include "federated/faults.h"
 #include "federated/report.h"
 #include "federated/resilience.h"
+#include "obs/trace.h"
 #include "rng/rng.h"
 
 namespace bitpush {
@@ -59,6 +60,13 @@ struct RoundConfig {
   // round never mutates it — the caller applies the outcome's
   // succeeded/failed lists at the round boundary.
   const HealthTracker* health = nullptr;
+  // Threads the stage and apply steps of each collection pass may run on,
+  // the caller included (federated/round_stages.h); 1 runs them inline.
+  // Outcomes, draws and the ledger are the same at every budget.
+  int64_t workers = 1;
+  // The span the round's step spans (round.stage, round.respond,
+  // round.apply) name as their parent: the caller's collect span.
+  obs::TraceContext trace_parent;
 };
 
 struct RoundOutcome {

@@ -4,17 +4,12 @@
 // that each charge their own shard-local meter during collection; the
 // delivery loop and the reference below move already-metered tallies.
 
-#include <sched.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <map>
 #include <memory>
 #include <string>
-#include <system_error>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,6 +23,7 @@
 #include "obs/trace.h"
 #include "persist/journal.h"
 #include "util/check.h"
+#include "util/workers.h"
 
 namespace bitpush {
 namespace {
@@ -103,18 +99,7 @@ namespace {
 // Threads for a tick's shard tasks: one per shard, capped by the CPUs in
 // the process's affinity mask, so `taskset` bounds it.
 int64_t ShardWorkers(int64_t shards) {
-  int64_t cpus = 0;
-#if defined(__linux__)
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
-    cpus = CPU_COUNT(&allowed);
-  }
-#endif
-  if (cpus <= 0) {
-    cpus = static_cast<int64_t>(std::thread::hardware_concurrency());
-  }
-  return std::clamp<int64_t>(cpus, 1, shards);
+  return std::clamp<int64_t>(util::AffinityCpus(), 1, shards);
 }
 
 // Hands the heap's free pages back to the system. Each worker thread
@@ -145,46 +130,35 @@ struct ShardTask {
 };
 
 // Runs run(i, &tasks[i]) for every task on up to `workers` threads, the
-// caller included, and returns once every task has finished and every
-// thread is joined. With one worker the caller runs the tasks in order and
-// starts no thread. When there is more than one task, each runs under its
-// own obs capture, which the caller replays in task order; a lone task
-// writes straight through, since nothing can reorder it. An exception a
-// task throws is rethrown here, the lowest task's first.
+// caller included (util::WorkerGroup), and returns once every task has
+// finished and every thread is joined. With one worker the caller runs the
+// tasks in order and starts no thread. When there is more than one task,
+// each runs under its own obs capture, which the caller replays in task
+// order; a lone task writes straight through, since nothing can reorder
+// it. An exception a task throws is rethrown here, the lowest task's
+// first.
 template <typename Run>
 void RunShardTasks(std::vector<ShardTask>* tasks, int64_t workers,
                    const Run& run) {
   const size_t count = tasks->size();
-  std::vector<std::exception_ptr> failures(count);
-  std::atomic<size_t> next{0};
-  const auto drain = [&] {
-    for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-      ShardTask& task = (*tasks)[i];
-      const obs::TaskCapture::Scope capture(count > 1 ? &task.capture
-                                                      : nullptr);
-      try {
-        run(i, &task);
-      } catch (...) {
-        failures[i] = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> threads;
-  const size_t threads_used = std::min(static_cast<size_t>(workers), count);
-  if (threads_used > 1) ReleaseFreeHeap();
-  for (size_t w = 1; w < threads_used; ++w) {
+  const bool threaded = std::min(static_cast<size_t>(workers), count) > 1;
+  if (threaded) ReleaseFreeHeap();
+  std::exception_ptr failure;
+  {
+    util::WorkerGroup group(workers);
     try {
-      threads.emplace_back(drain);
-    } catch (const std::system_error&) {
-      break;  // no thread to spare: the caller drains the rest
+      group.Run(count, [&](size_t i) {
+        ShardTask& task = (*tasks)[i];
+        const obs::TaskCapture::Scope capture(count > 1 ? &task.capture
+                                                        : nullptr);
+        run(i, &task);
+      });
+    } catch (...) {
+      failure = std::current_exception();
     }
   }
-  drain();
-  for (std::thread& thread : threads) thread.join();
-  if (threads_used > 1) ReleaseFreeHeap();
-  for (const std::exception_ptr& failure : failures) {
-    if (failure != nullptr) std::rethrow_exception(failure);
-  }
+  if (threaded) ReleaseFreeHeap();
+  if (failure != nullptr) std::rethrow_exception(failure);
 }
 
 // One shard's delivery loop for `tick`: the attempts, each retried at once
@@ -248,6 +222,13 @@ ShardedCampaignRunner::ShardedCampaignRunner(
   BITPUSH_CHECK_GE(options_.shards, 1);
   BITPUSH_CHECK_GE(options_.max_attempts_per_tick, 1);
   workers_ = ShardWorkers(options_.shards);
+  // The CPUs the shard tasks leave idle run the stage and apply steps of
+  // each shard's rounds (federated/server.h).
+  const int64_t round_workers =
+      std::max<int64_t>(1, util::AffinityCpus() / workers_);
+  for (CampaignQuery& query : queries_) {
+    query.query.round_workers = round_workers;
+  }
 }
 
 void ShardedCampaignRunner::Open(

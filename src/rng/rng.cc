@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t RotateLeft(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -22,37 +20,15 @@ Rng::Rng(uint64_t seed) {
   for (uint64_t& word : state_) word = SplitMix64(&sm);
 }
 
-uint64_t Rng::NextUint64() {
-  const uint64_t result = RotateLeft(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotateLeft(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // Top 53 bits give a uniform dyadic rational in [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::NextBelow(uint64_t bound) {
+uint64_t Rng::NextBelowRejecting(uint64_t bound) {
   BITPUSH_CHECK_GT(bound, 0u);
-  // Rejection sampling over the largest multiple of `bound` that fits.
-  const uint64_t threshold = -bound % bound;  // (2^64 - bound) mod bound
+  // Rejection sampling over the largest multiple of `bound` that fits:
+  // draws below (2^64 - bound) mod bound are rejected. That threshold is
+  // below `bound`, so a draw at or above `bound` passes without it.
   while (true) {
     const uint64_t r = NextUint64();
-    if (r >= threshold) return r % bound;
+    if (r >= bound || r >= -bound % bound) return r % bound;
   }
-}
-
-bool Rng::NextBernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 int Rng::NextBit() { return static_cast<int>(NextUint64() >> 63); }

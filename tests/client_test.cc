@@ -159,7 +159,8 @@ TEST(ClientTest, MakePopulationBuildsSingleValueClients) {
       MakePopulation({5.0, 6.0, 7.0}, ClientConfig{});
   ASSERT_EQ(clients.size(), 3u);
   EXPECT_EQ(clients[1].id(), 1);
-  EXPECT_EQ(clients[2].values(), (std::vector<double>{7.0}));
+  ASSERT_EQ(clients[2].values().size(), 1u);
+  EXPECT_EQ(clients[2].values()[0], 7.0);
 }
 
 TEST(ClientDeathTest, InvalidConstructionAborts) {

@@ -65,6 +65,21 @@ TEST(RngTest, NextBelowCoversAllResidues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
+TEST(RngTest, PowerOfTwoBoundTakesOneDrawPerValue) {
+  // 2^64 is a multiple of every power-of-two bound, so rejection sampling
+  // never rejects: each value is one draw reduced mod the bound.
+  for (const uint64_t bound : {uint64_t{1}, uint64_t{2}, uint64_t{256},
+                               uint64_t{1} << 40, uint64_t{1} << 63}) {
+    Rng a(29);
+    Rng twin(29);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(a.NextBelow(bound), twin.NextUint64() % bound)
+          << "bound " << bound << ", draw " << i;
+    }
+    EXPECT_TRUE(a == twin) << "bound " << bound;
+  }
+}
+
 TEST(RngDeathTest, NextBelowZeroAborts) {
   Rng rng(1);
   EXPECT_DEATH(rng.NextBelow(0), "BITPUSH_CHECK failed");

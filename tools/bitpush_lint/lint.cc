@@ -7,7 +7,17 @@
 #include <iterator>
 #include <map>
 #include <optional>
+// GCC 12 reports -Wmaybe-uninitialized inside libstdc++'s std::function
+// when std::regex is compiled with the sanitizers on (std_function.h:247
+// and :405); the suppression covers the library header alone.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <regex>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #include <set>
 #include <sstream>
 #include <string>
