@@ -77,9 +77,9 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       config.already_assigned != nullptr ? checked_in : cohort;
 
   // Accepted reports go straight into the round's bit planes, slot r
-  // holding the r-th accepted report. Each comes from its own contact,
-  // and a round contacts each checked-in client and each pool client at
-  // most once.
+  // holding the r-th accepted report. A report needs a contact of its
+  // own: one per checked-in cohort entry, and one per pool entry, which
+  // hedges and backfill draw at most once each.
   const int64_t report_slots = static_cast<int64_t>(
       active.size() + config.backfill_pool.size());
   ReportBatch reports =
