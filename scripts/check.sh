@@ -25,7 +25,8 @@ cmake -B "$BUILD_DIR" -G Ninja
 
 # Lint stage first: project-invariant violations (determinism, privacy
 # metering, wire exhaustiveness, obs stability, header hygiene, unreached
-# modules) should fail the run in seconds, before any expensive sanitizer
+# modules and functions, and waivers that are malformed or suppress
+# nothing) should fail the run in seconds, before any expensive sanitizer
 # build starts.
 # The waiver budget is printed so reviewers can watch it grow.
 cmake --build "$BUILD_DIR" --target bitpush_lint
@@ -43,6 +44,19 @@ cmake --build "$BUILD_DIR" --target bitpush_analyze
 
 cmake --build "$BUILD_DIR"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
+
+# Driver-output stage: the examples, the paper benches at reduced size,
+# bitpush_sim's analysis tasks and a 1- and 4-shard durable campaign, run
+# twice; the sha256 manifests of their stdout, journals and snapshots must
+# match. Run against a parent build, the same script shows that a change
+# keeps every output (docs/TESTING.md). Keep in sync with CI's "Driver
+# outputs" step.
+OUTPUTS_ROOT="$(mktemp -d)"
+scripts/driver_outputs.sh "$BUILD_DIR" "$OUTPUTS_ROOT/first"
+scripts/driver_outputs.sh "$BUILD_DIR" "$OUTPUTS_ROOT/second"
+diff -u "$OUTPUTS_ROOT/first/manifest.sha256" \
+  "$OUTPUTS_ROOT/second/manifest.sha256"
+rm -rf "$OUTPUTS_ROOT"
 
 # Scalar leg: BITPUSH_SIMD=OFF must stay a first-class configuration — the
 # dispatch table, the columnar batch pipeline, and every hot caller fall

@@ -1,9 +1,5 @@
 #include "batch/batch.h"
 
-// bitpush-lint: allow(privacy-metering): the columnar adapters repackage
-// reports that were already metered when collected (server.cc charges via
-// client.cc before a report reaches a batch); no new disclosure happens here.
-
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -117,28 +113,6 @@ ReportBatch ReportBatchFromBitReports(const std::vector<BitReport>& reports,
     if (report.bit != 0) batch.plane(report.bit_index)[word] |= mask;
   }
   return batch;
-}
-
-std::vector<BitReport> ToBitReports(const ReportBatch& batch) {
-  std::vector<BitReport> reports;
-  reports.reserve(static_cast<size_t>(batch.count));
-  for (int64_t i = 0; i < batch.count; ++i) {
-    const int64_t word = i / 64;
-    const uint64_t mask = uint64_t{1} << (i % 64);
-    int bit_index = -1;
-    int bit = 0;
-    for (int j = 0; j < batch.bits; ++j) {
-      if ((batch.selection_plane(j)[word] & mask) != 0) {
-        BITPUSH_CHECK_EQ(bit_index, -1)
-            << "slot " << i << " selected in multiple planes";
-        bit_index = j;
-        bit = (batch.plane(j)[word] & mask) != 0 ? 1 : 0;
-      }
-    }
-    BITPUSH_CHECK_NE(bit_index, -1) << "slot " << i << " has no selection";
-    reports.push_back(BitReport{i, bit_index, bit});
-  }
-  return reports;
 }
 
 void PerturbBatch(ReportBatch* batch, const RandomizedResponse& rr,

@@ -116,14 +116,11 @@ inline void PutReport(ReportBatch* batch, int64_t slot, int bit_index,
 ReportBatch BuildReportBatch(const std::vector<uint64_t>& codewords,
                              const std::vector<int>& assignment, int bits);
 
-// Converters to/from the AoS path. FromBitReports accepts reports in any
-// order; slot i of the batch is reports[i] (client ids are not retained —
-// tallies never depend on them). ToBitReports emits one report per slot
-// with client_id = slot index; round-trips preserve (bit_index, bit) per
-// slot exactly.
+// Converter from the AoS path. It accepts reports in any order; slot i of
+// the batch is reports[i] (client ids are not retained — tallies never
+// depend on them).
 ReportBatch ReportBatchFromBitReports(const std::vector<BitReport>& reports,
                                       int bits);
-std::vector<BitReport> ToBitReports(const ReportBatch& batch);
 
 // Applies randomized response to every *assigned* bit of the batch: one
 // flip mask is drawn slot-by-slot via rr.DrawFlip (consuming exactly the

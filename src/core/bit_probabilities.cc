@@ -48,24 +48,6 @@ std::vector<double> BetaCoefficients(const std::vector<double>& bit_means) {
   return beta;
 }
 
-std::vector<double> AdaptiveProbabilities(const std::vector<double>& bit_means,
-                                          double alpha) {
-  BITPUSH_CHECK_GE(alpha, 0.0);
-  const std::vector<double> beta = BetaCoefficients(bit_means);
-  std::vector<double> p(beta.size());
-  // Scale relative to the largest beta so beta^alpha stays finite for wide
-  // codewords.
-  const double max_beta = *std::max_element(beta.begin(), beta.end());
-  if (max_beta <= 0.0) {
-    return GeometricProbabilities(static_cast<int>(bit_means.size()), 1.0);
-  }
-  for (size_t j = 0; j < beta.size(); ++j) {
-    p[j] = std::pow(beta[j] / max_beta, alpha);
-  }
-  NormalizeProbabilities(p);
-  return p;
-}
-
 std::vector<double> AdaptiveProbabilitiesMasked(
     const std::vector<double>& bit_means, const std::vector<bool>& keep,
     double alpha, const std::vector<double>& fallback) {
@@ -85,11 +67,6 @@ std::vector<double> AdaptiveProbabilitiesMasked(
   if (total <= 0.0) return fallback;
   for (double& w : weights) w /= total;
   return weights;
-}
-
-std::vector<double> OptimalProbabilities(
-    const std::vector<double>& bit_means) {
-  return AdaptiveProbabilities(bit_means, 0.5);
 }
 
 double VarianceBound(const std::vector<double>& bit_means,

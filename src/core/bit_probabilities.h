@@ -28,23 +28,15 @@ std::vector<double> UniformProbabilities(int bits);
 // uniform; gamma = 1 is Equation (7)'s allocation.
 std::vector<double> GeometricProbabilities(int bits, double gamma);
 
-// Lemma 3.3: the variance-minimizing allocation given per-bit means,
-// p_j proportional to sqrt(4^j m_j (1 - m_j)). Bits whose mean is exactly 0
-// or 1 (no variance) get probability 0. If every bit is degenerate the
-// allocation falls back to GeometricProbabilities(bits, 1).
-std::vector<double> OptimalProbabilities(const std::vector<double>& bit_means);
-
 // The adaptive second-round family (Algorithm 2, line 6):
-// p_j proportional to (4^j m_j (1 - m_j))^alpha. Noisy means outside [0, 1]
-// are clamped before use. alpha = 0.5 recovers OptimalProbabilities.
-// Falls back to GeometricProbabilities(bits, 1) when all weights vanish.
-std::vector<double> AdaptiveProbabilities(const std::vector<double>& bit_means,
-                                          double alpha);
-
-// AdaptiveProbabilities with a keep-mask: squashed bits (keep[j] == false)
-// get zero probability before normalization. Returns `fallback` when every
-// weight vanishes. Used by the adaptive second round (with squashing) and
-// by the federated query pipeline.
+// p_j proportional to (4^j m_j (1 - m_j))^alpha over the kept bits; noisy
+// means outside [0, 1] are clamped before use. Squashed bits
+// (keep[j] == false) get zero probability before normalization. Returns
+// `fallback` when every weight vanishes. With every bit kept, alpha = 0.5
+// is Lemma 3.3's variance-minimizing allocation
+// p_j proportional to sqrt(4^j m_j (1 - m_j)), under which bits whose mean
+// is exactly 0 or 1 get probability 0. Used by the adaptive second round
+// (with squashing) and by the federated query pipeline.
 std::vector<double> AdaptiveProbabilitiesMasked(
     const std::vector<double>& bit_means, const std::vector<bool>& keep,
     double alpha, const std::vector<double>& fallback);

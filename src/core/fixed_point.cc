@@ -1,7 +1,6 @@
 #include "core/fixed_point.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "kernels/kernels.h"
@@ -69,11 +68,6 @@ int FixedPointCodec::Bit(uint64_t v, int j) {
   BITPUSH_CHECK_GE(j, 0);
   BITPUSH_CHECK_LT(j, 64);
   return static_cast<int>((v >> j) & 1u);
-}
-
-int FixedPointCodec::HighestSetBit(uint64_t v) {
-  if (v == 0) return -1;
-  return 63 - std::countl_zero(v);
 }
 
 }  // namespace bitpush

@@ -45,9 +45,6 @@ class FixedPointCodec {
   // Value of bit j (0 = least significant) of codeword v; j in [0, bits).
   static int Bit(uint64_t v, int j);
 
-  // Index of the highest set bit of v, or -1 if v == 0.
-  static int HighestSetBit(uint64_t v);
-
   int bits() const { return bits_; }
   double low() const { return low_; }
   double high() const { return high_; }

@@ -97,46 +97,6 @@ double EstimateCentralMoment(const std::vector<double>& values,
   return pos - neg;
 }
 
-namespace {
-
-// Shared scaffolding for the standardized shape statistics: estimates the
-// second and k-th central moments on disjoint thirds of the cohort and
-// returns m_k / sigma^k. Returns 0 for (near-)degenerate populations.
-double StandardizedCentralMoment(const std::vector<double>& values,
-                                 const FixedPointCodec& codec, int k,
-                                 const MomentConfig& config, Rng& rng) {
-  BITPUSH_CHECK_GE(values.size(), 18u);
-  const int64_t n = static_cast<int64_t>(values.size());
-  const int64_t third = n / 3;
-  // Phase A estimates sigma^2, phases B (mean) + C (deviation powers) run
-  // inside EstimateCentralMoment on the remaining clients.
-  const std::vector<double> variance_cohort(values.begin(),
-                                            values.begin() + third);
-  const std::vector<double> moment_cohort(values.begin() + third,
-                                          values.end());
-  const double m2 = EstimateCentralMoment(variance_cohort, codec, 2,
-                                          config, rng);
-  const double sigma = std::sqrt(std::max(0.0, m2));
-  if (sigma < codec.resolution() / 2.0) return 0.0;  // degenerate
-  const double mk =
-      EstimateCentralMoment(moment_cohort, codec, k, config, rng);
-  return mk / IntPow(sigma, k);
-}
-
-}  // namespace
-
-double EstimateSkewness(const std::vector<double>& values,
-                        const FixedPointCodec& codec,
-                        const MomentConfig& config, Rng& rng) {
-  return StandardizedCentralMoment(values, codec, 3, config, rng);
-}
-
-double EstimateKurtosis(const std::vector<double>& values,
-                        const FixedPointCodec& codec,
-                        const MomentConfig& config, Rng& rng) {
-  return StandardizedCentralMoment(values, codec, 4, config, rng);
-}
-
 double EstimateGeometricMean(const std::vector<double>& values,
                              const FixedPointCodec& codec,
                              double positive_floor, int log_bits,

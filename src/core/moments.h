@@ -60,19 +60,6 @@ double EstimateLogProduct(const std::vector<double>& values,
                           double positive_floor, int log_bits,
                           const MomentConfig& config, Rng& rng);
 
-// Standardized shape statistics, composed from central-moment estimates
-// over disjoint sub-cohorts (each client still contributes one bit total):
-//   skewness = E[(X-mu)^3] / sigma^3,  kurtosis = E[(X-mu)^4] / sigma^4.
-// Requires at least 18 clients (three phases of >= 6). The variance phase
-// result is clamped away from zero; a degenerate (constant) population
-// returns 0 skewness and kurtosis.
-double EstimateSkewness(const std::vector<double>& values,
-                        const FixedPointCodec& codec,
-                        const MomentConfig& config, Rng& rng);
-double EstimateKurtosis(const std::vector<double>& values,
-                        const FixedPointCodec& codec,
-                        const MomentConfig& config, Rng& rng);
-
 }  // namespace bitpush
 
 #endif  // BITPUSH_CORE_MOMENTS_H_

@@ -60,12 +60,4 @@ CohortPlan PlanForNrmse(const FixedPointCodec& codec,
                          target_codeword_stderr);
 }
 
-double PredictedStdError(const std::vector<double>& probabilities,
-                         const std::vector<double>& bit_means,
-                         double epsilon, int64_t clients) {
-  BITPUSH_CHECK_GT(clients, 0);
-  return std::sqrt(UnitVariance(probabilities, bit_means, epsilon) /
-                   static_cast<double>(clients));
-}
-
 }  // namespace bitpush

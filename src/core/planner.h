@@ -45,11 +45,6 @@ CohortPlan PlanForNrmse(const FixedPointCodec& codec,
                         const std::vector<double>& bit_means, double epsilon,
                         double expected_mean, double target_nrmse);
 
-// Predicted standard error for a given cohort size (codeword space).
-double PredictedStdError(const std::vector<double>& probabilities,
-                         const std::vector<double>& bit_means,
-                         double epsilon, int64_t clients);
-
 }  // namespace bitpush
 
 #endif  // BITPUSH_CORE_PLANNER_H_

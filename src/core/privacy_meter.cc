@@ -370,6 +370,7 @@ double PrivacyMeter::ClientEpsilon(int64_t client_id) const {
   return row == nullptr ? 0.0 : row->epsilon;
 }
 
+// bitpush-lint: allow(unreached-function): seam into the live ledger: PrivacyMeterTest.PerValueCapAboveOne and RoundWorkersTest.RepeatedSlotsAreDeniedAtOneBitPerValue read one (client, value) counter through it
 int64_t PrivacyMeter::ValueBits(int64_t client_id, int64_t value_id) const {
   const ClientRow* row = FindClient(client_id);
   return row == nullptr ? 0 : ValueBitsOf(*row, value_id);

@@ -35,6 +35,7 @@ double RangeTreeResult::NodeFraction(int level, uint64_t v) const {
   return level_fractions[v];
 }
 
+// bitpush-lint: allow(unreached-function): seam into the estimator's per-node report counts, which RangeTreeTest.EveryClientReportsOnce sums
 int64_t RangeTreeResult::NodeReports(int level, uint64_t v) const {
   BITPUSH_CHECK_GE(level, 1);
   BITPUSH_CHECK_LE(level, levels_);
@@ -42,30 +43,6 @@ int64_t RangeTreeResult::NodeReports(int level, uint64_t v) const {
       counts_[static_cast<size_t>(level - 1)];
   BITPUSH_CHECK_LT(v, level_counts.size());
   return level_counts[v];
-}
-
-double RangeTreeResult::RangeFraction(uint64_t lo, uint64_t hi) const {
-  const uint64_t domain = uint64_t{1} << levels_;
-  BITPUSH_CHECK_LE(lo, hi);
-  BITPUSH_CHECK_LT(hi, domain);
-  double total = 0.0;
-  uint64_t cursor = lo;
-  while (cursor <= hi) {
-    // Largest aligned dyadic block starting at `cursor` that fits in
-    // [cursor, hi]. Blocks are at most half the domain (level >= 1, the
-    // shallowest level the tree stores).
-    int block_log = levels_ - 1;
-    while (block_log > 0) {
-      const uint64_t size = uint64_t{1} << block_log;
-      if (cursor % size == 0 && cursor + size - 1 <= hi) break;
-      --block_log;
-    }
-    const uint64_t size = uint64_t{1} << block_log;
-    total += NodeFraction(levels_ - block_log, cursor / size);
-    if (hi - cursor < size) break;  // guard overflow at domain edge
-    cursor += size;
-  }
-  return total;
 }
 
 double RangeTreeResult::Quantile(double q) const {

@@ -38,11 +38,6 @@ class RangeTreeResult {
   double NodeFraction(int level, uint64_t v) const;
   int64_t NodeReports(int level, uint64_t v) const;
 
-  // Estimated fraction of values in [lo, hi] (inclusive, codeword space),
-  // via the minimal dyadic cover. Negative node estimates are used as-is
-  // so the result stays unbiased.
-  double RangeFraction(uint64_t lo, uint64_t hi) const;
-
   // q-quantile (q in [0, 1]) in codeword space by hierarchical descent,
   // clipping negative masses and renormalizing per node.
   double Quantile(double q) const;

@@ -62,28 +62,4 @@ Dataset CensusAges(int64_t n, Rng& rng) {
   return Dataset("census_ages", std::move(ages));
 }
 
-double CensusDistributionMean() {
-  const std::vector<double>& weights = CensusAgeWeights();
-  double total = 0.0;
-  double weighted = 0.0;
-  for (size_t age = 0; age < weights.size(); ++age) {
-    total += weights[age];
-    weighted += static_cast<double>(age) * weights[age];
-  }
-  return weighted / total;
-}
-
-double CensusDistributionVariance() {
-  const std::vector<double>& weights = CensusAgeWeights();
-  const double mean = CensusDistributionMean();
-  double total = 0.0;
-  double weighted_sq = 0.0;
-  for (size_t age = 0; age < weights.size(); ++age) {
-    const double d = static_cast<double>(age) - mean;
-    total += weights[age];
-    weighted_sq += d * d * weights[age];
-  }
-  return weighted_sq / total;
-}
-
 }  // namespace bitpush

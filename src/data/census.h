@@ -31,12 +31,6 @@ const std::vector<double>& CensusAgeWeights();
 // Draws n ages i.i.d. from the embedded age histogram.
 Dataset CensusAges(int64_t n, Rng& rng);
 
-// Exact mean of the embedded age distribution (not of a finite sample).
-double CensusDistributionMean();
-
-// Exact variance of the embedded age distribution.
-double CensusDistributionVariance();
-
 }  // namespace bitpush
 
 #endif  // BITPUSH_DATA_CENSUS_H_

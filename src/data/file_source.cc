@@ -1,6 +1,5 @@
 #include "data/file_source.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -55,26 +54,6 @@ bool LoadDatasetFromFile(const std::string& path, Dataset* out,
     values.push_back(value);
   }
   *out = Dataset(path, std::move(values));
-  return true;
-}
-
-bool SaveDatasetToFile(const Dataset& data, const std::string& path,
-                       std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    SetError(error, "cannot open " + path + " for writing");
-    return false;
-  }
-  for (const double value : data.values()) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g\n", value);
-    out << buffer;
-  }
-  out.flush();
-  if (!out) {
-    SetError(error, "write to " + path + " failed");
-    return false;
-  }
   return true;
 }
 

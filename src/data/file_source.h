@@ -17,10 +17,6 @@ namespace bitpush {
 bool LoadDatasetFromFile(const std::string& path, Dataset* out,
                          std::string* error);
 
-// Writes one value per line (round-trips with LoadDatasetFromFile).
-bool SaveDatasetToFile(const Dataset& data, const std::string& path,
-                       std::string* error);
-
 }  // namespace bitpush
 
 #endif  // BITPUSH_DATA_FILE_SOURCE_H_

@@ -55,25 +55,6 @@ Dataset LognormalData(int64_t n, double log_mean, double log_stddev,
                  }));
 }
 
-Dataset ConstantData(int64_t n, double value) {
-  return Dataset("constant(" + std::to_string(value) + ")",
-                 std::vector<double>(static_cast<size_t>(n), value));
-}
-
-Dataset MixtureData(int64_t n, double w1, double mu1, double sigma1,
-                    double mu2, double sigma2, Rng& rng) {
-  BITPUSH_CHECK_GE(w1, 0.0);
-  BITPUSH_CHECK_LE(w1, 1.0);
-  return Dataset("mixture(" + std::to_string(w1) + ")",
-                 Generate(n, [&] {
-                   const bool first = rng.NextBernoulli(w1);
-                   return std::max(0.0, first
-                                            ? SampleNormal(rng, mu1, sigma1)
-                                            : SampleNormal(rng, mu2,
-                                                           sigma2));
-                 }));
-}
-
 Dataset BinaryWithOutliersData(int64_t n, double outlier_fraction,
                                double outlier_scale, Rng& rng) {
   BITPUSH_CHECK_GE(outlier_fraction, 0.0);

@@ -29,16 +29,6 @@ Dataset ParetoData(int64_t n, double scale, double shape, Rng& rng);
 // Lognormal with the given log-space parameters.
 Dataset LognormalData(int64_t n, double log_mean, double log_stddev, Rng& rng);
 
-// Every client holds the same value (the "constant metric" corner case of
-// Section 4.3 that makes mean/variance estimation moot).
-Dataset ConstantData(int64_t n, double value);
-
-// A two-component Normal mixture: weight `w1` on Normal(mu1, sigma1), the
-// rest on Normal(mu2, sigma2), clamped non-negative. Exercises bimodal
-// distributions, where means mislead and medians/histograms shine.
-Dataset MixtureData(int64_t n, double w1, double mu1, double sigma1,
-                    double mu2, double sigma2, Rng& rng);
-
 // The deployment pathology of Section 4.3: "features whose most typical
 // values are 0 and 1, ... but some rare clients report values that are
 // orders of magnitude higher". Mass (1 - outlier_fraction) is split evenly

@@ -29,9 +29,4 @@ std::vector<double> AddBinomialNoise(const std::vector<int64_t>& counts,
   return noisy;
 }
 
-double BinomialNoiseStddev(int64_t noise_bits) {
-  BITPUSH_CHECK_GE(noise_bits, 0);
-  return std::sqrt(static_cast<double>(noise_bits)) / 2.0;
-}
-
 }  // namespace bitpush

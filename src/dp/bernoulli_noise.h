@@ -26,10 +26,6 @@ int64_t NoiseBitsForBudget(double epsilon, double delta);
 std::vector<double> AddBinomialNoise(const std::vector<int64_t>& counts,
                                      int64_t noise_bits, Rng& rng);
 
-// Expected absolute error the noise adds to one bucket
-// (= stddev of Binomial(noise_bits, 1/2), i.e. sqrt(noise_bits)/2).
-double BinomialNoiseStddev(int64_t noise_bits);
-
 }  // namespace bitpush
 
 #endif  // BITPUSH_DP_BERNOULLI_NOISE_H_

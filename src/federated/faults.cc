@@ -92,11 +92,6 @@ FaultType FaultPlan::DecideAttempt(int64_t round_id, int64_t client_id,
   return FaultType::kNone;
 }
 
-double FaultPlan::StragglerDelayMinutes(int64_t round_id,
-                                        int64_t client_id) const {
-  return 1.0 + 59.0 * HashUniform(round_id, client_id, /*salt=*/1);
-}
-
 void FaultPlan::CorruptBuffer(int64_t round_id, int64_t client_id,
                               std::vector<uint8_t>* buffer) const {
   CorruptBuffer(round_id, client_id, /*attempt=*/0, buffer);

@@ -82,10 +82,6 @@ class FaultPlan {
   FaultType DecideAttempt(int64_t round_id, int64_t client_id,
                           int64_t attempt) const;
 
-  // Deterministic lateness of a straggler's report, in (0, 60] minutes past
-  // the deadline.
-  double StragglerDelayMinutes(int64_t round_id, int64_t client_id) const;
-
   // Flips 1-3 bytes of `buffer` (each XORed with a non-zero mask), at
   // positions derived from (seed, round, client). At least one byte is
   // guaranteed to change on a non-empty buffer. The attempt-aware overload

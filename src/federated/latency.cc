@@ -25,14 +25,6 @@ double ExpectedCollectionMinutes(const LatencyModel& model,
          (model.checkins_per_minute * model.eligibility_rate);
 }
 
-double ExpectedQueryMinutes(const LatencyModel& model, int64_t cohort_size,
-                            int rounds) {
-  ValidateModel(model);
-  BITPUSH_CHECK_GE(rounds, 1);
-  return ExpectedCollectionMinutes(model, cohort_size) +
-         static_cast<double>(rounds) * model.fixed_round_minutes;
-}
-
 double SampleCollectionMinutes(const LatencyModel& model,
                                int64_t cohort_size, Rng& rng) {
   ValidateModel(model);

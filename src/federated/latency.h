@@ -31,11 +31,6 @@ struct LatencyModel {
 double ExpectedCollectionMinutes(const LatencyModel& model,
                                  int64_t cohort_size);
 
-// Expected end-to-end minutes for a protocol with `rounds` rounds needing
-// `cohort_size` eligible devices in total (split evenly across rounds).
-double ExpectedQueryMinutes(const LatencyModel& model, int64_t cohort_size,
-                            int rounds);
-
 // One stochastic draw of the collection time (sum of exponential
 // inter-arrival gaps thinned by eligibility), for simulations.
 double SampleCollectionMinutes(const LatencyModel& model,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "obs/events.h"
 #include "util/bytes.h"
@@ -343,25 +342,6 @@ bool HealthTracker::DecodeFrom(std::span<const uint8_t> buffer,
   out->closes_ = closes;
   *offset = cursor;
   return true;
-}
-
-std::string RetryStatsSummary(const RetryStats& stats) {
-  std::ostringstream out;
-  out << "recovered=" << stats.RecoveredTotal()
-      << " (retry=" << stats.retry_reports_recovered
-      << " hedge=" << stats.hedge_reports << ")"
-      << " retries=" << stats.retries_scheduled
-      << " retransmits=" << stats.retransmits_requested
-      << " exhausted=" << stats.retries_exhausted
-      << " denied=" << stats.retry_budget_denied + stats.deadline_denied
-      << " hedges=" << stats.hedges_issued
-      << " cancelled=" << stats.hedges_cancelled
-      << " breaker[skips=" << stats.breaker_skips
-      << " probes=" << stats.breaker_probes << " opens=" << stats.breaker_opens
-      << " closes=" << stats.breaker_closes << "]"
-      << " backoff_min=" << stats.backoff_minutes
-      << " elapsed_min=" << stats.elapsed_minutes;
-  return out.str();
 }
 
 }  // namespace bitpush

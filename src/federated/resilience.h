@@ -263,9 +263,6 @@ class HealthTracker {
   int64_t closes_ = 0;
 };
 
-// One-line human-readable summary for ops output (benches, monitors).
-std::string RetryStatsSummary(const RetryStats& stats);
-
 }  // namespace bitpush
 
 #endif  // BITPUSH_FEDERATED_RESILIENCE_H_

@@ -20,16 +20,6 @@ SecureAggregator::SecureAggregator(int64_t expected_contributors, Rng& rng) {
   received_.reserve(masks_.size());
 }
 
-uint64_t SecureAggregator::Mask(int64_t contributor_index, uint64_t value) {
-  BITPUSH_CHECK_GE(contributor_index, 0);
-  BITPUSH_CHECK_LT(contributor_index,
-                   static_cast<int64_t>(masks_.size()));
-  const size_t i = static_cast<size_t>(contributor_index);
-  BITPUSH_CHECK(!mask_used_[i]) << "mask slot reused";
-  mask_used_[i] = true;
-  return value + masks_[i];
-}
-
 void SecureAggregator::MaskBatch(const uint64_t* values, int64_t count,
                                  int64_t first_slot, uint64_t* out) {
   BITPUSH_CHECK(values != nullptr);
@@ -46,11 +36,6 @@ void SecureAggregator::MaskBatch(const uint64_t* values, int64_t count,
   std::copy(values, values + count, out);
   kernels::ActiveKernel().add_words(
       out, masks_.data() + first_slot, count);
-}
-
-void SecureAggregator::Submit(uint64_t masked_value) {
-  BITPUSH_CHECK_LT(received_.size(), masks_.size()) << "too many submissions";
-  received_.push_back(masked_value);
 }
 
 void SecureAggregator::SubmitBatch(const uint64_t* masked_values,

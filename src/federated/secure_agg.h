@@ -26,21 +26,13 @@ class SecureAggregator {
   // modulo 2^64.
   SecureAggregator(int64_t expected_contributors, Rng& rng);
 
-  // Client-side: returns value + mask_i (mod 2^64) for contributor slot i.
-  // Each slot may be used once.
-  uint64_t Mask(int64_t contributor_index, uint64_t value);
-
-  // Bulk Mask for contributor slots [first_slot, first_slot + count):
+  // Client-side, for contributor slots [first_slot, first_slot + count):
   // out[i] = values[i] + mask_{first_slot + i} (mod 2^64), applied by the
-  // kernel layer's word-add (src/kernels/). Identical to calling Mask per
-  // slot; each slot may still be used only once.
+  // kernel layer's word-add (src/kernels/). Each slot may be used once.
   void MaskBatch(const uint64_t* values, int64_t count, int64_t first_slot,
                  uint64_t* out);
 
-  // Server-side: records a masked submission.
-  void Submit(uint64_t masked_value);
-
-  // Bulk Submit of `count` masked values in order.
+  // Server-side: records `count` masked submissions in order.
   void SubmitBatch(const uint64_t* masked_values, int64_t count);
 
   // True once every expected contributor has submitted.

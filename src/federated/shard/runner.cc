@@ -1,9 +1,5 @@
 #include "federated/shard/runner.h"
 
-// bitpush-lint: allow(privacy-metering): the runner orchestrates shards
-// that each charge their own shard-local meter during collection; the
-// delivery loop and the reference below move already-metered tallies.
-
 #include <algorithm>
 #include <cstdint>
 #include <exception>
@@ -389,6 +385,7 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
   return true;
 }
 
+// bitpush-lint: allow(unreached-function): the single-coordinator reference of PropDifferentialTest.ShardedAndSingleCoordinatorAgreeBitForBit and ShardDeterminismTest.InMemoryShardsMatchReference
 ReferenceCampaignResult RunSingleCoordinatorReference(
     const std::vector<CampaignQuery>& queries, const MeterPolicy& policy,
     int64_t shards, uint64_t seed,

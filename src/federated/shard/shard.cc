@@ -1,10 +1,5 @@
 #include "federated/shard/shard.h"
 
-// bitpush-lint: allow(privacy-metering): the coordinator shard never
-// fabricates reports — collection inside MeasurementCampaign /
-// DurableCampaignRunner charges every report to this shard's local_meter()
-// ledger; the harvest below only repackages already-metered tallies.
-
 #include <cstdint>
 #include <memory>
 #include <string>

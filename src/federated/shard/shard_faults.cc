@@ -35,6 +35,7 @@ ShardFaultPlan::ShardFaultPlan(uint64_t seed, const ShardFaultRates& rates)
   BITPUSH_CHECK(sum <= 1.0) << "shard fault rates sum to " << sum << " > 1";
 }
 
+// bitpush-lint: allow(unreached-function): seam that ShardDegradedMergeTest.LostShardIsExcludedWithExactAccounting and ShardQuorumTest.BelowQuorumFailsClosed use to lose a shard for good
 void ShardFaultPlan::SetPermanentLoss(int64_t shard, int64_t from_tick) {
   BITPUSH_CHECK(shard >= -1);
   lost_shard_ = shard;

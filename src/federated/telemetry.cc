@@ -62,20 +62,6 @@ std::vector<double> GenerateMetric(MetricFamily family, int64_t n, Rng& rng) {
   return values;
 }
 
-std::vector<std::vector<double>> GenerateMetricSeries(MetricFamily family,
-                                                      int64_t devices,
-                                                      int64_t observations,
-                                                      Rng& rng) {
-  BITPUSH_CHECK_GE(devices, 0);
-  BITPUSH_CHECK_GE(observations, 1);
-  std::vector<std::vector<double>> series;
-  series.reserve(static_cast<size_t>(devices));
-  for (int64_t d = 0; d < devices; ++d) {
-    series.push_back(GenerateMetric(family, observations, rng));
-  }
-  return series;
-}
-
 int EstimateHighestUsedBit(const std::vector<double>& bit_means,
                            double threshold) {
   for (int j = static_cast<int>(bit_means.size()) - 1; j >= 0; --j) {

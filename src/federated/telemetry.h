@@ -30,13 +30,6 @@ std::string MetricFamilyName(MetricFamily family);
 // Generates `n` per-device readings of the given metric family.
 std::vector<double> GenerateMetric(MetricFamily family, int64_t n, Rng& rng);
 
-// Generates a per-device *series* of `observations` readings (the
-// multi-value-per-client case of Section 4.3).
-std::vector<std::vector<double>> GenerateMetricSeries(MetricFamily family,
-                                                      int64_t devices,
-                                                      int64_t observations,
-                                                      Rng& rng);
-
 // The highest bit index whose estimated mean is at least `threshold` — the
 // protocol's view of the data's magnitude (b_max). Returns -1 when no bit
 // qualifies.

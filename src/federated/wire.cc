@@ -1,100 +1,11 @@
 #include "federated/wire.h"
 
-#include <bit>
-#include <cmath>
-
-#include "obs/metrics.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
-// bitpush-lint: allow(privacy-metering): codec implementation; it serializes reports whose meter charge already happened in Client::HandleRequest before the report existed
+// bitpush-lint: allow(privacy-metering): codec implementation; it serializes reports whose meter charge already happened in AnswerRequest (client.cc), before the report existed
 
 namespace bitpush {
-
-namespace {
-
-// Batch codec instruments. Raw wire-layer counts are kVolatile: batches
-// are also encoded by tooling, tests, and recovery replay, so their totals
-// are process-local (the round-boundary bitpush_wire_* counters in
-// federated/obs_hooks.cc are the deterministic view).
-struct WireInstruments {
-  obs::Histogram* encode_seconds;
-  obs::Histogram* decode_seconds;
-  obs::Counter* batches_encoded;
-  obs::Counter* batches_decoded;
-  obs::Counter* decode_rejects;
-};
-
-const WireInstruments& GetWireInstruments() {
-  static const WireInstruments instruments = [] {
-    obs::Registry& r = obs::Registry::Default();
-    const obs::Determinism v = obs::Determinism::kVolatile;
-    WireInstruments i;
-    i.encode_seconds =
-        r.GetHistogram("bitpush_wire_encode_seconds",
-                       "Wall-clock time to encode one request/report batch.",
-                       obs::LatencySecondsBounds(), v);
-    i.decode_seconds =
-        r.GetHistogram("bitpush_wire_decode_seconds",
-                       "Wall-clock time to decode one request/report batch.",
-                       obs::LatencySecondsBounds(), v);
-    i.batches_encoded = r.GetCounter("bitpush_wire_batches_encoded_total",
-                                     "Wire batches encoded.", v);
-    i.batches_decoded = r.GetCounter("bitpush_wire_batches_decoded_total",
-                                     "Wire batches decoded successfully.", v);
-    i.decode_rejects = r.GetCounter("bitpush_wire_decode_rejects_total",
-                                    "Wire batches rejected by the decoder.",
-                                    v);
-    return i;
-  }();
-  return instruments;
-}
-
-}  // namespace
-
-void EncodeBitRequest(const BitRequest& request, std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  BITPUSH_CHECK_GE(request.bit_index, 0);
-  BITPUSH_CHECK_LT(request.bit_index, 256);
-  BITPUSH_CHECK(std::isfinite(request.rr_epsilon))
-      << "rr_epsilon must be finite on the wire";
-  bytes::PutUint64(static_cast<uint64_t>(request.round_id), out);
-  bytes::PutUint64(static_cast<uint64_t>(request.value_id), out);
-  out->push_back(static_cast<uint8_t>(request.bit_index));
-  bytes::PutDouble(request.rr_epsilon, out);
-}
-
-bool DecodeBitRequest(const std::vector<uint8_t>& buffer, size_t* offset,
-                      BitRequest* out) {
-  BITPUSH_CHECK(offset != nullptr);
-  BITPUSH_CHECK(out != nullptr);
-  if (*offset > buffer.size() ||
-      buffer.size() - *offset < kBitRequestWireSize) {
-    return false;
-  }
-  size_t cursor = *offset;
-  uint64_t round_id = 0;
-  uint64_t value_id = 0;
-  uint8_t bit_index = 0;
-  double rr_epsilon = 0.0;
-  if (!bytes::GetUint64(buffer, &cursor, &round_id) ||
-      !bytes::GetUint64(buffer, &cursor, &value_id) ||
-      !bytes::GetByte(buffer, &cursor, &bit_index) ||
-      !bytes::GetDouble(buffer, &cursor, &rr_epsilon)) {
-    return false;
-  }
-  // Malformed: a NaN or infinite epsilon from the wire would poison the
-  // randomized-response parameters downstream (found by the seeded wire
-  // fuzzer; see tests/wire_fuzz_test.cc). Negative finite values are legal
-  // and mean "perturbation disabled".
-  if (!std::isfinite(rr_epsilon)) return false;
-  out->round_id = static_cast<int64_t>(round_id);
-  out->value_id = static_cast<int64_t>(value_id);
-  out->bit_index = bit_index;
-  out->rr_epsilon = rr_epsilon;
-  *offset = cursor;
-  return true;
-}
 
 void EncodeBitReport(const BitReport& report, std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
@@ -128,92 +39,6 @@ bool DecodeBitReport(const std::vector<uint8_t>& buffer, size_t* offset,
   out->bit_index = bit_index;
   out->bit = bit;
   *offset = cursor;
-  return true;
-}
-
-void EncodeRequestBatch(const std::vector<BitRequest>& requests,
-                        std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  const WireInstruments& obs = GetWireInstruments();
-  const obs::ScopedTimer timer(obs.encode_seconds);
-  obs.batches_encoded->Increment();
-  bytes::PutByte(kWireFormatVersion, out);
-  bytes::PutUint32(static_cast<uint32_t>(requests.size()), out);
-  for (const BitRequest& request : requests) {
-    EncodeBitRequest(request, out);
-  }
-}
-
-bool DecodeRequestBatch(const std::vector<uint8_t>& buffer,
-                        std::vector<BitRequest>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  const WireInstruments& obs = GetWireInstruments();
-  const obs::ScopedTimer timer(obs.decode_seconds);
-  const auto reject = [&obs] {
-    obs.decode_rejects->Increment();
-    return false;
-  };
-  size_t offset = 0;
-  uint8_t version = 0;
-  uint32_t count = 0;
-  if (!bytes::GetByte(buffer, &offset, &version)) return reject();
-  if (version != kWireFormatVersion) return reject();  // unknown version
-  if (!bytes::GetUint32(buffer, &offset, &count)) return reject();
-  if ((buffer.size() - offset) / kBitRequestWireSize <
-      static_cast<size_t>(count)) {
-    return reject();
-  }
-  std::vector<BitRequest> requests;
-  requests.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    BitRequest request;
-    if (!DecodeBitRequest(buffer, &offset, &request)) return reject();
-    requests.push_back(request);
-  }
-  *out = std::move(requests);
-  obs.batches_decoded->Increment();
-  return true;
-}
-
-void EncodeReportBatch(const std::vector<BitReport>& reports,
-                       std::vector<uint8_t>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  const WireInstruments& obs = GetWireInstruments();
-  const obs::ScopedTimer timer(obs.encode_seconds);
-  obs.batches_encoded->Increment();
-  bytes::PutByte(kWireFormatVersion, out);
-  bytes::PutUint32(static_cast<uint32_t>(reports.size()), out);
-  for (const BitReport& report : reports) EncodeBitReport(report, out);
-}
-
-bool DecodeReportBatch(const std::vector<uint8_t>& buffer,
-                       std::vector<BitReport>* out) {
-  BITPUSH_CHECK(out != nullptr);
-  const WireInstruments& obs = GetWireInstruments();
-  const obs::ScopedTimer timer(obs.decode_seconds);
-  const auto reject = [&obs] {
-    obs.decode_rejects->Increment();
-    return false;
-  };
-  size_t offset = 0;
-  uint8_t version = 0;
-  uint32_t count = 0;
-  if (!bytes::GetByte(buffer, &offset, &version)) return reject();
-  if (version != kWireFormatVersion) return reject();  // unknown version
-  if (!bytes::GetUint32(buffer, &offset, &count)) return reject();
-  if ((buffer.size() - offset) / kBitReportWireSize <
-      static_cast<size_t>(count)) {
-    return reject();
-  }
-  std::vector<BitReport> reports;
-  reports.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    BitReport report;
-    if (!DecodeBitReport(buffer, &offset, &report)) return reject();
-    reports.push_back(report);
-  }
-  *out = std::move(reports);
-  obs.batches_decoded->Increment();
   return true;
 }
 

@@ -2,9 +2,11 @@
 //
 // The deployment discussion (Section 5, "Communication costs") notes that
 // the single private bit rides in a small packet alongside headers and the
-// sampled bit index. This module defines that packet: fixed-width
+// sampled bit index. This module defines the report packet: fixed-width
 // little-endian encoding with explicit bounds-checked decoding, so the
 // transport layer of an integration has a concrete, testable contract.
+// The fault layer (federated/faults.cc) sends each corrupted or truncated
+// report through it.
 
 #ifndef BITPUSH_FEDERATED_WIRE_H_
 #define BITPUSH_FEDERATED_WIRE_H_
@@ -17,40 +19,24 @@
 
 namespace bitpush {
 
-// Format version carried in every frame header — shared by the network
-// batch frames below and by the persisted journal/snapshot records of
-// src/persist/. Decoders reject any other value with a clean error rather
-// than misparsing a frame laid out by a future (or corrupted) writer.
+// Format version carried in the header of the shard tick frame
+// (federated/shard/merge.h); the journal and the snapshot of src/persist/
+// carry their own. Decoders reject any other value with a clean error
+// rather than misparsing a frame laid out by a future (or corrupted)
+// writer.
 inline constexpr uint8_t kWireFormatVersion = 1;
 
-// Serialized sizes (bytes) of the unframed single messages.
-inline constexpr size_t kBitRequestWireSize = 8 + 8 + 1 + 8;
+// Serialized size (bytes) of one report.
 inline constexpr size_t kBitReportWireSize = 8 + 1 + 1;
 
-// Appends the message to `out`.
-void EncodeBitRequest(const BitRequest& request, std::vector<uint8_t>* out);
+// Appends the report to `out`.
 void EncodeBitReport(const BitReport& report, std::vector<uint8_t>* out);
 
-// Decodes one message starting at `offset`; on success advances `*offset`
-// past the message and returns true. Returns false (leaving `*offset` and
-// `*out` untouched) on truncated input or malformed fields (bit values
-// outside {0, 1}, negative bit indices, non-finite rr_epsilon).
-bool DecodeBitRequest(const std::vector<uint8_t>& buffer, size_t* offset,
-                      BitRequest* out);
+// Decodes one report starting at `offset`; on success advances `*offset`
+// past it and returns true. Returns false (leaving `*offset` and `*out`
+// untouched) on truncated input or a bit value outside {0, 1}.
 bool DecodeBitReport(const std::vector<uint8_t>& buffer, size_t* offset,
                      BitReport* out);
-
-// Batch framing: a 1-byte format version, a 4-byte count, then that many
-// messages. Decoding rejects unknown versions and counts that would overrun
-// the buffer.
-void EncodeReportBatch(const std::vector<BitReport>& reports,
-                       std::vector<uint8_t>* out);
-bool DecodeReportBatch(const std::vector<uint8_t>& buffer,
-                       std::vector<BitReport>* out);
-void EncodeRequestBatch(const std::vector<BitRequest>& requests,
-                        std::vector<uint8_t>* out);
-bool DecodeRequestBatch(const std::vector<uint8_t>& buffer,
-                        std::vector<BitRequest>* out);
 
 }  // namespace bitpush
 

@@ -53,14 +53,6 @@ const KernelOps& ActiveKernel() {
   return DispatchedKernel();
 }
 
-bool SimdCompiledIn() {
-#if defined(BITPUSH_SIMD_AVX2) || defined(BITPUSH_SIMD_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool SimdActive() { return &ActiveKernel() != &ScalarKernel(); }
 
 ScopedForceScalar::ScopedForceScalar() {

@@ -108,10 +108,6 @@ const KernelOps& ScalarKernel();
 // environment is read once, on first use.
 const KernelOps& ActiveKernel();
 
-// True when a SIMD kernel was compiled into this binary (it may still be
-// unused if the CPU lacks the feature or the override is set).
-bool SimdCompiledIn();
-
 // True when ActiveKernel() currently resolves to a non-scalar kernel.
 bool SimdActive();
 

@@ -69,14 +69,6 @@ bool AlertEngine::firing(AlertRule rule) const {
   return firing_[RuleIndex(rule)];
 }
 
-int64_t AlertEngine::firing_count() const {
-  int64_t count = 0;
-  for (int i = 0; i < kAlertRuleCount; ++i) {
-    if (firing_[i]) ++count;
-  }
-  return count;
-}
-
 void AlertEngine::Reset() {
   for (int i = 0; i < kAlertRuleCount; ++i) firing_[i] = false;
   evaluated_ = false;

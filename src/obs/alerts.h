@@ -114,7 +114,6 @@ class AlertEngine {
       const CampaignAlertInputs& inputs);
 
   bool firing(AlertRule rule) const;
-  int64_t firing_count() const;
   int64_t fired_total() const { return fired_total_; }
   int64_t resolved_total() const { return resolved_total_; }
   const std::vector<AlertTransition>& transitions() const {

@@ -96,8 +96,6 @@ class EventRecorder {
 
   // Oldest-first copy of one ring.
   std::vector<EventRecord> Snapshot(Determinism determinism) const;
-  // Oldest-first copy of both rings, stable ring first.
-  std::vector<EventRecord> SnapshotAll() const;
 
   // Events emitted into a full ring evict the oldest entry; the eviction
   // count per ring is kept so exports can say "N older events dropped".

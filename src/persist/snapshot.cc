@@ -153,6 +153,7 @@ FinishedQueryEntry MakeFinishedQueryEntry(int64_t query_index,
   return entry;
 }
 
+// bitpush-lint: allow(unreached-function): the in-memory image of the bytes WriteSnapshotFile streams, which SnapshotFuzzTest.DecoderFailsClosedOnEveryMutation and SnapshotTest.EncodeDecodeRoundTrip feed to the live decoder
 void EncodeCoordinatorSnapshot(const CoordinatorSnapshot& snapshot,
                                std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);

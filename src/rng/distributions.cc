@@ -51,11 +51,6 @@ double SampleLognormal(Rng& rng, double log_mean, double log_stddev) {
   return std::exp(SampleNormal(rng, log_mean, log_stddev));
 }
 
-size_t SampleDiscrete(Rng& rng, const std::vector<double>& weights) {
-  const DiscreteSampler sampler(weights);
-  return sampler.Sample(rng);
-}
-
 int64_t SampleBinomial(Rng& rng, int64_t n, double p) {
   BITPUSH_CHECK_GE(n, 0);
   if (n == 0 || p <= 0.0) return 0;

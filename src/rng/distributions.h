@@ -31,10 +31,6 @@ double SamplePareto(Rng& rng, double scale, double shape);
 // Lognormal: exp(Normal(log_mean, log_stddev)).
 double SampleLognormal(Rng& rng, double log_mean, double log_stddev);
 
-// Samples an index in [0, weights.size()) with probability proportional to
-// weights[i]. Weights must be non-negative with a positive sum.
-size_t SampleDiscrete(Rng& rng, const std::vector<double>& weights);
-
 // Binomial(n, p) by summing Bernoulli draws for small n and a normal
 // approximation guarded to [0, n] for large n (n*p*(1-p) > 100). Used for
 // simulating aggregate noise; the approximation error is far below the

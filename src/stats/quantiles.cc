@@ -27,23 +27,4 @@ double Quantile(const std::vector<double>& values, double q) {
   return QuantileOfSorted(sorted, q);
 }
 
-std::vector<double> Quantiles(const std::vector<double>& values,
-                              const std::vector<double>& qs) {
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> out;
-  out.reserve(qs.size());
-  for (const double q : qs) out.push_back(QuantileOfSorted(sorted, q));
-  return out;
-}
-
-std::vector<double> Winsorize(const std::vector<double>& values, double q_low,
-                              double q_high) {
-  BITPUSH_CHECK_LE(q_low, q_high);
-  const std::vector<double> bounds = Quantiles(values, {q_low, q_high});
-  std::vector<double> out = values;
-  for (double& v : out) v = std::clamp(v, bounds[0], bounds[1]);
-  return out;
-}
-
 }  // namespace bitpush

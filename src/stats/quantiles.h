@@ -14,15 +14,6 @@ namespace bitpush {
 // input is copied, not mutated.
 double Quantile(const std::vector<double>& values, double q);
 
-// Returns several quantiles in one sort. `qs` entries must be in [0, 1].
-std::vector<double> Quantiles(const std::vector<double>& values,
-                              const std::vector<double>& qs);
-
-// Winsorizes a copy of `values`: entries below the q_low quantile are raised
-// to it and entries above the q_high quantile lowered to it.
-std::vector<double> Winsorize(const std::vector<double>& values, double q_low,
-                              double q_high);
-
 }  // namespace bitpush
 
 #endif  // BITPUSH_STATS_QUANTILES_H_

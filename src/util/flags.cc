@@ -24,18 +24,6 @@ bool SplitFlag(const std::string& arg, std::string* name, std::string* value) {
   return true;
 }
 
-bool ParseBoolValue(const std::string& value, bool* out) {
-  if (value.empty() || value == "true" || value == "1") {
-    *out = true;
-    return true;
-  }
-  if (value == "false" || value == "0") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 void FlagSet::Add(const std::string& name, Type type, void* target,
@@ -55,11 +43,6 @@ void FlagSet::AddInt64(const std::string& name, int64_t* target,
 void FlagSet::AddDouble(const std::string& name, double* target,
                         const std::string& help) {
   Add(name, Type::kDouble, target, help, std::to_string(*target));
-}
-
-void FlagSet::AddBool(const std::string& name, bool* target,
-                      const std::string& help) {
-  Add(name, Type::kBool, target, help, *target ? "true" : "false");
 }
 
 void FlagSet::AddString(const std::string& name, std::string* target,
@@ -119,9 +102,6 @@ void FlagSet::Parse(int argc, char** argv) const {
         if (ok) *static_cast<double*>(match->target) = parsed;
         break;
       }
-      case Type::kBool:
-        ok = ParseBoolValue(value, static_cast<bool*>(match->target));
-        break;
       case Type::kString:
         *static_cast<std::string*>(match->target) = value;
         break;

@@ -34,7 +34,6 @@ class FlagSet {
                 const std::string& help);
   void AddDouble(const std::string& name, double* target,
                  const std::string& help);
-  void AddBool(const std::string& name, bool* target, const std::string& help);
   void AddString(const std::string& name, std::string* target,
                  const std::string& help);
 
@@ -47,7 +46,7 @@ class FlagSet {
   std::string Usage(const std::string& program_name) const;
 
  private:
-  enum class Type { kInt64, kDouble, kBool, kString };
+  enum class Type { kInt64, kDouble, kString };
 
   struct Flag {
     std::string name;

@@ -86,13 +86,4 @@ std::string Table::ToCsv() const {
   return out.str();
 }
 
-bool Table::WriteCsv(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "a");
-  if (file == nullptr) return false;
-  const std::string csv = ToCsv();
-  const bool ok =
-      std::fwrite(csv.data(), 1, csv.size(), file) == csv.size();
-  return std::fclose(file) == 0 && ok;
-}
-
 }  // namespace bitpush

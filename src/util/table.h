@@ -33,8 +33,6 @@ class Table {
   std::string ToCsv() const;
   // Writes ToString() to stdout.
   void Print() const;
-  // Appends ToCsv() to `path`; returns false on I/O failure.
-  bool WriteCsv(const std::string& path) const;
 
   // Raw cells, for exporters that re-serialize the table (see
   // bench/bench_common.h).

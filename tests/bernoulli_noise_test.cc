@@ -54,12 +54,6 @@ TEST(AddBinomialNoiseTest, NoisyCountsCanGoNegative) {
   EXPECT_TRUE(saw_negative);
 }
 
-TEST(BinomialNoiseStddevTest, SqrtLaw) {
-  EXPECT_DOUBLE_EQ(BinomialNoiseStddev(0), 0.0);
-  EXPECT_DOUBLE_EQ(BinomialNoiseStddev(4), 1.0);
-  EXPECT_DOUBLE_EQ(BinomialNoiseStddev(400), 10.0);
-}
-
 TEST(DistributedVsLocalNoiseTest, DistributedNoiseIsSmallerAtScale) {
   // Section 3.3's point: distributed noise for the whole aggregate is far
   // below the sum of per-client LDP noise. Compare the noise added to a

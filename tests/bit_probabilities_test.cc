@@ -15,6 +15,16 @@ double Sum(const std::vector<double>& v) {
   return total;
 }
 
+// The adaptive allocation with every bit kept, falling back to Equation
+// (7)'s geometric allocation when every weight vanishes. At alpha = 0.5
+// it is Lemma 3.3's variance-minimizing allocation.
+std::vector<double> Unmasked(const std::vector<double>& means, double alpha) {
+  const int bits = static_cast<int>(means.size());
+  return AdaptiveProbabilitiesMasked(means,
+                                     std::vector<bool>(means.size(), true),
+                                     alpha, GeometricProbabilities(bits, 1.0));
+}
+
 TEST(NormalizeProbabilitiesTest, SumsToOne) {
   std::vector<double> p = {1.0, 2.0, 5.0};
   NormalizeProbabilities(p);
@@ -86,7 +96,7 @@ TEST(OptimalProbabilitiesTest, ProportionalToSqrtBeta) {
   // Lemma 3.3: p_j = sqrt(beta_j) / sum sqrt(beta_k).
   const std::vector<double> means = {0.5, 0.25, 0.5};
   const std::vector<double> beta = BetaCoefficients(means);
-  const std::vector<double> p = OptimalProbabilities(means);
+  const std::vector<double> p = Unmasked(means, 0.5);
   double norm = 0.0;
   for (const double b : beta) norm += std::sqrt(b);
   for (size_t j = 0; j < p.size(); ++j) {
@@ -95,14 +105,14 @@ TEST(OptimalProbabilitiesTest, ProportionalToSqrtBeta) {
 }
 
 TEST(OptimalProbabilitiesTest, DegenerateBitsGetZero) {
-  const std::vector<double> p = OptimalProbabilities({0.5, 0.0, 1.0});
+  const std::vector<double> p = Unmasked({0.5, 0.0, 1.0}, 0.5);
   EXPECT_GT(p[0], 0.99);
   EXPECT_DOUBLE_EQ(p[1], 0.0);
   EXPECT_DOUBLE_EQ(p[2], 0.0);
 }
 
 TEST(OptimalProbabilitiesTest, AllDegenerateFallsBackToGeometric) {
-  const std::vector<double> p = OptimalProbabilities({0.0, 1.0, 0.0});
+  const std::vector<double> p = Unmasked({0.0, 1.0, 0.0}, 0.5);
   EXPECT_EQ(p, GeometricProbabilities(3, 1.0));
 }
 
@@ -111,7 +121,7 @@ TEST(OptimalProbabilitiesTest, MinimizesVarianceOverAlternatives) {
   // Lemma 3.1 variance expression for a non-trivial mean profile.
   const std::vector<double> means = {0.5, 0.3, 0.1, 0.45, 0.02};
   const double n = 1000.0;
-  const double optimal = VarianceBound(means, OptimalProbabilities(means), n);
+  const double optimal = VarianceBound(means, Unmasked(means, 0.5), n);
   EXPECT_LT(optimal, VarianceBound(means, UniformProbabilities(5), n));
   EXPECT_LT(optimal,
             VarianceBound(means, GeometricProbabilities(5, 1.0), n));
@@ -124,7 +134,7 @@ TEST(OptimalProbabilitiesTest, FirstOrderOptimalityCondition) {
   // (Equation (5) of the paper).
   const std::vector<double> means = {0.4, 0.2, 0.35, 0.05};
   const std::vector<double> beta = BetaCoefficients(means);
-  const std::vector<double> p = OptimalProbabilities(means);
+  const std::vector<double> p = Unmasked(means, 0.5);
   const double reference = beta[0] / (p[0] * p[0]);
   for (size_t j = 1; j < p.size(); ++j) {
     if (beta[j] == 0.0) continue;
@@ -134,12 +144,18 @@ TEST(OptimalProbabilitiesTest, FirstOrderOptimalityCondition) {
 
 TEST(AdaptiveProbabilitiesTest, AlphaHalfMatchesOptimal) {
   const std::vector<double> means = {0.5, 0.25, 0.1};
-  EXPECT_EQ(AdaptiveProbabilities(means, 0.5), OptimalProbabilities(means));
+  const std::vector<double> beta = BetaCoefficients(means);
+  const std::vector<double> p = Unmasked(means, 0.5);
+  double norm = 0.0;
+  for (const double b : beta) norm += std::sqrt(b);
+  for (size_t j = 0; j < p.size(); ++j) {
+    EXPECT_NEAR(p[j], std::sqrt(beta[j]) / norm, 1e-12);
+  }
 }
 
 TEST(AdaptiveProbabilitiesTest, AlphaOneWeightsByBeta) {
   const std::vector<double> means = {0.5, 0.5};
-  const std::vector<double> p = AdaptiveProbabilities(means, 1.0);
+  const std::vector<double> p = Unmasked(means, 1.0);
   // beta = {0.25, 1.0} -> p = {0.2, 0.8}.
   EXPECT_NEAR(p[0], 0.2, 1e-12);
   EXPECT_NEAR(p[1], 0.8, 1e-12);

@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,32 @@
 
 namespace bitpush {
 namespace {
+
+// Exact mean of the embedded age distribution (not of a finite sample).
+double CensusDistributionMean() {
+  const std::vector<double>& weights = CensusAgeWeights();
+  double total = 0.0;
+  double weighted = 0.0;
+  for (size_t age = 0; age < weights.size(); ++age) {
+    total += weights[age];
+    weighted += static_cast<double>(age) * weights[age];
+  }
+  return weighted / total;
+}
+
+// Exact variance of the embedded age distribution.
+double CensusDistributionVariance() {
+  const std::vector<double>& weights = CensusAgeWeights();
+  const double mean = CensusDistributionMean();
+  double total = 0.0;
+  double weighted_sq = 0.0;
+  for (size_t age = 0; age < weights.size(); ++age) {
+    const double d = static_cast<double>(age) - mean;
+    total += weights[age];
+    weighted_sq += d * d * weights[age];
+  }
+  return weighted_sq / total;
+}
 
 TEST(CensusTest, WeightsCoverFullSupport) {
   const std::vector<double>& weights = CensusAgeWeights();
@@ -38,7 +66,7 @@ TEST(CensusTest, AgesFitSevenBits) {
   EXPECT_GE(data.truth().max, 64.0);  // some elderly present
   const uint64_t max_code =
       FixedPointCodec::Integer(7).Encode(data.truth().max);
-  EXPECT_EQ(FixedPointCodec::HighestSetBit(max_code), 6);
+  EXPECT_EQ(std::bit_width(max_code), 7);
 }
 
 TEST(CensusTest, SampleMomentsConvergeToDistribution) {

@@ -121,13 +121,6 @@ TEST(DistributionsDeathTest, DiscreteSamplerRejectsBadWeights) {
   EXPECT_DEATH(DiscreteSampler({}), "BITPUSH_CHECK failed");
 }
 
-TEST(DistributionsTest, SampleDiscreteFreeFunction) {
-  Rng rng(17);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(SampleDiscrete(rng, {0.0, 1.0, 0.0}), 1u);
-  }
-}
-
 TEST(DistributionsTest, BinomialEdgeCases) {
   Rng rng(19);
   EXPECT_EQ(SampleBinomial(rng, 0, 0.5), 0);

@@ -138,15 +138,6 @@ TEST(FaultPlanTest, CrashOnlyStrikesRoundOne) {
   EXPECT_GT(round1_crashes, 0);
 }
 
-TEST(FaultPlanTest, StragglerDelayWithinWindow) {
-  const FaultPlan plan(23, SingleRate(FaultType::kStraggler, 0.5));
-  for (int64_t client = 0; client < 1000; ++client) {
-    const double delay = plan.StragglerDelayMinutes(1, client);
-    EXPECT_GE(delay, 1.0);
-    EXPECT_LE(delay, 60.0);
-  }
-}
-
 TEST(FaultPlanTest, CorruptBufferAlwaysChangesBytes) {
   const FaultPlan plan(24, SingleRate(FaultType::kCorruptMessage, 0.5));
   for (int64_t client = 0; client < 500; ++client) {

@@ -93,15 +93,6 @@ TEST(FixedPointTest, BitsFormLinearDecomposition) {
   }
 }
 
-TEST(FixedPointTest, HighestSetBit) {
-  EXPECT_EQ(FixedPointCodec::HighestSetBit(0), -1);
-  EXPECT_EQ(FixedPointCodec::HighestSetBit(1), 0);
-  EXPECT_EQ(FixedPointCodec::HighestSetBit(2), 1);
-  EXPECT_EQ(FixedPointCodec::HighestSetBit(3), 1);
-  EXPECT_EQ(FixedPointCodec::HighestSetBit(90), 6);
-  EXPECT_EQ(FixedPointCodec::HighestSetBit(uint64_t{1} << 51), 51);
-}
-
 TEST(FixedPointTest, MaxWidthCodecRoundTripsExactly) {
   const FixedPointCodec codec = FixedPointCodec::Integer(kMaxBits);
   const uint64_t big = (uint64_t{1} << kMaxBits) - 1;

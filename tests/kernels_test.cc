@@ -6,10 +6,6 @@
 // reference implementation and against the scalar kernel, then check the
 // batch pipeline (build -> perturb -> aggregate) against the per-report
 // path it replaced.
-//
-// bitpush-lint: allow(privacy-metering): kernel-layer differential tests
-// operate on synthetic codewords and reports; no real client value flows
-// through an unmetered path
 
 #include <algorithm>
 #include <bit>
@@ -41,6 +37,11 @@ using ::bitpush::kernels::ScopedForceScalar;
 using ::bitpush::kernels::SimdActive;
 using ::bitpush::kernels::TailMask;
 using ::bitpush::kernels::WordsForBits;
+
+// The bit of `slot` in a plane of words.
+int SlotBit(const uint64_t* plane, int64_t slot) {
+  return static_cast<int>((plane[slot / 64] >> (slot % 64)) & 1u);
+}
 
 std::vector<uint64_t> RandomWords(int64_t n, Rng& rng) {
   std::vector<uint64_t> words(static_cast<size_t>(n));
@@ -307,11 +308,18 @@ TEST(KernelBatchTest, ConvertersRoundTripAndKeepPlanesGated) {
       EXPECT_EQ(batch.plane(j)[w] & ~batch.selection_plane(j)[w], 0u);
     }
   }
-  const std::vector<BitReport> round_trip = ToBitReports(batch);
-  ASSERT_EQ(round_trip.size(), reports.size());
+  // Slot i is selected in exactly report i's plane and carries its bit.
+  ASSERT_EQ(batch.count, static_cast<int64_t>(reports.size()));
   for (size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(round_trip[i].bit_index, reports[i].bit_index) << i;
-    EXPECT_EQ(round_trip[i].bit, reports[i].bit) << i;
+    const int64_t slot = static_cast<int64_t>(i);
+    for (int j = 0; j < bits; ++j) {
+      EXPECT_EQ(SlotBit(batch.selection_plane(j), slot),
+                j == reports[i].bit_index ? 1 : 0)
+          << i;
+    }
+    EXPECT_EQ(SlotBit(batch.plane(reports[i].bit_index), slot),
+              reports[i].bit)
+        << i;
   }
 }
 
@@ -359,14 +367,12 @@ TEST(KernelBatchTest, PerturbBatchReproducesThePerReportStream) {
   PerturbBatch(&batch, rr, batch_rng);
 
   Rng report_rng(77);
-  const std::vector<BitReport> perturbed = ToBitReports(batch);
-  ASSERT_EQ(perturbed.size(), static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
+    const int bit_index = assignment[static_cast<size_t>(i)];
     const int want = rr.Apply(
-        FixedPointCodec::Bit(codewords[static_cast<size_t>(i)],
-                             assignment[static_cast<size_t>(i)]),
+        FixedPointCodec::Bit(codewords[static_cast<size_t>(i)], bit_index),
         report_rng);
-    EXPECT_EQ(perturbed[static_cast<size_t>(i)].bit, want) << "slot " << i;
+    EXPECT_EQ(SlotBit(batch.plane(bit_index), i), want) << "slot " << i;
   }
   // Both paths left their streams at the same point.
   EXPECT_EQ(batch_rng.NextUint64(), report_rng.NextUint64());

@@ -9,12 +9,11 @@ namespace {
 
 TEST(LatencyTest, UnrestrictedQueryIsFast) {
   // Section 4.3: "the typical time to complete a round ... is a matter of
-  // minutes". 10K devices at 5K check-ins/minute: ~2 minutes collection
-  // plus the fixed overhead.
+  // minutes". 10K devices at 5K check-ins/minute: ~2 minutes of
+  // collection.
   LatencyModel model;
   model.checkins_per_minute = 5000.0;
   EXPECT_NEAR(ExpectedCollectionMinutes(model, 10000), 2.0, 1e-9);
-  EXPECT_NEAR(ExpectedQueryMinutes(model, 10000, 2), 2.0 + 6.0, 1e-9);
 }
 
 TEST(LatencyTest, SelectiveQueriesWaitProportionallyLonger) {
@@ -26,13 +25,6 @@ TEST(LatencyTest, SelectiveQueriesWaitProportionallyLonger) {
   EXPECT_NEAR(ExpectedCollectionMinutes(selective, 10000) /
                   ExpectedCollectionMinutes(broad, 10000),
               100.0, 1e-9);
-}
-
-TEST(LatencyTest, TwoRoundsCostOneExtraFixedRound) {
-  LatencyModel model;
-  const double one_round = ExpectedQueryMinutes(model, 10000, 1);
-  const double two_rounds = ExpectedQueryMinutes(model, 10000, 2);
-  EXPECT_NEAR(two_rounds - one_round, model.fixed_round_minutes, 1e-9);
 }
 
 TEST(LatencyTest, SampledCollectionMatchesExpectation) {
@@ -65,7 +57,6 @@ TEST(LatencyDeathTest, InvalidModelAborts) {
   EXPECT_DEATH(ExpectedCollectionMinutes(bad_eligibility, 10),
                "BITPUSH_CHECK failed");
   LatencyModel model;
-  EXPECT_DEATH(ExpectedQueryMinutes(model, 10, 0), "BITPUSH_CHECK failed");
 }
 
 }  // namespace

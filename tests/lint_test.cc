@@ -1,15 +1,17 @@
 // Validates bitpush_lint against the fixture trees under
 // tests/golden/lint/. Each tree is a miniature lint root:
 //
-//   bad/      every check family fires a known number of times, and the
-//             waivers present suppress exactly what they claim to.
+//   bad/      every check family fires a known number of times, the
+//             waivers present suppress exactly what they claim to, and a
+//             waiver that suppresses nothing is flagged.
 //   good/     a fully compliant tree (including one budgeted waiver)
 //             produces zero findings.
 //   fixmode/  mechanically repairable problems; copied to a temp dir and
 //             run through --fix, which must leave the copy clean.
+//   calls/    one case per rule of the unreached-function walk.
 //
-// Each tree has a driver under examples/, which lint reads for the
-// unreached-module check's include graph only.
+// Each tree has a driver under examples/, which lint reads only for the
+// include graph and the identifiers the two reachability checks walk.
 //
 // A final case lints the real repository tree, so `ctest` itself fails if
 // an invariant violation lands without a waiver.
@@ -50,7 +52,7 @@ std::string ReadFile(const fs::path& path) {
 TEST(LintTest, BadTreeFiresEveryCheckFamily) {
   const Result result = RunLint(FixtureRoot("bad"), Options{});
   ASSERT_FALSE(result.io_error) << result.io_error_message;
-  EXPECT_EQ(result.files_scanned, 20);
+  EXPECT_EQ(result.files_scanned, 21);
 
   const std::map<Check, int> counts = CountByCheck(result);
   EXPECT_EQ(counts.at(Check::kDeterminism), 5)
@@ -63,9 +65,12 @@ TEST(LintTest, BadTreeFiresEveryCheckFamily) {
   // version constant unreferenced + uncovered).
   EXPECT_EQ(counts.at(Check::kWireExhaustiveness), 11)
       << FormatReport(result);
-  EXPECT_EQ(counts.at(Check::kWaiverSyntax), 3) << FormatReport(result);
+  // Three malformed waivers and one stale one.
+  EXPECT_EQ(counts.at(Check::kWaiverSyntax), 4) << FormatReport(result);
   EXPECT_EQ(counts.at(Check::kUnreachedModule), 2) << FormatReport(result);
-  EXPECT_EQ(result.findings.size(), 31u) << FormatReport(result);
+  // OrphanValue, in the unreached module.
+  EXPECT_EQ(counts.at(Check::kUnreachedFunction), 1) << FormatReport(result);
+  EXPECT_EQ(result.findings.size(), 33u) << FormatReport(result);
 }
 
 TEST(LintTest, BadTreeFlagsOnlyItsUnreachedModule) {
@@ -86,7 +91,7 @@ TEST(LintTest, BadTreeFlagsOnlyItsUnreachedModule) {
   EXPECT_EQ(paths, (std::vector<std::string>{"src/core/orphan.cc",
                                              "src/core/orphan.h"}))
       << FormatReport(result);
-  EXPECT_EQ(result.files_scanned, 20);
+  EXPECT_EQ(result.files_scanned, 21);
 }
 
 TEST(LintTest, ShardLayerMeteringRulesFireAndComply) {
@@ -134,9 +139,10 @@ TEST(LintTest, BadTreeWaiversSuppressAndEnterTheBudget) {
   const Result result = RunLint(FixtureRoot("bad"), Options{});
   ASSERT_FALSE(result.io_error) << result.io_error_message;
 
-  // The two well-formed waivers (file-scoped privacy-metering, line-scoped
-  // determinism) are budgeted; the three malformed ones are not.
-  ASSERT_EQ(result.waivers.size(), 2u) << FormatWaiverReport(result);
+  // The three well-formed waivers (file-scoped privacy-metering,
+  // line-scoped determinism, and the stale header-hygiene one) are
+  // budgeted; the three malformed ones are not.
+  ASSERT_EQ(result.waivers.size(), 3u) << FormatWaiverReport(result);
   for (const Finding& finding : result.findings) {
     // privacy_waived.cc is fully covered by its file-scoped waiver, and
     // timer_waived.cc's wall-clock read is covered by its line waiver (its
@@ -151,6 +157,66 @@ TEST(LintTest, BadTreeWaiversSuppressAndEnterTheBudget) {
   const std::string waiver_report = FormatWaiverReport(result);
   EXPECT_NE(waiver_report.find("allow(privacy-metering)"), std::string::npos);
   EXPECT_NE(waiver_report.find("allow(determinism)"), std::string::npos);
+}
+
+TEST(LintTest, StaleWaiverIsFlaggedOnlyWhenItsCheckRan) {
+  // stale_waiver.cc's header-hygiene waiver suppresses nothing: a run of
+  // every check, or of header-hygiene, flags it under waiver-syntax.
+  for (const std::vector<Check>& checks :
+       {std::vector<Check>{}, std::vector<Check>{Check::kHeaderHygiene}}) {
+    Options options;
+    options.checks = checks;
+    const Result result = RunLint(FixtureRoot("bad"), options);
+    ASSERT_FALSE(result.io_error) << result.io_error_message;
+    int stale = 0;
+    for (const Finding& finding : result.findings) {
+      if (finding.message.find("suppresses no finding") == std::string::npos) {
+        continue;
+      }
+      ++stale;
+      EXPECT_EQ(finding.check, Check::kWaiverSyntax);
+      EXPECT_EQ(finding.path, "src/core/stale_waiver.cc");
+      EXPECT_EQ(finding.line, 8);
+    }
+    EXPECT_EQ(stale, 1) << FormatReport(result);
+  }
+  // A run that leaves header-hygiene out does not judge the waiver.
+  Options determinism_only;
+  determinism_only.checks = {Check::kDeterminism};
+  const Result result = RunLint(FixtureRoot("bad"), determinism_only);
+  ASSERT_FALSE(result.io_error) << result.io_error_message;
+  EXPECT_EQ(FormatReport(result).find("suppresses no finding"),
+            std::string::npos)
+      << FormatReport(result);
+}
+
+TEST(LintTest, CallsTreePinsTheWalkRules) {
+  Options options;
+  options.checks = {Check::kUnreachedFunction};
+  const Result result = RunLint(FixtureRoot("calls"), options);
+  ASSERT_FALSE(result.io_error) << result.io_error_message;
+  // Flagged: an orphan (Orphan), a function only a test calls (TestOnly),
+  // a function only another orphan calls (ChainTail, and ChainHead
+  // itself), and a const member that is not a one-statement accessor and
+  // only a test calls (Twice). Not flagged: b::Shared (a name collision
+  // with a::Shared), Seed (a constructor init list), CheckStream and Fail
+  // (a #define body), Increment and Decrement (named in an initializer),
+  // Square::Area (an override of a reached name), the in-class accessor
+  // weight that only a test calls, and the waived Reference.
+  std::vector<std::string> flagged;
+  for (const Finding& finding : result.findings) {
+    EXPECT_EQ(finding.check, Check::kUnreachedFunction)
+        << FormatReport(result);
+    const size_t open = finding.message.find('`');
+    const size_t close = finding.message.find('`', open + 1);
+    flagged.push_back(finding.message.substr(open + 1, close - open - 1));
+  }
+  EXPECT_EQ(flagged, (std::vector<std::string>{"ChainTail", "Orphan",
+                                               "ChainHead", "TestOnly",
+                                               "Twice"}))
+      << FormatReport(result);
+  EXPECT_EQ(result.waivers.size(), 1u) << FormatWaiverReport(result);
+  EXPECT_EQ(result.files_scanned, 3);
 }
 
 TEST(LintTest, BadTreeWireFindingsNameTheGhostRecord) {

@@ -147,57 +147,6 @@ TEST(LogProductTest, MatchesSumOfLogs) {
   EXPECT_LT(stats.nrmse, 0.05);
 }
 
-TEST(SkewnessTest, RightSkewedDataIsPositive) {
-  Rng data_rng(19);
-  const Dataset data = ExponentialData(150000, 25.0, data_rng);
-  const Dataset clipped = data.Clipped(0.0, 255.0);
-  const FixedPointCodec codec = FixedPointCodec::Integer(8);
-  Rng rng(20);
-  const double skew =
-      EstimateSkewness(clipped.values(), codec, DefaultConfig(8), rng);
-  // Exponential skewness is 2 (clipping trims it somewhat).
-  EXPECT_GT(skew, 0.8);
-  EXPECT_LT(skew, 3.5);
-}
-
-TEST(SkewnessTest, SymmetricDataIsNearZero) {
-  Rng data_rng(21);
-  const Dataset data = UniformData(150000, 0.0, 120.0, data_rng);
-  const FixedPointCodec codec = FixedPointCodec::Integer(7);
-  Rng rng(22);
-  const double skew =
-      EstimateSkewness(data.values(), codec, DefaultConfig(7), rng);
-  EXPECT_LT(std::abs(skew), 0.5);
-}
-
-TEST(KurtosisTest, UniformBelowNormalAboveForHeavyTails) {
-  // Uniform kurtosis = 1.8; a clipped lognormal is well above 3.
-  Rng data_rng(23);
-  const FixedPointCodec codec = FixedPointCodec::Integer(8);
-  const Dataset uniform = UniformData(200000, 0.0, 255.0, data_rng);
-  Rng rng(24);
-  const double uniform_kurtosis =
-      EstimateKurtosis(uniform.values(), codec, DefaultConfig(8), rng);
-  EXPECT_GT(uniform_kurtosis, 1.0);
-  EXPECT_LT(uniform_kurtosis, 2.6);
-
-  const Dataset heavy =
-      LognormalData(200000, 3.0, 0.8, data_rng).Clipped(0.0, 255.0);
-  const double heavy_kurtosis =
-      EstimateKurtosis(heavy.values(), codec, DefaultConfig(8), rng);
-  EXPECT_GT(heavy_kurtosis, 3.0);
-}
-
-TEST(SkewnessTest, ConstantDataReturnsZero) {
-  const std::vector<double> values(100, 50.0);
-  const FixedPointCodec codec = FixedPointCodec::Integer(7);
-  Rng rng(25);
-  EXPECT_DOUBLE_EQ(EstimateSkewness(values, codec, DefaultConfig(7), rng),
-                   0.0);
-  EXPECT_DOUBLE_EQ(EstimateKurtosis(values, codec, DefaultConfig(7), rng),
-                   0.0);
-}
-
 TEST(MomentsDeathTest, InvalidInputsAbort) {
   const FixedPointCodec codec = FixedPointCodec::Integer(7);
   Rng rng(1);

@@ -100,12 +100,6 @@ TEST(PlanForNrmseTest, PredictionMatchesSimulation) {
   EXPECT_GT(stats.nrmse, 0.4 * target_nrmse);
 }
 
-TEST(PredictedStdErrorTest, ScalesAsInverseSqrtN) {
-  const double at_100 = PredictedStdError({0.5, 0.5}, {}, 0.0, 100);
-  const double at_10000 = PredictedStdError({0.5, 0.5}, {}, 0.0, 10000);
-  EXPECT_NEAR(at_100 / at_10000, 10.0, 1e-9);
-}
-
 TEST(PlannerDeathTest, InvalidInputsAbort) {
   EXPECT_DEATH(PlanForStdError({0.5, 0.5}, {}, 0.0, 0.0),
                "BITPUSH_CHECK failed");
@@ -113,8 +107,6 @@ TEST(PlannerDeathTest, InvalidInputsAbort) {
   EXPECT_DEATH(PlanForNrmse(codec, {1.0}, {}, 0.0, 1.0, 0.1),
                "BITPUSH_CHECK failed");
   EXPECT_DEATH(PlanForNrmse(codec, {0.5, 0.5}, {}, 0.0, 0.0, 0.1),
-               "BITPUSH_CHECK failed");
-  EXPECT_DEATH(PredictedStdError({0.5, 0.5}, {}, 0.0, 0),
                "BITPUSH_CHECK failed");
 }
 

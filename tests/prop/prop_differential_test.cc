@@ -11,8 +11,6 @@
 //
 // Each case embeds every seed it uses, so a printed BITPROP_SEED replays
 // the whole differential run, including the crash point.
-//
-// bitpush-lint: allow(privacy-metering): differential oracles replay synthetic campaigns through the library's own metered paths; no real client value is behind the generated reports
 
 #include <algorithm>
 #include <cmath>
@@ -536,7 +534,6 @@ TEST(PropDifferentialTest, ShardedAndSingleCoordinatorAgreeBitForBit) {
 
 struct WireCase {
   std::vector<BitReport> reports;
-  std::vector<BitRequest> requests;
 };
 
 Domain<WireCase> WireDomain() {
@@ -549,14 +546,6 @@ Domain<WireCase> WireDomain() {
       report.bit_index = static_cast<int>(rng.NextBelow(53));
       report.bit = rng.NextBit();
     }
-    c.requests.resize(rng.NextBelow(41));
-    for (BitRequest& request : c.requests) {
-      request.round_id = static_cast<int64_t>(rng.NextBelow(1000000));
-      request.value_id = static_cast<int64_t>(rng.NextBelow(64));
-      request.bit_index = static_cast<int>(rng.NextBelow(53));
-      request.rr_epsilon =
-          rng.NextBernoulli(0.5) ? 0.0 : 4.0 * rng.NextDouble();
-    }
     return c;
   };
   domain.shrink = [](const WireCase& c) {
@@ -566,36 +555,40 @@ Domain<WireCase> WireDomain() {
       smaller.reports.resize(c.reports.size() / 2);
       out.push_back(smaller);
     }
-    if (!c.requests.empty()) {
-      WireCase smaller = c;
-      smaller.requests.resize(c.requests.size() / 2);
-      out.push_back(smaller);
-    }
     return out;
   };
   domain.describe = [](const WireCase& c) {
     std::ostringstream out;
-    out << "{reports=" << c.reports.size()
-        << " requests=" << c.requests.size() << "}";
+    out << "{reports=" << c.reports.size() << "}";
     return out.str();
   };
   return domain;
 }
 
+std::vector<uint8_t> EncodeReports(const std::vector<BitReport>& reports) {
+  std::vector<uint8_t> bytes;
+  for (const BitReport& report : reports) EncodeBitReport(report, &bytes);
+  return bytes;
+}
+
 TEST(PropDifferentialTest, WireReEncodeIsByteStable) {
   CheckProperty<WireCase>(
-      "encode -> decode -> re-encode of report and request batches is the "
-      "identity on bytes and fields",
+      "encode -> decode -> re-encode of a run of reports is the identity on "
+      "bytes and fields",
       WireDomain(),
       [](const WireCase& c) -> std::optional<std::string> {
-        std::vector<uint8_t> report_bytes;
-        EncodeReportBatch(c.reports, &report_bytes);
+        const std::vector<uint8_t> report_bytes = EncodeReports(c.reports);
         std::vector<BitReport> decoded_reports;
-        if (!DecodeReportBatch(report_bytes, &decoded_reports)) {
-          return std::string("a valid report batch failed to decode");
+        size_t offset = 0;
+        while (offset < report_bytes.size()) {
+          BitReport report;
+          if (!DecodeBitReport(report_bytes, &offset, &report)) {
+            return std::string("a valid report failed to decode");
+          }
+          decoded_reports.push_back(report);
         }
         if (decoded_reports.size() != c.reports.size()) {
-          return std::string("report batch changed size across the wire");
+          return std::string("report count changed across the wire");
         }
         for (size_t i = 0; i < c.reports.size(); ++i) {
           if (decoded_reports[i].client_id != c.reports[i].client_id ||
@@ -606,35 +599,8 @@ TEST(PropDifferentialTest, WireReEncodeIsByteStable) {
             return out.str();
           }
         }
-        std::vector<uint8_t> report_bytes2;
-        EncodeReportBatch(decoded_reports, &report_bytes2);
-        if (report_bytes2 != report_bytes) {
-          return std::string("re-encoded report batch bytes differ");
-        }
-
-        std::vector<uint8_t> request_bytes;
-        EncodeRequestBatch(c.requests, &request_bytes);
-        std::vector<BitRequest> decoded_requests;
-        if (!DecodeRequestBatch(request_bytes, &decoded_requests)) {
-          return std::string("a valid request batch failed to decode");
-        }
-        if (decoded_requests.size() != c.requests.size()) {
-          return std::string("request batch changed size across the wire");
-        }
-        for (size_t i = 0; i < c.requests.size(); ++i) {
-          if (decoded_requests[i].round_id != c.requests[i].round_id ||
-              decoded_requests[i].value_id != c.requests[i].value_id ||
-              decoded_requests[i].bit_index != c.requests[i].bit_index ||
-              decoded_requests[i].rr_epsilon != c.requests[i].rr_epsilon) {
-            std::ostringstream out;
-            out << "request " << i << " changed across the wire";
-            return out.str();
-          }
-        }
-        std::vector<uint8_t> request_bytes2;
-        EncodeRequestBatch(decoded_requests, &request_bytes2);
-        if (request_bytes2 != request_bytes) {
-          return std::string("re-encoded request batch bytes differ");
+        if (EncodeReports(decoded_reports) != report_bytes) {
+          return std::string("re-encoded report bytes differ");
         }
         return std::nullopt;
       });

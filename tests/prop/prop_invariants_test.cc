@@ -450,10 +450,13 @@ TEST(PropInvariantsTest, SecureAggMasksCancelToExactSum) {
       [](const SecureAggCase& c) -> std::optional<std::string> {
         Rng rng(c.session_seed);
         SecureAggregator agg(static_cast<int64_t>(c.values.size()), rng);
+        const int64_t n = static_cast<int64_t>(c.values.size());
+        std::vector<uint64_t> masked(c.values.size());
+        agg.MaskBatch(c.values.data(), n, /*first_slot=*/0, masked.data());
+        agg.SubmitBatch(masked.data(), n);
         uint64_t expected = 0;
-        for (size_t i = 0; i < c.values.size(); ++i) {
-          agg.Submit(agg.Mask(static_cast<int64_t>(i), c.values[i]));
-          expected += c.values[i];  // Z_{2^64} wraparound is the protocol's ring
+        for (const uint64_t value : c.values) {
+          expected += value;  // Z_{2^64} wraparound is the protocol's ring
         }
         if (!agg.complete()) return "aggregator not complete after all submits";
         if (agg.Sum() != expected) {

@@ -86,9 +86,9 @@ TEST_P(RangeTreeLevelsTest, DisjointRangesAddUp) {
   for (uint64_t& c : codewords) c = rng.NextBelow(domain);
   const RangeTreeResult tree = EstimateRangeTree(
       codewords, RangeTreeConfig{levels, 0.0}, rng);
-  const uint64_t mid = domain / 2;
-  const double left = tree.RangeFraction(0, mid - 1);
-  const double right = tree.RangeFraction(mid, domain - 1);
+  // The two halves of the domain are the two nodes of level 1.
+  const double left = tree.NodeFraction(1, 0);
+  const double right = tree.NodeFraction(1, 1);
   EXPECT_NEAR(left + right, 1.0, 0.08);
 }
 
@@ -181,18 +181,26 @@ TEST(WireRoundTripProperty, RandomMessagesSurvive) {
 
 TEST(WireRoundTripProperty, RandomBatchesSurvive) {
   CheckProperty<std::vector<BitReport>>(
-      "a report batch survives encode/decode element-for-element",
+      "a run of reports in one buffer survives encode/decode "
+      "element-for-element",
       prop::VectorOf(BitReportDomain(), 0, 64),
       [](const std::vector<BitReport>& reports)
           -> std::optional<std::string> {
         std::vector<uint8_t> buffer;
-        EncodeReportBatch(reports, &buffer);
+        for (const BitReport& report : reports) {
+          EncodeBitReport(report, &buffer);
+        }
         std::vector<BitReport> decoded;
-        if (!DecodeReportBatch(buffer, &decoded)) {
-          return std::string("decode failed on a freshly encoded batch");
+        size_t offset = 0;
+        while (offset < buffer.size()) {
+          BitReport report;
+          if (!DecodeBitReport(buffer, &offset, &report)) {
+            return std::string("decode failed on a freshly encoded run");
+          }
+          decoded.push_back(report);
         }
         if (decoded.size() != reports.size()) {
-          return std::string("decoded batch size differs");
+          return std::string("decoded run length differs");
         }
         for (size_t i = 0; i < reports.size(); ++i) {
           if (decoded[i].client_id != reports[i].client_id ||

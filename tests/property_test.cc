@@ -163,7 +163,8 @@ Dataset MakeCensusWorkload(int64_t n, Rng& rng) {
 }
 Dataset MakeConstantWorkload(int64_t n, Rng& rng) {
   (void)rng;
-  return ConstantData(n, 97.0);
+  return Dataset("constant",
+                 std::vector<double>(static_cast<size_t>(n), 97.0));
 }
 Dataset MakeBimodalWorkload(int64_t n, Rng& rng) {
   std::vector<double> values;

@@ -34,53 +34,15 @@ TEST(QuantilesTest, InputIsNotMutated) {
   EXPECT_EQ(copy, v);
 }
 
-TEST(QuantilesTest, BatchMatchesSingle) {
-  const std::vector<double> v = {10.0, 20.0, 30.0, 40.0, 50.0};
-  const std::vector<double> qs = {0.1, 0.5, 0.9};
-  const std::vector<double> batch = Quantiles(v, qs);
-  ASSERT_EQ(batch.size(), 3u);
-  for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], Quantile(v, qs[i]));
-  }
-}
-
 TEST(QuantilesTest, LinearInterpolationInBetween) {
   // Positions: 0 -> 10, 1 -> 20; q = 0.75 of (n-1)=1 -> position 0.75.
   EXPECT_DOUBLE_EQ(Quantile({10.0, 20.0}, 0.75), 17.5);
-}
-
-TEST(WinsorizeTest, ClampsTails) {
-  std::vector<double> v;
-  for (int i = 1; i <= 100; ++i) v.push_back(static_cast<double>(i));
-  const std::vector<double> w = Winsorize(v, 0.05, 0.95);
-  const double low = Quantile(v, 0.05);
-  const double high = Quantile(v, 0.95);
-  for (size_t i = 0; i < v.size(); ++i) {
-    EXPECT_GE(w[i], low);
-    EXPECT_LE(w[i], high);
-    if (v[i] >= low && v[i] <= high) {
-      EXPECT_DOUBLE_EQ(w[i], v[i]);
-    }
-  }
-}
-
-TEST(WinsorizeTest, FullRangeIsIdentity) {
-  const std::vector<double> v = {3.0, -1.0, 9.0};
-  EXPECT_EQ(Winsorize(v, 0.0, 1.0), v);
-}
-
-TEST(WinsorizeTest, TamesOutliers) {
-  std::vector<double> v(99, 1.0);
-  v.push_back(1e9);
-  const std::vector<double> w = Winsorize(v, 0.0, 0.98);
-  for (const double x : w) EXPECT_LE(x, 1.0 + 1e-9);
 }
 
 TEST(QuantilesDeathTest, InvalidInputsAbort) {
   EXPECT_DEATH(Quantile({}, 0.5), "BITPUSH_CHECK failed");
   EXPECT_DEATH(Quantile({1.0}, -0.1), "BITPUSH_CHECK failed");
   EXPECT_DEATH(Quantile({1.0}, 1.1), "BITPUSH_CHECK failed");
-  EXPECT_DEATH(Winsorize({1.0}, 0.9, 0.1), "BITPUSH_CHECK failed");
 }
 
 }  // namespace

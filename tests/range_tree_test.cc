@@ -57,27 +57,12 @@ TEST(RangeTreeTest, RangeFractionMatchesExactOnAlignedRanges) {
       UniformCodewords(100000, 256, rng);
   const RangeTreeResult tree =
       EstimateRangeTree(codewords, Config(8), rng);
-  EXPECT_NEAR(tree.RangeFraction(0, 127),
-              ExactFraction(codewords, 0, 127), 0.03);
-  EXPECT_NEAR(tree.RangeFraction(64, 127),
-              ExactFraction(codewords, 64, 127), 0.03);
-  EXPECT_NEAR(tree.RangeFraction(0, 255), 1.0, 0.03);
-}
-
-TEST(RangeTreeTest, RangeFractionOnArbitraryRanges) {
-  Rng data_rng(3);
-  const Dataset ages = CensusAges(200000, data_rng);
-  const FixedPointCodec codec = FixedPointCodec::Integer(7);
-  const std::vector<uint64_t> codewords = codec.EncodeAll(ages.values());
-  Rng rng(4);
-  const RangeTreeResult tree =
-      EstimateRangeTree(codewords, Config(7), rng);
-  // Working-age share [18, 64], an unaligned range needing a multi-node
-  // cover.
-  EXPECT_NEAR(tree.RangeFraction(18, 64),
-              ExactFraction(codewords, 18, 64), 0.05);
-  EXPECT_NEAR(tree.RangeFraction(65, 127),
-              ExactFraction(codewords, 65, 127), 0.05);
+  // [0, 127] is node 0 of level 1, [64, 127] node 1 of level 2.
+  EXPECT_NEAR(tree.NodeFraction(1, 0), ExactFraction(codewords, 0, 127),
+              0.03);
+  EXPECT_NEAR(tree.NodeFraction(2, 1), ExactFraction(codewords, 64, 127),
+              0.03);
+  EXPECT_NEAR(tree.NodeFraction(1, 0) + tree.NodeFraction(1, 1), 1.0, 0.03);
 }
 
 TEST(RangeTreeTest, SingletonRangeUsesLeafLevel) {
@@ -86,9 +71,10 @@ TEST(RangeTreeTest, SingletonRangeUsesLeafLevel) {
   Rng rng(5);
   const RangeTreeResult tree =
       EstimateRangeTree(codewords, Config(4), rng);
-  EXPECT_NEAR(tree.RangeFraction(5, 5), 1.0, 1e-9);
-  EXPECT_NEAR(tree.RangeFraction(6, 6), 0.0, 1e-9);
-  EXPECT_NEAR(tree.RangeFraction(0, 4), 0.0, 1e-9);
+  EXPECT_NEAR(tree.NodeFraction(4, 5), 1.0, 1e-9);
+  EXPECT_NEAR(tree.NodeFraction(4, 6), 0.0, 1e-9);
+  // [0, 4] is node 0 of level 2 ([0, 3]) plus leaf 4.
+  EXPECT_NEAR(tree.NodeFraction(2, 0) + tree.NodeFraction(4, 4), 0.0, 1e-9);
 }
 
 TEST(RangeTreeTest, QuantilesMatchExactOnCensus) {
@@ -156,8 +142,6 @@ TEST(RangeTreeDeathTest, InvalidInputsAbort) {
   const std::vector<uint64_t> codewords(100, 1);
   const RangeTreeResult tree =
       EstimateRangeTree(codewords, Config(4), rng);
-  EXPECT_DEATH(tree.RangeFraction(3, 2), "BITPUSH_CHECK failed");
-  EXPECT_DEATH(tree.RangeFraction(0, 16), "BITPUSH_CHECK failed");
   EXPECT_DEATH(tree.NodeFraction(0, 0), "BITPUSH_CHECK failed");
   EXPECT_DEATH(tree.Quantile(1.5), "BITPUSH_CHECK failed");
 }

@@ -323,13 +323,6 @@ TEST(HealthTracker, StateSurvivesEncodeDecodeAndPolicyMismatchFailsClosed) {
   EXPECT_FALSE(HealthTracker::DecodeFrom(blob, &offset, &mismatched));
 }
 
-TEST(RetryStatsSummaryTest, MentionsTheHeadlineCounters) {
-  const std::string summary = RetryStatsSummary(DistinctStats());
-  EXPECT_NE(summary.find("recovered=12"), std::string::npos);
-  EXPECT_NE(summary.find("hedges=7"), std::string::npos);
-  EXPECT_NE(summary.find("breaker[skips=12"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end: the resilience layer over the fault-injection layer.
 

@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -54,7 +56,7 @@ TEST(SyntheticTest, LognormalDataIsPositive) {
 }
 
 TEST(SyntheticTest, ConstantDataHasZeroVariance) {
-  const Dataset data = ConstantData(1000, 42.0);
+  const Dataset data("constant", std::vector<double>(1000, 42.0));
   EXPECT_DOUBLE_EQ(data.truth().mean, 42.0);
   EXPECT_DOUBLE_EQ(data.truth().variance, 0.0);
   EXPECT_DOUBLE_EQ(data.truth().min, 42.0);
@@ -80,27 +82,6 @@ TEST(SyntheticTest, NoOutliersWhenFractionZero) {
   EXPECT_LE(data.truth().max, 1.0);
 }
 
-TEST(SyntheticTest, MixtureDataIsBimodal) {
-  Rng rng(11);
-  const Dataset data = MixtureData(100000, 0.5, 30.0, 5.0, 170.0, 5.0, rng);
-  EXPECT_NEAR(data.truth().mean, 100.0, 2.0);
-  // Almost no mass near the mean: the hallmark of bimodality.
-  int64_t near_mean = 0;
-  for (const double v : data.values()) {
-    if (v > 80.0 && v < 120.0) ++near_mean;
-  }
-  EXPECT_LT(near_mean, data.size() / 100);
-}
-
-TEST(SyntheticTest, MixtureWeightControlsComponents) {
-  Rng rng(12);
-  const Dataset data = MixtureData(50000, 0.9, 10.0, 1.0, 100.0, 1.0, rng);
-  int64_t low = 0;
-  for (const double v : data.values()) low += v < 50.0;
-  EXPECT_NEAR(static_cast<double>(low) / static_cast<double>(data.size()),
-              0.9, 0.02);
-}
-
 TEST(SyntheticTest, GeneratorsAreSeedDeterministic) {
   Rng a(9);
   Rng b(9);
@@ -111,7 +92,6 @@ TEST(SyntheticTest, GeneratorsAreSeedDeterministic) {
 TEST(SyntheticTest, ZeroSizeDatasets) {
   Rng rng(10);
   EXPECT_TRUE(NormalData(0, 1.0, 1.0, rng).empty());
-  EXPECT_TRUE(ConstantData(0, 5.0).empty());
 }
 
 }  // namespace

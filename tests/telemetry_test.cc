@@ -57,16 +57,6 @@ TEST(TelemetryTest, AppVersionIsConstant) {
   EXPECT_DOUBLE_EQ(truth.mean, 42.0);
 }
 
-TEST(TelemetryTest, SeriesHasRequestedShape) {
-  Rng rng(5);
-  const std::vector<std::vector<double>> series =
-      GenerateMetricSeries(MetricFamily::kQueueDepth, 10, 24, rng);
-  ASSERT_EQ(series.size(), 10u);
-  for (const std::vector<double>& device : series) {
-    EXPECT_EQ(device.size(), 24u);
-  }
-}
-
 TEST(EstimateHighestUsedBitTest, FindsTopInformativeBit) {
   EXPECT_EQ(EstimateHighestUsedBit({0.5, 0.2, 0.0, 0.0}, 0.05), 1);
   EXPECT_EQ(EstimateHighestUsedBit({0.5, 0.2, 0.04, 0.6}, 0.05), 3);

@@ -2,7 +2,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -40,19 +39,15 @@ TEST(FlagSetTest, ParsesEveryType) {
   FlagSet flags;
   int64_t n = 5;
   double eps = 1.0;
-  bool verbose = false;
   std::string label = "none";
   flags.AddInt64("n", &n, "count");
   flags.AddDouble("eps", &eps, "epsilon");
-  flags.AddBool("verbose", &verbose, "verbosity");
   flags.AddString("label", &label, "label");
 
-  const char* argv[] = {"prog", "--n=42", "--eps=0.25", "--verbose=true",
-                        "--label=census"};
-  flags.Parse(5, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "--n=42", "--eps=0.25", "--label=census"};
+  flags.Parse(4, const_cast<char**>(argv));
   EXPECT_EQ(n, 42);
   EXPECT_DOUBLE_EQ(eps, 0.25);
-  EXPECT_TRUE(verbose);
   EXPECT_EQ(label, "census");
 }
 
@@ -63,15 +58,6 @@ TEST(FlagSetTest, DefaultsSurviveWhenNotPassed) {
   const char* argv[] = {"prog"};
   flags.Parse(1, const_cast<char**>(argv));
   EXPECT_EQ(n, 7);
-}
-
-TEST(FlagSetTest, BareBoolFlagMeansTrue) {
-  FlagSet flags;
-  bool on = false;
-  flags.AddBool("on", &on, "switch");
-  const char* argv[] = {"prog", "--on"};
-  flags.Parse(2, const_cast<char**>(argv));
-  EXPECT_TRUE(on);
 }
 
 TEST(FlagSetTest, NegativeNumbersParse) {
@@ -147,25 +133,6 @@ TEST(TableTest, CsvOutput) {
   table.NewRow().AddCell("a,b \"q\"").AddInt(3);
   EXPECT_EQ(table.ToCsv(),
             "method,nrmse\nadaptive,0.5\n\"a,b \"\"q\"\"\",3\n");
-}
-
-TEST(TableTest, WriteCsvAppends) {
-  const std::string path = testing::TempDir() + "/table.csv";
-  std::remove(path.c_str());
-  Table table({"x"});
-  table.NewRow().AddInt(1);
-  ASSERT_TRUE(table.WriteCsv(path));
-  ASSERT_TRUE(table.WriteCsv(path));  // appends a second copy
-  std::ifstream in(path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(contents, "x\n1\nx\n1\n");
-}
-
-TEST(TableTest, WriteCsvFailsOnBadPath) {
-  Table table({"x"});
-  table.NewRow().AddInt(1);
-  EXPECT_FALSE(table.WriteCsv("/nonexistent_dir/out.csv"));
 }
 
 TEST(TableDeathTest, OverfilledRowAborts) {

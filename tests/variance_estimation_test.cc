@@ -80,7 +80,7 @@ TEST(VarianceEstimationTest, MeanPhaseEstimateIsReturned) {
 }
 
 TEST(VarianceEstimationTest, ConstantDataHasNearZeroVariance) {
-  const Dataset data = ConstantData(5000, 40.0);
+  const Dataset data("constant", std::vector<double>(5000, 40.0));
   const FixedPointCodec codec = FixedPointCodec::Integer(7);
   VarianceConfig config;
   config.protocol.bits = 7;

@@ -11,22 +11,6 @@
 namespace bitpush {
 namespace {
 
-TEST(WireTest, RequestRoundTrip) {
-  const BitRequest request{42, 7, 13, 1.25};
-  std::vector<uint8_t> buffer;
-  EncodeBitRequest(request, &buffer);
-  EXPECT_EQ(buffer.size(), kBitRequestWireSize);
-
-  size_t offset = 0;
-  BitRequest decoded;
-  ASSERT_TRUE(DecodeBitRequest(buffer, &offset, &decoded));
-  EXPECT_EQ(offset, buffer.size());
-  EXPECT_EQ(decoded.round_id, 42);
-  EXPECT_EQ(decoded.value_id, 7);
-  EXPECT_EQ(decoded.bit_index, 13);
-  EXPECT_DOUBLE_EQ(decoded.rr_epsilon, 1.25);
-}
-
 TEST(WireTest, ReportRoundTrip) {
   const BitReport report{987654321, 15, 1};
   std::vector<uint8_t> buffer;
@@ -43,15 +27,15 @@ TEST(WireTest, ReportRoundTrip) {
 
 TEST(WireTest, ConsecutiveMessagesShareABuffer) {
   std::vector<uint8_t> buffer;
-  EncodeBitRequest(BitRequest{1, 2, 3, 0.5}, &buffer);
-  EncodeBitRequest(BitRequest{4, 5, 6, 0.0}, &buffer);
+  EncodeBitReport(BitReport{1, 2, 1}, &buffer);
+  EncodeBitReport(BitReport{4, 5, 0}, &buffer);
   size_t offset = 0;
-  BitRequest first;
-  BitRequest second;
-  ASSERT_TRUE(DecodeBitRequest(buffer, &offset, &first));
-  ASSERT_TRUE(DecodeBitRequest(buffer, &offset, &second));
-  EXPECT_EQ(first.round_id, 1);
-  EXPECT_EQ(second.round_id, 4);
+  BitReport first;
+  BitReport second;
+  ASSERT_TRUE(DecodeBitReport(buffer, &offset, &first));
+  ASSERT_TRUE(DecodeBitReport(buffer, &offset, &second));
+  EXPECT_EQ(first.client_id, 1);
+  EXPECT_EQ(second.client_id, 4);
   EXPECT_EQ(offset, buffer.size());
 }
 
@@ -75,81 +59,6 @@ TEST(WireTest, MalformedBitValueRejected) {
   EXPECT_FALSE(DecodeBitReport(buffer, &offset, &out));
 }
 
-TEST(WireTest, BatchRoundTrip) {
-  std::vector<BitReport> reports;
-  for (int i = 0; i < 100; ++i) {
-    reports.push_back(BitReport{i, i % 16, i % 2});
-  }
-  std::vector<uint8_t> buffer;
-  EncodeReportBatch(reports, &buffer);
-  EXPECT_EQ(buffer.size(), 5 + 100 * kBitReportWireSize);
-  EXPECT_EQ(buffer[0], kWireFormatVersion);
-
-  std::vector<BitReport> decoded;
-  ASSERT_TRUE(DecodeReportBatch(buffer, &decoded));
-  ASSERT_EQ(decoded.size(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(decoded[static_cast<size_t>(i)].client_id, i);
-    EXPECT_EQ(decoded[static_cast<size_t>(i)].bit, i % 2);
-  }
-}
-
-TEST(WireTest, EmptyBatch) {
-  std::vector<uint8_t> buffer;
-  EncodeReportBatch({}, &buffer);
-  std::vector<BitReport> decoded = {BitReport{}};
-  ASSERT_TRUE(DecodeReportBatch(buffer, &decoded));
-  EXPECT_TRUE(decoded.empty());
-}
-
-TEST(WireTest, BatchCountOverrunRejected) {
-  std::vector<uint8_t> buffer;
-  EncodeReportBatch({BitReport{1, 2, 1}}, &buffer);
-  buffer[1] = 200;  // claim 200 reports, provide 1
-  std::vector<BitReport> decoded;
-  EXPECT_FALSE(DecodeReportBatch(buffer, &decoded));
-}
-
-TEST(WireTest, RequestBatchRoundTrip) {
-  std::vector<BitRequest> requests;
-  for (int i = 0; i < 40; ++i) {
-    requests.push_back(BitRequest{i, i * 2, i % 16, 0.25 * i});
-  }
-  std::vector<uint8_t> buffer;
-  EncodeRequestBatch(requests, &buffer);
-  EXPECT_EQ(buffer.size(), 5 + 40 * kBitRequestWireSize);
-  EXPECT_EQ(buffer[0], kWireFormatVersion);
-  std::vector<BitRequest> decoded;
-  ASSERT_TRUE(DecodeRequestBatch(buffer, &decoded));
-  ASSERT_EQ(decoded.size(), 40u);
-  for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(decoded[static_cast<size_t>(i)].round_id, i);
-    EXPECT_DOUBLE_EQ(decoded[static_cast<size_t>(i)].rr_epsilon, 0.25 * i);
-  }
-}
-
-TEST(WireTest, RequestBatchCountOverrunRejected) {
-  std::vector<uint8_t> buffer;
-  EncodeRequestBatch({BitRequest{1, 1, 1, 0.5}}, &buffer);
-  buffer[1] = 99;
-  std::vector<BitRequest> decoded;
-  EXPECT_FALSE(DecodeRequestBatch(buffer, &decoded));
-}
-
-TEST(WireTest, UnknownFormatVersionRejected) {
-  std::vector<uint8_t> report_buffer;
-  EncodeReportBatch({BitReport{1, 2, 1}}, &report_buffer);
-  report_buffer[0] = kWireFormatVersion + 1;
-  std::vector<BitReport> reports;
-  EXPECT_FALSE(DecodeReportBatch(report_buffer, &reports));
-
-  std::vector<uint8_t> request_buffer;
-  EncodeRequestBatch({BitRequest{1, 1, 1, 0.5}}, &request_buffer);
-  request_buffer[0] = 0;
-  std::vector<BitRequest> requests;
-  EXPECT_FALSE(DecodeRequestBatch(request_buffer, &requests));
-}
-
 TEST(WireTest, RandomBytesNeverCrashDecoder) {
   Rng rng(1);
   for (int trial = 0; trial < 2000; ++trial) {
@@ -158,15 +67,10 @@ TEST(WireTest, RandomBytesNeverCrashDecoder) {
       b = static_cast<uint8_t>(rng.NextBelow(256));
     }
     size_t offset = 0;
-    BitRequest request;
-    DecodeBitRequest(junk, &offset, &request);
-    offset = 0;
     BitReport report;
     if (DecodeBitReport(junk, &offset, &report)) {
       EXPECT_TRUE(report.bit == 0 || report.bit == 1);
     }
-    std::vector<BitReport> batch;
-    DecodeReportBatch(junk, &batch);
   }
 }
 
@@ -176,7 +80,7 @@ TEST(WireDeathTest, EncodingValidatesFields) {
                "BITPUSH_CHECK failed");
   EXPECT_DEATH(EncodeBitReport(BitReport{1, -1, 1}, &buffer),
                "BITPUSH_CHECK failed");
-  EXPECT_DEATH(EncodeBitRequest(BitRequest{1, 1, 300, 0.0}, &buffer),
+  EXPECT_DEATH(EncodeBitReport(BitReport{1, 300, 1}, &buffer),
                "BITPUSH_CHECK failed");
 }
 

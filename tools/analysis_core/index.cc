@@ -33,11 +33,12 @@ bool IsKeyword(const std::string& word) {
 }
 
 // Matches the text after a candidate signature's closing ')': empty, a
-// cv/ref/noexcept/override trailer, a constructor init list, or a trailing
-// return type.
+// cv/ref/noexcept/override trailer, upper-case annotation macros such as
+// BITPUSH_REQUIRES(mutex_), a constructor init list, or a trailing return
+// type.
 bool TrailerLooksLikeSignature(const std::string& trailer) {
   static const std::regex kTrailerRe(
-      R"(^\s*((const|noexcept|override|final|&|&&)\s*)*(noexcept\s*\([^)]*\)\s*)?((->|:)\s*\S.*)?\s*$)");
+      R"(^\s*((const|noexcept|override|final|&|&&|[A-Z][A-Z0-9_]*\s*\([^()]*\))\s*)*(noexcept\s*\([^)]*\)\s*)?((->|:)\s*\S.*)?\s*$)");
   return std::regex_match(trailer, kTrailerRe);
 }
 
@@ -57,7 +58,8 @@ size_t MatchParen(const std::string& s, size_t open) {
 // parenthesis group balances and whose trailer looks like a signature —
 // later candidates are constructor-init-list entries.
 bool SignatureName(const std::string& pending, std::string* base_name,
-                   std::string* qual_name) {
+                   std::string* qual_name, size_t* name_pos,
+                   std::string* trailer) {
   static const std::regex kCallRe(R"(([A-Za-z_][A-Za-z0-9_]*)\s*\()");
   auto begin = std::sregex_iterator(pending.begin(), pending.end(), kCallRe);
   for (auto it = begin; it != std::sregex_iterator(); ++it) {
@@ -68,6 +70,8 @@ bool SignatureName(const std::string& pending, std::string* base_name,
     if (close == std::string::npos) continue;
     if (!TrailerLooksLikeSignature(pending.substr(close + 1))) continue;
     *base_name = name;
+    *name_pos = it->position(1);
+    *trailer = Trim(pending.substr(close + 1));
     // Extend backwards over a `Qualifier::`* chain for the written name.
     size_t start = it->position(1);
     size_t cursor = start;
@@ -179,7 +183,16 @@ void ExtractFunctions(const SourceFile& file, int file_index,
   int open_functions = 0;
   int paren = 0;
   std::string pending;
-  int pending_line = 0;
+  // pending_lines[k] = 1-based line that pending[k] came from.
+  std::vector<int> pending_lines;
+  const auto append = [&](char c, size_t li) {
+    AppendCollapsed(c, &pending);
+    pending_lines.resize(pending.size(), static_cast<int>(li + 1));
+  };
+  const auto clear_pending = [&] {
+    pending.clear();
+    pending_lines.clear();
+  };
   PreprocessorSkipper preprocessor;
 
   for (size_t li = 0; li < file.code_lines.size(); ++li) {
@@ -192,7 +205,7 @@ void ExtractFunctions(const SourceFile& file, int file_index,
         // still part of any signature being accumulated.
         if (c == '(') ++paren;
         if (c == ')' && paren > 0) --paren;
-        if (open_functions == 0) AppendCollapsed(c, &pending);
+        if (open_functions == 0) append(c, li);
         continue;
       }
       if (c == '{') {
@@ -200,13 +213,12 @@ void ExtractFunctions(const SourceFile& file, int file_index,
         open.col = i;
         open.line = static_cast<int>(li + 1);
         if (open_functions == 0) {
-          std::string base_name;
-          std::string qual_name;
-          if (SignatureName(pending, &base_name, &qual_name)) {
-            FunctionDef def;
-            def.base_name = std::move(base_name);
-            def.qual_name = std::move(qual_name);
+          FunctionDef def;
+          size_t name_pos = 0;
+          if (SignatureName(pending, &def.base_name, &def.qual_name,
+                            &name_pos, &def.trailer)) {
             def.file_index = file_index;
+            def.name_line = pending_lines[name_pos];
             def.begin_line = static_cast<int>(li + 1);
             open.is_function = true;
             open.function_index = static_cast<int>(functions->size());
@@ -215,8 +227,7 @@ void ExtractFunctions(const SourceFile& file, int file_index,
           }
         }
         stack.push_back(open);
-        pending.clear();
-        pending_line = 0;
+        clear_pending();
         continue;
       }
       if (c == '}') {
@@ -231,23 +242,17 @@ void ExtractFunctions(const SourceFile& file, int file_index,
                                                def.end_line, i);
           }
         }
-        pending.clear();
-        pending_line = 0;
+        clear_pending();
         continue;
       }
       if (open_functions > 0) continue;  // Bodies are handled separately.
       if (c == ';') {
-        pending.clear();
-        pending_line = 0;
+        clear_pending();
         continue;
       }
-      if (pending_line == 0 &&
-          !std::isspace(static_cast<unsigned char>(c))) {
-        pending_line = static_cast<int>(li + 1);
-      }
-      AppendCollapsed(c, &pending);
+      append(c, li);
     }
-    if (open_functions == 0 && paren == 0) AppendCollapsed('\n', &pending);
+    if (open_functions == 0 && paren == 0) append('\n', li);
   }
 }
 

@@ -4,7 +4,8 @@
 // Built on the analysis_core source model, the index extracts — with a
 // token-level heuristic, no compiler involved —
 //
-//   * every function definition (file, base name, body line range),
+//   * every function definition (file, base name, the line its name sits
+//     on, the signature trailer, body line range),
 //   * the statements inside each body (code text split on `;`/`{`/`}` at
 //     parenthesis depth zero, so a call wrapped over several physical
 //     lines is analyzed as one unit),
@@ -45,7 +46,12 @@ struct Statement {
 struct FunctionDef {
   std::string base_name;   // Unqualified: "HandleRequest".
   std::string qual_name;   // As written: "Client::HandleRequest".
+  // Signature text after the parameter list's ')': cv/ref qualifiers,
+  // noexcept, override, a constructor init list or a trailing return
+  // type, whitespace-collapsed ("const", ": value_(Compute(x))").
+  std::string trailer;
   int file_index = -1;     // Into Index::files.
+  int name_line = 0;       // 1-based line holding the base name.
   int begin_line = 0;      // 1-based line holding the opening '{'.
   int end_line = 0;        // 1-based line holding the matching '}'.
   std::vector<Statement> statements;

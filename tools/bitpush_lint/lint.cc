@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -55,6 +56,7 @@ constexpr CheckNameEntry kCheckNames[] = {
     {Check::kObsStability, "obs-stability"},
     {Check::kHeaderHygiene, "header-hygiene"},
     {Check::kUnreachedModule, "unreached-module"},
+    {Check::kUnreachedFunction, "unreached-function"},
     {Check::kWaiverSyntax, "waiver-syntax"},
 };
 
@@ -115,15 +117,12 @@ ParsedWaivers ParseWaivers(const SourceFile& file) {
 // A waiver on line L suppresses findings of its check on lines L and L+1
 // of the same file. privacy-metering is a whole-TU property, so its
 // waivers are file-scoped.
-bool IsSuppressed(const Finding& finding, const std::vector<Waiver>& waivers) {
-  for (const Waiver& waiver : waivers) {
-    if (waiver.check != finding.check || waiver.path != finding.path) continue;
-    if (finding.check == Check::kPrivacyMetering) return true;
-    if (finding.line == waiver.line || finding.line == waiver.line + 1) {
-      return true;
-    }
+bool Suppresses(const Waiver& waiver, const Finding& finding) {
+  if (waiver.check != finding.check || waiver.path != finding.path) {
+    return false;
   }
-  return false;
+  return finding.check == Check::kPrivacyMetering ||
+         finding.line == waiver.line || finding.line == waiver.line + 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -694,14 +693,13 @@ bool IsDriver(const std::string& rel_path) {
          IsIncludeOnly(rel_path);
 }
 
-// `files` holds the linted tree plus the include-only drivers. A src/ file
+// `index` holds the linted tree plus the include-only drivers. A src/ file
 // is reached when a driver includes it, directly or through reached src/
 // files; a reached header brings its same-stem .cc along, and a .cc with
 // no same-stem header (a kernel leg) is reached when it includes a reached
 // file.
-void CheckUnreachedModules(std::vector<SourceFile> files,
+void CheckUnreachedModules(const analysis::Index& index,
                            std::vector<Finding>* findings) {
-  const analysis::Index index = analysis::BuildIndex(std::move(files));
   const int n = static_cast<int>(index.files.size());
   std::map<std::string, int> by_path;
   for (int i = 0; i < n; ++i) by_path[index.files[i].rel_path] = i;
@@ -771,6 +769,129 @@ void CheckUnreachedModules(std::vector<SourceFile> files,
     }
     findings->push_back(
         {file.rel_path, 1, Check::kUnreachedModule, std::move(message)});
+  }
+}
+
+// ---------------------------------------------------------------------------
+// unreached-function: every src/ definition must be reached from a driver.
+// The walk starts from every identifier on the code lines of the driver
+// files, and an identifier reaches every src/ definition with that base
+// name: the functions of the index, and the macros whose #define bodies
+// name functions (BITPUSH_CHECK names CheckFailureStream). A reached
+// definition's lines, from its name through its body, carry the walk on,
+// so constructor init lists count. Matching names rather than calls
+// follows callbacks and the KernelOps tables, which name functions without
+// calling them, and overrides of a reached name; a name shared by a
+// reached and an unreached definition can hide a finding, never add one.
+
+// A span of lines whose identifiers a reached definition passes on.
+struct WalkNode {
+  int file_index = -1;
+  int first_line = 0;  // 1-based, inclusive.
+  int last_line = 0;
+  int function_index = -1;  // Into Index::functions; -1 for a macro.
+};
+
+template <typename Visit>
+void ForEachIdentifier(const std::string& code, const Visit& visit) {
+  size_t i = 0;
+  while (i < code.size()) {
+    const unsigned char c = static_cast<unsigned char>(code[i]);
+    if (!std::isalnum(c) && c != '_') {
+      ++i;
+      continue;
+    }
+    size_t end = i;
+    while (end < code.size() &&
+           (std::isalnum(static_cast<unsigned char>(code[end])) ||
+            code[end] == '_')) {
+      ++end;
+    }
+    if (!std::isdigit(c)) visit(std::string_view(code).substr(i, end - i));
+    i = end;
+  }
+}
+
+// A const member function defined in its class whose body is one return
+// statement: the read-only accessors tests observe state through.
+bool IsInClassAccessor(const analysis::FunctionDef& fn) {
+  return fn.qual_name.find("::") == std::string::npos &&
+         (fn.trailer == "const" || StartsWith(fn.trailer, "const ")) &&
+         fn.statements.size() == 1 &&
+         StartsWith(fn.statements[0].text, "return ");
+}
+
+void CheckUnreachedFunctions(const analysis::Index& index,
+                             std::vector<Finding>* findings) {
+  std::vector<WalkNode> nodes;
+  std::map<std::string, std::vector<int>, std::less<>> by_name;
+  for (size_t fi = 0; fi < index.functions.size(); ++fi) {
+    const analysis::FunctionDef& fn = index.functions[fi];
+    if (!StartsWith(index.files[fn.file_index].rel_path, "src/")) continue;
+    by_name[fn.base_name].push_back(static_cast<int>(nodes.size()));
+    nodes.push_back({fn.file_index, fn.name_line, fn.end_line,
+                     static_cast<int>(fi)});
+  }
+  static const std::regex kDefineRe(R"(^\s*#\s*define\s+([A-Za-z_]\w*))");
+  for (size_t f = 0; f < index.files.size(); ++f) {
+    const SourceFile& file = index.files[f];
+    if (!StartsWith(file.rel_path, "src/")) continue;
+    for (size_t i = 0; i < file.code_lines.size(); ++i) {
+      std::smatch match;
+      if (file.code_lines[i].find("define") == std::string::npos ||
+          !std::regex_search(file.code_lines[i], match, kDefineRe)) {
+        continue;
+      }
+      size_t last = i;
+      while (last + 1 < file.code_lines.size() &&
+             !Trim(file.code_lines[last]).empty() &&
+             Trim(file.code_lines[last]).back() == '\\') {
+        ++last;
+      }
+      by_name[match[1].str()].push_back(static_cast<int>(nodes.size()));
+      nodes.push_back({static_cast<int>(f), static_cast<int>(i + 1),
+                       static_cast<int>(last + 1), -1});
+    }
+  }
+
+  std::vector<bool> reached(nodes.size(), false);
+  std::set<std::string, std::less<>> seen;
+  std::vector<std::string> pending;
+  const auto visit_line = [&](const std::string& code) {
+    ForEachIdentifier(code, [&](std::string_view name) {
+      if (by_name.find(name) == by_name.end()) return;
+      if (seen.emplace(name).second) pending.emplace_back(name);
+    });
+  };
+  for (const SourceFile& file : index.files) {
+    if (!IsDriver(file.rel_path)) continue;
+    for (const std::string& code : file.code_lines) visit_line(code);
+  }
+  while (!pending.empty()) {
+    const std::string name = std::move(pending.back());
+    pending.pop_back();
+    for (const int node_index : by_name.find(name)->second) {
+      if (reached[node_index]) continue;
+      reached[node_index] = true;
+      const WalkNode& node = nodes[node_index];
+      const SourceFile& file = index.files[node.file_index];
+      for (int line = node.first_line; line <= node.last_line; ++line) {
+        visit_line(file.code_lines[line - 1]);
+      }
+    }
+  }
+
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    if (reached[n] || nodes[n].function_index < 0) continue;
+    const analysis::FunctionDef& fn = index.functions[nodes[n].function_index];
+    if (IsInClassAccessor(fn)) continue;
+    findings->push_back(
+        {index.files[fn.file_index].rel_path, fn.name_line,
+         Check::kUnreachedFunction,
+         "no driver (tools/, bench/, examples/, perfbench/) reaches `" +
+             fn.qual_name +
+             "`, directly or through src/; delete it with its tests, or "
+             "waive it naming the test that needs it"});
   }
 }
 
@@ -909,16 +1030,36 @@ Result RunLint(const std::string& root, const Options& options) {
   if (CheckEnabled(options, Check::kWireExhaustiveness)) {
     CheckWireExhaustiveness(files, &raw_findings);
   }
-  if (CheckEnabled(options, Check::kUnreachedModule)) {
-    std::vector<SourceFile> graph = files;
+  // Both reachability checks walk one index of the linted tree plus the
+  // include-only drivers; nothing reads `files` after this.
+  const bool modules = CheckEnabled(options, Check::kUnreachedModule);
+  const bool functions = CheckEnabled(options, Check::kUnreachedFunction);
+  if (modules || functions) {
     std::move(include_only.begin(), include_only.end(),
-              std::back_inserter(graph));
-    CheckUnreachedModules(std::move(graph), &raw_findings);
+              std::back_inserter(files));
+    const analysis::Index index = analysis::BuildIndex(std::move(files));
+    if (modules) CheckUnreachedModules(index, &raw_findings);
+    if (functions) CheckUnreachedFunctions(index, &raw_findings);
   }
 
+  // A waiver that suppresses no finding of a check that ran is stale.
+  std::vector<bool> used(all_waivers.size(), false);
   for (Finding& finding : raw_findings) {
-    if (IsSuppressed(finding, all_waivers)) continue;
-    result.findings.push_back(std::move(finding));
+    bool suppressed = false;
+    for (size_t w = 0; w < all_waivers.size(); ++w) {
+      if (!Suppresses(all_waivers[w], finding)) continue;
+      used[w] = true;
+      suppressed = true;
+    }
+    if (!suppressed) result.findings.push_back(std::move(finding));
+  }
+  for (size_t w = 0; w < all_waivers.size(); ++w) {
+    const Waiver& waiver = all_waivers[w];
+    if (used[w] || !CheckEnabled(options, waiver.check)) continue;
+    result.findings.push_back(
+        {waiver.path, waiver.line, Check::kWaiverSyntax,
+         "waiver for `" + CheckName(waiver.check) +
+             "` suppresses no finding; delete it"});
   }
   std::sort(result.findings.begin(), result.findings.end(),
             [](const Finding& a, const Finding& b) {

@@ -11,8 +11,8 @@
 // with no compiler dependency, so the invariants fail a PR at lint time
 // instead of depending on reviewer memory.
 //
-// A fourth rule keeps the library lean: every src/ file must be code a
-// driver runs.
+// A fourth rule keeps the library lean: every src/ file, and every
+// function in it, must be code a driver runs.
 //
 // Checks (see docs/STATIC_ANALYSIS.md for the full catalogue):
 //
@@ -46,16 +46,35 @@
 //                       its same-stem .cc, and a .cc without a same-stem
 //                       header (a kernel leg) that includes a reached
 //                       file. Tests are not drivers. examples/ and
-//                       perfbench/ are read for their includes only.
+//                       perfbench/ are read for their includes and
+//                       identifiers only.
+//   unreached-function  every src/ definition must be reached from a
+//                       driver over the same index's functions: the walk
+//                       starts from every identifier on the drivers' code
+//                       lines, an identifier reaches every src/ function
+//                       and #define of that base name, and a reached
+//                       definition passes on every identifier from its
+//                       name through its body (init lists, and functions
+//                       named without being called, count). Names, not
+//                       calls, so callbacks and the KernelOps tables are
+//                       followed; a shared name can hide a finding, never
+//                       add one. A const member defined in its class
+//                       whose body is one return statement (an accessor)
+//                       is exempt. Both reachability checks run in one
+//                       pass over one index.
 //
 // Any finding can be suppressed with an annotated waiver comment on the
 // same or the preceding line (file-scoped for privacy-metering). The
 // syntax is `bitpush-lint: allow(<check>): <reason>` inside a // comment;
-// the reason string is mandatory.
+// the reason string is mandatory. An unreached-function waiver names the
+// test that needs the function, as a reference or as a seam into live
+// state.
 //
-// The reason is mandatory; waivers are counted and printed as a budget so
-// reviewers can watch it. Malformed waivers are themselves findings
-// (check name "waiver-syntax").
+// Waivers are counted and printed as a budget so reviewers can watch it.
+// Malformed waivers are themselves findings (check name "waiver-syntax"),
+// and so are stale ones: a waiver that suppresses no finding of a check
+// that ran. Waivers of checks left out of a --checks subset are not
+// judged.
 
 #ifndef BITPUSH_TOOLS_BITPUSH_LINT_LINT_H_
 #define BITPUSH_TOOLS_BITPUSH_LINT_LINT_H_
@@ -72,8 +91,10 @@ enum class Check {
   kObsStability,
   kHeaderHygiene,
   kUnreachedModule,
-  // Malformed or unknown `bitpush-lint:` annotations. Always enabled; not
-  // a check family of its own, it polices the waiver syntax itself.
+  kUnreachedFunction,
+  // Malformed, unknown or stale `bitpush-lint:` annotations. Always
+  // enabled; not a check family of its own, it polices the waivers
+  // themselves.
   kWaiverSyntax,
 };
 
@@ -107,7 +128,7 @@ struct Options {
 
 struct Result {
   std::vector<Finding> findings;    // Unsuppressed violations.
-  std::vector<Waiver> waivers;      // The waiver budget actually in use.
+  std::vector<Waiver> waivers;      // Every well-formed waiver, stale or not.
   std::vector<std::string> fixed_paths;
   int files_scanned = 0;
   bool io_error = false;
@@ -115,8 +136,8 @@ struct Result {
 };
 
 // Lints every *.h / *.cc under <root>/{src,tests,bench,tools}, and reads
-// <root>/{examples,perfbench} for the unreached-module check's include
-// graph. Directories named "golden" are skipped: they hold fixture
+// <root>/{examples,perfbench} for the reachability checks' include graph
+// and identifiers. Directories named "golden" are skipped: they hold fixture
 // snippets (including the deliberately-broken inputs of tests/golden/lint/)
 // that must not count against the real tree. `root` must contain at least
 // one of the six directories.

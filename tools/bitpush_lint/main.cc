@@ -28,7 +28,8 @@ int Usage() {
       "usage: bitpush_lint [--root=DIR] [--checks=c1,c2,...] "
       "[--list-waivers] [--fix]\n"
       "checks: determinism privacy-metering wire-exhaustiveness "
-      "obs-stability header-hygiene unreached-module\n");
+      "obs-stability header-hygiene unreached-module "
+      "unreached-function\n");
   return 2;
 }
 
