@@ -79,15 +79,17 @@ ctest --test-dir "$BUILD_DIR-scalar" --output-on-failure
 # sizes once, and its one-pass decode's inline loads), and `Crc32` the
 # CRC-32 kernels (the PCLMUL folds' unaligned 16-byte loads and the table
 # tail). The linter and the analyzer (`LintTest`, `AnalyzeTest`) run
-# instrumented over their fixture trees and the real tree. Keep the targets
-# and the regex in sync with CI's address-sanitizer job.
+# instrumented over their fixture trees and the real tree, and
+# `RoundWorkers` the round pipeline, whose threads read the caller's
+# indices (a respond that throws must not leave them reading freed ones).
+# Keep the targets and the regex in sync with CI's address-sanitizer job.
 cmake -B "$BUILD_DIR-asan" -G Ninja -DBITPUSH_SANITIZE=address,undefined
 cmake --build "$BUILD_DIR-asan" \
   --target fault_tests wire_fuzz_tests persist_tests persist_fuzz_tests \
   obs_tests prop_tests kernel_tests shard_tests core_tests lint_tests \
   analyze_tests
 ctest --test-dir "$BUILD_DIR-asan" --output-on-failure \
-  -R '(Fault|WireFuzz|Journal|Snapshot|Recovery|PersistFuzz|Obs|Prop|Kernel|Shard|PrivacyMeter|Crc32|LintTest|AnalyzeTest)'
+  -R '(Fault|WireFuzz|Journal|Snapshot|Recovery|PersistFuzz|Obs|Prop|Kernel|Shard|RoundWorkers|PrivacyMeter|Crc32|LintTest|AnalyzeTest)'
 
 # TSan pass: the obs registry, event ring and tracer are hammered from
 # several threads (the `Obs` alternate runs those race tests), and the
@@ -98,12 +100,16 @@ ctest --test-dir "$BUILD_DIR-asan" --output-on-failure \
 # shard suites (`Shard`: the determinism cases, the kill matrix and the
 # chaos suites) and the sharded oracle in `Prop` run here, as does
 # `RoundWorkers` (in shard_tests): a round's stage and apply steps on 1, 2
-# and 4 threads must give the same outcome, ledger, journal and RNG state.
+# and 4 threads, overlapping its respond step, must give the same outcome,
+# ledger, journal and RNG state. The overlap's interleavings vary from run
+# to run, so `RoundWorkers*` then runs ten more times.
 cmake -B "$BUILD_DIR-tsan" -G Ninja -DBITPUSH_SANITIZE=thread
 cmake --build "$BUILD_DIR-tsan" \
   --target resilience_tests obs_tests prop_tests kernel_tests shard_tests
 ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
   -R '(Resilience|Obs|Prop|Kernel|Shard|RoundWorkers)'
+"$BUILD_DIR-tsan/tests/shard_tests" --gtest_filter='RoundWorkers*' \
+  --gtest_repeat=10
 
 # Crash-recovery stage: run a durable campaign, kill it (exit 137, the
 # SIGKILL status) after N journal appends, restart it against the same

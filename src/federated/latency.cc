@@ -10,7 +10,6 @@ void ValidateModel(const LatencyModel& model) {
   BITPUSH_CHECK_GT(model.checkins_per_minute, 0.0);
   BITPUSH_CHECK_GT(model.eligibility_rate, 0.0);
   BITPUSH_CHECK_LE(model.eligibility_rate, 1.0);
-  BITPUSH_CHECK_GE(model.fixed_round_minutes, 0.0);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // devices become available to the coordinator as a Poisson process; a round
 // is assigned when enough *eligible* devices have checked in, so selective
 // queries (low eligibility rates) wait longer, and a two-round protocol
-// pays the collection wait twice plus fixed per-round compute/report time.
+// pays the collection wait twice.
 
 #ifndef BITPUSH_FEDERATED_LATENCY_H_
 #define BITPUSH_FEDERATED_LATENCY_H_
@@ -19,10 +19,6 @@ struct LatencyModel {
   // Probability a checking-in device satisfies the query's eligibility
   // predicate (1 = unrestricted query).
   double eligibility_rate = 1.0;
-  // Fixed minutes per round for assignment, on-device compute, and
-  // report-back once the cohort is filled ("the typical time to complete a
-  // round on our FA stack is a matter of minutes").
-  double fixed_round_minutes = 3.0;
 
   friend bool operator==(const LatencyModel&, const LatencyModel&) = default;
 };

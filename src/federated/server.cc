@@ -85,6 +85,10 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   ReportBatch reports =
       report_slots > 0 ? MakeEmptyBatch(bits, report_slots) : ReportBatch{};
   int64_t accepted_reports = 0;
+  // Every contact and every report takes a slot, so the id lists of both
+  // are sized once.
+  outcome.assigned_clients.reserve(static_cast<size_t>(report_slots));
+  outcome.succeeded_client_ids.reserve(static_cast<size_t>(report_slots));
 
   const RandomizedResponse rr = RandomizedResponse::FromEpsilon(config.epsilon);
   const double charge_epsilon = config.epsilon > 0 ? config.epsilon : 0.0;
@@ -263,7 +267,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   // The respond step of one slot: the primary request, then a hedge when
   // it fails or straggles and the policy allows one. False when the rest
   // of the chunk must be staged again: the hedge's client had a grant
-  // pending, so the chunk's grants were applied before it ran.
+  // pending, so the pending grants were applied before it ran.
   const auto respond = [&](const StagedSlot& slot, int64_t idx,
                            const BitRequest& request, bool backfill) {
     const int64_t client_id = slot.client.id;
@@ -300,12 +304,8 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     if (!hedge_wanted) return true;
     const std::optional<int64_t> hedge_idx = next_pool_client();
     if (!hedge_idx.has_value()) return true;
-    StagedSlot hedge = stages.StageOne(*hedge_idx);
-    const bool restage = stages.Pending(hedge);
-    if (restage) {
-      stages.Apply();
-      hedge = stages.StageOne(*hedge_idx);
-    }
+    StagedSlot hedge;
+    const bool restage = stages.StageHedge(*hedge_idx, &hedge);
     ++outcome.retry.hedges_issued;
     const SlotResult hedged =
         run_slot(hedge, *hedge_idx, request, /*allow_retries=*/false,
@@ -328,7 +328,8 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   // assign bits (QMC partition per pass), then drive every slot through the
   // pipeline, chunk by chunk (federated/round_stages.h): stage the chunk's
   // clients and ledger rows, respond slot by slot, apply the chunk's grants
-  // to the ledger.
+  // to the ledger; with threads, the next chunk's stage and the previous
+  // chunk's apply run while this one responds.
   const auto collect = [&](const std::vector<int64_t>& batch, bool backfill) {
     std::vector<int64_t> admitted;
     if (breaker_on) {

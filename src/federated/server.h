@@ -61,11 +61,13 @@ struct RoundConfig {
   // succeeded/failed lists at the round boundary.
   const HealthTracker* health = nullptr;
   // Threads the stage and apply steps of each collection pass may run on,
-  // the caller included (federated/round_stages.h); 1 runs them inline.
-  // Outcomes, draws and the ledger are the same at every budget.
+  // the caller included (federated/round_stages.h), overlapping the
+  // caller's respond step; 1 runs them inline. Outcomes, draws and the
+  // ledger are the same at every budget.
   int64_t workers = 1;
   // The span the round's step spans (round.stage, round.respond,
-  // round.apply) name as their parent: the caller's collect span.
+  // round.wait, round.apply) name as their parent: the caller's collect
+  // span.
   obs::TraceContext trace_parent;
 };
 

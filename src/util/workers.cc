@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <system_error>
 
+#include "util/check.h"
+
 namespace bitpush::util {
 
 int64_t AffinityCpus() {
@@ -68,6 +70,14 @@ void WorkerGroup::Serve() {
 
 void WorkerGroup::Run(size_t count, const std::function<void(size_t)>& task,
                       int64_t max_threads) {
+  Start(count, task, max_threads);
+  Finish();
+}
+
+void WorkerGroup::Start(size_t count,
+                        const std::function<void(size_t)>& task,
+                        int64_t max_threads) {
+  BITPUSH_CHECK(task_ == nullptr);
   const size_t wanted = std::min(
       static_cast<size_t>(max_threads > 0 ? std::min(max_threads, workers_)
                                           : workers_),
@@ -89,6 +99,10 @@ void WorkerGroup::Run(size_t count, const std::function<void(size_t)>& task,
     ++batch_;
   }
   if (wanted > 1) batch_ready_.notify_all();
+}
+
+void WorkerGroup::Finish() {
+  if (task_ == nullptr) return;
   Drain();
   std::vector<std::exception_ptr> failures;
   {

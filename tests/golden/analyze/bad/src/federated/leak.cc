@@ -1,14 +1,14 @@
-// Bad: raw codewords reach a wire encoder with no perturbation between
-// the encode (source) and the batch serialization (sink).
+// Bad: a raw codeword bit reaches a wire encoder with no perturbation
+// between the encode (source) and the report serialization (sink).
 #include <vector>
 
 namespace bitpush {
 
-void FlushRawBatch(const FixedPointCodec& codec,
-                   const std::vector<double>& values, WireWriter& out) {
-  ReportBatch batch;
-  batch.codewords = codec.EncodeAll(values);
-  EncodeReportBatch(out, batch);
+void FlushRawReport(const FixedPointCodec& codec, double value,
+                    std::vector<uint8_t>* out) {
+  BitReport report;
+  report.bit = codec.Encode(value) & 1;
+  EncodeBitReport(report, out);
 }
 
 }  // namespace bitpush

@@ -6,12 +6,11 @@
 
 namespace bitpush {
 
-void FlushCalibration(const FixedPointCodec& codec,
-                      const std::vector<double>& synthetic,
-                      WireWriter& out) {
-  ReportBatch batch;
-  batch.codewords = codec.EncodeAll(synthetic);
-  EncodeReportBatch(out, batch);
+void FlushCalibration(const FixedPointCodec& codec, double synthetic,
+                      std::vector<uint8_t>* out) {
+  BitReport report;
+  report.bit = codec.Encode(synthetic) & 1;
+  EncodeBitReport(report, out);
 }
 
 }  // namespace bitpush

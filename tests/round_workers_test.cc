@@ -1,16 +1,22 @@
 // Round-worker invariance: the stage and apply steps of a collection round
-// (federated/round_stages.h) run on 1, 2 or 4 threads, and nothing the
-// round produces may depend on how many. Each case runs the same inputs at
-// every budget and compares the round outcome, the ledger's canonical
-// bytes, the journaled charge decisions and the RNG state. The rounds are
-// large enough that a chunk splits over several threads. ctest -R
-// RoundWorkers; the TSan stage of scripts/check.sh runs it.
+// (federated/round_stages.h) run on 1, 2 or 4 threads, overlapping the
+// respond step of the chunk between them, and nothing the round produces
+// may depend on how many. Each case runs the same inputs at every budget
+// and compares the round outcome, the ledger's canonical bytes, the
+// journaled charge decisions and the RNG state, and replays the journal
+// through one-step charges (PrivacyMeter::TryChargeBit), which must decide
+// every charge as the round did. The rounds are large enough that a chunk
+// splits over several threads; the later cases span four chunks and more.
+// ctest -R RoundWorkers; the TSan stage of scripts/check.sh runs it.
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +32,7 @@
 #include "federated/server.h"
 #include "federated/shard/merge.h"
 #include "federated/shard/shard.h"
+#include "obs/trace.h"
 #include "rng/rng.h"
 #include "util/bytes.h"
 
@@ -34,9 +41,11 @@ namespace {
 
 constexpr int kBits = 8;
 constexpr int64_t kValueId = 3;
+constexpr int64_t kChunk = static_cast<int64_t>(RoundStages::kChunkSlots);
 // Enough slots for a full chunk on four threads and a second chunk.
-constexpr int64_t kCohort =
-    static_cast<int64_t>(RoundStages::kChunkSlots) + 5000;
+constexpr int64_t kCohort = kChunk + 5000;
+// Four full chunks and part of a fifth.
+constexpr int64_t kLongCohort = 4 * kChunk + 3000;
 constexpr int64_t kPool = 6000;
 const int64_t kBudgets[] = {1, 2, 4};
 
@@ -63,6 +72,9 @@ struct Inputs {
   MeterPolicy policy;
   FaultPlan faults;
   HealthTracker health;
+  // Clients charged one step at a time, before the first round, so that
+  // they have rows.
+  std::vector<int64_t> warm;
 };
 
 // Everything a round leaves behind that must not depend on the budget.
@@ -89,6 +101,10 @@ Result RunRounds(const Inputs& inputs, int64_t workers) {
   PrivacyMeter meter(inputs.policy);
   ByteJournal journal;
   meter.set_journal(&journal);
+  for (const int64_t idx : inputs.warm) {
+    meter.TryChargeBit(inputs.clients[static_cast<size_t>(idx)].id(),
+                       kValueId, 0.0);
+  }
   RoundConfig config = inputs.config;
   config.workers = workers;
   if (inputs.faults.enabled()) config.fault_plan = &inputs.faults;
@@ -109,8 +125,36 @@ Result RunRounds(const Inputs& inputs, int64_t workers) {
   return result;
 }
 
+// Replays `result`'s journaled charge attempts, in order, through one-step
+// charges on a fresh meter: each must be decided as the round decided it,
+// and the ledger must end the same.
+void ExpectOneStepDecisions(const Result& result, const MeterPolicy& policy) {
+  PrivacyMeter meter(policy);
+  const std::vector<uint8_t>& journal = result.journal;
+  size_t offset = 0;
+  int64_t attempts = 0;
+  int64_t differ = 0;
+  while (offset < journal.size()) {
+    int64_t client_id = 0;
+    int64_t value_id = 0;
+    double epsilon = 0.0;
+    ASSERT_TRUE(bytes::GetInt64(journal, &offset, &client_id));
+    ASSERT_TRUE(bytes::GetInt64(journal, &offset, &value_id));
+    ASSERT_TRUE(bytes::GetDouble(journal, &offset, &epsilon));
+    ASSERT_LT(offset, journal.size());
+    const bool granted = journal[offset++] != 0;
+    ++attempts;
+    if (meter.TryChargeBit(client_id, value_id, epsilon) != granted) ++differ;
+  }
+  EXPECT_EQ(differ, 0) << "of " << attempts << " charge attempts";
+  std::vector<uint8_t> ledger;
+  meter.EncodeTo(&ledger);
+  EXPECT_EQ(ledger, result.ledger);
+}
+
 void ExpectSameAtEveryBudget(const Inputs& inputs) {
   const Result inline_result = RunRounds(inputs, 1);
+  ExpectOneStepDecisions(inline_result, inputs.policy);
   for (const int64_t workers : kBudgets) {
     const Result result = RunRounds(inputs, workers);
     EXPECT_EQ(result.outcomes, inline_result.outcomes)
@@ -126,12 +170,13 @@ void ExpectSameAtEveryBudget(const Inputs& inputs) {
   }
 }
 
-// kCohort + kPool clients, the cohort a shuffled permutation of the first
-// kCohort indices and the backfill pool the rest.
-Inputs MakeInputs(const ClientConfig& client_config, int values_per_client) {
+// cohort + kPool clients, the cohort a shuffled permutation of the first
+// `cohort` indices and the backfill pool the rest.
+Inputs MakeInputs(const ClientConfig& client_config, int values_per_client,
+                  int64_t cohort = kCohort) {
   Inputs inputs;
   Rng rng(5);
-  const int64_t n = kCohort + kPool;
+  const int64_t n = cohort + kPool;
   inputs.clients.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     std::vector<double> values;
@@ -140,8 +185,8 @@ Inputs MakeInputs(const ClientConfig& client_config, int values_per_client) {
     }
     inputs.clients.emplace_back(i, std::move(values), client_config);
   }
-  for (int64_t i = 0; i < kCohort; ++i) inputs.cohort.push_back(i);
-  for (int64_t i = kCohort - 1; i > 0; --i) {
+  for (int64_t i = 0; i < cohort; ++i) inputs.cohort.push_back(i);
+  for (int64_t i = cohort - 1; i > 0; --i) {
     std::swap(inputs.cohort[static_cast<size_t>(i)],
               inputs.cohort[rng.NextBelow(static_cast<uint64_t>(i) + 1)]);
   }
@@ -284,6 +329,201 @@ TEST(RoundWorkersTest, RepeatedSlotsAreDeniedAtOneBitPerValue) {
     EXPECT_EQ(meter.ValueBits(shared_id, kValueId), 1);
   }
   ExpectSameAtEveryBudget(inputs);
+}
+
+// Rounds over kLongCohort slots, where the threads stage each chunk while
+// the one before it responds.
+
+// Two rounds at one bit per value on a fresh ledger: the first charges
+// kWarmValue to every client, last index first (a first-charge pass, whose
+// inserts grow the client table at the first three chunk ends but not at
+// the fourth), and the second charges kValueId to the cohort, whose clients
+// all have a row with kWarmValue in it (so each grant adds a count to the
+// meter's value table, and the client table does not grow). In each round
+// some clients come up again in the chunk right after their grant, staged
+// before that grant was applied, and two chunks after it.
+constexpr int64_t kWarmValue = 9;
+
+struct RepeatRounds {
+  std::vector<Client> clients;
+  std::vector<int64_t> first_cohort;
+  std::vector<int64_t> second_cohort;
+  // The repeated clients' ids, with each round's value.
+  std::vector<std::pair<int64_t, int64_t>> repeated;
+};
+
+Result RunRepeatRounds(const RepeatRounds& rounds, const MeterPolicy& policy,
+                       int64_t workers) {
+  const FixedPointCodec codec = FixedPointCodec::Integer(kBits);
+  PrivacyMeter meter(policy);
+  ByteJournal journal;
+  meter.set_journal(&journal);
+  RoundConfig config;
+  config.probabilities = GeometricProbabilities(kBits, 0.5);
+  config.workers = workers;
+  Result result;
+  Rng rng(77);
+  const std::pair<const std::vector<int64_t>*, int64_t> passes[] = {
+      {&rounds.first_cohort, kWarmValue}, {&rounds.second_cohort, kValueId}};
+  for (const auto& [cohort, value_id] : passes) {
+    config.value_id = value_id;
+    ++config.round_id;
+    result.outcomes.push_back(Encoded(AggregationServer(codec).RunRound(
+        rounds.clients, *cohort, config, &meter, rng)));
+  }
+  for (const auto& [id, value_id] : rounds.repeated) {
+    EXPECT_EQ(meter.ValueBits(id, value_id), 1)
+        << "client " << id << " at budget " << workers;
+  }
+  meter.EncodeTo(&result.ledger);
+  result.journal = journal.bytes();
+  result.denied = meter.denied_charges();
+  result.total_epsilon = meter.total_epsilon();
+  result.rng = rng;
+  return result;
+}
+
+TEST(RoundWorkersTest, RepeatsInTheNextTwoChunksAreDeniedAtOneBitPerValue) {
+  const Inputs inputs = MakeInputs(ClientConfig{}, 1, kLongCohort);
+  RepeatRounds rounds;
+  rounds.clients = inputs.clients;
+  rounds.second_cohort = inputs.cohort;
+  const int64_t n = static_cast<int64_t>(inputs.clients.size());
+  for (int64_t i = 0; i < n; ++i) rounds.first_cohort.push_back(n - 1 - i);
+  // Slot `again` answers for the client of slot `slot` once more.
+  const auto repeat = [&](std::vector<int64_t>* cohort, int64_t value_id,
+                          int64_t slot, std::initializer_list<int64_t> again) {
+    const int64_t idx = (*cohort)[static_cast<size_t>(slot)];
+    for (const int64_t a : again) (*cohort)[static_cast<size_t>(a)] = idx;
+    rounds.repeated.emplace_back(
+        rounds.clients[static_cast<size_t>(idx)].id(), value_id);
+  };
+  // First round: two chunks after a grant that grew the table, and the
+  // chunk right after a grant (a new row) that did not.
+  repeat(&rounds.first_cohort, kWarmValue, 100, {2 * kChunk + 100});
+  repeat(&rounds.first_cohort, kWarmValue, 3 * kChunk + 100,
+         {4 * kChunk + 100});
+  // Second round: two chunks after a grant, and the chunk right after a
+  // grant and then later on.
+  repeat(&rounds.second_cohort, kValueId, 100, {2 * kChunk + 20});
+  repeat(&rounds.second_cohort, kValueId, kChunk + 100,
+         {2 * kChunk + 50, 3 * kChunk + 70});
+  MeterPolicy policy;
+  policy.max_bits_per_value = 1;
+
+  const Result inline_result = RunRepeatRounds(rounds, policy, 1);
+  // The five repeats are the only denials, as one-step charges decide.
+  EXPECT_EQ(inline_result.denied, 5);
+  ExpectOneStepDecisions(inline_result, policy);
+  for (const int64_t workers : kBudgets) {
+    const Result result = RunRepeatRounds(rounds, policy, workers);
+    EXPECT_EQ(result.outcomes, inline_result.outcomes)
+        << "round outcome at budget " << workers;
+    EXPECT_EQ(result.ledger, inline_result.ledger)
+        << "ledger at budget " << workers;
+    EXPECT_EQ(result.journal, inline_result.journal)
+        << "journal at budget " << workers;
+    EXPECT_EQ(result.denied, 5) << "budget " << workers;
+    EXPECT_TRUE(result.rng == inline_result.rng)
+        << "RNG state at budget " << workers;
+  }
+}
+
+TEST(RoundWorkersTest, FirstChargesGrowTheLedgerMidPass) {
+  ClientConfig flaky;
+  flaky.dropout_probability = 0.05;
+  Inputs inputs = MakeInputs(flaky, 1, kLongCohort);
+  // The clients of the second chunk already have rows, so that the first
+  // round's chunks go: new rows, whose inserts grow the client table at
+  // the chunk's end; updates in place; new rows that grow it again; new
+  // rows that fit.
+  for (int64_t slot = kChunk; slot < 2 * kChunk; ++slot) {
+    inputs.warm.push_back(inputs.cohort[static_cast<size_t>(slot)]);
+  }
+  PrivacyMeter meter(inputs.policy);
+  for (const int64_t idx : inputs.warm) {
+    meter.TryChargeBit(inputs.clients[static_cast<size_t>(idx)].id(),
+                       kValueId, 0.0);
+  }
+  const size_t warm_rows = meter.client_table_rows();
+  RoundConfig config = inputs.config;
+  config.workers = 4;
+  Rng rng(77);
+  AggregationServer(FixedPointCodec::Integer(kBits))
+      .RunRound(inputs.clients, inputs.cohort, config, &meter, rng);
+  EXPECT_EQ(meter.client_table_rows(), 4 * warm_rows);
+  ExpectSameAtEveryBudget(inputs);
+}
+
+TEST(RoundWorkersTest, HedgesOnPendingGrantsWhileTheNextChunkStages) {
+  Inputs inputs = MakeInputs(ClientConfig{}, 1, kLongCohort);
+  inputs.policy.max_bits_per_value = 2;
+  // Every slot has a hedge planned, and the clients of these slots drop
+  // out, so that each of them issues one. Its client comes from the pool,
+  // which holds cohort clients: one granted earlier in the same chunk,
+  // still pending; one granted in the chunk before, whose grant the
+  // threads apply while this chunk runs; and one in the next chunk, which
+  // the threads are staging.
+  ClientConfig gone;
+  gone.dropout_probability = 1.0;
+  inputs.config.backfill_pool.clear();
+  for (int64_t chunk = 0; chunk < 4; ++chunk) {
+    const int64_t base = chunk * kChunk;
+    const std::pair<int64_t, int64_t> hedges[] = {
+        {base + 3000, base + 2000},
+        {base + 9000, chunk > 0 ? base - 4000 : base + 8500},
+        {base + 15000, base + kChunk + 1000},
+        {base + 21000, base + 20990}};
+    for (const auto& [slot, hedge_slot] : hedges) {
+      const int64_t idx = inputs.cohort[static_cast<size_t>(slot)];
+      inputs.clients[static_cast<size_t>(idx)] = Client(idx, {7.0}, gone);
+      inputs.config.backfill_pool.push_back(
+          inputs.cohort[static_cast<size_t>(hedge_slot)]);
+    }
+  }
+  ResilienceConfig& res = inputs.config.resilience;
+  res.hedge.enabled = true;
+  res.hedge.trigger_budget_fraction = 0.0;
+  res.budget.minutes = 1e9;
+
+  const Result result = RunRounds(inputs, 1);
+  RetryStats retry;
+  for (const std::vector<uint8_t>& bytes : result.outcomes) {
+    RoundOutcome round;
+    size_t offset = 0;
+    ASSERT_TRUE(DecodeRoundOutcome(bytes, &offset, &round));
+    retry.MergeFrom(round.retry);
+  }
+  // Each round issues the 16 hedges the pool holds. In the first, every
+  // hedge client has at most one bit and answers; in the second, each has
+  // two, and the cap denies it.
+  EXPECT_EQ(retry.hedges_issued - retry.hedges_cancelled, 32);
+  EXPECT_EQ(retry.hedge_reports, 16);
+  EXPECT_EQ(retry.hedge_failures, 16);
+  ExpectSameAtEveryBudget(inputs);
+}
+
+// respond may throw (say, out of memory) while the threads stage the next
+// chunk from the pass's indices: the exception leaves RunPass only once
+// they are done, before the frame that owns the indices unwinds.
+TEST(RoundWorkersTest, RespondThatThrowsFinishesTheThreadsFirst) {
+  const Inputs inputs = MakeInputs(ClientConfig{}, 1, kLongCohort);
+  PrivacyMeter meter(inputs.policy);
+  RoundStages stages(inputs.clients, &meter, kValueId, 0.0, 4);
+  size_t responded = 0;
+  const auto run_pass = [&] {
+    const std::vector<int64_t> indices = inputs.cohort;
+    stages.RunPass(indices, obs::TraceContext{}, 1,
+                   [&](const StagedSlot&, size_t i) {
+                     if (i == static_cast<size_t>(kChunk) + 10) {
+                       throw std::runtime_error("respond failed");
+                     }
+                     ++responded;
+                     return true;
+                   });
+  };
+  EXPECT_THROW(run_pass(), std::runtime_error);
+  EXPECT_EQ(responded, static_cast<size_t>(kChunk) + 10);
 }
 
 // --------------------------------------------------------------------------

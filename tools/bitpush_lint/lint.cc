@@ -180,7 +180,7 @@ void CheckPrivacyMetering(const SourceFile& file,
                           std::vector<Finding>* findings) {
   if (file.is_header) return;
   static const std::regex kDisclosureRe(
-      R"(\b(EncodeBitReport|EncodeReportBatch)\s*\(|\bBitReport\s*\{)");
+      R"(\bEncodeBitReport\s*\(|\bBitReport\s*\{)");
   static const std::regex kChargePathRe(R"(\b(TryChargeBit|PrivacyMeter)\b)");
   static const std::regex kLocalMeterRe(R"(\blocal_meter\b)");
   static const std::regex kChargeCallRe(R"(\bTryChargeBit\b)");
