@@ -40,15 +40,12 @@ struct Outcome {
   std::vector<uint8_t> meter;
 };
 
-Outcome RunCampaign(bitpush::DurableCampaignRunner* runner,
-                    const std::vector<bitpush::Client>& population) {
-  const std::vector<const std::vector<bitpush::Client>*> populations = {
-      &population, &population};
+Outcome RunCampaign(bitpush::DurableCampaignRunner* runner) {
   const std::vector<bitpush::FixedPointCodec> codecs = {
       bitpush::FixedPointCodec::Integer(7),
       bitpush::FixedPointCodec::Integer(7)};
   for (int64_t tick = 0; tick < kTicks; ++tick) {
-    runner->RunTick(tick, populations, codecs);
+    runner->RunTick(tick, codecs);
   }
   Outcome outcome;
   outcome.history = runner->campaign().history();
@@ -82,11 +79,11 @@ int main() {
   bitpush::DurableCampaignRunner uninterrupted(MakeQueries(), policy,
                                                options("uninterrupted"));
   std::string error;
-  if (!uninterrupted.Open(&error)) {
+  if (!uninterrupted.Open({&population, &population}, &error)) {
     std::fprintf(stderr, "open: %s\n", error.c_str());
     return 1;
   }
-  const Outcome expected = RunCampaign(&uninterrupted, population);
+  const Outcome expected = RunCampaign(&uninterrupted);
   std::printf("uninterrupted run: %zu tick results, meter ledger %zu bytes\n",
               expected.history.size(), expected.meter.size());
 
@@ -98,11 +95,11 @@ int main() {
   {
     bitpush::DurableCampaignRunner doomed(MakeQueries(), policy,
                                           options("crashed"));
-    if (!doomed.Open(&error)) {
+    if (!doomed.Open({&population, &population}, &error)) {
       std::fprintf(stderr, "open: %s\n", error.c_str());
       return 1;
     }
-    RunCampaign(&doomed, population);
+    RunCampaign(&doomed);
   }
   const std::string journal_path = bitpush::JournalPath(base + "/crashed");
   bitpush::JournalReadResult journal;
@@ -121,7 +118,7 @@ int main() {
   // A fresh process points at the state directory and resumes.
   bitpush::DurableCampaignRunner recovered(MakeQueries(), policy,
                                            options("crashed"));
-  if (!recovered.Open(&error)) {
+  if (!recovered.Open({&population, &population}, &error)) {
     std::fprintf(stderr, "recovery: %s\n", error.c_str());
     return 1;
   }
@@ -130,7 +127,7 @@ int main() {
               "(%lld ticks already complete)\n",
               static_cast<long long>(info.replayed_records),
               static_cast<long long>(info.completed_ticks));
-  const Outcome actual = RunCampaign(&recovered, population);
+  const Outcome actual = RunCampaign(&recovered);
 
   const bool results_match = actual.history == expected.history;
   const bool meters_match = actual.meter == expected.meter;

@@ -58,6 +58,12 @@ diff -u "$OUTPUTS_ROOT/first/manifest.sha256" \
   "$OUTPUTS_ROOT/second/manifest.sha256"
 rm -rf "$OUTPUTS_ROOT"
 
+# Benchmark stage: perfbench builds its own Release tree under .bench_build/
+# and runs every workload for a second, untraced and traced; each run must
+# exit 0 and end on a result line that reads "correct": true and
+# "failed": 0. Keep in sync with CI's "Campaign-tick benchmark" step.
+scripts/perfbench_check.sh
+
 # Scalar leg: BITPUSH_SIMD=OFF must stay a first-class configuration — the
 # dispatch table, the columnar batch pipeline, and every hot caller fall
 # back to the bit-identical scalar kernel. Two layers: the env override on

@@ -38,13 +38,6 @@ FixedPointCodec FixedPointCodec::Integer(int bits) {
   return FixedPointCodec(bits, 0.0, max_value);
 }
 
-uint64_t FixedPointCodec::Encode(double x) const {
-  const double clipped = std::clamp(x, low_, high_);
-  const double scaled = (clipped - low_) * scale_;
-  const uint64_t codeword = static_cast<uint64_t>(std::llround(scaled));
-  return std::min(codeword, max_codeword_);
-}
-
 std::vector<uint64_t> FixedPointCodec::EncodeAll(
     const std::vector<double>& values) const {
   const obs::ScopedTimer timer(EncodeAllHistogram());
@@ -62,12 +55,6 @@ std::vector<uint64_t> FixedPointCodec::EncodeAll(
 
 double FixedPointCodec::Decode(double codeword) const {
   return low_ + codeword / scale_;
-}
-
-int FixedPointCodec::Bit(uint64_t v, int j) {
-  BITPUSH_CHECK_GE(j, 0);
-  BITPUSH_CHECK_LT(j, 64);
-  return static_cast<int>((v >> j) & 1u);
 }
 
 }  // namespace bitpush

@@ -14,8 +14,12 @@
 #ifndef BITPUSH_CORE_FIXED_POINT_H_
 #define BITPUSH_CORE_FIXED_POINT_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "util/check.h"
 
 namespace bitpush {
 
@@ -33,8 +37,20 @@ class FixedPointCodec {
   // (unit scale, zero offset) — e.g. ages, counters, clipped telemetry.
   static FixedPointCodec Integer(int bits);
 
-  // Encodes x: clip to [low, high], scale, round to nearest codeword.
-  uint64_t Encode(double x) const;
+  // Encodes x: clip to [low, high], scale, round to nearest codeword, ties
+  // away from zero as std::llround rounds. The rounding is the exact
+  // llround emulation of the AVX2 kernel (kernels/kernel_avx2.cc): the
+  // scaled value s lies in [0, 2^52], so s + 2^52 holds s rounded to even
+  // in its mantissa, and a tie that went down goes up. A NaN encodes to
+  // max_codeword(), as llround's out-of-range result clamps.
+  uint64_t Encode(double x) const {
+    const double scaled = (std::clamp(x, low_, high_) - low_) * scale_;
+    constexpr double kTwo52 = 0x1p52;
+    uint64_t codeword = std::bit_cast<uint64_t>(scaled + kTwo52) -
+                        std::bit_cast<uint64_t>(kTwo52);
+    if (scaled - static_cast<double>(codeword) == 0.5) ++codeword;
+    return std::min(codeword, max_codeword_);
+  }
 
   // Encodes a whole dataset.
   std::vector<uint64_t> EncodeAll(const std::vector<double>& values) const;
@@ -43,7 +59,11 @@ class FixedPointCodec {
   double Decode(double codeword) const;
 
   // Value of bit j (0 = least significant) of codeword v; j in [0, bits).
-  static int Bit(uint64_t v, int j);
+  static int Bit(uint64_t v, int j) {
+    BITPUSH_CHECK_GE(j, 0);
+    BITPUSH_CHECK_LT(j, 64);
+    return static_cast<int>((v >> j) & 1u);
+  }
 
   int bits() const { return bits_; }
   double low() const { return low_; }

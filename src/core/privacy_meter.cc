@@ -1,7 +1,7 @@
 #include "core/privacy_meter.h"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -14,8 +14,8 @@ namespace bitpush {
 
 namespace {
 
-// Rows a table gets on its first insert.
-constexpr size_t kInitialRows = 16;
+// Slots the directory gets on its first id.
+constexpr size_t kInitialDirectorySlots = 16;
 // Encoded sizes of the ledger header (policy, totals and client count), of
 // one client entry without its values (id, bits, epsilon, value count) and
 // of one value entry (id, bits). DecodeFrom bounds the counts it reads by
@@ -23,9 +23,11 @@ constexpr size_t kInitialRows = 16;
 constexpr size_t kHeaderBytes = 8 + 8 + 8 + 8 + 8 + 4;
 constexpr size_t kClientEntryBytes = 8 + 8 + 8 + 4;
 constexpr size_t kValueEntryBytes = 8 + 8;
+// The largest count a row or a column holds.
+constexpr int64_t kMaxCount = std::numeric_limits<uint32_t>::max();
 
 // MurmurHash3's 64-bit finalizer, so that sequential or strided ids spread
-// over the table.
+// over the directory.
 uint64_t Mix(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -35,108 +37,30 @@ uint64_t Mix(uint64_t x) {
   return x;
 }
 
-uint64_t ClientHash(int64_t client_id) {
-  return Mix(static_cast<uint64_t>(client_id));
-}
+// Whether the encoding lists a client with these totals.
+bool Listed(int64_t bits, double epsilon) { return bits > 0 || epsilon > 0.0; }
 
-uint64_t PairHash(int64_t client_id, int64_t value_id) {
-  return Mix(ClientHash(client_id) + static_cast<uint64_t>(value_id));
-}
+// One client entry of an encoded ledger: its fields, and where its value
+// entries start.
+struct ClientEntry {
+  int64_t client_id = 0;
+  int64_t bits = 0;
+  double epsilon = 0.0;
+  uint32_t value_count = 0;
+  const uint8_t* values = nullptr;
 
-// Linear probe from `hash` in a power-of-two table that has a free row:
-// the index of the first row that is free or that `matches` accepts.
-template <typename Row, typename Matches>
-size_t Probe(const std::vector<Row>& rows, uint64_t hash,
-             const Matches& matches) {
-  const size_t mask = rows.size() - 1;
-  size_t slot = static_cast<size_t>(hash) & mask;
-  while (rows[slot].used() && !matches(rows[slot])) slot = (slot + 1) & mask;
-  return slot;
-}
-
-// Makes room for one more row: once `used + 1` rows would pass half load,
-// doubles `rows` (or gives it its first rows) and re-inserts every used
-// row.
-template <typename Row, typename HashOf>
-void MakeRoom(std::vector<Row>* rows, size_t used, const HashOf& hash_of) {
-  if (2 * (used + 1) <= rows->size()) return;
-  std::vector<Row> grown(rows->empty() ? kInitialRows : 2 * rows->size());
-  const auto never = [](const Row&) { return false; };
-  for (const Row& row : *rows) {
-    if (row.used()) grown[Probe(grown, hash_of(row), never)] = row;
+  // The byte after its value entries, which the caller checked.
+  const uint8_t* end() const {
+    return values + value_count * kValueEntryBytes;
   }
-  rows->swap(grown);
-}
-
-// Starts loading `*row`, which can straddle two cache lines; kWrite says
-// whether it is about to be written.
-template <int kWrite, typename Row>
-void PrefetchRow(const Row* row) {
-  __builtin_prefetch(row, kWrite);
-  __builtin_prefetch(reinterpret_cast<const char*>(row + 1) - 1, kWrite);
-}
-
-// A client row's place in the canonical order: its id with the sign bit
-// flipped, so that unsigned order is signed order, and its table slot.
-struct SortKey {
-  uint64_t key = 0;
-  uint64_t slot = 0;
 };
 
-// Orders `keys` by key: an LSD radix sort, one counting pass per byte. A
-// byte that every key shares is skipped, so ids that differ only in their
-// low three bytes cost three passes.
-void RadixSort(std::vector<SortKey>* keys) {
-  const size_t n = keys->size();
-  if (n < 2) return;
-  std::array<std::array<size_t, 256>, 8> counts{};
-  for (const SortKey& k : *keys) {
-    for (size_t d = 0; d < 8; ++d) ++counts[d][(k.key >> (8 * d)) & 0xFF];
-  }
-  std::vector<SortKey> scratch(n);
-  for (size_t d = 0; d < 8; ++d) {
-    std::array<size_t, 256>& count = counts[d];
-    if (count[((*keys)[0].key >> (8 * d)) & 0xFF] == n) continue;
-    size_t next = 0;
-    for (size_t& c : count) next += std::exchange(c, next);
-    for (const SortKey& k : *keys) {
-      scratch[count[(k.key >> (8 * d)) & 0xFF]++] = k;
-    }
-    keys->swap(scratch);
-  }
-}
-
-// Rows of a table built for `count` rows at once: at most half full.
-size_t TableRowsFor(size_t count) {
-  size_t size = kInitialRows;
-  while (size < 2 * count) size *= 2;
-  return size;
-}
-
-// Fills `table` from `rows`, sized by TableRowsFor, and loads each row's
-// home slot a few rows ahead of its insert. Returns false if two rows have
-// the same key.
-template <typename Row, typename HashOf, typename SameKey>
-bool BuildTable(const std::vector<Row>& rows, const HashOf& hash_of,
-                const SameKey& same_key, std::vector<Row>* table) {
-  constexpr size_t kAhead = 8;
-  const size_t size = TableRowsFor(rows.size());
-  table->assign(size, Row{});
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i + kAhead < rows.size()) {
-      __builtin_prefetch(
-          &(*table)[static_cast<size_t>(hash_of(rows[i + kAhead])) &
-                    (size - 1)]);
-    }
-    const Row& row = rows[i];
-    Row& slot = (*table)[Probe(*table, hash_of(row),
-                               [&](const Row& other) {
-                                 return same_key(row, other);
-                               })];
-    if (slot.used()) return false;
-    slot = row;
-  }
-  return true;
+// Reads the client entry at `at`, whose kClientEntryBytes the caller
+// checked.
+ClientEntry ReadClientEntry(const uint8_t* at) {
+  return ClientEntry{bytes::LoadInt64(at), bytes::LoadInt64(at + 8),
+                     bytes::LoadDouble(at + 16), bytes::LoadUint32(at + 24),
+                     at + kClientEntryBytes};
 }
 
 }  // namespace
@@ -161,7 +85,6 @@ void PrivacyMeter::PublishObsGauges() const {
 }
 
 void PrivacyMeter::NoteChargeOutcome(int64_t value_id, bool granted) {
-  if (!obs::Enabled()) return;
   uint8_t& mask = announced_[value_id];
   const uint8_t bit = granted ? 1 : 2;
   if ((mask & bit) != 0) return;
@@ -183,85 +106,99 @@ PrivacyMeter::PrivacyMeter(MeterPolicy policy) : policy_(policy) {
   BITPUSH_CHECK_GT(policy_.max_epsilon_per_client, 0.0);
 }
 
-size_t PrivacyMeter::ClientSlot(int64_t client_id) const {
-  return Probe(clients_, ClientHash(client_id),
-               [client_id](const ClientRow& candidate) {
-                 return candidate.client_id == client_id;
-               });
+void PrivacyMeter::BindLattice(int64_t first, int64_t stride, size_t count) {
+  BITPUSH_CHECK(rows_.empty()) << "only a meter without rows is bound";
+  BITPUSH_CHECK_GT(stride, 0);
+  if (count == 0) return;
+  int64_t span = 0;
+  int64_t last = 0;
+  BITPUSH_CHECK(
+      !__builtin_mul_overflow(static_cast<int64_t>(count - 1), stride,
+                              &span) &&
+      !__builtin_add_overflow(first, span, &last))
+      << "lattice ids overflow";
+  first_ = first;
+  stride_ = static_cast<uint64_t>(stride);
+  stride_shift_ =
+      std::has_single_bit(stride_) ? std::countr_zero(stride_) : -1;
+  lattice_rows_ = count;
+  rows_.resize(count);
+  for (std::vector<uint32_t>& column : columns_) column.resize(count, 0);
 }
 
-const PrivacyMeter::ClientRow* PrivacyMeter::FindClient(
-    int64_t client_id) const {
-  if (clients_.empty()) return nullptr;
-  const ClientRow& row = clients_[ClientSlot(client_id)];
-  return row.used() ? &row : nullptr;
-}
-
-int64_t PrivacyMeter::ValueBitsOf(const ClientRow& row,
-                                  int64_t value_id) const {
-  if (row.value_bits == 0) return 0;
-  if (row.value_id == value_id) return row.value_bits;
-  if (values_.empty()) return 0;
-  const ValueRow& extra =
-      values_[Probe(values_, PairHash(row.client_id, value_id),
-                    [&row, value_id](const ValueRow& candidate) {
-                      return candidate.client_id == row.client_id &&
-                             candidate.value_id == value_id;
-                    })];
-  return extra.used() ? extra.bits : 0;
-}
-
-PrivacyMeter::ClientRow& PrivacyMeter::InsertClient(int64_t client_id) {
-  MakeRoom(&clients_, client_count_, [](const ClientRow& row) {
-    return ClientHash(row.client_id);
-  });
-  ++client_count_;
-  ClientRow& row = clients_[ClientSlot(client_id)];
-  row.client_id = client_id;
-  row.bits = 0;
-  return row;
-}
-
-void PrivacyMeter::AddExtraValueBits(int64_t client_id, int64_t value_id,
-                                     int64_t bits) {
-  MakeRoom(&values_, value_count_, [](const ValueRow& row) {
-    return PairHash(row.client_id, row.value_id);
-  });
-  ValueRow& row =
-      values_[Probe(values_, PairHash(client_id, value_id),
-                    [client_id, value_id](const ValueRow& candidate) {
-                      return candidate.client_id == client_id &&
-                             candidate.value_id == value_id;
-                    })];
-  if (!row.used()) {
-    ++value_count_;
-    row.client_id = client_id;
-    row.value_id = value_id;
-    row.bits = 0;
+size_t PrivacyMeter::DirectorySlotOf(int64_t client_id) const {
+  const size_t mask = directory_.size() - 1;
+  size_t slot =
+      static_cast<size_t>(Mix(static_cast<uint64_t>(client_id))) & mask;
+  while (directory_[slot].row != kNoRow &&
+         directory_[slot].client_id != client_id) {
+    slot = (slot + 1) & mask;
   }
-  row.bits += bits;
+  return slot;
 }
 
-void PrivacyMeter::Prefetch(int64_t client_id) const {
-  if (clients_.empty()) return;
-  PrefetchRow</*kWrite=*/1>(
-      &clients_[static_cast<size_t>(ClientHash(client_id)) &
-                (clients_.size() - 1)]);
+size_t PrivacyMeter::DirectoryRow(int64_t client_id) const {
+  if (directory_.empty()) return kNoRow;
+  return directory_[DirectorySlotOf(client_id)].row;
 }
 
-PrivacyMeter::ChargeLookup PrivacyMeter::Lookup(int64_t client_id,
-                                                 int64_t value_id) const {
+size_t PrivacyMeter::Register(int64_t client_id) {
+  const size_t row = Row(client_id);
+  if (row != kNoRow) return row;
+  if (2 * (directory_ids_ + 1) > directory_.size()) {
+    // Double the directory and put back the ids it holds.
+    std::vector<DirectorySlot> old(directory_.empty()
+                                       ? kInitialDirectorySlots
+                                       : 2 * directory_.size());
+    directory_.swap(old);
+    for (const DirectorySlot& slot : old) {
+      if (slot.row != kNoRow) directory_[DirectorySlotOf(slot.client_id)] = slot;
+    }
+  }
+  const size_t added = rows_.size();
+  directory_[DirectorySlotOf(client_id)] = DirectorySlot{client_id, added};
+  ++directory_ids_;
+  rows_.emplace_back();
+  for (std::vector<uint32_t>& column : columns_) column.push_back(0);
+  return added;
+}
+
+size_t PrivacyMeter::ValueIndex(int64_t value_id) const {
+  const auto it = std::find(value_ids_.begin(), value_ids_.end(), value_id);
+  return it == value_ids_.end() ? kNoRow
+                                : static_cast<size_t>(it - value_ids_.begin());
+}
+
+size_t PrivacyMeter::RegisterValue(int64_t value_id) {
+  const size_t index = ValueIndex(value_id);
+  if (index != kNoRow) return index;
+  const size_t added = value_ids_.size();
+  value_ids_.push_back(value_id);
+  if (added > 0) columns_.emplace_back(rows_.size(), 0);
+  value_order_.insert(
+      std::upper_bound(value_order_.begin(), value_order_.end(), value_id,
+                       [this](int64_t id, size_t v) {
+                         return id < value_ids_[v];
+                       }),
+      added);
+  return added;
+}
+
+PrivacyMeter::ChargeLookup PrivacyMeter::Lookup(size_t row,
+                                                 size_t value) const {
   ChargeLookup lookup;
-  if (clients_.empty()) return lookup;
-  const size_t slot = ClientSlot(client_id);
-  const ClientRow& row = clients_[slot];
-  if (!row.used()) return lookup;
-  lookup.row = slot;
-  lookup.client_bits = row.bits;
-  lookup.client_epsilon = row.epsilon;
-  lookup.value_bits = ValueBitsOf(row, value_id);
-  lookup.value_in_row = row.value_bits == 0 || row.value_id == value_id;
+  if (row == kNoRow) return lookup;
+  const LedgerRow& entry = rows_[row];
+  lookup.row = row;
+  lookup.client_bits = entry.bits;
+  lookup.client_epsilon = entry.epsilon;
+  if (value != kNoRow) lookup.value_bits = CountOf(row, value);
   return lookup;
+}
+
+PrivacyMeter::ChargeLookup PrivacyMeter::LookupId(int64_t client_id,
+                                                   int64_t value_id) const {
+  return Lookup(Row(client_id), ValueIndex(value_id));
 }
 
 bool PrivacyMeter::Allows(const ChargeLookup& lookup, double epsilon) const {
@@ -270,34 +207,25 @@ bool PrivacyMeter::Allows(const ChargeLookup& lookup, double epsilon) const {
   // epsilon (infinity passes a >= 0 check) would permanently corrupt the
   // per-client composition total. The denial still flows through the
   // journal hook like a cap denial, so a recovered ledger counts it
-  // exactly once and stays byte-identical to an uninterrupted run.
+  // exactly once and stays byte-identical to an uninterrupted run. A
+  // count the row cannot hold past UINT32_MAX is denied like a cap.
   if (!std::isfinite(epsilon) || epsilon < 0.0) return false;
-  return lookup.value_bits < policy_.max_bits_per_value &&
-         lookup.client_bits < policy_.max_bits_per_client &&
+  return lookup.value_bits < std::min(policy_.max_bits_per_value, kMaxCount) &&
+         lookup.client_bits <
+             std::min(policy_.max_bits_per_client, kMaxCount) &&
          lookup.client_epsilon + epsilon <= policy_.max_epsilon_per_client;
 }
 
-void PrivacyMeter::AddToTotals(bool granted, double epsilon) {
+void PrivacyMeter::AddToTotals(bool granted, double epsilon,
+                               const ChargeLookup& lookup) {
   if (!granted) {
     ++denied_charges_;
     return;
   }
   ++total_bits_;
   total_epsilon_ += epsilon;
-}
-
-void PrivacyMeter::AddToRow(ClientRow* row, int64_t value_id,
-                            double epsilon) {
-  if (row->value_bits == 0) {
-    row->value_id = value_id;
-    row->value_bits = 1;
-  } else if (row->value_id == value_id) {
-    ++row->value_bits;
-  } else {
-    AddExtraValueBits(row->client_id, value_id, 1);
-  }
-  ++row->bits;
-  row->epsilon += epsilon;
+  if (!Listed(lookup.client_bits, lookup.client_epsilon)) ++listed_clients_;
+  if (lookup.value_bits == 0) ++listed_values_;
 }
 
 bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
@@ -308,33 +236,30 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
     // between the two is recovered by re-applying the record (exactly once).
     journal_->OnCharge(client_id, value_id, epsilon, granted);
   }
-  AddToTotals(granted, epsilon);
-  NoteChargeOutcome(value_id, granted);
+  AddToTotals(granted, epsilon, lookup);
+  if (obs::Enabled()) NoteChargeOutcome(value_id, granted);
   return granted;
 }
 
-void PrivacyMeter::ApplyCharge(int64_t client_id, int64_t value_id,
-                               double epsilon, const ChargeLookup& lookup) {
-  if (lookup.row != kNoRow && lookup.value_in_row) {
-    AddToRow(&clients_[lookup.row], value_id, epsilon);
-    return;
+void PrivacyMeter::ApplyCharge(size_t row, size_t value, double epsilon) {
+  LedgerRow& entry = rows_[row];
+  ++entry.bits;
+  entry.epsilon += epsilon;
+  if (value == 0) {
+    ++entry.first_value_bits;
+  } else {
+    ++columns_[value - 1][row];
   }
-  // A client gets its row with its first granted bit; a denial adds none.
-  // Inserts may move every row, so find the row again.
-  ClientRow* row = nullptr;
-  if (!clients_.empty()) {
-    ClientRow& found = clients_[ClientSlot(client_id)];
-    if (found.used()) row = &found;
-  }
-  if (row == nullptr) row = &InsertClient(client_id);
-  AddToRow(row, value_id, epsilon);
 }
 
 bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
                                 double epsilon) {
-  const ChargeLookup lookup = Lookup(client_id, value_id);
+  const ChargeLookup lookup = LookupId(client_id, value_id);
   const bool granted = TryChargeBit(client_id, value_id, epsilon, lookup);
-  if (granted) ApplyCharge(client_id, value_id, epsilon, lookup);
+  // A client gets its row, and a value its count, with the first grant.
+  if (granted) {
+    ApplyCharge(Register(client_id), RegisterValue(value_id), epsilon);
+  }
   PublishObsGauges();
   return granted;
 }
@@ -342,115 +267,101 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
 bool PrivacyMeter::ReplayCharge(int64_t client_id, int64_t value_id,
                                 double epsilon, bool granted,
                                 ReplayLatch* latch) {
-  const ChargeLookup lookup = Lookup(client_id, value_id);
+  if (latch->value == kNoRow || latch->value_id != value_id) {
+    latch->value_id = value_id;
+    latch->value = ValueIndex(value_id);
+    latch->outcomes = 0;
+  }
+  const size_t row = Row(client_id);
+  const ChargeLookup lookup = Lookup(row, latch->value);
   if (Allows(lookup, epsilon) != granted) return false;
-  AddToTotals(granted, epsilon);
-  if (granted) ApplyCharge(client_id, value_id, epsilon, lookup);
+  AddToTotals(granted, epsilon, lookup);
+  if (granted) {
+    if (latch->value == kNoRow) latch->value = RegisterValue(value_id);
+    ApplyCharge(row != kNoRow ? row : Register(client_id), latch->value,
+                epsilon);
+  }
   // NoteChargeOutcome announces each (value, outcome) once, so skipping
   // a repeat of the pair it just saw changes nothing.
   const uint8_t outcome = granted ? 1 : 2;
-  if (latch->value_id != value_id) {
-    latch->value_id = value_id;
-    latch->outcomes = 0;
-  }
   if ((latch->outcomes & outcome) == 0) {
     latch->outcomes |= outcome;
-    NoteChargeOutcome(value_id, granted);
+    if (obs::Enabled()) NoteChargeOutcome(value_id, granted);
   }
   return true;
 }
 
 int64_t PrivacyMeter::ClientBits(int64_t client_id) const {
-  const ClientRow* row = FindClient(client_id);
-  return row == nullptr ? 0 : row->bits;
+  return Lookup(Row(client_id), kNoRow).client_bits;
 }
 
 double PrivacyMeter::ClientEpsilon(int64_t client_id) const {
-  const ClientRow* row = FindClient(client_id);
-  return row == nullptr ? 0.0 : row->epsilon;
+  return Lookup(Row(client_id), kNoRow).client_epsilon;
 }
 
 // bitpush-lint: allow(unreached-function): seam into the live ledger: PrivacyMeterTest.PerValueCapAboveOne and RoundWorkersTest.RepeatedSlotsAreDeniedAtOneBitPerValue read one (client, value) counter through it
 int64_t PrivacyMeter::ValueBits(int64_t client_id, int64_t value_id) const {
-  const ClientRow* row = FindClient(client_id);
-  return row == nullptr ? 0 : ValueBitsOf(*row, value_id);
+  return LookupId(client_id, value_id).value_bits;
 }
 
 void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
   BITPUSH_CHECK(out != nullptr);
   // Canonical form: sorted ids, zero entries omitted, so "same ledger"
   // means "same bytes" however the state was reached (live run, journal
-  // replay, or snapshot restore) and whatever the table layout. One
-  // sequential pass takes a 16-byte key per nonzero row and radix-sorts
-  // the keys; the rows are then read in id order, each loaded a few rows
-  // ahead, and written into a buffer sized once.
-  std::vector<SortKey> keys;
-  keys.reserve(client_count_);
-  size_t inline_values = 0;
-  for (size_t slot = 0; slot < clients_.size(); ++slot) {
-    const ClientRow& row = clients_[slot];
-    if (row.used() && (row.bits > 0 || row.epsilon > 0.0)) {
-      keys.push_back(SortKey{
-          static_cast<uint64_t>(row.client_id) ^ (uint64_t{1} << 63), slot});
-      if (row.value_bits > 0) ++inline_values;
+  // replay, or snapshot restore) and whatever the row layout. The
+  // lattice rows are in id order: one pass writes them into a buffer
+  // sized once from the listed-entry counts. The directory's rows, which
+  // bound meters of the drivers do not have, are put in id order first
+  // and merged in.
+  std::vector<DirectorySlot> directory;
+  if (directory_ids_ > 0) {
+    directory.reserve(directory_ids_);
+    for (const DirectorySlot& slot : directory_) {
+      if (slot.row != kNoRow) directory.push_back(slot);
     }
+    std::sort(directory.begin(), directory.end(),
+              [](const DirectorySlot& a, const DirectorySlot& b) {
+                return a.client_id < b.client_id;
+              });
   }
-  RadixSort(&keys);
-  // Further values are rare (one per metric a client reports beyond its
-  // first): a comparison sort suffices.
-  std::vector<ValueRow> extras;
-  extras.reserve(value_count_);
-  for (const ValueRow& row : values_) {
-    if (row.used()) extras.push_back(row);
-  }
-  std::sort(extras.begin(), extras.end(),
-            [](const ValueRow& a, const ValueRow& b) {
-              return a.client_id != b.client_id ? a.client_id < b.client_id
-                                                : a.value_id < b.value_id;
-            });
-
   const size_t start = out->size();
-  out->resize(start + kHeaderBytes + keys.size() * kClientEntryBytes +
-              (inline_values + extras.size()) * kValueEntryBytes);
+  out->resize(start + kHeaderBytes + listed_clients_ * kClientEntryBytes +
+              listed_values_ * kValueEntryBytes);
   uint8_t* at = out->data() + start;
   at = bytes::StoreInt64(policy_.max_bits_per_value, at);
   at = bytes::StoreInt64(policy_.max_bits_per_client, at);
   at = bytes::StoreDouble(policy_.max_epsilon_per_client, at);
   at = bytes::StoreInt64(total_bits_, at);
   at = bytes::StoreInt64(denied_charges_, at);
-  at = bytes::StoreUint32(static_cast<uint32_t>(keys.size()), at);
-  constexpr size_t kAhead = 8;
-  auto extra = extras.begin();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (i + kAhead < keys.size()) {
-      PrefetchRow</*kWrite=*/0>(&clients_[keys[i + kAhead].slot]);
+  at = bytes::StoreUint32(static_cast<uint32_t>(listed_clients_), at);
+  const auto put = [&](int64_t client_id, size_t row) {
+    const LedgerRow& entry = rows_[row];
+    if (!Listed(entry.bits, entry.epsilon)) return;
+    at = bytes::StoreInt64(client_id, at);
+    at = bytes::StoreInt64(entry.bits, at);
+    at = bytes::StoreDouble(entry.epsilon, at);
+    uint8_t* const value_count_at = at;
+    at += 4;
+    uint32_t value_count = 0;
+    for (const size_t value : value_order_) {
+      const uint32_t count = CountOf(row, value);
+      if (count == 0) continue;
+      at = bytes::StoreInt64(value_ids_[value], at);
+      at = bytes::StoreInt64(count, at);
+      ++value_count;
     }
-    const ClientRow& row = clients_[keys[i].slot];
-    at = bytes::StoreInt64(row.client_id, at);
-    at = bytes::StoreInt64(row.bits, at);
-    at = bytes::StoreDouble(row.epsilon, at);
-    // Both lists are sorted by client, so this client's further values are
-    // the run that starts at `extra`. The inline value merges into it.
-    const auto first = extra;
-    while (extra != extras.end() && extra->client_id == row.client_id) {
-      ++extra;
+    bytes::StoreUint32(value_count, value_count_at);
+  };
+  auto next = directory.begin();
+  for (size_t k = 0; k < lattice_rows_; ++k) {
+    const int64_t client_id =
+        static_cast<int64_t>(static_cast<uint64_t>(first_) + k * stride_);
+    for (; next != directory.end() && next->client_id < client_id; ++next) {
+      put(next->client_id, next->row);
     }
-    bool inline_pending = row.value_bits > 0;
-    at = bytes::StoreUint32(
-        static_cast<uint32_t>((inline_pending ? 1 : 0) + (extra - first)),
-        at);
-    const auto put_inline = [&] {
-      at = bytes::StoreInt64(row.value_id, at);
-      at = bytes::StoreInt64(row.value_bits, at);
-      inline_pending = false;
-    };
-    for (auto it = first; it != extra; ++it) {
-      if (inline_pending && row.value_id < it->value_id) put_inline();
-      at = bytes::StoreInt64(it->value_id, at);
-      at = bytes::StoreInt64(it->bits, at);
-    }
-    if (inline_pending) put_inline();
+    put(client_id, k);
   }
+  for (; next != directory.end(); ++next) put(next->client_id, next->row);
   BITPUSH_CHECK(at == out->data() + out->size())
       << "ledger encoding missized";
 }
@@ -459,8 +370,9 @@ bool PrivacyMeter::DecodeFrom(std::span<const uint8_t> buffer,
                               size_t* offset, PrivacyMeter* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
-  // One pass over the buffer the ledger lies in. Each entry's bounds are
-  // checked once, and its fields read with inline loads.
+  // Two passes over the buffer the ledger lies in: the first checks every
+  // entry, each entry's bounds once, and writes nothing; the second fills
+  // the rows.
   if (*offset > buffer.size() || buffer.size() - *offset < kHeaderBytes) {
     return false;
   }
@@ -480,81 +392,49 @@ bool PrivacyMeter::DecodeFrom(std::span<const uint8_t> buffer,
       denied_charges < 0) {
     return false;
   }
-  // A count the remaining bytes cannot hold is corrupt. One they can hold
-  // is bounded by the input, so the client table is sized from it, once:
-  // every listed client gets a row.
+  // A count the remaining bytes cannot hold is corrupt.
   if (static_cast<size_t>(end - at) / kClientEntryBytes < client_count) {
     return false;
   }
-  PrivacyMeter decoded(policy);
-  decoded.clients_.assign(TableRowsFor(client_count), ClientRow{});
-  const size_t mask = decoded.clients_.size() - 1;
-  // Inserts a decoded row at the end of its probe run; false if its
-  // client already has one.
-  const auto insert = [&decoded](const ClientRow& row, uint64_t hash) {
-    ClientRow& slot = decoded.clients_[Probe(
-        decoded.clients_, hash, [&row](const ClientRow& other) {
-          return other.client_id == row.client_id;
-        })];
-    if (slot.used()) return false;
-    slot = row;
-    return true;
-  };
-  // Rows wait kAhead entries between decode and insert, so that the
-  // prefetch of their home slot has landed by then.
-  constexpr uint32_t kAhead = 8;
-  std::array<std::pair<ClientRow, uint64_t>, kAhead> pending;
+  const uint8_t* const entries_begin = at;
   int64_t ledger_bit_sum = 0;
   double ledger_epsilon_sum = 0.0;
-  // The further values of clients that list more than one, for the value
-  // table built at the end.
-  std::vector<ValueRow> extras;
-  // One such client's (value id, bits) entries, as listed.
+  size_t listed_clients = 0;
+  size_t listed_values = 0;
+  // Whether the ids are strictly ascending, as EncodeTo writes them: then
+  // no id repeats.
+  bool ascending = true;
+  int64_t previous_id = 0;
+  // One client's (value id, bits) entries, as listed.
   std::vector<std::pair<int64_t, int64_t>> entries;
   // The value ids with a nonzero count, one per run of equal ids.
   std::vector<int64_t> value_ids;
-  const auto note_value = [&value_ids](int64_t value_id) {
-    if (value_ids.empty() || value_ids.back() != value_id) {
-      value_ids.push_back(value_id);
-    }
-  };
   for (uint32_t c = 0; c < client_count; ++c) {
     if (static_cast<size_t>(end - at) < kClientEntryBytes) return false;
-    ClientRow row;
-    row.client_id = bytes::LoadInt64(at);
-    row.bits = bytes::LoadInt64(at + 8);
-    row.epsilon = bytes::LoadDouble(at + 16);
-    const uint32_t value_count = bytes::LoadUint32(at + 24);
-    at += kClientEntryBytes;
-    if (row.bits < 0 || !std::isfinite(row.epsilon) || row.epsilon < 0.0 ||
-        static_cast<size_t>(end - at) / kValueEntryBytes < value_count) {
+    const ClientEntry client = ReadClientEntry(at);
+    at = client.values;
+    if (c > 0 && client.client_id <= previous_id) ascending = false;
+    previous_id = client.client_id;
+    if (client.bits < 0 || client.bits > kMaxCount ||
+        !std::isfinite(client.epsilon) || client.epsilon < 0.0 ||
+        static_cast<size_t>(end - at) / kValueEntryBytes <
+            client.value_count) {
       return false;
     }
+    entries.clear();
     int64_t value_bit_sum = 0;
-    if (value_count == 1) {
-      // The common case, one value: nothing to sort or deduplicate.
+    for (uint32_t v = 0; v < client.value_count; ++v) {
       const int64_t value_id = bytes::LoadInt64(at);
-      value_bit_sum = bytes::LoadInt64(at + 8);
+      const int64_t value_bits = bytes::LoadInt64(at + 8);
       at += kValueEntryBytes;
-      if (value_bit_sum < 0) return false;
-      if (value_bit_sum > 0) {
-        row.value_id = value_id;
-        row.value_bits = value_bit_sum;
-        note_value(value_id);
+      if (value_bits < 0 || value_bits > kMaxCount ||
+          __builtin_add_overflow(value_bit_sum, value_bits,
+                                 &value_bit_sum)) {
+        return false;
       }
-    } else if (value_count > 1) {
-      entries.clear();
-      for (uint32_t v = 0; v < value_count; ++v) {
-        const int64_t value_id = bytes::LoadInt64(at);
-        const int64_t value_bits = bytes::LoadInt64(at + 8);
-        at += kValueEntryBytes;
-        if (value_bits < 0 ||
-            __builtin_add_overflow(value_bit_sum, value_bits,
-                                   &value_bit_sum)) {
-          return false;
-        }
-        entries.emplace_back(value_id, value_bits);
-      }
+      entries.emplace_back(value_id, value_bits);
+    }
+    if (entries.size() > 1) {
       std::sort(entries.begin(), entries.end());
       if (std::adjacent_find(entries.begin(), entries.end(),
                              [](const auto& a, const auto& b) {
@@ -562,65 +442,86 @@ bool PrivacyMeter::DecodeFrom(std::span<const uint8_t> buffer,
                              }) != entries.end()) {
         return false;  // duplicate value entry
       }
-      for (const auto& [value_id, value_bits] : entries) {
-        if (value_bits == 0) continue;
-        if (row.value_bits == 0) {
-          row.value_id = value_id;
-          row.value_bits = value_bits;
-        } else {
-          extras.push_back(ValueRow{row.client_id, value_id, value_bits});
-        }
-        note_value(value_id);
+    }
+    for (const auto& [value_id, value_bits] : entries) {
+      if (value_bits == 0) continue;
+      ++listed_values;
+      if (value_ids.empty() || value_ids.back() != value_id) {
+        value_ids.push_back(value_id);
       }
     }
     // Consistency: per-value bits must account for the client total.
-    if (value_bit_sum != row.bits ||
-        __builtin_add_overflow(ledger_bit_sum, row.bits, &ledger_bit_sum)) {
+    if (value_bit_sum != client.bits ||
+        __builtin_add_overflow(ledger_bit_sum, client.bits,
+                               &ledger_bit_sum)) {
       return false;
     }
-    ledger_epsilon_sum += row.epsilon;
-    const uint64_t hash = ClientHash(row.client_id);
-    PrefetchRow</*kWrite=*/1>(&decoded.clients_[static_cast<size_t>(hash) &
-                                                mask]);
-    auto& waiting = pending[c % kAhead];
-    if (c >= kAhead && !insert(waiting.first, waiting.second)) {
-      return false;  // duplicate client entry
-    }
-    waiting = {row, hash};
-  }
-  for (uint32_t c = client_count > kAhead ? client_count - kAhead : 0;
-       c < client_count; ++c) {
-    const auto& waiting = pending[c % kAhead];
-    if (!insert(waiting.first, waiting.second)) return false;
+    ledger_epsilon_sum += client.epsilon;
+    if (Listed(client.bits, client.epsilon)) ++listed_clients;
   }
   if (ledger_bit_sum != total_bits) return false;
-  // Values restored from a snapshot are marked fully announced, once each:
-  // their first grant / first denial happened before the snapshot, and
-  // re-announcing them would fabricate flight-recorder events the original
-  // run never emitted.
+  if (!ascending) {
+    // Input EncodeTo never writes: the ids repeat if a sorted copy does.
+    std::vector<int64_t> ids;
+    ids.reserve(client_count);
+    for (const uint8_t* next = entries_begin; next != at;) {
+      const ClientEntry client = ReadClientEntry(next);
+      ids.push_back(client.client_id);
+      next = client.end();
+    }
+    std::sort(ids.begin(), ids.end());
+    if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+      return false;  // duplicate client entry
+    }
+  }
+
+  // Every check passed: fill the ledger of *out, which keeps its binding
+  // and its journal. Its rows are zero already unless it lists a client.
+  if (out->listed_clients_ > 0) {
+    std::fill(out->rows_.begin(), out->rows_.end(), LedgerRow{});
+    for (std::vector<uint32_t>& column : out->columns_) {
+      std::fill(column.begin(), column.end(), 0);
+    }
+  }
   std::sort(value_ids.begin(), value_ids.end());
   value_ids.erase(std::unique(value_ids.begin(), value_ids.end()),
                   value_ids.end());
-  for (const int64_t value_id : value_ids) decoded.announced_[value_id] = 3;
-  // Distinct by now: each client's value ids were checked above.
-  BuildTable(
-      extras,
-      [](const ValueRow& row) { return PairHash(row.client_id, row.value_id); },
-      [](const ValueRow& a, const ValueRow& b) {
-        return a.client_id == b.client_id && a.value_id == b.value_id;
-      },
-      &decoded.values_);
-  decoded.client_count_ = client_count;
-  decoded.value_count_ = extras.size();
-  decoded.total_bits_ = total_bits;
+  for (const int64_t value_id : value_ids) out->RegisterValue(value_id);
+  for (const uint8_t* next = entries_begin; next != at;) {
+    const ClientEntry client = ReadClientEntry(next);
+    next = client.end();
+    const size_t row = out->Register(client.client_id);
+    LedgerRow& entry = out->rows_[row];
+    entry.epsilon = client.epsilon;
+    entry.bits = static_cast<uint32_t>(client.bits);
+    for (uint32_t v = 0; v < client.value_count; ++v) {
+      const uint8_t* const value_at = client.values + v * kValueEntryBytes;
+      const auto count = static_cast<uint32_t>(bytes::LoadInt64(value_at + 8));
+      if (count == 0) continue;
+      const size_t value = out->ValueIndex(bytes::LoadInt64(value_at));
+      if (value == 0) {
+        entry.first_value_bits = count;
+      } else {
+        out->columns_[value - 1][row] = count;
+      }
+    }
+  }
+  out->policy_ = policy;
+  out->listed_clients_ = listed_clients;
+  out->listed_values_ = listed_values;
+  out->total_bits_ = total_bits;
   // Recomputed in the canonical (sorted-client) encoding order; may differ
   // from a live run's charge-order sum by FP rounding, which is why the
   // deterministic-metrics contract is scoped to journal-only recovery
   // (replay re-charges in the original order).
-  decoded.total_epsilon_ = ledger_epsilon_sum;
-  decoded.denied_charges_ = denied_charges;
-  decoded.journal_ = out->journal_;
-  *out = std::move(decoded);
+  out->total_epsilon_ = ledger_epsilon_sum;
+  out->denied_charges_ = denied_charges;
+  // Values restored from a snapshot are marked fully announced, once each:
+  // their first grant / first denial happened before the snapshot, and
+  // re-announcing them would fabricate flight-recorder events the original
+  // run never emitted.
+  out->announced_.clear();
+  for (const int64_t value_id : value_ids) out->announced_[value_id] = 3;
   out->PublishObsGauges();
   *offset = static_cast<size_t>(at - buffer.data());
   return true;

@@ -7,16 +7,18 @@
 // Protocol code must obtain permission from the meter before a private bit
 // leaves a client; a denied charge means the client skips the round.
 //
-// Layout: the ledger is two open-addressed, power-of-two tables of
-// fixed-size rows, probed linearly and doubled at half load. The client
-// table holds one row per client: its bit and epsilon totals plus the id
-// and count of its first value, inline. Counts of a client's further
-// values go in a second table keyed by the (client, value) pair. A
-// campaign charges one value id per metric, so a charge usually touches a
-// single row. Memory stays proportional to the ledger's nonzero entries:
-// there is no per-value column and no per-client heap allocation, and a
-// decoded ledger sizes its tables from the entries it read, never from a
-// count claimed on disk.
+// Layout: the ledger is dense 16-byte rows, one per client the meter
+// knows: the client's epsilon total, and as 32-bit counts its bit total
+// and its count for the meter's first value id. Each further value id has
+// one 32-bit count column, indexed by row. A meter is bound to the ids it
+// meters before anything reads it. Ids on one lattice first + k * stride
+// (a population in slot order: MakePopulation, a round-robin shard) take
+// rows 0, 1, ... in that order, found by arithmetic, with no id column
+// stored. Any other id goes through a hashed directory to a row after the
+// lattice rows. Rows are added only when an id is registered (Register, or
+// a one-step charge of an id without a row), never by a staged charge, so
+// that a round that registers its clients up front updates every row in
+// place. A count that would pass UINT32_MAX is denied like a cap.
 //
 // Durability: the ledger is exactly the state a coordinator must not lose
 // across a crash — a recovering server that forgot a charge could let a
@@ -25,8 +27,12 @@
 // logged (recovery re-applies the journaled charges through ReplayCharges,
 // which decides each one as TryChargeBit does and journals nothing,
 // exactly once), and (b) canonical EncodeTo/DecodeFrom serialization for
-// snapshots (src/persist/). The encoding does not depend on the table
-// layout: clients and values sorted by id, zero entries omitted.
+// snapshots (src/persist/). The encoding does not depend on the row
+// layout: clients and values in id order, zero entries omitted. Lattice
+// rows are in id order already, so EncodeTo is one pass over them, sized
+// from the listed entries the charges counted; the directory's rows, which
+// only unbound meters and tests have, are ordered at encode. DecodeFrom
+// fills the rows of the meter it decodes into.
 
 #ifndef BITPUSH_CORE_PRIVACY_METER_H_
 #define BITPUSH_CORE_PRIVACY_METER_H_
@@ -69,21 +75,16 @@ class PrivacyMeter {
                           bool granted) = 0;
   };
 
-  // The row of a client that has none.
+  // The row of an id that has none.
   static constexpr size_t kNoRow = SIZE_MAX;
 
-  // What a charge reads from the ledger: the client's totals, the count of
-  // the charged value, and where the client's row is.
+  // What a charge reads from the ledger: where the client's row is, its
+  // totals, and the count of the charged value.
   struct ChargeLookup {
-    // The client's row in the client table, or kNoRow when it has none.
     size_t row = kNoRow;
     int64_t client_bits = 0;
     double client_epsilon = 0.0;
     int64_t value_bits = 0;
-    // Whether a grant of the value updates the client's row alone: false
-    // when the row holds another value inline, so that the count lives in
-    // the value table.
-    bool value_in_row = true;
   };
 
   explicit PrivacyMeter(MeterPolicy policy);
@@ -91,22 +92,48 @@ class PrivacyMeter {
   // Installs (or clears, with nullptr) the write-ahead journal hook.
   void set_journal(Journal* journal) { journal_ = journal; }
 
+  // Binds the lattice first + k * stride, k < count, to rows 0..count-1.
+  // The ids must not overflow (first + (count - 1) * stride <= INT64_MAX)
+  // and stride must be positive. Only a meter without rows is bound.
+  void BindLattice(int64_t first, int64_t stride, size_t count);
+  // Gives `client_id` a row if it has none, and returns its row. A new row
+  // of an id off the lattice may move every row.
+  size_t Register(int64_t client_id);
+  // Gives `value_id` a count if it has none, and returns its index: 0 for
+  // the meter's first value id, whose counts the rows hold.
+  size_t RegisterValue(int64_t value_id);
+  // The row of `client_id`, or kNoRow.
+  size_t Row(int64_t client_id) const {
+    const uint64_t offset =
+        static_cast<uint64_t>(client_id) - static_cast<uint64_t>(first_);
+    const uint64_t k =
+        stride_shift_ >= 0 ? offset >> stride_shift_ : offset / stride_;
+    if (k < lattice_rows_ && k * stride_ == offset) {
+      return static_cast<size_t>(k);
+    }
+    return DirectoryRow(client_id);
+  }
+  // Rows, bound or registered: a lookup's row is below it.
+  size_t rows() const { return rows_.size(); }
+
   // Attempts to charge one disclosed bit about `value_id` from `client_id`
   // at randomized-response cost `epsilon` (0 for a noiseless bit). Returns
   // true and records the charge if all caps allow it; returns false and
   // records nothing otherwise. A negative or non-finite epsilon is invalid
   // and is always denied (it would corrupt the per-client composition
-  // total). It is the composition of the three steps below: Lookup, the
-  // ordered TryChargeBit, and ApplyCharge of a grant; it then refreshes
-  // the obs gauges.
+  // total). Registers the client and the value first, then composes the
+  // three steps below: Lookup, the ordered TryChargeBit, and ApplyCharge
+  // of a grant; it then refreshes the obs gauges.
   bool TryChargeBit(int64_t client_id, int64_t value_id, double epsilon);
 
-  // The steps of a charge, for a caller that looks rows up ahead of the
-  // charges and updates them after (a collection round):
+  // The steps of a charge, for a caller that registers its clients and
+  // value, looks rows up ahead of the charges and updates them after (a
+  // collection round):
   //
-  // Step 1: reads what a charge of `value_id` from `client_id` decides on.
-  // Changes nothing, so lookups may run concurrently with each other.
-  ChargeLookup Lookup(int64_t client_id, int64_t value_id) const;
+  // Step 1: reads what a charge of value `value` (RegisterValue's index)
+  // to `row` decides on; a kNoRow row or value reads as zero. Changes
+  // nothing, so lookups may run concurrently with each other.
+  ChargeLookup Lookup(size_t row, size_t value) const;
   // Step 2, the ordered one: decides the charge against `lookup`, which
   // must read as the ledger will once every earlier charge is applied,
   // journals the decision, adds it to the totals and the denied count, and
@@ -114,17 +141,9 @@ class PrivacyMeter {
   // is owed to ApplyCharge. The obs gauges are left to PublishObsGauges.
   bool TryChargeBit(int64_t client_id, int64_t value_id, double epsilon,
                     const ChargeLookup& lookup);
-  // Step 3: adds a grant of `value_id` at `epsilon` to the client's row.
-  // `lookup` is a lookup of the client for `value_id` taken since the last
-  // row was added (grants change neither its row nor its value_in_row,
-  // which is all it reads). Calls for distinct clients whose lookup has a
-  // row and value_in_row touch only that row and may run concurrently; any
-  // other call may add rows, so it must run alone, in charge order.
-  void ApplyCharge(int64_t client_id, int64_t value_id, double epsilon,
-                   const ChargeLookup& lookup);
-  // Rows of the client table, used or free: a lookup's row is below it,
-  // and it changes only when a row is added.
-  size_t client_table_rows() const { return clients_.size(); }
+  // Step 3: adds a grant of value `value` at `epsilon` to `row`. Adds no
+  // row, so calls for distinct rows may run concurrently.
+  void ApplyCharge(size_t row, size_t value, double epsilon);
 
   // Publishes the ledger totals as obs gauges. The composed TryChargeBit,
   // ReplayCharges and DecodeFrom call it; a caller of the steps calls it
@@ -161,76 +180,74 @@ class PrivacyMeter {
   // Starts loading the ledger row a charge for `client_id` would read, so
   // a caller that knows its next clients can overlap their cache misses.
   // A hint only: it changes no state.
-  void Prefetch(int64_t client_id) const;
+  void Prefetch(int64_t client_id) const {
+    const size_t row = Row(client_id);
+    if (row != kNoRow) __builtin_prefetch(&rows_[row], /*rw=*/1);
+  }
 
   const MeterPolicy& policy() const { return policy_; }
 
   // Canonical serialization of policy + full ledger (clients and values in
   // sorted order, so equal meters encode to equal bytes). DecodeFrom
-  // overwrites `*out` entirely; it returns false on truncated input or on
-  // any internally inconsistent ledger (negative counts, per-value bits
-  // that do not sum to the client total, non-finite epsilon, duplicate
-  // ids, ...) without touching `*out`. It decodes in place, in one pass,
-  // from a span of the buffer the ledger was read into (a snapshot file
-  // image); a vector converts to one.
+  // overwrites the ledger of `*out` entirely and keeps its binding: it
+  // checks the whole input first, then fills the rows of the listed ids,
+  // registering any that have none, and zeroes the rest. It returns false
+  // on truncated input or on any internally inconsistent ledger (negative
+  // counts, counts above UINT32_MAX, per-value bits that do not sum to the
+  // client total, non-finite epsilon, duplicate ids, ...) without touching
+  // `*out`. It decodes in place from a span of the buffer the ledger was
+  // read into (a snapshot file image); a vector converts to one.
   void EncodeTo(std::vector<uint8_t>* out) const;
   static bool DecodeFrom(std::span<const uint8_t> buffer, size_t* offset,
                          PrivacyMeter* out);
 
  private:
-  // A row whose `bits` is kFreeRow, never a count, is free, so that no
-  // client id (not even INT64_MIN or INT64_MAX) is reserved as the
-  // empty-slot key.
-  static constexpr int64_t kFreeRow = -1;
-
-  // One client's ledger, with its first value's count inline: `value_bits`
-  // stays 0 until the client has a nonzero count, and only a client with
-  // an inline value has rows in values_.
-  struct ClientRow {
-    int64_t client_id = 0;
-    int64_t bits = kFreeRow;
+  // One client's ledger: its epsilon total, its bit total and its count
+  // for value index 0.
+  struct LedgerRow {
     double epsilon = 0.0;
-    int64_t value_id = 0;
-    int64_t value_bits = 0;
-
-    bool used() const { return bits != kFreeRow; }
+    uint32_t bits = 0;
+    uint32_t first_value_bits = 0;
   };
-  // The count of one (client, value) pair other than the client's inline
-  // value; positive in a used row.
-  struct ValueRow {
+  static_assert(sizeof(LedgerRow) == 16);
+
+  // A slot of the directory of off-lattice ids: free while `row` is kNoRow,
+  // so that no id is reserved as the empty key.
+  struct DirectorySlot {
     int64_t client_id = 0;
-    int64_t value_id = 0;
-    int64_t bits = kFreeRow;
-
-    bool used() const { return bits != kFreeRow; }
+    size_t row = kNoRow;
   };
 
-  // The index of the client's row, or of the free row where it would go.
-  // clients_ must not be empty.
-  size_t ClientSlot(int64_t client_id) const;
-  // The client's row, or nullptr.
-  const ClientRow* FindClient(int64_t client_id) const;
-  // Bits disclosed about `value_id` by the client whose row is `row`.
-  int64_t ValueBitsOf(const ClientRow& row, int64_t value_id) const;
-  // Adds a row for a client that has none and returns it. May move every
-  // row of clients_.
-  ClientRow& InsertClient(int64_t client_id);
-  // Adds `bits` to a (client, value) count kept in values_.
-  void AddExtraValueBits(int64_t client_id, int64_t value_id, int64_t bits);
+  // The (value, outcome) pair a replay pass announced last, and the value
+  // index it charged last, so that it looks each up once per run of equal
+  // values rather than per charge.
+  struct ReplayLatch {
+    int64_t value_id = 0;
+    size_t value = kNoRow;
+    uint8_t outcomes = 0;
+  };
+
+  // The directory row of `client_id`, or kNoRow.
+  size_t DirectoryRow(int64_t client_id) const;
+  // The directory slot of `client_id`, or the free one where it would go.
+  // directory_ must not be empty.
+  size_t DirectorySlotOf(int64_t client_id) const;
+  // The index of `value_id`, or kNoRow.
+  size_t ValueIndex(int64_t value_id) const;
+  // The count of value index `value` in `row`.
+  uint32_t CountOf(size_t row, size_t value) const {
+    return value == 0 ? rows_[row].first_value_bits
+                      : columns_[value - 1][row];
+  }
+  // Lookup by id: zeros for an id without a row or a value not
+  // registered.
+  ChargeLookup LookupId(int64_t client_id, int64_t value_id) const;
 
   // The decision of a charge at `epsilon` against `lookup`.
   bool Allows(const ChargeLookup& lookup, double epsilon) const;
-  // Adds a decided charge to the totals and the denied count.
-  void AddToTotals(bool granted, double epsilon);
-  // Adds one grant of `value_id` at `epsilon` to `row`.
-  void AddToRow(ClientRow* row, int64_t value_id, double epsilon);
-
-  // The (value, outcome) pair a replay pass announced last, so that it
-  // probes announced_ once per run of equal pairs rather than per charge.
-  struct ReplayLatch {
-    int64_t value_id = 0;
-    uint8_t outcomes = 0;
-  };
+  // Adds a decided charge to the totals, the denied count and the counts
+  // of listed entries EncodeTo sizes its output by.
+  void AddToTotals(bool granted, double epsilon, const ChargeLookup& lookup);
   // One step of ReplayCharges: decides the charge and, when the decision
   // is `granted`, applies it. False, with nothing applied, otherwise.
   bool ReplayCharge(int64_t client_id, int64_t value_id, double epsilon,
@@ -241,16 +258,32 @@ class PrivacyMeter {
   // (value, outcome) keeps the stable event stream bounded — a campaign
   // charging thousands of clients produces at most two meter events per
   // value — while still marking the privacy-relevant transitions: "bits
-  // started flowing for this value" and "the budget wall was hit".
+  // started flowing for this value" and "the budget wall was hit". Its
+  // callers test obs::Enabled() first.
   void NoteChargeOutcome(int64_t value_id, bool granted);
 
   MeterPolicy policy_;
-  // Power-of-two sized (or empty) open-addressed tables; see the file
-  // comment.
-  std::vector<ClientRow> clients_;
-  size_t client_count_ = 0;
-  std::vector<ValueRow> values_;
-  size_t value_count_ = 0;
+  // The lattice: rows [0, lattice_rows_) hold ids first_ + k * stride_;
+  // stride_shift_ is log2(stride_) when the stride is a power of two, and
+  // -1 otherwise.
+  int64_t first_ = 0;
+  uint64_t stride_ = 1;
+  int stride_shift_ = 0;
+  size_t lattice_rows_ = 0;
+  std::vector<LedgerRow> rows_;
+  // Power-of-two sized (or empty) open-addressed map from off-lattice ids
+  // to their rows, at most half full.
+  std::vector<DirectorySlot> directory_;
+  size_t directory_ids_ = 0;
+  // The registered value ids, by index, and their indices in value-id
+  // order; column v - 1 holds the counts of value index v >= 1.
+  std::vector<int64_t> value_ids_;
+  std::vector<size_t> value_order_;
+  std::vector<std::vector<uint32_t>> columns_;
+  // Entries EncodeTo lists: rows with bits or epsilon, and nonzero
+  // (client, value) counts.
+  size_t listed_clients_ = 0;
+  size_t listed_values_ = 0;
   int64_t total_bits_ = 0;
   double total_epsilon_ = 0.0;
   int64_t denied_charges_ = 0;
@@ -265,7 +298,7 @@ class PrivacyMeter {
 template <typename DecisionAt>
 size_t PrivacyMeter::ReplayCharges(size_t count,
                                    const DecisionAt& decision_at) {
-  // As far ahead as RunRound's slot loop prefetches.
+  // As far ahead as a round's stage step prefetches.
   constexpr size_t kAhead = 8;
   ReplayLatch latch;
   size_t applied = 0;

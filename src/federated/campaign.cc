@@ -1,5 +1,6 @@
 #include "federated/campaign.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -66,6 +67,54 @@ MeasurementCampaign::MeasurementCampaign(std::vector<CampaignQuery> queries,
   }
 }
 
+void MeasurementCampaign::BindPopulations(
+    const std::vector<const std::vector<Client>*>& populations) {
+  BITPUSH_CHECK_EQ(populations.size(), queries_.size());
+  BITPUSH_CHECK(bound_.empty()) << "populations bound twice";
+  for (const std::vector<Client>* population : populations) {
+    BITPUSH_CHECK(population != nullptr);
+  }
+  bound_ = populations;
+  if (meter_ == nullptr) return;
+  for (const CampaignQuery& query : queries_) {
+    meter_->RegisterValue(query.value_id);
+  }
+  // The first population's longest prefix of ids first + k * stride takes
+  // the lattice rows; a meter that holds rows already gets none.
+  const std::vector<Client>& first = *populations.front();
+  size_t lattice = 0;
+  int64_t stride = 1;
+  if (meter_->rows() == 0 && !first.empty()) {
+    lattice = 1;
+    if (first.size() > 1 &&
+        !__builtin_sub_overflow(first[1].id(), first[0].id(), &stride) &&
+        stride > 0) {
+      int64_t step = 0;
+      for (lattice = 2;
+           lattice < first.size() &&
+           !__builtin_sub_overflow(first[lattice].id(),
+                                   first[lattice - 1].id(), &step) &&
+           step == stride;
+           ++lattice) {
+      }
+    } else {
+      stride = 1;
+    }
+    meter_->BindLattice(first.front().id(), stride, lattice);
+  }
+  for (size_t q = 0; q < populations.size(); ++q) {
+    // A population shared by several queries is registered once.
+    if (std::find(populations.begin(), populations.begin() + q,
+                  populations[q]) != populations.begin() + q) {
+      continue;
+    }
+    const std::vector<Client>& population = *populations[q];
+    for (size_t i = q == 0 ? lattice : 0; i < population.size(); ++i) {
+      meter_->Register(population[i].id());
+    }
+  }
+}
+
 std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
     int64_t tick,
     const std::vector<const std::vector<Client>*>& populations,
@@ -118,6 +167,8 @@ std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
       FederatedQueryConfig config = scheduled.query;
       config.value_id = scheduled.value_id;
       config.recorder = recorder_;
+      config.meter_binds_clients =
+          !bound_.empty() && bound_[q] == populations[q];
       if (resilience_.Enabled()) {
         config.resilience = resilience_;
         config.resilience.budget = query_budget;

@@ -105,6 +105,16 @@ class MeasurementCampaign {
   MeasurementCampaign(std::vector<CampaignQuery> queries, PrivacyMeter* meter,
                       ResilienceConfig resilience = {});
 
+  // Binds the meter to `populations` (indexed parallel to the query list)
+  // before anything reads it: every query's value id gets a count, the
+  // first population's ids take the meter's lattice rows as far as they
+  // lie on one lattice, in slot order, and every other id gets a row of
+  // its own (PrivacyMeter::BindLattice, Register). A tick over these
+  // populations then registers no client. Call at most once, before the
+  // first tick; the populations must outlive the campaign.
+  void BindPopulations(
+      const std::vector<const std::vector<Client>*>& populations);
+
   // Installs (or clears) the durability hook. Must be set before the tick
   // it should observe; the pointer is not owned.
   void set_recorder(CampaignRecorder* recorder) { recorder_ = recorder; }
@@ -141,6 +151,9 @@ class MeasurementCampaign {
  private:
   std::vector<CampaignQuery> queries_;
   PrivacyMeter* meter_;
+  // The populations the meter is bound to, per query; empty until
+  // BindPopulations.
+  std::vector<const std::vector<Client>*> bound_;
   ResilienceConfig resilience_;
   std::optional<HealthTracker> health_;
   RetryStats retry_stats_;

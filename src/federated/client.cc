@@ -142,8 +142,12 @@ std::optional<BitReport> Client::HandleRequest(const BitRequest& request,
                                                bool local_randomness,
                                                PrivacyMeter* meter,
                                                Rng& rng) const {
+  // The client and the value are registered first, so that the grant
+  // updates their row in place.
+  const size_t value =
+      meter != nullptr ? meter->RegisterValue(request.value_id) : 0;
   const PrivacyMeter::ChargeLookup lookup =
-      meter != nullptr ? meter->Lookup(id_, request.value_id)
+      meter != nullptr ? meter->Lookup(meter->Register(id_), value)
                        : PrivacyMeter::ChargeLookup{};
   const int64_t decided_before =
       meter != nullptr ? meter->total_bits() + meter->denied_charges() : 0;
@@ -154,9 +158,8 @@ std::optional<BitReport> Client::HandleRequest(const BitRequest& request,
       rng, &report);
   if (meter != nullptr) {
     if (answered) {
-      meter->ApplyCharge(id_, request.value_id,
-                         request.rr_epsilon > 0 ? request.rr_epsilon : 0.0,
-                         lookup);
+      meter->ApplyCharge(lookup.row, value,
+                         request.rr_epsilon > 0 ? request.rr_epsilon : 0.0);
     }
     // As the composed TryChargeBit does: the gauges follow every charge.
     if (meter->total_bits() + meter->denied_charges() != decided_before) {

@@ -42,15 +42,4 @@ bool DecodeCommunicationStats(std::span<const uint8_t> buffer,
   return true;
 }
 
-int64_t RequestPayloadBytes() {
-  // 8B round id + 8B value id + 1B bit index + 8B epsilon.
-  return 25;
-}
-
-int64_t ReportPayloadBytes() {
-  // 8B client id + 1B bit index + 1B bit (the single private bit rides in
-  // the low bit; the rest is protocol overhead).
-  return 10;
-}
-
 }  // namespace bitpush

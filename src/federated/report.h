@@ -53,11 +53,12 @@ void EncodeCommunicationStats(const CommunicationStats& stats,
 bool DecodeCommunicationStats(std::span<const uint8_t> buffer,
                               size_t* offset, CommunicationStats* out);
 
-// Wire-size model: a report carries a header (client id + round id), the
-// bit index, and the bit itself; a request carries header + index +
-// epsilon. Both round up to whole bytes.
-int64_t RequestPayloadBytes();
-int64_t ReportPayloadBytes();
+// Wire-size model: a request carries the round id, the value id, the bit
+// index and epsilon (8 + 8 + 1 + 8 bytes); a report the client id, the bit
+// index and the bit (8 + 1 + 1: the single private bit rides in the low
+// bit, the rest is protocol overhead).
+inline constexpr int64_t kRequestPayloadBytes = 25;
+inline constexpr int64_t kReportPayloadBytes = 10;
 
 }  // namespace bitpush
 

@@ -14,16 +14,6 @@ namespace {
 // memory, near enough that the lines are still cached when the slot runs.
 constexpr size_t kPrefetchDistance = 8;
 
-// Positions marked_ids_ starts with.
-constexpr size_t kInitialIdPositions = 1024;
-
-size_t HashPosition(int64_t client_id, size_t mask) {
-  return static_cast<size_t>(
-             (static_cast<uint64_t>(client_id) * 0x9e3779b97f4a7c15ULL) >>
-             32) &
-         mask;
-}
-
 }  // namespace
 
 RoundStages::RoundStages(const std::vector<Client>& clients,
@@ -31,7 +21,7 @@ RoundStages::RoundStages(const std::vector<Client>& clients,
                          double epsilon, int64_t workers)
     : clients_(clients),
       meter_(meter),
-      value_id_(value_id),
+      value_(meter != nullptr ? meter->RegisterValue(value_id) : 0),
       epsilon_(epsilon),
       ahead_task_([this](size_t task) { RunAheadTask(task); }),
       workers_(workers) {
@@ -39,7 +29,20 @@ RoundStages::RoundStages(const std::vector<Client>& clients,
   // pass's last chunk, the chunks after a repeat), and only the slots a
   // chunk uses are ever touched.
   chunk_.reserve(kChunkSlots);
-  SizeMarks();
+  if (meter_ != nullptr) {
+    // The rows are registered, so their number holds for the round.
+    const size_t words = static_cast<size_t>(
+        kernels::WordsForBits(static_cast<int64_t>(meter_->rows())));
+    marked_rows_.assign(words, 0);
+    previous_rows_.assign(words, 0);
+  }
+}
+
+PrivacyMeter::ChargeLookup RoundStages::Look(int64_t client_id) const {
+  const size_t row = meter_->Row(client_id);
+  BITPUSH_CHECK(row != PrivacyMeter::kNoRow)
+      << "client " << client_id << " is not registered with the meter";
+  return meter_->Lookup(row, value_);
 }
 
 void RoundStages::StageRange(std::span<const int64_t> indices,
@@ -59,9 +62,7 @@ void RoundStages::StageRange(std::span<const int64_t> indices,
     }
     StagedSlot& slot = out[i];
     slot.client = client_at(i).fields();
-    if (meter_ != nullptr) {
-      slot.lookup = meter_->Lookup(slot.client.id, value_id_);
-    }
+    if (meter_ != nullptr) slot.lookup = Look(slot.client.id);
   }
 }
 
@@ -77,16 +78,13 @@ void RoundStages::Stage(std::span<const int64_t> indices) {
 StagedSlot RoundStages::StageOne(int64_t index) const {
   StagedSlot slot;
   slot.client = clients_[static_cast<size_t>(index)].fields();
-  if (meter_ != nullptr) {
-    slot.lookup = meter_->Lookup(slot.client.id, value_id_);
-  }
+  if (meter_ != nullptr) slot.lookup = Look(slot.client.id);
   return slot;
 }
 
 void RoundStages::StartAhead(std::span<const int64_t> ahead) {
   ahead_ = ahead;
-  apply_tasks_ =
-      previous_applied_ ? 0 : (previous_.size() + kTaskSlots - 1) / kTaskSlots;
+  apply_tasks_ = (previous_.size() + kTaskSlots - 1) / kTaskSlots;
   const size_t stage_tasks = (ahead.size() + kTaskSlots - 1) / kTaskSlots;
   if (apply_tasks_ + stage_tasks == 0) return;
   next_.resize(ahead.size());
@@ -148,112 +146,45 @@ bool RoundStages::StageHedge(int64_t index, StagedSlot* slot) {
   // The lookup follows every applied grant: only this chunk's are
   // pending.
   const size_t row = slot->lookup.row;
-  const bool pending = row != PrivacyMeter::kNoRow
-                           ? Marked(marked_rows_, row)
-                           : marked_ids_.Contains(slot->client.id);
-  if (!pending) return false;
+  if (row == PrivacyMeter::kNoRow || !Marked(marked_rows_, row)) return false;
   Apply();
   *slot = StageOne(index);
   return true;
 }
 
-bool RoundStages::Advance() {
+void RoundStages::Advance() {
   // next_ was staged once the previous chunk's grants were applied, so
-  // their marks go.
+  // their marks go, and this chunk's grants become the previous chunk's.
   Unmark(previous_, &previous_rows_);
-  previous_ids_.Clear();
-  previous_applied_ = inserts_ > 0;
-  if (previous_applied_) {
-    const size_t rows = meter_->client_table_rows();
-    obs::Span apply_span("round.apply", "federated");
-    Describe(&apply_span, grants_.size());
-    ApplyGrants();
-    if (meter_->client_table_rows() != rows) {
-      // The client table grew and every row moved: next_ is stale.
-      previous_.clear();
-      Forget();
-      return false;
-    }
-  }
-  // This chunk's grants become the previous chunk's.
   previous_.swap(grants_);
   grants_.clear();
-  inserts_ = 0;
   previous_rows_.swap(marked_rows_);
-  std::swap(previous_ids_, marked_ids_);
   chunk_.swap(next_);
   ahead_ = {};
-  return true;
-}
-
-void RoundStages::ApplyGrants() {
-  const size_t n = grants_.size();
-  Split(n, [&](size_t begin, size_t end) {
-    for (size_t e = begin; e < end; ++e) {
-      if (grants_[e].in_place()) ApplyOne(grants_[e]);
-    }
-  });
-  // New rows go in alone and in grant order, since an insert can move
-  // every row; so do counts kept in the value table. Their rows are
-  // loaded ahead, as in the stage step.
-  for (size_t e = 0; e < n; ++e) {
-    if (e + kPrefetchDistance < n &&
-        !grants_[e + kPrefetchDistance].in_place()) {
-      meter_->Prefetch(grants_[e + kPrefetchDistance].client_id);
-    }
-    if (!grants_[e].in_place()) ApplyOne(grants_[e]);
-  }
-}
-
-void RoundStages::ApplyOne(const Grant& grant) const {
-  PrivacyMeter::ChargeLookup lookup;
-  lookup.row = grant.row;
-  lookup.value_in_row = grant.value_in_row;
-  meter_->ApplyCharge(grant.client_id, value_id_, epsilon_, lookup);
 }
 
 void RoundStages::Apply() {
-  // The chunk staged ahead read the ledger before these grants.
+  // The chunk staged ahead read the ledger before these grants; the
+  // previous chunk's are in by now.
   ahead_ = {};
-  if (grants_.empty() && previous_.empty()) return;
-  ApplyGrants();
-  Forget();
-}
-
-void RoundStages::Forget() {
+  Split(grants_.size(), [&](size_t begin, size_t end) {
+    for (size_t g = begin; g < end; ++g) ApplyOne(grants_[g]);
+  });
   Unmark(grants_, &marked_rows_);
   Unmark(previous_, &previous_rows_);
-  marked_ids_.Clear();
-  previous_ids_.Clear();
   grants_.clear();
-  inserts_ = 0;
   previous_.clear();
-  ahead_ = {};
-  SizeMarks();
 }
 
-void RoundStages::Unmark(const std::vector<Grant>& grants,
+void RoundStages::Unmark(const std::vector<size_t>& rows,
                          std::vector<uint64_t>* marks) {
   // One by one, or all at once when that is cheaper.
-  if (64 * grants.size() < marks->size()) {
-    for (const Grant& grant : grants) {
-      if (grant.row != PrivacyMeter::kNoRow) {
-        (*marks)[grant.row / 64] &= ~(uint64_t{1} << (grant.row % 64));
-      }
+  if (64 * rows.size() < marks->size()) {
+    for (const size_t row : rows) {
+      (*marks)[row / 64] &= ~(uint64_t{1} << (row % 64));
     }
   } else {
     std::fill(marks->begin(), marks->end(), 0);
-  }
-}
-
-void RoundStages::SizeMarks() {
-  if (meter_ == nullptr) return;
-  const size_t words = static_cast<size_t>(kernels::WordsForBits(
-      static_cast<int64_t>(meter_->client_table_rows())));
-  if (marked_rows_.size() < words) marked_rows_.resize(words, 0);
-  // The previous chunk's marks exist only in a pass that has threads.
-  if (next_.capacity() > 0 && previous_rows_.size() < words) {
-    previous_rows_.resize(words, 0);
   }
 }
 
@@ -261,45 +192,6 @@ void RoundStages::Describe(obs::Span* span, size_t slots) const {
   span->set_parent(parent_);
   span->set_ids(-1, -1, round_id_);
   span->AddNumeric("slots", static_cast<double>(slots));
-}
-
-size_t RoundStages::IdMarks::Position(int64_t client_id) const {
-  const size_t mask = ids_.size() - 1;
-  size_t position = HashPosition(client_id, mask);
-  while (used_[position] != 0 && ids_[position] != client_id) {
-    position = (position + 1) & mask;
-  }
-  return position;
-}
-
-void RoundStages::IdMarks::Mark(int64_t client_id) {
-  if (2 * (count_ + 1) > ids_.size()) {
-    // Double the set and put back the ids it holds.
-    std::vector<int64_t> ids;
-    ids.reserve(count_);
-    for (size_t p = 0; p < ids_.size(); ++p) {
-      if (used_[p] != 0) ids.push_back(ids_[p]);
-    }
-    const size_t positions = std::max(kInitialIdPositions, 2 * ids_.size());
-    ids_.assign(positions, 0);
-    used_.assign(positions, 0);
-    for (const int64_t id : ids) {
-      const size_t position = Position(id);
-      ids_[position] = id;
-      used_[position] = 1;
-    }
-  }
-  const size_t position = Position(client_id);
-  if (used_[position] != 0) return;
-  ids_[position] = client_id;
-  used_[position] = 1;
-  ++count_;
-}
-
-void RoundStages::IdMarks::Clear() {
-  if (count_ == 0) return;
-  std::fill(used_.begin(), used_.end(), 0);
-  count_ = 0;
 }
 
 }  // namespace bitpush

@@ -19,24 +19,24 @@
 // (apply), and write nothing to obs, so outcomes, draws and ledger bytes
 // are the same at every budget.
 //
+// Before its first stage, a round registers its value id and every client
+// it may contact with the meter (PrivacyMeter::Register): a meter bound to
+// the round's population (MeasurementCampaign::BindPopulations) holds a
+// row for each already. From then on no charge adds or moves a row, so
+// every grant, the first charges of a client included, is applied in place
+// on the threads.
+//
 // A charge must be decided against the ledger as it will read once every
-// earlier grant is applied, so a staged lookup is good only while its
-// client has no grant pending: none earlier in its own chunk, and none in
-// the chunk before, which was staged before that chunk's grants were
-// applied. The meter rows (and the ids of clients without one) of those
-// grants are marked. When a marked client comes up (a cohort that repeats
-// an index, a population that repeats an id), the chunk ends before that
-// slot: every pending grant is applied and the next chunk is staged from
-// there. Whatever must read or change the ledger as it stands first
-// finishes the threads' work:
-//   - a hedge, whose client is looked up when it is issued; if this
-//     chunk's grants hold one of the client's, they are applied first and
-//     the chunk ends after that slot;
-//   - a grant that adds a row (or a count to the meter's value table): a
-//     chunk that made one has all its grants applied alone once it has
-//     run. If an insert grew the client table, every row moved, and the
-//     next chunk is staged again from the new rows.
-// Every meter cap therefore holds for any input.
+// earlier grant is applied, so a staged lookup is good only while its row
+// has no grant pending: none earlier in its own chunk, and none in the
+// chunk before, which was staged before that chunk's grants were applied.
+// The rows of those grants are marked. When a marked row comes up (a
+// cohort that repeats an index, a population that repeats an id), the
+// chunk ends before that slot: every pending grant is applied and the next
+// chunk is staged from there. A hedge, whose client is looked up when it
+// is issued, first finishes the threads' work; if this chunk's grants
+// hold the hedge's row, they are applied first and the chunk ends after
+// that slot. Every meter cap therefore holds for any input.
 
 #ifndef BITPUSH_FEDERATED_ROUND_STAGES_H_
 #define BITPUSH_FEDERATED_ROUND_STAGES_H_
@@ -59,8 +59,8 @@ namespace bitpush {
 // One slot of a chunk: what answering its request reads.
 struct StagedSlot {
   ClientFields client;
-  // The client's ledger lookup when the slot was staged; unset without a
-  // meter.
+  // The client's ledger lookup when the slot was staged; its row is
+  // kNoRow without a meter.
   PrivacyMeter::ChargeLookup lookup;
 };
 
@@ -79,7 +79,8 @@ class RoundStages {
   static constexpr size_t kTaskSlots = kMinSlotsPerWorker / 4;
 
   // Stages clients of `clients`; charges `value_id` at `epsilon` on
-  // `meter`, which may be null (no lookups, no charges).
+  // `meter`, which may be null (no lookups, no charges). Registers the
+  // value id; the caller registers the clients first.
   RoundStages(const std::vector<Client>& clients, PrivacyMeter* meter,
               int64_t value_id, double epsilon, int64_t workers);
   // The threads' tasks hold its address.
@@ -104,65 +105,23 @@ class RoundStages {
   // after the hedge must be staged again.
   bool StageHedge(int64_t index, StagedSlot* slot);
 
-  // Whether `slot`'s client has a grant pending, so that its lookup is
+  // Whether `slot`'s row has a grant pending, so that its lookup is
   // stale.
   bool Pending(const StagedSlot& slot) const {
     const size_t row = slot.lookup.row;
-    if (row != PrivacyMeter::kNoRow) {
-      return Marked(marked_rows_, row) ||
-             (!previous_.empty() && Marked(previous_rows_, row));
-    }
-    return marked_ids_.Contains(slot.client.id) ||
-           previous_ids_.Contains(slot.client.id);
+    return row != PrivacyMeter::kNoRow &&
+           (Marked(marked_rows_, row) ||
+            (!previous_.empty() && Marked(previous_rows_, row)));
   }
-  // Records that the meter granted `slot`'s charge. Its client must not
-  // be Pending.
+  // Records that the meter granted `slot`'s charge. Its row must not be
+  // Pending.
   void Granted(const StagedSlot& slot) {
     const size_t row = slot.lookup.row;
-    grants_.push_back(
-        Grant{slot.client.id, row, slot.lookup.value_in_row});
-    if (!grants_.back().in_place()) ++inserts_;
-    if (row != PrivacyMeter::kNoRow) {
-      marked_rows_[row / 64] |= uint64_t{1} << (row % 64);
-    } else {
-      marked_ids_.Mark(slot.client.id);
-    }
+    grants_.push_back(row);
+    marked_rows_[row / 64] |= uint64_t{1} << (row % 64);
   }
 
  private:
-  // A grant, as the apply step needs it: the client, and its lookup's row
-  // and value_in_row.
-  struct Grant {
-    int64_t client_id = 0;
-    size_t row = PrivacyMeter::kNoRow;
-    bool value_in_row = true;
-
-    // Whether it updates the client's row alone, which the threads may
-    // do; any other grant may add a row, and runs alone.
-    bool in_place() const {
-      return row != PrivacyMeter::kNoRow && value_in_row;
-    }
-  };
-
-  // Open-addressed set of the ids of clients without a row; a power of
-  // two positions, at most half full, with an occupancy flag each.
-  class IdMarks {
-   public:
-    void Mark(int64_t client_id);
-    bool Contains(int64_t client_id) const {
-      return count_ > 0 && used_[Position(client_id)] != 0;
-    }
-    void Clear();
-
-   private:
-    // The position of `client_id`, or the free one where it would go.
-    size_t Position(int64_t client_id) const;
-
-    std::vector<int64_t> ids_;
-    std::vector<uint8_t> used_;
-    size_t count_ = 0;
-  };
-
   static bool Marked(const std::vector<uint64_t>& marks, size_t row) {
     return (marks[row / 64] >> (row % 64) & 1) != 0;
   }
@@ -179,6 +138,8 @@ class RoundStages {
                   size_t begin, size_t end) const;
   // clients[index], staged.
   StagedSlot StageOne(int64_t index) const;
+  // The ledger lookup of `client_id`, which must be registered.
+  PrivacyMeter::ChargeLookup Look(int64_t client_id) const;
   // Hands the threads the previous chunk's grants to apply, unless they
   // are applied, and `ahead` to stage into next_, and returns at once.
   void StartAhead(std::span<const int64_t> ahead);
@@ -189,34 +150,27 @@ class RoundStages {
   // taken; a no-op when none is out.
   void FinishAhead();
   // Moves on to next_, once chunk_ has run to its end: this chunk's grants
-  // become the previous chunk's, applied alone here if one may add a row
-  // and by the threads while next_ responds if not. False, with every
-  // grant applied, when an insert grew the client table, so that next_ is
-  // stale.
-  bool Advance();
-  // The apply step, alone, once the threads' work is finished: adds every
-  // pending grant to the ledger rows (the previous chunk's are in by
-  // then) and forgets them.
+  // become the previous chunk's, which the threads apply while next_
+  // responds.
+  void Advance();
+  // The apply step, once the threads' work is finished: adds this chunk's
+  // grants to their rows, on the threads (the previous chunk's are in by
+  // then), and forgets both chunks' grants.
   void Apply();
-  // Unmarks every grant, applied by now, and forgets them.
-  void Forget();
-  // Adds this chunk's grants to the ledger rows, in place on the threads
-  // for clients that have a row, then inline, in grant order, for the
-  // rest (new rows, and counts kept in the meter's value table).
-  void ApplyGrants();
-  // Adds `grant` to its client's row (ApplyCharge).
-  void ApplyOne(const Grant& grant) const;
-  // Unmarks the rows of `grants` in `marks`.
-  static void Unmark(const std::vector<Grant>& grants,
+  // Adds the grant to `row` (ApplyCharge).
+  void ApplyOne(size_t row) const {
+    meter_->ApplyCharge(row, value_, epsilon_);
+  }
+  // Unmarks `rows` in `marks`.
+  static void Unmark(const std::vector<size_t>& rows,
                      std::vector<uint64_t>* marks);
-  // Gives the row marks a bit for every row of the meter's client table.
-  void SizeMarks();
   // Parents a step's span under the pass's and labels it.
   void Describe(obs::Span* span, size_t slots) const;
 
   const std::vector<Client>& clients_;
   PrivacyMeter* const meter_;
-  const int64_t value_id_;
+  // The charged value's index in the meter (RegisterValue).
+  const size_t value_;
   const double epsilon_;
   // The pass's span parent and round, for its steps' spans.
   obs::TraceContext parent_;
@@ -227,20 +181,14 @@ class RoundStages {
   // when none is staged); only a pipelined pass allocates it.
   std::vector<StagedSlot> next_;
   std::span<const int64_t> ahead_;
-  // This chunk's grants, in grant order, and how many of them may add a
-  // row; one bit per row of the meter's client table for their rows, and
-  // the ids of their clients without one.
-  std::vector<Grant> grants_;
-  size_t inserts_ = 0;
+  // This chunk's grants, as rows in grant order, and one bit per row of
+  // the meter marking them.
+  std::vector<size_t> grants_;
   std::vector<uint64_t> marked_rows_;
-  IdMarks marked_ids_;
   // The previous chunk's grants and marks, kept while this chunk, staged
-  // before they were applied, runs; whether they were applied when that
-  // chunk ended (else the threads apply them, all in place, now).
-  std::vector<Grant> previous_;
-  bool previous_applied_ = false;
+  // before the threads applied them, runs.
+  std::vector<size_t> previous_;
   std::vector<uint64_t> previous_rows_;
-  IdMarks previous_ids_;
   // The work out on the threads: its tasks, how many of them apply and
   // how many applies and stages are left, and, when traced, when it
   // started and when its applies and its stages ended (microseconds,
@@ -293,10 +241,7 @@ void RoundStages::RunPass(std::span<const int64_t> indices,
   } finish_on_unwind{workers_};
   const bool pipelined = workers_.workers() > 1 &&
                          indices.size() >= 2 * kMinSlotsPerWorker;
-  if (pipelined) {
-    next_.reserve(kChunkSlots);
-    SizeMarks();
-  }
+  if (pipelined) next_.reserve(kChunkSlots);
   const size_t max_chunk_slots =
       pipelined ? kChunkSlots : kInlineChunkSlots;
   // A chunk that ends early is followed by one of twice the slots that
@@ -331,7 +276,8 @@ void RoundStages::RunPass(std::span<const int64_t> indices,
     chunk_slots = full ? full_slots : std::max<size_t>(1, 2 * ran);
     begin += ran;
     if (full && !ahead_.empty()) {
-      staged = Advance();
+      Advance();
+      staged = true;
       continue;
     }
     obs::Span apply_span("round.apply", "federated");

@@ -92,6 +92,16 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
 
   const RandomizedResponse rr = RandomizedResponse::FromEpsilon(config.epsilon);
   const double charge_epsilon = config.epsilon > 0 ? config.epsilon : 0.0;
+  // Every client the round may contact gets its ledger row before the
+  // first stage, so that no charge adds one (federated/round_stages.h).
+  if (meter != nullptr && !config.meter_binds_clients) {
+    for (const int64_t idx : cohort) {
+      meter->Register(clients[static_cast<size_t>(idx)].id());
+    }
+    for (const int64_t idx : config.backfill_pool) {
+      meter->Register(clients[static_cast<size_t>(idx)].id());
+    }
+  }
   RoundStages stages(clients, meter, config.value_id, charge_epsilon,
                      config.workers);
   const int64_t charges_before =
@@ -119,7 +129,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     outcome.assigned_clients.push_back(idx);
     ++outcome.contacted;
     ++outcome.comm.requests_sent;
-    outcome.comm.payload_bytes += RequestPayloadBytes();
+    outcome.comm.payload_bytes += kRequestPayloadBytes;
     if (backfill) ++outcome.faults.backfill_requests;
 
     BitReport report;
@@ -225,7 +235,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       }
       ++outcome.comm.reports_received;
       ++outcome.comm.private_bits;
-      outcome.comm.payload_bytes += ReportPayloadBytes();
+      outcome.comm.payload_bytes += kReportPayloadBytes;
       if (backfill) ++outcome.faults.backfill_reports;
       if (is_hedge) {
         ++outcome.retry.hedge_reports;

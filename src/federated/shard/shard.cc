@@ -99,7 +99,7 @@ bool ShardCoordinator::EnsureOpen(std::string* error,
       queries_, policy_, std::move(runner_options), resilience_);
   if (!durable()) {
     // An in-memory runner has nothing to recover; its Open cannot fail.
-    BITPUSH_CHECK(runner->Open(error));
+    BITPUSH_CHECK(runner->Open(PopulationPointers(), error));
     runner_ = std::move(runner);
     return true;
   }
@@ -108,7 +108,9 @@ bool ShardCoordinator::EnsureOpen(std::string* error,
   obs::Span span("shard.recover", "shard");
   span.set_parent(parent);
   span.AddNumeric("shard", static_cast<double>(options_.shard_index));
-  if (!runner->Open(error, span.context())) return false;
+  if (!runner->Open(PopulationPointers(), error, span.context())) {
+    return false;
+  }
   const RecoveryInfo& info = runner->recovery_info();
   if (info.recovered) {
     ++metrics_.recoveries;
@@ -151,11 +153,7 @@ bool ShardCoordinator::CollectTick(int64_t tick, ShardTickFrame* frame,
   // every tick from its durable position through `tick`, in order — both
   // the campaign's per-tick RNG forks and the durable runner require the
   // full sequence. Only `tick` itself is harvested.
-  const std::vector<const std::vector<Client>*> populations =
-      PopulationPointers();
-  for (int64_t t = next_tick(); t <= tick; ++t) {
-    runner_->RunTick(t, populations, codecs_);
-  }
+  for (int64_t t = next_tick(); t <= tick; ++t) runner_->RunTick(t, codecs_);
   BITPUSH_CHECK_EQ(next_tick(), tick + 1)
       << "shard asked for an already-delivered tick";
   // Write-ahead rule: the frame carries tallies derived from the tick's

@@ -68,10 +68,13 @@ DurableCampaignRunner::DurableCampaignRunner(
       campaign_(std::move(queries), &meter_, resilience),
       rng_(options_.seed) {}
 
-bool DurableCampaignRunner::Open(std::string* error,
-                                 const obs::TraceContext& parent) {
+bool DurableCampaignRunner::Open(
+    const std::vector<const std::vector<Client>*>& populations,
+    std::string* error, const obs::TraceContext& parent) {
   BITPUSH_CHECK(error != nullptr);
   BITPUSH_CHECK(!open_) << "runner already open";
+  populations_ = populations;
+  campaign_.BindPopulations(populations_);
   if (!durable()) {
     // In memory there is no state to load and no journal to feed: the
     // recorder hooks only keep the finished entries, and the meter runs
@@ -240,18 +243,18 @@ bool DurableCampaignRunner::LoadSnapshot(std::vector<uint8_t>* image,
 
 bool DurableCampaignRunner::DecodeLedger(std::span<const uint8_t> blob,
                                          std::string* error) {
-  PrivacyMeter restored(policy_);
+  // A failed Open leaves the runner unusable, so the ledger fills the
+  // bound meter in place.
   size_t offset = 0;
-  if (!PrivacyMeter::DecodeFrom(blob, &offset, &restored) ||
+  if (!PrivacyMeter::DecodeFrom(blob, &offset, &meter_) ||
       offset != blob.size()) {
     *error = "snapshot meter ledger failed validation";
     return false;
   }
-  if (!(restored.policy() == policy_)) {
+  if (!(meter_.policy() == policy_)) {
     *error = "snapshot meter policy does not match this campaign";
     return false;
   }
-  meter_ = std::move(restored);
   return true;
 }
 
@@ -453,15 +456,13 @@ bool DurableCampaignRunner::ApplyCharges(const MeterChargeRun& charges) {
 }
 
 std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
-    int64_t tick,
-    const std::vector<const std::vector<Client>*>& populations,
-    const std::vector<FixedPointCodec>& codecs) {
+    int64_t tick, const std::vector<FixedPointCodec>& codecs) {
   BITPUSH_CHECK(open_) << "call Open() first";
   BITPUSH_CHECK_EQ(tick, next_tick_)
       << "RunTick must be called for every tick from 0 in order";
 
   std::vector<CampaignTickResult> results =
-      campaign_.RunTick(tick, populations, codecs, rng_);
+      campaign_.RunTick(tick, populations_, codecs, rng_);
   ++next_tick_;
   // No-op for ticks already sampled at Open; the tick that was in flight
   // at a crash gets its sample here, after its re-execution completed —

@@ -111,13 +111,14 @@ struct RecoveryInfo {
 //
 //   DurableCampaignRunner runner(queries, policy, options);
 //   std::string error;
-//   if (!runner.Open(&error)) { /* corrupt state: fail closed */ }
-//   for (int64_t t = 0; t < kTicks; ++t)
-//     runner.RunTick(t, populations, codecs);
+//   if (!runner.Open(populations, &error)) { /* corrupt: fail closed */ }
+//   for (int64_t t = 0; t < kTicks; ++t) runner.RunTick(t, codecs);
 //
-// RunTick must be called for every tick from 0 in order, with the same
-// populations and codecs as the original run; recovered ticks replay from
-// state instead of contacting clients, and write nothing.
+// Open binds the meter to the populations before the snapshot's ledger is
+// decoded into it (MeasurementCampaign::BindPopulations). RunTick must be
+// called for every tick from 0 in order, with the same codecs as the
+// original run, which also had the same populations; recovered ticks
+// replay from state instead of contacting clients, and write nothing.
 //
 // Journal records are group-committed (persist/journal.h) at the three
 // points where something derived from them leaves the coordinator: each
@@ -137,22 +138,23 @@ class DurableCampaignRunner : private CampaignRecorder,
                         ResilienceConfig resilience = {});
   ~DurableCampaignRunner() override = default;
 
-  // Loads the snapshot, restores the journal, and prepares the journal for
-  // appending. Returns false with `*error` set on I/O failure or on any
+  // Binds the meter to `populations` (indexed parallel to the query list;
+  // they must outlive the runner), loads the snapshot, restores the
+  // journal, and prepares the journal for appending. Returns false with `*error` set on I/O failure or on any
   // validation failure (corrupt snapshot/journal, seed or policy
   // mismatch) — fail closed: a runner whose Open failed must not be used.
   // In memory it only installs the campaign recorder and cannot fail.
   // The `recovery.open` span, and its stage spans under it, are parented
   // under `parent` when it is valid.
-  bool Open(std::string* error, const obs::TraceContext& parent = {});
+  bool Open(const std::vector<const std::vector<Client>*>& populations,
+            std::string* error, const obs::TraceContext& parent = {});
 
-  // Runs (or restores) one campaign tick. `tick` must equal next_tick().
-  // A tick below recovery_info().completed_ticks is served from state and
-  // leaves the state files as they are.
+  // Runs (or restores) one campaign tick over the populations bound at
+  // Open. `tick` must equal next_tick(). A tick below
+  // recovery_info().completed_ticks is served from state and leaves the
+  // state files as they are.
   std::vector<CampaignTickResult> RunTick(
-      int64_t tick,
-      const std::vector<const std::vector<Client>*>& populations,
-      const std::vector<FixedPointCodec>& codecs);
+      int64_t tick, const std::vector<FixedPointCodec>& codecs);
 
   // Writes a snapshot of the current state and truncates the journal.
   // Called automatically every snapshot_every_ticks; may be called
@@ -253,7 +255,8 @@ class DurableCampaignRunner : private CampaignRecorder,
   bool LoadSnapshot(std::vector<uint8_t>* image,
                     CoordinatorSnapshotView* snapshot, bool* found,
                     std::string* error);
-  // Decodes the snapshot's ledger straight out of its image.
+  // Decodes the snapshot's ledger straight out of its image into the bound
+  // meter.
   bool DecodeLedger(std::span<const uint8_t> blob, std::string* error);
   // Reads the journal into journal_image_, walks it once, validates every
   // frame and record on top of the snapshot, and fills `*replay`. Holds
@@ -276,6 +279,8 @@ class DurableCampaignRunner : private CampaignRecorder,
   DurableCampaignOptions options_;
   PrivacyMeter meter_;
   MeasurementCampaign campaign_;
+  // The populations bound at Open, per query.
+  std::vector<const std::vector<Client>*> populations_;
   Rng rng_;
   JournalWriter journal_;
   std::string journal_path_;

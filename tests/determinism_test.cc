@@ -190,9 +190,9 @@ TEST_F(DeterminismTest, DurableCampaignReproducesAcrossRunsAndCrashes) {
     options.fsync = false;
     DurableCampaignRunner runner({query}, policy, options);
     std::string error;
-    EXPECT_TRUE(runner.Open(&error)) << error;
+    EXPECT_TRUE(runner.Open(populations, &error)) << error;
     for (int64_t tick = 0; tick < ticks; ++tick) {
-      runner.RunTick(tick, populations, codecs);
+      runner.RunTick(tick, codecs);
     }
     RunResult result;
     result.history = runner.campaign().history();
@@ -324,9 +324,9 @@ TEST_F(DeterminismTest, ResilientDurableCampaignReproducesAcrossCrashes) {
     options.fsync = false;
     DurableCampaignRunner runner({query}, policy, options, resilience);
     std::string error;
-    EXPECT_TRUE(runner.Open(&error)) << error;
+    EXPECT_TRUE(runner.Open(populations, &error)) << error;
     for (int64_t tick = 0; tick < ticks; ++tick) {
-      runner.RunTick(tick, populations, codecs);
+      runner.RunTick(tick, codecs);
     }
     RunResult result;
     result.history = runner.campaign().history();
@@ -418,9 +418,9 @@ TEST_F(DeterminismTest, MetricsSnapshotReproducesAcrossRunsAndCrashes) {
     options.fsync = false;
     DurableCampaignRunner runner({query}, policy, options, resilience);
     std::string error;
-    EXPECT_TRUE(runner.Open(&error)) << error;
+    EXPECT_TRUE(runner.Open(populations, &error)) << error;
     for (int64_t tick = 0; tick < ticks; ++tick) {
-      runner.RunTick(tick, populations, codecs);
+      runner.RunTick(tick, codecs);
     }
     obs::SetEnabled(false);
     return obs::DeterministicMetricsSnapshot();
@@ -493,9 +493,9 @@ TEST_F(DeterminismTest, StableEventsAndAlertTimelineReproduceAcrossCrashes) {
     options.fsync = false;
     DurableCampaignRunner runner({query}, policy, options, resilience);
     std::string error;
-    EXPECT_TRUE(runner.Open(&error)) << error;
+    EXPECT_TRUE(runner.Open(populations, &error)) << error;
     for (int64_t tick = 0; tick < kTicks; ++tick) {
-      runner.RunTick(tick, populations, codecs);
+      runner.RunTick(tick, codecs);
     }
     // Evaluate the burn-rate rule over the recovery-stable per-tick meter
     // trajectory. The budget is twice the first tick's spend, so the spend

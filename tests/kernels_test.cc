@@ -166,6 +166,23 @@ TEST(KernelTest, EncodeMatchesCodecOnRandomAndBoundaryValues) {
       EXPECT_EQ(dispatched[i], codec.Encode(values[i]))
           << "bits=" << bits << " value=" << values[i];
     }
+    // The scalar Encode emulates llround inline: it must give llround's
+    // codeword on the same sweep, and on NaNs of either sign, which no
+    // kernel sees.
+    values.push_back(std::numeric_limits<double>::quiet_NaN());
+    values.push_back(-std::numeric_limits<double>::quiet_NaN());
+    // The codec's scale, as its constructor computes it.
+    const double scale = static_cast<double>(codec.max_codeword()) /
+                         (codec.high() - codec.low());
+    for (const double value : values) {
+      const double scaled =
+          (std::clamp(value, codec.low(), codec.high()) - codec.low()) *
+          scale;
+      const uint64_t expected = std::min(
+          static_cast<uint64_t>(std::llround(scaled)), codec.max_codeword());
+      EXPECT_EQ(codec.Encode(value), expected)
+          << "bits=" << bits << " value=" << value;
+    }
   }
 }
 

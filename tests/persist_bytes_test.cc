@@ -182,9 +182,9 @@ class SnapshotAndJournalBytesTest : public ::testing::Test {
       options.fsync = false;
       DurableCampaignRunner runner(queries_, policy_, options);
       std::string error;
-      ASSERT_TRUE(runner.Open(&error)) << error;
+      ASSERT_TRUE(runner.Open(populations_, &error)) << error;
       for (int64_t tick = 0; tick < ticks; ++tick) {
-        runner.RunTick(tick, populations_, codecs_);
+        runner.RunTick(tick, codecs_);
         after_tick(tick);
       }
       return;

@@ -461,15 +461,15 @@ TEST_F(PersistFuzzTest, OpenFailsClosedOnEveryMutation) {
     {
       DurableCampaignRunner runner(queries, policy,
                                    options(dir, snapshot_every), resilience);
-      ASSERT_TRUE(runner.Open(&error)) << error;
+      ASSERT_TRUE(runner.Open(populations, &error)) << error;
       for (int64_t tick = 0; tick < 2; ++tick) {
-        runner.RunTick(tick, populations, codecs);
+        runner.RunTick(tick, codecs);
       }
     }
     DurableCampaignRunner runner(queries, policy, options(dir, 0), resilience);
-    ASSERT_TRUE(runner.Open(&error)) << error;
+    ASSERT_TRUE(runner.Open(populations, &error)) << error;
     for (int64_t tick = 0; tick < 3; ++tick) {
-      runner.RunTick(tick, populations, codecs);
+      runner.RunTick(tick, codecs);
     }
     State state;
     if (std::filesystem::exists(SnapshotPath(dir))) {
@@ -539,7 +539,7 @@ TEST_F(PersistFuzzTest, OpenFailsClosedOnEveryMutation) {
 
     DurableCampaignRunner runner(queries, policy, options(dir, 0), resilience);
     std::string error;
-    if (runner.Open(&error)) {
+    if (runner.Open(populations, &error)) {
       ++opened;
     } else {
       ASSERT_FALSE(error.empty()) << iteration;

@@ -119,7 +119,7 @@ class RecoveryTest : public ::testing::Test {
   Fingerprint RunToCompletion(DurableCampaignRunner* runner,
                               int64_t ticks = kTicks) {
     for (int64_t tick = runner->next_tick(); tick < ticks; ++tick) {
-      runner->RunTick(tick, populations_, codecs_);
+      runner->RunTick(tick, codecs_);
     }
     Fingerprint fingerprint;
     fingerprint.history = runner->campaign().history();
@@ -138,7 +138,7 @@ class RecoveryTest : public ::testing::Test {
 TEST_F(RecoveryTest, FreshRunReportsNothingRecovered) {
   DurableCampaignRunner runner(MakeQueries(), policy_, Options(FreshDir("fresh")));
   std::string error;
-  ASSERT_TRUE(runner.Open(&error)) << error;
+  ASSERT_TRUE(runner.Open(populations_, &error)) << error;
   EXPECT_FALSE(runner.recovery_info().recovered);
   const Fingerprint fingerprint = RunToCompletion(&runner);
   ASSERT_EQ(fingerprint.history.size(), 2u * kTicks);
@@ -153,7 +153,7 @@ TEST_F(RecoveryTest, DurableRunMatchesPlainCampaign) {
   // byte-identical to a bare MeasurementCampaign driven by the same seed.
   DurableCampaignRunner runner(MakeQueries(), policy_, Options(FreshDir("obs")));
   std::string error;
-  ASSERT_TRUE(runner.Open(&error)) << error;
+  ASSERT_TRUE(runner.Open(populations_, &error)) << error;
   const Fingerprint durable = RunToCompletion(&runner);
 
   PrivacyMeter meter(policy_);
@@ -174,10 +174,10 @@ TEST_F(RecoveryTest, EveryTickLeavesExactlyTheAppendedRecordsOnDisk) {
   const std::string dir = FreshDir("committed");
   DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
   std::string error;
-  ASSERT_TRUE(runner.Open(&error)) << error;
+  ASSERT_TRUE(runner.Open(populations_, &error)) << error;
   std::vector<std::vector<JournalRecord>> after_tick;
   for (int64_t tick = 0; tick < kTicks; ++tick) {
-    runner.RunTick(tick, populations_, codecs_);
+    runner.RunTick(tick, codecs_);
     EXPECT_EQ(runner.uncommitted_records(), 0) << tick;
     JournalReadResult journal;
     ASSERT_TRUE(ReadJournal(dir + "/journal.wal", 0, &journal, &error))
@@ -231,10 +231,10 @@ TEST_F(RecoveryTest, FsyncsPerTickDoNotGrowWithTheCohort) {
     obs::SetEnabled(true);
     DurableCampaignRunner runner(queries, loose, options);
     std::string error;
-    EXPECT_TRUE(runner.Open(&error)) << error;
+    EXPECT_TRUE(runner.Open(populations, &error)) << error;
     for (int64_t tick = 0; tick < kTicks; ++tick) {
       const int64_t before = JournalCounter("bitpush_journal_fsyncs_total");
-      runner.RunTick(tick, populations, codecs_);
+      runner.RunTick(tick, codecs_);
       fsyncs_by_tick->push_back(
           JournalCounter("bitpush_journal_fsyncs_total") - before);
     }
@@ -259,7 +259,7 @@ TEST_F(RecoveryTest, KillAtEveryJournalRecordRecoversIdentically) {
   const std::string base_dir = FreshDir("baseline");
   DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
   std::string error;
-  ASSERT_TRUE(baseline.Open(&error)) << error;
+  ASSERT_TRUE(baseline.Open(populations_, &error)) << error;
   const Fingerprint expected = RunToCompletion(&baseline);
   const std::vector<uint8_t> expected_journal =
       FileBytes(base_dir + "/journal.wal");
@@ -299,7 +299,7 @@ TEST_F(RecoveryTest, KillAtEveryJournalRecordRecoversIdentically) {
     std::fclose(file);
 
     DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
-    ASSERT_TRUE(runner.Open(&error)) << "k=" << k << ": " << error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << "k=" << k << ": " << error;
     EXPECT_EQ(runner.recovery_info().recovered, k > 0) << k;
     EXPECT_EQ(runner.recovery_info().replayed_records,
               static_cast<int64_t>(k))
@@ -324,7 +324,7 @@ TEST_F(RecoveryTest, KillAtEveryRecordRecoversWithPeriodicSnapshotsOn) {
   const std::string base_dir = FreshDir("snapkill_base");
   DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
   std::string error;
-  ASSERT_TRUE(baseline.Open(&error)) << error;
+  ASSERT_TRUE(baseline.Open(populations_, &error)) << error;
   const Fingerprint expected = RunToCompletion(&baseline);
 
   JournalReadResult journal;
@@ -353,7 +353,7 @@ TEST_F(RecoveryTest, KillAtEveryRecordRecoversWithPeriodicSnapshotsOn) {
     DurableCampaignOptions options = Options(dir);
     options.snapshot_every_ticks = 1;
     DurableCampaignRunner runner(MakeQueries(), policy_, options);
-    ASSERT_TRUE(runner.Open(&error)) << "k=" << k << ": " << error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << "k=" << k << ": " << error;
     const Fingerprint actual = RunToCompletion(&runner);
     ASSERT_EQ(actual.history, expected.history) << "diverged at k=" << k;
     ASSERT_EQ(actual.meter, expected.meter)
@@ -365,7 +365,7 @@ TEST_F(RecoveryTest, KillAtEveryRecordRecoversWithPeriodicSnapshotsOn) {
     // second recovery replays the same journal without a snapshot.
     const bool ran_live = runner.recovery_info().completed_ticks < kTicks;
     DurableCampaignRunner again(MakeQueries(), policy_, options);
-    ASSERT_TRUE(again.Open(&error)) << "k=" << k << ": " << error;
+    ASSERT_TRUE(again.Open(populations_, &error)) << "k=" << k << ": " << error;
     EXPECT_EQ(again.recovery_info().had_snapshot, ran_live) << k;
     EXPECT_EQ(again.recovery_info().completed_ticks, kTicks) << k;
     EXPECT_EQ(again.recovery_info().replayed_records,
@@ -378,7 +378,7 @@ TEST_F(RecoveryTest, TornTailBytesAreDiscardedAndRecoveryProceeds) {
   const std::string base_dir = FreshDir("torn_base");
   DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
   std::string error;
-  ASSERT_TRUE(baseline.Open(&error)) << error;
+  ASSERT_TRUE(baseline.Open(populations_, &error)) << error;
   const Fingerprint expected = RunToCompletion(&baseline);
 
   std::vector<uint8_t> full;
@@ -403,7 +403,7 @@ TEST_F(RecoveryTest, TornTailBytesAreDiscardedAndRecoveryProceeds) {
     std::fclose(file);
 
     DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
-    ASSERT_TRUE(runner.Open(&error)) << "cut=" << cut << ": " << error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << "cut=" << cut << ": " << error;
     const Fingerprint actual = RunToCompletion(&runner);
     ASSERT_EQ(actual.history, expected.history) << "cut=" << cut;
     ASSERT_EQ(actual.meter, expected.meter) << "cut=" << cut;
@@ -416,7 +416,7 @@ TEST_F(RecoveryTest, SnapshotTruncatesJournalAndRecoveryUsesIt) {
   options.snapshot_every_ticks = 1;
   DurableCampaignRunner runner(MakeQueries(), policy_, options);
   std::string error;
-  ASSERT_TRUE(runner.Open(&error)) << error;
+  ASSERT_TRUE(runner.Open(populations_, &error)) << error;
   const Fingerprint expected = RunToCompletion(&runner);
 
   // Every tick snapshotted: the journal holds nothing past the last one.
@@ -425,7 +425,7 @@ TEST_F(RecoveryTest, SnapshotTruncatesJournalAndRecoveryUsesIt) {
   EXPECT_TRUE(journal.records.empty());
 
   DurableCampaignRunner recovered(MakeQueries(), policy_, options);
-  ASSERT_TRUE(recovered.Open(&error)) << error;
+  ASSERT_TRUE(recovered.Open(populations_, &error)) << error;
   EXPECT_TRUE(recovered.recovery_info().had_snapshot);
   EXPECT_EQ(recovered.recovery_info().completed_ticks, kTicks);
   EXPECT_EQ(recovered.next_tick(), 0);
@@ -443,7 +443,7 @@ TEST_F(RecoveryTest, SnapshotTruncatedJournalCanBeCut) {
   clean_options.snapshot_every_ticks = 2;
   DurableCampaignRunner clean(MakeQueries(), policy_, clean_options);
   std::string error;
-  ASSERT_TRUE(clean.Open(&error)) << error;
+  ASSERT_TRUE(clean.Open(populations_, &error)) << error;
   const Fingerprint expected = RunToCompletion(&clean, kRunTicks);
 
   const std::string clean_dir = clean_options.state_dir;
@@ -480,7 +480,7 @@ TEST_F(RecoveryTest, SnapshotTruncatedJournalCanBeCut) {
     DurableCampaignOptions options = clean_options;
     options.state_dir = dir;
     DurableCampaignRunner reopened(MakeQueries(), policy_, options);
-    ASSERT_TRUE(reopened.Open(&error)) << "k=" << k << ": " << error;
+    ASSERT_TRUE(reopened.Open(populations_, &error)) << "k=" << k << ": " << error;
     EXPECT_TRUE(reopened.recovery_info().had_snapshot) << k;
     const Fingerprint actual = RunToCompletion(&reopened, kRunTicks);
     EXPECT_EQ(actual.history, expected.history) << k;
@@ -495,13 +495,13 @@ TEST_F(RecoveryTest, RecoveryRefusesAForeignSeed) {
   {
     DurableCampaignRunner runner(MakeQueries(), policy_, options);
     std::string error;
-    ASSERT_TRUE(runner.Open(&error)) << error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << error;
     RunToCompletion(&runner);
   }
   options.seed = kSeed + 1;
   DurableCampaignRunner imposter(MakeQueries(), policy_, options);
   std::string error;
-  EXPECT_FALSE(imposter.Open(&error));
+  EXPECT_FALSE(imposter.Open(populations_, &error));
   EXPECT_NE(error.find("seed"), std::string::npos) << error;
 }
 
@@ -512,14 +512,14 @@ TEST_F(RecoveryTest, RecoveryRefusesAForeignMeterPolicy) {
   {
     DurableCampaignRunner runner(MakeQueries(), policy_, options);
     std::string error;
-    ASSERT_TRUE(runner.Open(&error)) << error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << error;
     RunToCompletion(&runner);
   }
   MeterPolicy loosened = policy_;
   loosened.max_bits_per_client = 1000;
   DurableCampaignRunner imposter(MakeQueries(), loosened, options);
   std::string error;
-  EXPECT_FALSE(imposter.Open(&error));
+  EXPECT_FALSE(imposter.Open(populations_, &error));
   EXPECT_NE(error.find("policy"), std::string::npos) << error;
 }
 
@@ -536,10 +536,10 @@ TEST_F(RecoveryTest, InMemoryRunnerMatchesDurableRunner) {
   const auto run = [&](const std::string& state_dir) {
     DurableCampaignRunner runner(MakeQueries(), policy_, Options(state_dir));
     std::string error;
-    EXPECT_TRUE(runner.Open(&error)) << error;
+    EXPECT_TRUE(runner.Open(populations_, &error)) << error;
     Run out;
     for (int64_t tick = 0; tick < 4; ++tick) {
-      out.ticks.push_back(runner.RunTick(tick, populations_, codecs_));
+      out.ticks.push_back(runner.RunTick(tick, codecs_));
     }
     runner.meter().EncodeTo(&out.meter);
     for (const auto& sample : runner.meter_by_tick()) {
@@ -590,10 +590,10 @@ TEST_F(RecoveryTest, VersionOneSnapshotFailsClosed) {
   {
     DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
     std::string error;
-    ASSERT_TRUE(runner.Open(&error)) << error;
-    runner.RunTick(0, populations_, codecs_);
+    ASSERT_TRUE(runner.Open(populations_, &error)) << error;
+    runner.RunTick(0, codecs_);
     ASSERT_TRUE(runner.Snapshot(&error)) << error;
-    runner.RunTick(1, populations_, codecs_);
+    runner.RunTick(1, codecs_);
   }
   const std::string snapshot_path = dir + "/snapshot.bin";
   const std::vector<uint8_t> current = FileBytes(snapshot_path);
@@ -619,7 +619,7 @@ TEST_F(RecoveryTest, VersionOneSnapshotFailsClosed) {
 
   DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
   std::string error;
-  EXPECT_FALSE(reopened.Open(&error));
+  EXPECT_FALSE(reopened.Open(populations_, &error));
   EXPECT_NE(error.find("snapshot failed validation"), std::string::npos)
       << error;
   EXPECT_EQ(FileBytes(dir + "/journal.wal"), journal);
@@ -635,10 +635,10 @@ TEST_F(RecoveryTest, VersionTwoSnapshotFailsClosed) {
   {
     DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
     std::string error;
-    ASSERT_TRUE(runner.Open(&error)) << error;
-    runner.RunTick(0, populations_, codecs_);
+    ASSERT_TRUE(runner.Open(populations_, &error)) << error;
+    runner.RunTick(0, codecs_);
     ASSERT_TRUE(runner.Snapshot(&error)) << error;
-    runner.RunTick(1, populations_, codecs_);
+    runner.RunTick(1, codecs_);
   }
   const std::string snapshot_path = dir + "/snapshot.bin";
   CoordinatorSnapshot current;
@@ -688,7 +688,7 @@ TEST_F(RecoveryTest, VersionTwoSnapshotFailsClosed) {
 
   DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
   std::string error;
-  EXPECT_FALSE(reopened.Open(&error));
+  EXPECT_FALSE(reopened.Open(populations_, &error));
   EXPECT_NE(error.find("snapshot failed validation"), std::string::npos)
       << error;
   EXPECT_EQ(FileBytes(dir + "/journal.wal"), journal);
@@ -702,7 +702,7 @@ TEST_F(RecoveryTest, ChargesOfARoundThatNeverClosedAreDiscarded) {
   const std::string base_dir = FreshDir("discard_base");
   DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
   std::string error;
-  ASSERT_TRUE(baseline.Open(&error)) << error;
+  ASSERT_TRUE(baseline.Open(populations_, &error)) << error;
   const Fingerprint expected = RunToCompletion(&baseline);
   const std::vector<uint8_t> expected_journal =
       FileBytes(base_dir + "/journal.wal");
@@ -721,7 +721,7 @@ TEST_F(RecoveryTest, ChargesOfARoundThatNeverClosedAreDiscarded) {
       WriteJournalPrefix(dir + "/journal.wal", journal.records, cut);
       {
         DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
-        ASSERT_TRUE(runner.Open(&error)) << "cut=" << cut << ": " << error;
+        ASSERT_TRUE(runner.Open(populations_, &error)) << "cut=" << cut << ": " << error;
         EXPECT_EQ(runner.recovery_info().replayed_records,
                   static_cast<int64_t>(cut));
         JournalReadResult rewritten;
@@ -736,7 +736,7 @@ TEST_F(RecoveryTest, ChargesOfARoundThatNeverClosedAreDiscarded) {
         }
       }
       DurableCampaignRunner again(MakeQueries(), policy_, Options(dir));
-      ASSERT_TRUE(again.Open(&error)) << "cut=" << cut << ": " << error;
+      ASSERT_TRUE(again.Open(populations_, &error)) << "cut=" << cut << ": " << error;
       EXPECT_EQ(again.recovery_info().replayed_records,
                 static_cast<int64_t>(kept));
       const Fingerprint actual = RunToCompletion(&again);
@@ -780,7 +780,7 @@ TEST_F(RecoveryTest, OpenKeepsAJournalThatHoldsExactlyWhatItKeeps) {
     const std::string path = JournalPath(options.state_dir);
     {
       DurableCampaignRunner first(MakeQueries(), policy_, options);
-      ASSERT_TRUE(first.Open(&error)) << error;
+      ASSERT_TRUE(first.Open(populations_, &error)) << error;
       RunToCompletion(&first, c.ticks);
     }
     const std::vector<uint8_t> before = FileBytes(path);
@@ -788,7 +788,7 @@ TEST_F(RecoveryTest, OpenKeepsAJournalThatHoldsExactlyWhatItKeeps) {
     ASSERT_FALSE(before.empty()) << c.tag;
 
     DurableCampaignRunner reopened(MakeQueries(), policy_, options);
-    ASSERT_TRUE(reopened.Open(&error)) << c.tag << ": " << error;
+    ASSERT_TRUE(reopened.Open(populations_, &error)) << c.tag << ": " << error;
     EXPECT_TRUE(reopened.recovery_info().recovered) << c.tag;
     EXPECT_EQ(reopened.recovery_info().completed_ticks, c.ticks) << c.tag;
     EXPECT_EQ(FileBytes(path), before) << c.tag;
@@ -802,18 +802,18 @@ TEST_F(RecoveryTest, AppendsResumeOnAKeptJournal) {
   const std::string clean_dir = FreshDir("resume_clean");
   DurableCampaignRunner clean(MakeQueries(), policy_, Options(clean_dir));
   std::string error;
-  ASSERT_TRUE(clean.Open(&error)) << error;
+  ASSERT_TRUE(clean.Open(populations_, &error)) << error;
   const Fingerprint expected = RunToCompletion(&clean);
 
   const std::string dir = FreshDir("resume");
   {
     DurableCampaignRunner first(MakeQueries(), policy_, Options(dir));
-    ASSERT_TRUE(first.Open(&error)) << error;
+    ASSERT_TRUE(first.Open(populations_, &error)) << error;
     RunToCompletion(&first, 1);
   }
   const ino_t inode = InodeOf(JournalPath(dir));
   DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
-  ASSERT_TRUE(reopened.Open(&error)) << error;
+  ASSERT_TRUE(reopened.Open(populations_, &error)) << error;
   const Fingerprint actual = RunToCompletion(&reopened);
   EXPECT_EQ(actual.history, expected.history);
   EXPECT_EQ(actual.meter, expected.meter);
@@ -825,7 +825,7 @@ TEST_F(RecoveryTest, OpenRewritesAJournalThatHoldsMoreThanItKeeps) {
   const std::string base_dir = FreshDir("rewrite_base");
   DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
   std::string error;
-  ASSERT_TRUE(baseline.Open(&error)) << error;
+  ASSERT_TRUE(baseline.Open(populations_, &error)) << error;
   RunToCompletion(&baseline);
   JournalReadResult journal;
   ASSERT_TRUE(ReadJournal(JournalPath(base_dir), 0, &journal, &error))
@@ -840,7 +840,7 @@ TEST_F(RecoveryTest, OpenRewritesAJournalThatHoldsMoreThanItKeeps) {
     const bool existed = std::filesystem::exists(path);
     const ino_t inode = existed ? InodeOf(path) : 0;
     DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
-    ASSERT_TRUE(runner.Open(&error)) << dir << ": " << error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << dir << ": " << error;
     ASSERT_TRUE(std::filesystem::exists(path)) << dir;
     if (existed) {
       EXPECT_NE(InodeOf(path), inode) << dir;
@@ -878,7 +878,7 @@ TEST_F(RecoveryTest, OpenRewritesAJournalThatHoldsMoreThanItKeeps) {
   std::vector<uint8_t> covered;
   {
     DurableCampaignRunner runner(MakeQueries(), policy_, Options(stale));
-    ASSERT_TRUE(runner.Open(&error)) << error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << error;
     RunToCompletion(&runner, 1);
     covered = FileBytes(JournalPath(stale));
     ASSERT_TRUE(runner.Snapshot(&error)) << error;
@@ -933,7 +933,7 @@ TEST_F(RecoveryDeathTest, RestoredRoundOverAnotherCohortAbortsAsDivergence) {
   const std::string base_dir = FreshDir("divergence_base");
   DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
   std::string error;
-  ASSERT_TRUE(baseline.Open(&error)) << error;
+  ASSERT_TRUE(baseline.Open(populations_, &error)) << error;
   RunToCompletion(&baseline);
   JournalReadResult journal;
   ASSERT_TRUE(ReadJournal(base_dir + "/journal.wal", 0, &journal, &error))
@@ -954,8 +954,8 @@ TEST_F(RecoveryDeathTest, RestoredRoundOverAnotherCohortAbortsAsDivergence) {
   const std::vector<const std::vector<Client>*> populations = {&grown,
                                                                &grown};
   DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
-  ASSERT_TRUE(runner.Open(&error)) << error;
-  EXPECT_DEATH(runner.RunTick(0, populations, codecs_), "recovery divergence");
+  ASSERT_TRUE(runner.Open(populations, &error)) << error;
+  EXPECT_DEATH(runner.RunTick(0, codecs_), "recovery divergence");
 }
 
 TEST_F(RecoveryTest, VersionOneJournalFailsClosed) {
@@ -966,8 +966,8 @@ TEST_F(RecoveryTest, VersionOneJournalFailsClosed) {
   {
     DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
     std::string error;
-    ASSERT_TRUE(runner.Open(&error)) << error;
-    runner.RunTick(0, populations_, codecs_);
+    ASSERT_TRUE(runner.Open(populations_, &error)) << error;
+    runner.RunTick(0, codecs_);
   }
   const std::string path = dir + "/journal.wal";
   JournalReadResult journal;
@@ -992,7 +992,7 @@ TEST_F(RecoveryTest, VersionOneJournalFailsClosed) {
   ASSERT_EQ(FileBytes(path), version1);
 
   DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
-  EXPECT_FALSE(reopened.Open(&error));
+  EXPECT_FALSE(reopened.Open(populations_, &error));
   EXPECT_NE(error.find("format version"), std::string::npos) << error;
   EXPECT_EQ(FileBytes(path), version1);
 }

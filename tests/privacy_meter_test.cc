@@ -1,3 +1,5 @@
+#include <malloc.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -382,15 +384,176 @@ TEST(PrivacyMeterTest, DecodeRejectsDuplicateAndInconsistentEntries) {
 }
 
 TEST(PrivacyMeterTest, DecodeRejectsBitCountsThatOverflow) {
-  // Counts whose sum passes INT64_MAX are corrupt: they are rejected, not
-  // summed with signed overflow.
+  // A row holds 32-bit counts: a count above UINT32_MAX is corrupt, and so
+  // are counts whose sum passes INT64_MAX. They are rejected, not summed
+  // with signed overflow.
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  EXPECT_TRUE(Decodes(MeterBlob(kMax, {{0, kMax, {{1, kMax}}}})));
+  constexpr int64_t kMaxCount = std::numeric_limits<uint32_t>::max();
+  EXPECT_TRUE(Decodes(MeterBlob(kMaxCount, {{0, kMaxCount, {{1, kMaxCount}}}})));
+  EXPECT_FALSE(Decodes(
+      MeterBlob(kMaxCount + 1, {{0, kMaxCount + 1, {{1, kMaxCount + 1}}}})));
+  // A client total above UINT32_MAX from counts that each fit.
+  EXPECT_FALSE(Decodes(MeterBlob(
+      kMaxCount + 1, {{0, kMaxCount + 1, {{1, kMaxCount}, {2, 1}}}})));
   // One client's value counts overflow.
   EXPECT_FALSE(Decodes(MeterBlob(kMax, {{0, kMax, {{1, kMax}, {2, 1}}}})));
   // Two clients' totals overflow.
   EXPECT_FALSE(
       Decodes(MeterBlob(kMax, {{0, kMax, {{1, kMax}}}, {1, 1, {{1, 1}}}})));
+}
+
+TEST(PrivacyMeterTest, CountAtUint32MaxDeniesTheNextCharge) {
+  constexpr int64_t kMaxCount = std::numeric_limits<uint32_t>::max();
+  // Client 5 at UINT32_MAX bits of value 1; client 6 at UINT32_MAX bits
+  // over two values.
+  const std::vector<uint8_t> blob = MeterBlob(
+      2 * kMaxCount,
+      {{5, kMaxCount, {{1, kMaxCount}}},
+       {6, kMaxCount, {{1, kMaxCount - 1}, {2, 1}}}});
+  for (const bool bound : {false, true}) {
+    PrivacyMeter meter{MeterPolicy{}};
+    if (bound) meter.BindLattice(5, 1, 2);
+    size_t offset = 0;
+    ASSERT_TRUE(PrivacyMeter::DecodeFrom(blob, &offset, &meter));
+    // The caps are INT64_MAX, so only the 32-bit count denies: a further
+    // bit of the value, and a bit of another value past the client total.
+    EXPECT_FALSE(meter.TryChargeBit(5, 1, 0.0));
+    EXPECT_FALSE(meter.TryChargeBit(5, 3, 0.0));
+    EXPECT_FALSE(meter.TryChargeBit(6, 3, 0.0));
+    EXPECT_EQ(meter.denied_charges(), 3);
+    EXPECT_EQ(meter.ClientBits(5), kMaxCount);
+    EXPECT_EQ(meter.ValueBits(6, 1), kMaxCount - 1);
+    std::vector<uint8_t> again;
+    meter.EncodeTo(&again);
+    // The same ledger but for the denied count in the header.
+    std::vector<uint8_t> expected = blob;
+    std::vector<uint8_t> denied;
+    bytes::PutInt64(3, &denied);
+    std::copy(denied.begin(), denied.end(), expected.begin() + 32);
+    EXPECT_EQ(again, expected) << (bound ? "bound" : "unbound");
+  }
+}
+
+// Charges `meter` with a sequence that covers lattice and off-lattice ids,
+// INT64_MIN and INT64_MAX, repeated ids, clients with several values,
+// invalid epsilons and every cap, and returns its decisions.
+std::vector<bool> ChargeMixedSequence(PrivacyMeter* meter) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<int64_t> ids = {kMin, kMin + 1, -7, -1, 0, 1, 2, 3, 5,
+                              999, 1000,     1001, 1003, 4000, kMax - 3,
+                              kMax};
+  Rng rng(41);
+  // Lattice ids (1000, 1003, ...) and ids between and beyond them.
+  for (int i = 0; i < 400; ++i) {
+    ids.push_back(1000 + 3 * static_cast<int64_t>(rng.NextBelow(300)));
+    ids.push_back(static_cast<int64_t>(rng.NextBelow(5000)) - 1000);
+  }
+  std::vector<bool> decisions;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const int64_t id = ids[i];
+    const double epsilon = 0.25 * static_cast<double>(i % 7);
+    decisions.push_back(meter->TryChargeBit(id, 7, epsilon));
+    if (i % 3 == 0) decisions.push_back(meter->TryChargeBit(id, 9, 0.5));
+    if (i % 5 == 0) decisions.push_back(meter->TryChargeBit(id, -4, 0.0));
+    if (i % 11 == 0) {
+      decisions.push_back(meter->TryChargeBit(
+          id, 7, std::numeric_limits<double>::quiet_NaN()));
+      decisions.push_back(meter->TryChargeBit(id, 8, -1.0));
+      decisions.push_back(meter->TryChargeBit(
+          id, 8, std::numeric_limits<double>::infinity()));
+    }
+    // Past the epsilon cap.
+    if (i % 13 == 0) decisions.push_back(meter->TryChargeBit(id, 10, 60.0));
+  }
+  return decisions;
+}
+
+TEST(PrivacyMeterTest, LatticeBoundMeterDecidesAndEncodesAsAnUnboundOne) {
+  const MeterPolicy policy = RoomyPolicy();
+  PrivacyMeter unbound(policy);
+  PrivacyMeter bound(policy);
+  // Ids 1000, 1003, ..., 1897 are the lattice; everything else goes
+  // through the directory.
+  bound.BindLattice(1000, 3, 300);
+  EXPECT_EQ(bound.rows(), 300u);
+  EXPECT_EQ(bound.Row(1003), 1u);
+  EXPECT_EQ(bound.Row(1897), 299u);
+  EXPECT_EQ(bound.Row(1001), PrivacyMeter::kNoRow);
+  EXPECT_EQ(bound.Row(1900), PrivacyMeter::kNoRow);
+  EXPECT_EQ(bound.Row(std::numeric_limits<int64_t>::min()),
+            PrivacyMeter::kNoRow);
+  const std::vector<bool> unbound_decisions = ChargeMixedSequence(&unbound);
+  const std::vector<bool> bound_decisions = ChargeMixedSequence(&bound);
+  EXPECT_EQ(bound_decisions, unbound_decisions);
+  const size_t denials = static_cast<size_t>(
+      std::count(unbound_decisions.begin(), unbound_decisions.end(), false));
+  // Every kind of denial happened: invalid epsilons, the per-value,
+  // per-client and epsilon caps.
+  EXPECT_GT(denials, 100u);
+  EXPECT_EQ(bound.denied_charges(), unbound.denied_charges());
+  EXPECT_EQ(bound.total_bits(), unbound.total_bits());
+  EXPECT_EQ(bound.total_epsilon(), unbound.total_epsilon());
+  std::vector<uint8_t> unbound_bytes;
+  std::vector<uint8_t> bound_bytes;
+  unbound.EncodeTo(&unbound_bytes);
+  bound.EncodeTo(&bound_bytes);
+  EXPECT_EQ(bound_bytes, unbound_bytes);
+}
+
+TEST(PrivacyMeterTest, OffLatticeSnapshotDecodesIntoABoundMeter) {
+  const MeterPolicy policy = RoomyPolicy();
+  PrivacyMeter source(policy);
+  ChargeMixedSequence(&source);
+  std::vector<uint8_t> blob;
+  source.EncodeTo(&blob);
+  // A meter bound to a lattice the snapshot only partly lies on, which has
+  // charges of its own: the decode overwrites them.
+  PrivacyMeter bound(policy);
+  bound.BindLattice(-2, 2, 1000);
+  ASSERT_TRUE(bound.TryChargeBit(-2, 7, 0.5));
+  ASSERT_TRUE(bound.TryChargeBit(77777, 3, 0.5));
+  size_t offset = 0;
+  ASSERT_TRUE(PrivacyMeter::DecodeFrom(blob, &offset, &bound));
+  EXPECT_EQ(offset, blob.size());
+  EXPECT_EQ(bound.ClientBits(77777), 0);
+  std::vector<uint8_t> again;
+  bound.EncodeTo(&again);
+  EXPECT_EQ(again, blob);
+  // And the decoded meter charges on as the source does.
+  EXPECT_EQ(ChargeMixedSequence(&bound), ChargeMixedSequence(&source));
+  std::vector<uint8_t> bound_after;
+  std::vector<uint8_t> source_after;
+  bound.EncodeTo(&bound_after);
+  source.EncodeTo(&source_after);
+  EXPECT_EQ(bound_after, source_after);
+}
+
+// The row's size is pinned where it is declared (a static_assert in
+// privacy_meter.h); this pins what a bound meter allocates around it.
+TEST(PrivacyMeterTest, BoundMeterAllocatesSixteenBytesPerClient) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "a sanitizer's allocator keeps no glibc heap counts";
+#else
+  // Bytes the allocator has handed out, mmapped blocks included.
+  const auto heap_bytes_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  constexpr size_t kClients = size_t{1} << 20;
+  const size_t before = heap_bytes_in_use();
+  PrivacyMeter meter{MeterPolicy{}};
+  meter.RegisterValue(7);
+  meter.BindLattice(0, 1, kClients);
+  for (size_t k = 0; k < kClients; k += 4099) {
+    meter.TryChargeBit(static_cast<int64_t>(k), 7, 0.0);
+  }
+  const size_t allocated = heap_bytes_in_use() - before;
+  // One 16-byte row per client, in one mapped block, and a few small
+  // vectors: the value id and its order.
+  EXPECT_GE(allocated, 16 * kClients);
+  EXPECT_LE(allocated, 16 * kClients + 8192);
+#endif
 }
 
 }  // namespace

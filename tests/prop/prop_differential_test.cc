@@ -374,9 +374,9 @@ TEST(PropDifferentialTest, LiveAndCrashRecoveredCampaignsAgreeBitForBit) {
           runner_options.seed = c.runner_seed;
           runner_options.fsync = false;
           DurableCampaignRunner runner({query}, policy, runner_options);
-          if (!runner.Open(&result.error)) return result;
+          if (!runner.Open(populations, &result.error)) return result;
           for (int64_t tick = 0; tick < c.ticks; ++tick) {
-            runner.RunTick(tick, populations, codecs);
+            runner.RunTick(tick, codecs);
           }
           result.history = runner.campaign().history();
           runner.meter().EncodeTo(&result.meter);

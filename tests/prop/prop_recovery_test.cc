@@ -195,10 +195,10 @@ class Campaign {
       options.snapshot_every_ticks = c.snapshot_every;
       options.fsync = false;
       DurableCampaignRunner runner(queries_, policy_, options);
-      if (!runner.Open(&out.error)) return out;
+      if (!runner.Open(populations_, &out.error)) return out;
       for (int64_t tick = 0; tick < ticks; ++tick) {
         for (const CampaignTickResult& r :
-             runner.RunTick(tick, populations_, codecs_)) {
+             runner.RunTick(tick, codecs_)) {
           history << r.tick << ' ' << r.query_name << ' '
                   << static_cast<int>(r.status) << ' ' << r.estimate << ' '
                   << r.reports << '\n';

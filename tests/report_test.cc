@@ -36,10 +36,10 @@ TEST(PayloadModelTest, OneBitRidesInASmallPacket) {
   // numeric values is not so meaningful: both can be easily communicated
   // within a single (encrypted) network packet". The report payload is
   // dominated by header overhead, not the private bit.
-  EXPECT_GT(RequestPayloadBytes(), 8);
-  EXPECT_LT(RequestPayloadBytes(), 64);
-  EXPECT_GT(ReportPayloadBytes(), 1);
-  EXPECT_LT(ReportPayloadBytes(), 64);
+  EXPECT_GT(kRequestPayloadBytes, 8);
+  EXPECT_LT(kRequestPayloadBytes, 64);
+  EXPECT_GT(kReportPayloadBytes, 1);
+  EXPECT_LT(kReportPayloadBytes, 64);
 }
 
 }  // namespace

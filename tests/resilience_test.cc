@@ -671,7 +671,7 @@ class ResilienceRecoveryTest : public ::testing::Test {
   Fingerprint RunToCompletion(DurableCampaignRunner* runner,
                               const std::string& dir) {
     for (int64_t tick = runner->next_tick(); tick < kTicks; ++tick) {
-      runner->RunTick(tick, populations_, codecs_);
+      runner->RunTick(tick, codecs_);
     }
     Fingerprint fingerprint;
     fingerprint.history = runner->campaign().history();
@@ -711,7 +711,7 @@ TEST_F(ResilienceRecoveryTest, ResilientDurableRunMatchesPlainCampaign) {
   DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir),
                                resilience_);
   std::string error;
-  ASSERT_TRUE(runner.Open(&error)) << error;
+  ASSERT_TRUE(runner.Open(populations_, &error)) << error;
   const Fingerprint durable = RunToCompletion(&runner, dir);
 
   PrivacyMeter meter(policy_);
@@ -733,7 +733,7 @@ TEST_F(ResilienceRecoveryTest, KillAtEveryJournalRecordReplaysRetrySchedule) {
   DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir),
                                  resilience_);
   std::string error;
-  ASSERT_TRUE(baseline.Open(&error)) << error;
+  ASSERT_TRUE(baseline.Open(populations_, &error)) << error;
   const Fingerprint expected = RunToCompletion(&baseline, base_dir);
 
   // The run must actually exercise the resilience layer for the matrix to
@@ -771,7 +771,7 @@ TEST_F(ResilienceRecoveryTest, KillAtEveryJournalRecordReplaysRetrySchedule) {
 
     DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir),
                                  resilience_);
-    ASSERT_TRUE(runner.Open(&error)) << "k=" << k << ": " << error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << "k=" << k << ": " << error;
     EXPECT_EQ(runner.recovery_info().recovered, k > 0) << k;
     const Fingerprint actual = RunToCompletion(&runner, dir);
     ASSERT_EQ(actual.history, expected.history) << "diverged at k=" << k;

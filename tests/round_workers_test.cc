@@ -9,6 +9,8 @@
 // splits over several threads; the later cases span four chunks and more.
 // ctest -R RoundWorkers; the TSan stage of scripts/check.sh runs it.
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -93,12 +95,21 @@ std::vector<uint8_t> Encoded(const RoundOutcome& outcome) {
   return bytes;
 }
 
-// Runs two rounds (the first adds the ledger rows, the second updates
-// them in place) at round-worker budget `workers`.
-Result RunRounds(const Inputs& inputs, int64_t workers) {
+// Runs two rounds (the first charges each client for the first time, the
+// second again) at round-worker budget `workers`. With `bound`, the meter
+// is bound to the population first (MeasurementCampaign::BindPopulations),
+// so that the rounds register no client; without, each round registers
+// its cohort and pool.
+Result RunRounds(const Inputs& inputs, int64_t workers, bool bound = false) {
   const FixedPointCodec codec = FixedPointCodec::Integer(kBits);
   const AggregationServer server(codec);
   PrivacyMeter meter(inputs.policy);
+  if (bound) {
+    CampaignQuery query;
+    query.name = "metric";
+    query.value_id = kValueId;
+    MeasurementCampaign({query}, &meter).BindPopulations({&inputs.clients});
+  }
   ByteJournal journal;
   meter.set_journal(&journal);
   for (const int64_t idx : inputs.warm) {
@@ -107,6 +118,7 @@ Result RunRounds(const Inputs& inputs, int64_t workers) {
   }
   RoundConfig config = inputs.config;
   config.workers = workers;
+  config.meter_binds_clients = bound;
   if (inputs.faults.enabled()) config.fault_plan = &inputs.faults;
   if (inputs.health.policy().enabled()) config.health = &inputs.health;
   Result result;
@@ -156,17 +168,19 @@ void ExpectSameAtEveryBudget(const Inputs& inputs) {
   const Result inline_result = RunRounds(inputs, 1);
   ExpectOneStepDecisions(inline_result, inputs.policy);
   for (const int64_t workers : kBudgets) {
-    const Result result = RunRounds(inputs, workers);
-    EXPECT_EQ(result.outcomes, inline_result.outcomes)
-        << "round outcome at budget " << workers;
-    EXPECT_EQ(result.ledger, inline_result.ledger)
-        << "ledger at budget " << workers;
-    EXPECT_EQ(result.journal, inline_result.journal)
-        << "journal at budget " << workers;
-    EXPECT_EQ(result.denied, inline_result.denied);
-    EXPECT_EQ(result.total_epsilon, inline_result.total_epsilon);
-    EXPECT_TRUE(result.rng == inline_result.rng)
-        << "RNG state at budget " << workers;
+    for (const bool bound : {false, true}) {
+      const Result result = RunRounds(inputs, workers, bound);
+      const std::string where = "at budget " + std::to_string(workers) +
+                                (bound ? ", bound meter" : "");
+      EXPECT_EQ(result.outcomes, inline_result.outcomes)
+          << "round outcome " << where;
+      EXPECT_EQ(result.ledger, inline_result.ledger) << "ledger " << where;
+      EXPECT_EQ(result.journal, inline_result.journal)
+          << "journal " << where;
+      EXPECT_EQ(result.denied, inline_result.denied) << where;
+      EXPECT_EQ(result.total_epsilon, inline_result.total_epsilon) << where;
+      EXPECT_TRUE(result.rng == inline_result.rng) << "RNG state " << where;
+    }
   }
 }
 
@@ -429,14 +443,12 @@ TEST(RoundWorkersTest, RepeatsInTheNextTwoChunksAreDeniedAtOneBitPerValue) {
   }
 }
 
-TEST(RoundWorkersTest, FirstChargesGrowTheLedgerMidPass) {
+TEST(RoundWorkersTest, FirstChargesRegisterUpFrontAndApplyInPlace) {
   ClientConfig flaky;
   flaky.dropout_probability = 0.05;
   Inputs inputs = MakeInputs(flaky, 1, kLongCohort);
   // The clients of the second chunk already have rows, so that the first
-  // round's chunks go: new rows, whose inserts grow the client table at
-  // the chunk's end; updates in place; new rows that grow it again; new
-  // rows that fit.
+  // round's chunks go: first charges, repeat charges, first charges again.
   for (int64_t slot = kChunk; slot < 2 * kChunk; ++slot) {
     inputs.warm.push_back(inputs.cohort[static_cast<size_t>(slot)]);
   }
@@ -445,13 +457,64 @@ TEST(RoundWorkersTest, FirstChargesGrowTheLedgerMidPass) {
     meter.TryChargeBit(inputs.clients[static_cast<size_t>(idx)].id(),
                        kValueId, 0.0);
   }
-  const size_t warm_rows = meter.client_table_rows();
+  ASSERT_EQ(meter.rows(), static_cast<size_t>(kChunk));
+  // The round registers its cohort and its pool before the first stage:
+  // every client the round may contact has a row, and the grants add
+  // none, so every one of them is applied in place.
   RoundConfig config = inputs.config;
   config.workers = 4;
+  config.backfill_pool.clear();
+  for (int64_t i = kLongCohort; i < kLongCohort + kPool; ++i) {
+    config.backfill_pool.push_back(i);
+  }
   Rng rng(77);
   AggregationServer(FixedPointCodec::Integer(kBits))
       .RunRound(inputs.clients, inputs.cohort, config, &meter, rng);
-  EXPECT_EQ(meter.client_table_rows(), 4 * warm_rows);
+  EXPECT_EQ(meter.rows(), inputs.clients.size());
+  ExpectSameAtEveryBudget(inputs);
+}
+
+// A population that repeats ids, and hedges drawn from the backfill pool
+// whose clients share an id with a cohort client: granted earlier in the
+// same chunk and still pending, granted in the chunk before, or staged in
+// the next one. The pending rule keys on rows, so every repeat is decided
+// against its twin's grant.
+TEST(RoundWorkersTest, RepeatedIdsInTheCohortAndTheHedgePool) {
+  Inputs inputs = MakeInputs(ClientConfig{}, 1, kLongCohort);
+  inputs.policy.max_bits_per_value = 1;
+  ClientConfig gone;
+  gone.dropout_probability = 1.0;
+  inputs.config.backfill_pool.clear();
+  int64_t pool_index = kLongCohort;
+  // The id of the cohort client in slot `slot`.
+  const auto id_at = [&](int64_t slot) {
+    return inputs.clients[static_cast<size_t>(
+                              inputs.cohort[static_cast<size_t>(slot)])]
+        .id();
+  };
+  for (int64_t chunk = 0; chunk < 4; ++chunk) {
+    const int64_t base = chunk * kChunk;
+    const std::pair<int64_t, int64_t> hedges[] = {
+        {base + 3000, base + 2000},
+        {base + 9000, chunk > 0 ? base - 4000 : base + 8500},
+        {base + 15000, base + kChunk + 1000}};
+    for (const auto& [slot, twin_slot] : hedges) {
+      const int64_t idx = inputs.cohort[static_cast<size_t>(slot)];
+      inputs.clients[static_cast<size_t>(idx)] = Client(idx, {7.0}, gone);
+      // A pool client with the id of the client in `twin_slot`.
+      inputs.clients[static_cast<size_t>(pool_index)] =
+          Client(id_at(twin_slot), {3.0}, ClientConfig{});
+      inputs.config.backfill_pool.push_back(pool_index++);
+    }
+    // And a cohort client that takes the id of one two slots earlier.
+    const int64_t twin = inputs.cohort[static_cast<size_t>(base + 5002)];
+    inputs.clients[static_cast<size_t>(twin)] =
+        Client(id_at(base + 5000), {1.0}, ClientConfig{});
+  }
+  ResilienceConfig& res = inputs.config.resilience;
+  res.hedge.enabled = true;
+  res.hedge.trigger_budget_fraction = 0.0;
+  res.budget.minutes = 1e9;
   ExpectSameAtEveryBudget(inputs);
 }
 
@@ -509,6 +572,7 @@ TEST(RoundWorkersTest, HedgesOnPendingGrantsWhileTheNextChunkStages) {
 TEST(RoundWorkersTest, RespondThatThrowsFinishesTheThreadsFirst) {
   const Inputs inputs = MakeInputs(ClientConfig{}, 1, kLongCohort);
   PrivacyMeter meter(inputs.policy);
+  for (const Client& client : inputs.clients) meter.Register(client.id());
   RoundStages stages(inputs.clients, &meter, kValueId, 0.0, 4);
   size_t responded = 0;
   const auto run_pass = [&] {
@@ -576,9 +640,17 @@ ShardRun RunDurableShards(const std::vector<Client>& population,
   MeterPolicy policy;
   policy.max_bits_per_value = 4;
 
+  // Its own directory per process, so that concurrent runs of this suite
+  // (ctest beside a sanitizer loop) never remove each other's files, gone
+  // when the run ends.
   const std::string root = ::testing::TempDir() + "/round_workers_" +
+                           std::to_string(::getpid()) + "_" +
                            std::to_string(workers);
   std::filesystem::remove_all(root);
+  struct RemoveOnExit {
+    const std::string& root;
+    ~RemoveOnExit() { std::filesystem::remove_all(root); }
+  } remove_on_exit{root};
   std::vector<std::vector<Client>> partitions =
       PartitionClients(population, kShards);
   ShardRun run;
@@ -607,7 +679,6 @@ ShardRun RunDurableShards(const std::vector<Client>& population,
     shard.local_meter()->EncodeTo(&ledger);
     run.ledgers.push_back(std::move(ledger));
   }
-  std::filesystem::remove_all(root);
   return run;
 }
 

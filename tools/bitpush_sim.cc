@@ -404,8 +404,10 @@ int Main(int argc, char** argv) {
     options.snapshot_every_ticks = snapshot_every;
     options.crash_after_records = crash_after_records;
     DurableCampaignRunner runner(queries, policy, options);
+    const std::vector<const std::vector<Client>*> populations = {
+        &population, &population};
     std::string error;
-    if (!runner.Open(&error)) {
+    if (!runner.Open(populations, &error)) {
       std::fprintf(stderr, "recovery failed (refusing to run): %s\n",
                    error.c_str());
       return EXIT_FAILURE;
@@ -421,13 +423,11 @@ int Main(int argc, char** argv) {
                    static_cast<long long>(info.completed_ticks));
     }
 
-    const std::vector<const std::vector<Client>*> populations = {
-        &population, &population};
     const std::vector<FixedPointCodec> codecs = {codec, codec};
     Table table({"tick", "query", "status", "estimate", "reports"});
     for (int64_t tick = 0; tick < ticks; ++tick) {
       const std::vector<CampaignTickResult> tick_results =
-          runner.RunTick(tick, populations, codecs);
+          runner.RunTick(tick, codecs);
       // Per-tick alert evaluation. The meter inputs come from the
       // recovery-stable trajectory (meter_by_tick), not the live ledger,
       // so the kStable burn-rate rule's timeline is byte-identical across
