@@ -14,8 +14,6 @@ namespace bitpush {
 
 namespace {
 
-// Slots the directory gets on its first id.
-constexpr size_t kInitialDirectorySlots = 16;
 // Encoded sizes of the ledger header (policy, totals and client count), of
 // one client entry without its values (id, bits, epsilon, value count) and
 // of one value entry (id, bits). DecodeFrom bounds the counts it reads by
@@ -25,17 +23,6 @@ constexpr size_t kClientEntryBytes = 8 + 8 + 8 + 4;
 constexpr size_t kValueEntryBytes = 8 + 8;
 // The largest count a row or a column holds.
 constexpr int64_t kMaxCount = std::numeric_limits<uint32_t>::max();
-
-// MurmurHash3's 64-bit finalizer, so that sequential or strided ids spread
-// over the directory.
-uint64_t Mix(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
 
 // Whether the encoding lists a client with these totals.
 bool Listed(int64_t bits, double epsilon) { return bits > 0 || epsilon > 0.0; }
@@ -126,47 +113,27 @@ void PrivacyMeter::BindLattice(int64_t first, int64_t stride, size_t count) {
   for (std::vector<uint32_t>& column : columns_) column.resize(count, 0);
 }
 
-size_t PrivacyMeter::DirectorySlotOf(int64_t client_id) const {
-  const size_t mask = directory_.size() - 1;
-  size_t slot =
-      static_cast<size_t>(Mix(static_cast<uint64_t>(client_id))) & mask;
-  while (directory_[slot].row != kNoRow &&
-         directory_[slot].client_id != client_id) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
 size_t PrivacyMeter::DirectoryRow(int64_t client_id) const {
-  if (directory_.empty()) return kNoRow;
-  return directory_[DirectorySlotOf(client_id)].row;
+  const auto it = directory_.find(client_id);
+  return it == directory_.end() ? kNoRow : it->second;
 }
 
 size_t PrivacyMeter::Register(int64_t client_id) {
   const size_t row = Row(client_id);
   if (row != kNoRow) return row;
-  if (2 * (directory_ids_ + 1) > directory_.size()) {
-    // Double the directory and put back the ids it holds.
-    std::vector<DirectorySlot> old(directory_.empty()
-                                       ? kInitialDirectorySlots
-                                       : 2 * directory_.size());
-    directory_.swap(old);
-    for (const DirectorySlot& slot : old) {
-      if (slot.row != kNoRow) directory_[DirectorySlotOf(slot.client_id)] = slot;
-    }
-  }
   const size_t added = rows_.size();
-  directory_[DirectorySlotOf(client_id)] = DirectorySlot{client_id, added};
-  ++directory_ids_;
+  directory_.emplace(client_id, added);
   rows_.emplace_back();
   for (std::vector<uint32_t>& column : columns_) column.push_back(0);
   return added;
 }
 
 size_t PrivacyMeter::ValueIndex(int64_t value_id) const {
-  const auto it = std::find(value_ids_.begin(), value_ids_.end(), value_id);
-  return it == value_ids_.end() ? kNoRow
-                                : static_cast<size_t>(it - value_ids_.begin());
+  const auto it = std::lower_bound(
+      value_order_.begin(), value_order_.end(), value_id,
+      [this](size_t v, int64_t id) { return value_ids_[v] < id; });
+  return it != value_order_.end() && value_ids_[*it] == value_id ? *it
+                                                                 : kNoRow;
 }
 
 size_t PrivacyMeter::RegisterValue(int64_t value_id) {
@@ -275,12 +242,12 @@ bool PrivacyMeter::ReplayCharge(int64_t client_id, int64_t value_id,
   const size_t row = Row(client_id);
   const ChargeLookup lookup = Lookup(row, latch->value);
   if (Allows(lookup, epsilon) != granted) return false;
+  // A grant needs the client's row and the value's count: a replay runs
+  // on a meter whose registration is closed, so a grant of another id is
+  // corrupt.
+  if (granted && (row == kNoRow || latch->value == kNoRow)) return false;
   AddToTotals(granted, epsilon, lookup);
-  if (granted) {
-    if (latch->value == kNoRow) latch->value = RegisterValue(value_id);
-    ApplyCharge(row != kNoRow ? row : Register(client_id), latch->value,
-                epsilon);
-  }
+  if (granted) ApplyCharge(row, latch->value, epsilon);
   // NoteChargeOutcome announces each (value, outcome) once, so skipping
   // a repeat of the pair it just saw changes nothing.
   const uint8_t outcome = granted ? 1 : 2;
@@ -313,17 +280,9 @@ void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
   // sized once from the listed-entry counts. The directory's rows, which
   // bound meters of the drivers do not have, are put in id order first
   // and merged in.
-  std::vector<DirectorySlot> directory;
-  if (directory_ids_ > 0) {
-    directory.reserve(directory_ids_);
-    for (const DirectorySlot& slot : directory_) {
-      if (slot.row != kNoRow) directory.push_back(slot);
-    }
-    std::sort(directory.begin(), directory.end(),
-              [](const DirectorySlot& a, const DirectorySlot& b) {
-                return a.client_id < b.client_id;
-              });
-  }
+  std::vector<std::pair<int64_t, size_t>> directory(directory_.begin(),
+                                                    directory_.end());
+  std::sort(directory.begin(), directory.end());
   const size_t start = out->size();
   out->resize(start + kHeaderBytes + listed_clients_ * kClientEntryBytes +
               listed_values_ * kValueEntryBytes);
@@ -356,12 +315,12 @@ void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
   for (size_t k = 0; k < lattice_rows_; ++k) {
     const int64_t client_id =
         static_cast<int64_t>(static_cast<uint64_t>(first_) + k * stride_);
-    for (; next != directory.end() && next->client_id < client_id; ++next) {
-      put(next->client_id, next->row);
+    for (; next != directory.end() && next->first < client_id; ++next) {
+      put(next->first, next->second);
     }
     put(client_id, k);
   }
-  for (; next != directory.end(); ++next) put(next->client_id, next->row);
+  for (; next != directory.end(); ++next) put(next->first, next->second);
   BITPUSH_CHECK(at == out->data() + out->size())
       << "ledger encoding missized";
 }
@@ -415,7 +374,9 @@ bool PrivacyMeter::DecodeFrom(std::span<const uint8_t> buffer,
     at = client.values;
     if (c > 0 && client.client_id <= previous_id) ascending = false;
     previous_id = client.client_id;
-    if (client.bits < 0 || client.bits > kMaxCount ||
+    if ((out->registration_closed_ &&
+         out->Row(client.client_id) == kNoRow) ||
+        client.bits < 0 || client.bits > kMaxCount ||
         !std::isfinite(client.epsilon) || client.epsilon < 0.0 ||
         static_cast<size_t>(end - at) / kValueEntryBytes <
             client.value_count) {
@@ -460,6 +421,15 @@ bool PrivacyMeter::DecodeFrom(std::span<const uint8_t> buffer,
     if (Listed(client.bits, client.epsilon)) ++listed_clients;
   }
   if (ledger_bit_sum != total_bits) return false;
+  std::sort(value_ids.begin(), value_ids.end());
+  value_ids.erase(std::unique(value_ids.begin(), value_ids.end()),
+                  value_ids.end());
+  if (out->registration_closed_ &&
+      std::any_of(value_ids.begin(), value_ids.end(), [out](int64_t id) {
+        return out->ValueIndex(id) == kNoRow;
+      })) {
+    return false;
+  }
   if (!ascending) {
     // Input EncodeTo never writes: the ids repeat if a sorted copy does.
     std::vector<int64_t> ids;
@@ -483,9 +453,6 @@ bool PrivacyMeter::DecodeFrom(std::span<const uint8_t> buffer,
       std::fill(column.begin(), column.end(), 0);
     }
   }
-  std::sort(value_ids.begin(), value_ids.end());
-  value_ids.erase(std::unique(value_ids.begin(), value_ids.end()),
-                  value_ids.end());
   for (const int64_t value_id : value_ids) out->RegisterValue(value_id);
   for (const uint8_t* next = entries_begin; next != at;) {
     const ClientEntry client = ReadClientEntry(next);

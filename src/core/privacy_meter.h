@@ -32,7 +32,11 @@
 // rows are in id order already, so EncodeTo is one pass over them, sized
 // from the listed entries the charges counted; the directory's rows, which
 // only unbound meters and tests have, are ordered at encode. DecodeFrom
-// fills the rows of the meter it decodes into.
+// fills the rows of the meter it decodes into. A recovering coordinator's
+// meter has its registration closed (every id it meters has a row or a
+// count), so neither its decode nor its replay adds a row or a column:
+// input that names another id is corrupt, and the memory they use stays
+// that of the bound meter.
 
 #ifndef BITPUSH_CORE_PRIVACY_METER_H_
 #define BITPUSH_CORE_PRIVACY_METER_H_
@@ -102,6 +106,13 @@ class PrivacyMeter {
   // Gives `value_id` a count if it has none, and returns its index: 0 for
   // the meter's first value id, whose counts the rows hold.
   size_t RegisterValue(int64_t value_id);
+  // Closes the meter's registration: its owner has given a row to every
+  // client and a count to every value the meter will meter
+  // (MeasurementCampaign::BindPopulations). A round then registers no
+  // client (AggregationServer::RunRound), and DecodeFrom rejects a ledger
+  // that names another id.
+  void CloseRegistration() { registration_closed_ = true; }
+  bool registration_closed() const { return registration_closed_; }
   // The row of `client_id`, or kNoRow.
   size_t Row(int64_t client_id) const {
     const uint64_t offset =
@@ -157,7 +168,9 @@ class PrivacyMeter {
   // are loaded a few charges ahead, the flight-recorder events land in
   // charge order as TryChargeBit emits them, and the obs gauges are
   // refreshed once, at the end. Stops at the first charge whose decision
-  // differs from its recorded one, which it leaves unapplied, and returns
+  // differs from its recorded one, or that grants a bit of a client or a
+  // value the meter holds no row or count for (the meter a replay runs on
+  // has its registration closed), which it leaves unapplied, and returns
   // how many it applied (`count` when every decision reproduced).
   template <typename DecisionAt>
   size_t ReplayCharges(size_t count, const DecisionAt& decision_at);
@@ -191,12 +204,16 @@ class PrivacyMeter {
   // sorted order, so equal meters encode to equal bytes). DecodeFrom
   // overwrites the ledger of `*out` entirely and keeps its binding: it
   // checks the whole input first, then fills the rows of the listed ids,
-  // registering any that have none, and zeroes the rest. It returns false
-  // on truncated input or on any internally inconsistent ledger (negative
-  // counts, counts above UINT32_MAX, per-value bits that do not sum to the
-  // client total, non-finite epsilon, duplicate ids, ...) without touching
-  // `*out`. It decodes in place from a span of the buffer the ledger was
-  // read into (a snapshot file image); a vector converts to one.
+  // registering those that have none, and zeroes the rest. It returns
+  // false on truncated input, on an id `*out` lacks when its registration
+  // is closed, or on any internally inconsistent ledger (negative counts,
+  // counts above UINT32_MAX, per-value bits that do not sum to the client
+  // total, non-finite epsilon, duplicate ids, ...) without touching
+  // `*out`. Into a closed meter it allocates only what its checks need, in
+  // proportion to the input; otherwise each new value id costs a column as
+  // long as the rows. It decodes in place from a span of the buffer the
+  // ledger was read into (a snapshot file image); a vector converts to
+  // one.
   void EncodeTo(std::vector<uint8_t>* out) const;
   static bool DecodeFrom(std::span<const uint8_t> buffer, size_t* offset,
                          PrivacyMeter* out);
@@ -211,13 +228,6 @@ class PrivacyMeter {
   };
   static_assert(sizeof(LedgerRow) == 16);
 
-  // A slot of the directory of off-lattice ids: free while `row` is kNoRow,
-  // so that no id is reserved as the empty key.
-  struct DirectorySlot {
-    int64_t client_id = 0;
-    size_t row = kNoRow;
-  };
-
   // The (value, outcome) pair a replay pass announced last, and the value
   // index it charged last, so that it looks each up once per run of equal
   // values rather than per charge.
@@ -229,9 +239,6 @@ class PrivacyMeter {
 
   // The directory row of `client_id`, or kNoRow.
   size_t DirectoryRow(int64_t client_id) const;
-  // The directory slot of `client_id`, or the free one where it would go.
-  // directory_ must not be empty.
-  size_t DirectorySlotOf(int64_t client_id) const;
   // The index of `value_id`, or kNoRow.
   size_t ValueIndex(int64_t value_id) const;
   // The count of value index `value` in `row`.
@@ -271,15 +278,14 @@ class PrivacyMeter {
   int stride_shift_ = 0;
   size_t lattice_rows_ = 0;
   std::vector<LedgerRow> rows_;
-  // Power-of-two sized (or empty) open-addressed map from off-lattice ids
-  // to their rows, at most half full.
-  std::vector<DirectorySlot> directory_;
-  size_t directory_ids_ = 0;
+  // The rows of off-lattice ids.
+  std::unordered_map<int64_t, size_t> directory_;
   // The registered value ids, by index, and their indices in value-id
   // order; column v - 1 holds the counts of value index v >= 1.
   std::vector<int64_t> value_ids_;
   std::vector<size_t> value_order_;
   std::vector<std::vector<uint32_t>> columns_;
+  bool registration_closed_ = false;
   // Entries EncodeTo lists: rows with bits or epsilon, and nonzero
   // (client, value) counts.
   size_t listed_clients_ = 0;

@@ -70,11 +70,9 @@ MeasurementCampaign::MeasurementCampaign(std::vector<CampaignQuery> queries,
 void MeasurementCampaign::BindPopulations(
     const std::vector<const std::vector<Client>*>& populations) {
   BITPUSH_CHECK_EQ(populations.size(), queries_.size());
-  BITPUSH_CHECK(bound_.empty()) << "populations bound twice";
   for (const std::vector<Client>* population : populations) {
     BITPUSH_CHECK(population != nullptr);
   }
-  bound_ = populations;
   if (meter_ == nullptr) return;
   for (const CampaignQuery& query : queries_) {
     meter_->RegisterValue(query.value_id);
@@ -113,6 +111,7 @@ void MeasurementCampaign::BindPopulations(
       meter_->Register(population[i].id());
     }
   }
+  meter_->CloseRegistration();
 }
 
 std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
@@ -167,8 +166,6 @@ std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
       FederatedQueryConfig config = scheduled.query;
       config.value_id = scheduled.value_id;
       config.recorder = recorder_;
-      config.meter_binds_clients =
-          !bound_.empty() && bound_[q] == populations[q];
       if (resilience_.Enabled()) {
         config.resilience = resilience_;
         config.resilience.budget = query_budget;

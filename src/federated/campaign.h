@@ -109,9 +109,10 @@ class MeasurementCampaign {
   // before anything reads it: every query's value id gets a count, the
   // first population's ids take the meter's lattice rows as far as they
   // lie on one lattice, in slot order, and every other id gets a row of
-  // its own (PrivacyMeter::BindLattice, Register). A tick over these
-  // populations then registers no client. Call at most once, before the
-  // first tick; the populations must outlive the campaign.
+  // its own (PrivacyMeter::BindLattice, Register). It then closes the
+  // meter's registration (PrivacyMeter::CloseRegistration), so that a
+  // round registers no client: every round of the campaign must run over
+  // these populations. Call before the first tick.
   void BindPopulations(
       const std::vector<const std::vector<Client>*>& populations);
 
@@ -151,9 +152,6 @@ class MeasurementCampaign {
  private:
   std::vector<CampaignQuery> queries_;
   PrivacyMeter* meter_;
-  // The populations the meter is bound to, per query; empty until
-  // BindPopulations.
-  std::vector<const std::vector<Client>*> bound_;
   ResilienceConfig resilience_;
   std::optional<HealthTracker> health_;
   RetryStats retry_stats_;

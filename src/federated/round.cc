@@ -139,7 +139,6 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
       round1_share);
   round1_config.health = config.health;
   round1_config.workers = config.round_workers;
-  round1_config.meter_binds_clients = config.meter_binds_clients;
   run_or_restore_round(1, round1_config, cohort1, round1_rng, &result.round1);
 
   // Learn the round-2 allocation — unless round 1 lost more than the

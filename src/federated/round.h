@@ -59,9 +59,6 @@ struct FederatedQueryConfig {
   // (RoundConfig::workers). ShardedCampaignRunner sets it to the CPUs its
   // shard tasks leave idle; the results do not depend on it.
   int64_t round_workers = 1;
-  // Whether the meter holds a row for every client of the population
-  // (RoundConfig::meter_binds_clients).
-  bool meter_binds_clients = false;
 };
 
 struct FederatedQueryResult {

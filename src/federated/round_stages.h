@@ -20,11 +20,11 @@
 // are the same at every budget.
 //
 // Before its first stage, a round registers its value id and every client
-// it may contact with the meter (PrivacyMeter::Register): a meter bound to
-// the round's population (MeasurementCampaign::BindPopulations) holds a
-// row for each already. From then on no charge adds or moves a row, so
-// every grant, the first charges of a client included, is applied in place
-// on the threads.
+// it may contact with the meter (PrivacyMeter::Register), unless the
+// meter's registration is closed: a meter bound to the round's population
+// (MeasurementCampaign::BindPopulations) holds a row for each already.
+// From then on no charge adds or moves a row, so every grant, the first
+// charges of a client included, is applied in place on the threads.
 //
 // A charge must be decided against the ledger as it will read once every
 // earlier grant is applied, so a staged lookup is good only while its row

@@ -93,8 +93,9 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   const RandomizedResponse rr = RandomizedResponse::FromEpsilon(config.epsilon);
   const double charge_epsilon = config.epsilon > 0 ? config.epsilon : 0.0;
   // Every client the round may contact gets its ledger row before the
-  // first stage, so that no charge adds one (federated/round_stages.h).
-  if (meter != nullptr && !config.meter_binds_clients) {
+  // first stage, so that no charge adds one (federated/round_stages.h). A
+  // meter whose registration is closed holds a row for each already.
+  if (meter != nullptr && !meter->registration_closed()) {
     for (const int64_t idx : cohort) {
       meter->Register(clients[static_cast<size_t>(idx)].id());
     }

@@ -65,11 +65,6 @@ struct RoundConfig {
   // caller's respond step; 1 runs them inline. Outcomes, draws and the
   // ledger are the same at every budget.
   int64_t workers = 1;
-  // Whether the meter holds a row for every client of `clients` (a meter
-  // bound to the population, MeasurementCampaign::BindPopulations). If
-  // not, the round registers its cohort and backfill pool with the meter
-  // before its first stage.
-  bool meter_binds_clients = false;
   // The span the round's step spans (round.stage, round.respond,
   // round.wait, round.apply) name as their parent: the caller's collect
   // span.

@@ -244,7 +244,8 @@ bool DurableCampaignRunner::LoadSnapshot(std::vector<uint8_t>* image,
 bool DurableCampaignRunner::DecodeLedger(std::span<const uint8_t> blob,
                                          std::string* error) {
   // A failed Open leaves the runner unusable, so the ledger fills the
-  // bound meter in place.
+  // bound meter in place. Its registration is closed, so a ledger listing
+  // a client outside the populations or a value no query measures fails.
   size_t offset = 0;
   if (!PrivacyMeter::DecodeFrom(blob, &offset, &meter_) ||
       offset != blob.size()) {

@@ -115,10 +115,12 @@ struct RecoveryInfo {
 //   for (int64_t t = 0; t < kTicks; ++t) runner.RunTick(t, codecs);
 //
 // Open binds the meter to the populations before the snapshot's ledger is
-// decoded into it (MeasurementCampaign::BindPopulations). RunTick must be
-// called for every tick from 0 in order, with the same codecs as the
-// original run, which also had the same populations; recovered ticks
-// replay from state instead of contacting clients, and write nothing.
+// decoded into it (MeasurementCampaign::BindPopulations); a ledger entry
+// or a journaled grant naming a client outside the populations, or a value
+// no query measures, fails it. RunTick must be called for every tick from
+// 0 in order, with the same codecs as the original run, which also had the
+// same populations; recovered ticks replay from state instead of
+// contacting clients, and write nothing.
 //
 // Journal records are group-committed (persist/journal.h) at the three
 // points where something derived from them leaves the coordinator: each
@@ -140,12 +142,13 @@ class DurableCampaignRunner : private CampaignRecorder,
 
   // Binds the meter to `populations` (indexed parallel to the query list;
   // they must outlive the runner), loads the snapshot, restores the
-  // journal, and prepares the journal for appending. Returns false with `*error` set on I/O failure or on any
-  // validation failure (corrupt snapshot/journal, seed or policy
-  // mismatch) — fail closed: a runner whose Open failed must not be used.
-  // In memory it only installs the campaign recorder and cannot fail.
-  // The `recovery.open` span, and its stage spans under it, are parented
-  // under `parent` when it is valid.
+  // journal, and prepares the journal for appending. Returns false with
+  // `*error` set on I/O failure or on any validation failure (corrupt
+  // snapshot/journal, seed or policy mismatch) — fail closed: a runner
+  // whose Open failed must not be used. In memory it only binds the meter
+  // and installs the campaign recorder, and cannot fail. The
+  // `recovery.open` span, and its stage spans under it, are parented under
+  // `parent` when it is valid.
   bool Open(const std::vector<const std::vector<Client>*>& populations,
             std::string* error, const obs::TraceContext& parent = {});
 

@@ -523,6 +523,52 @@ TEST_F(RecoveryTest, RecoveryRefusesAForeignMeterPolicy) {
   EXPECT_NE(error.find("policy"), std::string::npos) << error;
 }
 
+TEST_F(RecoveryTest, RecoveryRefusesALedgerNamingIdsOutsideTheCampaign) {
+  // Open binds the meter to the populations and the queries' values before
+  // it decodes the snapshot's ledger, so a ledger entry naming a client
+  // outside the populations, or a value no query measures, fails
+  // validation. A ledger of the campaign's own ids opens.
+  const std::string dir = FreshDir("foreign_ids");
+  DurableCampaignOptions options = Options(dir);
+  options.snapshot_every_ticks = 1;
+  {
+    DurableCampaignRunner runner(MakeQueries(), policy_, options);
+    std::string error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << error;
+    RunToCompletion(&runner);
+  }
+  CoordinatorSnapshot snapshot;
+  bool found = false;
+  std::string error;
+  ASSERT_TRUE(LoadSnapshotFile(SnapshotPath(dir), &snapshot, &found, &error))
+      << error;
+  ASSERT_TRUE(found);
+  struct Entry {
+    int64_t client_id = 0;
+    int64_t value_id = 0;
+    bool opens = false;
+  };
+  const int64_t member = population_.front().id();
+  const int64_t outsider = population_.back().id() + 1;
+  for (const Entry& entry : {Entry{member, 1, true}, Entry{outsider, 1, false},
+                             Entry{member, 2, false}}) {
+    PrivacyMeter ledger(policy_);
+    ASSERT_TRUE(ledger.TryChargeBit(entry.client_id, entry.value_id, 0.0));
+    snapshot.meter_blob.clear();
+    ledger.EncodeTo(&snapshot.meter_blob);
+    ASSERT_TRUE(WriteSnapshotFile(SnapshotPath(dir), snapshot, &error))
+        << error;
+    DurableCampaignRunner reopened(MakeQueries(), policy_, options);
+    error.clear();
+    EXPECT_EQ(reopened.Open(populations_, &error), entry.opens)
+        << entry.client_id << " " << entry.value_id << ": " << error;
+    if (!entry.opens) {
+      EXPECT_NE(error.find("ledger failed validation"), std::string::npos)
+          << error;
+    }
+  }
+}
+
 TEST_F(RecoveryTest, InMemoryRunnerMatchesDurableRunner) {
   // An empty state_dir runs the same runner without a journal: the tick
   // results, the ledger and the per-tick meter trajectory equal a durable

@@ -529,6 +529,88 @@ TEST(PrivacyMeterTest, OffLatticeSnapshotDecodesIntoABoundMeter) {
   EXPECT_EQ(bound_after, source_after);
 }
 
+TEST(PrivacyMeterTest, ClosedMeterDecodeRejectsIdsItLacks) {
+  // A meter bound to its clients and its one value, its registration
+  // closed: a new value id would cost it a column as long as its rows, so
+  // its decode rejects a ledger naming any other id in its checks, before
+  // it writes or allocates anything for it.
+  constexpr int64_t kClients = int64_t{1} << 14;
+  PrivacyMeter meter{MeterPolicy{}};
+  meter.RegisterValue(7);
+  meter.BindLattice(0, 1, kClients);
+  meter.CloseRegistration();
+  ASSERT_TRUE(meter.TryChargeBit(5, 7, 0.0));
+  std::vector<uint8_t> before;
+  meter.EncodeTo(&before);
+  const auto decodes = [&meter](const std::vector<uint8_t>& blob) {
+    size_t offset = 0;
+    const bool decoded = PrivacyMeter::DecodeFrom(blob, &offset, &meter);
+    EXPECT_EQ(offset, decoded ? blob.size() : 0u);
+    return decoded;
+  };
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  const struct mallinfo2 heap_before = mallinfo2();
+#endif
+  // One client listing 1,000 value ids: a 16 KB blob that would add 64 MB
+  // of columns.
+  EncodedClient many{3, 1000, {}};
+  for (int64_t value_id = 0; value_id < 1000; ++value_id) {
+    many.values.emplace_back(value_id, 1);
+  }
+  EXPECT_FALSE(decodes(MeterBlob(1000, {many})));
+  // One value the meter lacks, and one client it has no row for.
+  EXPECT_FALSE(decodes(MeterBlob(2, {{3, 1, {{7, 1}}}, {4, 1, {{8, 1}}}})));
+  EXPECT_FALSE(
+      decodes(MeterBlob(2, {{3, 1, {{7, 1}}}, {kClients, 1, {{7, 1}}}})));
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  const struct mallinfo2 heap_after = mallinfo2();
+  EXPECT_LT(heap_after.uordblks + heap_after.hblkhd,
+            heap_before.uordblks + heap_before.hblkhd + 65536);
+#endif
+  EXPECT_EQ(meter.rows(), static_cast<size_t>(kClients));
+  std::vector<uint8_t> after;
+  meter.EncodeTo(&after);
+  EXPECT_EQ(after, before);
+  // A ledger of the meter's own ids fills its rows.
+  const std::vector<uint8_t> own =
+      MeterBlob(2, {{3, 1, {{7, 1}}}, {kClients - 1, 1, {{7, 1}}}});
+  EXPECT_TRUE(decodes(own));
+  EXPECT_EQ(meter.ClientBits(5), 0);
+  std::vector<uint8_t> again;
+  meter.EncodeTo(&again);
+  EXPECT_EQ(again, own);
+}
+
+TEST(PrivacyMeterTest, ReplayStopsAtAGrantOfAnIdTheMeterLacks) {
+  // The meter a replay runs on has its registration closed, so a
+  // journaled grant of a client without a row or of a value without a
+  // count is corrupt: the replay stops there, as at a diverged decision,
+  // with that charge unapplied. A denial of such an id replays.
+  struct Decision {
+    int64_t client_id = 0;
+    int64_t value_id = 0;
+    double epsilon = 0.0;
+    bool granted = false;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Decision& last :
+       {Decision{9, 7, 0.0, true}, Decision{1, 8, 0.0, true},
+        Decision{9, 8, nan, false}}) {
+    const std::vector<Decision> decisions = {
+        {0, 7, 0.0, true}, {1, 7, 0.5, true}, {1, 7, 0.0, false}, last};
+    PrivacyMeter meter{MeterPolicy{}};
+    meter.RegisterValue(7);
+    meter.BindLattice(0, 1, 4);
+    meter.CloseRegistration();
+    const size_t applied = meter.ReplayCharges(
+        decisions.size(), [&decisions](size_t i) { return decisions[i]; });
+    EXPECT_EQ(applied, last.granted ? 3u : 4u);
+    EXPECT_EQ(meter.total_bits(), 2);
+    EXPECT_EQ(meter.denied_charges(), last.granted ? 1 : 2);
+    EXPECT_EQ(meter.rows(), 4u);
+  }
+}
+
 // The row's size is pinned where it is declared (a static_assert in
 // privacy_meter.h); this pins what a bound meter allocates around it.
 TEST(PrivacyMeterTest, BoundMeterAllocatesSixteenBytesPerClient) {

@@ -118,7 +118,6 @@ Result RunRounds(const Inputs& inputs, int64_t workers, bool bound = false) {
   }
   RoundConfig config = inputs.config;
   config.workers = workers;
-  config.meter_binds_clients = bound;
   if (inputs.faults.enabled()) config.fault_plan = &inputs.faults;
   if (inputs.health.policy().enabled()) config.health = &inputs.health;
   Result result;
