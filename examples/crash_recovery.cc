@@ -88,8 +88,8 @@ int main() {
               expected.history.size(), expected.meter.size());
 
   // "Crash" a second coordinator partway through: run it fully, then cut
-  // its journal back to the first 150 records — the kind of record prefix
-  // a SIGKILL leaves on disk (everything up to the last group commit).
+  // its journal back to its first half — the kind of record prefix a
+  // SIGKILL leaves on disk (everything up to the last group commit).
   // (bitpush_sim --task=campaign --crash_after_records does this with a
   // real exit(137); here the truncation keeps the demo in one process.)
   {
@@ -107,7 +107,7 @@ int main() {
     std::fprintf(stderr, "read journal: %s\n", error.c_str());
     return 1;
   }
-  const size_t keep = 150;
+  const size_t keep = journal.records.size() / 2;
   if (!bitpush::TruncateJournalToRecords(journal_path, keep, &error)) {
     std::fprintf(stderr, "truncate journal: %s\n", error.c_str());
     return 1;

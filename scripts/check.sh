@@ -121,12 +121,16 @@ ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
 # SIGKILL status) after N journal appends, restart it against the same
 # state directory, and require the recovered stdout to be byte-identical to
 # an uninterrupted run. The crash harness loses every record appended since
-# the last group commit (docs/PERSISTENCE.md), so the crash points cover a
-# kill before the first commit (1, 120: nothing reached disk), kills inside
-# tick 0 and tick 1 after a round committed (500, 1200), and a kill two
-# ticks in, in tick 2's second query after its round 1 committed (1800;
-# the campaign writes 2,422 records). The deterministic metrics and events
-# snapshots and the alert timeline must survive every one of them.
+# the last group commit (docs/PERSISTENCE.md). The campaign writes 22
+# records, one per closed round, finished query and closed tick, and each
+# round close is committed as it is appended, so a kill at a round close
+# loses that round: the crash points cover a kill before the first commit
+# (1: nothing reached disk), kills inside tick 0 after a round committed
+# (2, in the first query's round 2; 4, in the second query's round 1),
+# inside tick 1 after its round 1 committed (9), and two ticks in, in tick
+# 2's second query after its round 1 committed (16). The deterministic
+# metrics and events snapshots and the alert timeline must survive every
+# one of them.
 STATE_ROOT="$(mktemp -d)"
 trap 'rm -rf "$STATE_ROOT"' EXIT
 SIM="$BUILD_DIR/tools/bitpush_sim"
@@ -139,7 +143,7 @@ SIM_ARGS=(--task=campaign --n=400 --ticks=4 --seed=99)
   --alerts_out="$STATE_ROOT/clean.alerts.txt" \
   > "$STATE_ROOT/clean.out"
 
-for CRASH_AT in 1 120 500 1200 1800; do
+for CRASH_AT in 1 2 4 9 16; do
   CRASHED="$STATE_ROOT/crashed-$CRASH_AT"
   set +e
   "$SIM" "${SIM_ARGS[@]}" --state_dir="$CRASHED" \
@@ -156,12 +160,12 @@ for CRASH_AT in 1 120 500 1200 1800; do
     --events_out="$CRASHED.events.snapshot" \
     --alerts_out="$CRASHED.alerts.txt" \
     > "$CRASHED.out" 2> "$CRASHED.err"
-  # The first commit lands after record 134: an earlier crash leaves an
-  # empty journal and the restart runs fresh; a later one leaves
-  # committed rounds to restore.
+  # The first commit lands after record 1: a crash at it leaves an empty
+  # journal and the restart runs fresh; a later one leaves committed
+  # rounds to restore.
   RECOVERED=0
   if grep -q 'recovered state:' "$CRASHED.err"; then RECOVERED=1; fi
-  if [[ "$RECOVERED" -ne $(( CRASH_AT >= 500 )) ]]; then
+  if [[ "$RECOVERED" -ne $(( CRASH_AT >= 2 )) ]]; then
     echo "crash-recovery: crash at record $CRASH_AT: recovered=$RECOVERED is not what the commit points imply" >&2
     exit 1
   fi
@@ -175,8 +179,10 @@ done
 # Restart stage: a recovering run that is killed again, and a sharded
 # campaign restarted after its shards took snapshots. A single coordinator
 # closes 3 ticks with a snapshot every second tick, is reopened for 6 and
-# killed after 150, 300 or 450 appended records (in tick 3, before and
-# after tick 3's snapshot), then reopened once more. Four shards close 3
+# killed after 2, 4 or 6 appended records (at tick 3's second round close
+# and at its tick close, both before tick 3's snapshot, and at tick 4's
+# second round close, after it; the reopened run appends 15), then
+# reopened once more. Four shards close 3
 # ticks with a snapshot every tick or every second tick, then the
 # campaign is reopened for 6. Each final reopen must exit 0 and print what
 # an uninterrupted 6-tick run prints, apart from the two shard counters
@@ -186,7 +192,7 @@ RESTART_ARGS=(--task=campaign --n=400 --seed=99)
 RESTART_COUNTERS='^shard_(recoveries|replayed_records) '
 "$SIM" "${RESTART_ARGS[@]}" --ticks=6 --snapshot_every=2 \
   --state_dir="$STATE_ROOT/restart-clean" > "$STATE_ROOT/restart-clean.out"
-for CRASH_AT in 150 300 450; do
+for CRASH_AT in 2 4 6; do
   RESTARTED="$STATE_ROOT/second-crash-$CRASH_AT"
   "$SIM" "${RESTART_ARGS[@]}" --ticks=3 --snapshot_every=2 \
     --state_dir="$RESTARTED" > /dev/null
@@ -245,11 +251,12 @@ done
 # see the journal, the events, and the fired alert.
 DOCTOR="$BUILD_DIR/tools/bitpush_doctor"
 "$DOCTOR" --validate_events="$STATE_ROOT/events.jsonl"
-"$DOCTOR" --state_dir="$STATE_ROOT/crashed-1200" \
+"$DOCTOR" --state_dir="$STATE_ROOT/crashed-9" \
   --events="$STATE_ROOT/events.jsonl" \
   --metrics="$STATE_ROOT/metrics.prom" \
   --out="$STATE_ROOT/doctor.txt"
 grep -q '^== journal ' "$STATE_ROOT/doctor.txt"
+grep -q '^  tick 0 query 0 round 1: contacts=' "$STATE_ROOT/doctor.txt"
 grep -q 'FIRED.*rule=privacy_burn_rate' "$STATE_ROOT/doctor.txt"
 # The doctor also reads a snapshot-truncated journal: shard0 of a sharded
 # run that snapshots every second tick. After 3 ticks its journal starts

@@ -172,10 +172,10 @@ bool PrivacyMeter::Allows(const ChargeLookup& lookup, double epsilon) const {
   // An invalid epsilon is denied rather than CHECKed: the value can
   // originate from an untrusted request, and accepting a non-finite
   // epsilon (infinity passes a >= 0 check) would permanently corrupt the
-  // per-client composition total. The denial still flows through the
-  // journal hook like a cap denial, so a recovered ledger counts it
-  // exactly once and stays byte-identical to an uninterrupted run. A
-  // count the row cannot hold past UINT32_MAX is denied like a cap.
+  // per-client composition total. The denial is recorded in the round's
+  // outcome like a cap denial, so a recovered ledger counts it exactly
+  // once and stays byte-identical to an uninterrupted run. A count the
+  // row cannot hold past UINT32_MAX is denied like a cap.
   if (!std::isfinite(epsilon) || epsilon < 0.0) return false;
   return lookup.value_bits < std::min(policy_.max_bits_per_value, kMaxCount) &&
          lookup.client_bits <
@@ -195,14 +195,9 @@ void PrivacyMeter::AddToTotals(bool granted, double epsilon,
   if (lookup.value_bits == 0) ++listed_values_;
 }
 
-bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
-                                double epsilon, const ChargeLookup& lookup) {
+bool PrivacyMeter::TryChargeBit(int64_t value_id, double epsilon,
+                                const ChargeLookup& lookup) {
   const bool granted = Allows(lookup, epsilon);
-  if (journal_ != nullptr) {
-    // Write-ahead: persist the decision before applying it, so a crash
-    // between the two is recovered by re-applying the record (exactly once).
-    journal_->OnCharge(client_id, value_id, epsilon, granted);
-  }
   AddToTotals(granted, epsilon, lookup);
   if (obs::Enabled()) NoteChargeOutcome(value_id, granted);
   return granted;
@@ -222,7 +217,7 @@ void PrivacyMeter::ApplyCharge(size_t row, size_t value, double epsilon) {
 bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
                                 double epsilon) {
   const ChargeLookup lookup = LookupId(client_id, value_id);
-  const bool granted = TryChargeBit(client_id, value_id, epsilon, lookup);
+  const bool granted = TryChargeBit(value_id, epsilon, lookup);
   // A client gets its row, and a value its count, with the first grant.
   if (granted) {
     ApplyCharge(Register(client_id), RegisterValue(value_id), epsilon);

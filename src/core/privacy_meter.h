@@ -22,21 +22,24 @@
 //
 // Durability: the ledger is exactly the state a coordinator must not lose
 // across a crash — a recovering server that forgot a charge could let a
-// second bit of the same value leave a client. The meter therefore supports
-// (a) a Journal hook through which every charge decision is write-ahead
-// logged (recovery re-applies the journaled charges through ReplayCharges,
-// which decides each one as TryChargeBit does and journals nothing,
-// exactly once), and (b) canonical EncodeTo/DecodeFrom serialization for
-// snapshots (src/persist/). The encoding does not depend on the row
-// layout: clients and values in id order, zero entries omitted. Lattice
+// second bit of the same value leave a client. The meter itself knows no
+// journal. (a) A collection round records each of its charge decisions in
+// its outcome (RoundOutcome's contact list and charge bitmaps), which the
+// durable coordinator journals and commits when the round closes, before
+// anything derived from the charges leaves it; recovery re-applies them
+// through ReplayCharges, which decides each one as TryChargeBit does,
+// exactly once (persist/recovery.h). (b) Canonical EncodeTo/DecodeFrom
+// serialization serves snapshots (src/persist/). The encoding does not
+// depend on the row layout: clients and values in id order, zero entries
+// omitted. Lattice
 // rows are in id order already, so EncodeTo is one pass over them, sized
-// from the listed entries the charges counted; the directory's rows, which
-// only unbound meters and tests have, are ordered at encode. DecodeFrom
-// fills the rows of the meter it decodes into. A recovering coordinator's
-// meter has its registration closed (every id it meters has a row or a
-// count), so neither its decode nor its replay adds a row or a column:
-// input that names another id is corrupt, and the memory they use stays
-// that of the bound meter.
+// from the listed entries the charges counted; the directory's rows,
+// which only unbound meters and tests have, are ordered at encode.
+// DecodeFrom fills the rows of the meter it decodes into. A recovering
+// coordinator's meter has its registration closed (every id it meters has
+// a row or a count), so neither its decode nor its replay adds a row or a
+// column: input that names another id is corrupt, and the memory they use
+// stays that of the bound meter.
 
 #ifndef BITPUSH_CORE_PRIVACY_METER_H_
 #define BITPUSH_CORE_PRIVACY_METER_H_
@@ -65,20 +68,6 @@ struct MeterPolicy {
 
 class PrivacyMeter {
  public:
-  // Write-ahead journal hook. A durable coordinator installs one so every
-  // charge decision is persisted before it takes effect.
-  class Journal {
-   public:
-    virtual ~Journal() = default;
-
-    // Called with the decision of every charge attempt, before the ledger
-    // mutation is applied — the write-ahead discipline: a crash after this
-    // call but before the in-memory update is recovered by re-applying the
-    // record.
-    virtual void OnCharge(int64_t client_id, int64_t value_id, double epsilon,
-                          bool granted) = 0;
-  };
-
   // The row of an id that has none.
   static constexpr size_t kNoRow = SIZE_MAX;
 
@@ -92,9 +81,6 @@ class PrivacyMeter {
   };
 
   explicit PrivacyMeter(MeterPolicy policy);
-
-  // Installs (or clears, with nullptr) the write-ahead journal hook.
-  void set_journal(Journal* journal) { journal_ = journal; }
 
   // Binds the lattice first + k * stride, k < count, to rows 0..count-1.
   // The ids must not overflow (first + (count - 1) * stride <= INT64_MAX)
@@ -147,10 +133,10 @@ class PrivacyMeter {
   ChargeLookup Lookup(size_t row, size_t value) const;
   // Step 2, the ordered one: decides the charge against `lookup`, which
   // must read as the ledger will once every earlier charge is applied,
-  // journals the decision, adds it to the totals and the denied count, and
-  // announces the value's first grant or denial. No row changes: a grant
-  // is owed to ApplyCharge. The obs gauges are left to PublishObsGauges.
-  bool TryChargeBit(int64_t client_id, int64_t value_id, double epsilon,
+  // adds it to the totals and the denied count, and announces the value's
+  // first grant or denial. No row changes: a grant is owed to ApplyCharge.
+  // The obs gauges are left to PublishObsGauges.
+  bool TryChargeBit(int64_t value_id, double epsilon,
                     const ChargeLookup& lookup);
   // Step 3: adds a grant of value `value` at `epsilon` to `row`. Adds no
   // row, so calls for distinct rows may run concurrently.
@@ -161,13 +147,13 @@ class PrivacyMeter {
   // once its charges are made (a round, at its close).
   void PublishObsGauges() const;
 
-  // Re-applies `count` journaled charge decisions in journal order, as
-  // recovery does: each is decided exactly as TryChargeBit decides it, but
-  // nothing is journaled. `decision_at(i)` returns the i-th as an object
-  // with client_id, value_id, epsilon and granted members. The ledger rows
-  // are loaded a few charges ahead, the flight-recorder events land in
-  // charge order as TryChargeBit emits them, and the obs gauges are
-  // refreshed once, at the end. Stops at the first charge whose decision
+  // Re-applies `count` journaled charge decisions in charge order, as
+  // recovery does: each is decided exactly as TryChargeBit decides it.
+  // `decision_at(i)` returns the i-th as an object with client_id,
+  // value_id, epsilon and granted members. The ledger rows are loaded a
+  // few charges ahead, the flight-recorder events land in charge order as
+  // TryChargeBit emits them, and the obs gauges are refreshed once, at the
+  // end. Stops at the first charge whose decision
   // differs from its recorded one, or that grants a bit of a client or a
   // value the meter holds no row or count for (the meter a replay runs on
   // has its registration closed), which it leaves unapplied, and returns
@@ -293,7 +279,6 @@ class PrivacyMeter {
   int64_t total_bits_ = 0;
   double total_epsilon_ = 0.0;
   int64_t denied_charges_ = 0;
-  Journal* journal_ = nullptr;
   // Per-value announcement latches: bit 0 = grant announced, bit 1 =
   // denial announced. Not serialized — DecodeFrom conservatively marks
   // restored values fully announced (snapshot-restored history is outside

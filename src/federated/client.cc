@@ -28,17 +28,21 @@ double SelectValue(const ClientFields& client, Rng& rng) {
   return 0.0;
 }
 
-bool AnswerRequest(const ClientFields& client, const BitRequest& request,
-                   const FixedPointCodec& codec, bool local_randomness,
-                   const RandomizedResponse& rr, PrivacyMeter* meter,
-                   const PrivacyMeter::ChargeLookup& lookup, Rng& rng,
-                   BitReport* report) {
-  if (rng.NextBernoulli(client.dropout_probability)) return false;
+AnswerStatus AnswerRequest(const ClientFields& client,
+                           const BitRequest& request,
+                           const FixedPointCodec& codec,
+                           bool local_randomness,
+                           const RandomizedResponse& rr, PrivacyMeter* meter,
+                           const PrivacyMeter::ChargeLookup& lookup, Rng& rng,
+                           BitReport* report) {
+  if (rng.NextBernoulli(client.dropout_probability)) {
+    return AnswerStatus::kDroppedOut;
+  }
   if (meter != nullptr &&
-      !meter->TryChargeBit(client.id, request.value_id,
+      !meter->TryChargeBit(request.value_id,
                            request.rr_epsilon > 0 ? request.rr_epsilon : 0.0,
                            lookup)) {
-    return false;
+    return AnswerStatus::kDenied;
   }
 
   const uint64_t codeword = codec.Encode(SelectValue(client, rng));
@@ -55,7 +59,7 @@ bool AnswerRequest(const ClientFields& client, const BitRequest& request,
                       ? rr.Apply(raw_bit, rng)
                       : raw_bit;
   *report = BitReport{client.id, reported_index, bit};
-  return true;
+  return AnswerStatus::kAnswered;
 }
 
 Client::Client(int64_t id, std::vector<double> values, ClientConfig config)
@@ -152,10 +156,10 @@ std::optional<BitReport> Client::HandleRequest(const BitRequest& request,
   const int64_t decided_before =
       meter != nullptr ? meter->total_bits() + meter->denied_charges() : 0;
   BitReport report;
-  const bool answered = AnswerRequest(
-      fields(), request, codec, local_randomness,
-      RandomizedResponse::FromEpsilon(request.rr_epsilon), meter, lookup,
-      rng, &report);
+  const bool answered =
+      AnswerRequest(fields(), request, codec, local_randomness,
+                    RandomizedResponse::FromEpsilon(request.rr_epsilon),
+                    meter, lookup, rng, &report) == AnswerStatus::kAnswered;
   if (meter != nullptr) {
     if (answered) {
       meter->ApplyCharge(lookup.row, value,

@@ -62,20 +62,26 @@ struct ClientFields {
 // kSampleOne draws one NextBelow(value_count), also for a single value.
 double SelectValue(const ClientFields& client, Rng& rng);
 
+// How a client met a bit request: it dropped out before the meter was
+// asked, the meter denied its charge, or it answered.
+enum class AnswerStatus : uint8_t { kDroppedOut, kDenied, kAnswered };
+
 // Answers one bit request, drawing in the order every caller keeps: the
 // dropout draw; the privacy-meter charge, decided against `lookup` (the
 // client's ledger entry for request.value_id as the meter will hold it
 // once every earlier charge is applied); the value draw; the adversary's
-// policy; randomized response `rr` (the request's). Returns false, having
-// drawn nothing after the dropout draw, when the client drops out or the
-// meter denies the charge. A granted charge leaves its ledger row update
-// to the caller (PrivacyMeter::ApplyCharge). `meter` may be null (no
-// metering); `lookup` is then ignored.
-bool AnswerRequest(const ClientFields& client, const BitRequest& request,
-                   const FixedPointCodec& codec, bool local_randomness,
-                   const RandomizedResponse& rr, PrivacyMeter* meter,
-                   const PrivacyMeter::ChargeLookup& lookup, Rng& rng,
-                   BitReport* report);
+// policy; randomized response `rr` (the request's). Draws nothing after
+// the dropout draw unless it answers, with `*report` set. A granted charge
+// leaves its ledger row update to the caller (PrivacyMeter::ApplyCharge).
+// `meter` may be null (no metering, so never kDenied); `lookup` is then
+// ignored.
+AnswerStatus AnswerRequest(const ClientFields& client,
+                           const BitRequest& request,
+                           const FixedPointCodec& codec,
+                           bool local_randomness,
+                           const RandomizedResponse& rr, PrivacyMeter* meter,
+                           const PrivacyMeter::ChargeLookup& lookup, Rng& rng,
+                           BitReport* report);
 
 class alignas(32) Client {
  public:

@@ -1,20 +1,12 @@
 #include "federated/faults.h"
 
 #include "federated/wire.h"
+#include "rng/rng.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
 namespace bitpush {
 namespace {
-
-// SplitMix64 finalizer: the same mixer the Rng uses for seeding, reused
-// here as a stateless hash so fault decisions need no stream position.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void CheckRate(double rate) {
   BITPUSH_CHECK_GE(rate, 0.0);

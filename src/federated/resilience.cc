@@ -4,20 +4,12 @@
 #include <cmath>
 
 #include "obs/events.h"
+#include "rng/rng.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
 namespace bitpush {
 namespace {
-
-// SplitMix64 finalizer, the same stateless mixer the fault plan uses: the
-// backoff schedule must not consume the protocol RNG stream.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Domain-separation constant so backoff hashes can never collide with the
 // fault plan's salts even under an identical seed ("RTRY").

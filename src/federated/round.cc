@@ -170,22 +170,21 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   result.round2_probabilities = round2_probabilities;
 
   // Round 2 over the remaining cohort. Clients that crashed after their
-  // round-1 assignment re-check-in here; the server's dedup (marking
-  // every index round 1 assigned, backfill included) rejects them, so no
-  // client is ever assigned twice in one query.
+  // round-1 assignment re-check-in here, after the cohort's tail; the
+  // server's dedup rejects them, so no client is ever assigned twice in
+  // one query. The tail shares no client with round 1's contacts (the
+  // cohort is a permutation, and pool1 is cut from the leftover apart
+  // from pool2), so the re-check-ins are exactly the trailing entries.
   std::vector<int64_t> cohort2_full = cohort2;
   cohort2_full.insert(cohort2_full.end(),
                       result.round1.crashed_clients.begin(),
                       result.round1.crashed_clients.end());
-  std::vector<uint8_t> assigned_round1(clients.size(), 0);
-  for (const int64_t idx : result.round1.assigned_clients) {
-    assigned_round1[static_cast<size_t>(idx)] = 1;
-  }
   RoundConfig round2_config = round1_config;
   round2_config.probabilities = round2_probabilities;
   round2_config.round_id = 2;
   round2_config.backfill_pool = std::move(pool2);
-  round2_config.already_assigned = &assigned_round1;
+  round2_config.recheckins =
+      static_cast<int64_t>(result.round1.crashed_clients.size());
   round2_config.resilience.budget =
       config.resilience.budget.Fraction(1.0 - round1_share);
   run_or_restore_round(2, round2_config, cohort2_full, round2_rng,

@@ -4,7 +4,7 @@
 //   stage    copies each slot's client fields and its ledger lookup into
 //            a chunk buffer: random reads that draw no randomness;
 //   respond  the slot state machine, on the calling thread, in slot order:
-//            every draw, fault roll, retry, hedge, journal append and
+//            every draw, fault roll, retry, hedge, charge decision and
 //            meter announcement (server.cc);
 //   apply    adds the chunk's granted charges to the ledger rows.
 //

@@ -57,24 +57,14 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   double clock = 0.0;
   int64_t round_retries = 0;
 
-  // Check-in: clients already assigned in an earlier round of this query
-  // (crash-then-recheckin) are rejected before any assignment is issued.
-  if (config.already_assigned != nullptr) {
-    BITPUSH_CHECK_EQ(config.already_assigned->size(), clients.size());
-  }
-  std::vector<int64_t> checked_in;
-  if (config.already_assigned != nullptr) {
-    checked_in.reserve(cohort.size());
-    for (const int64_t idx : cohort) {
-      if ((*config.already_assigned)[static_cast<size_t>(idx)] != 0) {
-        ++outcome.faults.recheckins_rejected;
-        continue;
-      }
-      checked_in.push_back(idx);
-    }
-  }
-  const std::vector<int64_t>& active =
-      config.already_assigned != nullptr ? checked_in : cohort;
+  // Check-in: the cohort's trailing re-check-ins, clients already
+  // assigned in an earlier round of this query (crash-then-recheckin), are
+  // rejected before any assignment is issued.
+  BITPUSH_CHECK(config.recheckins >= 0 &&
+                config.recheckins <= static_cast<int64_t>(cohort.size()));
+  outcome.faults.recheckins_rejected += config.recheckins;
+  const std::span<const int64_t> active(
+      cohort.data(), cohort.size() - static_cast<size_t>(config.recheckins));
 
   // Accepted reports go straight into the round's bit planes, slot r
   // holding the r-th accepted report. A report needs a contact of its
@@ -92,11 +82,12 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
 
   const RandomizedResponse rr = RandomizedResponse::FromEpsilon(config.epsilon);
   const double charge_epsilon = config.epsilon > 0 ? config.epsilon : 0.0;
+  outcome.charge_epsilon = charge_epsilon;
   // Every client the round may contact gets its ledger row before the
   // first stage, so that no charge adds one (federated/round_stages.h). A
   // meter whose registration is closed holds a row for each already.
   if (meter != nullptr && !meter->registration_closed()) {
-    for (const int64_t idx : cohort) {
+    for (const int64_t idx : active) {
       meter->Register(clients[static_cast<size_t>(idx)].id());
     }
     for (const int64_t idx : config.backfill_pool) {
@@ -122,12 +113,19 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   // cutoff, and the server's protocol validation. Privacy-meter contract:
   // the client answers at most once per slot — a retry after dropout
   // re-requests the *undisclosed* bit, a retransmission re-sends the
-  // already-metered report — so no slot is ever charged twice.
+  // already-metered report — so no slot is ever charged twice. The
+  // meter's decision is marked in the charge bitmaps at the contact's bit.
   const auto run_slot = [&](const StagedSlot& slot, int64_t idx,
                             const BitRequest& request, bool allow_retries,
                             bool is_hedge, bool backfill) -> SlotResult {
     const int64_t client_id = slot.client.id;
+    const size_t contact = outcome.assigned_clients.size();
     outcome.assigned_clients.push_back(idx);
+    if (contact % 64 == 0) {
+      outcome.charge_attempted.push_back(0);
+      outcome.charge_granted.push_back(0);
+    }
+    const uint64_t contact_bit = uint64_t{1} << (contact % 64);
     ++outcome.contacted;
     ++outcome.comm.requests_sent;
     outcome.comm.payload_bytes += kRequestPayloadBytes;
@@ -193,13 +191,19 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       if (!answered) {
         // Organic loss (client-side dropout or meter denial) is not an
         // injected fault and is not retried: the device made its decision.
-        if (!AnswerRequest(slot.client, request, codec_,
-                           !config.central_randomness, rr, meter,
-                           slot.lookup, rng, &report)) {
-          return SlotResult::kFailed;
+        const AnswerStatus status =
+            AnswerRequest(slot.client, request, codec_,
+                          !config.central_randomness, rr, meter, slot.lookup,
+                          rng, &report);
+        if (meter != nullptr && status != AnswerStatus::kDroppedOut) {
+          outcome.charge_attempted[contact / 64] |= contact_bit;
         }
+        if (status != AnswerStatus::kAnswered) return SlotResult::kFailed;
         answered = true;
-        if (meter != nullptr) stages.Granted(slot);
+        if (meter != nullptr) {
+          outcome.charge_granted[contact / 64] |= contact_bit;
+          stages.Granted(slot);
+        }
       }
       BitReport delivered = report;
       if (fault == FaultType::kCorruptMessage ||
@@ -341,7 +345,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   // clients and ledger rows, respond slot by slot, apply the chunk's grants
   // to the ledger; with threads, the next chunk's stage and the previous
   // chunk's apply run while this one responds.
-  const auto collect = [&](const std::vector<int64_t>& batch, bool backfill) {
+  const auto collect = [&](std::span<const int64_t> batch, bool backfill) {
     std::vector<int64_t> admitted;
     if (breaker_on) {
       admitted.reserve(batch.size());
@@ -349,7 +353,8 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         if (admit(idx)) admitted.push_back(idx);
       }
     }
-    const std::vector<int64_t>& eligible = breaker_on ? admitted : batch;
+    const std::span<const int64_t> eligible =
+        breaker_on ? std::span<const int64_t>(admitted) : batch;
     const int64_t k = static_cast<int64_t>(eligible.size());
     if (k == 0) return;
     const std::vector<int> assignment =
@@ -458,6 +463,9 @@ void EncodeRoundOutcome(const RoundOutcome& outcome,
   bytes::PutInt64Vector(outcome.intended_counts, out);
   EncodeFaultStats(outcome.faults, out);
   bytes::PutInt64Vector(outcome.assigned_clients, out);
+  bytes::PutUint64Vector(outcome.charge_attempted, out);
+  bytes::PutUint64Vector(outcome.charge_granted, out);
+  bytes::PutDouble(outcome.charge_epsilon, out);
   bytes::PutInt64Vector(outcome.crashed_clients, out);
   EncodeRetryStats(outcome.retry, out);
   bytes::PutInt64Vector(outcome.succeeded_client_ids, out);
@@ -479,6 +487,9 @@ bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
       !bytes::GetInt64Vector(buffer, &cursor, &outcome.intended_counts) ||
       !DecodeFaultStats(buffer, &cursor, &outcome.faults) ||
       !bytes::GetInt64Vector(buffer, &cursor, &outcome.assigned_clients) ||
+      !bytes::GetUint64Vector(buffer, &cursor, &outcome.charge_attempted) ||
+      !bytes::GetUint64Vector(buffer, &cursor, &outcome.charge_granted) ||
+      !bytes::GetDouble(buffer, &cursor, &outcome.charge_epsilon) ||
       !bytes::GetInt64Vector(buffer, &cursor, &outcome.crashed_clients) ||
       !DecodeRetryStats(buffer, &cursor, &outcome.retry) ||
       !bytes::GetInt64Vector(buffer, &cursor,
@@ -493,6 +504,29 @@ bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
   }
   for (const int64_t count : outcome.intended_counts) {
     if (count < 0) return false;
+  }
+  // The charge bitmaps: a word per 64 contacts, no bit past the last
+  // contact, no grant without an attempt, and no grant at an epsilon the
+  // meter denies whatever its ledger holds.
+  const size_t contacts = outcome.assigned_clients.size();
+  const size_t words = (contacts + 63) / 64;
+  if (outcome.charge_attempted.size() != words ||
+      outcome.charge_granted.size() != words) {
+    return false;
+  }
+  if (contacts % 64 != 0 &&
+      (outcome.charge_attempted.back() >> (contacts % 64)) != 0) {
+    return false;
+  }
+  bool any_grant = false;
+  for (size_t w = 0; w < words; ++w) {
+    const uint64_t granted = outcome.charge_granted[w];
+    if ((granted & ~outcome.charge_attempted[w]) != 0) return false;
+    any_grant = any_grant || granted != 0;
+  }
+  if (any_grant && (!std::isfinite(outcome.charge_epsilon) ||
+                    outcome.charge_epsilon < 0.0)) {
+    return false;
   }
   *out = std::move(outcome);
   *offset = cursor;

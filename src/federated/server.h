@@ -44,12 +44,12 @@ struct RoundConfig {
   // Replacement clients (indices into `clients`), drawn in order by the
   // backfill passes when accepted reports fall short of the cohort.
   std::vector<int64_t> backfill_pool;
-  // One byte per index into `clients`, nonzero for the clients assigned
-  // in an earlier round of the same query. Their check-ins are rejected
-  // and counted (the crash-recheckin dedup policy: at most one assignment
-  // per client per query). Indices stand in for ids because a
-  // population's client ids are unique.
-  const std::vector<uint8_t>* already_assigned = nullptr;
+  // How many entries at the end of the cohort are re-check-ins: clients
+  // that crashed after an assignment in an earlier round of the same
+  // query. Their check-ins are rejected and counted (the crash-recheckin
+  // dedup policy: at most one assignment per client per query), and the
+  // round runs over the cohort before them.
+  int64_t recheckins = 0;
   // Active recovery (federated/resilience.h): retries, hedged assignments,
   // and the round's deadline budget. The default disables everything and
   // reproduces pre-resilience behavior byte for byte.
@@ -87,8 +87,21 @@ struct RoundOutcome {
   // Injected-fault and server-reaction counters for this round.
   FaultStats faults;
   // Indices (into `clients`) that were issued an assignment this round,
-  // including backfill replacements; feeds the next round's dedup set.
+  // including backfill replacements and hedges, in contact order: the
+  // round's contact list. A contact is charged at most once, inside its
+  // own slot, so contact order is the order of the meter's decisions.
   std::vector<int64_t> assigned_clients;
+  // Bitmaps over the contact list, bit i (word i / 64, bit i % 64) for
+  // assigned_clients[i]: the contacts whose charge reached the meter (the
+  // client did not drop out first), and those the meter granted, a subset.
+  // Both are (contacts + 63) / 64 words long, and zero without a meter.
+  // With the charged value id (RoundConfig::value_id) and the epsilon
+  // every charge of the round is made at (RoundConfig::epsilon, or 0 when
+  // that is not positive) they are the round's charge decisions, which
+  // recovery replays through the meter (persist/recovery.h).
+  std::vector<uint64_t> charge_attempted;
+  std::vector<uint64_t> charge_granted;
+  double charge_epsilon = 0.0;
   // Indices that crashed after assignment (kRoundBoundaryCrash) — the
   // clients that will attempt to re-check-in next round.
   std::vector<int64_t> crashed_clients;
@@ -107,8 +120,10 @@ struct RoundOutcome {
 
 // Serialization of a completed round's full outcome, used by the journal's
 // round-closed records (src/persist/). Decoding validates every field
-// (counts non-negative, rates finite, histogram internally consistent) and
-// returns false without touching `*out` on any violation.
+// (counts non-negative, rates finite, histogram internally consistent,
+// charge bitmaps as long as the contact list with no bit past it, no
+// grant without an attempt, and no grant at a non-finite or negative
+// epsilon) and returns false without touching `*out` on any violation.
 void EncodeRoundOutcome(const RoundOutcome& outcome, std::vector<uint8_t>* out);
 bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
                         RoundOutcome* out);

@@ -7,21 +7,10 @@
 #include <vector>
 
 #include "persist/journal.h"
+#include "rng/rng.h"
 #include "util/check.h"
 
 namespace bitpush {
-namespace {
-
-// SplitMix64 finalizer (the faults.cc idiom): shard seeds are pure hashes
-// of the root seed, so adding a shard never perturbs a sibling's stream.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 uint64_t ShardSeed(uint64_t root_seed, int64_t shard_index) {
   BITPUSH_CHECK_GE(shard_index, 0);

@@ -3,19 +3,11 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "rng/rng.h"
 #include "util/check.h"
 
 namespace bitpush {
 namespace {
-
-// SplitMix64 finalizer — the same mixing idiom as federated/faults.cc, so
-// shard fault decisions share the per-decision-pure-hash contract.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void CheckRate(double rate, const char* name) {
   BITPUSH_CHECK(rate >= 0.0 && rate <= 1.0)

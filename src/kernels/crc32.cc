@@ -53,8 +53,9 @@ uint32_t Crc32Table(uint32_t crc, const uint8_t* data, size_t size) {
           t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
           t[0][hi >> 24];
   }
-  // A short record (a 39-byte charge frame) ends in a tail of up to seven
-  // bytes: fold four of them in one step, as the high half above does.
+  // A short record (a 26-byte campaign-tick frame) ends in a tail of up to
+  // seven bytes: fold four of them in one step, as the high half above
+  // does.
   if (size >= 4) {
     crc ^= bytes::LoadUint32(data);
     crc = t[3][crc & 0xFFu] ^ t[2][(crc >> 8) & 0xFFu] ^

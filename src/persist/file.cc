@@ -67,31 +67,46 @@ bool ReadWholeFile(const std::string& path, std::vector<uint8_t>* out,
 
 bool ReplaceFile(const std::string& path, bool sync,
                  const std::function<void(const FileSink& sink)>& write,
-                 std::string* error) {
+                 std::string* error, const obs::TraceContext& parent) {
   BITPUSH_CHECK(error != nullptr);
   const std::string temp_path = path + ".tmp";
-  File file(std::fopen(temp_path.c_str(), "wb"));
-  if (file == nullptr) {
-    *error = IoError("open", temp_path, errno);
-    return false;
-  }
-  bool wrote = true;
-  write([&](const uint8_t* data, size_t size) {
-    // An empty piece may come with a null pointer, which fwrite declares
-    // nonnull.
-    if (wrote && size > 0) {
-      wrote = std::fwrite(data, 1, size, file.get()) == size;
+  bool flushed = false;
+  int write_errno = 0;
+  File file;
+  {
+    obs::Span span("file.write", "persist");
+    span.set_parent(parent);
+    file.reset(std::fopen(temp_path.c_str(), "wb"));
+    if (file == nullptr) {
+      *error = IoError("open", temp_path, errno);
+      return false;
     }
-  });
-  const bool flushed = wrote && std::fflush(file.get()) == 0;
-  const bool synced = flushed && (!sync || ::fsync(fileno(file.get())) == 0);
-  const int write_errno = errno;
+    bool wrote = true;
+    write([&](const uint8_t* data, size_t size) {
+      // An empty piece may come with a null pointer, which fwrite declares
+      // nonnull.
+      if (wrote && size > 0) {
+        wrote = std::fwrite(data, 1, size, file.get()) == size;
+      }
+    });
+    flushed = wrote && std::fflush(file.get()) == 0;
+    if (!flushed) write_errno = errno;
+  }
+  bool synced = flushed;
+  if (flushed && sync) {
+    obs::Span span("file.fsync", "persist");
+    span.set_parent(parent);
+    synced = ::fsync(fileno(file.get())) == 0;
+    if (!synced) write_errno = errno;
+  }
   const bool closed = std::fclose(file.release()) == 0;
   if (!synced || !closed) {
     *error = IoError("write", temp_path, synced ? errno : write_errno);
     std::remove(temp_path.c_str());
     return false;
   }
+  obs::Span span("file.rename", "persist");
+  span.set_parent(parent);
   if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
     *error = IoError("rename " + temp_path + " to", path, errno);
     std::remove(temp_path.c_str());
@@ -101,11 +116,12 @@ bool ReplaceFile(const std::string& path, bool sync,
 }
 
 bool ReplaceFile(const std::string& path, std::span<const uint8_t> bytes,
-                 bool sync, std::string* error) {
+                 bool sync, std::string* error,
+                 const obs::TraceContext& parent) {
   return ReplaceFile(
       path, sync,
       [&bytes](const FileSink& sink) { sink(bytes.data(), bytes.size()); },
-      error);
+      error, parent);
 }
 
 bool SyncParentDir(const std::string& path, std::string* error) {

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace bitpush {
 
 // Reads the whole file at `path` into `*out`. A missing file is not an
@@ -33,13 +35,18 @@ using FileSink = std::function<void(const uint8_t* data, size_t size)>;
 // file before the rename and the directory after it. Any failure up to
 // and including the rename removes the `<path>.tmp` sibling, leaves
 // `path` untouched and returns false with `*error` naming the path; a
-// failed directory fsync returns false with the new file in place.
+// failed directory fsync returns false with the new file in place. Its
+// three costs are spans under `parent` (volatile, and inert with tracing
+// off): file.write, the streamed write with whatever `write` computes on
+// the way (a snapshot's CRC); file.fsync, with sync on; and file.rename,
+// the rename with the directory fsync.
 bool ReplaceFile(const std::string& path, bool sync,
                  const std::function<void(const FileSink& sink)>& write,
-                 std::string* error);
+                 std::string* error, const obs::TraceContext& parent = {});
 // The same, for bytes at hand: a file image, or a range of one.
 bool ReplaceFile(const std::string& path, std::span<const uint8_t> bytes,
-                 bool sync, std::string* error);
+                 bool sync, std::string* error,
+                 const obs::TraceContext& parent = {});
 
 // Fsyncs the directory containing `path`, making a preceding rename or
 // file creation inside it durable across power loss. Returns false with

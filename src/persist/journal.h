@@ -1,15 +1,18 @@
 // Write-ahead journal for the durable coordinator.
 //
-// The journal holds exactly what recovery restores: every privacy-meter
-// charge, each closed round's outcome, each finished query's result and
-// each closed campaign tick — four record types, each one length-prefixed
-// and CRC-protected. A meter charge is appended *before* the ledger
-// changes. Records are group-committed: they become durable together at
-// the writer's next Commit(), which the owner issues before anything
-// derived from them leaves the process. Recovery (src/persist/recovery.h)
-// restores the journal on top of the latest snapshot. Per-report bits,
-// cohort assignments and retry decisions are not journaled: a closed round
-// is restored from its outcome, and an open one re-executes.
+// The journal holds exactly what recovery restores: each closed round's
+// outcome, with the round's privacy-meter charge decisions in it (its
+// contact list and charge bitmaps, RoundOutcome), each finished query's
+// result and each closed campaign tick — three record types, each one
+// length-prefixed and CRC-protected, and one record per round. Records
+// are group-committed: they become durable together at the writer's next
+// Commit(), which the owner issues before anything derived from them
+// leaves the process, so a round's charges are durable at its close,
+// before the next round's allocation goes out. Recovery
+// (src/persist/recovery.h) restores the journal on top of the latest
+// snapshot. Per-report bits, cohort assignments and retry decisions are
+// not journaled: a closed round is restored from its outcome, and an open
+// one re-executes, its charges never having been journaled.
 //
 // Frame layout (little-endian):
 //
@@ -33,32 +36,35 @@
 // the journal is appended to again. Any complete frame that fails
 // validation — bad CRC, unknown version or type, out-of-order seq — is a
 // hard error: recovery fails closed rather than guess, because a record
-// silently dropped here could be a privacy-meter charge.
+// silently dropped here could hold privacy-meter charges.
 
 #ifndef BITPUSH_PERSIST_JOURNAL_H_
 #define BITPUSH_PERSIST_JOURNAL_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "federated/campaign.h"
 #include "federated/server.h"
-#include "util/bytes.h"
 
 namespace bitpush {
 
 // The journal frame's format byte. Version 1 framed the journal with the
 // wire format byte and eight record types, among them per-report and
-// per-decision records; reading rejects it.
-inline constexpr uint8_t kJournalFormatVersion = 2;
+// per-decision records. Version 2 journaled each meter charge as a
+// kMeterCharge frame of its own, ahead of its round's kRoundClosed
+// record, and kept the final bit means in kQueryFinished. Reading rejects
+// both.
+inline constexpr uint8_t kJournalFormatVersion = 3;
 
 enum class JournalRecordType : uint8_t {
+  // Retired in version 3: a round's charges ride in its kRoundClosed
+  // record. The frame walker still reads the type, so that the doctor and
+  // the cut tools can show one, and recovery fails closed on it.
   kMeterCharge = 1,
   kRoundClosed = 2,
   kQueryFinished = 3,
@@ -67,7 +73,7 @@ enum class JournalRecordType : uint8_t {
 
 struct JournalRecord {
   uint64_t seq = 0;
-  JournalRecordType type = JournalRecordType::kMeterCharge;
+  JournalRecordType type = JournalRecordType::kRoundClosed;
   std::vector<uint8_t> payload;
 };
 
@@ -106,8 +112,8 @@ class JournalWriter {
 
   // Frames one record into the buffer; it is durable only after the next
   // Commit(). Returns false on I/O failure of a write a full buffer forced.
-  // Allocates nothing: a payload encoded on the stack (a meter charge) is
-  // copied once, into the buffer.
+  // Allocates nothing: a payload is copied once, into the buffer, or, when
+  // larger than the buffer, written from where it lies.
   bool Append(JournalRecordType type, std::span<const uint8_t> payload);
 
   // Makes every appended record durable: writes the buffer out, then
@@ -160,7 +166,7 @@ class JournalWriter {
 // payload in place in the image, and the frame's byte range there.
 struct JournalFrame {
   uint64_t seq = 0;
-  JournalRecordType type = JournalRecordType::kMeterCharge;
+  JournalRecordType type = JournalRecordType::kRoundClosed;
   std::span<const uint8_t> payload;
   // Offsets of the frame's first byte and of the byte after its CRC.
   size_t begin = 0;
@@ -283,6 +289,10 @@ bool TearJournalTail(const std::string& path, size_t bytes,
 // truncation, trailing bytes, or invalid fields. Decoders read a span, so
 // a payload decodes in place in the file image; a vector converts to one.
 
+// The retired version-2 charge record (kMeterCharge): one charge decision,
+// 25 bytes. No journal of this version holds one; the codec stays only
+// because the journal append timing in perfbench/layers.cc frames one, and
+// goes with that replay.
 struct MeterChargeRecord {
   int64_t client_id = 0;
   int64_t value_id = 0;
@@ -294,50 +304,17 @@ struct MeterChargeRecord {
 };
 void EncodeMeterChargeRecord(const MeterChargeRecord& record,
                              std::vector<uint8_t>* out);
-// The same bytes (client id, value id, epsilon, granted) into a
-// fixed-size array, so that a charge, the one record written per report,
-// is encoded and framed without an allocation.
-using MeterChargePayload = std::array<uint8_t, 8 + 8 + 8 + 1>;
-void EncodeMeterChargeRecord(const MeterChargeRecord& record,
-                             MeterChargePayload* out);
 bool DecodeMeterChargeRecord(std::span<const uint8_t> payload,
                              MeterChargeRecord* out);
 
-// The charges of one round as recovery holds them: a run of consecutive
-// kMeterCharge frames in a journal image, each of which
-// DecodeMeterChargeRecord accepted. Every charge frame has the same size,
-// so the run is its first payload and a count, and a charge is read
-// straight from its frame.
-class MeterChargeRun {
- public:
-  // Bytes from one charge payload to the next: header, payload and CRC.
-  static constexpr size_t kFrameBytes =
-      1 + 1 + 8 + 4 + std::tuple_size_v<MeterChargePayload> + 4;
-
-  // Extends the run by `frame`, a kMeterCharge frame whose payload
-  // DecodeMeterChargeRecord accepted, and which directly follows the
-  // run's last frame in the same image.
-  void Append(const JournalFrame& frame);
-
-  size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  // The i-th charge, decoded from its frame (laid out as
-  // EncodeMeterChargeRecord writes it).
-  MeterChargeRecord operator[](size_t i) const {
-    const uint8_t* const at = first_payload_ + i * kFrameBytes;
-    return MeterChargeRecord{bytes::LoadInt64(at), bytes::LoadInt64(at + 8),
-                             bytes::LoadDouble(at + 16), at[24] == 1};
-  }
-
- private:
-  const uint8_t* first_payload_ = nullptr;
-  size_t count_ = 0;
-};
-
 // One closed round of a live query. It carries the query's coordinates,
-// which recovery checks against the campaign, and a digest of the round's
+// which recovery checks against the campaign, a digest of the round's
 // input cohort (the partition indices the round was given, in order),
-// which the restored round's re-derived cohort must match.
+// which the restored round's re-derived cohort must match, and the
+// round's charge decisions: the outcome's contacts (partition indices)
+// with their attempted and granted bits, charged at value_id and the
+// outcome's charge_epsilon. Decoding also requires at least as many
+// grants as accepted reports, since every journaled round ran on a meter.
 struct RoundClosedRecord {
   int64_t tick = 0;
   int64_t query_index = 0;
@@ -355,7 +332,6 @@ struct QueryFinishedRecord {
   int64_t tick = 0;
   int64_t query_index = 0;
   CampaignTickResult result;
-  std::vector<double> final_bit_means;
 };
 void EncodeQueryFinishedRecord(const QueryFinishedRecord& record,
                                std::vector<uint8_t>* out);

@@ -1,5 +1,6 @@
 #include "persist/recovery.h"
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -56,6 +57,14 @@ uint64_t CohortDigest(const std::vector<int64_t>& cohort) {
   }
   return digest;
 }
+
+// One charge decision of a journaled round, as ReplayCharges reads it.
+struct ChargeDecision {
+  int64_t client_id = 0;
+  int64_t value_id = 0;
+  double epsilon = 0.0;
+  bool granted = false;
+};
 
 }  // namespace
 
@@ -118,40 +127,43 @@ bool DurableCampaignRunner::Open(
     }
   }
 
+  // The journal image lives through the reopen, which may write its kept
+  // frames.
+  std::vector<uint8_t> journal_image;
   JournalReplay replay;
   {
     obs::Span stage("journal.parse", "persist");
     stage.set_parent(open);
-    if (!ParseJournal(expected_seq, &replay, error)) return false;
-    stage.AddNumeric("bytes", static_cast<double>(journal_image_.size()));
+    if (!ParseJournal(expected_seq, &journal_image, &replay, error)) {
+      return false;
+    }
+    stage.AddNumeric("bytes", static_cast<double>(journal_image.size()));
   }
   info_.torn_tail = replay.torn_tail;
-  info_.replayed_records = static_cast<int64_t>(replay.frames);
-  info_.recovered = found || replay.frames > 0 || replay.torn_tail;
+  info_.replayed_records = static_cast<int64_t>(replay.records);
+  info_.recovered = found || replay.records > 0 || replay.torn_tail;
   {
     obs::Span stage("journal.apply", "persist");
     stage.set_parent(open);
     if (!ApplyJournal(&replay, error)) return false;
   }
-  const size_t discarded = replay.frames - replay.kept;
-  journal_records_ = static_cast<int64_t>(replay.kept);
+  journal_records_ = static_cast<int64_t>(replay.records);
 
   {
     obs::Span stage("journal.reopen", "persist");
     stage.set_parent(open);
-    // Appends resume after the last kept record, so the file must hold
-    // exactly the kept records. Most often it already does, and it is
-    // kept as it is. Otherwise it is rewritten to the kept frames' bytes,
-    // copied as they lie in the image: that drops the torn tail, any
-    // stale pre-snapshot prefix and the charges of a round that never
-    // closed, so a later recovery never re-parses them, and it creates a
-    // missing file. The rewrite is atomic: the old journal stays durable
-    // and intact until the rewritten bytes are, so a crash inside it
-    // cannot lose journaled meter charges.
-    const bool exact = replay.found && !replay.torn_tail &&
-                       replay.stale_frames == 0 && discarded == 0;
+    // Appends resume after the last record, so the file must hold exactly
+    // the kept records. Most often it already does, and it is kept as it
+    // is. Otherwise it is rewritten to the kept frames' bytes, copied as
+    // they lie in the image: that drops the torn tail and any stale
+    // pre-snapshot prefix, so a later recovery never re-parses them, and
+    // it creates a missing file. The rewrite is atomic: the old journal
+    // stays durable and intact until the rewritten bytes are, so a crash
+    // inside it cannot lose journaled meter charges.
+    const bool exact =
+        replay.found && !replay.torn_tail && replay.stale_frames == 0;
     if (!exact && !ReplaceFile(journal_path_, replay.kept_bytes,
-                               options_.fsync, error)) {
+                               options_.fsync, error, stage.context())) {
       return false;
     }
     if (!journal_.Open(journal_path_, replay.next_seq, error)) return false;
@@ -167,10 +179,6 @@ bool DurableCampaignRunner::Open(
       if (!SyncParentDir(journal_path_, error)) return false;
     }
   }
-  // Held rounds' charges point into the image; with none, it goes now.
-  if (held_rounds_.empty()) std::vector<uint8_t>().swap(journal_image_);
-
-  meter_.set_journal(this);
   campaign_.set_recorder(this);
   info_.completed_ticks = completed_ticks_;
   rng_ = Rng(options_.seed);
@@ -185,7 +193,6 @@ bool DurableCampaignRunner::Open(
                   std::to_string(info_.replayed_records) +
                   " completed_ticks=" + std::to_string(completed_ticks_) +
                   " held_rounds=" + std::to_string(held_rounds_.size()) +
-                  " discarded=" + std::to_string(discarded) +
                   (info_.had_snapshot ? " snapshot" : "") +
                   (info_.torn_tail ? " torn_tail" : "");
     obs::EmitEvent(obs::EventType::kReplayMilestone,
@@ -260,20 +267,17 @@ bool DurableCampaignRunner::DecodeLedger(std::span<const uint8_t> blob,
 }
 
 bool DurableCampaignRunner::ParseJournal(uint64_t expected_seq,
+                                         std::vector<uint8_t>* image,
                                          JournalReplay* replay,
                                          std::string* error) {
   // A missing journal parses as an empty one.
-  if (!ReadWholeFile(journal_path_, &journal_image_, &replay->found,
-                     error)) {
+  if (!ReadWholeFile(journal_path_, image, &replay->found, error)) {
     return false;
   }
   // Every frame and record is validated here, before anything is applied.
-  // Charges belong to the round whose close follows them; a finished
-  // query's rounds go to the apply pass with it. The closed rounds of the
-  // query being read, and the charges since the last round, query or tick
-  // record:
-  std::vector<HeldRound> rounds;
-  MeterChargeRun charges;
+  // A finished query's rounds go to the apply pass with it. The closed
+  // rounds of the query being read:
+  std::vector<RoundClosedRecord> rounds;
   // The queries this journal finishes, on top of the snapshot's.
   std::set<std::pair<int64_t, int64_t>> journaled;
   const auto& queries = campaign_.queries();
@@ -289,33 +293,26 @@ bool DurableCampaignRunner::ParseJournal(uint64_t expected_seq,
   const auto finished_before = [&](const std::pair<int64_t, int64_t>& key) {
     return finished_.contains(key) || journaled.contains(key);
   };
-  JournalFrameWalker walker(journal_image_, expected_seq);
+  JournalFrameWalker walker(*image, expected_seq);
   JournalFrame frame;
-  // The byte range of the frames kept so far: from the first frame the
-  // walk yields to the last round, query or tick record.
+  // The byte range of the frames walked: from the first the walk yields
+  // to the end of the last.
   size_t kept_begin = 0;
   size_t kept_end = 0;
   replay->next_seq = expected_seq;
   while (walker.Next(&frame)) {
-    if (replay->frames++ == 0) kept_begin = kept_end = frame.begin;
+    if (replay->records++ == 0) kept_begin = frame.begin;
     switch (frame.type) {
-      case JournalRecordType::kMeterCharge: {
-        MeterChargeRecord charge;
-        if (!DecodeMeterChargeRecord(frame.payload, &charge)) {
-          *error = "journal: malformed meter-charge record";
-          return false;
-        }
-        charges.Append(frame);
-        // Kept only once a round, query or tick record follows it.
-        continue;
-      }
+      case JournalRecordType::kMeterCharge:
+        *error = "journal: retired per-charge record (meter charges ride in "
+                 "their round-closed record)";
+        return false;
       case JournalRecordType::kRoundClosed: {
-        HeldRound round;
-        if (!DecodeRoundClosedRecord(frame.payload, &round.closed)) {
+        RoundClosedRecord closed;
+        if (!DecodeRoundClosedRecord(frame.payload, &closed)) {
           *error = "journal: malformed round-closed record";
           return false;
         }
-        const RoundClosedRecord& closed = round.closed;
         if (closed.tick != completed_ticks_ || !known_query(closed) ||
             finished_before({closed.tick, closed.query_index})) {
           *error = "journal: round-closed record contradicts the campaign";
@@ -324,23 +321,32 @@ bool DurableCampaignRunner::ParseJournal(uint64_t expected_seq,
         if (closed.round_id != static_cast<int64_t>(rounds.size()) + 1 ||
             closed.round_id > 2 ||
             (!rounds.empty() &&
-             rounds.front().closed.query_index != closed.query_index)) {
+             rounds.front().query_index != closed.query_index)) {
           *error = "journal: round closed out of order";
           return false;
         }
-        round.charges = std::exchange(charges, MeterChargeRun());
-        rounds.push_back(std::move(round));
+        // Its charges are replayed against the clients of its contacts.
+        const size_t population =
+            populations_[static_cast<size_t>(closed.query_index)]->size();
+        for (const int64_t contact : closed.outcome.assigned_clients) {
+          if (contact < 0 || static_cast<uint64_t>(contact) >= population) {
+            *error = "journal: round-closed record names a contact outside "
+                     "its population";
+            return false;
+          }
+        }
+        rounds.push_back(std::move(closed));
         break;
       }
       case JournalRecordType::kQueryFinished: {
         JournalReplay::Query query;
         QueryFinishedRecord& finished = query.finished;
         if (!DecodeQueryFinishedRecord(frame.payload, &finished) ||
-            !charges.empty() || finished.tick != completed_ticks_ ||
+            finished.tick != completed_ticks_ ||
             finished.result.tick != finished.tick ||
             finished.query_index >= static_cast<int64_t>(queries.size()) ||
             (!rounds.empty() &&
-             rounds.front().closed.query_index != finished.query_index)) {
+             rounds.front().query_index != finished.query_index)) {
           *error = "journal: malformed or misplaced query-finished record";
           return false;
         }
@@ -358,7 +364,7 @@ bool DurableCampaignRunner::ParseJournal(uint64_t expected_seq,
       case JournalRecordType::kCampaignTick: {
         CampaignTickRecord tick;
         if (!DecodeCampaignTickRecord(frame.payload, &tick) ||
-            !rounds.empty() || !charges.empty()) {
+            !rounds.empty()) {
           *error = "journal: malformed or misplaced campaign-tick record";
           return false;
         }
@@ -371,7 +377,6 @@ bool DurableCampaignRunner::ParseJournal(uint64_t expected_seq,
         break;
       }
     }
-    replay->kept = replay->frames;
     replay->next_seq = frame.seq + 1;
     kept_end = frame.end;
   }
@@ -381,12 +386,11 @@ bool DurableCampaignRunner::ParseJournal(uint64_t expected_seq,
   }
   replay->torn_tail = walker.torn_tail();
   replay->stale_frames = walker.stale_frames();
-  replay->kept_bytes = std::span<const uint8_t>(journal_image_)
-                           .subspan(kept_begin, kept_end - kept_begin);
+  replay->kept_bytes = std::span<const uint8_t>(*image).subspan(
+      kept_begin, kept_end - kept_begin);
   // The query in flight at the crash: RestoreRound applies its closed
-  // rounds when the re-execution reaches them. The charges after its last
-  // closed round are dropped with the frames the journal does not keep;
-  // that round re-executes from its RNG fork.
+  // rounds when the re-execution reaches them, and the round after its
+  // last closed one re-executes from its RNG fork.
   held_rounds_.assign(std::make_move_iterator(rounds.begin()),
                       std::make_move_iterator(rounds.end()));
   return true;
@@ -419,27 +423,24 @@ bool DurableCampaignRunner::ApplyJournal(JournalReplay* replay,
     close_ticks_before(q);
     JournalReplay::Query& query = replay->queries[q];
     FederatedQueryResult restored;
-    for (HeldRound& round : query.rounds) {
+    for (RoundClosedRecord& round : query.rounds) {
       // The recomputed decisions must match what was journaled — anything
       // else means the ledger and journal disagree, and a coordinator that
       // cannot trust its ledger must stop.
-      if (!ApplyCharges(round.charges)) {
+      if (!ApplyCharges(round)) {
         *error = "journal: a meter charge diverged from its record";
         return false;
       }
-      RoundOutcome& outcome = round.closed.outcome;
+      RoundOutcome& outcome = round.outcome;
       ObserveRoundOutcome(outcome);
       if (health != nullptr) {
         health->BeginRound();
-        health->ObserveRound(round.closed.round_id,
-                             outcome.succeeded_client_ids,
+        health->ObserveRound(round.round_id, outcome.succeeded_client_ids,
                              outcome.failed_client_ids);
       }
-      (round.closed.round_id == 1 ? restored.round1 : restored.round2) =
+      (round.round_id == 1 ? restored.round1 : restored.round2) =
           std::move(outcome);
     }
-    // The record's final bit means go unread: the entry keeps the tallies
-    // they were computed from.
     const QueryFinishedRecord& finished = query.finished;
     finished_.emplace(std::make_pair(finished.tick, finished.query_index),
                       MakeFinishedQueryEntry(finished.query_index,
@@ -450,10 +451,38 @@ bool DurableCampaignRunner::ApplyJournal(JournalReplay* replay,
   return true;
 }
 
-bool DurableCampaignRunner::ApplyCharges(const MeterChargeRun& charges) {
-  return meter_.ReplayCharges(charges.size(), [&charges](size_t i) {
-    return charges[i];
-  }) == charges.size();
+bool DurableCampaignRunner::ApplyCharges(const RoundClosedRecord& closed) {
+  // The contacts whose charge reached the meter, in contact order: the
+  // order the round decided them in.
+  const RoundOutcome& outcome = closed.outcome;
+  std::vector<size_t> attempted;
+  attempted.reserve(outcome.assigned_clients.size());
+  for (size_t w = 0; w < outcome.charge_attempted.size(); ++w) {
+    for (uint64_t word = outcome.charge_attempted[w]; word != 0;
+         word &= word - 1) {
+      attempted.push_back(64 * w +
+                          static_cast<size_t>(std::countr_zero(word)));
+    }
+  }
+  const std::vector<Client>& population =
+      *populations_[static_cast<size_t>(closed.query_index)];
+  const auto client_at = [&](size_t i) -> const Client& {
+    return population[static_cast<size_t>(
+        outcome.assigned_clients[attempted[i]])];
+  };
+  // Contacts come in cohort order, at random in the population. The
+  // replay asks for each decision a few charges ahead to load its ledger
+  // row; each ask starts loading a client record further ahead still.
+  constexpr size_t kClientsAhead = 16;
+  return meter_.ReplayCharges(attempted.size(), [&](size_t i) {
+    if (i + kClientsAhead < attempted.size()) {
+      __builtin_prefetch(&client_at(i + kClientsAhead));
+    }
+    const size_t contact = attempted[i];
+    return ChargeDecision{
+        client_at(i).id(), closed.value_id, outcome.charge_epsilon,
+        (outcome.charge_granted[contact / 64] >> (contact % 64) & 1) != 0};
+  }) == attempted.size();
 }
 
 std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(
@@ -583,7 +612,6 @@ void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
   record.tick = tick;
   record.query_index = index;
   record.result = result;
-  record.final_bit_means = std::move(outcome.final_bit_means);
   std::vector<uint8_t> payload;
   EncodeQueryFinishedRecord(record, &payload);
   Append(JournalRecordType::kQueryFinished, payload);
@@ -596,25 +624,22 @@ bool DurableCampaignRunner::RestoreRound(int64_t round_id,
   // The round closed before the crash: restore it instead of re-running
   // it — no client is asked for a second bit. The re-execution must have
   // reached the same round over the same cohort.
-  HeldRound& held = held_rounds_.front();
-  BITPUSH_CHECK(held.closed.tick == query_tick_ &&
-                held.closed.query_index == query_index_ &&
-                held.closed.round_id == round_id &&
-                held.closed.cohort_digest == CohortDigest(cohort))
+  RoundClosedRecord& held = held_rounds_.front();
+  BITPUSH_CHECK(held.tick == query_tick_ &&
+                held.query_index == query_index_ &&
+                held.round_id == round_id &&
+                held.cohort_digest == CohortDigest(cohort))
       << "recovery divergence: round " << round_id << " of tick "
       << query_tick_ << " query " << query_index_
       << " does not match its journal record";
-  // Its charges are journaled already: the replay journals nothing. The
-  // meter's events land where the live round emitted them, ahead of the
-  // round's outcome.
-  BITPUSH_CHECK(ApplyCharges(held.charges))
+  // Its charges are journaled already, in its record. The meter's events
+  // land where the live round emitted them, ahead of the round's outcome.
+  BITPUSH_CHECK(ApplyCharges(held))
       << "recovery divergence: a meter charge of round " << round_id
       << " of tick " << query_tick_ << " query " << query_index_
       << " does not reproduce its journaled decision";
-  *out = std::move(held.closed.outcome);
+  *out = std::move(held.outcome);
   held_rounds_.pop_front();
-  // The last held round's charges were the last pointers into the image.
-  if (held_rounds_.empty()) std::vector<uint8_t>().swap(journal_image_);
   return true;
 }
 
@@ -634,18 +659,8 @@ void DurableCampaignRunner::OnRoundClosed(int64_t round_id,
   EncodeRoundClosedRecord(record, &payload);
   Append(JournalRecordType::kRoundClosed, payload);
   // The next round's allocation is derived from this one and goes out to
-  // clients: the round's charges must be durable first.
+  // clients: the round's charges, in this record, must be durable first.
   BITPUSH_CHECK(journal_.Commit()) << "journal commit failed";
-}
-
-void DurableCampaignRunner::OnCharge(int64_t client_id, int64_t value_id,
-                                     double epsilon, bool granted) {
-  // Once per report: encoded on the stack and copied once, into the
-  // journal's buffer.
-  MeterChargePayload payload;
-  EncodeMeterChargeRecord(
-      MeterChargeRecord{client_id, value_id, epsilon, granted}, &payload);
-  Append(JournalRecordType::kMeterCharge, payload);
 }
 
 }  // namespace bitpush

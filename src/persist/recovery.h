@@ -2,7 +2,7 @@
 //
 // DurableCampaignRunner wraps a MeasurementCampaign with the write-ahead
 // journal (persist/journal.h) and periodic snapshots (persist/snapshot.h)
-// so that a coordinator killed at *any* instant — mid-round, mid-charge,
+// so that a coordinator killed at *any* instant — mid-round, mid-commit,
 // between a snapshot rename and the journal truncation — resumes and
 // produces byte-identical results to an uninterrupted run.
 //
@@ -13,14 +13,16 @@
 //      and decoded in place; the ledger straight out of the file image.
 //   2. Open parses the journal in place, in one walk over its image
 //      (JournalFrameWalker), and validates every record on top of the
-//      snapshot. It then applies the finished queries' meter charges
-//      (re-applied through the real meter in one pass per round, checking
-//      each journaled decision), round outcomes and breaker updates in
-//      journal order. It holds the closed rounds of the query that was in
-//      flight at the crash — each round's outcome, and its charges in
-//      place in the journal image — and discards the charges after the
-//      last round, query or tick record: they belong to a round that never
-//      closed.
+//      snapshot, each round's contacts against its query's population.
+//      It then applies the finished queries' rounds in journal order: each
+//      round's charge decisions, rebuilt from its kRoundClosed record (a
+//      contact's client id from the population, the record's value id,
+//      the outcome's charge epsilon and the contact's granted bit, in
+//      contact order, which is charge order), re-applied through the real
+//      meter in one pass (PrivacyMeter::ReplayCharges), checking each
+//      decision; then its outcome and breaker updates. It holds the closed
+//      rounds of the query that was in flight at the crash. A round that
+//      never closed left no record: its charges were never journaled.
 //   3. The driver re-calls RunTick for every tick from 0. Finished queries
 //      are served from their entries without touching clients or the meter
 //      (a completed round-1 probe is never re-probed). The restored prefix
@@ -28,9 +30,9 @@
 //      appends no record, commits nothing and takes no snapshot. The
 //      in-flight query re-executes with the same forked RNG streams; each
 //      held round is restored in place of running it — its cohort digest
-//      checked, its charges applied through the meter — and the first
-//      round that never closed runs live from its RNG fork, appending
-//      where the kept journal ends.
+//      checked, its charges re-applied through the meter as in step 2 —
+//      and the first round that never closed runs live from its RNG fork,
+//      appending where the journal ends.
 //
 // A finished query has one record, its FinishedQueryEntry
 // (persist/snapshot.h): the tick result, the round tallies and the fault
@@ -99,8 +101,7 @@ struct RecoveryInfo {
   // The journal ended mid-frame (the expected crash artifact); the torn
   // bytes were discarded and the clean prefix used.
   bool torn_tail = false;
-  // Journal records validated on top of the snapshot, the discarded
-  // charges of a round that never closed included.
+  // Journal records validated on top of the snapshot.
   int64_t replayed_records = 0;
   // Fully closed ticks restored; RunTick(t) for t below this serves every
   // query from the recovered state.
@@ -125,9 +126,10 @@ struct RecoveryInfo {
 // Journal records are group-committed (persist/journal.h) at the three
 // points where something derived from them leaves the coordinator: each
 // round close (the next round's allocation goes out to clients), the end
-// of each RunTick (its results return) and the start of each Snapshot.
-class DurableCampaignRunner : private CampaignRecorder,
-                              private PrivacyMeter::Journal {
+// of each RunTick (its results return) and the start of each Snapshot. A
+// round's meter charges are journaled in its kRoundClosed record, so they
+// are durable from its close on.
+class DurableCampaignRunner : private CampaignRecorder {
  public:
   // `resilience` is forwarded to the campaign (see MeasurementCampaign).
   // Retry and hedge decisions are not journaled: each round's RetryStats
@@ -202,29 +204,20 @@ class DurableCampaignRunner : private CampaignRecorder,
                                            size_t query_index) const;
 
  private:
-  // A closed round and the charges journaled before it, as Open reads
-  // them: the charges stay in place in journal_image_. The in-flight
-  // query's are held until RestoreRound applies them.
-  struct HeldRound {
-    RoundClosedRecord closed;
-    MeterChargeRun charges;
-  };
   // What the journal parse hands the apply pass, in journal order.
   struct JournalReplay {
     // A query the journal finishes, with its closed rounds.
     struct Query {
       QueryFinishedRecord finished;
-      std::vector<HeldRound> rounds;
+      std::vector<RoundClosedRecord> rounds;
     };
     std::vector<Query> queries;
     // Each tick the journal closes, with the number of `queries` that
     // finished before its close.
     std::vector<std::pair<int64_t, size_t>> tick_closes;
-    // Frames the walk yielded (the replayed records), and how many of
-    // them the journal keeps: those up to its last round, query or tick
-    // record. `kept_bytes` is the kept frames' byte range in the image.
-    size_t frames = 0;
-    size_t kept = 0;
+    // Records the walk yielded (the replayed records), all of which the
+    // journal keeps, and their byte range in the image.
+    size_t records = 0;
     std::span<const uint8_t> kept_bytes;
     uint64_t next_seq = 0;
     // The journal file exists.
@@ -246,9 +239,6 @@ class DurableCampaignRunner : private CampaignRecorder,
                     RoundOutcome* out) override;
   void OnRoundClosed(int64_t round_id, const std::vector<int64_t>& cohort,
                      const RoundOutcome& outcome) override;
-  // PrivacyMeter::Journal:
-  void OnCharge(int64_t client_id, int64_t value_id, double epsilon,
-                bool granted) override;
 
   // Appends one record; it becomes durable at the next journal commit.
   void Append(JournalRecordType type, std::span<const uint8_t> payload);
@@ -261,16 +251,17 @@ class DurableCampaignRunner : private CampaignRecorder,
   // Decodes the snapshot's ledger straight out of its image into the bound
   // meter.
   bool DecodeLedger(std::span<const uint8_t> blob, std::string* error);
-  // Reads the journal into journal_image_, walks it once, validates every
-  // frame and record on top of the snapshot, and fills `*replay`. Holds
-  // the in-flight query's rounds.
-  bool ParseJournal(uint64_t expected_seq, JournalReplay* replay,
-                    std::string* error);
+  // Reads the journal into `*image`, walks it once, validates every frame
+  // and record on top of the snapshot, and fills `*replay`, whose kept
+  // bytes point into the image. Holds the in-flight query's rounds.
+  bool ParseJournal(uint64_t expected_seq, std::vector<uint8_t>* image,
+                    JournalReplay* replay, std::string* error);
   // Applies the parsed finished queries and tick closes, in journal order.
   bool ApplyJournal(JournalReplay* replay, std::string* error);
-  // Applies a round's journaled charges through the meter in one pass;
-  // false at the first whose decision differs from the journaled one.
-  bool ApplyCharges(const MeterChargeRun& charges);
+  // Applies a closed round's charge decisions through the meter in one
+  // pass, in contact order; false at the first whose decision differs
+  // from the journaled one.
+  bool ApplyCharges(const RoundClosedRecord& closed);
   // Pads meter_by_tick_ up to (and including) index `tick` with the
   // meter's current totals — called when a tick closes (live) and at each
   // restored campaign-tick record (Open). Never overwrites an existing
@@ -288,12 +279,9 @@ class DurableCampaignRunner : private CampaignRecorder,
   JournalWriter journal_;
   std::string journal_path_;
   std::string snapshot_path_;
-  // The journal file as Open read it. Held rounds' charges point into it,
-  // so it is released when the last of them is restored.
-  std::vector<uint8_t> journal_image_;
 
   // The closed rounds of the query in flight at the crash, in round order.
-  std::deque<HeldRound> held_rounds_;
+  std::deque<RoundClosedRecord> held_rounds_;
   // The query executing now; its kRoundClosed records carry these.
   int64_t query_tick_ = 0;
   int64_t query_index_ = 0;

@@ -235,7 +235,7 @@ bool WriteSnapshotFile(const std::string& path,
         sink(trailer.data(), trailer.size());
         file_bytes += trailer.size();
       },
-      error);
+      error, span.context());
   span.AddNumeric("bytes", static_cast<double>(file_bytes));
   if (!replaced) return false;
   writes->Increment();

@@ -3,21 +3,14 @@
 #include "util/check.h"
 
 namespace bitpush {
-namespace {
-
-// SplitMix64 step, used only for seeding.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Rng::Rng(uint64_t seed) {
+  // SplitMix64 expansion: word i is Mix(seed + i * 0x9e3779b97f4a7c15).
   uint64_t sm = seed;
-  for (uint64_t& word : state_) word = SplitMix64(&sm);
+  for (uint64_t& word : state_) {
+    word = Mix(sm);
+    sm += 0x9e3779b97f4a7c15ULL;
+  }
 }
 
 uint64_t Rng::NextBelowRejecting(uint64_t bound) {

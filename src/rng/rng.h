@@ -18,6 +18,17 @@
 
 namespace bitpush {
 
+// The SplitMix64 finalizer: a stateless 64-bit hash. Rng seeds its state
+// with it, and the fault plan, the retry backoff, the shard fault harness
+// and the shard seeds hash their coordinates with it, so that a decision
+// needs no stream position.
+inline uint64_t Mix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   // Seeds the generator. Any seed (including 0) is valid; SplitMix64

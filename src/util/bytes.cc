@@ -56,11 +56,11 @@ void PutInt64Vector(const std::vector<int64_t>& values,
   for (const int64_t value : values) at = StoreInt64(value, at);
 }
 
-void PutDoubleVector(const std::vector<double>& values,
+void PutUint64Vector(const std::vector<uint64_t>& values,
                      std::vector<uint8_t>* out) {
   uint8_t* at = StoreUint32(static_cast<uint32_t>(values.size()),
                             Grow(4 + 8 * values.size(), out));
-  for (const double value : values) at = StoreDouble(value, at);
+  for (const uint64_t value : values) at = StoreUint64(value, at);
 }
 
 bool GetByte(std::span<const uint8_t> buffer, size_t* offset,
@@ -143,17 +143,17 @@ bool GetInt64Vector(std::span<const uint8_t> buffer, size_t* offset,
   return true;
 }
 
-bool GetDoubleVector(std::span<const uint8_t> buffer, size_t* offset,
-                     std::vector<double>* out) {
+bool GetUint64Vector(std::span<const uint8_t> buffer, size_t* offset,
+                     std::vector<uint64_t>* out) {
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
   size_t cursor = *offset;
   uint32_t count = 0;
   if (!GetUint32(buffer, &cursor, &count)) return false;
   if ((buffer.size() - cursor) / 8 < static_cast<size_t>(count)) return false;
-  std::vector<double> values(count);
-  for (double& value : values) {
-    value = LoadDouble(buffer.data() + cursor);
+  std::vector<uint64_t> values(count);
+  for (uint64_t& value : values) {
+    value = LoadUint64(buffer.data() + cursor);
     cursor += 8;
   }
   *out = std::move(values);

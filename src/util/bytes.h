@@ -48,7 +48,7 @@ void PutString(const std::string& value, std::vector<uint8_t>* out);
 // 4-byte count prefix + fixed-width elements.
 void PutInt64Vector(const std::vector<int64_t>& values,
                     std::vector<uint8_t>* out);
-void PutDoubleVector(const std::vector<double>& values,
+void PutUint64Vector(const std::vector<uint64_t>& values,
                      std::vector<uint8_t>* out);
 
 // Little-endian stores into memory the caller has sized, each returning
@@ -105,8 +105,8 @@ bool GetString(std::span<const uint8_t> buffer, size_t* offset,
                std::string* out);
 bool GetInt64Vector(std::span<const uint8_t> buffer, size_t* offset,
                     std::vector<int64_t>* out);
-bool GetDoubleVector(std::span<const uint8_t> buffer, size_t* offset,
-                     std::vector<double>* out);
+bool GetUint64Vector(std::span<const uint8_t> buffer, size_t* offset,
+                     std::vector<uint64_t>* out);
 
 // CRC-32 (IEEE 802.3 polynomial, reflected), the integrity check on every
 // persisted journal record and snapshot payload. The two functions below

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -305,6 +306,43 @@ TEST_F(FaultMatrixTest, CrashedClientsAreDeduplicatedOnRecheckin) {
   for (int64_t id = 0; id < static_cast<int64_t>(clients_.size()); ++id) {
     EXPECT_LE(meter.ClientBits(id), 1);
   }
+}
+
+TEST_F(FaultMatrixTest, NoRoundTwoContactWasARoundOneContact) {
+  // Round 2's input is the cohort's tail followed by round 1's crashed
+  // clients, and the dedup turns away exactly those trailing re-check-ins.
+  // With crashes, backfill and hedges all drawing clients, no client that
+  // round 2 contacts was contacted in round 1.
+  FaultRates rates;
+  rates.round_boundary_crash = 0.1;
+  rates.mid_round_dropout = 0.1;
+  rates.straggler = 0.05;
+  const FaultPlan plan(46, rates);
+  FederatedQueryConfig config = BaseConfig();
+  config.fault_plan = &plan;
+  config.fault_policy.max_backfill_rounds = 2;
+  // Stragglers are late, so each one draws a hedge from the pool.
+  config.fault_policy.report_deadline_minutes = 10.0;
+  config.resilience.hedge.enabled = true;
+  PrivacyMeter meter{MeterPolicy{}};
+  Rng rng(207);
+  const FederatedQueryResult result =
+      RunFederatedMeanQuery(clients_, codec_, config, &meter, rng);
+  ASSERT_FALSE(result.aborted);
+  EXPECT_GT(result.round1.faults.injected_crashes, 0);
+  EXPECT_GT(result.round1.faults.backfill_requests, 0);
+  EXPECT_GT(result.round2.faults.backfill_requests, 0);
+  EXPECT_GT(result.round1.retry.hedges_issued, 0);
+  EXPECT_GT(result.round2.retry.hedges_issued, 0);
+  EXPECT_EQ(result.round2.faults.recheckins_rejected,
+            result.round1.faults.injected_crashes);
+  const std::set<int64_t> round1(result.round1.assigned_clients.begin(),
+                                 result.round1.assigned_clients.end());
+  ASSERT_EQ(round1.size(), result.round1.assigned_clients.size());
+  for (const int64_t idx : result.round2.assigned_clients) {
+    EXPECT_EQ(round1.count(idx), 0u) << "client " << idx;
+  }
+  EXPECT_EQ(meter.denied_charges(), 0);
 }
 
 TEST_F(FaultMatrixTest, EveryScenarioStaysUnbiased) {

@@ -62,31 +62,31 @@ constexpr std::array<std::array<Digests, kTicks>, kConfigs.size()> kDigests =
     {{
         // shards, snapshot_every = {1, 0}
         {{
-            {0x9e58fa92cb64842au, 0x019a150a937cf65du},
-            {0xe702c241a988598fu, 0x019a150a937cf65du},
-            {0x0a8f2dcf5f3ba237u, 0x019a150a937cf65du},
-            {0x372b5dcaabe1b396u, 0x019a150a937cf65du},
+            {0x928a777a57517defu, 0x019a150a937cf65du},
+            {0x9c52154a22461034u, 0x019a150a937cf65du},
+            {0xd5aa08d7def9515du, 0x019a150a937cf65du},
+            {0x49c6f977f3512e19u, 0x019a150a937cf65du},
         }},
         // shards, snapshot_every = {1, 2}
         {{
-            {0x9e58fa92cb64842au, 0x019a150a937cf65du},
-            {0x2fb87fa2978eadcbu, 0xb15b3e4d9aa62014u},
-            {0x4f60e8efc432fbfau, 0xb15b3e4d9aa62014u},
-            {0x2fb87fa2978eadcbu, 0x9df342b7258b863cu},
+            {0x928a777a57517defu, 0x019a150a937cf65du},
+            {0x2fb87fa2978eadcbu, 0x1ffda7c0936e7dc2u},
+            {0x17f8aa9e4b9be58bu, 0x1ffda7c0936e7dc2u},
+            {0x2fb87fa2978eadcbu, 0x6393fc67befd51d8u},
         }},
         // shards, snapshot_every = {4, 0}
         {{
-            {0xdd38f3652f4e6d45u, 0xbd4f8ca876337c25u},
-            {0x29256629d3bf86fdu, 0xbd4f8ca876337c25u},
-            {0x3acd4e63b9d43430u, 0xbd4f8ca876337c25u},
-            {0xd44e9446116dc649u, 0xbd4f8ca876337c25u},
+            {0x05c00940fe6bc4aeu, 0xbd4f8ca876337c25u},
+            {0x855b37ed9797932fu, 0xbd4f8ca876337c25u},
+            {0x9106370299cd3311u, 0xbd4f8ca876337c25u},
+            {0x06ab92885f740dcdu, 0xbd4f8ca876337c25u},
         }},
         // shards, snapshot_every = {4, 2}
         {{
-            {0xdd38f3652f4e6d45u, 0xbd4f8ca876337c25u},
-            {0x835db89458a5a5bdu, 0x36662d09d8691334u},
-            {0xa3face9b5b08c880u, 0x36662d09d8691334u},
-            {0x835db89458a5a5bdu, 0x222eb62bd9ca82a4u},
+            {0x05c00940fe6bc4aeu, 0xbd4f8ca876337c25u},
+            {0x835db89458a5a5bdu, 0x4e9c2caae7c080acu},
+            {0x694be620d04a1a2fu, 0x4e9c2caae7c080acu},
+            {0x835db89458a5a5bdu, 0xc7a4c953b733cfacu},
         }},
     }};
 

@@ -3,8 +3,8 @@
 // under test is fail-closed recovery: for ANY mutated file the reader
 // either returns a clean error, or returns records that are a bit-exact
 // prefix of what was written (torn tail) — it never invents, alters, or
-// silently drops a record in the middle, because a dropped record could be
-// a privacy-meter charge.
+// silently drops a record in the middle, because a dropped record could
+// hold privacy-meter charges.
 
 #include <algorithm>
 #include <cstdint>
@@ -31,10 +31,12 @@
 namespace bitpush {
 namespace {
 
-// Builds a plausible journal exercising every JournalRecordType: a round's
-// meter charges, the closed round, the query result, and the campaign
-// tick. The wire-exhaustiveness lint check requires each record type to
-// pass through this fuzzer.
+// Builds a plausible journal of every record type a version-3 journal
+// holds: a closed round, with its meter charges in its contact list and
+// charge bitmaps, the query result, and the campaign tick. The
+// wire-exhaustiveness lint check requires each record type to pass
+// through this fuzzer; the retired kMeterCharge record passes through
+// RetiredMeterChargeFrameFailsOpenClosed.
 std::vector<JournalRecord> SampleRecords(Rng& rng) {
   std::vector<JournalRecord> records;
   uint64_t seq = 0;
@@ -46,32 +48,31 @@ std::vector<JournalRecord> SampleRecords(Rng& rng) {
     records.push_back(std::move(record));
   };
   std::vector<uint8_t> payload;
-  const size_t charges = 1 + rng.NextBelow(6);
-  for (size_t i = 0; i < charges; ++i) {
-    payload.clear();
-    MeterChargeRecord charge;
-    charge.client_id = static_cast<int64_t>(rng.NextBelow(1000));
-    charge.value_id = 7;
-    charge.epsilon = rng.NextDouble();
-    charge.granted = rng.NextBit() == 1;
-    EncodeMeterChargeRecord(charge, &payload);
-    add(JournalRecordType::kMeterCharge, payload);
-  }
-
-  payload.clear();
   RoundClosedRecord closed;
   closed.tick = 0;
   closed.query_index = 0;
   closed.value_id = 7;
   closed.round_id = 1;
   closed.cohort_digest = rng.NextUint64();
-  const size_t cohort_size = 1 + rng.NextBelow(5);
-  for (size_t i = 0; i < cohort_size; ++i) {
+  // Up to 70 contacts, so that the bitmaps span a second word.
+  const size_t contacts = 1 + rng.NextBelow(70);
+  closed.outcome.charge_attempted.assign((contacts + 63) / 64, 0);
+  closed.outcome.charge_granted.assign((contacts + 63) / 64, 0);
+  int64_t grants = 0;
+  for (size_t i = 0; i < contacts; ++i) {
     closed.outcome.assigned_clients.push_back(
         static_cast<int64_t>(rng.NextBelow(1000)));
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    if (rng.NextBelow(4) == 0) continue;  // dropped out before the meter
+    closed.outcome.charge_attempted[i / 64] |= bit;
+    if (rng.NextBit() == 1) {
+      closed.outcome.charge_granted[i / 64] |= bit;
+      ++grants;
+    }
   }
-  closed.outcome.contacted = static_cast<int64_t>(cohort_size);
-  closed.outcome.responded = static_cast<int64_t>(charges);
+  closed.outcome.charge_epsilon = rng.NextDouble();
+  closed.outcome.contacted = static_cast<int64_t>(contacts);
+  closed.outcome.responded = grants;
   closed.outcome.dropout_rate = rng.NextDouble();
   closed.outcome.retry.retries_scheduled =
       static_cast<int64_t>(rng.NextBelow(4));
@@ -87,8 +88,7 @@ std::vector<JournalRecord> SampleRecords(Rng& rng) {
   finished.result.query_name = "metric";
   finished.result.status = CampaignTickResult::Status::kRan;
   finished.result.estimate = rng.NextDouble();
-  finished.result.reports = static_cast<int64_t>(charges);
-  finished.final_bit_means = {rng.NextDouble(), rng.NextDouble()};
+  finished.result.reports = grants;
   EncodeQueryFinishedRecord(finished, &payload);
   add(JournalRecordType::kQueryFinished, payload);
 
@@ -225,8 +225,8 @@ TEST_F(PersistFuzzTest, JournalReaderFailsClosedOnEveryMutation) {
       continue;
     }
     // Accepted: everything kept must be a bit-exact prefix of the original
-    // stream. In particular no meter charge in the prefix was altered and
-    // none before the accepted length was dropped.
+    // stream. In particular no round's meter charges in the prefix were
+    // altered and no record before the accepted length was dropped.
     ASSERT_LE(result.records.size(), original.size()) << iteration;
     for (size_t i = 0; i < result.records.size(); ++i) {
       ASSERT_EQ(result.records[i].seq, original[i].seq) << iteration;
@@ -400,6 +400,63 @@ TEST_F(PersistFuzzTest, MeterBlobWithOversizedValueCountFailsClosed) {
   EXPECT_EQ(offset, 0u);
 }
 
+// A version-3 journal holding a retired per-charge frame fails Open
+// closed, with its own error: alone, ahead of a round's close as version 2
+// wrote it, and after the last record, where version 2 left the charges of
+// a round that never closed.
+TEST_F(PersistFuzzTest, RetiredMeterChargeFrameFailsOpenClosed) {
+  Rng data_rng(11);
+  const std::vector<Client> population =
+      MakePopulation(CensusAges(40, data_rng).values(), ClientConfig{});
+  const std::vector<const std::vector<Client>*> populations = {&population};
+  const std::vector<FixedPointCodec> codecs = {FixedPointCodec::Integer(6)};
+  CampaignQuery query;
+  query.name = "a";
+  query.value_id = 7;
+  query.query.adaptive.bits = 6;
+  DurableCampaignOptions options;
+  options.seed = 5;
+  options.fsync = false;
+  std::string error;
+  options.state_dir = dir_ + "/run";
+  {
+    DurableCampaignRunner runner({query}, MeterPolicy{}, options);
+    ASSERT_TRUE(runner.Open(populations, &error)) << error;
+    runner.RunTick(0, codecs);
+  }
+  JournalReadResult run;
+  ASSERT_TRUE(ReadJournal(JournalPath(options.state_dir), 0, &run, &error))
+      << error;
+  ASSERT_EQ(run.records.front().type, JournalRecordType::kRoundClosed);
+
+  // The charge a version-2 journal would hold for the run's first grant.
+  MeterChargeRecord charge{population[0].id(), query.value_id, 0.0, true};
+  JournalRecord frame;
+  frame.type = JournalRecordType::kMeterCharge;
+  EncodeMeterChargeRecord(charge, &frame.payload);
+  MeterChargeRecord decoded;
+  ASSERT_TRUE(DecodeMeterChargeRecord(frame.payload, &decoded));
+  EXPECT_EQ(decoded, charge);
+
+  for (const size_t at : {size_t{0}, size_t{1}, run.records.size()}) {
+    std::vector<JournalRecord> journal;
+    if (at > 0) journal = run.records;
+    journal.insert(journal.begin() + static_cast<ptrdiff_t>(
+                                         std::min(at, journal.size())),
+                   frame);
+    for (size_t i = 0; i < journal.size(); ++i) journal[i].seq = i;
+    options.state_dir = dir_ + "/retired" + std::to_string(at);
+    std::filesystem::create_directories(options.state_dir);
+    ASSERT_TRUE(ReplaceJournal(JournalPath(options.state_dir), journal,
+                               /*sync=*/false, &error))
+        << error;
+    DurableCampaignRunner runner({query}, MeterPolicy{}, options);
+    EXPECT_FALSE(runner.Open(populations, &error)) << at;
+    EXPECT_NE(error.find("retired per-charge record"), std::string::npos)
+        << at << ": " << error;
+  }
+}
+
 // The state files of a real campaign, damaged below their CRCs: a journal
 // frame's payload or the snapshot body is mutated and every frame and file
 // CRC recomputed, so that only the content lies. Open decodes every record
@@ -495,8 +552,8 @@ TEST_F(PersistFuzzTest, OpenFailsClosedOnEveryMutation) {
     Rng rng(0x0BE40000 + iteration);
     const State& state = states[rng.NextBelow(states.size())];
     std::vector<JournalRecord> journal = state.journal;
-    // Half the time a crash's prefix: held rounds, and charges of a round
-    // that never closed.
+    // Half the time a crash's prefix: the closed rounds of a query that
+    // never finished, which Open holds.
     if (rng.NextBit() == 1) {
       journal.resize(static_cast<size_t>(1 + rng.NextBelow(journal.size())));
     }

@@ -76,9 +76,8 @@ class JournalFileTest : public ::testing::Test {
     std::vector<uint8_t> bytes;
     for (int i = 0; i < count; ++i) {
       std::vector<uint8_t> payload;
-      EncodeMeterChargeRecord(MeterChargeRecord{i, i % 3, 0.5, i % 2 == 0},
-                              &payload);
-      AppendJournalFrame(JournalRecordType::kMeterCharge,
+      EncodeCampaignTickRecord(CampaignTickRecord{i}, &payload);
+      AppendJournalFrame(JournalRecordType::kCampaignTick,
                          first_seq + static_cast<uint64_t>(i), payload,
                          &bytes);
     }
@@ -104,28 +103,10 @@ TEST_F(JournalFileTest, MissingFileIsAnEmptyJournal) {
   EXPECT_TRUE(result.found);
 }
 
-TEST_F(JournalFileTest, ChargeFrameEqualsTheFramedVectorEncoding) {
-  // A charge is encoded into a fixed-size array and framed by the writer
-  // with one copy; its bytes are the vector encoding's, framed by
-  // AppendJournalFrame.
-  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  const std::vector<MeterChargeRecord> records = {
-      {0x0102030405060708, -1, 1.0, true},
-      {kMin, kMax, 0.0, true},
-      {kMax, kMin, 1e-300, false},
-      {-7, 3, std::numeric_limits<double>::quiet_NaN(), false},
-      {42, 0, -std::numeric_limits<double>::infinity(), false},
-  };
-  // The first payload, byte for byte: client id, value id, epsilon, granted.
-  MeterChargePayload first;
-  EncodeMeterChargeRecord(records[0], &first);
-  EXPECT_EQ(std::vector<uint8_t>(first.begin(), first.end()),
-            (std::vector<uint8_t>{0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02,
-                                  0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
-                                  0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00,
-                                  0x00, 0xF0, 0x3F, 0x01}));
-
+TEST_F(JournalFileTest, WrittenFramesAreHeaderPayloadAndCrc) {
+  // The writer's file holds exactly the frames AppendJournalFrame builds:
+  // a little-endian header (format version, type, sequence number, payload
+  // length), the payload, and a CRC over both.
   std::vector<uint8_t> expected;
   {
     JournalWriter writer;
@@ -133,30 +114,25 @@ TEST_F(JournalFileTest, ChargeFrameEqualsTheFramedVectorEncoding) {
     ASSERT_TRUE(writer.Open(path_, 0x1122, &error)) << error;
     writer.set_fsync(false);
     uint64_t seq = 0x1122;
-    for (const MeterChargeRecord& record : records) {
-      std::vector<uint8_t> vector_payload;
-      EncodeMeterChargeRecord(record, &vector_payload);
-      MeterChargePayload payload;
-      EncodeMeterChargeRecord(record, &payload);
-      EXPECT_EQ(std::vector<uint8_t>(payload.begin(), payload.end()),
-                vector_payload);
-      AppendJournalFrame(JournalRecordType::kMeterCharge, seq++,
-                         vector_payload, &expected);
-      ASSERT_TRUE(writer.Append(JournalRecordType::kMeterCharge, payload));
+    for (const int64_t tick : {int64_t{0x0102030405060708}, int64_t{7}}) {
+      std::vector<uint8_t> payload;
+      EncodeCampaignTickRecord(CampaignTickRecord{tick}, &payload);
+      AppendJournalFrame(JournalRecordType::kCampaignTick, seq++, payload,
+                         &expected);
+      ASSERT_TRUE(writer.Append(JournalRecordType::kCampaignTick, payload));
     }
     ASSERT_TRUE(writer.Close());
   }
   EXPECT_EQ(ReadBytes(), expected);
-  // The first frame's header: format version, type, sequence number and
-  // payload length, little-endian; its CRC covers header and payload.
-  ASSERT_EQ(expected.size(), records.size() * (14 + 25 + 4));
-  EXPECT_EQ(std::vector<uint8_t>(expected.begin(), expected.begin() + 14),
-            (std::vector<uint8_t>{kJournalFormatVersion, 0x01, 0x22, 0x11, 0,
-                                  0, 0, 0, 0, 0, 25, 0, 0, 0}));
+  ASSERT_EQ(expected.size(), 2u * (14 + 8 + 4));
+  EXPECT_EQ(std::vector<uint8_t>(expected.begin(), expected.begin() + 22),
+            (std::vector<uint8_t>{kJournalFormatVersion, 0x04, 0x22, 0x11, 0,
+                                  0, 0, 0, 0, 0, 8, 0, 0, 0, 0x08, 0x07,
+                                  0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
   std::vector<uint8_t> crc;
-  bytes::PutUint32(bytes::Crc32(expected.data(), 14 + 25), &crc);
-  EXPECT_EQ(std::vector<uint8_t>(expected.begin() + 39,
-                                 expected.begin() + 43),
+  bytes::PutUint32(bytes::Crc32(expected.data(), 14 + 8), &crc);
+  EXPECT_EQ(std::vector<uint8_t>(expected.begin() + 22,
+                                 expected.begin() + 26),
             crc);
 }
 
@@ -228,15 +204,16 @@ TEST_F(JournalFileTest, AFullBufferIsWrittenOutAtAFrameBoundary) {
   writer.set_fsync(false);
   std::vector<uint8_t> expected;
   std::vector<uint8_t> payload;
-  EncodeMeterChargeRecord(MeterChargeRecord{7, 1, 0.5, true}, &payload);
+  EncodeCampaignTickRecord(CampaignTickRecord{7}, &payload);
   std::vector<uint8_t> one_frame;
-  AppendJournalFrame(JournalRecordType::kMeterCharge, 0, payload, &one_frame);
+  AppendJournalFrame(JournalRecordType::kCampaignTick, 0, payload,
+                     &one_frame);
   const int count =
       static_cast<int>(2 * JournalWriter::kBufferBytes / one_frame.size()) +
       3;
   for (int i = 0; i < count; ++i) {
-    ASSERT_TRUE(writer.Append(JournalRecordType::kMeterCharge, payload));
-    AppendJournalFrame(JournalRecordType::kMeterCharge,
+    ASSERT_TRUE(writer.Append(JournalRecordType::kCampaignTick, payload));
+    AppendJournalFrame(JournalRecordType::kCampaignTick,
                        static_cast<uint64_t>(i), payload, &expected);
   }
   const size_t before_commit = RecordsOnDisk();
@@ -257,6 +234,8 @@ TEST_F(JournalFileTest, FrameLargerThanTheBufferRoundTrips) {
   for (int64_t id = 0; id < 20000; ++id) {
     closed.outcome.assigned_clients.push_back(id * 3);
   }
+  closed.outcome.charge_attempted.assign(20000 / 64 + 1, 0);
+  closed.outcome.charge_granted.assign(20000 / 64 + 1, 0);
   std::vector<uint8_t> large;
   EncodeRoundClosedRecord(closed, &large);
   ASSERT_GT(large.size(), JournalWriter::kBufferBytes);
@@ -488,6 +467,10 @@ TEST(JournalPayloadTest, RecordCodecsRoundTrip) {
     record.outcome.retry.retries_scheduled = 2;
     record.outcome.retry.hedges_issued = 1;
     record.outcome.assigned_clients = {2, 3, 5, 8, 13};
+    // Contact 3 dropped out before the meter; the other four were granted.
+    record.outcome.charge_attempted = {0b10111};
+    record.outcome.charge_granted = {0b10111};
+    record.outcome.charge_epsilon = 0.75;
     record.outcome.succeeded_client_ids = {20, 30, 50, 80};
     record.outcome.failed_client_ids = {130};
     std::vector<uint8_t> payload;
@@ -504,6 +487,10 @@ TEST(JournalPayloadTest, RecordCodecsRoundTrip) {
     EXPECT_EQ(decoded.outcome.retry, record.outcome.retry);
     EXPECT_EQ(decoded.outcome.assigned_clients,
               record.outcome.assigned_clients);
+    EXPECT_EQ(decoded.outcome.charge_attempted,
+              record.outcome.charge_attempted);
+    EXPECT_EQ(decoded.outcome.charge_granted, record.outcome.charge_granted);
+    EXPECT_EQ(decoded.outcome.charge_epsilon, record.outcome.charge_epsilon);
     EXPECT_EQ(decoded.outcome.succeeded_client_ids,
               record.outcome.succeeded_client_ids);
     EXPECT_EQ(decoded.outcome.failed_client_ids,
@@ -527,13 +514,67 @@ TEST(JournalPayloadTest, RecordCodecsRoundTrip) {
     record.result.status = CampaignTickResult::Status::kRan;
     record.result.estimate = 36.5;
     record.result.reports = 640;
-    record.final_bit_means = {0.5, 0.25, 0.125};
     std::vector<uint8_t> payload;
     EncodeQueryFinishedRecord(record, &payload);
     QueryFinishedRecord decoded;
     ASSERT_TRUE(DecodeQueryFinishedRecord(payload, &decoded));
     EXPECT_EQ(decoded.result, record.result);
-    EXPECT_EQ(decoded.final_bit_means, record.final_bit_means);
+    payload.push_back(0);
+    EXPECT_FALSE(DecodeQueryFinishedRecord(payload, &decoded));
+  }
+}
+
+TEST(JournalPayloadTest, RoundClosedChargeBitmapsAreValidated) {
+  // 70 contacts: two bitmap words, the second with 6 live bits. Contact
+  // 65 dropped out before the meter and contact 66 was denied; 66 of the
+  // 68 grants became accepted reports.
+  RoundClosedRecord record;
+  record.round_id = 1;
+  record.value_id = 4;
+  for (int64_t i = 0; i < 70; ++i) record.outcome.assigned_clients.push_back(i);
+  record.outcome.contacted = 70;
+  record.outcome.responded = 66;
+  record.outcome.charge_attempted = {~uint64_t{0}, 0b111101};
+  record.outcome.charge_granted = {~uint64_t{0}, 0b111001};
+  record.outcome.charge_epsilon = 1.0;
+  const auto decodes = [&record](const RoundClosedRecord& changed) {
+    std::vector<uint8_t> payload;
+    EncodeRoundClosedRecord(changed, &payload);
+    RoundClosedRecord decoded;
+    return DecodeRoundClosedRecord(payload, &decoded);
+  };
+  ASSERT_TRUE(decodes(record));
+
+  // A bitmap of the wrong length.
+  RoundClosedRecord bad = record;
+  bad.outcome.charge_attempted.push_back(0);
+  EXPECT_FALSE(decodes(bad));
+  bad = record;
+  bad.outcome.charge_granted.pop_back();
+  EXPECT_FALSE(decodes(bad));
+  // A bit past the last contact.
+  bad = record;
+  bad.outcome.charge_attempted[1] |= uint64_t{1} << 6;
+  bad.outcome.charge_granted[1] |= uint64_t{1} << 6;
+  EXPECT_FALSE(decodes(bad));
+  // A grant without an attempt.
+  bad = record;
+  bad.outcome.charge_granted[1] |= 0b10;
+  EXPECT_FALSE(decodes(bad));
+  // Fewer grants than accepted reports.
+  bad = record;
+  bad.outcome.responded = 69;
+  EXPECT_FALSE(decodes(bad));
+  // A grant at an epsilon the meter denies.
+  for (const double epsilon : {-0.5, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    bad = record;
+    bad.outcome.charge_epsilon = epsilon;
+    EXPECT_FALSE(decodes(bad)) << epsilon;
+    // Denied charges keep the epsilon they were denied at.
+    bad.outcome.charge_granted = {0, 0};
+    bad.outcome.responded = 0;
+    EXPECT_TRUE(decodes(bad)) << epsilon;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <sys/stat.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -238,17 +239,22 @@ TEST_F(RecoveryTest, FsyncsPerTickDoNotGrowWithTheCohort) {
       fsyncs_by_tick->push_back(
           JournalCounter("bitpush_journal_fsyncs_total") - before);
     }
-    const int64_t records = JournalCounter("bitpush_journal_records_total");
+    const std::pair<int64_t, int64_t> journaled = {
+        JournalCounter("bitpush_journal_records_total"),
+        JournalCounter("bitpush_journal_bytes_total")};
     obs::SetEnabled(false);
-    return records;
+    return journaled;
   };
   std::vector<int64_t> small_fsyncs;
   std::vector<int64_t> large_fsyncs;
-  const int64_t small_records = run(200, &small_fsyncs);
-  const int64_t large_records = run(2000, &large_fsyncs);
+  const auto [small_records, small_bytes] = run(200, &small_fsyncs);
+  const auto [large_records, large_bytes] = run(2000, &large_fsyncs);
   EXPECT_EQ(small_fsyncs, large_fsyncs);
   for (const int64_t fsyncs : small_fsyncs) EXPECT_GT(fsyncs, 0);
-  EXPECT_GT(large_records, 5 * small_records);
+  // One record per round, query and tick, whatever the cohort; the
+  // records grow with their contact lists.
+  EXPECT_EQ(large_records, small_records);
+  EXPECT_GT(large_bytes, 5 * small_bytes);
 }
 
 TEST_F(RecoveryTest, KillAtEveryJournalRecordRecoversIdentically) {
@@ -269,16 +275,20 @@ TEST_F(RecoveryTest, KillAtEveryJournalRecordRecoversIdentically) {
       << error;
   ASSERT_FALSE(journal.torn_tail);
   const size_t total = journal.records.size();
-  ASSERT_GT(total, 100u);  // both queries, both rounds, their charges
+  // Per tick: both queries' two round closes and results, and the tick.
+  ASSERT_EQ(total, kTicks * 7u);
 
   int64_t denied_seen = 0;
   for (const JournalRecord& record : journal.records) {
-    if (record.type != JournalRecordType::kMeterCharge) continue;
-    MeterChargeRecord charge;
-    ASSERT_TRUE(DecodeMeterChargeRecord(record.payload, &charge));
-    if (!charge.granted) ++denied_seen;
+    if (record.type != JournalRecordType::kRoundClosed) continue;
+    RoundClosedRecord closed;
+    ASSERT_TRUE(DecodeRoundClosedRecord(record.payload, &closed));
+    for (size_t w = 0; w < closed.outcome.charge_attempted.size(); ++w) {
+      denied_seen += std::popcount(closed.outcome.charge_attempted[w] &
+                                   ~closed.outcome.charge_granted[w]);
+    }
   }
-  ASSERT_GT(denied_seen, 0);  // the crash matrix covers denial records too
+  ASSERT_GT(denied_seen, 0);  // the crash matrix covers denied charges too
 
   for (size_t k = 0; k <= total; ++k) {
     const std::string dir = FreshDir("kill_" + std::to_string(k));
@@ -331,7 +341,7 @@ TEST_F(RecoveryTest, KillAtEveryRecordRecoversWithPeriodicSnapshotsOn) {
   ASSERT_TRUE(ReadJournal(base_dir + "/journal.wal", 0, &journal, &error))
       << error;
   const size_t total = journal.records.size();
-  ASSERT_GT(total, 100u);
+  ASSERT_EQ(total, kTicks * 7u);
 
   for (size_t k = 0; k <= total; ++k) {
     const std::string dir = FreshDir("snapkill_" + std::to_string(k));
@@ -699,6 +709,11 @@ TEST_F(RecoveryTest, VersionTwoSnapshotFailsClosed) {
   version2.insert(version2.end(), current.meter_blob.begin(),
                   current.meter_blob.end());
   bytes::PutUint32(static_cast<uint32_t>(current.finished.size()), &version2);
+  // A count, then the values.
+  const auto put_means = [&version2](const std::vector<double>& values) {
+    bytes::PutUint32(static_cast<uint32_t>(values.size()), &version2);
+    for (const double value : values) bytes::PutDouble(value, &version2);
+  };
   std::vector<std::vector<double>> means;
   for (const FinishedQueryEntry& entry : current.finished) {
     means.emplace_back();
@@ -710,12 +725,12 @@ TEST_F(RecoveryTest, VersionTwoSnapshotFailsClosed) {
     bytes::PutInt64(entry.result.tick, &version2);
     bytes::PutInt64(entry.query_index, &version2);
     EncodeCampaignTickResult(entry.result, &version2);
-    bytes::PutDoubleVector(means.back(), &version2);
+    put_means(means.back());
   }
   bytes::PutUint32(static_cast<uint32_t>(means.size()), &version2);
   for (size_t value_id = 0; value_id < means.size(); ++value_id) {
     bytes::PutInt64(static_cast<int64_t>(value_id), &version2);
-    bytes::PutDoubleVector(means[value_id], &version2);
+    put_means(means[value_id]);
   }
   bytes::PutUint32(static_cast<uint32_t>(current.health_blob.size()),
                    &version2);
@@ -741,10 +756,11 @@ TEST_F(RecoveryTest, VersionTwoSnapshotFailsClosed) {
 }
 
 TEST_F(RecoveryTest, ChargesOfARoundThatNeverClosedAreDiscarded) {
-  // A kill after the 64 KiB buffer spilled mid-round leaves a round's
-  // charges on disk without its kRoundClosed record. Open validates them
-  // and drops them from the journal; the round re-executes from its RNG
-  // fork, appending the same charges again.
+  // A round's charges are journaled only in its kRoundClosed record, so a
+  // kill before the record reached the disk leaves none of them: the
+  // journal ends at an earlier record, Open keeps it as it is, and the
+  // round re-executes from its RNG fork, charging the meter once and
+  // appending the same record again.
   const std::string base_dir = FreshDir("discard_base");
   DurableCampaignRunner baseline(MakeQueries(), policy_, Options(base_dir));
   std::string error;
@@ -757,44 +773,29 @@ TEST_F(RecoveryTest, ChargesOfARoundThatNeverClosedAreDiscarded) {
       << error;
 
   int64_t cuts = 0;
-  size_t kept = 0;  // records up to the last round, query or tick record
   for (size_t cut = 0; cut < journal.records.size(); ++cut) {
-    const JournalRecordType type = journal.records[cut].type;
-    if (type == JournalRecordType::kRoundClosed && cut > kept) {
-      // Cut just before a round close whose round has charges.
-      const std::string dir = FreshDir("discard_" + std::to_string(cut));
-      std::filesystem::create_directories(dir);
-      WriteJournalPrefix(dir + "/journal.wal", journal.records, cut);
-      {
-        DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
-        ASSERT_TRUE(runner.Open(populations_, &error)) << "cut=" << cut << ": " << error;
-        EXPECT_EQ(runner.recovery_info().replayed_records,
-                  static_cast<int64_t>(cut));
-        JournalReadResult rewritten;
-        ASSERT_TRUE(ReadJournal(dir + "/journal.wal", 0, &rewritten, &error))
-            << error;
-        ASSERT_EQ(rewritten.records.size(), kept) << "cut=" << cut;
-        if (kept > 0) {
-          EXPECT_NE(rewritten.records.back().type,
-                    JournalRecordType::kMeterCharge);
-          EXPECT_EQ(rewritten.records.back().payload,
-                    journal.records[kept - 1].payload);
-        }
-      }
-      DurableCampaignRunner again(MakeQueries(), policy_, Options(dir));
-      ASSERT_TRUE(again.Open(populations_, &error)) << "cut=" << cut << ": " << error;
-      EXPECT_EQ(again.recovery_info().replayed_records,
-                static_cast<int64_t>(kept));
-      const Fingerprint actual = RunToCompletion(&again);
-      EXPECT_EQ(actual.history, expected.history) << "cut=" << cut;
-      EXPECT_EQ(actual.meter, expected.meter) << "cut=" << cut;
-      EXPECT_EQ(FileBytes(dir + "/journal.wal"), expected_journal)
-          << "cut=" << cut;
-      ++cuts;
+    if (journal.records[cut].type != JournalRecordType::kRoundClosed) {
+      continue;
     }
-    if (type != JournalRecordType::kMeterCharge) kept = cut + 1;
+    // Cut just before a round close.
+    const std::string dir = FreshDir("discard_" + std::to_string(cut));
+    std::filesystem::create_directories(dir);
+    WriteJournalPrefix(dir + "/journal.wal", journal.records, cut);
+    const std::vector<uint8_t> prefix = FileBytes(dir + "/journal.wal");
+    DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+    ASSERT_TRUE(runner.Open(populations_, &error))
+        << "cut=" << cut << ": " << error;
+    EXPECT_EQ(runner.recovery_info().replayed_records,
+              static_cast<int64_t>(cut));
+    EXPECT_EQ(FileBytes(dir + "/journal.wal"), prefix) << "cut=" << cut;
+    const Fingerprint actual = RunToCompletion(&runner);
+    EXPECT_EQ(actual.history, expected.history) << "cut=" << cut;
+    EXPECT_EQ(actual.meter, expected.meter) << "cut=" << cut;
+    EXPECT_EQ(FileBytes(dir + "/journal.wal"), expected_journal)
+        << "cut=" << cut;
+    ++cuts;
   }
-  EXPECT_GE(cuts, 2 * kTicks);
+  EXPECT_EQ(cuts, 2 * 2 * kTicks);
 }
 
 // The inode of the file at `path`. A rewrite renames a new file over the
@@ -904,19 +905,6 @@ TEST_F(RecoveryTest, OpenRewritesAJournalThatHoldsMoreThanItKeeps) {
   ASSERT_TRUE(TearJournalTail(JournalPath(torn), 3, &error)) << error;
   expect_rewritten(torn, total - 1);
 
-  // The charges of a round that never closed: cut just before the first
-  // round close, whose round has charges. Every record before it goes.
-  size_t first_close = 0;
-  while (journal.records[first_close].type !=
-         JournalRecordType::kRoundClosed) {
-    ++first_close;
-  }
-  ASSERT_GT(first_close, 0u);
-  const std::string unclosed = FreshDir("rewrite_unclosed");
-  std::filesystem::create_directories(unclosed);
-  WriteJournalPrefix(JournalPath(unclosed), journal.records, first_close);
-  expect_rewritten(unclosed, 0);
-
   // A stale prefix: the crash landed between a snapshot's rename and the
   // journal truncation after it, so the journal still holds the records
   // the snapshot covers.
@@ -936,32 +924,23 @@ TEST_F(RecoveryTest, OpenRewritesAJournalThatHoldsMoreThanItKeeps) {
   }
   expect_rewritten(stale, 0);
 
-  // The same stale prefix followed by the charges of a round that never
-  // closed: no frame is kept, and none of the stale ones either.
-  const std::string stale_unclosed = FreshDir("rewrite_stale_unclosed");
-  std::filesystem::copy(stale, stale_unclosed);
+  // The same stale prefix with a torn frame after it: neither is kept.
+  const std::string stale_torn = FreshDir("rewrite_stale_torn");
+  std::filesystem::copy(stale, stale_torn);
   {
-    size_t next = 0;
-    while (journal.records[next].type != JournalRecordType::kCampaignTick) {
-      ++next;
-    }
-    size_t close = ++next;
-    while (journal.records[close].type != JournalRecordType::kRoundClosed) {
-      ++close;
-    }
-    ASSERT_GT(close, next);
-    std::vector<uint8_t> bytes = covered;
-    for (size_t i = next; i < close; ++i) {
-      ASSERT_EQ(journal.records[i].type, JournalRecordType::kMeterCharge);
-      AppendJournalFrame(journal.records[i].type, journal.records[i].seq,
-                         journal.records[i].payload, &bytes);
-    }
-    std::ofstream out(JournalPath(stale_unclosed),
+    std::vector<uint8_t> frame;
+    AppendJournalFrame(journal.records.front().type,
+                       journal.records.back().seq + 1,
+                       journal.records.front().payload, &frame);
+    std::ofstream out(JournalPath(stale_torn),
                       std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    out.write(reinterpret_cast<const char*>(covered.data()),
+              static_cast<std::streamsize>(covered.size()));
+    // All of the frame but its CRC's last three bytes.
+    out.write(reinterpret_cast<const char*>(frame.data()),
+              static_cast<std::streamsize>(frame.size()) - 3);
   }
-  expect_rewritten(stale_unclosed, 0);
+  expect_rewritten(stale_torn, 0);
 
   // A missing journal: a fresh state directory, and one whose journal is
   // gone beside its snapshot.
@@ -1006,41 +985,133 @@ TEST_F(RecoveryDeathTest, RestoredRoundOverAnotherCohortAbortsAsDivergence) {
 
 TEST_F(RecoveryTest, VersionOneJournalFailsClosed) {
   // A journal framed with version byte 1, as a build with eight record
-  // types wrote it. Open must refuse it with an error, not abort, and
-  // leave the file as it found it.
-  const std::string dir = FreshDir("v1_journal");
+  // types wrote it, or 2, as a build that journaled each meter charge as
+  // a frame of its own wrote it (here with a charge frame ahead of each
+  // round close). Open must refuse it with an error, not abort, and leave
+  // the file as it found it.
+  for (const uint8_t version : {uint8_t{1}, uint8_t{2}}) {
+    const std::string dir =
+        FreshDir(version == 1 ? "v1_journal" : "v2_journal");
+    {
+      DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+      std::string error;
+      ASSERT_TRUE(runner.Open(populations_, &error)) << error;
+      runner.RunTick(0, codecs_);
+    }
+    const std::string path = dir + "/journal.wal";
+    JournalReadResult journal;
+    std::string error;
+    ASSERT_TRUE(ReadJournal(path, 0, &journal, &error)) << error;
+    ASSERT_FALSE(journal.records.empty());
+    std::vector<JournalRecord> records;
+    for (const JournalRecord& record : journal.records) {
+      if (version == 2 && record.type == JournalRecordType::kRoundClosed) {
+        JournalRecord charge;
+        charge.type = JournalRecordType::kMeterCharge;
+        EncodeMeterChargeRecord(
+            MeterChargeRecord{population_[0].id(), 0, 0.0, true},
+            &charge.payload);
+        records.push_back(std::move(charge));
+      }
+      records.push_back(record);
+    }
+    std::vector<uint8_t> old_journal;
+    for (size_t i = 0; i < records.size(); ++i) {
+      std::vector<uint8_t> frame;
+      AppendJournalFrame(records[i].type, i, records[i].payload, &frame);
+      ASSERT_EQ(frame[0], kJournalFormatVersion);
+      frame[0] = version;
+      frame.erase(frame.end() - 4, frame.end());  // the CRC
+      bytes::PutUint32(bytes::Crc32(frame), &frame);
+      old_journal.insert(old_journal.end(), frame.begin(), frame.end());
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(old_journal.data()),
+                static_cast<std::streamsize>(old_journal.size()));
+    }
+    ASSERT_EQ(FileBytes(path), old_journal);
+
+    DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
+    EXPECT_FALSE(reopened.Open(populations_, &error)) << int{version};
+    EXPECT_NE(error.find("format version"), std::string::npos) << error;
+    EXPECT_EQ(FileBytes(path), old_journal);
+  }
+}
+
+TEST_F(RecoveryTest, ContactOutsideThePopulationFailsOpenClosed) {
+  // A round-closed record whose contact list names an index past its
+  // query's population, its CRC intact: Open must refuse it, not replay a
+  // charge of a client that does not exist.
+  const std::string base_dir = FreshDir("contact_base");
   {
-    DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
+    DurableCampaignRunner runner(MakeQueries(), policy_, Options(base_dir));
     std::string error;
     ASSERT_TRUE(runner.Open(populations_, &error)) << error;
     runner.RunTick(0, codecs_);
   }
-  const std::string path = dir + "/journal.wal";
   JournalReadResult journal;
   std::string error;
-  ASSERT_TRUE(ReadJournal(path, 0, &journal, &error)) << error;
-  ASSERT_FALSE(journal.records.empty());
-  std::vector<uint8_t> version1;
-  for (const JournalRecord& record : journal.records) {
-    std::vector<uint8_t> frame;
-    AppendJournalFrame(record.type, record.seq, record.payload, &frame);
-    ASSERT_EQ(frame[0], kJournalFormatVersion);
-    frame[0] = 1;
-    frame.erase(frame.end() - 4, frame.end());  // the CRC
-    bytes::PutUint32(bytes::Crc32(frame), &frame);
-    version1.insert(version1.end(), frame.begin(), frame.end());
+  ASSERT_TRUE(ReadJournal(JournalPath(base_dir), 0, &journal, &error))
+      << error;
+  ASSERT_EQ(journal.records.front().type, JournalRecordType::kRoundClosed);
+  for (const int64_t contact :
+       {static_cast<int64_t>(population_.size()), int64_t{-1}}) {
+    std::vector<JournalRecord> records = journal.records;
+    RoundClosedRecord closed;
+    ASSERT_TRUE(DecodeRoundClosedRecord(records[0].payload, &closed));
+    closed.outcome.assigned_clients.back() = contact;
+    records[0].payload.clear();
+    EncodeRoundClosedRecord(closed, &records[0].payload);
+    const std::string dir = FreshDir("contact_" + std::to_string(contact));
+    std::filesystem::create_directories(dir);
+    WriteJournalPrefix(JournalPath(dir), records, records.size());
+    DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
+    EXPECT_FALSE(reopened.Open(populations_, &error)) << contact;
+    EXPECT_NE(error.find("outside its population"), std::string::npos)
+        << error;
   }
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(version1.data()),
-              static_cast<std::streamsize>(version1.size()));
-  }
-  ASSERT_EQ(FileBytes(path), version1);
+}
 
+TEST_F(RecoveryTest, FlippedGrantFailsOpenClosedAsADivergedCharge) {
+  // One granted bit of a finished query's round flipped to a denial, the
+  // record's CRC recomputed: the meter grants the replayed charge, which
+  // contradicts the record. Open must fail with an error, not abort, and
+  // not restore a ledger that forgot the charge.
+  const std::string base_dir = FreshDir("flip_base");
+  {
+    DurableCampaignRunner runner(MakeQueries(), policy_, Options(base_dir));
+    std::string error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << error;
+    runner.RunTick(0, codecs_);
+  }
+  JournalReadResult journal;
+  std::string error;
+  ASSERT_TRUE(ReadJournal(JournalPath(base_dir), 0, &journal, &error))
+      << error;
+  std::vector<JournalRecord> records = journal.records;
+  RoundClosedRecord closed;
+  ASSERT_EQ(records[0].type, JournalRecordType::kRoundClosed);
+  ASSERT_TRUE(DecodeRoundClosedRecord(records[0].payload, &closed));
+  // The first granted contact's grant becomes a denial. One accepted
+  // report goes too, so that the record still decodes (no fewer grants
+  // than accepted reports) and the replay, not the decoder, catches it.
+  size_t granted = 0;
+  while ((closed.outcome.charge_granted[granted / 64] >> (granted % 64) &
+          1) == 0) {
+    ++granted;
+  }
+  closed.outcome.charge_granted[granted / 64] &=
+      ~(uint64_t{1} << (granted % 64));
+  --closed.outcome.responded;
+  records[0].payload.clear();
+  EncodeRoundClosedRecord(closed, &records[0].payload);
+  const std::string dir = FreshDir("flip");
+  std::filesystem::create_directories(dir);
+  WriteJournalPrefix(JournalPath(dir), records, records.size());
   DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir));
   EXPECT_FALSE(reopened.Open(populations_, &error));
-  EXPECT_NE(error.find("format version"), std::string::npos) << error;
-  EXPECT_EQ(FileBytes(path), version1);
+  EXPECT_NE(error.find("diverged"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -17,24 +17,6 @@
 namespace bitpush {
 namespace {
 
-// Captures every journal callback.
-class RecordingJournal : public PrivacyMeter::Journal {
- public:
-  struct Charge {
-    int64_t client_id = 0;
-    int64_t value_id = 0;
-    double epsilon = 0.0;
-    bool granted = false;
-  };
-
-  void OnCharge(int64_t client_id, int64_t value_id, double epsilon,
-                bool granted) override {
-    charges.push_back(Charge{client_id, value_id, epsilon, granted});
-  }
-
-  std::vector<Charge> charges;
-};
-
 TEST(PrivacyMeterTest, DefaultPolicyAllowsOneBitPerValue) {
   PrivacyMeter meter{MeterPolicy{}};
   EXPECT_TRUE(meter.TryChargeBit(1, 100, 0.0));
@@ -135,22 +117,41 @@ TEST(PrivacyMeterTest, InvalidEpsilonDeniedWithoutSideEffects) {
   EXPECT_FALSE(meter.TryChargeBit(1, 3, 0.5));
 }
 
-// Regression: invalid-epsilon denials used to return before the journal
-// hooks, so they were never journaled nor replayed — a restored ledger's
-// denied-charge count diverged from an uninterrupted run.
+// Regression: invalid-epsilon denials used to skip the journal, so they
+// were never replayed — a restored ledger's denied-charge count diverged
+// from an uninterrupted run. Such a denial is a decision like a cap's: a
+// round records it in its outcome (attempted, not granted), the journal
+// keeps that, and recovery replays it, so the restored ledger counts it
+// once. Replayed as a grant, it diverges.
 TEST(PrivacyMeterTest, InvalidEpsilonDenialsFlowThroughTheJournal) {
-  PrivacyMeter meter{MeterPolicy{}};
-  RecordingJournal journal;
-  meter.set_journal(&journal);
-
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(meter.TryChargeBit(1, 2, nan));
-  ASSERT_EQ(journal.charges.size(), 1u);
-  EXPECT_EQ(journal.charges[0].client_id, 1);
-  EXPECT_EQ(journal.charges[0].value_id, 2);
-  EXPECT_TRUE(std::isnan(journal.charges[0].epsilon));
-  EXPECT_FALSE(journal.charges[0].granted);
-  EXPECT_EQ(meter.denied_charges(), 1);
+  PrivacyMeter live{MeterPolicy{}};
+  EXPECT_FALSE(live.TryChargeBit(1, 2, nan));
+  EXPECT_EQ(live.denied_charges(), 1);
+  std::vector<uint8_t> live_ledger;
+  live.EncodeTo(&live_ledger);
+
+  struct Decision {
+    int64_t client_id = 0;
+    int64_t value_id = 0;
+    double epsilon = 0.0;
+    bool granted = false;
+  };
+  for (const bool granted : {false, true}) {
+    PrivacyMeter restored{MeterPolicy{}};
+    restored.RegisterValue(2);
+    restored.Register(1);
+    const Decision decision{1, 2, nan, granted};
+    EXPECT_EQ(restored.ReplayCharges(
+                  1, [&decision](size_t) { return decision; }),
+              granted ? 0u : 1u);
+    EXPECT_EQ(restored.denied_charges(), granted ? 0 : 1);
+    std::vector<uint8_t> ledger;
+    restored.EncodeTo(&ledger);
+    if (!granted) {
+      EXPECT_EQ(ledger, live_ledger);
+    }
+  }
 }
 
 TEST(PrivacyMeterTest, EncodeDecodeRoundTripsLedger) {

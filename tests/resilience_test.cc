@@ -750,8 +750,10 @@ TEST_F(ResilienceRecoveryTest, KillAtEveryJournalRecordReplaysRetrySchedule) {
   ASSERT_GT(journaled.hedges_issued, 0);
   ASSERT_GT(baseline.campaign().retry_stats().RecoveredTotal(), 0);
 
+  // At least a tick: both queries' round closes and results, and the
+  // tick's close.
   const size_t total = expected.journal.size();
-  ASSERT_GT(total, 100u);
+  ASSERT_GE(total, 7u);
   for (size_t k = 0; k <= total; ++k) {
     const std::string dir = FreshDir("kill_" + std::to_string(k));
     std::filesystem::create_directories(dir);

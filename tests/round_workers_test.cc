@@ -2,11 +2,14 @@
 // (federated/round_stages.h) run on 1, 2 or 4 threads, overlapping the
 // respond step of the chunk between them, and nothing the round produces
 // may depend on how many. Each case runs the same inputs at every budget
-// and compares the round outcome, the ledger's canonical bytes, the
-// journaled charge decisions and the RNG state, and replays the journal
-// through one-step charges (PrivacyMeter::TryChargeBit), which must decide
-// every charge as the round did. The rounds are large enough that a chunk
-// splits over several threads; the later cases span four chunks and more.
+// and compares the round outcome, the ledger's canonical bytes, the charge
+// decisions and the RNG state. It reads each round's decisions from the
+// outcome's contact list and charge bitmaps, in contact order, as recovery
+// does, and replays them through one-step charges
+// (PrivacyMeter::TryChargeBit), which must decide every charge as the
+// round did: contact order is charge order. The rounds are large enough
+// that a chunk splits over several threads; the later cases span four
+// chunks and more.
 // ctest -R RoundWorkers; the TSan stage of scripts/check.sh runs it.
 
 #include <unistd.h>
@@ -36,7 +39,6 @@
 #include "federated/shard/shard.h"
 #include "obs/trace.h"
 #include "rng/rng.h"
-#include "util/bytes.h"
 
 namespace bitpush {
 namespace {
@@ -51,21 +53,31 @@ constexpr int64_t kLongCohort = 4 * kChunk + 3000;
 constexpr int64_t kPool = 6000;
 const int64_t kBudgets[] = {1, 2, 4};
 
-// Journals every charge decision as bytes, in decision order.
-class ByteJournal : public PrivacyMeter::Journal {
- public:
-  void OnCharge(int64_t client_id, int64_t value_id, double epsilon,
-                bool granted) override {
-    bytes::PutInt64(client_id, &bytes_);
-    bytes::PutInt64(value_id, &bytes_);
-    bytes::PutDouble(epsilon, &bytes_);
-    bytes_.push_back(granted ? 1 : 0);
-  }
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
+// One charge decision, as the meter made it.
+struct Decision {
+  int64_t client_id = 0;
+  int64_t value_id = 0;
+  double epsilon = 0.0;
+  bool granted = false;
 
- private:
-  std::vector<uint8_t> bytes_;
+  friend bool operator==(const Decision&, const Decision&) = default;
 };
+
+// Appends the charge decisions `outcome` records at `value_id`: its
+// contacts whose charge reached the meter, in contact order, with their
+// granted bits.
+void AppendDecisions(const RoundOutcome& outcome,
+                     const std::vector<Client>& clients, int64_t value_id,
+                     std::vector<Decision>* out) {
+  for (size_t i = 0; i < outcome.assigned_clients.size(); ++i) {
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    if ((outcome.charge_attempted[i / 64] & bit) == 0) continue;
+    const size_t index = static_cast<size_t>(outcome.assigned_clients[i]);
+    out->push_back(Decision{clients[index].id(), value_id,
+                            outcome.charge_epsilon,
+                            (outcome.charge_granted[i / 64] & bit) != 0});
+  }
+}
 
 struct Inputs {
   std::vector<Client> clients;
@@ -83,7 +95,9 @@ struct Inputs {
 struct Result {
   std::vector<std::vector<uint8_t>> outcomes;
   std::vector<uint8_t> ledger;
-  std::vector<uint8_t> journal;
+  // Every charge decision: the warm one-step charges, then each round's,
+  // read from its outcome.
+  std::vector<Decision> decisions;
   int64_t denied = 0;
   double total_epsilon = 0.0;
   Rng rng{0};
@@ -110,54 +124,46 @@ Result RunRounds(const Inputs& inputs, int64_t workers, bool bound = false) {
     query.value_id = kValueId;
     MeasurementCampaign({query}, &meter).BindPopulations({&inputs.clients});
   }
-  ByteJournal journal;
-  meter.set_journal(&journal);
+  Result result;
   for (const int64_t idx : inputs.warm) {
-    meter.TryChargeBit(inputs.clients[static_cast<size_t>(idx)].id(),
-                       kValueId, 0.0);
+    const int64_t id = inputs.clients[static_cast<size_t>(idx)].id();
+    result.decisions.push_back(
+        Decision{id, kValueId, 0.0, meter.TryChargeBit(id, kValueId, 0.0)});
   }
   RoundConfig config = inputs.config;
   config.workers = workers;
   if (inputs.faults.enabled()) config.fault_plan = &inputs.faults;
   if (inputs.health.policy().enabled()) config.health = &inputs.health;
-  Result result;
   Rng rng(77);
   for (int64_t round = 1; round <= 2; ++round) {
     config.round_id = round;
-    result.outcomes.push_back(
-        Encoded(server.RunRound(inputs.clients, inputs.cohort, config,
-                                &meter, rng)));
+    const RoundOutcome outcome = server.RunRound(
+        inputs.clients, inputs.cohort, config, &meter, rng);
+    AppendDecisions(outcome, inputs.clients, config.value_id,
+                    &result.decisions);
+    result.outcomes.push_back(Encoded(outcome));
   }
   meter.EncodeTo(&result.ledger);
-  result.journal = journal.bytes();
   result.denied = meter.denied_charges();
   result.total_epsilon = meter.total_epsilon();
   result.rng = rng;
   return result;
 }
 
-// Replays `result`'s journaled charge attempts, in order, through one-step
-// charges on a fresh meter: each must be decided as the round decided it,
-// and the ledger must end the same.
+// Replays `result`'s charge decisions, in order, through one-step charges
+// on a fresh meter: each must be decided as the round decided it, and the
+// ledger must end the same.
 void ExpectOneStepDecisions(const Result& result, const MeterPolicy& policy) {
   PrivacyMeter meter(policy);
-  const std::vector<uint8_t>& journal = result.journal;
-  size_t offset = 0;
-  int64_t attempts = 0;
   int64_t differ = 0;
-  while (offset < journal.size()) {
-    int64_t client_id = 0;
-    int64_t value_id = 0;
-    double epsilon = 0.0;
-    ASSERT_TRUE(bytes::GetInt64(journal, &offset, &client_id));
-    ASSERT_TRUE(bytes::GetInt64(journal, &offset, &value_id));
-    ASSERT_TRUE(bytes::GetDouble(journal, &offset, &epsilon));
-    ASSERT_LT(offset, journal.size());
-    const bool granted = journal[offset++] != 0;
-    ++attempts;
-    if (meter.TryChargeBit(client_id, value_id, epsilon) != granted) ++differ;
+  for (const Decision& decision : result.decisions) {
+    if (meter.TryChargeBit(decision.client_id, decision.value_id,
+                           decision.epsilon) != decision.granted) {
+      ++differ;
+    }
   }
-  EXPECT_EQ(differ, 0) << "of " << attempts << " charge attempts";
+  EXPECT_EQ(differ, 0) << "of " << result.decisions.size()
+                       << " charge attempts";
   std::vector<uint8_t> ledger;
   meter.EncodeTo(&ledger);
   EXPECT_EQ(ledger, result.ledger);
@@ -174,8 +180,8 @@ void ExpectSameAtEveryBudget(const Inputs& inputs) {
       EXPECT_EQ(result.outcomes, inline_result.outcomes)
           << "round outcome " << where;
       EXPECT_EQ(result.ledger, inline_result.ledger) << "ledger " << where;
-      EXPECT_EQ(result.journal, inline_result.journal)
-          << "journal " << where;
+      EXPECT_TRUE(result.decisions == inline_result.decisions)
+          << "charge decisions " << where;
       EXPECT_EQ(result.denied, inline_result.denied) << where;
       EXPECT_EQ(result.total_epsilon, inline_result.total_epsilon) << where;
       EXPECT_TRUE(result.rng == inline_result.rng) << "RNG state " << where;
@@ -369,8 +375,6 @@ Result RunRepeatRounds(const RepeatRounds& rounds, const MeterPolicy& policy,
                        int64_t workers) {
   const FixedPointCodec codec = FixedPointCodec::Integer(kBits);
   PrivacyMeter meter(policy);
-  ByteJournal journal;
-  meter.set_journal(&journal);
   RoundConfig config;
   config.probabilities = GeometricProbabilities(kBits, 0.5);
   config.workers = workers;
@@ -381,15 +385,16 @@ Result RunRepeatRounds(const RepeatRounds& rounds, const MeterPolicy& policy,
   for (const auto& [cohort, value_id] : passes) {
     config.value_id = value_id;
     ++config.round_id;
-    result.outcomes.push_back(Encoded(AggregationServer(codec).RunRound(
-        rounds.clients, *cohort, config, &meter, rng)));
+    const RoundOutcome outcome = AggregationServer(codec).RunRound(
+        rounds.clients, *cohort, config, &meter, rng);
+    AppendDecisions(outcome, rounds.clients, value_id, &result.decisions);
+    result.outcomes.push_back(Encoded(outcome));
   }
   for (const auto& [id, value_id] : rounds.repeated) {
     EXPECT_EQ(meter.ValueBits(id, value_id), 1)
         << "client " << id << " at budget " << workers;
   }
   meter.EncodeTo(&result.ledger);
-  result.journal = journal.bytes();
   result.denied = meter.denied_charges();
   result.total_epsilon = meter.total_epsilon();
   result.rng = rng;
@@ -434,8 +439,8 @@ TEST(RoundWorkersTest, RepeatsInTheNextTwoChunksAreDeniedAtOneBitPerValue) {
         << "round outcome at budget " << workers;
     EXPECT_EQ(result.ledger, inline_result.ledger)
         << "ledger at budget " << workers;
-    EXPECT_EQ(result.journal, inline_result.journal)
-        << "journal at budget " << workers;
+    EXPECT_TRUE(result.decisions == inline_result.decisions)
+        << "charge decisions at budget " << workers;
     EXPECT_EQ(result.denied, 5) << "budget " << workers;
     EXPECT_TRUE(result.rng == inline_result.rng)
         << "RNG state at budget " << workers;

@@ -219,15 +219,11 @@ TEST(BytesTest, VariableLengthFieldsAppendCountThenElements) {
   bytes::PutInt64Vector({}, &out);
   EXPECT_EQ(out, (Bytes{0xEE, 0, 0, 0, 0}));
 
-  // 2.0 = 0x4000000000000000, -0.5 = 0xBFE0000000000000.
   out = Held();
-  bytes::PutDoubleVector({2.0, -0.5}, &out);
-  EXPECT_EQ(out, (Bytes{0xEE, 0x02, 0, 0, 0, 0, 0, 0, 0, 0,    0,
-                        0,    0x40, 0, 0, 0, 0, 0, 0, 0xE0, 0xBF}));
-
-  out = Held();
-  bytes::PutDoubleVector({}, &out);
-  EXPECT_EQ(out, (Bytes{0xEE, 0, 0, 0, 0}));
+  bytes::PutUint64Vector({0x0102030405060708, ~uint64_t{0}}, &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0x02, 0,    0,    0,    0x08, 0x07, 0x06,
+                        0x05, 0x04, 0x03, 0x02, 0x01, 0xFF, 0xFF, 0xFF,
+                        0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 //   bitpush_doctor --validate_events=events.jsonl
 //
 // Report sections (each emitted only when its input is present):
-//   journal   — record count, type histogram, torn-tail verdict
+//   journal   — record count, type histogram, torn-tail verdict, and each
+//               closed round's contacts and meter charges
 //   events    — flight-recorder timeline (stable stream first)
 //   alerts    — fired/resolved alert transitions from the event stream
 //   shards    — per-shard loss/recovery attribution, slowest shard named
@@ -18,6 +19,7 @@
 // parse as a standalone JSON object (obs::JsonIsWellFormed); exit status 1
 // on the first malformed line.
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -86,7 +88,7 @@ int64_t JsonIntField(const std::string& line, const std::string& key,
 const char* JournalRecordTypeName(JournalRecordType type) {
   switch (type) {
     case JournalRecordType::kMeterCharge:
-      return "meter_charge";
+      return "meter_charge (retired)";
     case JournalRecordType::kRoundClosed:
       return "round_closed";
     case JournalRecordType::kQueryFinished:
@@ -153,6 +155,7 @@ void AppendJournalSection(const std::string& state_dir, std::string* report) {
     *report += "torn tail: no\n";
   }
   std::map<std::string, int64_t> histogram;
+  std::string rounds;
   int64_t last_tick = -1;
   for (const JournalRecord& record : result.records) {
     ++histogram[JournalRecordTypeName(record.type)];
@@ -162,10 +165,34 @@ void AppendJournalSection(const std::string& state_dir, std::string* report) {
         last_tick = tick.tick;
       }
     }
+    if (record.type == JournalRecordType::kRoundClosed) {
+      // A round's meter charges ride in its record: one bit per contact
+      // for an attempt, one for a grant.
+      RoundClosedRecord closed;
+      if (!DecodeRoundClosedRecord(record.payload, &closed)) {
+        rounds += "  seq " + std::to_string(record.seq) + ": MALFORMED\n";
+        continue;
+      }
+      int64_t attempted = 0;
+      int64_t granted = 0;
+      for (const uint64_t word : closed.outcome.charge_attempted) {
+        attempted += std::popcount(word);
+      }
+      for (const uint64_t word : closed.outcome.charge_granted) {
+        granted += std::popcount(word);
+      }
+      rounds += "  tick " + std::to_string(closed.tick) + " query " +
+                std::to_string(closed.query_index) + " round " +
+                std::to_string(closed.round_id) + ": contacts=" +
+                std::to_string(closed.outcome.assigned_clients.size()) +
+                " charges attempted=" + std::to_string(attempted) +
+                " granted=" + std::to_string(granted) + "\n";
+    }
   }
   for (const auto& [name, count] : histogram) {
     *report += "  " + name + ": " + std::to_string(count) + "\n";
   }
+  if (!rounds.empty()) *report += "closed rounds:\n" + rounds;
   if (last_tick >= 0) {
     *report += "last completed tick: " + std::to_string(last_tick) + "\n";
   }
