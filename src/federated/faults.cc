@@ -59,10 +59,6 @@ double FaultPlan::HashUniform(int64_t round_id, int64_t client_id,
          0x1.0p-53;
 }
 
-FaultType FaultPlan::Decide(int64_t round_id, int64_t client_id) const {
-  return DecideAttempt(round_id, client_id, /*attempt=*/0);
-}
-
 FaultType FaultPlan::DecideAttempt(int64_t round_id, int64_t client_id,
                                    int64_t attempt) const {
   BITPUSH_CHECK_GE(attempt, 0);
@@ -85,11 +81,6 @@ FaultType FaultPlan::DecideAttempt(int64_t round_id, int64_t client_id,
 }
 
 void FaultPlan::CorruptBuffer(int64_t round_id, int64_t client_id,
-                              std::vector<uint8_t>* buffer) const {
-  CorruptBuffer(round_id, client_id, /*attempt=*/0, buffer);
-}
-
-void FaultPlan::CorruptBuffer(int64_t round_id, int64_t client_id,
                               int64_t attempt,
                               std::vector<uint8_t>* buffer) const {
   BITPUSH_CHECK(buffer != nullptr);
@@ -108,11 +99,6 @@ void FaultPlan::CorruptBuffer(int64_t round_id, int64_t client_id,
     const uint8_t mask = static_cast<uint8_t>(1 + (h >> 32) % 255);
     (*buffer)[pos] ^= mask;
   }
-}
-
-size_t FaultPlan::TruncatedSize(int64_t round_id, int64_t client_id,
-                                size_t full_size) const {
-  return TruncatedSize(round_id, client_id, /*attempt=*/0, full_size);
 }
 
 size_t FaultPlan::TruncatedSize(int64_t round_id, int64_t client_id,
@@ -191,16 +177,6 @@ bool DecodeFaultStats(std::span<const uint8_t> buffer, size_t* offset,
   *out = stats;
   *offset = cursor;
   return true;
-}
-
-std::optional<BitReport> DeliverFaultedReport(const FaultPlan& plan,
-                                              int64_t round_id,
-                                              int64_t client_id,
-                                              FaultType fault,
-                                              const BitReport& report,
-                                              FaultStats* stats) {
-  return DeliverFaultedReport(plan, round_id, client_id, /*attempt=*/0, fault,
-                              report, stats);
 }
 
 std::optional<BitReport> DeliverFaultedReport(const FaultPlan& plan,

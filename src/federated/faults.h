@@ -68,35 +68,26 @@ class FaultPlan {
   bool enabled() const { return enabled_; }
   const FaultRates& rates() const { return rates_; }
 
-  // The fault striking (round_id, client_id), or kNone.
-  // kRoundBoundaryCrash is only ever returned for round_id == 1 (it is the
-  // crash *between* rounds 1 and 2); in other rounds its probability band
-  // maps to kNone so the remaining rates are unaffected.
-  FaultType Decide(int64_t round_id, int64_t client_id) const;
-
   // The fault striking retry attempt `attempt` (0-based) of
-  // (round_id, client_id). Attempt 0 is byte-identical to Decide — the
-  // resilience layer (federated/resilience.h) re-rolls the fault spectrum
-  // on every retry by folding the attempt number into the hash salts, so
-  // enabling retries never perturbs what attempt 0 injects.
+  // (round_id, client_id), or kNone. kRoundBoundaryCrash is only ever
+  // returned for round_id == 1 (it is the crash *between* rounds 1 and 2);
+  // in other rounds its probability band maps to kNone so the remaining
+  // rates are unaffected. The resilience layer (federated/resilience.h)
+  // re-rolls the fault spectrum on every retry by folding the attempt
+  // number into the hash salts, so enabling retries never perturbs what
+  // attempt 0 injects.
   FaultType DecideAttempt(int64_t round_id, int64_t client_id,
                           int64_t attempt) const;
 
   // Flips 1-3 bytes of `buffer` (each XORed with a non-zero mask), at
-  // positions derived from (seed, round, client). At least one byte is
-  // guaranteed to change on a non-empty buffer. The attempt-aware overload
-  // corrupts retransmissions independently; attempt 0 matches the two-arg
-  // form.
-  void CorruptBuffer(int64_t round_id, int64_t client_id,
-                     std::vector<uint8_t>* buffer) const;
+  // positions derived from (seed, round, client, attempt), so each
+  // retransmission is corrupted independently. At least one byte is
+  // guaranteed to change on a non-empty buffer.
   void CorruptBuffer(int64_t round_id, int64_t client_id, int64_t attempt,
                      std::vector<uint8_t>* buffer) const;
 
-  // The length a truncated frame arrives with: a deterministic value in
-  // [0, full_size - 1]. `full_size` must be >= 1. Attempt 0 matches the
-  // two-arg form.
-  size_t TruncatedSize(int64_t round_id, int64_t client_id,
-                       size_t full_size) const;
+  // The length a truncated frame of attempt `attempt` arrives with: a
+  // deterministic value in [0, full_size - 1]. `full_size` must be >= 1.
   size_t TruncatedSize(int64_t round_id, int64_t client_id, int64_t attempt,
                        size_t full_size) const;
 
@@ -163,21 +154,12 @@ void EncodeFaultStats(const FaultStats& stats, std::vector<uint8_t>* out);
 bool DecodeFaultStats(std::span<const uint8_t> buffer, size_t* offset,
                       FaultStats* out);
 
-// Simulates the wire leg for a faulted report: encodes it, applies the
-// corruption or truncation the plan dictates, and runs the server's
-// bounds-checked decode. Returns the report the decoder accepted (possibly
-// altered by the corruption) or nullopt when the frame was rejected,
-// updating the injection and reaction counters in `stats`. `fault` must be
-// kCorruptMessage or kTruncateMessage.
-std::optional<BitReport> DeliverFaultedReport(const FaultPlan& plan,
-                                              int64_t round_id,
-                                              int64_t client_id,
-                                              FaultType fault,
-                                              const BitReport& report,
-                                              FaultStats* stats);
-
-// Attempt-aware overload for the resilience layer's retransmissions:
-// attempt 0 is byte-identical to the form above.
+// Simulates the wire leg of attempt `attempt` for a faulted report:
+// encodes it, applies the corruption or truncation the plan dictates, and
+// runs the server's bounds-checked decode. Returns the report the decoder
+// accepted (possibly altered by the corruption) or nullopt when the frame
+// was rejected, updating the injection and reaction counters in `stats`.
+// `fault` must be kCorruptMessage or kTruncateMessage.
 std::optional<BitReport> DeliverFaultedReport(const FaultPlan& plan,
                                               int64_t round_id,
                                               int64_t client_id,

@@ -3,6 +3,7 @@
 #include "federated/campaign.h"
 #include "federated/resilience.h"
 #include "federated/server.h"
+#include "obs/alerts.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 
@@ -143,10 +144,12 @@ void ObserveRoundOutcome(const RoundOutcome& outcome) {
   i.contacted->Add(outcome.contacted);
   i.responded->Add(outcome.responded);
   i.malformed->Add(outcome.malformed_reports);
-  i.wire_requests->Add(outcome.comm.requests_sent);
-  i.wire_reports->Add(outcome.comm.reports_received);
-  i.wire_private_bits->Add(outcome.comm.private_bits);
-  i.wire_payload_bytes->Add(outcome.comm.payload_bytes);
+  const CommunicationStats wire =
+      CommunicationStats::ForRound(outcome.contacted, outcome.responded);
+  i.wire_requests->Add(wire.requests_sent);
+  i.wire_reports->Add(wire.reports_received);
+  i.wire_private_bits->Add(wire.private_bits);
+  i.wire_payload_bytes->Add(wire.payload_bytes);
   i.faults_injected->Add(outcome.faults.InjectedTotal());
   i.late_rejected->Add(outcome.faults.late_reports_rejected);
   i.corrupt_rejected->Add(outcome.faults.corrupt_reports_rejected);
@@ -183,12 +186,10 @@ void ObserveRoundOutcome(const RoundOutcome& outcome) {
     obs::EmitEvent(obs::EventType::kRoundOutcome, obs::Determinism::kStable,
                    std::move(args));
   }
-  // A round that scheduled a burst of full re-requests is a retry storm —
-  // the fixed threshold matches AlertConfig::retry_storm_threshold's
-  // default so the flight recorder and the alert engine agree on what
-  // counts as one.
-  constexpr int64_t kRetryStormEventThreshold = 8;
-  if (outcome.retry.retries_scheduled >= kRetryStormEventThreshold) {
+  // A round that scheduled a burst of full re-requests is a retry storm,
+  // at the alert engine's threshold, so that the flight recorder and the
+  // alert engine agree on what counts as one.
+  if (outcome.retry.retries_scheduled >= obs::kRetryStormThreshold) {
     obs::EventArgs args;
     args.detail =
         "retries_scheduled=" + std::to_string(outcome.retry.retries_scheduled) +

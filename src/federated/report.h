@@ -6,10 +6,7 @@
 #ifndef BITPUSH_FEDERATED_REPORT_H_
 #define BITPUSH_FEDERATED_REPORT_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace bitpush {
 
@@ -40,18 +37,16 @@ struct CommunicationStats {
   // Estimated wire bytes: requests and reports each fit one small packet.
   int64_t payload_bytes = 0;
 
+  // A round's accounting follows from its two counts: each of its
+  // `contacted` contacts was sent one request, and each of its `responded`
+  // accepted reports carried one private bit.
+  static CommunicationStats ForRound(int64_t contacted, int64_t responded);
+
   void MergeFrom(const CommunicationStats& other);
 
   friend bool operator==(const CommunicationStats&,
                          const CommunicationStats&) = default;
 };
-
-// Serialization for the durable-state layer (src/persist/). Decoding
-// rejects negative counters and returns false without touching `*out`.
-void EncodeCommunicationStats(const CommunicationStats& stats,
-                              std::vector<uint8_t>* out);
-bool DecodeCommunicationStats(std::span<const uint8_t> buffer,
-                              size_t* offset, CommunicationStats* out);
 
 // Wire-size model: a request carries the round id, the value id, the bit
 // index and epsilon (8 + 8 + 1 + 8 bytes); a report the client id, the bit

@@ -68,11 +68,11 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   const double round1_share = static_cast<double>(n1) / static_cast<double>(n);
 
   // Runs (or restores) one round with the breaker bracketing it: cooldowns
-  // advance before assignment, and the round's recorded outcome lists are
-  // applied at the boundary. Restored rounds take the same path — the
-  // lists live in the journaled outcome — so a recovered breaker is
-  // byte-identical to a live one. Open/close transitions are folded into
-  // the query-level RetryStats.
+  // advance before assignment, and the round's contacts are applied at the
+  // boundary (ObserveRoundHealth). Restored rounds take the same path —
+  // the contact list and its bitmaps live in the journaled outcome — so a
+  // recovered breaker is byte-identical to a live one. Open/close
+  // transitions are folded into the query-level RetryStats.
   const auto run_or_restore_round =
       [&](int64_t round_id, RoundConfig& round_config,
           const std::vector<int64_t>& round_cohort, Rng& round_rng,
@@ -110,14 +110,14 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
         if (config.health != nullptr) {
           const int64_t opens_before = config.health->opens();
           const int64_t closes_before = config.health->closes();
-          config.health->ObserveRound(round_id, outcome->succeeded_client_ids,
-                                      outcome->failed_client_ids);
+          ObserveRoundHealth(round_id, *outcome, clients, config.health);
           result.retry.breaker_opens += config.health->opens() - opens_before;
           result.retry.breaker_closes +=
               config.health->closes() - closes_before;
           ObserveBreakerState(*config.health);
         }
-        result.comm.MergeFrom(outcome->comm);
+        result.comm.MergeFrom(CommunicationStats::ForRound(
+            outcome->contacted, outcome->responded));
         result.faults.MergeFrom(outcome->faults);
         result.retry.MergeFrom(outcome->retry);
       };
@@ -170,21 +170,25 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   result.round2_probabilities = round2_probabilities;
 
   // Round 2 over the remaining cohort. Clients that crashed after their
-  // round-1 assignment re-check-in here, after the cohort's tail; the
-  // server's dedup rejects them, so no client is ever assigned twice in
-  // one query. The tail shares no client with round 1's contacts (the
-  // cohort is a permutation, and pool1 is cut from the leftover apart
-  // from pool2), so the re-check-ins are exactly the trailing entries.
+  // round-1 assignment (round 1's crashed contacts, in contact order)
+  // re-check-in here, after the cohort's tail; the server's dedup rejects
+  // them, so no client is ever assigned twice in one query. The tail
+  // shares no client with round 1's contacts (the cohort is a
+  // permutation, and pool1 is cut from the leftover apart from pool2), so
+  // the re-check-ins are exactly the trailing entries.
   std::vector<int64_t> cohort2_full = cohort2;
-  cohort2_full.insert(cohort2_full.end(),
-                      result.round1.crashed_clients.begin(),
-                      result.round1.crashed_clients.end());
+  const RoundOutcome& round1 = result.round1;
+  for (size_t i = 0; i < round1.assigned_clients.size(); ++i) {
+    if (ContactBit(round1.crashed, i)) {
+      cohort2_full.push_back(round1.assigned_clients[i]);
+    }
+  }
   RoundConfig round2_config = round1_config;
   round2_config.probabilities = round2_probabilities;
   round2_config.round_id = 2;
   round2_config.backfill_pool = std::move(pool2);
   round2_config.recheckins =
-      static_cast<int64_t>(result.round1.crashed_clients.size());
+      static_cast<int64_t>(cohort2_full.size() - cohort2.size());
   round2_config.resilience.budget =
       config.resilience.budget.Fraction(1.0 - round1_share);
   run_or_restore_round(2, round2_config, cohort2_full, round2_rng,

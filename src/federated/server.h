@@ -57,8 +57,8 @@ struct RoundConfig {
   // Per-client circuit breaker consulted (read-only) during assignment;
   // quarantined clients are excluded from the cohort, backfill, and hedges.
   // Owned by the caller (typically the campaign); nullptr disables it. The
-  // round never mutates it — the caller applies the outcome's
-  // succeeded/failed lists at the round boundary.
+  // round never mutates it — the caller applies the outcome at the round
+  // boundary (ObserveRoundHealth).
   const HealthTracker* health = nullptr;
   // Threads the stage and apply steps of each collection pass may run on,
   // the caller included (federated/round_stages.h), overlapping the
@@ -73,13 +73,14 @@ struct RoundConfig {
 
 struct RoundOutcome {
   BitHistogram histogram;
+  // The round's two kept counts: contacts, and accepted reports. Its wire
+  // cost follows from them (CommunicationStats::ForRound), and so does its
+  // loss, 1 - responded / contacted.
   int64_t contacted = 0;
   int64_t responded = 0;
   // Reports rejected for carrying an out-of-range bit index (only possible
   // under local randomness, where the client names the index).
   int64_t malformed_reports = 0;
-  double dropout_rate = 0.0;
-  CommunicationStats comm;
   // Intended per-bit report counts from the QMC assignment (empty under
   // local randomness); compared against realized counts for the dropout
   // auto-adjustment of Section 4.3.
@@ -90,43 +91,59 @@ struct RoundOutcome {
   // including backfill replacements and hedges, in contact order: the
   // round's contact list. A contact is charged at most once, inside its
   // own slot, so contact order is the order of the meter's decisions.
-  std::vector<int64_t> assigned_clients;
+  std::vector<uint32_t> assigned_clients;
   // Bitmaps over the contact list, bit i (word i / 64, bit i % 64) for
-  // assigned_clients[i]: the contacts whose charge reached the meter (the
-  // client did not drop out first), and those the meter granted, a subset.
-  // Both are (contacts + 63) / 64 words long, and zero without a meter.
+  // assigned_clients[i], each (contacts + 63) / 64 words long:
+  //   charge_attempted  the contact's charge reached the meter (the client
+  //                     did not drop out first); zero without a meter;
+  //   charge_granted    the meter granted it, a subset of the attempts;
+  //   accepted          the contact's slot ended in an accepted report;
+  //   crashed           the contact struck kRoundBoundaryCrash and will
+  //                     re-check-in next round; disjoint from accepted.
   // With the charged value id (RoundConfig::value_id) and the epsilon
   // every charge of the round is made at (RoundConfig::epsilon, or 0 when
-  // that is not positive) they are the round's charge decisions, which
-  // recovery replays through the meter (persist/recovery.h).
+  // that is not positive) the charge bitmaps are the round's charge
+  // decisions, which recovery replays through the meter
+  // (persist/recovery.h). The breaker's view of the round is the contact
+  // list split by `accepted` (ObserveRoundHealth).
   std::vector<uint64_t> charge_attempted;
   std::vector<uint64_t> charge_granted;
+  std::vector<uint64_t> accepted;
+  std::vector<uint64_t> crashed;
   double charge_epsilon = 0.0;
-  // Indices that crashed after assignment (kRoundBoundaryCrash) — the
-  // clients that will attempt to re-check-in next round.
-  std::vector<int64_t> crashed_clients;
   // Recovery-layer counters for this round (all zero when resilience is
   // disabled).
   RetryStats retry;
-  // Client ids whose assignment ultimately produced an accepted report,
-  // and ids whose assignment ultimately failed (dropout after retries,
-  // rejected report, crash, late straggler), in decision order. These feed
-  // HealthTracker::ObserveRound at the round boundary — recorded here, not
-  // applied in-round, so a restored round updates the breaker identically
-  // to a live one.
-  std::vector<int64_t> succeeded_client_ids;
-  std::vector<int64_t> failed_client_ids;
 };
+
+// Bit `contact` of a bitmap over a round's contact list.
+inline bool ContactBit(const std::vector<uint64_t>& bitmap, size_t contact) {
+  return (bitmap[contact / 64] >> (contact % 64) & 1) != 0;
+}
+
+// The contacts a bitmap over a round's contact list marks.
+int64_t CountContacts(const std::vector<uint64_t>& bitmap);
 
 // Serialization of a completed round's full outcome, used by the journal's
 // round-closed records (src/persist/). Decoding validates every field
-// (counts non-negative, rates finite, histogram internally consistent,
-// charge bitmaps as long as the contact list with no bit past it, no
-// grant without an attempt, and no grant at a non-finite or negative
-// epsilon) and returns false without touching `*out` on any violation.
+// (counts non-negative, histogram internally consistent, each bitmap as
+// long as the contact list with no bit past it, no grant without an
+// attempt, no contact both accepted and crashed, `contacted` the number of
+// contacts, `responded` the accepted ones and `faults.injected_crashes`
+// the crashed ones, and no grant at a non-finite or negative epsilon) and
+// returns false without touching `*out` on any violation.
 void EncodeRoundOutcome(const RoundOutcome& outcome, std::vector<uint8_t>* out);
 bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
                         RoundOutcome* out);
+
+// Applies a closed round to the circuit breaker at its boundary
+// (HealthTracker::ObserveRound): the client ids of its accepted contacts
+// succeeded and those of the rest failed, each in contact order. The live
+// and restored paths both apply a round here, from its outcome, so a
+// recovered breaker matches a live one. A no-op when the breaker is off.
+void ObserveRoundHealth(int64_t round_id, const RoundOutcome& outcome,
+                        const std::vector<Client>& clients,
+                        HealthTracker* health);
 
 class AggregationServer {
  public:

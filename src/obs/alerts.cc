@@ -26,8 +26,6 @@ const char* AlertRuleName(AlertRule rule) {
       return "retry_storm";
     case AlertRule::kShardQuorumAtRisk:
       return "shard_quorum_at_risk";
-    case AlertRule::kJournalGrowth:
-      return "journal_growth";
     case AlertRule::kRecoveryDivergence:
       return "recovery_divergence";
   }
@@ -37,27 +35,19 @@ const char* AlertRuleName(AlertRule rule) {
 // Rule determinism classes. privacy_burn_rate is the one kStable rule: its
 // inputs (the per-tick meter trajectory) are reconstructed exactly through
 // crashes, so its timeline is part of the byte-identical replay contract.
-// The rest consume process-local state — live retry counters, the journal
-// file's length, this process's delivery schedule, recovery artifacts —
-// which legitimately differs between a clean run and a recovered one.
+// The rest consume process-local state — live retry counters, this
+// process's delivery schedule, recovery artifacts — which legitimately
+// differs between a clean run and a recovered one.
 Determinism AlertRuleDeterminism(AlertRule rule) {
   switch (rule) {
     case AlertRule::kPrivacyBurnRate:
       return Determinism::kStable;
     case AlertRule::kRetryStorm:
     case AlertRule::kShardQuorumAtRisk:
-    case AlertRule::kJournalGrowth:
     case AlertRule::kRecoveryDivergence:
       return Determinism::kVolatile;
   }
   return Determinism::kVolatile;
-}
-
-AlertEngine::AlertEngine(AlertConfig config) : config_(config) {
-  BITPUSH_CHECK(config_.burn_rate_horizon_ticks >= 0.0);
-  BITPUSH_CHECK_GE(config_.retry_storm_threshold, 1);
-  BITPUSH_CHECK_GE(config_.journal_growth_threshold, 1);
-  BITPUSH_CHECK_GE(config_.quorum_margin, 0);
 }
 
 AlertEngine& AlertEngine::Default() {
@@ -150,7 +140,7 @@ std::vector<AlertTransition> AlertEngine::EvaluateCampaignTick(
       const int64_t remaining = inputs.bits_budget - inputs.bits_spent;
       const double tte_ticks = static_cast<double>(remaining) /
                                static_cast<double>(bits_delta);
-      if (tte_ticks <= config_.burn_rate_horizon_ticks) {
+      if (tte_ticks <= kBurnRateHorizonTicks) {
         at_risk = true;
         detail = "tte_ticks=" + FormatStableDouble(tte_ticks) +
                  " spent=" + std::to_string(inputs.bits_spent) + "/" +
@@ -171,13 +161,13 @@ std::vector<AlertTransition> AlertEngine::EvaluateCampaignTick(
 
   // retry_storm: scheduling spike within one tick.
   {
-    const bool storm = retries_delta >= config_.retry_storm_threshold;
+    const bool storm = retries_delta >= kRetryStormThreshold;
     const bool was = firing_[RuleIndex(AlertRule::kRetryStorm)];
     if (storm && !was) {
       Transition(AlertRule::kRetryStorm, true, inputs.tick,
                  "retries_scheduled=" + std::to_string(retries_delta) +
                      " this tick (threshold " +
-                     std::to_string(config_.retry_storm_threshold) + ")",
+                     std::to_string(kRetryStormThreshold) + ")",
                  &out);
     } else if (!storm && was) {
       Transition(AlertRule::kRetryStorm, false, inputs.tick,
@@ -189,8 +179,8 @@ std::vector<AlertTransition> AlertEngine::EvaluateCampaignTick(
 
   // shard_quorum_at_risk: delivered shards at or below the quorum margin.
   if (inputs.shards_delivered >= 0) {
-    const bool at_risk = inputs.shards_delivered - inputs.quorum_min <=
-                         config_.quorum_margin;
+    const bool at_risk =
+        inputs.shards_delivered - inputs.quorum_min <= kQuorumMargin;
     const bool was = firing_[RuleIndex(AlertRule::kShardQuorumAtRisk)];
     const std::string detail =
         "delivered=" + std::to_string(inputs.shards_delivered) + "/" +
@@ -201,24 +191,6 @@ std::vector<AlertTransition> AlertEngine::EvaluateCampaignTick(
                  &out);
     } else if (!at_risk && was) {
       Transition(AlertRule::kShardQuorumAtRisk, false, inputs.tick, detail,
-                 &out);
-    }
-  }
-
-  // journal_growth: the write-ahead journal is due a snapshot+truncate.
-  if (inputs.journal_records >= 0) {
-    const bool grown =
-        inputs.journal_records >= config_.journal_growth_threshold;
-    const bool was = firing_[RuleIndex(AlertRule::kJournalGrowth)];
-    if (grown && !was) {
-      Transition(AlertRule::kJournalGrowth, true, inputs.tick,
-                 "journal_records=" + std::to_string(inputs.journal_records) +
-                     " (threshold " +
-                     std::to_string(config_.journal_growth_threshold) + ")",
-                 &out);
-    } else if (!grown && was) {
-      Transition(AlertRule::kJournalGrowth, false, inputs.tick,
-                 "journal_records=" + std::to_string(inputs.journal_records),
                  &out);
     }
   }

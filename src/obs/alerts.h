@@ -7,7 +7,6 @@
 //   privacy_burn_rate    — budget burn with time-to-exhaustion projection
 //   retry_storm          — retry-layer scheduling spike within one tick
 //   shard_quorum_at_risk — delivered shards at or below the quorum margin
-//   journal_growth       — write-ahead journal past its record threshold
 //   recovery_divergence  — torn tail / replay anomaly observed (latched)
 //
 // Determinism contract: each rule carries the metrics registry's
@@ -17,8 +16,8 @@
 // across a clean run, a rerun, and a crash-recovered rerun of the same
 // seeded campaign (AlertTimelineText; pinned by tests/determinism_test.cc
 // and a golden under tests/golden/). kVolatile rules may depend on
-// process-local state (live retry counters, journal length, delivery
-// schedules) and are excluded from the deterministic timeline.
+// process-local state (live retry counters, delivery schedules) and are
+// excluded from the deterministic timeline.
 //
 // Every evaluation refreshes the Prometheus `bitpush_alert_state_<rule>`
 // gauge family (1 = firing) and every transition emits a kAlertFired /
@@ -43,28 +42,25 @@ enum class AlertRule {
   kPrivacyBurnRate,
   kRetryStorm,
   kShardQuorumAtRisk,
-  kJournalGrowth,
   kRecoveryDivergence,
 };
 
-inline constexpr int kAlertRuleCount = 5;
+inline constexpr int kAlertRuleCount = 4;
 
 const char* AlertRuleName(AlertRule rule);
 Determinism AlertRuleDeterminism(AlertRule rule);
 
-struct AlertConfig {
-  // privacy_burn_rate fires when the projected ticks-to-exhaustion at the
-  // current per-tick burn rate drops to this horizon (or any charge is
-  // denied); it resolves on the first tick with no new spend and no new
-  // denials.
-  double burn_rate_horizon_ticks = 2.0;
-  // retry_storm fires when one tick schedules at least this many retries.
-  int64_t retry_storm_threshold = 8;
-  // journal_growth fires when the journal reaches this many records.
-  int64_t journal_growth_threshold = 100000;
-  // shard_quorum_at_risk fires when delivered - quorum_min <= margin.
-  int64_t quorum_margin = 0;
-};
+// The rules' thresholds.
+// privacy_burn_rate fires when the projected ticks-to-exhaustion at the
+// current per-tick burn rate drops to this horizon (or any charge is
+// denied); it resolves on the first tick with no new spend and no new
+// denials.
+inline constexpr double kBurnRateHorizonTicks = 2.0;
+// retry_storm fires when one tick schedules at least this many retries;
+// the flight recorder's kRetryStorm event uses it for one round.
+inline constexpr int64_t kRetryStormThreshold = 8;
+// shard_quorum_at_risk fires when delivered - quorum_min <= margin.
+inline constexpr int64_t kQuorumMargin = 0;
 
 // One evaluation's inputs. Cumulative fields are totals through the end of
 // the tick; the engine differences them against the previous evaluation.
@@ -80,8 +76,6 @@ struct CampaignAlertInputs {
   int64_t bits_budget = 0;
   // Retry layer, cumulative retries scheduled (live process counters).
   int64_t retries_scheduled = 0;
-  // Write-ahead journal length in records; -1 = unknown / not durable.
-  int64_t journal_records = -1;
   // Shard delivery for this tick; shards_delivered = -1 when unsharded.
   int64_t shards_delivered = -1;
   int64_t shards_total = 0;
@@ -103,8 +97,6 @@ struct AlertTransition {
 // transition log is a pure function of the input sequence.
 class AlertEngine {
  public:
-  explicit AlertEngine(AlertConfig config = AlertConfig());
-
   static AlertEngine& Default();
 
   // Evaluates every rule, returns the transitions this tick caused (empty
@@ -119,9 +111,8 @@ class AlertEngine {
   const std::vector<AlertTransition>& transitions() const {
     return transitions_;
   }
-  const AlertConfig& config() const { return config_; }
 
-  // Clears all rule state and the transition log (config is kept).
+  // Clears all rule state and the transition log.
   void Reset();
 
  private:
@@ -129,7 +120,6 @@ class AlertEngine {
                   std::string detail, std::vector<AlertTransition>* out);
   void RefreshGauges();
 
-  AlertConfig config_;
   bool firing_[kAlertRuleCount] = {};
   bool evaluated_ = false;
   CampaignAlertInputs last_;

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -418,13 +417,12 @@ bool DecodeRoundClosedRecord(std::span<const uint8_t> payload,
   if (record.tick < 0 || record.query_index < 0 || record.round_id < 0) {
     return false;
   }
-  // Every journaled round ran on a meter, and every accepted report came
-  // from a granted charge.
-  int64_t grants = 0;
-  for (const uint64_t word : record.outcome.charge_granted) {
-    grants += std::popcount(word);
+  // Every journaled round ran on a meter, and every accepted contact was
+  // granted its charge.
+  const RoundOutcome& outcome = record.outcome;
+  for (size_t w = 0; w < outcome.accepted.size(); ++w) {
+    if ((outcome.accepted[w] & ~outcome.charge_granted[w]) != 0) return false;
   }
-  if (grants < record.outcome.responded) return false;
   *out = std::move(record);
   return true;
 }

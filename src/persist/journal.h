@@ -57,9 +57,13 @@ namespace bitpush {
 // wire format byte and eight record types, among them per-report and
 // per-decision records. Version 2 journaled each meter charge as a
 // kMeterCharge frame of its own, ahead of its round's kRoundClosed
-// record, and kept the final bit means in kQueryFinished. Reading rejects
-// both.
-inline constexpr uint8_t kJournalFormatVersion = 3;
+// record, and kept the final bit means in kQueryFinished. Version 3's
+// kRoundClosed record held the contacts as 8-byte indices, the same
+// contacts again as succeeded and failed client ids and the crashed ones
+// as a third list, beside a dropout rate and wire counters its counts
+// give; version 4 holds the contacts once, as 4-byte indices with a
+// bitmap over them per fact (RoundOutcome). Reading rejects all three.
+inline constexpr uint8_t kJournalFormatVersion = 4;
 
 enum class JournalRecordType : uint8_t {
   // Retired in version 3: a round's charges ride in its kRoundClosed

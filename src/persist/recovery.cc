@@ -147,7 +147,6 @@ bool DurableCampaignRunner::Open(
     stage.set_parent(open);
     if (!ApplyJournal(&replay, error)) return false;
   }
-  journal_records_ = static_cast<int64_t>(replay.records);
 
   {
     obs::Span stage("journal.reopen", "persist");
@@ -328,8 +327,8 @@ bool DurableCampaignRunner::ParseJournal(uint64_t expected_seq,
         // Its charges are replayed against the clients of its contacts.
         const size_t population =
             populations_[static_cast<size_t>(closed.query_index)]->size();
-        for (const int64_t contact : closed.outcome.assigned_clients) {
-          if (contact < 0 || static_cast<uint64_t>(contact) >= population) {
+        for (const uint32_t contact : closed.outcome.assigned_clients) {
+          if (contact >= population) {
             *error = "journal: round-closed record names a contact outside "
                      "its population";
             return false;
@@ -435,8 +434,9 @@ bool DurableCampaignRunner::ApplyJournal(JournalReplay* replay,
       ObserveRoundOutcome(outcome);
       if (health != nullptr) {
         health->BeginRound();
-        health->ObserveRound(round.round_id, outcome.succeeded_client_ids,
-                             outcome.failed_client_ids);
+        ObserveRoundHealth(
+            round.round_id, outcome,
+            *populations_[static_cast<size_t>(round.query_index)], health);
       }
       (round.round_id == 1 ? restored.round1 : restored.round2) =
           std::move(outcome);
@@ -467,8 +467,7 @@ bool DurableCampaignRunner::ApplyCharges(const RoundClosedRecord& closed) {
   const std::vector<Client>& population =
       *populations_[static_cast<size_t>(closed.query_index)];
   const auto client_at = [&](size_t i) -> const Client& {
-    return population[static_cast<size_t>(
-        outcome.assigned_clients[attempted[i]])];
+    return population[outcome.assigned_clients[attempted[i]]];
   };
   // Contacts come in cohort order, at random in the population. The
   // replay asks for each decision a few charges ahead to load its ledger
@@ -478,10 +477,9 @@ bool DurableCampaignRunner::ApplyCharges(const RoundClosedRecord& closed) {
     if (i + kClientsAhead < attempted.size()) {
       __builtin_prefetch(&client_at(i + kClientsAhead));
     }
-    const size_t contact = attempted[i];
-    return ChargeDecision{
-        client_at(i).id(), closed.value_id, outcome.charge_epsilon,
-        (outcome.charge_granted[contact / 64] >> (contact % 64) & 1) != 0};
+    return ChargeDecision{client_at(i).id(), closed.value_id,
+                          outcome.charge_epsilon,
+                          ContactBit(outcome.charge_granted, attempted[i])};
   }) == attempted.size();
 }
 
@@ -558,14 +556,12 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   // recovery skips them as stale.
   journal_.Close();
   if (!ReplaceJournal(journal_path_, {}, options_.fsync, error)) return false;
-  journal_records_ = 0;
   return journal_.Open(journal_path_, snapshot.journal_next_seq, error);
 }
 
 void DurableCampaignRunner::Append(JournalRecordType type,
                                    std::span<const uint8_t> payload) {
   BITPUSH_CHECK(journal_.Append(type, payload)) << "journal append failed";
-  ++journal_records_;
 }
 
 void DurableCampaignRunner::RecordMeterSample(int64_t tick) {

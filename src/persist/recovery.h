@@ -187,10 +187,6 @@ class DurableCampaignRunner : private CampaignRecorder {
     return meter_by_tick_;
   }
 
-  // Records currently in the journal file: the validated records kept at
-  // Open plus live appends, zeroed when a snapshot truncates the journal.
-  // Feeds the journal-growth alert rule.
-  int64_t journal_records() const { return journal_records_; }
   // Appended records not yet committed. Zero whenever RunTick or Snapshot
   // returns: a caller may hand on results only while this is zero.
   int64_t uncommitted_records() const {
@@ -291,7 +287,6 @@ class DurableCampaignRunner : private CampaignRecorder {
   std::map<std::pair<int64_t, int64_t>, FinishedQueryEntry> finished_;
 
   std::vector<MeterTickSample> meter_by_tick_;
-  int64_t journal_records_ = 0;
   // Closed ticks: restored at Open, then advanced by each live tick. Never
   // lowered while the restored prefix re-runs.
   int64_t completed_ticks_ = 0;

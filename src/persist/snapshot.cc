@@ -127,19 +127,6 @@ bool DecodeBody(std::span<const uint8_t> buffer, size_t* offset,
   return true;
 }
 
-// The owning snapshot of `view`: its fields, the blobs copied.
-CoordinatorSnapshot CopyOut(CoordinatorSnapshotView view) {
-  CoordinatorSnapshot snapshot;
-  snapshot.base_seed = view.base_seed;
-  snapshot.journal_next_seq = view.journal_next_seq;
-  snapshot.completed_ticks = view.completed_ticks;
-  snapshot.meter_blob.assign(view.meter_blob.begin(), view.meter_blob.end());
-  snapshot.finished = std::move(view.finished);
-  snapshot.health_blob.assign(view.health_blob.begin(),
-                              view.health_blob.end());
-  return snapshot;
-}
-
 }  // namespace
 
 FinishedQueryEntry MakeFinishedQueryEntry(int64_t query_index,
@@ -181,17 +168,6 @@ bool DecodeCoordinatorSnapshot(std::span<const uint8_t> buffer,
   if (!DecodeBody(buffer.first(body_end), &cursor, &snapshot)) return false;
   if (cursor != body_end) return false;  // trailing garbage inside the CRC
   *out = std::move(snapshot);
-  return true;
-}
-
-bool DecodeCoordinatorSnapshot(const std::vector<uint8_t>& buffer,
-                               CoordinatorSnapshot* out) {
-  BITPUSH_CHECK(out != nullptr);
-  CoordinatorSnapshotView view;
-  if (!DecodeCoordinatorSnapshot(std::span<const uint8_t>(buffer), &view)) {
-    return false;
-  }
-  *out = CopyOut(std::move(view));
   return true;
 }
 
@@ -259,16 +235,6 @@ bool LoadSnapshotFile(const std::string& path, std::vector<uint8_t>* image,
     return false;
   }
   *found = true;
-  return true;
-}
-
-bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,
-                      bool* found, std::string* error) {
-  BITPUSH_CHECK(out != nullptr);
-  std::vector<uint8_t> image;
-  CoordinatorSnapshotView view;
-  if (!LoadSnapshotFile(path, &image, &view, found, error)) return false;
-  if (*found) *out = CopyOut(std::move(view));
   return true;
 }
 

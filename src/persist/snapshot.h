@@ -94,15 +94,12 @@ struct CoordinatorSnapshotView {
 };
 
 // Full-file encode/decode (magic + version + body + CRC). Decode returns
-// false on any framing or consistency violation without touching `*out`.
-// The view decode is the one decoder; the other copies the two blobs out
-// of `buffer`.
+// false on any framing or consistency violation without touching `*out`,
+// whose blobs point into `buffer`.
 void EncodeCoordinatorSnapshot(const CoordinatorSnapshot& snapshot,
                                std::vector<uint8_t>* out);
 bool DecodeCoordinatorSnapshot(std::span<const uint8_t> buffer,
                                CoordinatorSnapshotView* out);
-bool DecodeCoordinatorSnapshot(const std::vector<uint8_t>& buffer,
-                               CoordinatorSnapshot* out);
 
 // The snapshot file of the state directory `state_dir`.
 inline std::string SnapshotPath(const std::string& state_dir) {
@@ -127,9 +124,6 @@ bool WriteSnapshotFile(const std::string& path,
 bool LoadSnapshotFile(const std::string& path, std::vector<uint8_t>* image,
                       CoordinatorSnapshotView* out, bool* found,
                       std::string* error);
-// The same, with the blobs copied out.
-bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,
-                      bool* found, std::string* error);
 
 }  // namespace bitpush
 

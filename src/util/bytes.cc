@@ -49,6 +49,13 @@ void PutString(const std::string& value, std::vector<uint8_t>* out) {
   if (!value.empty()) std::memcpy(at, value.data(), value.size());
 }
 
+void PutUint32Vector(const std::vector<uint32_t>& values,
+                     std::vector<uint8_t>* out) {
+  uint8_t* at = StoreUint32(static_cast<uint32_t>(values.size()),
+                            Grow(4 + 4 * values.size(), out));
+  for (const uint32_t value : values) at = StoreUint32(value, at);
+}
+
 void PutInt64Vector(const std::vector<int64_t>& values,
                     std::vector<uint8_t>* out) {
   uint8_t* at = StoreUint32(static_cast<uint32_t>(values.size()),
@@ -125,6 +132,24 @@ bool GetString(std::span<const uint8_t> buffer, size_t* offset,
   return true;
 }
 
+bool GetUint32Vector(std::span<const uint8_t> buffer, size_t* offset,
+                     std::vector<uint32_t>* out) {
+  BITPUSH_CHECK(offset != nullptr);
+  BITPUSH_CHECK(out != nullptr);
+  size_t cursor = *offset;
+  uint32_t count = 0;
+  if (!GetUint32(buffer, &cursor, &count)) return false;
+  if ((buffer.size() - cursor) / 4 < static_cast<size_t>(count)) return false;
+  std::vector<uint32_t> values(count);
+  for (uint32_t& value : values) {
+    value = LoadUint32(buffer.data() + cursor);
+    cursor += 4;
+  }
+  *out = std::move(values);
+  *offset = cursor;
+  return true;
+}
+
 bool GetInt64Vector(std::span<const uint8_t> buffer, size_t* offset,
                     std::vector<int64_t>* out) {
   BITPUSH_CHECK(offset != nullptr);
@@ -163,10 +188,6 @@ bool GetUint64Vector(std::span<const uint8_t> buffer, size_t* offset,
 
 uint32_t Crc32(const uint8_t* data, size_t size) {
   return Crc32Extend(0, data, size);
-}
-
-uint32_t Crc32(std::span<const uint8_t> data) {
-  return Crc32(data.data(), data.size());
 }
 
 uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size) {

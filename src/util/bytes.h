@@ -46,6 +46,8 @@ void PutDouble(double value, std::vector<uint8_t>* out);
 // 4-byte length prefix + raw bytes.
 void PutString(const std::string& value, std::vector<uint8_t>* out);
 // 4-byte count prefix + fixed-width elements.
+void PutUint32Vector(const std::vector<uint32_t>& values,
+                     std::vector<uint8_t>* out);
 void PutInt64Vector(const std::vector<int64_t>& values,
                     std::vector<uint8_t>* out);
 void PutUint64Vector(const std::vector<uint64_t>& values,
@@ -103,6 +105,8 @@ bool GetDouble(std::span<const uint8_t> buffer, size_t* offset,
                double* out);
 bool GetString(std::span<const uint8_t> buffer, size_t* offset,
                std::string* out);
+bool GetUint32Vector(std::span<const uint8_t> buffer, size_t* offset,
+                     std::vector<uint32_t>* out);
 bool GetInt64Vector(std::span<const uint8_t> buffer, size_t* offset,
                     std::vector<int64_t>* out);
 bool GetUint64Vector(std::span<const uint8_t> buffer, size_t* offset,
@@ -114,7 +118,6 @@ bool GetUint64Vector(std::span<const uint8_t> buffer, size_t* offset,
 // (kernels/kernels.h), which folds long inputs with carry-less multiplies
 // where the CPU has them and is the slicing-by-8 table otherwise.
 uint32_t Crc32(const uint8_t* data, size_t size);
-uint32_t Crc32(std::span<const uint8_t> data);
 // Continues `crc` over more bytes, so a CRC can cover data that is not
 // contiguous: Crc32Extend(Crc32(a), b) == Crc32(a followed by b).
 uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size);

@@ -92,8 +92,8 @@ TEST(FaultPlanTest, DisabledPlanNeverInjects) {
   const FaultPlan plan;
   EXPECT_FALSE(plan.enabled());
   for (int64_t client = 0; client < 1000; ++client) {
-    EXPECT_EQ(plan.Decide(1, client), FaultType::kNone);
-    EXPECT_EQ(plan.Decide(2, client), FaultType::kNone);
+    EXPECT_EQ(plan.DecideAttempt(1, client, 0), FaultType::kNone);
+    EXPECT_EQ(plan.DecideAttempt(2, client, 0), FaultType::kNone);
   }
 }
 
@@ -108,8 +108,9 @@ TEST(FaultPlanTest, DecisionsAreDeterministicAndSeedSensitive) {
   int differs = 0;
   for (int64_t round = 1; round <= 2; ++round) {
     for (int64_t client = 0; client < 2000; ++client) {
-      EXPECT_EQ(a.Decide(round, client), b.Decide(round, client));
-      differs += a.Decide(round, client) != c.Decide(round, client) ? 1 : 0;
+      const FaultType decided = a.DecideAttempt(round, client, 0);
+      EXPECT_EQ(decided, b.DecideAttempt(round, client, 0));
+      differs += decided != c.DecideAttempt(round, client, 0) ? 1 : 0;
     }
   }
   EXPECT_GT(differs, 0);
@@ -120,7 +121,8 @@ TEST(FaultPlanTest, InjectionRateTracksConfiguredRate) {
   int64_t hits = 0;
   const int64_t n = 20000;
   for (int64_t client = 0; client < n; ++client) {
-    hits += plan.Decide(1, client) == FaultType::kMidRoundDropout ? 1 : 0;
+    hits +=
+        plan.DecideAttempt(1, client, 0) == FaultType::kMidRoundDropout ? 1 : 0;
   }
   // Binomial(20000, 0.2): 4 standard deviations is ~226.
   EXPECT_NEAR(static_cast<double>(hits), 0.2 * static_cast<double>(n), 230.0);
@@ -130,11 +132,13 @@ TEST(FaultPlanTest, CrashOnlyStrikesRoundOne) {
   const FaultPlan plan(22, SingleRate(FaultType::kRoundBoundaryCrash, 0.3));
   int64_t round1_crashes = 0;
   for (int64_t client = 0; client < 5000; ++client) {
-    round1_crashes +=
-        plan.Decide(1, client) == FaultType::kRoundBoundaryCrash ? 1 : 0;
+    round1_crashes += plan.DecideAttempt(1, client, 0) ==
+                              FaultType::kRoundBoundaryCrash
+                          ? 1
+                          : 0;
     // In any later round the crash band maps to kNone.
-    EXPECT_EQ(plan.Decide(2, client), FaultType::kNone);
-    EXPECT_EQ(plan.Decide(3, client), FaultType::kNone);
+    EXPECT_EQ(plan.DecideAttempt(2, client, 0), FaultType::kNone);
+    EXPECT_EQ(plan.DecideAttempt(3, client, 0), FaultType::kNone);
   }
   EXPECT_GT(round1_crashes, 0);
 }
@@ -144,12 +148,12 @@ TEST(FaultPlanTest, CorruptBufferAlwaysChangesBytes) {
   for (int64_t client = 0; client < 500; ++client) {
     std::vector<uint8_t> original(10, 0xAB);
     std::vector<uint8_t> corrupted = original;
-    plan.CorruptBuffer(1, client, &corrupted);
+    plan.CorruptBuffer(1, client, /*attempt=*/0, &corrupted);
     EXPECT_EQ(corrupted.size(), original.size());
     EXPECT_NE(corrupted, original);
     // Deterministic: the same (round, client) garbles identically.
     std::vector<uint8_t> again(10, 0xAB);
-    plan.CorruptBuffer(1, client, &again);
+    plan.CorruptBuffer(1, client, /*attempt=*/0, &again);
     EXPECT_EQ(corrupted, again);
   }
 }
@@ -157,7 +161,7 @@ TEST(FaultPlanTest, CorruptBufferAlwaysChangesBytes) {
 TEST(FaultPlanTest, TruncatedSizeIsAlwaysShort) {
   const FaultPlan plan(25, SingleRate(FaultType::kTruncateMessage, 0.5));
   for (int64_t client = 0; client < 1000; ++client) {
-    EXPECT_LT(plan.TruncatedSize(1, client, 10), 10u);
+    EXPECT_LT(plan.TruncatedSize(1, client, /*attempt=*/0, 10), 10u);
   }
 }
 
@@ -179,7 +183,7 @@ TEST(FaultDeliveryTest, TruncatedFramesAreAlwaysRejected) {
   FaultStats stats;
   for (int64_t client = 0; client < 1000; ++client) {
     const BitReport report{client, 3, 1};
-    EXPECT_FALSE(DeliverFaultedReport(plan, 1, client,
+    EXPECT_FALSE(DeliverFaultedReport(plan, 1, client, /*attempt=*/0,
                                       FaultType::kTruncateMessage, report,
                                       &stats)
                      .has_value());
@@ -195,7 +199,8 @@ TEST(FaultDeliveryTest, CorruptionSplitsIntoRejectedAndAccepted) {
   for (int64_t client = 0; client < 2000; ++client) {
     const BitReport report{client, 3, 1};
     const std::optional<BitReport> delivered = DeliverFaultedReport(
-        plan, 1, client, FaultType::kCorruptMessage, report, &stats);
+        plan, 1, client, /*attempt=*/0, FaultType::kCorruptMessage, report,
+        &stats);
     if (delivered.has_value()) {
       // Whatever decoded is still protocol-shaped.
       EXPECT_TRUE(delivered->bit == 0 || delivered->bit == 1);
@@ -427,7 +432,9 @@ TEST_F(FaultMatrixTest, HeavyRound1LossFallsBackToStaticPolicy) {
   policy.max_round1_loss = 0.5;
   const FederatedQueryResult result = RunWithPlan(plan, policy, 207);
   ASSERT_FALSE(result.aborted);
-  EXPECT_GT(result.round1.dropout_rate, 0.5);
+  EXPECT_GT(1.0 - static_cast<double>(result.round1.responded) /
+                    static_cast<double>(result.round1.contacted),
+            0.5);
   EXPECT_TRUE(result.used_static_fallback);
   EXPECT_EQ(result.faults.static_policy_fallbacks, 1);
   // The documented fallback is the pessimistic-optimal Eq. (7) allocation.

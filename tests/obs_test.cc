@@ -529,28 +529,6 @@ TEST_F(ObsTest, QuorumAtRiskAlertFiresAtTheMargin) {
   EXPECT_TRUE(unsharded.EvaluateCampaignTick(single).empty());
 }
 
-TEST_F(ObsTest, JournalGrowthAlertFiresAtThresholdAndResolvesAfterTruncate) {
-  obs::AlertConfig config;
-  config.journal_growth_threshold = 1000;
-  obs::AlertEngine engine(config);
-  obs::CampaignAlertInputs inputs;
-  inputs.tick = 0;
-  inputs.journal_records = 400;
-  EXPECT_TRUE(engine.EvaluateCampaignTick(inputs).empty());
-  inputs.tick = 1;
-  inputs.journal_records = 1200;
-  std::vector<obs::AlertTransition> transitions =
-      engine.EvaluateCampaignTick(inputs);
-  ASSERT_EQ(transitions.size(), 1u);
-  EXPECT_EQ(transitions[0].rule, obs::AlertRule::kJournalGrowth);
-  EXPECT_TRUE(transitions[0].fired);
-  inputs.tick = 2;
-  inputs.journal_records = 50;  // snapshot + truncate happened
-  transitions = engine.EvaluateCampaignTick(inputs);
-  ASSERT_EQ(transitions.size(), 1u);
-  EXPECT_FALSE(transitions[0].fired);
-}
-
 TEST_F(ObsTest, RecoveryDivergenceAlertLatchesForTheCampaign) {
   obs::AlertEngine engine;
   obs::CampaignAlertInputs inputs;

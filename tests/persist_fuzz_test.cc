@@ -56,24 +56,37 @@ std::vector<JournalRecord> SampleRecords(Rng& rng) {
   closed.cohort_digest = rng.NextUint64();
   // Up to 70 contacts, so that the bitmaps span a second word.
   const size_t contacts = 1 + rng.NextBelow(70);
-  closed.outcome.charge_attempted.assign((contacts + 63) / 64, 0);
-  closed.outcome.charge_granted.assign((contacts + 63) / 64, 0);
-  int64_t grants = 0;
+  RoundOutcome& outcome = closed.outcome;
+  for (std::vector<uint64_t>* bitmap :
+       {&outcome.charge_attempted, &outcome.charge_granted, &outcome.accepted,
+        &outcome.crashed}) {
+    bitmap->assign((contacts + 63) / 64, 0);
+  }
+  int64_t accepts = 0;
   for (size_t i = 0; i < contacts; ++i) {
-    closed.outcome.assigned_clients.push_back(
-        static_cast<int64_t>(rng.NextBelow(1000)));
+    outcome.assigned_clients.push_back(
+        static_cast<uint32_t>(rng.NextBelow(1000)));
     const uint64_t bit = uint64_t{1} << (i % 64);
-    if (rng.NextBelow(4) == 0) continue;  // dropped out before the meter
-    closed.outcome.charge_attempted[i / 64] |= bit;
+    if (rng.NextBelow(4) == 0) {
+      // Crashed, or dropped out, before the meter.
+      if (rng.NextBit() == 1) {
+        outcome.crashed[i / 64] |= bit;
+        ++outcome.faults.injected_crashes;
+      }
+      continue;
+    }
+    outcome.charge_attempted[i / 64] |= bit;
     if (rng.NextBit() == 1) {
-      closed.outcome.charge_granted[i / 64] |= bit;
-      ++grants;
+      outcome.charge_granted[i / 64] |= bit;
+      if (rng.NextBit() == 1) {
+        outcome.accepted[i / 64] |= bit;
+        ++accepts;
+      }
     }
   }
-  closed.outcome.charge_epsilon = rng.NextDouble();
-  closed.outcome.contacted = static_cast<int64_t>(contacts);
-  closed.outcome.responded = grants;
-  closed.outcome.dropout_rate = rng.NextDouble();
+  outcome.charge_epsilon = rng.NextDouble();
+  outcome.contacted = static_cast<int64_t>(contacts);
+  outcome.responded = accepts;
   closed.outcome.retry.retries_scheduled =
       static_cast<int64_t>(rng.NextBelow(4));
   closed.outcome.retry.hedges_issued = static_cast<int64_t>(rng.NextBelow(4));
@@ -88,7 +101,7 @@ std::vector<JournalRecord> SampleRecords(Rng& rng) {
   finished.result.query_name = "metric";
   finished.result.status = CampaignTickResult::Status::kRan;
   finished.result.estimate = rng.NextDouble();
-  finished.result.reports = grants;
+  finished.result.reports = accepts;
   EncodeQueryFinishedRecord(finished, &payload);
   add(JournalRecordType::kQueryFinished, payload);
 
@@ -281,7 +294,7 @@ TEST_F(PersistFuzzTest, JournalReaderRejectsEveryOtherFormatVersion) {
       AppendJournalFrame(record.type, record.seq, record.payload, &frame);
       frame[0] = static_cast<uint8_t>(version);
       frame.erase(frame.end() - 4, frame.end());  // the CRC
-      bytes::PutUint32(bytes::Crc32(frame), &frame);
+      bytes::PutUint32(bytes::Crc32(frame.data(), frame.size()), &frame);
       journal.insert(journal.end(), frame.begin(), frame.end());
     }
     WriteBytes(journal);
@@ -302,7 +315,7 @@ std::vector<uint8_t> SnapshotWithFinishedCount(uint32_t finished_count) {
   bytes::PutUint32(0, &bytes);  // meter blob length
   bytes::PutUint32(finished_count, &bytes);
   if (finished_count == 0) bytes::PutUint32(0, &bytes);  // health blob
-  bytes::PutUint32(bytes::Crc32(bytes), &bytes);
+  bytes::PutUint32(bytes::Crc32(bytes.data(), bytes.size()), &bytes);
   return bytes;
 }
 
@@ -326,7 +339,7 @@ std::vector<uint8_t> SnapshotWithTallyCount(uint32_t totals_count) {
     EncodeFaultStats(FaultStats{}, &bytes);
     bytes::PutUint32(0, &bytes);  // health blob
   }
-  bytes::PutUint32(bytes::Crc32(bytes), &bytes);
+  bytes::PutUint32(bytes::Crc32(bytes.data(), bytes.size()), &bytes);
   return bytes;
 }
 
@@ -348,10 +361,11 @@ TEST_F(PersistFuzzTest, SnapshotWithOversizedFinishedCountFailsClosed) {
   const std::vector<uint8_t> bytes = SnapshotWithFinishedCount(0xFFFFFFFF);
   ASSERT_EQ(bytes.size(), 41u);
   WriteBytes(bytes);
-  CoordinatorSnapshot snapshot;
+  std::vector<uint8_t> image;
+  CoordinatorSnapshotView snapshot;
   bool found = false;
   std::string error;
-  EXPECT_FALSE(LoadSnapshotFile(path_, &snapshot, &found, &error));
+  EXPECT_FALSE(LoadSnapshotFile(path_, &image, &snapshot, &found, &error));
   EXPECT_FALSE(error.empty());
 }
 
@@ -359,15 +373,17 @@ TEST_F(PersistFuzzTest, SnapshotWithOversizedTallyCountFailsClosed) {
   // A finished query whose tallies claim 2^32 - 1 bits: the count must be
   // checked against the bytes left, not used to size an allocation.
   WriteBytes(SnapshotWithTallyCount(0xFFFFFFFF));
-  CoordinatorSnapshot snapshot;
+  std::vector<uint8_t> image;
+  CoordinatorSnapshotView snapshot;
   bool found = false;
   std::string error;
-  EXPECT_FALSE(LoadSnapshotFile(path_, &snapshot, &found, &error));
+  EXPECT_FALSE(LoadSnapshotFile(path_, &image, &snapshot, &found, &error));
   EXPECT_FALSE(error.empty());
   // The same file with a truthful count loads.
   WriteBytes(SnapshotWithTallyCount(0));
   error.clear();
-  EXPECT_TRUE(LoadSnapshotFile(path_, &snapshot, &found, &error)) << error;
+  EXPECT_TRUE(LoadSnapshotFile(path_, &image, &snapshot, &found, &error))
+      << error;
   EXPECT_TRUE(found);
   ASSERT_EQ(snapshot.finished.size(), 1u);
   EXPECT_EQ(snapshot.finished[0].tallies.bits(), 0);
@@ -576,7 +592,8 @@ TEST_F(PersistFuzzTest, OpenFailsClosedOnEveryMutation) {
       MutateContent(rng, &body);
       snapshot.resize(5);
       snapshot.insert(snapshot.end(), body.begin(), body.end());
-      bytes::PutUint32(bytes::Crc32(snapshot), &snapshot);
+      bytes::PutUint32(bytes::Crc32(snapshot.data(), snapshot.size()),
+                       &snapshot);
     } else {
       MutateContent(
           rng,
@@ -650,14 +667,15 @@ TEST(SnapshotFuzzTest, DecoderFailsClosedOnEveryMutation) {
     EncodeCoordinatorSnapshot(snapshot, &bytes);
     const std::vector<uint8_t> pristine = bytes;
     Mutate(rng, &bytes);
-    CoordinatorSnapshot out;
+    CoordinatorSnapshotView out;
     if (DecodeCoordinatorSnapshot(bytes, &out)) {
       // The whole-file CRC means a successful decode implies the mutation
       // was an identity (or a vanishingly unlikely collision): the decoded
       // snapshot must equal the original field for field.
       ASSERT_EQ(bytes, pristine) << iteration;
       ASSERT_EQ(out.base_seed, snapshot.base_seed) << iteration;
-      ASSERT_EQ(out.meter_blob, snapshot.meter_blob) << iteration;
+      ASSERT_TRUE(std::ranges::equal(out.meter_blob, snapshot.meter_blob))
+          << iteration;
       ASSERT_EQ(out.finished, snapshot.finished) << iteration;
     }
   }

@@ -3,6 +3,7 @@
 // discipline, stale pre-snapshot prefixes, the atomic snapshot file cycle,
 // and the file module under both (persist/file.h).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -231,11 +232,15 @@ TEST_F(JournalFileTest, FrameLargerThanTheBufferRoundTrips) {
   closed.value_id = 9;
   closed.round_id = 2;
   closed.cohort_digest = 0x0123456789abcdefULL;
-  for (int64_t id = 0; id < 20000; ++id) {
-    closed.outcome.assigned_clients.push_back(id * 3);
+  for (uint32_t index = 0; index < 20000; ++index) {
+    closed.outcome.assigned_clients.push_back(index * 3);
   }
-  closed.outcome.charge_attempted.assign(20000 / 64 + 1, 0);
-  closed.outcome.charge_granted.assign(20000 / 64 + 1, 0);
+  closed.outcome.contacted = 20000;
+  for (std::vector<uint64_t>* bitmap :
+       {&closed.outcome.charge_attempted, &closed.outcome.charge_granted,
+        &closed.outcome.accepted, &closed.outcome.crashed}) {
+    bitmap->assign(20000 / 64 + 1, 0);
+  }
   std::vector<uint8_t> large;
   EncodeRoundClosedRecord(closed, &large);
   ASSERT_GT(large.size(), JournalWriter::kBufferBytes);
@@ -271,7 +276,7 @@ TEST_F(JournalFileTest, FrameLargerThanTheBufferRoundTrips) {
 TEST(JournalFrameTest, Crc32ExtendContinuesACrc) {
   std::vector<uint8_t> data;
   for (int i = 0; i < 300; ++i) data.push_back(static_cast<uint8_t>(i * 7));
-  const uint32_t whole = bytes::Crc32(data);
+  const uint32_t whole = bytes::Crc32(data.data(), data.size());
   for (const size_t split : {size_t{0}, size_t{1}, size_t{150}, size_t{300}}) {
     const uint32_t head = bytes::Crc32(data.data(), split);
     EXPECT_EQ(bytes::Crc32Extend(head, data.data() + split, data.size() - split),
@@ -336,10 +341,10 @@ TEST(Crc32Test, MatchesBitwiseReferenceAtEveryAlignment) {
 // folding threshold and of every 16-byte block boundary.
 TEST(Crc32Test, ExtendFromEverySplitMatchesTheWhole) {
   const std::vector<uint8_t> data = CrcTestBytes(size_t{1} << 20);
-  const uint32_t whole = bytes::Crc32(data);
+  const uint32_t whole = bytes::Crc32(data.data(), data.size());
   {
     kernels::ScopedForceScalar scalar;
-    ASSERT_EQ(bytes::Crc32(data), whole);
+    ASSERT_EQ(bytes::Crc32(data.data(), data.size()), whole);
   }
   for (size_t split = 0; split <= 130; ++split) {
     const uint32_t head = bytes::Crc32(data.data(), split);
@@ -467,12 +472,13 @@ TEST(JournalPayloadTest, RecordCodecsRoundTrip) {
     record.outcome.retry.retries_scheduled = 2;
     record.outcome.retry.hedges_issued = 1;
     record.outcome.assigned_clients = {2, 3, 5, 8, 13};
-    // Contact 3 dropped out before the meter; the other four were granted.
+    // Contact 3 dropped out before the meter; the other four were granted
+    // and reported.
     record.outcome.charge_attempted = {0b10111};
     record.outcome.charge_granted = {0b10111};
+    record.outcome.accepted = {0b10111};
+    record.outcome.crashed = {0};
     record.outcome.charge_epsilon = 0.75;
-    record.outcome.succeeded_client_ids = {20, 30, 50, 80};
-    record.outcome.failed_client_ids = {130};
     std::vector<uint8_t> payload;
     EncodeRoundClosedRecord(record, &payload);
     RoundClosedRecord decoded;
@@ -491,10 +497,8 @@ TEST(JournalPayloadTest, RecordCodecsRoundTrip) {
               record.outcome.charge_attempted);
     EXPECT_EQ(decoded.outcome.charge_granted, record.outcome.charge_granted);
     EXPECT_EQ(decoded.outcome.charge_epsilon, record.outcome.charge_epsilon);
-    EXPECT_EQ(decoded.outcome.succeeded_client_ids,
-              record.outcome.succeeded_client_ids);
-    EXPECT_EQ(decoded.outcome.failed_client_ids,
-              record.outcome.failed_client_ids);
+    EXPECT_EQ(decoded.outcome.accepted, record.outcome.accepted);
+    EXPECT_EQ(decoded.outcome.crashed, record.outcome.crashed);
     payload.push_back(0);
     EXPECT_FALSE(DecodeRoundClosedRecord(payload, &decoded));
     // A negative tick, query index or round id is corruption.
@@ -526,16 +530,24 @@ TEST(JournalPayloadTest, RecordCodecsRoundTrip) {
 
 TEST(JournalPayloadTest, RoundClosedChargeBitmapsAreValidated) {
   // 70 contacts: two bitmap words, the second with 6 live bits. Contact
-  // 65 dropped out before the meter and contact 66 was denied; 66 of the
-  // 68 grants became accepted reports.
+  // 65 dropped out before the meter and contact 66 was denied; of the 68
+  // grants, contact 10 crashed on a retransmission, contact 20 straggled
+  // past the deadline, and the other 66 became accepted reports.
   RoundClosedRecord record;
   record.round_id = 1;
   record.value_id = 4;
-  for (int64_t i = 0; i < 70; ++i) record.outcome.assigned_clients.push_back(i);
+  for (uint32_t i = 0; i < 70; ++i) {
+    record.outcome.assigned_clients.push_back(i);
+  }
   record.outcome.contacted = 70;
   record.outcome.responded = 66;
+  record.outcome.faults.injected_crashes = 1;
   record.outcome.charge_attempted = {~uint64_t{0}, 0b111101};
   record.outcome.charge_granted = {~uint64_t{0}, 0b111001};
+  record.outcome.accepted = {~uint64_t{0} & ~(uint64_t{1} << 10) &
+                                 ~(uint64_t{1} << 20),
+                             0b111001};
+  record.outcome.crashed = {uint64_t{1} << 10, 0};
   record.outcome.charge_epsilon = 1.0;
   const auto decodes = [&record](const RoundClosedRecord& changed) {
     std::vector<uint8_t> payload;
@@ -545,25 +557,68 @@ TEST(JournalPayloadTest, RoundClosedChargeBitmapsAreValidated) {
   };
   ASSERT_TRUE(decodes(record));
 
-  // A bitmap of the wrong length.
+  // A bitmap of the wrong length, each of the four.
   RoundClosedRecord bad = record;
   bad.outcome.charge_attempted.push_back(0);
   EXPECT_FALSE(decodes(bad));
   bad = record;
   bad.outcome.charge_granted.pop_back();
   EXPECT_FALSE(decodes(bad));
-  // A bit past the last contact.
+  bad = record;
+  bad.outcome.accepted.push_back(0);
+  EXPECT_FALSE(decodes(bad));
+  bad = record;
+  bad.outcome.crashed.pop_back();
+  EXPECT_FALSE(decodes(bad));
+  // A bit past the last contact, in each of the four, with the counts
+  // following the bit.
   bad = record;
   bad.outcome.charge_attempted[1] |= uint64_t{1} << 6;
   bad.outcome.charge_granted[1] |= uint64_t{1} << 6;
+  EXPECT_FALSE(decodes(bad));
+  bad.outcome.accepted[1] |= uint64_t{1} << 6;
+  bad.outcome.responded = 67;
+  EXPECT_FALSE(decodes(bad));
+  bad = record;
+  bad.outcome.crashed[1] |= uint64_t{1} << 6;
+  bad.outcome.faults.injected_crashes = 2;
   EXPECT_FALSE(decodes(bad));
   // A grant without an attempt.
   bad = record;
   bad.outcome.charge_granted[1] |= 0b10;
   EXPECT_FALSE(decodes(bad));
-  // Fewer grants than accepted reports.
+  // A contact both accepted and crashed.
   bad = record;
-  bad.outcome.responded = 69;
+  bad.outcome.crashed[0] |= 1;
+  bad.outcome.faults.injected_crashes = 2;
+  EXPECT_FALSE(decodes(bad));
+  // A kept count the bitmaps contradict: contacts, accepted reports,
+  // crashes.
+  for (const int64_t contacted : {int64_t{69}, int64_t{71}}) {
+    bad = record;
+    bad.outcome.contacted = contacted;
+    EXPECT_FALSE(decodes(bad)) << contacted;
+  }
+  for (const int64_t responded : {int64_t{65}, int64_t{67}}) {
+    bad = record;
+    bad.outcome.responded = responded;
+    EXPECT_FALSE(decodes(bad)) << responded;
+  }
+  for (const int64_t crashes : {int64_t{0}, int64_t{2}}) {
+    bad = record;
+    bad.outcome.faults.injected_crashes = crashes;
+    EXPECT_FALSE(decodes(bad)) << crashes;
+  }
+  // An accepted contact without a grant: a round outcome may hold one (a
+  // round without a meter grants nothing), a journaled round may not.
+  bad = record;
+  bad.outcome.accepted[1] |= 0b100;  // contact 66, denied
+  bad.outcome.responded = 67;
+  std::vector<uint8_t> outcome_bytes;
+  EncodeRoundOutcome(bad.outcome, &outcome_bytes);
+  size_t offset = 0;
+  RoundOutcome outcome;
+  EXPECT_TRUE(DecodeRoundOutcome(outcome_bytes, &offset, &outcome));
   EXPECT_FALSE(decodes(bad));
   // A grant at an epsilon the meter denies.
   for (const double epsilon : {-0.5, std::numeric_limits<double>::infinity(),
@@ -573,6 +628,7 @@ TEST(JournalPayloadTest, RoundClosedChargeBitmapsAreValidated) {
     EXPECT_FALSE(decodes(bad)) << epsilon;
     // Denied charges keep the epsilon they were denied at.
     bad.outcome.charge_granted = {0, 0};
+    bad.outcome.accepted = {0, 0};
     bad.outcome.responded = 0;
     EXPECT_TRUE(decodes(bad)) << epsilon;
   }
@@ -622,12 +678,12 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip) {
 
   std::vector<uint8_t> encoded;
   EncodeCoordinatorSnapshot(snapshot, &encoded);
-  CoordinatorSnapshot decoded;
+  CoordinatorSnapshotView decoded;
   ASSERT_TRUE(DecodeCoordinatorSnapshot(encoded, &decoded));
   EXPECT_EQ(decoded.base_seed, snapshot.base_seed);
   EXPECT_EQ(decoded.journal_next_seq, snapshot.journal_next_seq);
   EXPECT_EQ(decoded.completed_ticks, snapshot.completed_ticks);
-  EXPECT_EQ(decoded.meter_blob, snapshot.meter_blob);
+  EXPECT_TRUE(std::ranges::equal(decoded.meter_blob, snapshot.meter_blob));
   ASSERT_EQ(decoded.finished.size(), 1u);
   EXPECT_EQ(decoded.finished[0], entry);
 }
@@ -648,7 +704,7 @@ TEST(SnapshotTest, InconsistentFinishedEntriesFailClosed) {
     snapshot.finished.push_back(entry);
     std::vector<uint8_t> encoded;
     EncodeCoordinatorSnapshot(snapshot, &encoded);
-    CoordinatorSnapshot decoded;
+    CoordinatorSnapshotView decoded;
     return DecodeCoordinatorSnapshot(encoded, &decoded);
   };
   ASSERT_TRUE(decodes(good));
@@ -687,7 +743,7 @@ TEST(SnapshotTest, AnySingleBitFlipIsRejected) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<uint8_t> corrupt = encoded;
       corrupt[pos] ^= static_cast<uint8_t>(1 << bit);
-      CoordinatorSnapshot out;
+      CoordinatorSnapshotView out;
       EXPECT_FALSE(DecodeCoordinatorSnapshot(corrupt, &out))
           << "flip at byte " << pos << " bit " << bit;
     }
@@ -699,7 +755,7 @@ TEST(SnapshotTest, TruncationAndTrailingGarbageRejected) {
   snapshot.meter_blob = {1};
   std::vector<uint8_t> encoded;
   EncodeCoordinatorSnapshot(snapshot, &encoded);
-  CoordinatorSnapshot out;
+  CoordinatorSnapshotView out;
   for (size_t cut = 0; cut < encoded.size(); ++cut) {
     std::vector<uint8_t> truncated(
         encoded.begin(), encoded.begin() + static_cast<ptrdiff_t>(cut));
@@ -764,12 +820,14 @@ TEST(SnapshotTest, StreamedFileEqualsEncodedBytes) {
   std::fclose(file);
   EXPECT_EQ(on_disk, encoded);
 
-  CoordinatorSnapshot loaded;
+  std::vector<uint8_t> image;
+  CoordinatorSnapshotView loaded;
   bool found = false;
-  ASSERT_TRUE(LoadSnapshotFile(path, &loaded, &found, &error)) << error;
+  ASSERT_TRUE(LoadSnapshotFile(path, &image, &loaded, &found, &error))
+      << error;
   EXPECT_TRUE(found);
-  EXPECT_EQ(loaded.meter_blob, snapshot.meter_blob);
-  EXPECT_EQ(loaded.health_blob, snapshot.health_blob);
+  EXPECT_TRUE(std::ranges::equal(loaded.meter_blob, snapshot.meter_blob));
+  EXPECT_TRUE(std::ranges::equal(loaded.health_blob, snapshot.health_blob));
   std::filesystem::remove_all(dir);
 }
 
@@ -779,10 +837,11 @@ TEST(SnapshotTest, FileCycleIsAtomicAndFailsClosedOnCorruption) {
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/snapshot.bin";
 
-  CoordinatorSnapshot out;
+  std::vector<uint8_t> image;
+  CoordinatorSnapshotView out;
   bool found = true;
   std::string error;
-  ASSERT_TRUE(LoadSnapshotFile(path, &out, &found, &error)) << error;
+  ASSERT_TRUE(LoadSnapshotFile(path, &image, &out, &found, &error)) << error;
   EXPECT_FALSE(found);  // missing file: fresh state, not an error
 
   CoordinatorSnapshot snapshot;
@@ -790,7 +849,7 @@ TEST(SnapshotTest, FileCycleIsAtomicAndFailsClosedOnCorruption) {
   snapshot.completed_ticks = 2;
   ASSERT_TRUE(WriteSnapshotFile(path, snapshot, &error)) << error;
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  ASSERT_TRUE(LoadSnapshotFile(path, &out, &found, &error)) << error;
+  ASSERT_TRUE(LoadSnapshotFile(path, &image, &out, &found, &error)) << error;
   EXPECT_TRUE(found);
   EXPECT_EQ(out.base_seed, 77u);
 
@@ -800,7 +859,7 @@ TEST(SnapshotTest, FileCycleIsAtomicAndFailsClosedOnCorruption) {
   std::fseek(file, 8, SEEK_SET);
   std::fputc(0xFF, file);
   std::fclose(file);
-  EXPECT_FALSE(LoadSnapshotFile(path, &out, &found, &error));
+  EXPECT_FALSE(LoadSnapshotFile(path, &image, &out, &found, &error));
   EXPECT_FALSE(error.empty());
   std::filesystem::remove_all(dir);
 }
@@ -818,9 +877,10 @@ TEST(SnapshotTest, MissingFileReadsAsNotFound) {
   EXPECT_TRUE(bytes.empty());
   EXPECT_TRUE(error.empty()) << error;
 
-  CoordinatorSnapshot snapshot;
+  CoordinatorSnapshotView snapshot;
   found = true;
-  EXPECT_TRUE(LoadSnapshotFile(SnapshotPath(dir), &snapshot, &found, &error));
+  EXPECT_TRUE(
+      LoadSnapshotFile(SnapshotPath(dir), &bytes, &snapshot, &found, &error));
   EXPECT_FALSE(found);
   EXPECT_TRUE(error.empty()) << error;
 

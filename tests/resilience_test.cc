@@ -538,6 +538,73 @@ TEST(ResilienceRoundTest, CancelledHedgesAreNeverContactedOrMetered) {
   EXPECT_GT(outcome.retry.elapsed_minutes, 0.0);
 }
 
+TEST_F(ResilienceQueryTest, BreakerIsFedFromTheContactList) {
+  // Two queries with retries, hedges, round-1 crashes and backfill under a
+  // breaker that opens on one failure, so that the second query skips and
+  // probes what the first quarantined. The tracker the queries updated
+  // must equal, byte for byte, one fed each round's client ids from its
+  // contact list: the accepted contacts' ids, then the rest, in contact
+  // order.
+  FaultRates rates;
+  rates.mid_round_dropout = 0.1;
+  rates.straggler = 0.05;
+  rates.corrupt_message = 0.05;
+  rates.round_boundary_crash = 0.05;
+  const FaultPlan plan(71, rates);
+  FederatedQueryConfig config = BaseConfig();
+  config.fault_plan = &plan;
+  config.fault_policy.max_backfill_rounds = 2;
+  // Stragglers are late, so each one draws a hedge from the pool.
+  config.fault_policy.report_deadline_minutes = 10.0;
+  config.resilience.retry = EnabledRetryPolicy(2);
+  config.resilience.hedge.enabled = true;
+  config.resilience.breaker.consecutive_failures_to_open = 1;
+  config.resilience.breaker.cooldown_rounds = 2;
+  HealthTracker health(config.resilience.breaker);
+  config.health = &health;
+  HealthTracker fed(config.resilience.breaker);
+  const auto feed = [&](int64_t round_id, const RoundOutcome& outcome) {
+    std::vector<int64_t> accepted;
+    std::vector<int64_t> rest;
+    for (size_t i = 0; i < outcome.assigned_clients.size(); ++i) {
+      const int64_t id = clients_[outcome.assigned_clients[i]].id();
+      (ContactBit(outcome.accepted, i) ? accepted : rest).push_back(id);
+      // A crashed contact never reported.
+      if (ContactBit(outcome.crashed, i)) {
+        EXPECT_FALSE(ContactBit(outcome.accepted, i));
+      }
+    }
+    EXPECT_EQ(static_cast<int64_t>(accepted.size()), outcome.responded);
+    EXPECT_EQ(static_cast<int64_t>(rest.size()),
+              outcome.contacted - outcome.responded);
+    fed.BeginRound();
+    fed.ObserveRound(round_id, accepted, rest);
+  };
+  RetryStats retry;
+  FaultStats faults;
+  for (const uint64_t seed : {uint64_t{811}, uint64_t{812}}) {
+    PrivacyMeter meter{MeterPolicy{}};
+    const FederatedQueryResult result = Run(config, seed, &meter);
+    ASSERT_FALSE(result.aborted);
+    feed(1, result.round1);
+    feed(2, result.round2);
+    std::vector<uint8_t> live;
+    std::vector<uint8_t> expected;
+    health.EncodeTo(&live);
+    fed.EncodeTo(&expected);
+    EXPECT_EQ(live, expected) << seed;
+    retry.MergeFrom(result.retry);
+    faults.MergeFrom(result.faults);
+  }
+  EXPECT_GT(retry.retries_scheduled, 0);
+  EXPECT_GT(retry.hedges_issued, 0);
+  EXPECT_GT(retry.breaker_skips, 0);
+  EXPECT_GT(retry.breaker_probes, 0);
+  EXPECT_GT(faults.injected_crashes, 0);
+  EXPECT_GT(faults.backfill_requests, 0);
+  EXPECT_GT(health.opens(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Campaign integration: breaker quarantine spans rounds, queries, and ticks.
 

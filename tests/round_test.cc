@@ -40,6 +40,9 @@ TEST(FederatedQueryTest, TwoRoundsSplitByDelta) {
   EXPECT_EQ(result.round1.contacted, 300);
   EXPECT_EQ(result.round2.contacted, 600);
   EXPECT_EQ(result.comm.requests_sent, 900);
+  EXPECT_EQ(result.comm,
+            CommunicationStats::ForRound(900, result.round1.responded +
+                                                  result.round2.responded));
 }
 
 TEST(FederatedQueryTest, AbortsBelowMinimumCohort) {
@@ -68,7 +71,9 @@ TEST(FederatedQueryTest, SurvivesHeavyDropout) {
   const FederatedQueryResult result = RunFederatedMeanQuery(
       clients, codec, AgesQueryConfig(), nullptr, rng);
   EXPECT_FALSE(result.aborted);
-  EXPECT_NEAR(result.round1.dropout_rate, 0.6, 0.05);
+  EXPECT_NEAR(1.0 - static_cast<double>(result.round1.responded) /
+                        static_cast<double>(result.round1.contacted),
+              0.6, 0.05);
   EXPECT_NEAR(result.estimate, ages.truth().mean, 0.15 * ages.truth().mean);
 }
 

@@ -34,9 +34,16 @@ TEST(ServerTest, RoundCollectsOneReportPerClient) {
   EXPECT_EQ(outcome.contacted, 4);
   EXPECT_EQ(outcome.responded, 4);
   EXPECT_EQ(outcome.histogram.TotalReports(), 4);
-  EXPECT_DOUBLE_EQ(outcome.dropout_rate, 0.0);
-  EXPECT_EQ(outcome.comm.requests_sent, 4);
-  EXPECT_EQ(outcome.comm.private_bits, 4);
+  // Every contact answered: one request and one private bit each.
+  const CommunicationStats wire =
+      CommunicationStats::ForRound(outcome.contacted, outcome.responded);
+  EXPECT_EQ(wire.requests_sent, 4);
+  EXPECT_EQ(wire.private_bits, 4);
+  EXPECT_EQ(wire.payload_bytes,
+            4 * (kRequestPayloadBytes + kReportPayloadBytes));
+  EXPECT_EQ(outcome.assigned_clients.size(), 4u);
+  EXPECT_EQ(CountContacts(outcome.accepted), 4);
+  EXPECT_EQ(CountContacts(outcome.crashed), 0);
 }
 
 TEST(ServerTest, IntendedCountsMatchQmcAllocation) {
@@ -91,7 +98,9 @@ TEST(ServerTest, DropoutReducesResponses) {
   Rng rng(7);
   const RoundOutcome outcome = server.RunRound(
       clients, AllOf(clients), BasicConfig(4), nullptr, rng);
-  EXPECT_NEAR(outcome.dropout_rate, 0.4, 0.03);
+  EXPECT_NEAR(1.0 - static_cast<double>(outcome.responded) /
+                        static_cast<double>(outcome.contacted),
+              0.4, 0.03);
   EXPECT_LT(outcome.responded, outcome.contacted);
   // Estimates still work off the responders.
   EXPECT_NEAR(server.EstimateMean(outcome.histogram, 0.0), 10.0, 0.5);

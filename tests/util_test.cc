@@ -224,6 +224,23 @@ TEST(BytesTest, VariableLengthFieldsAppendCountThenElements) {
   EXPECT_EQ(out, (Bytes{0xEE, 0x02, 0,    0,    0,    0x08, 0x07, 0x06,
                         0x05, 0x04, 0x03, 0x02, 0x01, 0xFF, 0xFF, 0xFF,
                         0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+
+  out = Held();
+  bytes::PutUint32Vector({0x01020304, ~uint32_t{0}}, &out);
+  EXPECT_EQ(out, (Bytes{0xEE, 0x02, 0, 0, 0, 0x04, 0x03, 0x02, 0x01, 0xFF,
+                        0xFF, 0xFF, 0xFF}));
+  // The reader takes back what the writer wrote, and refuses a count the
+  // bytes left cannot hold, without touching its outputs.
+  std::vector<uint32_t> values;
+  size_t offset = 1;
+  ASSERT_TRUE(bytes::GetUint32Vector(out, &offset, &values));
+  EXPECT_EQ(values, (std::vector<uint32_t>{0x01020304, ~uint32_t{0}}));
+  EXPECT_EQ(offset, out.size());
+  out.pop_back();
+  offset = 1;
+  EXPECT_FALSE(bytes::GetUint32Vector(out, &offset, &values));
+  EXPECT_EQ(offset, 1u);
+  EXPECT_EQ(values.size(), 2u);
 }
 
 }  // namespace

@@ -73,8 +73,7 @@ const std::vector<std::pair<std::regex, std::string>>& SinkRules() {
   static const auto* rules = [] {
     auto* r = new std::vector<std::pair<std::regex, std::string>>;
     const SinkRule raw[] = {
-        {R"(\bEncode(BitReport|CommunicationStats)\s*\()",
-         "wire encoder"},
+        {R"(\bEncodeBitReport\s*\()", "wire encoder"},
         {R"(\bEncodeShard(TickFrame|Metrics)\s*\()", "shard wire encoder"},
         {R"(\bEncode[A-Za-z0-9_]+Record\s*\()", "journal record codec"},
         // JournalWriter::Append, the only Append method in the tree.

@@ -9,7 +9,8 @@
 //
 // Report sections (each emitted only when its input is present):
 //   journal   — record count, type histogram, torn-tail verdict, and each
-//               closed round's contacts and meter charges
+//               closed round's contacts, meter charges, accepted reports
+//               and crashes
 //   events    — flight-recorder timeline (stable stream first)
 //   alerts    — fired/resolved alert transitions from the event stream
 //   shards    — per-shard loss/recovery attribution, slowest shard named
@@ -19,7 +20,6 @@
 // parse as a standalone JSON object (obs::JsonIsWellFormed); exit status 1
 // on the first malformed line.
 
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -166,27 +166,25 @@ void AppendJournalSection(const std::string& state_dir, std::string* report) {
       }
     }
     if (record.type == JournalRecordType::kRoundClosed) {
-      // A round's meter charges ride in its record: one bit per contact
-      // for an attempt, one for a grant.
+      // A round's record holds its contact list with a bitmap over it per
+      // fact: a charge attempted, a charge granted, a report accepted, a
+      // crash.
       RoundClosedRecord closed;
       if (!DecodeRoundClosedRecord(record.payload, &closed)) {
         rounds += "  seq " + std::to_string(record.seq) + ": MALFORMED\n";
         continue;
       }
-      int64_t attempted = 0;
-      int64_t granted = 0;
-      for (const uint64_t word : closed.outcome.charge_attempted) {
-        attempted += std::popcount(word);
-      }
-      for (const uint64_t word : closed.outcome.charge_granted) {
-        granted += std::popcount(word);
-      }
-      rounds += "  tick " + std::to_string(closed.tick) + " query " +
-                std::to_string(closed.query_index) + " round " +
-                std::to_string(closed.round_id) + ": contacts=" +
-                std::to_string(closed.outcome.assigned_clients.size()) +
-                " charges attempted=" + std::to_string(attempted) +
-                " granted=" + std::to_string(granted) + "\n";
+      const RoundOutcome& outcome = closed.outcome;
+      rounds +=
+          "  tick " + std::to_string(closed.tick) + " query " +
+          std::to_string(closed.query_index) + " round " +
+          std::to_string(closed.round_id) +
+          ": contacts=" + std::to_string(outcome.assigned_clients.size()) +
+          " charges attempted=" +
+          std::to_string(CountContacts(outcome.charge_attempted)) +
+          " granted=" + std::to_string(CountContacts(outcome.charge_granted)) +
+          " accepted=" + std::to_string(CountContacts(outcome.accepted)) +
+          " crashed=" + std::to_string(CountContacts(outcome.crashed)) + "\n";
     }
   }
   for (const auto& [name, count] : histogram) {

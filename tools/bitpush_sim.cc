@@ -431,8 +431,8 @@ int Main(int argc, char** argv) {
       // Per-tick alert evaluation. The meter inputs come from the
       // recovery-stable trajectory (meter_by_tick), not the live ledger,
       // so the kStable burn-rate rule's timeline is byte-identical across
-      // a clean run and a crash-recovered rerun; the volatile rules
-      // (journal growth, recovery divergence) consume live process state.
+      // a clean run and a crash-recovered rerun; the volatile
+      // recovery-divergence rule consumes live process state.
       obs::CampaignAlertInputs alert_inputs;
       alert_inputs.tick = tick;
       const auto& meter_samples = runner.meter_by_tick();
@@ -443,7 +443,6 @@ int Main(int argc, char** argv) {
       }
       alert_inputs.bits_budget = static_cast<int64_t>(population.size()) *
                                  policy.max_bits_per_client;
-      alert_inputs.journal_records = runner.journal_records();
       alert_inputs.recovery_divergence = info.torn_tail;
       obs::AlertEngine::Default().EvaluateCampaignTick(alert_inputs);
       for (const CampaignTickResult& result : tick_results) {
