@@ -464,8 +464,6 @@ void EncodeRoundOutcome(const RoundOutcome& outcome,
                         std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
   EncodeBitHistogram(outcome.histogram, out);
-  bytes::PutInt64(outcome.contacted, out);
-  bytes::PutInt64(outcome.responded, out);
   bytes::PutInt64(outcome.malformed_reports, out);
   bytes::PutInt64Vector(outcome.intended_counts, out);
   EncodeFaultStats(outcome.faults, out);
@@ -485,8 +483,6 @@ bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
   size_t cursor = *offset;
   RoundOutcome outcome;
   if (!DecodeBitHistogram(buffer, &cursor, &outcome.histogram) ||
-      !bytes::GetInt64(buffer, &cursor, &outcome.contacted) ||
-      !bytes::GetInt64(buffer, &cursor, &outcome.responded) ||
       !bytes::GetInt64(buffer, &cursor, &outcome.malformed_reports) ||
       !bytes::GetInt64Vector(buffer, &cursor, &outcome.intended_counts) ||
       !DecodeFaultStats(buffer, &cursor, &outcome.faults) ||
@@ -505,7 +501,7 @@ bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
   }
   // The four bitmaps: a word per 64 contacts, no bit past the last
   // contact, no grant without an attempt, and no contact both accepted
-  // and crashed. The kept counts are what the bitmaps say.
+  // and crashed; the crash count is what the crashed bitmap says.
   const size_t contacts = outcome.assigned_clients.size();
   const size_t words = (contacts + 63) / 64;
   const uint64_t last_word = contacts % 64 == 0
@@ -526,9 +522,7 @@ bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
     }
     any_grant = any_grant || granted != 0;
   }
-  if (outcome.contacted != static_cast<int64_t>(contacts) ||
-      outcome.responded != CountContacts(outcome.accepted) ||
-      outcome.faults.injected_crashes != CountContacts(outcome.crashed)) {
+  if (outcome.faults.injected_crashes != CountContacts(outcome.crashed)) {
     return false;
   }
   // No grant at an epsilon the meter denies whatever its ledger holds.
@@ -536,6 +530,8 @@ bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
                     outcome.charge_epsilon < 0.0)) {
     return false;
   }
+  outcome.contacted = static_cast<int64_t>(contacts);
+  outcome.responded = CountContacts(outcome.accepted);
   *out = std::move(outcome);
   *offset = cursor;
   return true;

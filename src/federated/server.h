@@ -75,7 +75,8 @@ struct RoundOutcome {
   BitHistogram histogram;
   // The round's two kept counts: contacts, and accepted reports. Its wire
   // cost follows from them (CommunicationStats::ForRound), and so does its
-  // loss, 1 - responded / contacted.
+  // loss, 1 - responded / contacted. The codec does not store them: they
+  // are the contact list's length and the `accepted` bitmap's count.
   int64_t contacted = 0;
   int64_t responded = 0;
   // Reports rejected for carrying an out-of-range bit index (only possible
@@ -128,10 +129,10 @@ int64_t CountContacts(const std::vector<uint64_t>& bitmap);
 // round-closed records (src/persist/). Decoding validates every field
 // (counts non-negative, histogram internally consistent, each bitmap as
 // long as the contact list with no bit past it, no grant without an
-// attempt, no contact both accepted and crashed, `contacted` the number of
-// contacts, `responded` the accepted ones and `faults.injected_crashes`
-// the crashed ones, and no grant at a non-finite or negative epsilon) and
-// returns false without touching `*out` on any violation.
+// attempt, no contact both accepted and crashed, `faults.injected_crashes`
+// the crashed contacts, and no grant at a non-finite or negative epsilon),
+// sets `contacted` and `responded` from the contact list and `accepted`,
+// and returns false without touching `*out` on any violation.
 void EncodeRoundOutcome(const RoundOutcome& outcome, std::vector<uint8_t>* out);
 bool DecodeRoundOutcome(std::span<const uint8_t> buffer, size_t* offset,
                         RoundOutcome* out);

@@ -62,30 +62,30 @@ constexpr std::array<std::array<Digests, kTicks>, kConfigs.size()> kDigests =
     {{
         // shards, snapshot_every = {1, 0}
         {{
-            {0xa6df549db7902127u, 0x019a150a937cf65du},
-            {0x0ce043fded10ede0u, 0x019a150a937cf65du},
-            {0x856eb49020a0f7b7u, 0x019a150a937cf65du},
-            {0x01e13cbd45f6fa4du, 0x019a150a937cf65du},
+            {0xf71f2a3e829bfd25u, 0x019a150a937cf65du},
+            {0x7fd672993774383eu, 0x019a150a937cf65du},
+            {0x06065210515c4e73u, 0x019a150a937cf65du},
+            {0x593af953dd20b06du, 0x019a150a937cf65du},
         }},
         // shards, snapshot_every = {1, 2}
         {{
-            {0xa6df549db7902127u, 0x019a150a937cf65du},
+            {0xf71f2a3e829bfd25u, 0x019a150a937cf65du},
             {0x2fb87fa2978eadcbu, 0x1ffda7c0936e7dc2u},
-            {0x1da2079c64e3867cu, 0x1ffda7c0936e7dc2u},
+            {0xe261b2383b035757u, 0x1ffda7c0936e7dc2u},
             {0x2fb87fa2978eadcbu, 0x6393fc67befd51d8u},
         }},
         // shards, snapshot_every = {4, 0}
         {{
-            {0x4a7a724a2d160f32u, 0xbd4f8ca876337c25u},
-            {0x9b94a15771707351u, 0xbd4f8ca876337c25u},
-            {0x221e36f04b3165fdu, 0xbd4f8ca876337c25u},
-            {0x52a7e1d40cab12f6u, 0xbd4f8ca876337c25u},
+            {0xbe80ae228d9cf051u, 0xbd4f8ca876337c25u},
+            {0x463ccaa0bbd3d4afu, 0xbd4f8ca876337c25u},
+            {0xffe8e4db2ddb045fu, 0xbd4f8ca876337c25u},
+            {0x32baadb35207aeb5u, 0xbd4f8ca876337c25u},
         }},
         // shards, snapshot_every = {4, 2}
         {{
-            {0x4a7a724a2d160f32u, 0xbd4f8ca876337c25u},
+            {0xbe80ae228d9cf051u, 0xbd4f8ca876337c25u},
             {0x835db89458a5a5bdu, 0x4e9c2caae7c080acu},
-            {0xe81325568c790aa3u, 0x4e9c2caae7c080acu},
+            {0x84a62480f3a3bc83u, 0x4e9c2caae7c080acu},
             {0x835db89458a5a5bdu, 0xc7a4c953b733cfacu},
         }},
     }};

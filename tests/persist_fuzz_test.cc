@@ -62,7 +62,6 @@ std::vector<JournalRecord> SampleRecords(Rng& rng) {
         &outcome.crashed}) {
     bitmap->assign((contacts + 63) / 64, 0);
   }
-  int64_t accepts = 0;
   for (size_t i = 0; i < contacts; ++i) {
     outcome.assigned_clients.push_back(
         static_cast<uint32_t>(rng.NextBelow(1000)));
@@ -78,15 +77,10 @@ std::vector<JournalRecord> SampleRecords(Rng& rng) {
     outcome.charge_attempted[i / 64] |= bit;
     if (rng.NextBit() == 1) {
       outcome.charge_granted[i / 64] |= bit;
-      if (rng.NextBit() == 1) {
-        outcome.accepted[i / 64] |= bit;
-        ++accepts;
-      }
+      if (rng.NextBit() == 1) outcome.accepted[i / 64] |= bit;
     }
   }
   outcome.charge_epsilon = rng.NextDouble();
-  outcome.contacted = static_cast<int64_t>(contacts);
-  outcome.responded = accepts;
   closed.outcome.retry.retries_scheduled =
       static_cast<int64_t>(rng.NextBelow(4));
   closed.outcome.retry.hedges_issued = static_cast<int64_t>(rng.NextBelow(4));
@@ -101,7 +95,7 @@ std::vector<JournalRecord> SampleRecords(Rng& rng) {
   finished.result.query_name = "metric";
   finished.result.status = CampaignTickResult::Status::kRan;
   finished.result.estimate = rng.NextDouble();
-  finished.result.reports = accepts;
+  finished.result.reports = CountContacts(outcome.accepted);
   EncodeQueryFinishedRecord(finished, &payload);
   add(JournalRecordType::kQueryFinished, payload);
 

@@ -235,7 +235,6 @@ TEST_F(JournalFileTest, FrameLargerThanTheBufferRoundTrips) {
   for (uint32_t index = 0; index < 20000; ++index) {
     closed.outcome.assigned_clients.push_back(index * 3);
   }
-  closed.outcome.contacted = 20000;
   for (std::vector<uint64_t>* bitmap :
        {&closed.outcome.charge_attempted, &closed.outcome.charge_granted,
         &closed.outcome.accepted, &closed.outcome.crashed}) {
@@ -467,8 +466,6 @@ TEST(JournalPayloadTest, RecordCodecsRoundTrip) {
     record.value_id = 42;
     record.round_id = 2;
     record.cohort_digest = 0xfedcba9876543210ULL;
-    record.outcome.contacted = 5;
-    record.outcome.responded = 4;
     record.outcome.retry.retries_scheduled = 2;
     record.outcome.retry.hedges_issued = 1;
     record.outcome.assigned_clients = {2, 3, 5, 8, 13};
@@ -488,8 +485,10 @@ TEST(JournalPayloadTest, RecordCodecsRoundTrip) {
     EXPECT_EQ(decoded.value_id, record.value_id);
     EXPECT_EQ(decoded.round_id, record.round_id);
     EXPECT_EQ(decoded.cohort_digest, record.cohort_digest);
-    EXPECT_EQ(decoded.outcome.contacted, record.outcome.contacted);
-    EXPECT_EQ(decoded.outcome.responded, record.outcome.responded);
+    // The record does not store the two kept counts: decoding reads them
+    // off the contact list and the accepted bitmap.
+    EXPECT_EQ(decoded.outcome.contacted, 5);
+    EXPECT_EQ(decoded.outcome.responded, 4);
     EXPECT_EQ(decoded.outcome.retry, record.outcome.retry);
     EXPECT_EQ(decoded.outcome.assigned_clients,
               record.outcome.assigned_clients);
@@ -539,8 +538,6 @@ TEST(JournalPayloadTest, RoundClosedChargeBitmapsAreValidated) {
   for (uint32_t i = 0; i < 70; ++i) {
     record.outcome.assigned_clients.push_back(i);
   }
-  record.outcome.contacted = 70;
-  record.outcome.responded = 66;
   record.outcome.faults.injected_crashes = 1;
   record.outcome.charge_attempted = {~uint64_t{0}, 0b111101};
   record.outcome.charge_granted = {~uint64_t{0}, 0b111001};
@@ -555,7 +552,17 @@ TEST(JournalPayloadTest, RoundClosedChargeBitmapsAreValidated) {
     RoundClosedRecord decoded;
     return DecodeRoundClosedRecord(payload, &decoded);
   };
+  // The outcome's own decoder, for the cases a round-closed record would
+  // also reject as an accepted contact without a grant.
+  const auto outcome_decodes = [](const RoundOutcome& outcome) {
+    std::vector<uint8_t> bytes;
+    EncodeRoundOutcome(outcome, &bytes);
+    size_t offset = 0;
+    RoundOutcome decoded;
+    return DecodeRoundOutcome(bytes, &offset, &decoded);
+  };
   ASSERT_TRUE(decodes(record));
+  ASSERT_TRUE(outcome_decodes(record.outcome));
 
   // A bitmap of the wrong length, each of the four.
   RoundClosedRecord bad = record;
@@ -570,17 +577,20 @@ TEST(JournalPayloadTest, RoundClosedChargeBitmapsAreValidated) {
   bad = record;
   bad.outcome.crashed.pop_back();
   EXPECT_FALSE(decodes(bad));
-  // A bit past the last contact, in each of the four, with the counts
-  // following the bit.
+  // A bit past the last contact, in each of the four on its own (an
+  // attempt and its grant together, since a lone grant is also a grant
+  // without an attempt), the crash count following the crashed bit.
+  const uint64_t past_last = uint64_t{1} << 6;  // contact 70
   bad = record;
-  bad.outcome.charge_attempted[1] |= uint64_t{1} << 6;
-  bad.outcome.charge_granted[1] |= uint64_t{1} << 6;
+  bad.outcome.charge_attempted[1] |= past_last;
   EXPECT_FALSE(decodes(bad));
-  bad.outcome.accepted[1] |= uint64_t{1} << 6;
-  bad.outcome.responded = 67;
+  bad.outcome.charge_granted[1] |= past_last;
   EXPECT_FALSE(decodes(bad));
   bad = record;
-  bad.outcome.crashed[1] |= uint64_t{1} << 6;
+  bad.outcome.accepted[1] |= past_last;
+  EXPECT_FALSE(outcome_decodes(bad.outcome));
+  bad = record;
+  bad.outcome.crashed[1] |= past_last;
   bad.outcome.faults.injected_crashes = 2;
   EXPECT_FALSE(decodes(bad));
   // A grant without an attempt.
@@ -592,18 +602,7 @@ TEST(JournalPayloadTest, RoundClosedChargeBitmapsAreValidated) {
   bad.outcome.crashed[0] |= 1;
   bad.outcome.faults.injected_crashes = 2;
   EXPECT_FALSE(decodes(bad));
-  // A kept count the bitmaps contradict: contacts, accepted reports,
-  // crashes.
-  for (const int64_t contacted : {int64_t{69}, int64_t{71}}) {
-    bad = record;
-    bad.outcome.contacted = contacted;
-    EXPECT_FALSE(decodes(bad)) << contacted;
-  }
-  for (const int64_t responded : {int64_t{65}, int64_t{67}}) {
-    bad = record;
-    bad.outcome.responded = responded;
-    EXPECT_FALSE(decodes(bad)) << responded;
-  }
+  // A crash count the crashed bitmap contradicts.
   for (const int64_t crashes : {int64_t{0}, int64_t{2}}) {
     bad = record;
     bad.outcome.faults.injected_crashes = crashes;
@@ -613,12 +612,7 @@ TEST(JournalPayloadTest, RoundClosedChargeBitmapsAreValidated) {
   // round without a meter grants nothing), a journaled round may not.
   bad = record;
   bad.outcome.accepted[1] |= 0b100;  // contact 66, denied
-  bad.outcome.responded = 67;
-  std::vector<uint8_t> outcome_bytes;
-  EncodeRoundOutcome(bad.outcome, &outcome_bytes);
-  size_t offset = 0;
-  RoundOutcome outcome;
-  EXPECT_TRUE(DecodeRoundOutcome(outcome_bytes, &offset, &outcome));
+  EXPECT_TRUE(outcome_decodes(bad.outcome));
   EXPECT_FALSE(decodes(bad));
   // A grant at an epsilon the meter denies.
   for (const double epsilon : {-0.5, std::numeric_limits<double>::infinity(),
@@ -629,7 +623,6 @@ TEST(JournalPayloadTest, RoundClosedChargeBitmapsAreValidated) {
     // Denied charges keep the epsilon they were denied at.
     bad.outcome.charge_granted = {0, 0};
     bad.outcome.accepted = {0, 0};
-    bad.outcome.responded = 0;
     EXPECT_TRUE(decodes(bad)) << epsilon;
   }
 }

@@ -1119,10 +1119,7 @@ TEST_F(RecoveryTest, FlippedGrantFailsOpenClosedAsADivergedCharge) {
   while (!ContactBit(closed.outcome.charge_granted, granted)) ++granted;
   const uint64_t bit = uint64_t{1} << (granted % 64);
   closed.outcome.charge_granted[granted / 64] &= ~bit;
-  if (ContactBit(closed.outcome.accepted, granted)) {
-    closed.outcome.accepted[granted / 64] &= ~bit;
-    --closed.outcome.responded;
-  }
+  closed.outcome.accepted[granted / 64] &= ~bit;
   records[0].payload.clear();
   EncodeRoundClosedRecord(closed, &records[0].payload);
   const std::string dir = FreshDir("flip");
