@@ -47,13 +47,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 # Driver-output stage: the examples, the paper benches at reduced size,
 # bitpush_sim's analysis tasks and a 1- and 4-shard durable campaign, run
-# twice; the sha256 manifests of their stdout, journals and snapshots must
-# match. Run against a parent build, the same script shows that a change
-# keeps every output (docs/TESTING.md). Keep in sync with CI's "Driver
-# outputs" step.
+# twice, the second time on one CPU (`taskset -c 0`, so one shard thread
+# and one round worker); the sha256 manifests of their stdout, journals
+# and snapshots must match, so that no output changes from run to run or
+# with the number of shard threads and round workers. Run against a
+# parent build, the same script shows that a change keeps every output
+# (docs/TESTING.md). Keep in sync with CI's "Driver outputs" step.
 OUTPUTS_ROOT="$(mktemp -d)"
 scripts/driver_outputs.sh "$BUILD_DIR" "$OUTPUTS_ROOT/first"
-scripts/driver_outputs.sh "$BUILD_DIR" "$OUTPUTS_ROOT/second"
+taskset -c 0 scripts/driver_outputs.sh "$BUILD_DIR" "$OUTPUTS_ROOT/second"
 diff -u "$OUTPUTS_ROOT/first/manifest.sha256" \
   "$OUTPUTS_ROOT/second/manifest.sha256"
 rm -rf "$OUTPUTS_ROOT"

@@ -213,8 +213,8 @@ void HealthTracker::ObserveRound(int64_t round_id,
   // Flight-recorder breaker transitions. ObserveRound is the exactly-once
   // transition site on every execution path — live rounds, journal-restored
   // rounds, and recovery's restore of finished queries — and the
-  // transitions are pure functions of the journaled success/failure lists,
-  // so the events are recovery-stable.
+  // transitions are pure functions of the journaled contact list split by
+  // `accepted` (ObserveRoundHealth), so the events are recovery-stable.
   const auto announce = [&](int64_t client_id, const char* what) {
     obs::EventArgs args;
     args.round_id = round_id;

@@ -14,10 +14,11 @@
 // fault decisions are pure hashes (no RNG stream is consumed), the virtual
 // round clock advances by expected minutes from the LatencyModel, and the
 // circuit breaker mutates only at round boundaries from the round's
-// recorded success/failure lists — so a clean run, a re-run, and a
-// crash-recovery replay (src/persist/) all produce byte-identical
-// RetryStats, schedules, and estimates. docs/RESILIENCE.md documents the
-// determinism contract and the privacy-meter interaction in full.
+// contact list split by `accepted` (ObserveRoundHealth) — so a clean run,
+// a re-run, and a crash-recovery replay (src/persist/) all produce
+// byte-identical RetryStats, schedules, and estimates. docs/RESILIENCE.md
+// documents the determinism contract and the privacy-meter interaction in
+// full.
 
 #ifndef BITPUSH_FEDERATED_RESILIENCE_H_
 #define BITPUSH_FEDERATED_RESILIENCE_H_
@@ -206,10 +207,11 @@ enum class AssignmentDecision {
 // Per-client circuit breaker shared across the rounds and queries of a
 // campaign. Reads (Decision) happen during assignment; writes happen only
 // at round boundaries (BeginRound advances cooldowns, ObserveRound applies
-// the round's recorded success/failure lists in order). Confining
-// mutations to the round boundary is what makes recovery exact: a restored
-// round re-applies its journaled outcome lists and the tracker lands in
-// the same state as the live run, byte for byte.
+// the round's contacts, split by `accepted`, in contact order:
+// ObserveRoundHealth). Confining mutations to the round boundary is what
+// makes recovery exact: a restored round feeds it the same split of its
+// journaled contact list and the tracker lands in the same state as the
+// live run, byte for byte.
 class HealthTracker {
  public:
   HealthTracker();  // disabled policy: Decision always returns kAssign

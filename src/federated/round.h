@@ -51,9 +51,10 @@ struct FederatedQueryConfig {
   ResilienceConfig resilience;
   // Per-client circuit breaker, owned by the caller (typically the
   // campaign, so quarantine spans queries). The query consults it during
-  // assignment and applies each round's succeeded/failed outcome lists at
-  // the round boundary — for restored rounds too, which is what keeps the
-  // breaker byte-identical across a crash/recovery cycle.
+  // assignment and feeds it each round's contact list split by `accepted`
+  // at the round boundary (ObserveRoundHealth) — for restored rounds too,
+  // which is what keeps the breaker byte-identical across a
+  // crash/recovery cycle.
   HealthTracker* health = nullptr;
   // Threads each round's stage and apply steps may run on
   // (RoundConfig::workers). ShardedCampaignRunner sets it to the CPUs its

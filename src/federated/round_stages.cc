@@ -26,15 +26,14 @@ RoundStages::RoundStages(const std::vector<Client>& clients,
       ahead_task_([this](size_t task) { RunAheadTask(task); }),
       workers_(workers) {
   // One buffer for every chunk of the round: the chunks' sizes vary (a
-  // pass's last chunk, the chunks after a repeat), and only the slots a
+  // pass's last chunk, a pass without threads), and only the slots a
   // chunk uses are ever touched.
   chunk_.reserve(kChunkSlots);
   if (meter_ != nullptr) {
     // The rows are registered, so their number holds for the round.
-    const size_t words = static_cast<size_t>(
-        kernels::WordsForBits(static_cast<int64_t>(meter_->rows())));
-    marked_rows_.assign(words, 0);
-    previous_rows_.assign(words, 0);
+    claimed_rows_.assign(static_cast<size_t>(kernels::WordsForBits(
+                             static_cast<int64_t>(meter_->rows()))),
+                         0);
   }
 }
 
@@ -140,52 +139,39 @@ void RoundStages::FinishAhead() {
   }
 }
 
-bool RoundStages::StageHedge(int64_t index, StagedSlot* slot) {
+StagedSlot RoundStages::StageHedge(int64_t index) {
+  // The row is claimed before it is read: unclaimed, it has no grant in
+  // the round, so no thread writes it.
+  const bool fresh =
+      meter_ == nullptr ||
+      Claim(meter_->Row(clients_[static_cast<size_t>(index)].id()));
+  return fresh ? StageOne(index) : Refresh(index);
+}
+
+StagedSlot RoundStages::Refresh(int64_t index) {
   FinishAhead();
-  *slot = StageOne(index);
-  // The lookup follows every applied grant: only this chunk's are
-  // pending.
-  const size_t row = slot->lookup.row;
-  if (row == PrivacyMeter::kNoRow || !Marked(marked_rows_, row)) return false;
   Apply();
-  *slot = StageOne(index);
-  return true;
+  return StageOne(index);
 }
 
 void RoundStages::Advance() {
-  // next_ was staged once the previous chunk's grants were applied, so
-  // their marks go, and this chunk's grants become the previous chunk's.
-  Unmark(previous_, &previous_rows_);
+  // next_ was staged once the previous chunk's grants were applied, and
+  // this chunk's grants become the previous chunk's.
   previous_.swap(grants_);
   grants_.clear();
-  previous_rows_.swap(marked_rows_);
   chunk_.swap(next_);
   ahead_ = {};
 }
 
 void RoundStages::Apply() {
-  // The chunk staged ahead read the ledger before these grants; the
-  // previous chunk's are in by now.
-  ahead_ = {};
+  obs::Span apply_span("round.apply", "federated");
+  Describe(&apply_span, grants_.size());
+  // The previous chunk's grants are in by now.
   Split(grants_.size(), [&](size_t begin, size_t end) {
     for (size_t g = begin; g < end; ++g) ApplyOne(grants_[g]);
   });
-  Unmark(grants_, &marked_rows_);
-  Unmark(previous_, &previous_rows_);
   grants_.clear();
   previous_.clear();
-}
-
-void RoundStages::Unmark(const std::vector<size_t>& rows,
-                         std::vector<uint64_t>* marks) {
-  // One by one, or all at once when that is cheaper.
-  if (64 * rows.size() < marks->size()) {
-    for (const size_t row : rows) {
-      (*marks)[row / 64] &= ~(uint64_t{1} << (row % 64));
-    }
-  } else {
-    std::fill(marks->begin(), marks->end(), 0);
-  }
 }
 
 void RoundStages::Describe(obs::Span* span, size_t slots) const {

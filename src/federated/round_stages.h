@@ -27,16 +27,17 @@
 // charges of a client included, is applied in place on the threads.
 //
 // A charge must be decided against the ledger as it will read once every
-// earlier grant is applied, so a staged lookup is good only while its row
-// has no grant pending: none earlier in its own chunk, and none in the
-// chunk before, which was staged before that chunk's grants were applied.
-// The rows of those grants are marked. When a marked row comes up (a
-// cohort that repeats an index, a population that repeats an id), the
-// chunk ends before that slot: every pending grant is applied and the next
-// chunk is staged from there. A hedge, whose client is looked up when it
-// is issued, first finishes the threads' work; if this chunk's grants
-// hold the hedge's row, they are applied first and the chunk ends after
-// that slot. Every meter cap therefore holds for any input.
+// earlier grant is applied. Within a round only a row's own grants write
+// it, so a staged lookup can be stale only when an earlier slot of the
+// round has the same row (a repeated index or id). The caller claims each
+// slot's row, in one bitmap for the round, just before the slot responds.
+// A slot whose row was claimed already is refreshed: the threads' work is
+// finished, every pending grant applied, and that one slot staged again;
+// this chunk and the one staged ahead go on as staged, since a repeat in
+// either is caught by its own claim. A hedge claims its client's row
+// before it reads it: an unclaimed row has no grant in the round, so no
+// thread writes it, and the hedge is staged at once. Every meter cap
+// therefore holds for any input.
 
 #ifndef BITPUSH_FEDERATED_ROUND_STAGES_H_
 #define BITPUSH_FEDERATED_ROUND_STAGES_H_
@@ -88,9 +89,8 @@ class RoundStages {
   RoundStages& operator=(const RoundStages&) = delete;
 
   // Runs a collection pass over clients[indices[*]]: respond(slot, i) for
-  // every i in order, with slot i staged. respond returns false when its
-  // hedge applied the pending grants (StageHedge), so that the slots after
-  // i are staged again. Every grant is applied when the pass returns.
+  // every i in order, with slot i's row claimed and its lookup following
+  // every earlier grant. Every grant is applied when the pass returns.
   // Each chunk's steps are round.stage, round.respond, round.wait and
   // round.apply spans under `parent`, written by the calling thread.
   template <typename Respond>
@@ -98,33 +98,27 @@ class RoundStages {
                const obs::TraceContext& parent, int64_t round_id,
                const Respond& respond);
 
-  // Stages clients[index] for a hedge, outside the chunk, against the
-  // ledger as it stands: the threads' work is finished first, and when
-  // this chunk's grants hold one of the client's, they are applied and the
-  // client is staged again. Returns whether they were, so that the slots
-  // after the hedge must be staged again.
-  bool StageHedge(int64_t index, StagedSlot* slot);
+  // clients[index] staged for a hedge, outside the chunk, with its row
+  // claimed: at once, or refreshed when the row was claimed already.
+  StagedSlot StageHedge(int64_t index);
 
-  // Whether `slot`'s row has a grant pending, so that its lookup is
-  // stale.
-  bool Pending(const StagedSlot& slot) const {
-    const size_t row = slot.lookup.row;
-    return row != PrivacyMeter::kNoRow &&
-           (Marked(marked_rows_, row) ||
-            (!previous_.empty() && Marked(previous_rows_, row)));
-  }
-  // Records that the meter granted `slot`'s charge. Its row must not be
-  // Pending.
-  void Granted(const StagedSlot& slot) {
-    const size_t row = slot.lookup.row;
-    grants_.push_back(row);
-    marked_rows_[row / 64] |= uint64_t{1} << (row % 64);
-  }
+  // Records that the meter granted `slot`'s charge.
+  void Granted(const StagedSlot& slot) { grants_.push_back(slot.lookup.row); }
 
  private:
-  static bool Marked(const std::vector<uint64_t>& marks, size_t row) {
-    return (marks[row / 64] >> (row % 64) & 1) != 0;
+  // Claims `row` for the round; false when it was claimed already, so
+  // that a grant to it may be pending. kNoRow (no meter) claims nothing.
+  bool Claim(size_t row) {
+    if (row == PrivacyMeter::kNoRow) return true;
+    uint64_t& word = claimed_rows_[row / 64];
+    const uint64_t bit = uint64_t{1} << (row % 64);
+    const bool fresh = (word & bit) == 0;
+    word |= bit;
+    return fresh;
   }
+  // clients[index] staged again against every grant so far: the threads'
+  // work is finished and every pending grant applied first.
+  StagedSlot Refresh(int64_t index);
 
   // Runs run(begin, end) over [0, items) in tasks of kTaskSlots, on as
   // many threads as the items allow, or inline.
@@ -153,17 +147,14 @@ class RoundStages {
   // become the previous chunk's, which the threads apply while next_
   // responds.
   void Advance();
-  // The apply step, once the threads' work is finished: adds this chunk's
-  // grants to their rows, on the threads (the previous chunk's are in by
-  // then), and forgets both chunks' grants.
+  // The apply step (round.apply), once the threads' work is finished:
+  // adds this chunk's grants to their rows, on the threads (the previous
+  // chunk's are in by then), and forgets both chunks' grants.
   void Apply();
   // Adds the grant to `row` (ApplyCharge).
   void ApplyOne(size_t row) const {
     meter_->ApplyCharge(row, value_, epsilon_);
   }
-  // Unmarks `rows` in `marks`.
-  static void Unmark(const std::vector<size_t>& rows,
-                     std::vector<uint64_t>* marks);
   // Parents a step's span under the pass's and labels it.
   void Describe(obs::Span* span, size_t slots) const;
 
@@ -181,14 +172,13 @@ class RoundStages {
   // when none is staged); only a pipelined pass allocates it.
   std::vector<StagedSlot> next_;
   std::span<const int64_t> ahead_;
-  // This chunk's grants, as rows in grant order, and one bit per row of
-  // the meter marking them.
+  // One bit per row of the meter: the rows the round has claimed.
+  std::vector<uint64_t> claimed_rows_;
+  // This chunk's grants, as rows in grant order.
   std::vector<size_t> grants_;
-  std::vector<uint64_t> marked_rows_;
-  // The previous chunk's grants and marks, kept while this chunk, staged
-  // before the threads applied them, runs.
+  // The previous chunk's grants, which the threads apply while this
+  // chunk, staged before them, runs.
   std::vector<size_t> previous_;
-  std::vector<uint64_t> previous_rows_;
   // The work out on the threads: its tasks, how many of them apply and
   // how many applies and stages are left, and, when traced, when it
   // started and when its applies and its stages ended (microseconds,
@@ -242,11 +232,7 @@ void RoundStages::RunPass(std::span<const int64_t> indices,
   const bool pipelined = workers_.workers() > 1 &&
                          indices.size() >= 2 * kMinSlotsPerWorker;
   if (pipelined) next_.reserve(kChunkSlots);
-  const size_t max_chunk_slots =
-      pipelined ? kChunkSlots : kInlineChunkSlots;
-  // A chunk that ends early is followed by one of twice the slots that
-  // ran, and chunks grow back from there.
-  size_t chunk_slots = max_chunk_slots;
+  const size_t chunk_slots = pipelined ? kChunkSlots : kInlineChunkSlots;
   // Whether chunk_ holds the slots from `begin` on.
   bool staged = false;
   for (size_t begin = 0; begin < indices.size();) {
@@ -257,33 +243,26 @@ void RoundStages::RunPass(std::span<const int64_t> indices,
       Describe(&stage_span, chunk_.size());
     }
     const size_t end = begin + chunk_.size();
-    const size_t full_slots = std::min(max_chunk_slots, 2 * chunk_slots);
     StartAhead(pipelined ? indices.subspan(end,
-                                           std::min(full_slots,
+                                           std::min(chunk_slots,
                                                     indices.size() - end))
                          : std::span<const int64_t>());
     obs::Span respond_span("round.respond", "federated");
     Describe(&respond_span, chunk_.size());
-    size_t ran = 0;
-    while (ran < chunk_.size() && !Pending(chunk_[ran])) {
-      const bool staged_still = respond(chunk_[ran], begin + ran);
-      ++ran;
-      if (!staged_still) break;
+    for (size_t i = 0; i < chunk_.size(); ++i) {
+      StagedSlot& slot = chunk_[i];
+      if (!Claim(slot.lookup.row)) slot = Refresh(indices[begin + i]);
+      respond(slot, begin + i);
     }
     respond_span.End();
     FinishAhead();
-    const bool full = ran == chunk_.size();
-    chunk_slots = full ? full_slots : std::max<size_t>(1, 2 * ran);
-    begin += ran;
-    if (full && !ahead_.empty()) {
+    begin = end;
+    staged = !ahead_.empty();
+    if (staged) {
       Advance();
-      staged = true;
-      continue;
+    } else {
+      Apply();
     }
-    obs::Span apply_span("round.apply", "federated");
-    Describe(&apply_span, grants_.size());
-    Apply();
-    staged = false;
   }
 }
 

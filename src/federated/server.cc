@@ -286,9 +286,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   };
 
   // The respond step of one slot: the primary request, then a hedge when
-  // it fails or straggles and the policy allows one. False when the rest
-  // of the chunk must be staged again: the hedge's client had a grant
-  // pending, so the pending grants were applied before it ran.
+  // it fails or straggles and the policy allows one.
   const auto respond = [&](const StagedSlot& slot, int64_t idx,
                            const BitRequest& request, bool backfill) {
     // Pre-emptive hedging: once the budget is nearly spent, every slot
@@ -310,7 +308,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         ++outcome.retry.hedges_issued;
         ++outcome.retry.hedges_cancelled;
       }
-      return true;
+      return;
     }
     // Reactive hedging: a straggler's report is *predicted late* the
     // moment its delay is known, so the duplicate goes out even before
@@ -319,11 +317,10 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         res.hedge.enabled &&
         (hedge_planned || primary == SlotResult::kStraggledLate) &&
         outcome.retry.hedges_issued < res.hedge.max_hedges_per_round;
-    if (!hedge_wanted) return true;
+    if (!hedge_wanted) return;
     const std::optional<int64_t> hedge_idx = next_pool_client();
-    if (!hedge_idx.has_value()) return true;
-    StagedSlot hedge;
-    const bool restage = stages.StageHedge(*hedge_idx, &hedge);
+    if (!hedge_idx.has_value()) return;
+    const StagedSlot hedge = stages.StageHedge(*hedge_idx);
     ++outcome.retry.hedges_issued;
     const SlotResult hedged =
         run_slot(hedge, *hedge_idx, request, /*allow_retries=*/false,
@@ -337,7 +334,6 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     } else {
       ++outcome.retry.hedge_failures;
     }
-    return !restage;
   };
 
   // One collection pass: filter the batch through the circuit breaker,
@@ -372,7 +368,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
                      const BitRequest request{config.round_id,
                                               config.value_id, assignment[i],
                                               config.epsilon};
-                     return respond(slot, eligible[i], request, backfill);
+                     respond(slot, eligible[i], request, backfill);
                    });
   };
 

@@ -481,8 +481,8 @@ TEST(RoundWorkersTest, FirstChargesRegisterUpFrontAndApplyInPlace) {
 // A population that repeats ids, and hedges drawn from the backfill pool
 // whose clients share an id with a cohort client: granted earlier in the
 // same chunk and still pending, granted in the chunk before, or staged in
-// the next one. The pending rule keys on rows, so every repeat is decided
-// against its twin's grant.
+// the next one. Claims key on rows, so every repeat is decided against
+// its twin's grant.
 TEST(RoundWorkersTest, RepeatedIdsInTheCohortAndTheHedgePool) {
   Inputs inputs = MakeInputs(ClientConfig{}, 1, kLongCohort);
   inputs.policy.max_bits_per_value = 1;
@@ -570,6 +570,53 @@ TEST(RoundWorkersTest, HedgesOnPendingGrantsWhileTheNextChunkStages) {
   ExpectSameAtEveryBudget(inputs);
 }
 
+// A hedge onto a client no slot of the round has claimed is staged at once:
+// it finishes neither the threads' work nor the chunk, so the caller's
+// steps read as in a round without hedges.
+TEST(RoundWorkersTest, HedgesDoNotWaitForTheThreads) {
+  Inputs inputs = MakeInputs(ClientConfig{}, 1, kLongCohort);
+  // The client at slot 3000 of each of the first four chunks drops out
+  // and hedges onto a fresh pool client.
+  ClientConfig gone;
+  gone.dropout_probability = 1.0;
+  inputs.config.backfill_pool.clear();
+  for (int64_t chunk = 0; chunk < 4; ++chunk) {
+    const int64_t idx =
+        inputs.cohort[static_cast<size_t>(chunk * kChunk + 3000)];
+    inputs.clients[static_cast<size_t>(idx)] = Client(idx, {7.0}, gone);
+    inputs.config.backfill_pool.push_back(kLongCohort + chunk);
+  }
+  ResilienceConfig& res = inputs.config.resilience;
+  res.hedge.enabled = true;
+  res.hedge.trigger_budget_fraction = 0.0;
+  res.budget.minutes = 1e9;
+  RoundConfig config = inputs.config;
+  config.workers = 4;
+  config.round_id = 1;
+  PrivacyMeter meter(inputs.policy);
+  Rng rng(77);
+
+  obs::Tracer::Default().Reset();
+  obs::SetTracingEnabled(true);
+  const RoundOutcome outcome =
+      AggregationServer(FixedPointCodec::Integer(kBits))
+          .RunRound(inputs.clients, inputs.cohort, config, &meter, rng);
+  obs::SetTracingEnabled(false);
+  EXPECT_EQ(outcome.retry.hedge_reports, 4);
+  // The caller's steps, one letter each, in the order they ended.
+  std::string steps;
+  for (const obs::SpanRecord& span : obs::Tracer::Default().Snapshot()) {
+    if (span.name == "round.stage") steps += 's';
+    if (span.name == "round.respond") steps += 'r';
+    if (span.name == "round.wait") steps += 'w';
+    if (span.name == "round.apply") steps += 'a';
+  }
+  obs::Tracer::Default().Reset();
+  // The first chunk's stage, each chunk's respond and wait, and the last
+  // chunk's apply.
+  EXPECT_EQ(steps, "srwrwrwrwrwa");
+}
+
 // respond may throw (say, out of memory) while the threads stage the next
 // chunk from the pass's indices: the exception leaves RunPass only once
 // they are done, before the frame that owns the indices unwinds.
@@ -587,7 +634,6 @@ TEST(RoundWorkersTest, RespondThatThrowsFinishesTheThreadsFirst) {
                        throw std::runtime_error("respond failed");
                      }
                      ++responded;
-                     return true;
                    });
   };
   EXPECT_THROW(run_pass(), std::runtime_error);
