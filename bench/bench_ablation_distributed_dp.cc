@@ -77,10 +77,10 @@ int Main(int argc, char** argv) {
             const BitPushingResult raw =
                 RunBasicBitPushing(codewords, base, rng);
             const std::vector<double> ones = UnbiasSampledCounts(
-                SampleAndThreshold(raw.histogram.one_counts(), st, rng),
+                SampleAndThreshold(raw.histogram.ones, st, rng),
                 st.sampling_rate);
             const std::vector<double> totals = UnbiasSampledCounts(
-                SampleAndThreshold(raw.histogram.totals(), st, rng),
+                SampleAndThreshold(raw.histogram.totals, st, rng),
                 st.sampling_rate);
             std::vector<double> means(ones.size(), 0.0);
             for (size_t j = 0; j < means.size(); ++j) {
@@ -103,10 +103,10 @@ int Main(int argc, char** argv) {
             const BitPushingResult raw =
                 RunBasicBitPushing(codewords, base, rng);
             const std::vector<double> noisy_ones = AddBinomialNoise(
-                raw.histogram.one_counts(), noise_bits, rng);
+                raw.histogram.ones, noise_bits, rng);
             std::vector<double> means(noisy_ones.size(), 0.0);
             for (size_t j = 0; j < means.size(); ++j) {
-              const int64_t total = raw.histogram.totals()[j];
+              const int64_t total = raw.histogram.totals[j];
               if (total > 0) {
                 means[j] = noisy_ones[j] / static_cast<double>(total);
               }

@@ -59,7 +59,7 @@ int Main(int argc, char** argv) {
             RunBasicBitPushing(codewords, config, rng);
         estimates.push_back(codec.Decode(result.estimate_codeword));
         top_counts.Add(static_cast<double>(
-            result.histogram.total(static_cast<int>(bits) - 1)));
+            result.histogram.totals[static_cast<size_t>(bits) - 1]));
       }
       const ErrorStats stats =
           ComputeErrorStats(estimates, data.truth().mean);

@@ -1,12 +1,10 @@
 #include "batch/batch.h"
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
-#include "util/bytes.h"
 #include "util/check.h"
 
 namespace bitpush {
@@ -25,62 +23,6 @@ ReportBatch MakeEmptyBatch(int bits, int64_t count) {
                              static_cast<size_t>(batch.stride),
                          0);
   return batch;
-}
-
-BitHistogram TallyBatch::ToBitHistogram() const {
-  std::vector<int64_t> total = totals;
-  std::vector<int64_t> one = ones;
-  return BitHistogram::FromCounts(std::move(total), std::move(one));
-}
-
-void TallyBatch::AccumulateInto(BitHistogram* histogram) const {
-  BITPUSH_CHECK(histogram != nullptr);
-  histogram->Merge(ToBitHistogram());
-}
-
-TallyBatch TallyBatchFromBitHistogram(const BitHistogram& histogram) {
-  TallyBatch tallies;
-  tallies.totals = histogram.totals();
-  tallies.ones = histogram.one_counts();
-  return tallies;
-}
-
-void AccumulateTallies(const TallyBatch& src, TallyBatch* dst) {
-  BITPUSH_CHECK(dst != nullptr);
-  BITPUSH_CHECK_EQ(src.bits(), dst->bits());
-  const int64_t n = static_cast<int64_t>(src.totals.size());
-  if (n == 0) return;
-  // int64_t and uint64_t are layout-compatible; two's-complement wraparound
-  // addition is identical, and real tallies never approach the sign bit.
-  const kernels::KernelOps& ops = kernels::ActiveKernel();
-  ops.add_words(reinterpret_cast<uint64_t*>(dst->totals.data()),
-                reinterpret_cast<const uint64_t*>(src.totals.data()), n);
-  ops.add_words(reinterpret_cast<uint64_t*>(dst->ones.data()),
-                reinterpret_cast<const uint64_t*>(src.ones.data()), n);
-}
-
-void EncodeTallyBatch(const TallyBatch& tallies, std::vector<uint8_t>* out) {
-  bytes::PutInt64Vector(tallies.totals, out);
-  bytes::PutInt64Vector(tallies.ones, out);
-}
-
-bool DecodeTallyBatch(std::span<const uint8_t> buffer, size_t* offset,
-                      TallyBatch* out) {
-  size_t cursor = *offset;
-  TallyBatch tallies;
-  if (!bytes::GetInt64Vector(buffer, &cursor, &tallies.totals) ||
-      !bytes::GetInt64Vector(buffer, &cursor, &tallies.ones) ||
-      tallies.totals.size() != tallies.ones.size()) {
-    return false;
-  }
-  for (size_t j = 0; j < tallies.totals.size(); ++j) {
-    if (tallies.ones[j] < 0 || tallies.ones[j] > tallies.totals[j]) {
-      return false;
-    }
-  }
-  *out = std::move(tallies);
-  *offset = cursor;
-  return true;
 }
 
 ReportBatch BuildReportBatch(const std::vector<uint64_t>& codewords,
@@ -141,7 +83,7 @@ void PerturbBatch(ReportBatch* batch, const RandomizedResponse& rr,
   }
 }
 
-TallyBatch AggregateBatch(const ReportBatch& batch) {
+BitHistogram AggregateBatch(const ReportBatch& batch) {
   // Volatile, not stable: aggregation is skipped when a crash-recovered
   // round is restored from the journal, so this counter legitimately
   // differs between a live run and its recovered twin and must stay out
@@ -151,9 +93,7 @@ TallyBatch AggregateBatch(const ReportBatch& batch) {
       "Reports tallied through the columnar batch path.",
       obs::Determinism::kVolatile);
   const kernels::KernelOps& ops = kernels::ActiveKernel();
-  TallyBatch tally;
-  tally.totals.resize(static_cast<size_t>(batch.bits));
-  tally.ones.resize(static_cast<size_t>(batch.bits));
+  BitHistogram tally(batch.bits);
   int64_t reports = 0;
   for (int j = 0; j < batch.bits; ++j) {
     const int64_t total =

@@ -11,7 +11,9 @@
 //
 // Both are `bits` rows of `stride` contiguous uint64_t words, client i at
 // bit i%64 of word i/64 (the packed layout of src/kernels/kernels.h).
-// Tallying becomes popcount over contiguous words:
+// Tallying becomes popcount over contiguous words, into the one tally
+// type, BitHistogram (core/bit_pushing.h), that the round, the journal,
+// the snapshot, the shard frame and the merge all carry:
 //
 //   totals[j] = popcount(selection[j]),  ones[j] = popcount(planes[j] &
 //   selection[j])
@@ -38,7 +40,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/bit_pushing.h"
@@ -64,36 +65,8 @@ struct ReportBatch {
   }
 };
 
-// Per-bit tallies of a batch; the columnar twin of BitHistogram.
-struct TallyBatch {
-  std::vector<int64_t> totals;
-  std::vector<int64_t> ones;
-
-  int bits() const { return static_cast<int>(totals.size()); }
-  // CHECK-fails on inconsistent counts (ones > totals etc.).
-  BitHistogram ToBitHistogram() const;
-  // Adds the tallies into an existing histogram of the same width.
-  void AccumulateInto(BitHistogram* histogram) const;
-
-  friend bool operator==(const TallyBatch&, const TallyBatch&) = default;
-};
-
-// The inverse of ToBitHistogram: lifts a histogram's counts into columnar
-// form so coordinator-side tallies can ride the word kernels.
-TallyBatch TallyBatchFromBitHistogram(const BitHistogram& histogram);
-
-// dst += src per column, via the dispatched add_words kernel. Tallies are
-// non-negative counts far below 2^63, so unsigned word addition equals
-// signed addition exactly. Widths must match (CHECK-fails otherwise).
-void AccumulateTallies(const TallyBatch& src, TallyBatch* dst);
-
-// The one tally codec, shared by shard frames and snapshots: the totals
-// vector, then the ones vector. Decoding fails closed on unequal widths
-// and on any count outside 0 <= ones <= totals, leaving `*out` and
-// `*offset` untouched.
-void EncodeTallyBatch(const TallyBatch& tallies, std::vector<uint8_t>* out);
-bool DecodeTallyBatch(std::span<const uint8_t> buffer, size_t* offset,
-                      TallyBatch* out);
+// The tally type's former name, still spelled by perfbench/.
+using TallyBatch = BitHistogram;
 
 // An empty batch of `count` (>= 1) slots: every plane and selection word
 // zero.
@@ -131,11 +104,13 @@ ReportBatch ReportBatchFromBitReports(const std::vector<BitReport>& reports,
 void PerturbBatch(ReportBatch* batch, const RandomizedResponse& rr,
                   Rng& rng);
 
-// Per-plane popcount reduction. Charges the batch's report count to the
-// volatile obs counter `bitpush_batch_reports_total` (volatile because
-// restored rounds skip aggregation, so live and crash-recovered runs
-// legitimately disagree on it).
-TallyBatch AggregateBatch(const ReportBatch& batch);
+// Per-plane popcount reduction into a histogram of the batch's width:
+// totals[j] counts plane j's selection and ones[j] its selected set bits,
+// so 0 <= ones[j] <= totals[j] holds by construction. Charges the batch's
+// report count to the volatile obs counter `bitpush_batch_reports_total`
+// (volatile because restored rounds skip aggregation, so live and
+// crash-recovered runs legitimately disagree on it).
+BitHistogram AggregateBatch(const ReportBatch& batch);
 
 }  // namespace bitpush
 

@@ -78,7 +78,7 @@ std::vector<double> LearnRound2Probabilities(
     const std::vector<double>& round1_probabilities) {
   const std::vector<double> round1_means = round1.UnbiasedMeans(rr);
   const std::vector<bool> round1_keep =
-      ComputeSquashMask(round1_means, round1.totals(), rr, config.squash);
+      ComputeSquashMask(round1_means, round1.totals, rr, config.squash);
   return AdaptiveProbabilitiesMasked(round1_means, round1_keep, config.alpha,
                                      round1_probabilities);
 }
@@ -92,18 +92,18 @@ PooledEstimate PoolAdaptiveRounds(const BitHistogram& round1,
     BitHistogram pooled = round1;
     pooled.Merge(round2);
     out.means = pooled.UnbiasedMeans(rr);
-    out.counts = pooled.totals();
+    out.counts = pooled.totals;
   } else {
     // Round-2-only estimate; bits the learned allocation skipped fall back
     // to their round-1 means (the only information available for them).
     std::vector<bool> observed;
     out.means = round2.UnbiasedMeans(rr, &observed);
-    out.counts = round2.totals();
+    out.counts = round2.totals;
     const std::vector<double> fallback_means = round1.UnbiasedMeans(rr);
     for (size_t j = 0; j < out.means.size(); ++j) {
       if (!observed[j]) {
         out.means[j] = fallback_means[j];
-        out.counts[j] = round1.totals()[j];
+        out.counts[j] = round1.totals[j];
       }
     }
   }

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "batch/batch.h"
 #include "core/fixed_point.h"
+#include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "rng/qmc.h"
 #include "util/bytes.h"
@@ -13,8 +15,8 @@
 namespace bitpush {
 
 BitHistogram::BitHistogram(int bits)
-    : total_(static_cast<size_t>(bits), 0),
-      ones_(static_cast<size_t>(bits), 0) {
+    : totals(static_cast<size_t>(bits), 0),
+      ones(static_cast<size_t>(bits), 0) {
   BITPUSH_CHECK_GE(bits, 1);
 }
 
@@ -22,59 +24,46 @@ void BitHistogram::Add(int bit_index, int reported_bit) {
   BITPUSH_CHECK_GE(bit_index, 0);
   BITPUSH_CHECK_LT(bit_index, bits());
   BITPUSH_CHECK(reported_bit == 0 || reported_bit == 1);
-  ++total_[static_cast<size_t>(bit_index)];
-  ones_[static_cast<size_t>(bit_index)] += reported_bit;
+  ++totals[static_cast<size_t>(bit_index)];
+  ones[static_cast<size_t>(bit_index)] += reported_bit;
 }
 
-void BitHistogram::Accumulate(int bit_index, int64_t reports, int64_t ones) {
+void BitHistogram::Accumulate(int bit_index, int64_t reports,
+                              int64_t reported_ones) {
   BITPUSH_CHECK_GE(bit_index, 0);
   BITPUSH_CHECK_LT(bit_index, bits());
-  BITPUSH_CHECK_GE(ones, 0);
-  BITPUSH_CHECK_GE(reports, ones);
-  total_[static_cast<size_t>(bit_index)] += reports;
-  ones_[static_cast<size_t>(bit_index)] += ones;
+  BITPUSH_CHECK_GE(reported_ones, 0);
+  BITPUSH_CHECK_GE(reports, reported_ones);
+  totals[static_cast<size_t>(bit_index)] += reports;
+  ones[static_cast<size_t>(bit_index)] += reported_ones;
 }
 
 void BitHistogram::Merge(const BitHistogram& other) {
+  if (other.totals.empty()) return;
+  if (totals.empty()) {
+    *this = other;
+    return;
+  }
   BITPUSH_CHECK_EQ(bits(), other.bits());
-  for (size_t j = 0; j < total_.size(); ++j) {
-    total_[j] += other.total_[j];
-    ones_[j] += other.ones_[j];
-  }
-}
-
-BitHistogram BitHistogram::FromCounts(std::vector<int64_t> totals,
-                                      std::vector<int64_t> ones) {
-  BITPUSH_CHECK_EQ(totals.size(), ones.size());
-  for (size_t j = 0; j < totals.size(); ++j) {
-    BITPUSH_CHECK_GE(ones[j], 0);
-    BITPUSH_CHECK_GE(totals[j], ones[j]);
-  }
-  BitHistogram histogram;
-  histogram.total_ = std::move(totals);
-  histogram.ones_ = std::move(ones);
-  return histogram;
-}
-
-int64_t BitHistogram::total(int bit_index) const {
-  return total_[static_cast<size_t>(bit_index)];
-}
-
-int64_t BitHistogram::ones(int bit_index) const {
-  return ones_[static_cast<size_t>(bit_index)];
+  const int64_t n = static_cast<int64_t>(totals.size());
+  const kernels::KernelOps& ops = kernels::ActiveKernel();
+  ops.add_words(reinterpret_cast<uint64_t*>(totals.data()),
+                reinterpret_cast<const uint64_t*>(other.totals.data()), n);
+  ops.add_words(reinterpret_cast<uint64_t*>(ones.data()),
+                reinterpret_cast<const uint64_t*>(other.ones.data()), n);
 }
 
 int64_t BitHistogram::TotalReports() const {
   int64_t sum = 0;
-  for (const int64_t t : total_) sum += t;
+  for (const int64_t t : totals) sum += t;
   return sum;
 }
 
 void EncodeBitHistogram(const BitHistogram& histogram,
                         std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
-  bytes::PutInt64Vector(histogram.totals(), out);
-  bytes::PutInt64Vector(histogram.one_counts(), out);
+  bytes::PutInt64Vector(histogram.totals, out);
+  bytes::PutInt64Vector(histogram.ones, out);
 }
 
 bool DecodeBitHistogram(std::span<const uint8_t> buffer, size_t* offset,
@@ -82,30 +71,31 @@ bool DecodeBitHistogram(std::span<const uint8_t> buffer, size_t* offset,
   BITPUSH_CHECK(offset != nullptr);
   BITPUSH_CHECK(out != nullptr);
   size_t cursor = *offset;
-  std::vector<int64_t> totals;
-  std::vector<int64_t> ones;
-  if (!bytes::GetInt64Vector(buffer, &cursor, &totals) ||
-      !bytes::GetInt64Vector(buffer, &cursor, &ones)) {
+  BitHistogram histogram;
+  if (!bytes::GetInt64Vector(buffer, &cursor, &histogram.totals) ||
+      !bytes::GetInt64Vector(buffer, &cursor, &histogram.ones) ||
+      histogram.totals.size() != histogram.ones.size()) {
     return false;
   }
-  if (totals.size() != ones.size()) return false;
-  for (size_t j = 0; j < totals.size(); ++j) {
-    if (ones[j] < 0 || totals[j] < ones[j]) return false;
+  for (size_t j = 0; j < histogram.totals.size(); ++j) {
+    if (histogram.ones[j] < 0 || histogram.ones[j] > histogram.totals[j]) {
+      return false;
+    }
   }
-  *out = BitHistogram::FromCounts(std::move(totals), std::move(ones));
+  *out = std::move(histogram);
   *offset = cursor;
   return true;
 }
 
 std::vector<double> BitHistogram::UnbiasedMeans(
     const RandomizedResponse& rr, std::vector<bool>* observed) const {
-  std::vector<double> means(total_.size(), 0.0);
-  if (observed != nullptr) observed->assign(total_.size(), false);
-  for (size_t j = 0; j < total_.size(); ++j) {
-    if (total_[j] == 0) continue;
+  std::vector<double> means(totals.size(), 0.0);
+  if (observed != nullptr) observed->assign(totals.size(), false);
+  for (size_t j = 0; j < totals.size(); ++j) {
+    if (totals[j] == 0) continue;
     if (observed != nullptr) (*observed)[j] = true;
-    const double raw_mean = static_cast<double>(ones_[j]) /
-                            static_cast<double>(total_[j]);
+    const double raw_mean = static_cast<double>(ones[j]) /
+                            static_cast<double>(totals[j]);
     means[j] = rr.Unbias(raw_mean);
   }
   return means;
@@ -141,7 +131,7 @@ double PluginVariance(const BitHistogram& histogram,
   const double rr_var = rr.ReportVariance();
   double variance = 0.0;
   for (int j = 0; j < histogram.bits(); ++j) {
-    const int64_t count = histogram.total(j);
+    const int64_t count = histogram.totals[static_cast<size_t>(j)];
     if (count == 0) continue;
     const double m = std::clamp(means[static_cast<size_t>(j)], 0.0, 1.0);
     const double per_report = m * (1.0 - m) + rr_var;
@@ -170,7 +160,6 @@ BitPushingResult RunBasicBitPushing(const std::vector<uint64_t>& codewords,
   const obs::ScopedTimer timer(aggregation_seconds);
 
   BitPushingResult result;
-  result.histogram = BitHistogram(bits);
   // Each pass assigns every client one bit; Corollary 3.2's b_send > 1 is
   // realized as independent passes. Each pass runs columnarly: split the
   // codewords into bit planes plus selection masks, flip the assigned bits
@@ -185,7 +174,7 @@ BitPushingResult RunBasicBitPushing(const std::vector<uint64_t>& codewords,
             : AssignBitsLocal(n, config.probabilities, rng);
     ReportBatch batch = BuildReportBatch(codewords, assignment, bits);
     PerturbBatch(&batch, rr, rng);
-    AggregateBatch(batch).AccumulateInto(&result.histogram);
+    result.histogram.Merge(AggregateBatch(batch));
   }
 
   result.bit_means = result.histogram.UnbiasedMeans(rr, &result.observed);

@@ -27,36 +27,33 @@
 namespace bitpush {
 
 // Per-bit report tallies: the "collection of binary histograms" of
-// Section 3.3. Counts are raw (pre-unbiasing) so they compose with secure
-// aggregation and count-level DP mechanisms.
-class BitHistogram {
- public:
-  // An empty histogram (0 bits); reassign before use.
+// Section 3.3, and the one tally type from a round to the shard merge.
+// Counts are raw (pre-unbiasing) so they compose with secure aggregation
+// and count-level DP mechanisms, and they add exactly across rounds,
+// queries and shards. Every writer keeps 0 <= ones[j] <= totals[j].
+struct BitHistogram {
+  // An empty histogram (0 bits): it adds nothing to a Merge, and a Merge
+  // into it takes the other histogram's width.
   BitHistogram() = default;
   explicit BitHistogram(int bits);
 
+  std::vector<int64_t> totals;  // reports per bit
+  std::vector<int64_t> ones;    // of those, the reports of 1
+
+  int bits() const { return static_cast<int>(totals.size()); }
   // Records one reported bit (0 or 1) for `bit_index`.
   void Add(int bit_index, int reported_bit);
-  // Records `reports` reports for `bit_index`, `ones` of which were 1 —
-  // the bulk form used by the columnar batch path and secure-aggregation
-  // reconstruction (which learns only the pair (count, sum)). Requires
-  // 0 <= ones <= reports.
-  void Accumulate(int bit_index, int64_t reports, int64_t ones);
-  // Pools another histogram (the "caching" combiner of Section 3.2).
+  // Records `reports` reports for `bit_index`, `reported_ones` of which
+  // were 1: the bulk form secure-aggregation reconstruction uses (it
+  // learns only the pair (count, sum)). Requires
+  // 0 <= reported_ones <= reports.
+  void Accumulate(int bit_index, int64_t reports, int64_t reported_ones);
+  // Pools another histogram (the "caching" combiner of Section 3.2)
+  // through the dispatched add_words kernel. Counts are non-negative and
+  // far below 2^63, so unsigned word addition equals signed addition. An
+  // empty `other` adds nothing; an empty receiver takes `other`'s width
+  // and counts; otherwise the widths must match (CHECK-fails).
   void Merge(const BitHistogram& other);
-
-  // Rebuilds a histogram from raw per-bit counts (snapshot/journal
-  // recovery). CHECK-fails on inconsistent inputs (mismatched lengths,
-  // negative counts, ones > total) — callers decode through
-  // DecodeBitHistogram, which validates first.
-  static BitHistogram FromCounts(std::vector<int64_t> totals,
-                                 std::vector<int64_t> ones);
-
-  int bits() const { return static_cast<int>(total_.size()); }
-  int64_t total(int bit_index) const;
-  int64_t ones(int bit_index) const;
-  const std::vector<int64_t>& totals() const { return total_; }
-  const std::vector<int64_t>& one_counts() const { return ones_; }
   // Sum of report counts across bits (= number of disclosed bits).
   int64_t TotalReports() const;
 
@@ -67,15 +64,13 @@ class BitHistogram {
                                     std::vector<bool>* observed = nullptr)
       const;
 
- private:
-  std::vector<int64_t> total_;
-  std::vector<int64_t> ones_;
+  friend bool operator==(const BitHistogram&, const BitHistogram&) = default;
 };
 
-// Serialization of the raw tallies (vector lengths + counts), used by the
-// durable-state layer (src/persist/). Decoding validates the counts
-// (non-negative, ones <= total, matching lengths) and returns false on any
-// violation without touching `*out`.
+// The one tally codec, in journal records, snapshots and shard frames:
+// the totals vector, then the ones vector. Decoding fails closed on
+// unequal widths and on any count outside 0 <= ones <= totals, leaving
+// `*out` and `*offset` untouched.
 void EncodeBitHistogram(const BitHistogram& histogram,
                         std::vector<uint8_t>* out);
 bool DecodeBitHistogram(std::span<const uint8_t> buffer, size_t* offset,

@@ -137,10 +137,6 @@ Client::~Client() {
   if (value_count_ != 1) delete[] values_;
 }
 
-double Client::SelectValue(Rng& rng) const {
-  return bitpush::SelectValue(fields(), rng);
-}
-
 std::optional<BitReport> Client::HandleRequest(const BitRequest& request,
                                                const FixedPointCodec& codec,
                                                bool local_randomness,

@@ -110,9 +110,6 @@ class alignas(32) Client {
                         adversary_};
   }
 
-  // The value this client would contribute under its policy.
-  double SelectValue(Rng& rng) const;
-
   // Handles one bit request. Returns nullopt when the client drops out of
   // the round or its privacy meter refuses the disclosure. `local_bit_index`
   // lets a local-randomness protocol (or an adversary) override the

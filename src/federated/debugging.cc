@@ -34,7 +34,7 @@ DistributionDiagnostics DiagnoseDistribution(const BitHistogram& histogram,
     const double noise_floor =
         config.noise_multiplier *
         std::sqrt((0.25 + rr.ReportVariance()) /
-                  static_cast<double>(histogram.total(j)));
+                  static_cast<double>(histogram.totals[index]));
     const double floor = std::max(config.informative_threshold,
                                   rr.enabled() ? noise_floor : 0.0);
     const bool informative = m >= floor;

@@ -164,7 +164,7 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
         !result.round1.intended_counts.empty()) {
       round2_probabilities = AdjustProbabilitiesForDropout(
           round2_probabilities, result.round1.intended_counts,
-          result.round1.histogram.totals());
+          result.round1.histogram.totals);
     }
   }
   result.round2_probabilities = round2_probabilities;

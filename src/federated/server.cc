@@ -413,7 +413,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   if (!config.use_secure_aggregation) {
     // Columnar tally (src/batch/): ones[j]/totals[j] are order-free sums,
     // so the counting is a popcount over the packed planes.
-    AggregateBatch(reports).AccumulateInto(&outcome.histogram);
+    outcome.histogram.Merge(AggregateBatch(reports));
     return outcome;
   }
 

@@ -112,7 +112,7 @@ void EncodeShardTickFrame(const ShardTickFrame& frame,
     bytes::PutInt64(query.query_index, out);
     bytes::PutInt64(query.partition_clients, out);
     EncodeCampaignTickResult(query.result, out);
-    EncodeTallyBatch(query.tallies, out);
+    EncodeBitHistogram(query.tallies, out);
     EncodeFaultStats(query.faults, out);
   }
   EncodeRetryStats(frame.retry, out);
@@ -150,7 +150,7 @@ bool DecodeShardTickFrame(const std::vector<uint8_t>& buffer,
     if (!DecodeCampaignTickResult(buffer, &cursor, &query.result)) {
       return false;
     }
-    if (!DecodeTallyBatch(buffer, &cursor, &query.tallies)) return false;
+    if (!DecodeBitHistogram(buffer, &cursor, &query.tallies)) return false;
     if (!DecodeFaultStats(buffer, &cursor, &query.faults)) return false;
     frame.queries.push_back(std::move(query));
   }
@@ -177,7 +177,7 @@ bool DecodeShardTickFrame(const std::vector<uint8_t>& buffer,
 MergedQueryResult FinalizeMergedQuery(
     const CampaignQuery& query, int64_t tick,
     const std::vector<const ShardQueryFrame*>& delivered,
-    TallyBatch merged_tallies, int64_t clients_lost, int64_t shards_lost) {
+    BitHistogram merged_tallies, int64_t clients_lost, int64_t shards_lost) {
   MergedQueryResult merged;
   merged.tick = tick;
   merged.query_name = query.name;
@@ -206,12 +206,11 @@ MergedQueryResult FinalizeMergedQuery(
   if (weight > 0.0) merged.estimate = weighted_sum / weight;
 
   // Pooled means and the variance bound at the merged (post-loss) n.
-  int64_t n = 0;
-  for (const int64_t total : merged.tallies.totals) n += total;
-  if (merged.tallies.bits() > 0 && n > 0) {
+  const int64_t n = merged.tallies.TotalReports();
+  if (n > 0) {
     const RandomizedResponse rr =
         RandomizedResponse::FromEpsilon(query.query.adaptive.epsilon);
-    merged.pooled_bit_means = merged.tallies.ToBitHistogram().UnbiasedMeans(rr);
+    merged.pooled_bit_means = merged.tallies.UnbiasedMeans(rr);
     for (double& mean : merged.pooled_bit_means) {
       mean = std::clamp(mean, 0.0, 1.0);
     }
@@ -315,17 +314,10 @@ MergedTickResult MergeTier::CloseTick(int64_t tick,
       continue;
     }
 
-    // Word-level tally merge: skipped shards ship zero-width tallies and
-    // contribute nothing; ran shards must agree on the width.
-    TallyBatch merged;
-    for (const ShardQueryFrame* row : rows) {
-      if (row->tallies.bits() == 0) continue;
-      if (merged.bits() == 0) {
-        merged.totals.assign(row->tallies.totals.size(), 0);
-        merged.ones.assign(row->tallies.ones.size(), 0);
-      }
-      AccumulateTallies(row->tallies, &merged);
-    }
+    // Word-level tally merge: a shard whose query ran no round ships
+    // zero-width tallies, which add nothing; the others agree on the width.
+    BitHistogram merged;
+    for (const ShardQueryFrame* row : rows) merged.Merge(row->tallies);
     result.queries.push_back(FinalizeMergedQuery(
         query, tick, rows, std::move(merged), clients_lost,
         result.shards_lost));

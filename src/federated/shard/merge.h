@@ -3,10 +3,10 @@
 // Bit tallies are exactly additive (the paper's one-bit sums compose
 // across sub-populations), so the root of the two-tier topology never
 // touches a report: each ShardCoordinator ships one ShardTickFrame — its
-// per-query `TallyBatch` columns, summarized tick results, cumulative
+// per-query `BitHistogram` tallies, summarized tick results, cumulative
 // RetryStats, and shard-layer ShardMetrics — and the MergeTier adds the
-// tally words with the dispatched `add_words` kernel, pools the bit means,
-// and recomputes the variance bound at the merged n.
+// tallies with `BitHistogram::Merge` (the dispatched `add_words` kernel),
+// pools the bit means, and recomputes the variance bound at the merged n.
 //
 // Loss accounting is the point: when a shard misses its tick deadline the
 // merge excludes it *exactly* — effective n shrinks by the shard's
@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "batch/batch.h"
+#include "core/bit_pushing.h"
 #include "federated/campaign.h"
 #include "federated/faults.h"
 #include "federated/resilience.h"
@@ -75,8 +75,9 @@ struct ShardQueryFrame {
   // the exact per-query loss if this shard goes dark).
   int64_t partition_clients = 0;
   CampaignTickResult result;
-  // Round-1 + round-2 tallies pooled, zero-width when the query skipped.
-  TallyBatch tallies;
+  // Round-1 + round-2 tallies pooled, zero-width when no round ran (a
+  // cohort skip).
+  BitHistogram tallies;
   // Round-level fault injections/reactions for this query this tick.
   FaultStats faults;
 
@@ -138,7 +139,7 @@ struct MergedQueryResult {
   int64_t shards_lost = 0;
   int64_t effective_clients = 0;  // clients behind the delivered shards
   int64_t clients_lost = 0;       // clients behind the lost shards
-  TallyBatch tallies;             // word-summed across delivered shards
+  BitHistogram tallies;           // word-summed across delivered shards
   // Unbiased per-bit means from the merged tallies (clamped to [0,1]).
   std::vector<double> pooled_bit_means;
   // Plug-in variance bound at the merged n and realized allocation —
@@ -177,7 +178,7 @@ struct ShardLoss {
 MergedQueryResult FinalizeMergedQuery(
     const CampaignQuery& query, int64_t tick,
     const std::vector<const ShardQueryFrame*>& delivered,
-    TallyBatch merged_tallies, int64_t clients_lost, int64_t shards_lost);
+    BitHistogram merged_tallies, int64_t clients_lost, int64_t shards_lost);
 
 // Accumulates delivered frames for one tick and closes it into a
 // MergedTickResult. Keeps each shard's last-seen cumulative RetryStats and

@@ -477,7 +477,7 @@ ReferenceCampaignResult RunSingleCoordinatorReference(
       if (!queries[qi].ScheduledAt(tick)) continue;
       std::vector<const ShardQueryFrame*> delivered;
       delivered.reserve(static_cast<size_t>(shards));
-      TallyBatch merged;
+      BitHistogram merged;
       for (int64_t s = 0; s < shards; ++s) {
         const ShardQueryFrame& row =
             rows[static_cast<size_t>(s)][scheduled_index];

@@ -59,15 +59,6 @@ bool AlertEngine::firing(AlertRule rule) const {
   return firing_[RuleIndex(rule)];
 }
 
-void AlertEngine::Reset() {
-  for (int i = 0; i < kAlertRuleCount; ++i) firing_[i] = false;
-  evaluated_ = false;
-  last_ = CampaignAlertInputs{};
-  fired_total_ = 0;
-  resolved_total_ = 0;
-  transitions_.clear();
-}
-
 void AlertEngine::Transition(AlertRule rule, bool fire, int64_t tick,
                              std::string detail,
                              std::vector<AlertTransition>* out) {

@@ -112,9 +112,6 @@ class AlertEngine {
     return transitions_;
   }
 
-  // Clears all rule state and the transition log.
-  void Reset();
-
  private:
   void Transition(AlertRule rule, bool fire, int64_t tick,
                   std::string detail, std::vector<AlertTransition>* out);

@@ -22,17 +22,6 @@ constexpr uint8_t kSnapshotMagic[4] = {'B', 'P', 'S', 'N'};
 constexpr size_t kMinFinishedEntryBytes =
     8 + (8 + 4 + 1 + 8 + 8) + (4 + 4) + 15 * 8;
 
-void AccumulateRound(const RoundOutcome& round, FinishedQueryEntry* entry) {
-  entry->faults.MergeFrom(round.faults);
-  if (round.histogram.totals().empty()) return;  // round never tallied
-  const TallyBatch tallies = TallyBatchFromBitHistogram(round.histogram);
-  if (entry->tallies.bits() == 0) {
-    entry->tallies.totals.assign(tallies.totals.size(), 0);
-    entry->tallies.ones.assign(tallies.ones.size(), 0);
-  }
-  AccumulateTallies(tallies, &entry->tallies);
-}
-
 // The one encoder of the file format. It hands `emit` the file's bytes in
 // order as four pieces: the magic, version, fixed fields and ledger length;
 // the ledger blob itself; the finished queries and breaker-blob length;
@@ -56,7 +45,7 @@ void EncodeSnapshotPieces(const CoordinatorSnapshot& snapshot, Emit&& emit) {
   for (const FinishedQueryEntry& entry : snapshot.finished) {
     bytes::PutInt64(entry.query_index, &piece);
     EncodeCampaignTickResult(entry.result, &piece);
-    EncodeTallyBatch(entry.tallies, &piece);
+    EncodeBitHistogram(entry.tallies, &piece);
     EncodeFaultStats(entry.faults, &piece);
   }
   bytes::PutUint32(static_cast<uint32_t>(snapshot.health_blob.size()),
@@ -98,7 +87,7 @@ bool DecodeBody(std::span<const uint8_t> buffer, size_t* offset,
     FinishedQueryEntry entry;
     if (!bytes::GetInt64(buffer, &cursor, &entry.query_index) ||
         !DecodeCampaignTickResult(buffer, &cursor, &entry.result) ||
-        !DecodeTallyBatch(buffer, &cursor, &entry.tallies) ||
+        !DecodeBitHistogram(buffer, &cursor, &entry.tallies) ||
         !DecodeFaultStats(buffer, &cursor, &entry.faults)) {
       return false;
     }
@@ -135,8 +124,10 @@ FinishedQueryEntry MakeFinishedQueryEntry(int64_t query_index,
   FinishedQueryEntry entry;
   entry.query_index = query_index;
   entry.result = result;
-  AccumulateRound(outcome.round1, &entry);
-  AccumulateRound(outcome.round2, &entry);
+  for (const RoundOutcome* round : {&outcome.round1, &outcome.round2}) {
+    entry.faults.MergeFrom(round->faults);
+    entry.tallies.Merge(round->histogram);  // a round never run adds nothing
+  }
   return entry;
 }
 

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "batch/batch.h"
+#include "core/bit_pushing.h"
 #include "federated/campaign.h"
 #include "federated/faults.h"
 
@@ -44,7 +44,7 @@ struct FinishedQueryEntry {
   int64_t query_index = 0;
   CampaignTickResult result;  // result.tick is the entry's tick
   // Round-1 plus round-2 tallies; zero-width when no round tallied.
-  TallyBatch tallies;
+  BitHistogram tallies;
   // Round-level fault sums. Not FederatedQueryResult::faults, which also
   // counts the query-level fallback: a query restored from the journal
   // has only its rounds, and live and restored entries must be equal.

@@ -19,22 +19,6 @@ void Welford::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void Welford::Merge(const Welford& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const double total = static_cast<double>(count_ + other.count_);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ += delta * static_cast<double>(other.count_) / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-}
-
 double Welford::population_variance() const {
   if (count_ < 1) return 0.0;
   return m2_ / static_cast<double>(count_);

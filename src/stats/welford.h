@@ -13,8 +13,6 @@ class Welford {
 
   // Adds one observation.
   void Add(double x);
-  // Merges another accumulator (parallel Welford / Chan et al.).
-  void Merge(const Welford& other);
 
   int64_t count() const { return count_; }
   // Mean of observations so far; 0 for an empty accumulator.

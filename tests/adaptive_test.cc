@@ -78,7 +78,7 @@ TEST(AdaptiveTest, VacuousHighBitsGetZeroRound2Probability) {
                      0.0)
         << "bit " << j;
   }
-  EXPECT_EQ(result.round2.histogram.total(15), 0);
+  EXPECT_EQ(result.round2.histogram.totals[15], 0);
 }
 
 TEST(AdaptiveTest, AdaptiveBeatsSingleRoundAtInflatedBitDepth) {

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include "rng/rng.h"
 #include "stats/metrics.h"
 #include "stats/repetition.h"
+#include "util/bytes.h"
 
 namespace bitpush {
 namespace {
@@ -21,11 +24,11 @@ TEST(BitHistogramTest, AddAndQuery) {
   histogram.Add(0, 0);
   histogram.Add(2, 1);
   EXPECT_EQ(histogram.bits(), 3);
-  EXPECT_EQ(histogram.total(0), 2);
-  EXPECT_EQ(histogram.ones(0), 1);
-  EXPECT_EQ(histogram.total(1), 0);
-  EXPECT_EQ(histogram.total(2), 1);
-  EXPECT_EQ(histogram.ones(2), 1);
+  EXPECT_EQ(histogram.totals[0], 2);
+  EXPECT_EQ(histogram.ones[0], 1);
+  EXPECT_EQ(histogram.totals[1], 0);
+  EXPECT_EQ(histogram.totals[2], 1);
+  EXPECT_EQ(histogram.ones[2], 1);
   EXPECT_EQ(histogram.TotalReports(), 3);
 }
 
@@ -36,9 +39,60 @@ TEST(BitHistogramTest, MergePoolsCounts) {
   b.Add(0, 0);
   b.Add(1, 1);
   a.Merge(b);
-  EXPECT_EQ(a.total(0), 2);
-  EXPECT_EQ(a.ones(0), 1);
-  EXPECT_EQ(a.total(1), 1);
+  EXPECT_EQ(a.totals[0], 2);
+  EXPECT_EQ(a.ones[0], 1);
+  EXPECT_EQ(a.totals[1], 1);
+
+  // An empty histogram adds nothing, and a merge into an empty one takes
+  // the other's width and counts.
+  const BitHistogram pooled = a;
+  a.Merge(BitHistogram());
+  EXPECT_EQ(a, pooled);
+  BitHistogram empty;
+  empty.Merge(pooled);
+  EXPECT_EQ(empty.bits(), 2);
+  EXPECT_EQ(empty, pooled);
+}
+
+TEST(BitHistogramTest, CodecRoundTripsAndFailsClosed) {
+  BitHistogram histogram(3);
+  histogram.Add(0, 1);
+  histogram.Accumulate(2, 5, 2);
+  // Two bytes of something else first: decoding starts at an offset.
+  const std::vector<uint8_t> prefix = {0xab, 0xcd};
+  std::vector<uint8_t> buffer = prefix;
+  EncodeBitHistogram(histogram, &buffer);
+  size_t offset = prefix.size();
+  BitHistogram decoded;
+  ASSERT_TRUE(DecodeBitHistogram(buffer, &offset, &decoded));
+  EXPECT_EQ(decoded, histogram);
+  EXPECT_EQ(offset, buffer.size());
+
+  // Buffers laid out as the encoder lays them out: four hold counts no
+  // valid histogram has, and one is cut short.
+  const auto encode = [&prefix](const std::vector<int64_t>& totals,
+                                const std::vector<int64_t>& ones) {
+    std::vector<uint8_t> input = prefix;
+    bytes::PutInt64Vector(totals, &input);
+    bytes::PutInt64Vector(ones, &input);
+    return input;
+  };
+  std::vector<uint8_t> truncated = encode({4, 3}, {1, 2});
+  truncated.pop_back();
+  const std::vector<std::pair<std::string, std::vector<uint8_t>>> bad = {
+      {"ones above totals", encode({4, 3}, {1, 4})},
+      {"negative ones", encode({4, 3}, {-1, 2})},
+      {"negative totals", encode({-2, 3}, {0, 2})},
+      {"unequal widths", encode({4, 3}, {1})},
+      {"truncated", truncated},
+  };
+  for (const auto& [name, input] : bad) {
+    BitHistogram out = histogram;
+    size_t at = prefix.size();
+    EXPECT_FALSE(DecodeBitHistogram(input, &at, &out)) << name;
+    EXPECT_EQ(out, histogram) << name;
+    EXPECT_EQ(at, prefix.size()) << name;
+  }
 }
 
 TEST(BitHistogramTest, UnbiasedMeansWithoutNoise) {
@@ -300,7 +354,7 @@ TEST(BasicBitPushingTest, DpNoiseInflatesVariancePredictably) {
   double expected = 0.0;
   for (int j = 0; j < 8; ++j) {
     expected += std::exp2(2.0 * j) * rr.ReportVariance() /
-                static_cast<double>(result.histogram.total(j));
+                static_cast<double>(result.histogram.totals[j]);
   }
   EXPECT_NEAR(result.variance_bound / expected, 1.0, 0.25);
 }
@@ -314,7 +368,7 @@ TEST(BasicBitPushingTest, UnsampledBitsAreReportedUnobserved) {
       RunBasicBitPushing(codewords, config, rng);
   EXPECT_FALSE(result.observed[2]);
   EXPECT_TRUE(result.observed[0]);
-  EXPECT_EQ(result.histogram.total(2), 0);
+  EXPECT_EQ(result.histogram.totals[2], 0);
 }
 
 TEST(BasicBitPushingTest, OneBitPerClientPerPass) {

@@ -20,7 +20,7 @@ TEST(ClientTest, SingleValueSelection) {
   const Client client(1, {42.0}, ClientConfig{});
   Rng rng(1);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(client.SelectValue(rng), 42.0);
+    EXPECT_DOUBLE_EQ(SelectValue(client.fields(), rng), 42.0);
   }
 }
 
@@ -30,7 +30,7 @@ TEST(ClientTest, SampleOnePolicyCoversAllValues) {
   const Client client(1, {1.0, 2.0, 3.0}, config);
   Rng rng(2);
   Welford acc;
-  for (int i = 0; i < 30000; ++i) acc.Add(client.SelectValue(rng));
+  for (int i = 0; i < 30000; ++i) acc.Add(SelectValue(client.fields(), rng));
   EXPECT_NEAR(acc.mean(), 2.0, 0.05);
   EXPECT_DOUBLE_EQ(acc.min(), 1.0);
   EXPECT_DOUBLE_EQ(acc.max(), 3.0);
@@ -41,7 +41,7 @@ TEST(ClientTest, LocalMeanPolicy) {
   config.value_policy = ValuePolicy::kLocalMean;
   const Client client(1, {1.0, 2.0, 6.0}, config);
   Rng rng(3);
-  EXPECT_DOUBLE_EQ(client.SelectValue(rng), 3.0);
+  EXPECT_DOUBLE_EQ(SelectValue(client.fields(), rng), 3.0);
 }
 
 TEST(ClientTest, FirstValuePolicy) {
@@ -49,7 +49,7 @@ TEST(ClientTest, FirstValuePolicy) {
   config.value_policy = ValuePolicy::kFirstValue;
   const Client client(1, {9.0, 1.0}, config);
   Rng rng(4);
-  EXPECT_DOUBLE_EQ(client.SelectValue(rng), 9.0);
+  EXPECT_DOUBLE_EQ(SelectValue(client.fields(), rng), 9.0);
 }
 
 TEST(ClientTest, HonestReportMatchesTrueBit) {

@@ -73,10 +73,10 @@ TEST(IntegrationTest, CentralDpByThresholdingBitCounts) {
             RunBasicBitPushing(codewords, config, rng);
         // Apply sample-and-threshold to both ones and totals.
         const std::vector<double> ones = UnbiasSampledCounts(
-            SampleAndThreshold(raw.histogram.one_counts(), st_config, rng),
+            SampleAndThreshold(raw.histogram.ones, st_config, rng),
             st_config.sampling_rate);
         const std::vector<double> totals = UnbiasSampledCounts(
-            SampleAndThreshold(raw.histogram.totals(), st_config, rng),
+            SampleAndThreshold(raw.histogram.totals, st_config, rng),
             st_config.sampling_rate);
         std::vector<double> means(ones.size(), 0.0);
         for (size_t j = 0; j < means.size(); ++j) {
@@ -105,10 +105,10 @@ TEST(IntegrationTest, DistributedBernoulliNoiseOnBitHistograms) {
         const BitPushingResult raw =
             RunBasicBitPushing(codewords, config, rng);
         const std::vector<double> noisy_ones = AddBinomialNoise(
-            raw.histogram.one_counts(), noise_bits, rng);
+            raw.histogram.ones, noise_bits, rng);
         std::vector<double> means(noisy_ones.size(), 0.0);
         for (size_t j = 0; j < means.size(); ++j) {
-          const int64_t total = raw.histogram.totals()[j];
+          const int64_t total = raw.histogram.totals[j];
           if (total > 0) {
             means[j] = noisy_ones[j] / static_cast<double>(total);
           }

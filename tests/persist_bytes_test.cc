@@ -2,7 +2,8 @@
 // snapshot encoders may get faster, but "same ledger" must keep meaning
 // "same bytes" on disk: a change to any encoder, to the frame layout, to
 // the snapshot cadence or to when Open rewrites the journal shows up here
-// as a digest mismatch.
+// as a digest mismatch. The frames its shards ship to the merge tier are
+// pinned the same way.
 
 #include <array>
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,7 +20,10 @@
 
 #include "core/privacy_meter.h"
 #include "data/census.h"
+#include "federated/shard/merge.h"
 #include "federated/shard/runner.h"
+#include "federated/shard/shard.h"
+#include "obs/trace.h"
 #include "persist/journal.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
@@ -282,6 +287,59 @@ TEST_F(SnapshotAndJournalBytesTest, RestoredTicksLeaveTheStateFilesAsTheyWere) {
       EXPECT_EQ(StateFiles(dir, config.shards), before) << "tick " << tick;
     });
   }
+}
+
+// The shard -> merge frames of the same campaign on four in-memory
+// shards, pinned like the state files: a change to the frame codec, or to
+// the tally codec it shares with the journal and the snapshot, shows up
+// here as a digest mismatch. One digest per tick, over the four shards'
+// encoded frames in shard order, each added as its length and its bytes.
+class ShardFrameBytesTest : public SnapshotAndJournalBytesTest {};
+
+// Frame digests after ticks 0 .. 3.
+constexpr std::array<uint64_t, kTicks> kFrameDigests = {
+    0xc555f5279f84ccd8u, 0xfe338bec83d6110au, 0x9722fd0d53c84d1du,
+    0x36234f243366a651u};
+
+TEST_F(ShardFrameBytesTest, FixedSeedTicksMatchRecordedDigests) {
+  constexpr int64_t kShards = 4;
+  obs::SetTracingEnabled(false);  // the frame's trace context stays zero
+  const std::vector<std::vector<Client>> partitions =
+      PartitionClients(population_, kShards);
+  std::vector<std::unique_ptr<ShardCoordinator>> shards;
+  for (int64_t s = 0; s < kShards; ++s) {
+    ShardCoordinatorOptions options;
+    options.shard_index = s;
+    options.seed = ShardSeed(99, s);
+    shards.push_back(
+        std::make_unique<ShardCoordinator>(queries_, policy_, options));
+    const std::vector<Client>& partition = partitions[static_cast<size_t>(s)];
+    shards.back()->Bind({partition, partition}, codecs_);
+  }
+  std::ostringstream actual;
+  bool same = true;
+  for (int64_t tick = 0; tick < kTicks; ++tick) {
+    uint64_t digest = 0xcbf29ce484222325ULL;
+    for (const std::unique_ptr<ShardCoordinator>& shard : shards) {
+      ShardTickFrame frame;
+      std::string error;
+      ASSERT_TRUE(shard->CollectTick(tick, &frame, &error)) << error;
+      std::vector<uint8_t> encoded;
+      EncodeShardTickFrame(frame, &encoded);
+      std::vector<uint8_t> length;
+      bytes::PutUint64(encoded.size(), &length);
+      digest = Fnv1a(digest, length.data(), length.size());
+      digest = Fnv1a(digest, encoded.data(), encoded.size());
+    }
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llxu",
+                  static_cast<unsigned long long>(digest));
+    actual << (tick == 0 ? "" : ", ") << hex;
+    same = same && digest == kFrameDigests[static_cast<size_t>(tick)];
+  }
+  EXPECT_TRUE(same) << "shard frame digests differ from the recorded ones; "
+                       "this run's:\n"
+                    << actual.str();
 }
 
 }  // namespace

@@ -322,12 +322,8 @@ TEST(HistogramMergeProperty, MergeEqualsConcatenatedAdds) {
         }
         merged.Merge(left);
         merged.Merge(right);
-        if (merged.totals() != all.totals()) {
-          return std::string("merged totals differ from concatenated adds");
-        }
-        if (merged.one_counts() != all.one_counts()) {
-          return std::string(
-              "merged one-counts differ from concatenated adds");
+        if (merged != all) {
+          return std::string("merged histogram differs from concatenated adds");
         }
         return std::nullopt;
       });

@@ -57,7 +57,7 @@ TEST(ServerTest, IntendedCountsMatchQmcAllocation) {
       server.RunRound(clients, AllOf(clients), config, nullptr, rng);
   EXPECT_EQ(outcome.intended_counts,
             (std::vector<int64_t>{500, 250, 125, 125}));
-  EXPECT_EQ(outcome.histogram.totals(), outcome.intended_counts);
+  EXPECT_EQ(outcome.histogram.totals, outcome.intended_counts);
 }
 
 TEST(ServerTest, EstimateMeanRecoversPopulationMean) {
@@ -125,10 +125,7 @@ TEST(ServerTest, SecureAggregationPreservesTallies) {
       clients, AllOf(clients), secure, nullptr, rng_secure);
   // Same seed, same assignment, no dropout: identical histograms even
   // though the secure path only ever sees masked sums.
-  EXPECT_EQ(plain_outcome.histogram.totals(),
-            secure_outcome.histogram.totals());
-  EXPECT_EQ(plain_outcome.histogram.one_counts(),
-            secure_outcome.histogram.one_counts());
+  EXPECT_EQ(plain_outcome.histogram, secure_outcome.histogram);
 }
 
 TEST(ServerTest, CentralModeIgnoresClaimedIndex) {
@@ -152,8 +149,8 @@ TEST(ServerTest, CentralModeIgnoresClaimedIndex) {
   Rng rng(10);
   const RoundOutcome outcome =
       server.RunRound(clients, AllOf(clients), config, nullptr, rng);
-  EXPECT_EQ(outcome.histogram.total(7), 0);   // defense holds
-  EXPECT_EQ(outcome.histogram.ones(0), 100);  // adversaries flipped bit 0
+  EXPECT_EQ(outcome.histogram.totals[7], 0);  // defense holds
+  EXPECT_EQ(outcome.histogram.ones[0], 100);  // adversaries flipped bit 0
 }
 
 TEST(ServerTest, LocalModeIsVulnerableToIndexHijack) {
@@ -173,8 +170,8 @@ TEST(ServerTest, LocalModeIsVulnerableToIndexHijack) {
   const RoundOutcome outcome =
       server.RunRound(clients, AllOf(clients), config, nullptr, rng);
   // Adversaries claimed the top bit and the server believed them.
-  EXPECT_EQ(outcome.histogram.total(7), 100);
-  EXPECT_EQ(outcome.histogram.ones(7), 100);
+  EXPECT_EQ(outcome.histogram.totals[7], 100);
+  EXPECT_EQ(outcome.histogram.ones[7], 100);
 }
 
 TEST(ServerTest, MalformedIndicesRejectedUnderLocalRandomness) {

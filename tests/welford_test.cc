@@ -1,10 +1,7 @@
 #include <cmath>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "rng/distributions.h"
-#include "rng/rng.h"
 #include "stats/welford.h"
 
 namespace bitpush {
@@ -48,44 +45,6 @@ TEST(WelfordTest, NumericallyStableWithLargeOffset) {
   }
   EXPECT_NEAR(acc.mean(), 1e9 + 10.0, 1e-3);
   EXPECT_NEAR(acc.population_variance(), 22.5, 1e-6);
-}
-
-TEST(WelfordTest, MergeMatchesSequential) {
-  Rng rng(1);
-  std::vector<double> values;
-  for (int i = 0; i < 1000; ++i) {
-    values.push_back(SampleNormal(rng, 3.0, 2.0));
-  }
-  Welford all;
-  Welford left;
-  Welford right;
-  for (size_t i = 0; i < values.size(); ++i) {
-    all.Add(values[i]);
-    (i < 400 ? left : right).Add(values[i]);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.population_variance(), all.population_variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(WelfordTest, MergeWithEmptySides) {
-  Welford filled;
-  filled.Add(1.0);
-  filled.Add(3.0);
-
-  Welford empty_into_filled = filled;
-  empty_into_filled.Merge(Welford());
-  EXPECT_EQ(empty_into_filled.count(), 2);
-  EXPECT_DOUBLE_EQ(empty_into_filled.mean(), 2.0);
-
-  Welford filled_into_empty;
-  filled_into_empty.Merge(filled);
-  EXPECT_EQ(filled_into_empty.count(), 2);
-  EXPECT_DOUBLE_EQ(filled_into_empty.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(filled_into_empty.min(), 1.0);
 }
 
 TEST(WelfordTest, StddevIsSqrtOfVariance) {
