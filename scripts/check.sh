@@ -79,45 +79,12 @@ cmake -B "$BUILD_DIR-scalar" -G Ninja -DBITPUSH_SIMD=OFF
 cmake --build "$BUILD_DIR-scalar"
 ctest --test-dir "$BUILD_DIR-scalar" --output-on-failure
 
-# Sanitized pass: the fault-injection, wire-fuzz, persistence, bitprop
-# property, and kernel suites exercise the decode, failure, shrink, and
-# SIMD paths, so run them under ASan+UBSan too (the kernel tests cover the
-# intrinsics tails and unaligned word loads, and the `PrivacyMeter` suite
-# in core_tests the ledger encoder's raw-pointer stores into a buffer it
-# sizes once, and its one-pass decode's inline loads), and `Crc32` the
-# CRC-32 kernels (the PCLMUL folds' unaligned 16-byte loads and the table
-# tail). The linter and the analyzer (`LintTest`, `AnalyzeTest`) run
-# instrumented over their fixture trees and the real tree, and
-# `RoundWorkers` the round pipeline, whose threads read the caller's
-# indices (a respond that throws must not leave them reading freed ones).
-# Keep the targets and the regex in sync with CI's address-sanitizer job.
-cmake -B "$BUILD_DIR-asan" -G Ninja -DBITPUSH_SANITIZE=address,undefined
-cmake --build "$BUILD_DIR-asan" \
-  --target fault_tests wire_fuzz_tests persist_tests persist_fuzz_tests \
-  obs_tests prop_tests kernel_tests shard_tests core_tests lint_tests \
-  analyze_tests
-ctest --test-dir "$BUILD_DIR-asan" --output-on-failure \
-  -R '(Fault|WireFuzz|Journal|Snapshot|Recovery|PersistFuzz|Obs|Prop|Kernel|Shard|RoundWorkers|PrivacyMeter|Crc32|LintTest|AnalyzeTest)'
-
-# TSan pass: the obs registry, event ring and tracer are hammered from
-# several threads (the `Obs` alternate runs those race tests), and the
-# kernel dispatch latch and ScopedForceScalar are atomics (`Kernel`). The
-# resilience suite drives the collection state machines, and the bitprop
-# suites ride along so the differential oracles also run instrumented.
-# ShardedCampaignRunner runs a tick's shards on worker threads, so the
-# shard suites (`Shard`: the determinism cases, the kill matrix and the
-# chaos suites) and the sharded oracle in `Prop` run here, as does
-# `RoundWorkers` (in shard_tests): a round's stage and apply steps on 1, 2
-# and 4 threads, overlapping its respond step, must give the same outcome,
-# ledger, journal and RNG state. The overlap's interleavings vary from run
-# to run, so `RoundWorkers*` then runs ten more times.
-cmake -B "$BUILD_DIR-tsan" -G Ninja -DBITPUSH_SANITIZE=thread
-cmake --build "$BUILD_DIR-tsan" \
-  --target resilience_tests obs_tests prop_tests kernel_tests shard_tests
-ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-  -R '(Resilience|Obs|Prop|Kernel|Shard|RoundWorkers)'
-"$BUILD_DIR-tsan/tests/shard_tests" --gtest_filter='RoundWorkers*' \
-  --gtest_repeat=10
+# Sanitizer stages: ASan + UBSan over the decode, failure, persistence,
+# property, kernel, shard, round-pipeline and static-analysis suites, then
+# TSan over the threaded ones, with `RoundWorkers*` ten times more
+# (scripts/sanitizer_checks.sh says why each suite is there).
+scripts/sanitizer_checks.sh address "$BUILD_DIR-asan"
+scripts/sanitizer_checks.sh thread "$BUILD_DIR-tsan"
 
 # Campaign stages: crash recovery at five journal cut points, a second
 # crash while recovering and a 4-shard restart, and the exporters

@@ -58,7 +58,6 @@ MeasurementCampaign::MeasurementCampaign(std::vector<CampaignQuery> queries,
   std::set<std::string> names;
   for (const CampaignQuery& query : queries_) {
     BITPUSH_CHECK_GE(query.cadence_ticks, 1);
-    BITPUSH_CHECK_GE(query.phase, 0);
     BITPUSH_CHECK(names.insert(query.name).second)
         << "duplicate query name " << query.name;
   }
@@ -122,17 +121,9 @@ std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
   BITPUSH_CHECK_EQ(codecs.size(), queries_.size());
   BITPUSH_CHECK_GE(tick, 0);
 
-  // The tick's deadline budget is split evenly across the queries this
-  // tick actually schedules. Counted up front so the split does not depend
-  // on execution order.
-  int64_t scheduled_count = 0;
-  for (const CampaignQuery& query : queries_) {
-    if (query.ScheduledAt(tick)) ++scheduled_count;
-  }
-  const DeadlineBudget query_budget =
-      scheduled_count > 0 ? resilience_.budget.Split(scheduled_count)
-                          : resilience_.budget;
-
+  const auto scheduled_count = std::count_if(
+      queries_.begin(), queries_.end(),
+      [tick](const CampaignQuery& query) { return query.ScheduledAt(tick); });
   obs::Span tick_span("tick", "campaign");
   tick_span.set_ids(tick, -1, -1);
   tick_span.AddNumeric("scheduled", static_cast<double>(scheduled_count));
@@ -166,10 +157,7 @@ std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
       FederatedQueryConfig config = scheduled.query;
       config.value_id = scheduled.value_id;
       config.recorder = recorder_;
-      if (resilience_.Enabled()) {
-        config.resilience = resilience_;
-        config.resilience.budget = query_budget;
-      }
+      config.resilience = resilience_;
       if (health_.has_value()) config.health = &*health_;
       FederatedQueryResult outcome = RunFederatedMeanQuery(
           *populations[q], codecs[q], config, meter_, query_rng);

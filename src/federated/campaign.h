@@ -30,17 +30,15 @@ struct CampaignQuery {
   std::string name;
   // The meter's value id for this metric (distinct per metric).
   int64_t value_id = 0;
-  // Run every `cadence_ticks` ticks (>= 1), starting at tick `phase`.
+  // Run every `cadence_ticks` ticks (>= 1), starting at tick 0.
   int64_t cadence_ticks = 1;
-  int64_t phase = 0;
   // Protocol parameters; adaptive.bits must match the codec width used by
-  // the metric's population.
+  // the metric's population. The campaign's resilience replaces
+  // query.resilience.
   FederatedQueryConfig query;
 
   // The schedule rule: the query runs at `tick`.
-  bool ScheduledAt(int64_t tick) const {
-    return tick >= phase && (tick - phase) % cadence_ticks == 0;
-  }
+  bool ScheduledAt(int64_t tick) const { return tick % cadence_ticks == 0; }
 };
 
 struct CampaignTickResult {
@@ -93,15 +91,11 @@ class MeasurementCampaign {
   // `meter` may be null (no caps). Queries must have distinct names.
   //
   // `resilience` is the campaign-level recovery configuration
-  // (federated/resilience.h): its `budget` is the deadline budget of one
-  // *tick*, split evenly across the queries scheduled in that tick and
-  // propagated query -> round -> report from there. When the breaker
-  // policy is enabled the campaign owns the HealthTracker, so a client
-  // quarantined by one query's failures is excluded from every later
-  // query's cohort, backfill, and hedges until its cooldown-and-probe
-  // cycle closes the breaker. When `resilience` is enabled it overrides
-  // any per-query resilience config; the default leaves the queries'
-  // own settings untouched.
+  // (federated/resilience.h), which every query runs under. When the
+  // breaker policy is enabled the campaign owns the HealthTracker, so a
+  // client quarantined by one query's failures is excluded from every
+  // later query's cohort, backfill, and hedges until its cooldown-and-probe
+  // cycle closes the breaker.
   MeasurementCampaign(std::vector<CampaignQuery> queries, PrivacyMeter* meter,
                       ResilienceConfig resilience = {});
 

@@ -6,10 +6,22 @@
 #include "util/check.h"
 
 namespace bitpush {
+namespace {
+
+// Tolerance for calling a bit mean 0 or 1.
+constexpr double kConstantTolerance = 0.005;
+// A bit is "informative" when its mean clears this floor (and, under DP,
+// the per-bit noise floor).
+constexpr double kInformativeThreshold = 0.02;
+// Multiplier on the per-bit DP noise stddev for the noise floor.
+constexpr double kNoiseMultiplier = 3.0;
+// Top-bit mean above this flags saturation.
+constexpr double kSaturationThreshold = 0.9;
+
+}  // namespace
 
 DistributionDiagnostics DiagnoseDistribution(const BitHistogram& histogram,
-                                             double epsilon,
-                                             const DebuggingConfig& config) {
+                                             double epsilon) {
   BITPUSH_CHECK_GE(histogram.bits(), 1);
   const RandomizedResponse rr = RandomizedResponse::FromEpsilon(epsilon);
   std::vector<bool> observed;
@@ -32,10 +44,10 @@ DistributionDiagnostics DiagnoseDistribution(const BitHistogram& histogram,
     // Per-bit noise floor: estimation noise plus DP noise on this bit's
     // mean estimate.
     const double noise_floor =
-        config.noise_multiplier *
+        kNoiseMultiplier *
         std::sqrt((0.25 + rr.ReportVariance()) /
                   static_cast<double>(histogram.totals[index]));
-    const double floor = std::max(config.informative_threshold,
+    const double floor = std::max(kInformativeThreshold,
                                   rr.enabled() ? noise_floor : 0.0);
     const bool informative = m >= floor;
     if (informative) {
@@ -44,11 +56,11 @@ DistributionDiagnostics DiagnoseDistribution(const BitHistogram& histogram,
     } else {
       ++vacuous;
     }
-    if (std::abs(m) > config.constant_tolerance &&
-        std::abs(m - 1.0) > config.constant_tolerance) {
+    if (std::abs(m) > kConstantTolerance &&
+        std::abs(m - 1.0) > kConstantTolerance) {
       all_constant = false;
     }
-    if (std::abs(m) > config.constant_tolerance) all_zero = false;
+    if (std::abs(m) > kConstantTolerance) all_zero = false;
   }
 
   diagnostics.constant_metric = observed_bits > 0 && all_constant;
@@ -60,7 +72,7 @@ DistributionDiagnostics DiagnoseDistribution(const BitHistogram& histogram,
 
   const int top = histogram.bits() - 1;
   if (observed[static_cast<size_t>(top)] &&
-      means[static_cast<size_t>(top)] >= config.saturation_threshold) {
+      means[static_cast<size_t>(top)] >= kSaturationThreshold) {
     diagnostics.saturated = true;
   }
 

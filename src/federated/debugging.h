@@ -48,23 +48,11 @@ struct DistributionDiagnostics {
   std::vector<std::string> findings;
 };
 
-struct DebuggingConfig {
-  // Tolerance for calling a bit mean 0 or 1.
-  double constant_tolerance = 0.005;
-  // A bit is "informative" when its mean clears this floor (and, under DP,
-  // the per-bit noise floor).
-  double informative_threshold = 0.02;
-  // Multiplier on the per-bit DP noise stddev for the noise floor.
-  double noise_multiplier = 3.0;
-  // Top-bit mean above this flags saturation.
-  double saturation_threshold = 0.9;
-};
-
 // Inspects a pooled histogram. `epsilon` must match what the reports were
-// perturbed with (<= 0 for none).
+// perturbed with (<= 0 for none). The thresholds are constants in
+// debugging.cc.
 DistributionDiagnostics DiagnoseDistribution(const BitHistogram& histogram,
-                                             double epsilon,
-                                             const DebuggingConfig& config);
+                                             double epsilon);
 
 // Recommends a bit width from pilot-round diagnostics: the highest used
 // bit plus `headroom_bits` of margin, clamped to [1, pilot width]. Returns

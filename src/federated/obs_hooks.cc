@@ -37,10 +37,7 @@ struct RoundInstruments {
   Counter* retransmits;
   Counter* retry_recovered;
   Counter* retries_exhausted;
-  Counter* retry_budget_denied;
-  Counter* deadline_denied;
   Counter* hedges_issued;
-  Counter* hedges_cancelled;
   Counter* hedge_reports;
   Counter* hedge_dedup_drops;
   Counter* breaker_skips;
@@ -103,16 +100,8 @@ const RoundInstruments& GetRoundInstruments() {
                      "Reports recovered through retries.", s);
     i.retries_exhausted = r.GetCounter("bitpush_retries_exhausted_total",
                                        "Per-client attempt caps hit.", s);
-    i.retry_budget_denied =
-        r.GetCounter("bitpush_retry_budget_denied_total",
-                     "Retries denied by the per-round cap.", s);
-    i.deadline_denied =
-        r.GetCounter("bitpush_retry_deadline_denied_total",
-                     "Retries denied by the deadline budget.", s);
     i.hedges_issued =
         r.GetCounter("bitpush_hedges_issued_total", "Hedges issued.", s);
-    i.hedges_cancelled = r.GetCounter("bitpush_hedges_cancelled_total",
-                                      "Hedges cancelled by the original.", s);
     i.hedge_reports = r.GetCounter("bitpush_hedge_reports_total",
                                    "Reports recovered through hedges.", s);
     i.hedge_dedup_drops =
@@ -162,10 +151,7 @@ void ObserveRoundOutcome(const RoundOutcome& outcome) {
   i.retransmits->Add(outcome.retry.retransmits_requested);
   i.retry_recovered->Add(outcome.retry.retry_reports_recovered);
   i.retries_exhausted->Add(outcome.retry.retries_exhausted);
-  i.retry_budget_denied->Add(outcome.retry.retry_budget_denied);
-  i.deadline_denied->Add(outcome.retry.deadline_denied);
   i.hedges_issued->Add(outcome.retry.hedges_issued);
-  i.hedges_cancelled->Add(outcome.retry.hedges_cancelled);
   i.hedge_reports->Add(outcome.retry.hedge_reports);
   i.hedge_dedup_drops->Add(outcome.retry.hedge_dedup_drops);
   i.breaker_skips->Add(outcome.retry.breaker_skips);

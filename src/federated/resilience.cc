@@ -25,28 +25,8 @@ double HashUniform(uint64_t seed, int64_t round_id, int64_t client_id,
 
 }  // namespace
 
-bool DeadlineBudget::finite() const { return std::isfinite(minutes); }
-
-DeadlineBudget DeadlineBudget::Fraction(double fraction) const {
-  BITPUSH_CHECK_GE(fraction, 0.0);
-  BITPUSH_CHECK_LE(fraction, 1.0);
-  if (!finite()) return *this;
-  return DeadlineBudget{minutes * fraction};
-}
-
-DeadlineBudget DeadlineBudget::Split(int64_t parts) const {
-  BITPUSH_CHECK_GE(parts, 1);
-  if (!finite()) return *this;
-  return DeadlineBudget{minutes / static_cast<double>(parts)};
-}
-
-double DeadlineBudget::ClampDeadline(double deadline_minutes) const {
-  return std::min(deadline_minutes, minutes);
-}
-
 bool ResilienceConfig::Enabled() const {
-  return retry.enabled() || hedge.enabled || breaker.enabled() ||
-         budget.finite();
+  return retry.enabled() || hedge.enabled || breaker.enabled();
 }
 
 int64_t RetryStats::RecoveredTotal() const {
@@ -62,10 +42,7 @@ constexpr int64_t RetryStats::* kRetryStatsCounters[] = {
     &RetryStats::retransmits_requested,
     &RetryStats::retry_reports_recovered,
     &RetryStats::retries_exhausted,
-    &RetryStats::retry_budget_denied,
-    &RetryStats::deadline_denied,
     &RetryStats::hedges_issued,
-    &RetryStats::hedges_cancelled,
     &RetryStats::hedge_reports,
     &RetryStats::hedge_failures,
     &RetryStats::hedge_dedup_drops,
@@ -120,31 +97,19 @@ bool DecodeRetryStats(std::span<const uint8_t> buffer, size_t* offset,
   return true;
 }
 
-RetrySchedule::RetrySchedule() = default;
-
-RetrySchedule::RetrySchedule(uint64_t seed, const RetryPolicy& policy)
-    : seed_(seed), policy_(policy) {
-  if (policy_.enabled()) {
-    BITPUSH_CHECK_GT(policy_.base_backoff_minutes, 0.0);
-    BITPUSH_CHECK_GE(policy_.cap_backoff_minutes,
-                     policy_.base_backoff_minutes);
-  }
-}
-
-double RetrySchedule::BackoffMinutes(int64_t round_id, int64_t client_id,
-                                     int64_t attempt) const {
-  BITPUSH_CHECK(policy_.enabled());
+double BackoffMinutes(uint64_t seed, int64_t round_id, int64_t client_id,
+                      int64_t attempt) {
   BITPUSH_CHECK_GE(attempt, 1);
   // Decorrelated jitter: b_k drawn from [base, 3 * b_{k-1}], capped. The
   // draw is a pure hash of (seed, round, client, k), so the schedule for
   // attempt k is fixed the moment the plan is configured.
-  const double base = policy_.base_backoff_minutes;
-  const double cap = policy_.cap_backoff_minutes;
-  double backoff = base;
+  double backoff = kBaseBackoffMinutes;
   for (int64_t k = 1; k <= attempt; ++k) {
     const double u =
-        HashUniform(seed_, round_id, client_id, static_cast<uint64_t>(k));
-    backoff = std::min(cap, base + u * (3.0 * backoff - base));
+        HashUniform(seed, round_id, client_id, static_cast<uint64_t>(k));
+    backoff = std::min(kCapBackoffMinutes,
+                       kBaseBackoffMinutes +
+                           u * (3.0 * backoff - kBaseBackoffMinutes));
   }
   return backoff;
 }
@@ -153,9 +118,6 @@ HealthTracker::HealthTracker() = default;
 
 HealthTracker::HealthTracker(const BreakerPolicy& policy) : policy_(policy) {
   BITPUSH_CHECK_GE(policy_.consecutive_failures_to_open, 0);
-  BITPUSH_CHECK_GE(policy_.failure_rate_to_open, 0.0);
-  BITPUSH_CHECK_LE(policy_.failure_rate_to_open, 1.0);
-  BITPUSH_CHECK_GE(policy_.min_samples_for_rate, 1);
   BITPUSH_CHECK_GE(policy_.cooldown_rounds, 1);
 }
 
@@ -190,22 +152,6 @@ BreakerState HealthTracker::state(int64_t client_id) const {
   return it == clients_.end() ? BreakerState::kClosed : it->second.state;
 }
 
-bool HealthTracker::ShouldOpen(const ClientHealth& health) const {
-  if (policy_.consecutive_failures_to_open > 0 &&
-      health.consecutive_failures >= policy_.consecutive_failures_to_open) {
-    return true;
-  }
-  if (policy_.failure_rate_to_open < 1.0) {
-    const int64_t samples = health.failures + health.successes;
-    if (samples >= policy_.min_samples_for_rate &&
-        static_cast<double>(health.failures) >=
-            policy_.failure_rate_to_open * static_cast<double>(samples)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void HealthTracker::ObserveRound(int64_t round_id,
                                  const std::vector<int64_t>& succeeded,
                                  const std::vector<int64_t>& failed) {
@@ -224,11 +170,9 @@ void HealthTracker::ObserveRound(int64_t round_id,
   };
   for (const int64_t id : succeeded) {
     ClientHealth& health = clients_[id];
-    ++health.successes;
     health.consecutive_failures = 0;
     if (health.state == BreakerState::kHalfOpen) {
-      // The probe assignment came back: close the breaker and give the
-      // client a clean rate window so stale history cannot re-open it.
+      // The probe assignment came back: close the breaker.
       health = ClientHealth{};
       ++closes_;
       announce(id, "closed");
@@ -236,7 +180,6 @@ void HealthTracker::ObserveRound(int64_t round_id,
   }
   for (const int64_t id : failed) {
     ClientHealth& health = clients_[id];
-    ++health.failures;
     ++health.consecutive_failures;
     if (health.state == BreakerState::kHalfOpen) {
       // Failed probe: straight back to quarantine.
@@ -244,7 +187,9 @@ void HealthTracker::ObserveRound(int64_t round_id,
       health.cooldown_remaining = policy_.cooldown_rounds;
       ++opens_;
       announce(id, "opened (failed probe)");
-    } else if (health.state == BreakerState::kClosed && ShouldOpen(health)) {
+    } else if (health.state == BreakerState::kClosed &&
+               health.consecutive_failures >=
+                   policy_.consecutive_failures_to_open) {
       health.state = BreakerState::kOpen;
       health.cooldown_remaining = policy_.cooldown_rounds;
       ++opens_;
@@ -264,8 +209,6 @@ int64_t HealthTracker::quarantined_clients() const {
 void HealthTracker::EncodeTo(std::vector<uint8_t>* out) const {
   BITPUSH_CHECK(out != nullptr);
   bytes::PutInt64(policy_.consecutive_failures_to_open, out);
-  bytes::PutDouble(policy_.failure_rate_to_open, out);
-  bytes::PutInt64(policy_.min_samples_for_rate, out);
   bytes::PutInt64(policy_.cooldown_rounds, out);
   bytes::PutInt64(opens_, out);
   bytes::PutInt64(closes_, out);
@@ -274,8 +217,6 @@ void HealthTracker::EncodeTo(std::vector<uint8_t>* out) const {
     bytes::PutInt64(id, out);
     bytes::PutByte(static_cast<uint8_t>(health.state), out);
     bytes::PutInt64(health.consecutive_failures, out);
-    bytes::PutInt64(health.failures, out);
-    bytes::PutInt64(health.successes, out);
     bytes::PutInt64(health.cooldown_remaining, out);
   }
 }
@@ -288,8 +229,6 @@ bool HealthTracker::DecodeFrom(std::span<const uint8_t> buffer,
   BreakerPolicy policy;
   if (!bytes::GetInt64(buffer, &cursor,
                        &policy.consecutive_failures_to_open) ||
-      !bytes::GetDouble(buffer, &cursor, &policy.failure_rate_to_open) ||
-      !bytes::GetInt64(buffer, &cursor, &policy.min_samples_for_rate) ||
       !bytes::GetInt64(buffer, &cursor, &policy.cooldown_rounds)) {
     return false;
   }
@@ -311,15 +250,12 @@ bool HealthTracker::DecodeFrom(std::span<const uint8_t> buffer,
     if (!bytes::GetInt64(buffer, &cursor, &id) ||
         !bytes::GetByte(buffer, &cursor, &state) ||
         !bytes::GetInt64(buffer, &cursor, &health.consecutive_failures) ||
-        !bytes::GetInt64(buffer, &cursor, &health.failures) ||
-        !bytes::GetInt64(buffer, &cursor, &health.successes) ||
         !bytes::GetInt64(buffer, &cursor, &health.cooldown_remaining)) {
       return false;
     }
     if (i > 0 && id <= previous_id) return false;  // canonical ascending order
     if (state > static_cast<uint8_t>(BreakerState::kHalfOpen)) return false;
-    if (health.consecutive_failures < 0 || health.failures < 0 ||
-        health.successes < 0 || health.cooldown_remaining < 0) {
+    if (health.consecutive_failures < 0 || health.cooldown_remaining < 0) {
       return false;
     }
     health.state = static_cast<BreakerState>(state);

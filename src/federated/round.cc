@@ -63,10 +63,6 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   const RandomizedResponse rr =
       RandomizedResponse::FromEpsilon(config.adaptive.epsilon);
 
-  // The query's deadline budget is split across the two rounds by cohort
-  // share — the same delta that splits the cohort splits the time.
-  const double round1_share = static_cast<double>(n1) / static_cast<double>(n);
-
   // Runs (or restores) one round with the breaker bracketing it: cooldowns
   // advance before assignment, and the round's contacts are applied at the
   // boundary (ObserveRoundHealth). Restored rounds take the same path —
@@ -135,8 +131,6 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   round1_config.fault_policy = config.fault_policy;
   round1_config.backfill_pool = std::move(pool1);
   round1_config.resilience = config.resilience;
-  round1_config.resilience.budget = config.resilience.budget.Fraction(
-      round1_share);
   round1_config.health = config.health;
   round1_config.workers = config.round_workers;
   run_or_restore_round(1, round1_config, cohort1, round1_rng, &result.round1);
@@ -189,8 +183,6 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   round2_config.backfill_pool = std::move(pool2);
   round2_config.recheckins =
       static_cast<int64_t>(cohort2_full.size() - cohort2.size());
-  round2_config.resilience.budget =
-      config.resilience.budget.Fraction(1.0 - round1_share);
   run_or_restore_round(2, round2_config, cohort2_full, round2_rng,
                        &result.round2);
 

@@ -45,9 +45,8 @@ struct FederatedQueryConfig {
   // restore an already-journaled round instead of re-running it; see
   // federated/persist_hooks.h for the recovery model.
   QueryRecorder* recorder = nullptr;
-  // Active recovery (federated/resilience.h). `resilience.budget` is this
-  // *query's* deadline budget; each round receives the share proportional
-  // to its cohort fraction. The default disables everything.
+  // Active recovery (federated/resilience.h), the same for both rounds.
+  // The default disables everything.
   ResilienceConfig resilience;
   // Per-client circuit breaker, owned by the caller (typically the
   // campaign, so quarantine spans queries). The query consults it during

@@ -38,28 +38,22 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   }
 
   // Resilience setup. With the default (disabled) config every knob below
-  // is inert — zero service minutes, infinite budget, no retries, no
-  // hedging, no breaker — and the round reproduces pre-resilience behavior
-  // byte for byte, RNG stream included.
+  // is inert — zero service minutes, no retries, no hedging, no breaker —
+  // and the round reproduces pre-resilience behavior byte for byte, RNG
+  // stream included.
   const ResilienceConfig& res = config.resilience;
   const bool resilience_on = res.Enabled();
   const bool breaker_on =
       config.health != nullptr && config.health->policy().enabled();
-  const RetrySchedule schedule = res.retry.enabled()
-                                     ? RetrySchedule(res.seed, res.retry)
-                                     : RetrySchedule();
   // Virtual round clock, in simulated minutes: each contact costs the
-  // expected per-device collection time, retries add their backoff on top,
-  // and the whole round is bounded by the deadline budget.
+  // expected wait for one check-in under the default LatencyModel, and
+  // retries add their backoff on top. It only adds up elapsed_minutes.
   const double service_minutes =
-      resilience_on ? ExpectedCollectionMinutes(res.latency, 1) : 0.0;
-  const double budget_minutes = res.budget.minutes;
-  // The budget clamps the flat straggler deadline: whichever is tighter
-  // decides what "late" means this round.
-  const double effective_deadline =
-      res.budget.ClampDeadline(config.fault_policy.report_deadline_minutes);
+      resilience_on ? ExpectedCollectionMinutes(LatencyModel{}, 1) : 0.0;
+  // A straggler's report is late whenever the deadline is finite.
+  const bool deadline_finite =
+      std::isfinite(config.fault_policy.report_deadline_minutes);
   double clock = 0.0;
-  int64_t round_retries = 0;
 
   // Check-in: the cohort's trailing re-check-ins, clients already
   // assigned in an earlier round of this query (crash-then-recheckin), are
@@ -115,7 +109,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   enum class SlotResult {
     kAccepted,
     kFailed,
-    // The report exists but its predicted arrival misses the effective
+    // The report exists but its predicted arrival misses the report
     // deadline — the hedge-eligible failure mode.
     kStraggledLate,
   };
@@ -142,9 +136,8 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     BitReport report;
     bool answered = false;
     int64_t attempt = 0;
-    // Gatekeeper for another attempt: per-client cap, per-round cap, then
-    // the deadline budget (the backoff plus one more service interval must
-    // still fit). Charges the backoff to the clock on success.
+    // Gatekeeper for another attempt: the per-client cap, which reads only
+    // this slot's attempts. Charges the backoff to the clock on success.
     const auto try_schedule_retry = [&](bool retransmit) -> bool {
       if (!allow_retries || !res.retry.enabled()) return false;
       const int64_t next = attempt + 1;
@@ -152,19 +145,10 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         ++outcome.retry.retries_exhausted;
         return false;
       }
-      if (round_retries >= res.retry.max_retries_per_round) {
-        ++outcome.retry.retry_budget_denied;
-        return false;
-      }
       const double backoff =
-          schedule.BackoffMinutes(config.round_id, client_id, next);
-      if (clock + backoff + service_minutes > budget_minutes) {
-        ++outcome.retry.deadline_denied;
-        return false;
-      }
+          BackoffMinutes(res.seed, config.round_id, client_id, next);
       clock += backoff;
       outcome.retry.backoff_minutes += backoff;
-      ++round_retries;
       if (retransmit) {
         ++outcome.retry.retransmits_requested;
       } else {
@@ -230,7 +214,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       }
       if (fault == FaultType::kStraggler) {
         ++outcome.faults.injected_stragglers;
-        if (std::isfinite(effective_deadline)) {
+        if (deadline_finite) {
           ++outcome.faults.late_reports_rejected;
           return SlotResult::kStraggledLate;
         }
@@ -286,38 +270,15 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   };
 
   // The respond step of one slot: the primary request, then a hedge when
-  // it fails or straggles and the policy allows one.
+  // it straggled past the deadline and the policy allows one. A straggler's
+  // report is *predicted late* the moment its delay is known, so the
+  // duplicate goes out at once.
   const auto respond = [&](const StagedSlot& slot, int64_t idx,
                            const BitRequest& request, bool backfill) {
-    // Pre-emptive hedging: once the budget is nearly spent, every slot
-    // gets a duplicate assignment reserved up front. Decided *before* the
-    // slot runs so the hedge models a duplicate issued alongside the
-    // original, not hindsight.
-    const bool hedge_planned =
-        res.hedge.enabled && res.budget.finite() &&
-        clock >= res.hedge.trigger_budget_fraction * budget_minutes &&
-        outcome.retry.hedges_issued < res.hedge.max_hedges_per_round;
     const SlotResult primary = run_slot(slot, idx, request,
                                         /*allow_retries=*/true,
                                         /*is_hedge=*/false, backfill);
-    if (primary == SlotResult::kAccepted) {
-      if (hedge_planned) {
-        // First complete wins: the original arrived, so the duplicate is
-        // cancelled before the hedge client computes anything — it never
-        // discloses a bit, is never metered, and stays in the pool.
-        ++outcome.retry.hedges_issued;
-        ++outcome.retry.hedges_cancelled;
-      }
-      return;
-    }
-    // Reactive hedging: a straggler's report is *predicted late* the
-    // moment its delay is known, so the duplicate goes out even before
-    // the budget-pressure trigger fires.
-    const bool hedge_wanted =
-        res.hedge.enabled &&
-        (hedge_planned || primary == SlotResult::kStraggledLate) &&
-        outcome.retry.hedges_issued < res.hedge.max_hedges_per_round;
-    if (!hedge_wanted) return;
+    if (primary != SlotResult::kStraggledLate || !res.hedge.enabled) return;
     const std::optional<int64_t> hedge_idx = next_pool_client();
     if (!hedge_idx.has_value()) return;
     const StagedSlot hedge = stages.StageHedge(*hedge_idx);
@@ -326,11 +287,9 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
         run_slot(hedge, *hedge_idx, request, /*allow_retries=*/false,
                  /*is_hedge=*/true, /*backfill=*/false);
     if (hedged == SlotResult::kAccepted) {
-      if (primary == SlotResult::kStraggledLate) {
-        // The original's late duplicate is discarded by dedup: exactly
-        // one report per work item enters the tally.
-        ++outcome.retry.hedge_dedup_drops;
-      }
+      // The original's late duplicate is discarded by dedup: exactly one
+      // report per work item enters the tally.
+      ++outcome.retry.hedge_dedup_drops;
     } else {
       ++outcome.retry.hedge_failures;
     }

@@ -50,8 +50,8 @@ struct RoundConfig {
   // dedup policy: at most one assignment per client per query), and the
   // round runs over the cohort before them.
   int64_t recheckins = 0;
-  // Active recovery (federated/resilience.h): retries, hedged assignments,
-  // and the round's deadline budget. The default disables everything and
+  // Active recovery (federated/resilience.h): retries, hedged assignments
+  // and the breaker's admission. The default disables everything and
   // reproduces pre-resilience behavior byte for byte.
   ResilienceConfig resilience;
   // Per-client circuit breaker consulted (read-only) during assignment;

@@ -241,12 +241,26 @@ MergeTier::MergeTier(std::vector<CampaignQuery> queries, int64_t shards,
   per_shard_metrics_.resize(static_cast<size_t>(shards_));
 }
 
-void MergeTier::AddFrame(const ShardTickFrame& frame) {
-  BITPUSH_CHECK(frame.shard >= 0 && frame.shard < shards_)
-      << "shard out of range: " << frame.shard;
+bool MergeTier::AddFrame(const ShardTickFrame& frame) {
+  if (frame.shard < 0 || frame.shard >= shards_ ||
+      pending_present_[static_cast<size_t>(frame.shard)] ||
+      (open_tick_ >= 0 && frame.tick != open_tick_)) {
+    return false;
+  }
+  size_t row = 0;
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    if (!queries_[qi].ScheduledAt(frame.tick)) continue;
+    if (row == frame.queries.size()) return false;
+    const ShardQueryFrame& query = frame.queries[row++];
+    const int bits = query.tallies.bits();
+    if (query.query_index != static_cast<int64_t>(qi) ||
+        (bits != 0 && bits != queries_[qi].query.adaptive.bits)) {
+      return false;
+    }
+  }
+  if (row != frame.queries.size()) return false;
+
   const size_t s = static_cast<size_t>(frame.shard);
-  BITPUSH_CHECK(!pending_present_[s])
-      << "duplicate frame for shard " << frame.shard;
   for (const ShardQueryFrame& query : frame.queries) {
     fault_stats_.MergeFrom(query.faults);
   }
@@ -254,26 +268,32 @@ void MergeTier::AddFrame(const ShardTickFrame& frame) {
   per_shard_metrics_[s] = frame.metrics;
   pending_[s] = frame;
   pending_present_[s] = true;
+  open_tick_ = frame.tick;
+  return true;
 }
 
 MergedTickResult MergeTier::CloseTick(int64_t tick,
                                       const std::vector<ShardLoss>& lost) {
+  BITPUSH_CHECK(open_tick_ < 0 || open_tick_ == tick)
+      << "closing tick " << tick << " while tick " << open_tick_ << " is open";
   MergedTickResult result;
   result.tick = tick;
   result.shards_lost = static_cast<int64_t>(lost.size());
 
   std::vector<const ShardTickFrame*> delivered;
   for (int64_t s = 0; s < shards_; ++s) {
-    if (!pending_present_[static_cast<size_t>(s)]) continue;
-    const ShardTickFrame& frame = pending_[static_cast<size_t>(s)];
-    BITPUSH_CHECK_EQ(frame.tick, tick) << "frame for a different tick";
-    delivered.push_back(&frame);
+    if (pending_present_[static_cast<size_t>(s)]) {
+      delivered.push_back(&pending_[static_cast<size_t>(s)]);
+    }
   }
   result.shards_delivered = static_cast<int64_t>(delivered.size());
   result.quorum_failed = result.shards_delivered < quorum_min_;
 
   // The scheduled set is derived from the query list, not the frames, so
   // a tick with zero delivered shards still reports every scheduled query.
+  // Each delivered frame holds one row per scheduled query, in order
+  // (AddFrame).
+  size_t scheduled_row = 0;
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     const CampaignQuery& query = queries_[qi];
     if (!query.ScheduledAt(tick)) continue;
@@ -286,18 +306,9 @@ MergedTickResult MergeTier::CloseTick(int64_t tick,
 
     std::vector<const ShardQueryFrame*> rows;
     for (const ShardTickFrame* frame : delivered) {
-      const ShardQueryFrame* row = nullptr;
-      for (const ShardQueryFrame& candidate : frame->queries) {
-        if (candidate.query_index == static_cast<int64_t>(qi)) {
-          row = &candidate;
-          break;
-        }
-      }
-      BITPUSH_CHECK(row != nullptr)
-          << "shard " << frame->shard << " frame missing scheduled query "
-          << qi;
-      rows.push_back(row);
+      rows.push_back(&frame->queries[scheduled_row]);
     }
+    ++scheduled_row;
 
     if (result.quorum_failed) {
       // Fail closed: below quorum nothing is published for the tick —
@@ -315,7 +326,8 @@ MergedTickResult MergeTier::CloseTick(int64_t tick,
     }
 
     // Word-level tally merge: a shard whose query ran no round ships
-    // zero-width tallies, which add nothing; the others agree on the width.
+    // zero-width tallies, which add nothing; the others have the query's
+    // width (AddFrame).
     BitHistogram merged;
     for (const ShardQueryFrame* row : rows) merged.Merge(row->tallies);
     result.queries.push_back(FinalizeMergedQuery(
@@ -342,6 +354,7 @@ MergedTickResult MergeTier::CloseTick(int64_t tick,
   ObserveShardTickMerged(result.shards_delivered, result.shards_lost,
                          result.quorum_failed);
   pending_present_.assign(static_cast<size_t>(shards_), false);
+  open_tick_ = tick + 1;
   return result;
 }
 

@@ -193,12 +193,18 @@ class MergeTier {
   // Minimum delivered shards for a tick to publish estimates.
   int64_t quorum_min() const { return quorum_min_; }
 
-  // Ingests one decoded frame. CHECK-fails on a shard out of range, a
-  // duplicate frame, or a frame for a different tick than the open one.
-  void AddFrame(const ShardTickFrame& frame);
+  // Ingests one decoded frame for the open tick: the tick after the last
+  // one closed, or before any is closed, the tick of the first frame
+  // added. Returns false, and keeps nothing of the frame, when it cannot
+  // be merged: its shard is out of range or already added, its tick is
+  // not the open one, or its rows are not one per query scheduled at the
+  // tick, in query order, each zero-width or as wide as the query's
+  // adaptive.bits. The caller counts that shard as lost.
+  bool AddFrame(const ShardTickFrame& frame);
 
-  // Closes `tick`: merges the pending frames (kernel word-adds), applies
-  // the loss accounting, and resets for the next tick.
+  // Closes `tick`, which must be the open tick: merges the pending frames
+  // (kernel word-adds), applies the loss accounting, and resets for the
+  // next tick.
   MergedTickResult CloseTick(int64_t tick, const std::vector<ShardLoss>& lost);
 
   // Sum of the per-shard cumulative RetryStats (a shard that never
@@ -213,6 +219,9 @@ class MergeTier {
   std::vector<CampaignQuery> queries_;
   int64_t shards_ = 1;
   int64_t quorum_min_ = 1;
+  // The tick the pending frames are for; -1 until a frame or a close sets
+  // it.
+  int64_t open_tick_ = -1;
   std::vector<ShardTickFrame> pending_;
   std::vector<bool> pending_present_;
   std::vector<RetryStats> per_shard_retry_;

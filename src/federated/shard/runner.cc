@@ -320,8 +320,7 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
     task.capture.Replay();
     if (failure == nullptr && !task.ok) failure = &task.error;
     if (failure != nullptr) continue;
-    if (task.delivered) {
-      merge_->AddFrame(task.frame);
+    if (task.delivered && merge_->AddFrame(task.frame)) {
       delivered_shards.push_back(static_cast<int64_t>(s));
       if (task.recovered) {
         obs::EventArgs args;
@@ -348,7 +347,8 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
     obs::EventArgs args;
     args.tick = tick;
     args.shard = static_cast<int64_t>(s);
-    args.detail = "missed tick deadline";
+    args.detail = task.delivered ? "frame rejected by the merge tier"
+                                 : "missed tick deadline";
     obs::EmitEvent(obs::EventType::kShardLost, obs::Determinism::kVolatile,
                    std::move(args));
   }

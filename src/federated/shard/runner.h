@@ -5,8 +5,9 @@
 // retry starting at once after a stalled or crashed attempt (ShardMetrics
 // counts the attempts, retries and stalls), shard faults injected by the
 // ShardFaultPlan between the shard and the frame hop, crash recovery
-// through the shard's own journal, and — when the attempts run out —
-// exact exclusion: the tick merges without the shard (degraded), or fails
+// through the shard's own journal, and — when the attempts run out, or
+// the merge tier rejects the frame (MergeTier::AddFrame) — exact
+// exclusion: the tick merges without the shard (degraded), or fails
 // closed below quorum. A transiently lost shard catches up on the next
 // tick; a permanently lost one is excluded from every later tick with its
 // clients accounted. The crash faults cut the shard's journal with

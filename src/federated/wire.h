@@ -23,8 +23,10 @@ namespace bitpush {
 // (federated/shard/merge.h); the journal and the snapshot of src/persist/
 // carry their own. Decoders reject any other value with a clean error
 // rather than misparsing a frame laid out by a future (or corrupted)
-// writer.
-inline constexpr uint8_t kWireFormatVersion = 1;
+// writer. Version 1's retry counters included three that version 2 drops
+// (the per-round retry cap's and the deadline budget's denials, and the
+// cancelled hedges).
+inline constexpr uint8_t kWireFormatVersion = 2;
 
 // Serialized size (bytes) of one report.
 inline constexpr size_t kBitReportWireSize = 8 + 1 + 1;

@@ -62,8 +62,11 @@ namespace bitpush {
 // contacts again as succeeded and failed client ids and the crashed ones
 // as a third list, beside a dropout rate and wire counters its counts
 // give; version 4 holds the contacts once, as 4-byte indices with a
-// bitmap over them per fact (RoundOutcome). Reading rejects all three.
-inline constexpr uint8_t kJournalFormatVersion = 4;
+// bitmap over them per fact (RoundOutcome), and its retry counters also
+// counted the per-round retry cap's and the deadline budget's denials and
+// the cancelled hedges, which version 5 drops with the mechanisms that
+// counted them. Reading rejects all four.
+inline constexpr uint8_t kJournalFormatVersion = 5;
 
 enum class JournalRecordType : uint8_t {
   // Retired in version 3: a round's charges ride in its kRoundClosed

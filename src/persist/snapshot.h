@@ -31,10 +31,12 @@ namespace bitpush {
 
 // The snapshot file's own format byte, separate from kWireFormatVersion
 // (wire frames) and kJournalFormatVersion (journal frames). Version 1
-// carried an open-sessions count ahead of the breaker blob, and version 2
+// carried an open-sessions count ahead of the breaker blob, version 2
 // kept each finished query's final bit means and a bit-means cache in
-// place of its tallies and fault counters; decoding rejects both.
-inline constexpr uint8_t kSnapshotFormatVersion = 3;
+// place of its tallies and fault counters, and version 3's breaker blob
+// held the failure-rate trigger's policy and each client's failure and
+// success counts; decoding rejects all three.
+inline constexpr uint8_t kSnapshotFormatVersion = 4;
 
 // One finished (run or skipped) scheduled query: the one record of it that
 // recovery serves, a snapshot stores and a shard frame row carries. The

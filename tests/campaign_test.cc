@@ -10,12 +10,11 @@ namespace bitpush {
 namespace {
 
 CampaignQuery MakeQuery(const std::string& name, int64_t value_id,
-                        int64_t cadence, int64_t phase = 0) {
+                        int64_t cadence) {
   CampaignQuery query;
   query.name = name;
   query.value_id = value_id;
   query.cadence_ticks = cadence;
-  query.phase = phase;
   query.query.adaptive.bits = 7;
   return query;
 }
@@ -57,21 +56,6 @@ TEST_F(CampaignTest, RunsOnCadence) {
   EXPECT_EQ(weekly_runs, 2);  // ticks 0 and 7
   EXPECT_EQ(campaign.runs(), 16);
   EXPECT_EQ(campaign.skips(), 0);
-}
-
-TEST_F(CampaignTest, PhaseOffsetsTheSchedule) {
-  MeasurementCampaign campaign({MakeQuery("offset", 0, 3, /*phase=*/2)},
-                               nullptr);
-  const std::vector<const std::vector<Client>*> populations = {
-      &population_};
-  std::vector<int64_t> ran_ticks;
-  for (int64_t tick = 0; tick < 9; ++tick) {
-    for (const CampaignTickResult& result :
-         campaign.RunTick(tick, populations, codec_, rng_)) {
-      ran_ticks.push_back(result.tick);
-    }
-  }
-  EXPECT_EQ(ran_ticks, (std::vector<int64_t>{2, 5, 8}));
 }
 
 TEST_F(CampaignTest, SharedBudgetExhaustsPerValue) {

@@ -28,7 +28,7 @@ TEST(DebuggingTest, HealthyMetricHasNoFindings) {
   const BitHistogram histogram =
       CollectHistogram(data.values(), 8, 0.0, 2);
   const DistributionDiagnostics diagnostics =
-      DiagnoseDistribution(histogram, 0.0, DebuggingConfig{});
+      DiagnoseDistribution(histogram, 0.0);
   EXPECT_TRUE(diagnostics.findings.empty());
   EXPECT_EQ(diagnostics.highest_used_bit, 7);
   EXPECT_FALSE(diagnostics.constant_metric);
@@ -39,7 +39,7 @@ TEST(DebuggingTest, DetectsConstantMetric) {
   const std::vector<double> values(5000, 42.0);
   const BitHistogram histogram = CollectHistogram(values, 8, 0.0, 3);
   const DistributionDiagnostics diagnostics =
-      DiagnoseDistribution(histogram, 0.0, DebuggingConfig{});
+      DiagnoseDistribution(histogram, 0.0);
   EXPECT_TRUE(diagnostics.constant_metric);
   EXPECT_FALSE(diagnostics.all_zero);
   ASSERT_FALSE(diagnostics.findings.empty());
@@ -51,7 +51,7 @@ TEST(DebuggingTest, DetectsDeadCounter) {
   const std::vector<double> values(5000, 0.0);
   const BitHistogram histogram = CollectHistogram(values, 8, 0.0, 4);
   const DistributionDiagnostics diagnostics =
-      DiagnoseDistribution(histogram, 0.0, DebuggingConfig{});
+      DiagnoseDistribution(histogram, 0.0);
   EXPECT_TRUE(diagnostics.all_zero);
   EXPECT_EQ(diagnostics.highest_used_bit, -1);
   ASSERT_FALSE(diagnostics.findings.empty());
@@ -65,7 +65,7 @@ TEST(DebuggingTest, DetectsSaturationFromUndersizedWidth) {
   const BitHistogram histogram =
       CollectHistogram(data.Clipped(0.0, 63.0).values(), 6, 0.0, 6);
   const DistributionDiagnostics diagnostics =
-      DiagnoseDistribution(histogram, 0.0, DebuggingConfig{});
+      DiagnoseDistribution(histogram, 0.0);
   EXPECT_TRUE(diagnostics.saturated);
   // Saturation blocks any "shrink the width" advice.
   EXPECT_EQ(RecommendBitWidth(diagnostics, 6), 6);
@@ -78,7 +78,7 @@ TEST(DebuggingTest, DetectsOversizedWidth) {
   const BitHistogram histogram =
       CollectHistogram(data.values(), 20, 0.0, 8);
   const DistributionDiagnostics diagnostics =
-      DiagnoseDistribution(histogram, 0.0, DebuggingConfig{});
+      DiagnoseDistribution(histogram, 0.0);
   EXPECT_GT(diagnostics.vacuous_bit_fraction, 0.5);
   EXPECT_EQ(diagnostics.highest_used_bit, 6);
   EXPECT_FALSE(diagnostics.saturated);
@@ -94,7 +94,7 @@ TEST(DebuggingTest, DetectsNoiseDominationUnderDp) {
   const std::vector<double> values(200, 3.0);
   const BitHistogram histogram = CollectHistogram(values, 16, 0.2, 9);
   const DistributionDiagnostics diagnostics =
-      DiagnoseDistribution(histogram, 0.2, DebuggingConfig{});
+      DiagnoseDistribution(histogram, 0.2);
   EXPECT_TRUE(diagnostics.noise_dominated);
 }
 
@@ -104,7 +104,7 @@ TEST(DebuggingTest, LargeDpCohortIsNotNoiseDominated) {
   const BitHistogram histogram =
       CollectHistogram(data.values(), 8, 1.0, 11);
   const DistributionDiagnostics diagnostics =
-      DiagnoseDistribution(histogram, 1.0, DebuggingConfig{});
+      DiagnoseDistribution(histogram, 1.0);
   EXPECT_FALSE(diagnostics.noise_dominated);
   EXPECT_GE(diagnostics.highest_used_bit, 6);
 }

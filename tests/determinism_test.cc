@@ -225,8 +225,8 @@ TEST_F(DeterminismTest, DurableCampaignReproducesAcrossRunsAndCrashes) {
 }
 
 TEST_F(DeterminismTest, ResilientQueryReproducesTheRecoverySchedule) {
-  // With the resilience layer armed (retries, hedging under a finite
-  // budget, breaker) the seed contract extends to the recovery schedule:
+  // With the resilience layer armed (retries, hedges on late stragglers)
+  // the seed contract extends to the recovery schedule:
   // identical seeds reproduce the estimate AND every RetryStats counter,
   // backoff minutes included. The backoff jitter is keyed on the resilience
   // seed alone, so changing just that seed re-times the retries without

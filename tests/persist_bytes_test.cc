@@ -67,31 +67,31 @@ constexpr std::array<std::array<Digests, kTicks>, kConfigs.size()> kDigests =
     {{
         // shards, snapshot_every = {1, 0}
         {{
-            {0xf71f2a3e829bfd25u, 0x019a150a937cf65du},
-            {0x7fd672993774383eu, 0x019a150a937cf65du},
-            {0x06065210515c4e73u, 0x019a150a937cf65du},
-            {0x593af953dd20b06du, 0x019a150a937cf65du},
+            {0xf8195a0babe4c846u, 0x019a150a937cf65du},
+            {0xfdf03e2b7bcd2646u, 0x019a150a937cf65du},
+            {0xb513b11cb0feba3cu, 0x019a150a937cf65du},
+            {0xabcfc36d5462a74du, 0x019a150a937cf65du},
         }},
         // shards, snapshot_every = {1, 2}
         {{
-            {0xf71f2a3e829bfd25u, 0x019a150a937cf65du},
-            {0x2fb87fa2978eadcbu, 0x1ffda7c0936e7dc2u},
-            {0xe261b2383b035757u, 0x1ffda7c0936e7dc2u},
-            {0x2fb87fa2978eadcbu, 0x6393fc67befd51d8u},
+            {0xf8195a0babe4c846u, 0x019a150a937cf65du},
+            {0x2fb87fa2978eadcbu, 0x6f8eb17d67c7cb5fu},
+            {0x663ff0eb0d6a2c0du, 0x6f8eb17d67c7cb5fu},
+            {0x2fb87fa2978eadcbu, 0x82cc80b6251fb162u},
         }},
         // shards, snapshot_every = {4, 0}
         {{
-            {0xbe80ae228d9cf051u, 0xbd4f8ca876337c25u},
-            {0x463ccaa0bbd3d4afu, 0xbd4f8ca876337c25u},
-            {0xffe8e4db2ddb045fu, 0xbd4f8ca876337c25u},
-            {0x32baadb35207aeb5u, 0xbd4f8ca876337c25u},
+            {0x7381bc910a25231fu, 0xbd4f8ca876337c25u},
+            {0xff370aadb12945ceu, 0xbd4f8ca876337c25u},
+            {0x96263e757feb6590u, 0xbd4f8ca876337c25u},
+            {0x902343fcb1dec100u, 0xbd4f8ca876337c25u},
         }},
         // shards, snapshot_every = {4, 2}
         {{
-            {0xbe80ae228d9cf051u, 0xbd4f8ca876337c25u},
-            {0x835db89458a5a5bdu, 0x4e9c2caae7c080acu},
-            {0x84a62480f3a3bc83u, 0x4e9c2caae7c080acu},
-            {0x835db89458a5a5bdu, 0xc7a4c953b733cfacu},
+            {0x7381bc910a25231fu, 0xbd4f8ca876337c25u},
+            {0x835db89458a5a5bdu, 0xbddf0fdcb13beda0u},
+            {0x0daffef4653cd46bu, 0xbddf0fdcb13beda0u},
+            {0x835db89458a5a5bdu, 0xebbe797948d04f1cu},
         }},
     }};
 
@@ -298,8 +298,8 @@ class ShardFrameBytesTest : public SnapshotAndJournalBytesTest {};
 
 // Frame digests after ticks 0 .. 3.
 constexpr std::array<uint64_t, kTicks> kFrameDigests = {
-    0xc555f5279f84ccd8u, 0xfe338bec83d6110au, 0x9722fd0d53c84d1du,
-    0x36234f243366a651u};
+    0x53e8b4633975f4f8u, 0xc9807407b9d263aau, 0xd38a5e3237efcfd9u,
+    0x49df1148e553ffa5u};
 
 TEST_F(ShardFrameBytesTest, FixedSeedTicksMatchRecordedDigests) {
   constexpr int64_t kShards = 4;

@@ -6,12 +6,14 @@
 #include <sys/stat.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "core/privacy_meter.h"
 #include "data/census.h"
 #include "federated/faults.h"
+#include "federated/resilience.h"
 #include "obs/metrics.h"
 #include "persist/journal.h"
 #include "persist/recovery.h"
@@ -774,6 +777,94 @@ TEST_F(RecoveryTest, VersionTwoSnapshotFailsClosed) {
   EXPECT_EQ(FileBytes(dir + "/journal.wal"), journal);
 }
 
+TEST_F(RecoveryTest, VersionThreeSnapshotFailsClosed) {
+  // A state dir written while the breaker had a failure-rate trigger:
+  // format byte 3, and a breaker blob with the trigger's rate and sample
+  // minimum after the streak threshold, and each client's failure and
+  // success counts after its streak. Open must refuse it with an error,
+  // not abort, and leave the journal as it found it.
+  ResilienceConfig resilience;
+  resilience.breaker.consecutive_failures_to_open = 2;
+  const std::string dir = FreshDir("v3_snapshot");
+  {
+    DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir),
+                                 resilience);
+    std::string error;
+    ASSERT_TRUE(runner.Open(populations_, &error)) << error;
+    runner.RunTick(0, codecs_);
+    ASSERT_TRUE(runner.Snapshot(&error)) << error;
+    runner.RunTick(1, codecs_);
+  }
+  const std::string snapshot_path = dir + "/snapshot.bin";
+  const std::vector<uint8_t> image = FileBytes(snapshot_path);
+  CoordinatorSnapshotView current;
+  ASSERT_TRUE(DecodeCoordinatorSnapshot(image, &current));
+  CoordinatorSnapshot version3;
+  version3.base_seed = current.base_seed;
+  version3.journal_next_seq = current.journal_next_seq;
+  version3.completed_ticks = current.completed_ticks;
+  version3.meter_blob.assign(current.meter_blob.begin(),
+                             current.meter_blob.end());
+  version3.finished = current.finished;
+  // Today's blob: the streak threshold, the cooldown, opens, closes and
+  // the client count, then each client's id, state, streak and cooldown.
+  const std::span<const uint8_t> blob = current.health_blob;
+  std::vector<uint8_t>& old_blob = version3.health_blob;
+  size_t at = 0;
+  int64_t field = 0;
+  uint32_t clients = 0;
+  ASSERT_TRUE(bytes::GetInt64(blob, &at, &field));
+  bytes::PutInt64(field, &old_blob);
+  bytes::PutDouble(1.0, &old_blob);  // the rate trigger, off
+  bytes::PutInt64(8, &old_blob);     // its sample minimum
+  for (int i = 0; i < 3; ++i) {      // cooldown, opens, closes
+    ASSERT_TRUE(bytes::GetInt64(blob, &at, &field));
+    bytes::PutInt64(field, &old_blob);
+  }
+  ASSERT_TRUE(bytes::GetUint32(blob, &at, &clients));
+  ASSERT_GT(clients, 0u);
+  bytes::PutUint32(clients, &old_blob);
+  for (uint32_t c = 0; c < clients; ++c) {
+    int64_t id = 0;
+    uint8_t state = 0;
+    int64_t streak = 0;
+    int64_t cooldown = 0;
+    ASSERT_TRUE(bytes::GetInt64(blob, &at, &id) &&
+                bytes::GetByte(blob, &at, &state) &&
+                bytes::GetInt64(blob, &at, &streak) &&
+                bytes::GetInt64(blob, &at, &cooldown));
+    bytes::PutInt64(id, &old_blob);
+    bytes::PutByte(state, &old_blob);
+    bytes::PutInt64(streak, &old_blob);
+    bytes::PutInt64(streak, &old_blob);  // failures
+    bytes::PutInt64(0, &old_blob);       // successes
+    bytes::PutInt64(cooldown, &old_blob);
+  }
+  ASSERT_EQ(at, blob.size());
+  std::vector<uint8_t> file;
+  EncodeCoordinatorSnapshot(version3, &file);
+  ASSERT_EQ(file[4], kSnapshotFormatVersion);
+  file[4] = 3;
+  file.erase(file.end() - 4, file.end());  // the CRC
+  bytes::PutUint32(bytes::Crc32(file.data(), file.size()), &file);
+  {
+    std::ofstream out(snapshot_path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(file.data()),
+              static_cast<std::streamsize>(file.size()));
+  }
+  ASSERT_EQ(FileBytes(snapshot_path), file);
+  const std::vector<uint8_t> journal = FileBytes(dir + "/journal.wal");
+  ASSERT_FALSE(journal.empty());
+
+  DurableCampaignRunner reopened(MakeQueries(), policy_, Options(dir),
+                                 resilience);
+  std::string error;
+  EXPECT_FALSE(reopened.Open(populations_, &error));
+  EXPECT_NE(error.find("snapshot failed validation"), std::string::npos)
+      << error;
+  EXPECT_EQ(FileBytes(dir + "/journal.wal"), journal);
+}
+
 TEST_F(RecoveryTest, ChargesOfARoundThatNeverClosedAreDiscarded) {
   // A round's charges are journaled only in its kRoundClosed record, so a
   // kill before the record reached the disk leaves none of them: the
@@ -1002,14 +1093,43 @@ TEST_F(RecoveryDeathTest, RestoredRoundOverAnotherCohortAbortsAsDivergence) {
   EXPECT_DEATH(runner.RunTick(0, codecs_), "recovery divergence");
 }
 
+// A round-closed payload as journal version 4 laid it out: its retry
+// counters, the payload's tail, held the per-round retry cap's and the
+// deadline budget's denials after retries_exhausted, and the cancelled
+// hedges after hedges_issued.
+std::vector<uint8_t> VersionFourRoundClosed(
+    const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> empty;
+  EncodeRetryStats(RetryStats{}, &empty);
+  size_t at = payload.size() - empty.size();
+  std::vector<uint8_t> out(payload.begin(),
+                           payload.begin() + static_cast<ptrdiff_t>(at));
+  RetryStats r;
+  EXPECT_TRUE(DecodeRetryStats(payload, &at, &r));
+  for (const int64_t counter :
+       {r.retries_scheduled, r.retransmits_requested,
+        r.retry_reports_recovered, r.retries_exhausted, int64_t{0},
+        int64_t{0}, r.hedges_issued, int64_t{0}, r.hedge_reports,
+        r.hedge_failures, r.hedge_dedup_drops, r.breaker_skips,
+        r.breaker_probes, r.breaker_opens, r.breaker_closes}) {
+    bytes::PutInt64(counter, &out);
+  }
+  bytes::PutDouble(r.backoff_minutes, &out);
+  bytes::PutDouble(r.elapsed_minutes, &out);
+  return out;
+}
+
 TEST_F(RecoveryTest, VersionOneJournalFailsClosed) {
   // A journal framed with version byte 1, as a build with eight record
   // types wrote it, 2, as a build that journaled each meter charge as a
   // frame of its own wrote it (here with a charge frame ahead of each
-  // round close), or 3, as a build whose round-closed records repeated
-  // their contacts as client-id lists wrote it. Open must refuse it with
+  // round close), 3, as a build whose round-closed records repeated their
+  // contacts as client-id lists wrote it, or 4, as a build whose retry
+  // counters counted the deadline budget's and the per-round cap's
+  // denials and the cancelled hedges wrote it. Open must refuse it with
   // an error, not abort, and leave the file as it found it.
-  for (const uint8_t version : {uint8_t{1}, uint8_t{2}, uint8_t{3}}) {
+  for (const uint8_t version :
+       {uint8_t{1}, uint8_t{2}, uint8_t{3}, uint8_t{4}}) {
     const std::string dir = FreshDir(std::to_string(version) + "_journal");
     {
       DurableCampaignRunner runner(MakeQueries(), policy_, Options(dir));
@@ -1033,6 +1153,9 @@ TEST_F(RecoveryTest, VersionOneJournalFailsClosed) {
         records.push_back(std::move(charge));
       }
       records.push_back(record);
+      if (version == 4 && record.type == JournalRecordType::kRoundClosed) {
+        records.back().payload = VersionFourRoundClosed(record.payload);
+      }
     }
     std::vector<uint8_t> old_journal;
     for (size_t i = 0; i < records.size(); ++i) {

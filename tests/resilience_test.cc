@@ -1,11 +1,12 @@
 // Chaos suite for the resilient collection layer (federated/resilience.h).
 //
-// Three layers of coverage: unit contracts (backoff schedule, deadline
-// budgets, wire codecs, the circuit-breaker state machine), end-to-end
-// recovery semantics over the fault-injection layer (retransmissions never
-// double-charge the privacy meter, hedges are free when cancelled, a fault
-// plan that used to force the round-1 static-policy fallback completes the
-// adaptive round 2 once retries are on), and the crash matrix: a resilient
+// Three layers of coverage: unit contracts (backoff schedule, wire codecs,
+// the circuit-breaker state machine), end-to-end recovery semantics over
+// the fault-injection layer (retransmissions never double-charge the
+// privacy meter, hedges cover late stragglers one report per work item, a
+// fault plan that used to force the round-1 static-policy fallback
+// completes the adaptive round 2 once retries are on), and the crash
+// matrix: a resilient
 // durable campaign killed at every journal-record boundary recovers to a
 // byte-identical journal, ledger, and history — the journaled round
 // outcomes' retry and hedge counters included.
@@ -26,7 +27,6 @@
 #include "data/census.h"
 #include "federated/campaign.h"
 #include "federated/faults.h"
-#include "federated/latency.h"
 #include "federated/persist_hooks.h"
 #include "federated/resilience.h"
 #include "federated/round.h"
@@ -50,18 +50,14 @@ RetryPolicy EnabledRetryPolicy(int64_t per_client = 3) {
 // RetrySchedule: the deterministic backoff schedule.
 
 TEST(RetrySchedule, BackoffIsDeterministicAndSeedSensitive) {
-  const RetryPolicy policy = EnabledRetryPolicy(5);
-  const RetrySchedule a(11, policy);
-  const RetrySchedule b(11, policy);
-  const RetrySchedule c(12, policy);
   int differs = 0;
   for (int64_t round = 1; round <= 2; ++round) {
     for (int64_t client = 0; client < 200; ++client) {
       for (int64_t attempt = 1; attempt <= 5; ++attempt) {
-        const double backoff = a.BackoffMinutes(round, client, attempt);
-        EXPECT_EQ(backoff, b.BackoffMinutes(round, client, attempt));
+        const double backoff = BackoffMinutes(11, round, client, attempt);
+        EXPECT_EQ(backoff, BackoffMinutes(11, round, client, attempt));
         differs +=
-            backoff != c.BackoffMinutes(round, client, attempt) ? 1 : 0;
+            backoff != BackoffMinutes(12, round, client, attempt) ? 1 : 0;
       }
     }
   }
@@ -69,45 +65,17 @@ TEST(RetrySchedule, BackoffIsDeterministicAndSeedSensitive) {
 }
 
 TEST(RetrySchedule, BackoffStaysWithinBaseAndCap) {
-  RetryPolicy policy = EnabledRetryPolicy(6);
-  policy.base_backoff_minutes = 0.5;
-  policy.cap_backoff_minutes = 8.0;
-  const RetrySchedule schedule(99, policy);
   bool saw_above_base = false;
   for (int64_t client = 0; client < 500; ++client) {
     for (int64_t attempt = 1; attempt <= 6; ++attempt) {
-      const double backoff = schedule.BackoffMinutes(1, client, attempt);
-      ASSERT_GE(backoff, policy.base_backoff_minutes);
-      ASSERT_LE(backoff, policy.cap_backoff_minutes);
-      saw_above_base = saw_above_base || backoff > policy.base_backoff_minutes;
+      const double backoff = BackoffMinutes(99, 1, client, attempt);
+      ASSERT_GE(backoff, kBaseBackoffMinutes);
+      ASSERT_LE(backoff, kCapBackoffMinutes);
+      saw_above_base = saw_above_base || backoff > kBaseBackoffMinutes;
     }
   }
   // Decorrelated jitter actually jitters: not every draw collapses to base.
   EXPECT_TRUE(saw_above_base);
-}
-
-// ---------------------------------------------------------------------------
-// DeadlineBudget: propagation arithmetic.
-
-TEST(DeadlineBudget, DefaultIsInfiniteAndInert) {
-  const DeadlineBudget budget;
-  EXPECT_FALSE(budget.finite());
-  EXPECT_FALSE(budget.Fraction(0.25).finite());
-  EXPECT_FALSE(budget.Split(4).finite());
-  EXPECT_EQ(budget.ClampDeadline(30.0), 30.0);
-  EXPECT_EQ(budget.ClampDeadline(kInf), kInf);
-}
-
-TEST(DeadlineBudget, FiniteBudgetFractionsSplitsAndClamps) {
-  const DeadlineBudget budget{120.0};
-  EXPECT_TRUE(budget.finite());
-  EXPECT_DOUBLE_EQ(budget.Fraction(0.25).minutes, 30.0);
-  EXPECT_DOUBLE_EQ(budget.Split(4).minutes, 30.0);
-  // The budget is the binding deadline when it is tighter than the flat
-  // per-round deadline, and vice versa.
-  EXPECT_DOUBLE_EQ(DeadlineBudget{40.0}.ClampDeadline(30.0), 30.0);
-  EXPECT_DOUBLE_EQ(DeadlineBudget{40.0}.ClampDeadline(100.0), 40.0);
-  EXPECT_DOUBLE_EQ(DeadlineBudget{40.0}.ClampDeadline(kInf), 40.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -119,19 +87,16 @@ RetryStats DistinctStats() {
   stats.retransmits_requested = 2;
   stats.retry_reports_recovered = 3;
   stats.retries_exhausted = 4;
-  stats.retry_budget_denied = 5;
-  stats.deadline_denied = 6;
-  stats.hedges_issued = 7;
-  stats.hedges_cancelled = 8;
-  stats.hedge_reports = 9;
-  stats.hedge_failures = 10;
-  stats.hedge_dedup_drops = 11;
-  stats.breaker_skips = 12;
-  stats.breaker_probes = 13;
-  stats.breaker_opens = 14;
-  stats.breaker_closes = 15;
-  stats.backoff_minutes = 16.5;
-  stats.elapsed_minutes = 17.25;
+  stats.hedges_issued = 5;
+  stats.hedge_reports = 6;
+  stats.hedge_failures = 7;
+  stats.hedge_dedup_drops = 8;
+  stats.breaker_skips = 9;
+  stats.breaker_probes = 10;
+  stats.breaker_opens = 11;
+  stats.breaker_closes = 12;
+  stats.backoff_minutes = 13.5;
+  stats.elapsed_minutes = 14.25;
   return stats;
 }
 
@@ -271,22 +236,6 @@ TEST(HealthTracker, FailedProbeReopensImmediately) {
   EXPECT_EQ(tracker.state(7), BreakerState::kOpen);
   EXPECT_EQ(tracker.opens(), 2);
   EXPECT_EQ(tracker.closes(), 0);
-}
-
-TEST(HealthTracker, FailureRateTriggerNeedsMinimumSamples) {
-  BreakerPolicy policy;
-  policy.failure_rate_to_open = 0.5;
-  policy.min_samples_for_rate = 4;
-  HealthTracker tracker(policy);
-  // success, fail, success, fail: the rate hits 0.5 at the 2nd sample, but
-  // the trigger must wait for 4.
-  tracker.ObserveRound(1, {9}, {});
-  tracker.ObserveRound(2, {}, {9});
-  EXPECT_EQ(tracker.state(9), BreakerState::kClosed);
-  tracker.ObserveRound(3, {9}, {});
-  tracker.ObserveRound(4, {}, {9});
-  EXPECT_EQ(tracker.state(9), BreakerState::kOpen);
-  EXPECT_EQ(tracker.opens(), 1);
 }
 
 TEST(HealthTracker, StateSurvivesEncodeDecodeAndPolicyMismatchFailsClosed) {
@@ -474,68 +423,17 @@ TEST_F(ResilienceQueryTest, ReactiveHedgesCoverPredictedLateReports) {
   ASSERT_GT(result.faults.late_reports_rejected, 0);
   EXPECT_GT(result.retry.hedges_issued, 0);
   EXPECT_GT(result.retry.hedge_reports, 0);
-  // Conservation: every issued hedge either reported, failed, or was
-  // cancelled.
+  // Conservation: every issued hedge either reported or failed.
   EXPECT_EQ(result.retry.hedges_issued,
-            result.retry.hedge_reports + result.retry.hedge_failures +
-                result.retry.hedges_cancelled);
-  // With an infinite budget every hedge is reactive (straggler-triggered),
-  // so every winning hedge displaced exactly one late original.
-  EXPECT_EQ(result.retry.hedges_cancelled, 0);
+            result.retry.hedge_reports + result.retry.hedge_failures);
+  // Every hedge covers a late straggler, so every winning hedge displaced
+  // exactly one late original.
   EXPECT_EQ(result.retry.hedge_dedup_drops, result.retry.hedge_reports);
   EXPECT_EQ(result.retry.RecoveredTotal(), result.retry.hedge_reports);
   // Each contact — primary or hedge — is metered exactly once.
   EXPECT_EQ(meter.denied_charges(), 0);
   EXPECT_EQ(meter.total_bits(),
             result.round1.contacted + result.round2.contacted);
-}
-
-TEST(ResilienceRoundTest, CancelledHedgesAreNeverContactedOrMetered) {
-  // Pre-emptive hedging under budget pressure, fault-free: every primary
-  // arrives, so every planned hedge is cancelled before the duplicate
-  // client computes — no contact, no report, no meter charge.
-  Rng data_rng(100);
-  const Dataset ages = CensusAges(60, data_rng);
-  const std::vector<Client> clients =
-      MakePopulation(ages.values(), ClientConfig{});
-  const FixedPointCodec codec = FixedPointCodec::Integer(7);
-
-  std::vector<int64_t> cohort;
-  std::vector<int64_t> pool;
-  for (int64_t i = 0; i < 40; ++i) cohort.push_back(i);
-  for (int64_t i = 40; i < 60; ++i) pool.push_back(i);
-
-  RoundConfig config;
-  config.probabilities = GeometricProbabilities(7, 0.5);
-  config.epsilon = 4.0;
-  config.round_id = 1;
-  config.backfill_pool = pool;
-  config.resilience.hedge.enabled = true;
-  config.resilience.hedge.trigger_budget_fraction = 0.5;
-  // One eligible check-in per simulated minute: each contact costs exactly
-  // one minute of clock, so the trigger (10 of 20 minutes) crosses after
-  // slot 10 and the remaining 30 slots are hedged pre-emptively.
-  config.resilience.latency.checkins_per_minute = 1.0;
-  config.resilience.budget.minutes = 20.0;
-
-  MeterPolicy policy;
-  policy.max_bits_per_value = 1;
-  PrivacyMeter meter(policy);
-  Rng rng(17);
-  const AggregationServer server(codec);
-  const RoundOutcome outcome =
-      server.RunRound(clients, cohort, config, &meter, rng);
-
-  EXPECT_EQ(outcome.retry.hedges_issued, 30);
-  EXPECT_EQ(outcome.retry.hedges_issued, outcome.retry.hedges_cancelled);
-  EXPECT_EQ(outcome.retry.hedge_reports, 0);
-  EXPECT_EQ(outcome.retry.hedge_failures, 0);
-  // The pool was never touched: contacts and charges both equal the cohort.
-  EXPECT_EQ(outcome.contacted, 40);
-  EXPECT_EQ(outcome.responded, 40);
-  EXPECT_EQ(meter.total_bits(), 40);
-  EXPECT_EQ(meter.denied_charges(), 0);
-  EXPECT_GT(outcome.retry.elapsed_minutes, 0.0);
 }
 
 TEST_F(ResilienceQueryTest, BreakerIsFedFromTheContactList) {
@@ -678,14 +576,13 @@ class ResilienceRecoveryTest : public ::testing::Test {
     policy_.max_bits_per_client = 2;
     policy_.max_epsilon_per_client = 100.0;
 
-    // Every mechanism armed: retries, hedging under a finite per-tick
-    // budget tight enough to cross the trigger, and the breaker.
+    // Every mechanism armed: retries, hedges on the stragglers the finite
+    // report deadline rejects (MakeQueries), and the breaker.
     resilience_.seed = 41;
     resilience_.retry = EnabledRetryPolicy(2);
     resilience_.hedge.enabled = true;
     resilience_.breaker.consecutive_failures_to_open = 2;
     resilience_.breaker.cooldown_rounds = 2;
-    resilience_.budget.minutes = 260.0;
   }
 
   ~ResilienceRecoveryTest() override {

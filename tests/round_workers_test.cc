@@ -14,11 +14,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -215,6 +217,58 @@ Inputs MakeInputs(const ClientConfig& client_config, int values_per_client,
   return inputs;
 }
 
+bool Straggles(const FaultPlan& plan, int64_t id, int64_t round_id) {
+  return plan.DecideAttempt(round_id, id, /*attempt=*/0) ==
+         FaultType::kStraggler;
+}
+
+// Arms `inputs` for hedges on late reports: a fault plan under which one
+// client in 64 straggles in each round, a finite report deadline, so that
+// a straggler's report is late and draws a hedge from the pool, and
+// hedging on. Every client is re-ided, in order, with the next id that
+// straggles in neither round 1 nor round 2, so that only the clients a
+// case makes late (LateClient) straggle.
+void ArmLateHedges(Inputs* inputs) {
+  FaultRates rates;
+  rates.straggler = 1.0 / 64;
+  inputs->faults = FaultPlan(61, rates);
+  inputs->config.fault_policy.report_deadline_minutes = 10.0;
+  inputs->config.resilience.hedge.enabled = true;
+  int64_t id = 0;
+  for (Client& client : inputs->clients) {
+    while (Straggles(inputs->faults, id, 1) ||
+           Straggles(inputs->faults, id, 2)) {
+      ++id;
+    }
+    const std::span<const double> values = client.values();
+    client = Client(id++, std::vector<double>(values.begin(), values.end()),
+                    client.config());
+  }
+}
+
+// A client whose report is late in rounds 1 and 2 under ArmLateHedges'
+// plan: the first id from `*next` on that straggles in both, above every
+// id ArmLateHedges hands out.
+Client LateClient(const Inputs& inputs, int64_t* next) {
+  *next = std::max(*next, int64_t{1} << 32);
+  while (!Straggles(inputs.faults, *next, 1) ||
+         !Straggles(inputs.faults, *next, 2)) {
+    ++*next;
+  }
+  return Client((*next)++, {7.0}, ClientConfig{});
+}
+
+RetryStats PooledRetry(const Result& result) {
+  RetryStats retry;
+  for (const std::vector<uint8_t>& bytes : result.outcomes) {
+    RoundOutcome round;
+    size_t offset = 0;
+    EXPECT_TRUE(DecodeRoundOutcome(bytes, &offset, &round));
+    retry.MergeFrom(round.retry);
+  }
+  return retry;
+}
+
 TEST(RoundWorkersTest, FaultsRetriesHedgesBackfillAndBreaker) {
   ClientConfig flaky;
   flaky.dropout_probability = 0.05;
@@ -235,17 +289,12 @@ TEST(RoundWorkersTest, FaultsRetriesHedgesBackfillAndBreaker) {
     inputs.config.backfill_pool.push_back(i);
   }
   inputs.config.fault_policy.max_backfill_rounds = 2;
+  // Stragglers are late, so each one draws a hedge from the pool.
   inputs.config.fault_policy.report_deadline_minutes = 10.0;
   ResilienceConfig& res = inputs.config.resilience;
   res.seed = 17;
   res.retry.max_retries_per_client = 2;
-  res.retry.max_retries_per_round = 200;
   res.hedge.enabled = true;
-  res.hedge.trigger_budget_fraction = 0.5;
-  res.hedge.max_hedges_per_round = 2000;
-  // The retries' backoffs run the clock past the hedge trigger early in
-  // the cohort pass, so that later slots get planned hedges.
-  res.budget.minutes = 200.0;
   BreakerPolicy breaker;
   breaker.consecutive_failures_to_open = 1;
   breaker.cooldown_rounds = 3;
@@ -271,7 +320,6 @@ TEST(RoundWorkersTest, FaultsRetriesHedgesBackfillAndBreaker) {
   EXPECT_GT(outcome.retry.retries_scheduled, 0);
   EXPECT_GT(outcome.retry.retransmits_requested, 0);
   EXPECT_GT(outcome.retry.hedges_issued, 0);
-  EXPECT_GT(outcome.retry.hedges_cancelled, 0);
   EXPECT_GT(outcome.retry.hedge_reports, 0);
   EXPECT_GT(outcome.faults.backfill_requests, 0);
   EXPECT_GT(outcome.retry.breaker_skips, 0);
@@ -482,14 +530,15 @@ TEST(RoundWorkersTest, FirstChargesRegisterUpFrontAndApplyInPlace) {
 // whose clients share an id with a cohort client: granted earlier in the
 // same chunk and still pending, granted in the chunk before, or staged in
 // the next one. Claims key on rows, so every repeat is decided against
-// its twin's grant.
+// its twin's grant. The late clients spend their one bit in round 1, so
+// only round 1 hedges: a denied straggler sends no report to be late.
 TEST(RoundWorkersTest, RepeatedIdsInTheCohortAndTheHedgePool) {
   Inputs inputs = MakeInputs(ClientConfig{}, 1, kLongCohort);
   inputs.policy.max_bits_per_value = 1;
-  ClientConfig gone;
-  gone.dropout_probability = 1.0;
+  ArmLateHedges(&inputs);
   inputs.config.backfill_pool.clear();
   int64_t pool_index = kLongCohort;
+  int64_t late_id = 0;
   // The id of the cohort client in slot `slot`.
   const auto id_at = [&](int64_t slot) {
     return inputs.clients[static_cast<size_t>(
@@ -504,7 +553,7 @@ TEST(RoundWorkersTest, RepeatedIdsInTheCohortAndTheHedgePool) {
         {base + 15000, base + kChunk + 1000}};
     for (const auto& [slot, twin_slot] : hedges) {
       const int64_t idx = inputs.cohort[static_cast<size_t>(slot)];
-      inputs.clients[static_cast<size_t>(idx)] = Client(idx, {7.0}, gone);
+      inputs.clients[static_cast<size_t>(idx)] = LateClient(inputs, &late_id);
       // A pool client with the id of the client in `twin_slot`.
       inputs.clients[static_cast<size_t>(pool_index)] =
           Client(id_at(twin_slot), {3.0}, ClientConfig{});
@@ -515,25 +564,21 @@ TEST(RoundWorkersTest, RepeatedIdsInTheCohortAndTheHedgePool) {
     inputs.clients[static_cast<size_t>(twin)] =
         Client(id_at(base + 5000), {1.0}, ClientConfig{});
   }
-  ResilienceConfig& res = inputs.config.resilience;
-  res.hedge.enabled = true;
-  res.hedge.trigger_budget_fraction = 0.0;
-  res.budget.minutes = 1e9;
+  EXPECT_EQ(PooledRetry(RunRounds(inputs, 1)).hedges_issued, 12);
   ExpectSameAtEveryBudget(inputs);
 }
 
 TEST(RoundWorkersTest, HedgesOnPendingGrantsWhileTheNextChunkStages) {
   Inputs inputs = MakeInputs(ClientConfig{}, 1, kLongCohort);
   inputs.policy.max_bits_per_value = 2;
-  // Every slot has a hedge planned, and the clients of these slots drop
-  // out, so that each of them issues one. Its client comes from the pool,
-  // which holds cohort clients: one granted earlier in the same chunk,
-  // still pending; one granted in the chunk before, whose grant the
-  // threads apply while this chunk runs; and one in the next chunk, which
-  // the threads are staging.
-  ClientConfig gone;
-  gone.dropout_probability = 1.0;
+  // The clients of these slots are late, so that each of them issues a
+  // hedge. Its client comes from the pool, which holds cohort clients: one
+  // granted earlier in the same chunk, still pending; one granted in the
+  // chunk before, whose grant the threads apply while this chunk runs; and
+  // one in the next chunk, which the threads are staging.
+  ArmLateHedges(&inputs);
   inputs.config.backfill_pool.clear();
+  int64_t late_id = 0;
   for (int64_t chunk = 0; chunk < 4; ++chunk) {
     const int64_t base = chunk * kChunk;
     const std::pair<int64_t, int64_t> hedges[] = {
@@ -543,28 +588,17 @@ TEST(RoundWorkersTest, HedgesOnPendingGrantsWhileTheNextChunkStages) {
         {base + 21000, base + 20990}};
     for (const auto& [slot, hedge_slot] : hedges) {
       const int64_t idx = inputs.cohort[static_cast<size_t>(slot)];
-      inputs.clients[static_cast<size_t>(idx)] = Client(idx, {7.0}, gone);
+      inputs.clients[static_cast<size_t>(idx)] = LateClient(inputs, &late_id);
       inputs.config.backfill_pool.push_back(
           inputs.cohort[static_cast<size_t>(hedge_slot)]);
     }
   }
-  ResilienceConfig& res = inputs.config.resilience;
-  res.hedge.enabled = true;
-  res.hedge.trigger_budget_fraction = 0.0;
-  res.budget.minutes = 1e9;
 
-  const Result result = RunRounds(inputs, 1);
-  RetryStats retry;
-  for (const std::vector<uint8_t>& bytes : result.outcomes) {
-    RoundOutcome round;
-    size_t offset = 0;
-    ASSERT_TRUE(DecodeRoundOutcome(bytes, &offset, &round));
-    retry.MergeFrom(round.retry);
-  }
+  const RetryStats retry = PooledRetry(RunRounds(inputs, 1));
   // Each round issues the 16 hedges the pool holds. In the first, every
   // hedge client has at most one bit and answers; in the second, each has
   // two, and the cap denies it.
-  EXPECT_EQ(retry.hedges_issued - retry.hedges_cancelled, 32);
+  EXPECT_EQ(retry.hedges_issued, 32);
   EXPECT_EQ(retry.hedge_reports, 16);
   EXPECT_EQ(retry.hedge_failures, 16);
   ExpectSameAtEveryBudget(inputs);
@@ -575,24 +609,21 @@ TEST(RoundWorkersTest, HedgesOnPendingGrantsWhileTheNextChunkStages) {
 // steps read as in a round without hedges.
 TEST(RoundWorkersTest, HedgesDoNotWaitForTheThreads) {
   Inputs inputs = MakeInputs(ClientConfig{}, 1, kLongCohort);
-  // The client at slot 3000 of each of the first four chunks drops out
-  // and hedges onto a fresh pool client.
-  ClientConfig gone;
-  gone.dropout_probability = 1.0;
+  // The client at slot 3000 of each of the first four chunks is late and
+  // hedges onto a fresh pool client.
+  ArmLateHedges(&inputs);
   inputs.config.backfill_pool.clear();
+  int64_t late_id = 0;
   for (int64_t chunk = 0; chunk < 4; ++chunk) {
     const int64_t idx =
         inputs.cohort[static_cast<size_t>(chunk * kChunk + 3000)];
-    inputs.clients[static_cast<size_t>(idx)] = Client(idx, {7.0}, gone);
+    inputs.clients[static_cast<size_t>(idx)] = LateClient(inputs, &late_id);
     inputs.config.backfill_pool.push_back(kLongCohort + chunk);
   }
-  ResilienceConfig& res = inputs.config.resilience;
-  res.hedge.enabled = true;
-  res.hedge.trigger_budget_fraction = 0.0;
-  res.budget.minutes = 1e9;
   RoundConfig config = inputs.config;
   config.workers = 4;
   config.round_id = 1;
+  config.fault_plan = &inputs.faults;
   PrivacyMeter meter(inputs.policy);
   Rng rng(77);
 
@@ -677,6 +708,8 @@ ShardRun RunDurableShards(const std::vector<Client>& population,
   query.query.use_secure_aggregation = true;
   query.query.fault_plan = &faults;
   query.query.fault_policy.max_backfill_rounds = 1;
+  // Stragglers are late, so each one draws a hedge from the pool.
+  query.query.fault_policy.report_deadline_minutes = 10.0;
   // Round 2 of each shard's cohort fills a chunk on several threads, and
   // the clients left out of the cohort are the backfill and hedge pool.
   query.query.cohort.max_cohort_size = 3 * kCohort / 2;
@@ -685,7 +718,6 @@ ShardRun RunDurableShards(const std::vector<Client>& population,
   resilience.seed = 29;
   resilience.retry.max_retries_per_client = 2;
   resilience.hedge.enabled = true;
-  resilience.budget.minutes = 1e6;
   resilience.breaker.consecutive_failures_to_open = 2;
   MeterPolicy policy;
   policy.max_bits_per_value = 4;

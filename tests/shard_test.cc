@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "obs/metrics.h"
 #include "persist/journal.h"
 #include "rng/rng.h"
+#include "util/bytes.h"
 
 namespace bitpush {
 namespace {
@@ -254,6 +256,173 @@ TEST(ShardFrameCodecTest, TraceContextSectionFailsClosed) {
   EncodeShardTickFrame(disabled, &disabled_wire);
   EXPECT_TRUE(DecodeShardTickFrame(disabled_wire, &out));
   EXPECT_EQ(out.trace_id, 0);
+}
+
+// A frame as wire version 1 laid it out: its retry counters held the
+// per-round retry cap's and the deadline budget's denials after
+// retries_exhausted, and the cancelled hedges after hedges_issued.
+std::vector<uint8_t> VersionOneFrame(const ShardTickFrame& frame) {
+  std::vector<uint8_t> out;
+  bytes::PutByte(1, &out);
+  bytes::PutInt64(frame.shard, &out);
+  bytes::PutInt64(frame.tick, &out);
+  bytes::PutUint32(static_cast<uint32_t>(frame.queries.size()), &out);
+  for (const ShardQueryFrame& query : frame.queries) {
+    bytes::PutInt64(query.query_index, &out);
+    bytes::PutInt64(query.partition_clients, &out);
+    EncodeCampaignTickResult(query.result, &out);
+    EncodeBitHistogram(query.tallies, &out);
+    EncodeFaultStats(query.faults, &out);
+  }
+  const RetryStats& r = frame.retry;
+  for (const int64_t counter :
+       {r.retries_scheduled, r.retransmits_requested,
+        r.retry_reports_recovered, r.retries_exhausted, int64_t{0},
+        int64_t{0}, r.hedges_issued, int64_t{0}, r.hedge_reports,
+        r.hedge_failures, r.hedge_dedup_drops, r.breaker_skips,
+        r.breaker_probes, r.breaker_opens, r.breaker_closes}) {
+    bytes::PutInt64(counter, &out);
+  }
+  bytes::PutDouble(r.backoff_minutes, &out);
+  bytes::PutDouble(r.elapsed_minutes, &out);
+  EncodeShardMetrics(frame.metrics, &out);
+  bytes::PutByte(kTraceContextVersion, &out);
+  bytes::PutInt64(frame.trace_id, &out);
+  bytes::PutInt64(frame.span_id, &out);
+  bytes::PutInt64(frame.parent_span_id, &out);
+  return out;
+}
+
+TEST(ShardFrameCodecTest, VersionOneFrameFailsClosed) {
+  ShardTickFrame frame;
+  frame.shard = 1;
+  frame.tick = 3;
+  ShardQueryFrame query;
+  query.partition_clients = 9;
+  query.result.tick = 3;
+  query.result.query_name = "metric";
+  query.tallies.totals = {4, 5};
+  query.tallies.ones = {1, 2};
+  frame.queries.push_back(query);
+  frame.retry.retries_scheduled = 2;
+  frame.retry.hedges_issued = 1;
+  std::vector<uint8_t> wire;
+  EncodeShardTickFrame(frame, &wire);
+  const std::vector<uint8_t> version1 = VersionOneFrame(frame);
+  // Three counters more than today's layout.
+  ASSERT_EQ(version1.size(), wire.size() + 3 * 8);
+  ShardTickFrame out;
+  EXPECT_FALSE(DecodeShardTickFrame(version1, &out));
+  ASSERT_TRUE(DecodeShardTickFrame(wire, &out));
+  EXPECT_EQ(out, frame);
+}
+
+// --------------------------------------------------------------------------
+// The merge tier fails closed on a frame it cannot merge.
+
+// Shard `shard`'s frame for `tick` of a one-query campaign: a row of
+// `bits`-wide tallies over `clients` clients, through the wire codec.
+ShardTickFrame DecodedFrame(int64_t shard, int64_t tick, int bits,
+                            int64_t clients) {
+  ShardTickFrame frame;
+  frame.shard = shard;
+  frame.tick = tick;
+  ShardQueryFrame row;
+  row.partition_clients = clients;
+  row.result.tick = tick;
+  row.result.query_name = "metric";
+  row.result.estimate = 100.0;
+  row.result.reports = clients;
+  row.tallies.totals.assign(static_cast<size_t>(bits), 4);
+  row.tallies.ones.assign(static_cast<size_t>(bits), 1);
+  frame.queries.push_back(row);
+  std::vector<uint8_t> wire;
+  EncodeShardTickFrame(frame, &wire);
+  ShardTickFrame decoded;
+  EXPECT_TRUE(DecodeShardTickFrame(wire, &decoded));
+  return decoded;
+}
+
+TEST(ShardMergeTierTest, FrameOfAnotherWidthCountsItsShardLost) {
+  const ShardFixture fixture = MakeFixture(40, 8, 0.0, 1);
+  MergeTier tier(fixture.queries, /*shards=*/2, /*quorum_fraction=*/0.5);
+  // Both frames pass the codec (0 <= ones <= totals), but shard 1's
+  // tallies are 7 bits wide for the 8-bit query. The tier keeps shard 0's
+  // frame and rejects shard 1's, whose shard the caller counts as lost,
+  // as ShardedCampaignRunner::RunTick does.
+  const ShardTickFrame wide = DecodedFrame(0, 0, 8, 20);
+  tier.AddFrame(wide);
+  tier.AddFrame(DecodedFrame(1, 0, 7, 20));
+  const MergedTickResult result =
+      tier.CloseTick(0, {ShardLoss{/*shard=*/1, /*clients_per_query=*/{20}}});
+  EXPECT_FALSE(result.quorum_failed);
+  EXPECT_EQ(result.shards_delivered, 1);
+  EXPECT_EQ(result.shards_lost, 1);
+  ASSERT_EQ(result.queries.size(), 1u);
+  const MergedQueryResult& merged = result.queries[0];
+  EXPECT_EQ(merged.status, MergedQueryResult::Status::kRan);
+  EXPECT_TRUE(merged.degraded);
+  EXPECT_EQ(merged.shards_merged, 1);
+  EXPECT_EQ(merged.shards_lost, 1);
+  EXPECT_EQ(merged.clients_lost, 20);
+  EXPECT_EQ(merged.effective_clients, 20);
+  EXPECT_EQ(merged.tallies, wide.queries[0].tallies);
+}
+
+TEST(ShardMergeTierTest, RejectsFramesItCannotMerge) {
+  // Two queries: "metric" every tick and "weekly" every other one.
+  ShardFixture fixture = MakeFixture(40, 8, 0.0, 1);
+  CampaignQuery weekly = fixture.queries[0];
+  weekly.name = "weekly";
+  weekly.cadence_ticks = 2;
+  fixture.queries.push_back(weekly);
+  MergeTier tier(fixture.queries, /*shards=*/4, /*quorum_fraction=*/0.25);
+
+  // Tick 1 schedules "metric" alone. A frame missing it, repeating it,
+  // naming "weekly", or naming a query past the list cannot be merged,
+  // nor can one from a shard out of range.
+  ShardTickFrame missing = DecodedFrame(0, 1, 8, 10);
+  missing.queries.clear();
+  EXPECT_FALSE(tier.AddFrame(missing));
+  ShardTickFrame repeated = DecodedFrame(0, 1, 8, 10);
+  repeated.queries.push_back(repeated.queries[0]);
+  EXPECT_FALSE(tier.AddFrame(repeated));
+  for (const int64_t query_index : {int64_t{1}, int64_t{2}}) {
+    ShardTickFrame other = DecodedFrame(0, 1, 8, 10);
+    other.queries[0].query_index = query_index;
+    EXPECT_FALSE(tier.AddFrame(other)) << query_index;
+  }
+  EXPECT_FALSE(tier.AddFrame(DecodedFrame(4, 1, 8, 10)));
+
+  // A well-formed frame opens tick 1. A zero-width row (a cohort skip)
+  // merges; a second frame from shard 0, or a frame for another tick, is
+  // rejected.
+  EXPECT_TRUE(tier.AddFrame(DecodedFrame(0, 1, 8, 10)));
+  EXPECT_TRUE(tier.AddFrame(DecodedFrame(1, 1, 0, 10)));
+  EXPECT_FALSE(tier.AddFrame(DecodedFrame(0, 1, 8, 10)));
+  EXPECT_FALSE(tier.AddFrame(DecodedFrame(2, 2, 8, 10)));
+  const MergedTickResult tick1 = tier.CloseTick(
+      1, {ShardLoss{2, {10, 10}}, ShardLoss{3, {10, 10}}});
+  EXPECT_EQ(tick1.shards_delivered, 2);
+  ASSERT_EQ(tick1.queries.size(), 1u);
+  EXPECT_EQ(tick1.queries[0].clients_lost, 20);
+  EXPECT_EQ(tick1.queries[0].tallies.bits(), 8);
+
+  // Tick 2 is open now: a frame of tick 1 or tick 3 is rejected, and a
+  // tick-2 frame needs both queries' rows, in query order.
+  EXPECT_FALSE(tier.AddFrame(DecodedFrame(0, 1, 8, 10)));
+  EXPECT_FALSE(tier.AddFrame(DecodedFrame(0, 3, 8, 10)));
+  EXPECT_FALSE(tier.AddFrame(DecodedFrame(0, 2, 8, 10)));
+  ShardTickFrame both = DecodedFrame(0, 2, 8, 10);
+  both.queries.push_back(both.queries[0]);
+  both.queries[1].query_index = 1;
+  ShardTickFrame swapped = both;
+  std::swap(swapped.queries[0], swapped.queries[1]);
+  EXPECT_FALSE(tier.AddFrame(swapped));
+  EXPECT_TRUE(tier.AddFrame(both));
+  const MergedTickResult tick2 = tier.CloseTick(2, {});
+  EXPECT_EQ(tick2.shards_delivered, 1);
+  EXPECT_EQ(tick2.queries.size(), 2u);
 }
 
 // --------------------------------------------------------------------------

@@ -131,7 +131,7 @@ TEST(WireFuzzTest, RetryStatsFrameDecodeNeverMisbehaves) {
     stats.retransmits_requested = static_cast<int64_t>(rng.NextBelow(1000));
     stats.retry_reports_recovered = static_cast<int64_t>(rng.NextBelow(1000));
     stats.hedges_issued = static_cast<int64_t>(rng.NextBelow(1000));
-    stats.hedges_cancelled = static_cast<int64_t>(rng.NextBelow(1000));
+    stats.hedge_reports = static_cast<int64_t>(rng.NextBelow(1000));
     stats.breaker_opens = static_cast<int64_t>(rng.NextBelow(100));
     stats.backoff_minutes = rng.NextDouble() * 500.0;
     stats.elapsed_minutes = rng.NextDouble() * 500.0;

@@ -479,7 +479,7 @@ int Main(int argc, char** argv) {
     BitHistogram pooled = result.round1.histogram;
     pooled.Merge(result.round2.histogram);
     const DistributionDiagnostics diagnostics =
-        DiagnoseDistribution(pooled, epsilon, DebuggingConfig{});
+        DiagnoseDistribution(pooled, epsilon);
     std::printf("highest used bit: %d of %d configured\n",
                 diagnostics.highest_used_bit, codec.bits());
     std::printf("vacuous bit fraction: %.2f\n",
